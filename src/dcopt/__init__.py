@@ -59,10 +59,6 @@ from .scattering import (
     ChannelEnd,
     CouplingMatrix,
     DelayLine,
-    direct_exchange,
-    outgoing_wave,
-    push_pop,
-    recover,
     wave_identity_residual,
 )
 

@@ -27,6 +27,7 @@ from .dynamics import CompensatorParams
 from .engine import ReferencePoint, SimConfig, simulate
 from .graph import ring
 from .matching import (
+    _MAX_BRUTE_FORCE,
     brute_force_optimal,
     build_distributed_problem,
     extract_assignment,
@@ -130,6 +131,10 @@ def validate_config(path=None, overrides=None):
         "agents", f"expected an integer, got {cfg['agents']!r}",
     )
     _require(cfg["agents"] >= 3, "agents", "ring topology needs >= 3 agents")
+    _require(
+        cfg["agents"] <= _MAX_BRUTE_FORCE, "agents",
+        f"must be <= {_MAX_BRUTE_FORCE} (brute-force oracle), got {cfg['agents']}",
+    )
     cfg["area"] = _check_number("area", cfg["area"], positive=True)
     cfg["ring_weight"] = _check_number(
         "ring_weight", cfg["ring_weight"], positive=True

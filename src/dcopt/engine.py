@@ -2,9 +2,14 @@
 
 One explicit-Euler step has a fixed phase order:
 
-    1. all channel pops and receiver-side recoveries,
+    1. the port pair (r, p) of every directed edge i <- j, in every mode:
+       r is what agent i holds of neighbor j (see below) and
+       p = E (r - [x_i; xi_i]) the coupling effort.  The derivatives, the
+       online diagnostics and the log all read this one pair; the two
+       direct modes form p only when the log or a port check reads it,
     2. all agent derivatives from time-t values,
-    3. all pushes of outgoing waves (or raw states, in naive mode),
+    3. all pushes into the delay lines (outgoing waves in scattering
+       mode, the sender's own [x; xi] in naive mode),
     4. barrier commit of the Euler updates.
 
 Every quantity consumed in a step is therefore from time t; the step is a
@@ -12,9 +17,11 @@ synchronous barrier, which is what makes runs bit-for-bit reproducible.
 
 Exchange modes
 --------------
-no_delay     neighbors read each other's current state
-naive_delay  neighbors read raw states delayed per directed edge
-scattering   neighbors exchange waves through the scattering channel
+The modes differ only in what crosses an edge and so in where r comes from:
+
+no_delay     r = [x_j; xi_j], the neighbor's current state
+naive_delay  r = the neighbor's [x_j; xi_j] popped from the delay line
+scattering   r and p are recovered from the incoming wave and [x_i; xi_i]
 
 When a reference point (a KKT-validated converged state) is supplied, the
 engine additionally accumulates storage-function diagnostics online at full
@@ -72,6 +79,16 @@ class SimConfig:
     delays maps directed edges (i, j) to the transmission delay of the
     i -> j channel in seconds; required (and >= step) for the two delayed
     modes, ignored in no_delay mode.
+
+    reference     KKT-validated ReferencePoint; when set, the online
+                  storage/passivity diagnostics run at every step.
+    diag_interval seconds between the Lyapunov samples of those
+                  diagnostics (the rate checks run at every step anyway).
+    store_waves   scattering only: keep every step's waves in
+                  log.wave_history for the post-hoc oracles
+                  (lyapunov_delayed); memory grows with the step count.
+    initial       one AgentState per agent to start from instead of zeros
+                  with lam = lam0; shapes are checked before the first step.
     """
 
     step: float = 1e-3
@@ -85,7 +102,7 @@ class SimConfig:
     diag_interval: float = 0.1
     reference: "ReferencePoint" = None
     store_waves: bool = False
-    initial: list = None  # optional list[AgentState] override
+    initial: list = None
 
     def __post_init__(self):
         if self.compensator is None:
@@ -503,15 +520,29 @@ def simulate(prob, cfg):
     n_steps = int(round(cfg.duration / h))
 
     if cfg.initial is not None:
+        if len(cfg.initial) != n:
+            raise ValueError(
+                f"initial: expected {n} agent states, got {len(cfg.initial)}"
+            )
         states = [
             AgentState(s.rho.copy(), s.xi.copy(), s.lam.copy(), s.mu.copy())
             for s in cfg.initial
         ]
-        for s, p in zip(states, prob.local_problems):
+        for i, (s, p) in enumerate(zip(states, prob.local_problems)):
+            for name, arr, shape in (
+                ("rho", s.rho, (comp.m, dim)),
+                ("xi", s.xi, (dim,)),
+                ("lam", s.lam, (p.n_ineq,)),
+                ("mu", s.mu, (p.n_eq,)),
+            ):
+                if arr.shape != shape:
+                    raise ValueError(
+                        f"initial[{i}].{name}: expected shape {shape}, got {arr.shape}"
+                    )
             if s.lam.size and s.lam.min() <= 0.0:
-                raise ValueError("initial inequality multipliers must be positive")
-            if s.rho.shape != (comp.m, dim) or s.lam.size != p.n_ineq or s.mu.size != p.n_eq:
-                raise ValueError("initial state shape mismatch")
+                raise ValueError(
+                    f"initial[{i}].lam: inequality multipliers must be positive"
+                )
     else:
         states = [
             AgentState.zeros(comp, dim, p.n_ineq, p.n_eq, cfg.lam0)
@@ -520,16 +551,16 @@ def simulate(prob, cfg):
 
     directed = net.directed_edges()
     couplings = {(i, j): CouplingMatrix(w, dim) for i, j, w in directed}
-    lines = {}
+    lines = {}  # lines[(i, j)] carries what i sends to j
+    if cfg.mode != "no_delay":
+        lines = {
+            (i, j): DelayLine(cfg.delay_for(i, j), h, 2 * dim) for i, j, _ in directed
+        }
     ends = {}
     if cfg.mode == "scattering":
-        for i, j, w in directed:
-            lines[(i, j)] = DelayLine(cfg.delay_for(i, j), h, 2 * dim)
-        for i, j, w in directed:
-            ends[(i, j)] = ChannelEnd(couplings[(i, j)], cfg.eta, inbound=lines[(j, i)])
-    elif cfg.mode == "naive_delay":
-        for i, j, w in directed:
-            lines[(i, j)] = DelayLine(cfg.delay_for(i, j), h, 2 * dim)
+        ends = {
+            (i, j): ChannelEnd(couplings[(i, j)], cfg.eta) for i, j, _ in directed
+        }
 
     log = TrajectoryLog(config=cfg, n_agents=n, dim=dim)
     if cfg.store_waves:
@@ -546,9 +577,7 @@ def simulate(prob, cfg):
     diag = None
     if ref is not None:
         diag = _DiagState(prob, ref, comp, cfg, lines)
-        log.compensator_excess = diag.ex_comp
-        log.multiplier_excess = diag.ex_mult
-        log.coupling_excess = diag.ex_coup
+        log.compensator_excess, log.multiplier_excess, log.coupling_excess = diag.excess
 
     def snapshot(t, derivs, edge_r, edge_p, edge_sin, edge_sout, x_stack, xi_stack):
         log.t.append(t)
@@ -593,29 +622,22 @@ def simulate(prob, cfg):
             t = k * h
             x_stack = np.array([s.rho.sum(axis=0) for s in states])
             xi_stack = np.array([s.xi for s in states])
+            u = np.concatenate([x_stack, xi_stack], axis=1)  # rows [x_i; xi_i]
 
-            # phase 1: pops and recoveries (scattering) or direct/naive reads
-            edge_r = {}
-            edge_p = {}
-            edge_sin = {}
-            edge_sout = {}
+            # phase 1: the port pair (r, p) of every directed edge i <- j
+            edge_r, edge_p, edge_sin, edge_sout = {}, {}, {}, {}
             received = [[] for _ in range(n)]
-            if cfg.mode == "scattering":
-                for i, j, w in directed:
-                    s_in = ends[(i, j)].inbound.pop(t)
-                    r, p = ends[(i, j)].recover(s_in, x_stack[i], xi_stack[i])
-                    edge_r[(i, j)] = r
-                    edge_p[(i, j)] = p
-                    edge_sin[(i, j)] = s_in
-                    received[i].append((r[:dim], r[dim:], w))
-            elif cfg.mode == "naive_delay":
-                for i, j, w in directed:
-                    delayed = lines[(j, i)].pop(t)
-                    edge_r[(i, j)] = delayed
-                    received[i].append((delayed[:dim], delayed[dim:], w))
-            else:
-                for i, j, w in directed:
-                    received[i].append((x_stack[j], xi_stack[j], w))
+            want_p = k % cfg.log_every == 0 or (diag is not None and diag.has_ports)
+            for i, j, w in directed:
+                r = lines[(j, i)].pop(t) if lines else u[j]
+                if cfg.mode == "scattering":  # what crossed is j's wave
+                    edge_sin[(i, j)] = r
+                    r, p = ends[(i, j)].recover(r, x_stack[i], xi_stack[i])
+                else:
+                    p = couplings[(i, j)].apply(r - u[i]) if want_p else None
+                edge_r[(i, j)] = r
+                edge_p[(i, j)] = p
+                received[i].append((r[:dim], r[dim:], w))
 
             # phase 2: derivatives from time-t values
             derivs = [
@@ -629,52 +651,33 @@ def simulate(prob, cfg):
                 log.abort_reason = "nan"
                 log.abort_step = k
                 aborted = True
-                snapshot(t, None, dict(edge_r) or None, None, None, None,
+                # only the delayed modes' r came out of a channel
+                snapshot(t, None, edge_r if lines else None, None, None, None,
                          x_stack, xi_stack)
                 break
 
-            # phase 3: pushes of outgoing values
-            if cfg.mode == "scattering":
+            # phase 3: push what crosses each edge into its delay line
+            if lines:
                 for i, j, w in directed:
-                    s_out = ends[(i, j)].outgoing_wave(edge_r[(i, j)], edge_p[(i, j)])
-                    edge_sout[(i, j)] = s_out
-                    lines[(i, j)].push(s_out, t)
+                    sent = u[i]
+                    if cfg.mode == "scattering":
+                        sent = ends[(i, j)].outgoing_wave(edge_r[(i, j)], edge_p[(i, j)])
+                        edge_sout[(i, j)] = sent
+                    lines[(i, j)].push(sent, t)
                 if cfg.store_waves:
                     for key in lines:
                         log.wave_history["s_in"][key].append(edge_sin[key])
                         log.wave_history["s_out"][key].append(edge_sout[key])
-            elif cfg.mode == "naive_delay":
-                for i, j, w in directed:
-                    lines[(i, j)].push(
-                        np.concatenate([x_stack[i], xi_stack[i]]), t
-                    )
 
             if diag is not None:
                 diag.step(
-                    t, states, x_stack, xi_stack, derivs, edge_r, edge_p,
+                    t, states, xi_stack, derivs, edge_r, edge_p,
                     edge_sin, edge_sout, log, k % diag_every == 0,
                 )
 
             if k % cfg.log_every == 0:
-                if cfg.mode == "no_delay":
-                    # materialize r/p for the log only (they are implicit)
-                    for i, j, w in directed:
-                        r = np.concatenate([x_stack[j], xi_stack[j]])
-                        edge_r[(i, j)] = r
-                        edge_p[(i, j)] = couplings[(i, j)].apply(
-                            r - np.concatenate([x_stack[i], xi_stack[i]])
-                        )
-                elif cfg.mode == "naive_delay":
-                    for i, j, w in directed:
-                        edge_p[(i, j)] = couplings[(i, j)].apply(
-                            edge_r[(i, j)] - np.concatenate([x_stack[i], xi_stack[i]])
-                        )
-                snapshot(
-                    t, derivs, dict(edge_r), dict(edge_p),
-                    dict(edge_sin) if edge_sin else None,
-                    dict(edge_sout) if edge_sout else None,
-                    x_stack, xi_stack,
-                )
+                snapshot(t, derivs, edge_r, edge_p, edge_sin or None,
+                         edge_sout or None, x_stack, xi_stack)
 
             # phase 4: barrier commit
             try:
@@ -726,7 +729,7 @@ def simulate(prob, cfg):
     if not log.t or log.t[-1] < t_end or n_steps == 0:
         snapshot(t_end, None, None, None, None, None, x_stack, xi_stack)
     if diag is not None and not aborted and n_steps:
-        diag.final(t_end, states, xi_stack, log)
+        diag.record(t_end, states, xi_stack, log, on_grid=True)
     log.final_states = states
     return log
 
@@ -737,7 +740,9 @@ class _DiagState:
     Per-step rate checks compare the forward difference of each storage
     against its certified bound plus the exact explicit-Euler step defect
     (see storage_step_defects); the recorded excess already subtracts the
-    1e-3 (1 + |S|) tolerance, so <= 0 means the bound held.
+    1e-3 (1 + |S|) tolerance, so <= 0 means the bound held.  excess rows
+    are the compensator, multiplier and coupling checks; the coupling row
+    is NaN for naive-delay runs, which have no port interpretation.
     """
 
     def __init__(self, prob, ref, comp, cfg, lines):
@@ -745,58 +750,75 @@ class _DiagState:
         self.ref = ref
         self.comp = comp
         self.cfg = cfg
-        n = prob.n_agents
-        port_modes = ("no_delay", "scattering")
-        self.ex_comp = np.full(n, -np.inf)
-        self.ex_mult = np.full(n, -np.inf)
-        self.ex_coup = np.full(n, -np.inf if cfg.mode in port_modes else np.nan)
+        self.has_ports = cfg.mode in ("no_delay", "scattering")
+        self.excess = np.full((3, prob.n_agents), -np.inf)
+        if not self.has_ports:
+            self.excess[2] = np.nan
         self.xi_factor = 2.0 if cfg.mode == "scattering" else 1.0
         self.prev = None
-        self.offsets = {}
+        self.ports = {}  # (r*, p*) per directed port
+        self.waves = {}  # (gamma*, delta*) per undirected scattering channel
         self.edge_const = 0.0
         self.acc = 0.0
-        if cfg.mode == "scattering":
-            for i, j, w in prob.network.directed_edges():
-                self.offsets[(i, j)] = ref.edge_offsets(i, j, w, cfg.eta)
-            for i, j, w in prob.network.edges():
-                _, _, gamma, delta = self.offsets[(i, j)]
-                t_ij = lines[(i, j)].delay
-                t_ji = lines[(j, i)].delay
-                self.edge_const += 0.5 * t_ij * float(gamma @ gamma)
-                self.edge_const += 0.5 * t_ji * float(delta @ delta)
-        elif cfg.mode == "no_delay":
-            for i, j, w in prob.network.directed_edges():
-                self.offsets[(i, j)] = ref.direct_offsets(i, j, w)
-        self.undirected = prob.network.edges()
+        for i, j, w in prob.network.directed_edges():
+            if cfg.mode == "no_delay":
+                self.ports[(i, j)] = ref.direct_offsets(i, j, w)
+            elif cfg.mode == "scattering":
+                r_star, p_star, gamma, delta = ref.edge_offsets(i, j, w, cfg.eta)
+                self.ports[(i, j)] = (r_star, p_star)
+                if i < j:
+                    self.waves[(i, j)] = (gamma, delta)
+                    self.edge_const += 0.5 * lines[(i, j)].delay * float(gamma @ gamma)
+                    self.edge_const += 0.5 * lines[(j, i)].delay * float(delta @ delta)
 
-    def _storages(self, states, xi_stack):
+    def record(self, t, states, xi_stack, log, on_grid):
+        """Storages at t, the rate-excess update against the previous
+        step's bounds, and the Lyapunov samples when t is on the grid.
+
+        Returns the storages (S_c, S_g, S) per agent; S is None when there
+        is no coupling check.
+        """
         ref, comp = self.ref, self.comp
+        h = self.cfg.step
+        tol = 1e-3
         n = len(states)
         sc = np.zeros(n)
         sg = np.zeros(n)
         for i, s in enumerate(states):
             sc[i] = compensator_storage(comp, s.rho, ref.z)
             sg[i] = multiplier_storage(s.lam, s.mu, ref.lam[i], ref.mu[i])
-        v = float(sc.sum() + sg.sum()) + 0.5 * float(
-            np.sum((xi_stack - ref.xi) ** 2)
-        )
         s_full = None
-        if not np.isnan(self.ex_coup).all():
+        if not np.isnan(self.excess[2]).all():
             s_full = sc + sg + 0.5 * np.sum(
                 (xi_stack - self.xi_factor * ref.xi) ** 2, axis=1
             )
-        return sc, sg, s_full, v
+        storages = (sc, sg, s_full)
+        if self.prev is not None:
+            for ex, s, (ps, bound, defect) in zip(self.excess, storages, self.prev):
+                if ps is not None:
+                    np.maximum(
+                        ex, (s - ps) / h - bound - defect - tol * (1.0 + np.abs(ps)),
+                        out=ex,
+                    )
+        if on_grid:
+            log.diag_t.append(t)
+            log.lyap_direct.append(
+                float(sc.sum() + sg.sum()) + 0.5 * float(np.sum((xi_stack - ref.xi) ** 2))
+            )
+            if self.cfg.mode == "scattering":
+                log.lyap_delayed.append(
+                    float(s_full.sum()) + self.edge_const + 0.5 * self.acc
+                )
+        return storages
 
-    def step(self, t, states, x_stack, xi_stack, derivs, edge_r, edge_p,
-             edge_sin, edge_sout, log, on_grid):
+    def step(self, t, states, xi_stack, derivs, edge_r, edge_p, edge_sin,
+             edge_sout, log, on_grid):
         prob, ref = self.prob, self.ref
         n = len(states)
         h = self.cfg.step
-        tol = 1e-3
-        sc, sg, s_full, v = self._storages(states, xi_stack)
         bnd_comp = np.zeros(n)
         bnd_mult = np.zeros(n)
-        bnd_coup = np.full(n, np.nan)
+        bnd_coup = np.full(n, 0.0 if self.has_ports else np.nan)
         def_comp = np.zeros(n)
         def_mult = np.zeros(n)
         def_coup = np.zeros(n)
@@ -808,94 +830,25 @@ class _DiagState:
                 self.comp, states[i], derivs[i], ref.lam[i], h
             )
             def_coup[i] = def_comp[i] + def_mult[i] + d_xi
-        if self.cfg.mode == "scattering":
-            bnd_coup[:] = 0.0
-            for i in range(n):
-                for j, w in neighbors(prob.network, i):
-                    r_star, p_star, _, _ = self.offsets[(i, j)]
-                    bnd_coup[i] += float(
-                        (edge_r[(i, j)] - r_star) @ (edge_p[(i, j)] - p_star)
-                    )
-                    log.wave_identity_max = max(
-                        log.wave_identity_max,
-                        abs(
-                            wave_identity_residual(
-                                edge_sin[(i, j)], edge_sout[(i, j)],
-                                edge_r[(i, j)], edge_p[(i, j)],
-                            )
-                        ),
-                    )
-        elif self.cfg.mode == "no_delay":
-            bnd_coup[:] = 0.0
-            for i in range(n):
-                u_i = np.concatenate([x_stack[i], xi_stack[i]])
-                for j, w in neighbors(prob.network, i):
-                    r_star, p_star = self.offsets[(i, j)]
-                    r = np.concatenate([x_stack[j], xi_stack[j]])
-                    diff = r - u_i
-                    half = diff[: prob.dim]
-                    p_val = np.concatenate(
-                        [w * (half - diff[prob.dim:]), w * half]
-                    )
-                    bnd_coup[i] += float((r - r_star) @ (p_val - p_star))
-        if self.prev is not None:
-            psc, psg, psf, pbnd_comp, pbnd_mult, pbnd_coup, pdef_comp, pdef_mult, pdef_coup = self.prev
-            self.ex_comp = np.maximum(
-                self.ex_comp, (sc - psc) / h - pbnd_comp - pdef_comp - tol * (1.0 + np.abs(psc))
-            )
-            self.ex_mult = np.maximum(
-                self.ex_mult, (sg - psg) / h - pbnd_mult - pdef_mult - tol * (1.0 + np.abs(psg))
-            )
-            if psf is not None:
-                self.ex_coup = np.maximum(
-                    self.ex_coup,
-                    (s_full - psf) / h - pbnd_coup - pdef_coup - tol * (1.0 + np.abs(psf)),
+        for (i, j), (r_star, p_star) in self.ports.items():
+            r, p = edge_r[(i, j)], edge_p[(i, j)]
+            bnd_coup[i] += float((r - r_star) @ (p - p_star))
+            if edge_sin:
+                log.wave_identity_max = max(
+                    log.wave_identity_max,
+                    abs(wave_identity_residual(edge_sin[(i, j)], edge_sout[(i, j)], r, p)),
                 )
-        if on_grid:
-            log.diag_t.append(t)
-            log.lyap_direct.append(v)
-            if self.cfg.mode == "scattering":
-                log.lyap_delayed.append(
-                    float(s_full.sum()) + self.edge_const + 0.5 * self.acc
-                )
-        if self.cfg.mode == "scattering":
-            for i, j, w in self.undirected:
-                _, _, gamma, delta = self.offsets[(i, j)]
-                self.acc += h * float(
-                    np.sum((edge_sout[(i, j)] + gamma) ** 2)
-                    - np.sum((edge_sin[(j, i)] + gamma) ** 2)
-                    + np.sum((edge_sout[(j, i)] - delta) ** 2)
-                    - np.sum((edge_sin[(i, j)] - delta) ** 2)
-                )
-        self.prev = (sc, sg, s_full, bnd_comp, bnd_mult, bnd_coup, def_comp, def_mult, def_coup)
-        log.compensator_excess = self.ex_comp
-        log.multiplier_excess = self.ex_mult
-        log.coupling_excess = self.ex_coup
-
-    def final(self, t_end, states, xi_stack, log):
-        h = self.cfg.step
-        tol = 1e-3
-        sc, sg, s_full, v = self._storages(states, xi_stack)
-        if self.prev is not None:
-            psc, psg, psf, pbnd_comp, pbnd_mult, pbnd_coup, pdef_comp, pdef_mult, pdef_coup = self.prev
-            self.ex_comp = np.maximum(
-                self.ex_comp, (sc - psc) / h - pbnd_comp - pdef_comp - tol * (1.0 + np.abs(psc))
+        storages = self.record(t, states, xi_stack, log, on_grid)
+        for (i, j), (gamma, delta) in self.waves.items():
+            self.acc += h * float(
+                np.sum((edge_sout[(i, j)] + gamma) ** 2)
+                - np.sum((edge_sin[(j, i)] + gamma) ** 2)
+                + np.sum((edge_sout[(j, i)] - delta) ** 2)
+                - np.sum((edge_sin[(i, j)] - delta) ** 2)
             )
-            self.ex_mult = np.maximum(
-                self.ex_mult, (sg - psg) / h - pbnd_mult - pdef_mult - tol * (1.0 + np.abs(psg))
-            )
-            if psf is not None:
-                self.ex_coup = np.maximum(
-                    self.ex_coup,
-                    (s_full - psf) / h - pbnd_coup - pdef_coup - tol * (1.0 + np.abs(psf)),
-                )
-        log.diag_t.append(t_end)
-        log.lyap_direct.append(v)
-        if self.cfg.mode == "scattering":
-            log.lyap_delayed.append(float(s_full.sum()) + self.edge_const + 0.5 * self.acc)
-        log.compensator_excess = self.ex_comp
-        log.multiplier_excess = self.ex_mult
-        log.coupling_excess = self.ex_coup
+        self.prev = tuple(zip(
+            storages, (bnd_comp, bnd_mult, bnd_coup), (def_comp, def_mult, def_coup)
+        ))
 
 
 def converged_reference(prob, duration, step=1e-3, compensator=None, lam0=0.01,

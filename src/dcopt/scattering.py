@@ -26,10 +26,6 @@ __all__ = [
     "CouplingMatrix",
     "DelayLine",
     "ChannelEnd",
-    "recover",
-    "outgoing_wave",
-    "push_pop",
-    "direct_exchange",
     "wave_identity_residual",
 ]
 
@@ -102,26 +98,18 @@ class DelayLine:
         self._pushes += 1
         self._idx = (self._idx + 1) % self.steps
 
-    def push_pop(self, value, t=None):
-        """Atomic pop-then-push; returns the sample from time t - delay."""
-        out = self.pop(t)
-        self.push(value, t)
-        return out
-
 
 class ChannelEnd:
     """One agent's end of one directed channel.
 
-    Holds the coupling, the 2x2 reconstruction inverse (precomputed), the
-    inbound delay line and the last recovered (r, p) pair.
+    Holds the coupling and the 2x2 reconstruction inverse (precomputed).
     """
 
-    def __init__(self, coupling, eta, inbound=None):
+    def __init__(self, coupling, eta):
         if eta <= 0.0:
             raise ValueError("wave impedance eta must be positive")
         self.coupling = coupling
         self.eta = float(eta)
-        self.inbound = inbound
         a = coupling.weight
         det = eta * (a + eta) + a * a
         if det <= 0.0:
@@ -132,8 +120,6 @@ class ChannelEnd:
         self._m21 = -a / det
         self._m22 = (a + eta) / det
         self._sq2e = np.sqrt(2.0 * eta)
-        self.last_r = None
-        self.last_p = None
 
     def recover(self, s_in, x, xi):
         """Reconstruct (r, p) from the incoming wave and the local state."""
@@ -146,38 +132,11 @@ class ChannelEnd:
         r_xi = self._m21 * u + self._m22 * v
         dx = r_x - x
         p = np.concatenate([a * (dx - (r_xi - xi)), a * dx])
-        r = np.concatenate([r_x, r_xi])
-        self.last_r = r
-        self.last_p = p
-        return r, p
+        return np.concatenate([r_x, r_xi]), p
 
     def outgoing_wave(self, r, p):
         """Wave sent back into the channel from the recovered pair."""
         return (self.eta * r - p) / self._sq2e
-
-
-def recover(end, s_in, x, xi):
-    """Functional form of ChannelEnd.recover."""
-    return end.recover(s_in, x, xi)
-
-
-def outgoing_wave(end, r, p):
-    """Functional form of ChannelEnd.outgoing_wave."""
-    return end.outgoing_wave(r, p)
-
-
-def push_pop(line, value, t=None):
-    """Functional form of DelayLine.push_pop."""
-    return line.push_pop(value, t)
-
-
-def direct_exchange(x_stack, xi_stack, neighbor_ids):
-    """Exchange without a channel: r is the neighbor state itself.
-
-    Used by the no-delay mode (current states) and the naive-delay mode
-    (caller passes delayed copies of the stacked states).
-    """
-    return [(x_stack[j], xi_stack[j]) for j in neighbor_ids]
 
 
 def wave_identity_residual(s_in, s_out, r, p):

@@ -59,6 +59,7 @@ def test_bad_json_and_bad_top_level(tmp_path):
         ({"seed": True}, "seed: expected an integer"),
         ({"seed": -1}, "seed: must be >= 0"),
         ({"agents": 2}, "agents: ring topology needs >= 3"),
+        ({"agents": 11}, "agents: must be <= 10"),
         ({"step": 0.0}, "step: must be > 0"),
         ({"duration": -1.0}, "duration: must be >= 0"),
         ({"eta": -2.0}, "eta: must be > 0"),

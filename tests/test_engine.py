@@ -6,6 +6,7 @@ import pytest
 from dcopt import (
     AgentState,
     CompensatorParams,
+    CouplingMatrix,
     DistributedProblem,
     LocalProblem,
     Network,
@@ -185,9 +186,9 @@ def test_nan_guard_aborts_before_commit():
     assert log.t[-1] == 0.0
 
 
-def test_naive_delay_reads_delayed_states():
-    # one-step delay, pure integrator, f = 0: agent 1 must see agent 0's
-    # t - 0.1 state, zeros before the line fills
+def two_agent_integrator_run(mode):
+    """Two agents on one edge of weight 1, pure integrator, f = 0; agent 0
+    starts at x = 1, agent 1 at 0; step 0.1, one-step delays, full-rate log."""
     net = ring(2, 1.0)
     loc = LocalProblem(make_affine([0.0]))
     prob = DistributedProblem(net, [loc, loc])
@@ -199,16 +200,79 @@ def test_naive_delay_reads_delayed_states():
                    mu=np.zeros(0)),
     ]
     delays = {(0, 1): 0.1, (1, 0): 0.1}
-    cfg = SimConfig(step=0.1, duration=0.3, mode="naive_delay", delays=delays,
+    cfg = SimConfig(step=0.1, duration=0.3, mode=mode, delays=delays,
                     compensator=comp, log_every=1, diag_interval=0.1,
                     initial=init)
-    log = simulate(prob, cfg)
+    return simulate(prob, cfg)
+
+
+def assert_logged_ports(log, lag):
+    """Each logged r_ij is agent j's logged [x; xi] from lag samples earlier
+    (zeros before that), and p_ij = E (r_ij - [x_i; xi_i])."""
+    e = CouplingMatrix(1.0, 1)
+    u = [np.concatenate([x, xi], axis=1) for x, xi in zip(log.x, log.xi)]
+    for s in range(len(log.t) - 1):  # the closing sample has no ports
+        assert set(log.edge_r[s]) == {(0, 1), (1, 0)}
+        for i, j in log.edge_r[s]:
+            r = log.edge_r[s][(i, j)]
+            want = u[s - lag][j] if s >= lag else np.zeros(2)
+            assert np.array_equal(r, want)
+            assert np.array_equal(log.edge_p[s][(i, j)], e.apply(r - u[s][i]))
+    assert log.edge_r[-1] is None and log.edge_p[-1] is None
+
+
+def test_naive_delay_reads_delayed_states():
+    # agent 1 must see agent 0's t - 0.1 state, zeros before the line fills
+    log = two_agent_integrator_run("naive_delay")
     x = np.array([s[:, 0] for s in log.x])  # (samples, agents)
     # t=0: both see zero history: nu_0 = (0-1), nu_1 = 0
     assert x[1] == pytest.approx([0.9, 0.0])
     # t=0.1: agent 1 sees x0(0) = 1: nu_1 = 1; agent 0 sees x1(0) = 0
     #   nu_0 = (0 - 0.9) - (0 - xi0), xi0(0.1) = -0.1: nu_0 = -1.0
     assert x[2] == pytest.approx([0.8, 0.1])
+    assert_logged_ports(log, lag=1)
+
+
+def test_no_delay_logs_current_ports():
+    log = two_agent_integrator_run("no_delay")
+    # t=0: nu_0 = 0 - 1, nu_1 = 1 - 0
+    assert np.array([s[:, 0] for s in log.x])[1] == pytest.approx([0.9, 0.1])
+    assert_logged_ports(log, lag=0)
+
+
+def test_initial_states_checked_before_first_step():
+    prob = three_agent_quadratic()  # dim 1, agent 0 has one inequality
+
+    def states(n):
+        return [
+            AgentState(rho=np.zeros((2, 1)), xi=np.zeros(1),
+                       lam=np.full(int(i == 0), 0.01), mu=np.zeros(int(i == 2)))
+            for i in range(n)
+        ]
+
+    for init, msg in (
+        (states(4), "initial: expected 3 agent states, got 4"),
+        (states(2), "initial: expected 3 agent states, got 2"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            simulate(prob, SimConfig(duration=0.1, initial=init))
+    bad = states(3)
+    bad[1].rho = np.zeros((2, 2))
+    with pytest.raises(ValueError, match=r"initial\[1\]\.rho: expected shape \(2, 1\)"):
+        simulate(prob, SimConfig(duration=0.1, initial=bad))
+    bad = states(3)
+    bad[0].lam = np.array([0.0])
+    with pytest.raises(ValueError, match=r"initial\[0\]\.lam: .* must be positive"):
+        simulate(prob, SimConfig(duration=0.1, initial=bad))
+    # a dim-3 problem given a 1-vector xi
+    locs = [LocalProblem(make_affine([0.0, 0.0, 0.0])) for _ in range(3)]
+    prob3 = DistributedProblem(ring(3, 1.0), locs)
+    init = [AgentState(rho=np.zeros((2, 3)), xi=np.zeros(3), lam=np.zeros(0),
+                       mu=np.zeros(0)) for _ in range(3)]
+    init[2].xi = np.zeros(1)
+    with pytest.raises(ValueError,
+                       match=r"initial\[2\]\.xi: expected shape \(3,\), got \(1,\)"):
+        simulate(prob3, SimConfig(duration=0.1, initial=init))
 
 
 def test_reference_point_offsets():
