@@ -59,7 +59,6 @@ def test_bad_json_and_bad_top_level(tmp_path):
         ({"seed": True}, "seed: expected an integer"),
         ({"seed": -1}, "seed: must be >= 0"),
         ({"agents": 2}, "agents: ring topology needs >= 3"),
-        ({"agents": 11}, "agents: must be <= 10"),
         ({"step": 0.0}, "step: must be > 0"),
         ({"duration": -1.0}, "duration: must be >= 0"),
         ({"eta": -2.0}, "eta: must be > 0"),
@@ -76,6 +75,7 @@ def test_bad_json_and_bad_top_level(tmp_path):
         ({"compensator_gains": [1.0]}, "compensator_gains: must have the same length"),
         ({"delay_range": [0.3]}, r"delay_range: expected \[low, high\]"),
         ({"delay_range": [0.3, 0.2]}, r"delay_range\[1\]: high must be >= low"),
+        ({"agents": 11}, "agents: must be <= 10"),
     ],
 )
 def test_field_validation_messages(tmp_path, patch, msg):
