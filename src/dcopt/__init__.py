@@ -26,7 +26,6 @@ from .engine import (
     ReferencePoint,
     SimConfig,
     TrajectoryLog,
-    consensus_error,
     converged_reference,
     lyapunov_direct,
     lyapunov_delayed,

@@ -226,6 +226,11 @@ def build_scenario(cfg, scenario):
     inst = generate_instance(cfg["seed"], cfg["agents"], cfg["area"])
     net = ring(cfg["agents"], cfg["ring_weight"])
     prob = build_distributed_problem(inst, net)
+    return inst, prob, _sim_config(cfg, scenario, net)
+
+
+def _sim_config(cfg, scenario, net):
+    """SimConfig of a scenario on the config's network."""
     if scenario == "no_compensator":
         comp = CompensatorParams.pure_integrator()
     else:
@@ -240,7 +245,7 @@ def build_scenario(cfg, scenario):
         "scattering": "scattering",
     }[scenario]
     delays = sample_delays(net, cfg) if mode != "no_delay" else None
-    sim = SimConfig(
+    return SimConfig(
         step=cfg["step"],
         duration=cfg["duration"],
         mode=mode,
@@ -251,16 +256,14 @@ def build_scenario(cfg, scenario):
         log_every=cfg["log_every"],
         diag_interval=cfg["diag_interval"],
     )
-    return inst, prob, sim
 
 
 def compute_reference(cfg, prob):
     """Converged no-delay end state, or None with the reason it is absent."""
-    _, _, sim = build_scenario(cfg, "no_delay")
-    log = simulate(prob, sim)
+    log = simulate(prob, _sim_config(cfg, "no_delay", prob.network))
     if log.abort_reason is not None:
         return None, f"reference run aborted ({log.abort_reason})"
-    ref = ReferencePoint.from_states(log.final_states)
+    ref = ReferencePoint(*log.final_stacks())
     try:
         res = ref.validate(prob, KKT_TOL)
     except ValueError:
@@ -361,7 +364,7 @@ def run(spec):
         ("assignments", assignments),
         ("objective_sum", float(objective_sum)),
         ("oracle_cost", oracle_cost),
-        ("final_consensus_error", float(log.consensus[-1])),
+        ("final_consensus_error", float(log.kkt[-1].consensus)),
     ]
     for name, value in log.kkt[-1].as_dict().items():
         lines.append((f"final_kkt_{name}", float(value)))
@@ -391,19 +394,16 @@ def run(spec):
             ("lyapunov_delayed_non_increasing", inc <= slack),
         ]
     if ref is not None:
+        report = log.passivity
         for name, arr in (
-            ("compensator", log.compensator_excess),
-            ("multiplier", log.multiplier_excess),
-            ("coupling", log.coupling_excess),
+            ("compensator", report.compensator_excess),
+            ("multiplier", report.multiplier_excess),
+            ("coupling", report.coupling_excess),
         ):
-            if arr is None or np.isnan(arr).all():
-                lines.append((f"passivity_{name}_max_excess", None))
-            else:
-                lines.append(
-                    (f"passivity_{name}_max_excess", float(np.nanmax(arr)))
-                )
+            worst = None if np.isnan(arr).all() else float(np.nanmax(arr))
+            lines.append((f"passivity_{name}_max_excess", worst))
         if sim.mode == "scattering":
-            lines.append(("wave_identity_max", float(log.wave_identity_max)))
+            lines.append(("wave_identity_max", float(report.wave_identity_max)))
     lines.append(("events", len(log.events)))
     for ev in log.events:
         lines.append(

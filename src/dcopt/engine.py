@@ -49,7 +49,7 @@ from .dynamics import (
     primal_rate_bound,
     storage_step_defects,
 )
-from .graph import laplacian_apply, neighbors
+from .graph import neighbors
 from .problem import kkt_residual
 from .scattering import ChannelEnd, CouplingMatrix, DelayLine, wave_identity_residual
 
@@ -59,7 +59,6 @@ __all__ = [
     "ReferencePoint",
     "TrajectoryLog",
     "simulate",
-    "consensus_error",
     "lyapunov_direct",
     "lyapunov_delayed",
     "passivity_check",
@@ -84,9 +83,9 @@ class SimConfig:
                   storage/passivity diagnostics run at every step.
     diag_interval seconds between the Lyapunov samples of those
                   diagnostics (the rate checks run at every step anyway).
-    store_waves   scattering only: keep every step's waves in
-                  log.wave_history for the post-hoc oracles
-                  (lyapunov_delayed); memory grows with the step count.
+    log_every     steps between logged samples; the post-hoc oracles
+                  (passivity_check, lyapunov_delayed) need 1, and then the
+                  log holds every step's ports and waves.
     initial       one AgentState per agent to start from instead of zeros
                   with lam = lam0; shapes are checked before the first step.
     """
@@ -101,7 +100,6 @@ class SimConfig:
     log_every: int = 100
     diag_interval: float = 0.1
     reference: "ReferencePoint" = None
-    store_waves: bool = False
     initial: list = None
 
     def __post_init__(self):
@@ -135,7 +133,7 @@ class ReferencePoint:
 
     Carries the common primal point z*, per-agent multipliers xi*, lam*,
     mu*, and derives the per-edge channel offsets for the delayed Lyapunov
-    function.
+    function.  From a run: ReferencePoint(*log.final_stacks()).
     """
 
     def __init__(self, x, xi, lam, mu):
@@ -145,15 +143,6 @@ class ReferencePoint:
         self.xi = np.asarray(xi, dtype=float)
         self.lam = [np.asarray(v, dtype=float).copy() for v in lam]
         self.mu = [np.asarray(v, dtype=float).copy() for v in mu]
-
-    @staticmethod
-    def from_states(states):
-        return ReferencePoint(
-            np.array([s.rho.sum(axis=0) for s in states]),
-            np.array([s.xi for s in states]),
-            [s.lam for s in states],
-            [s.mu for s in states],
-        )
 
     def validate(self, prob, tol=1e-2):
         """Require every KKT residual field <= tol."""
@@ -195,10 +184,15 @@ class ReferencePoint:
 class TrajectoryLog:
     """Decimated state/edge/diagnostic series plus run metadata.
 
-    Edge series are keyed by directed pair (i, j) = "agent i's view of
-    neighbor j".  Wave series exist only for scattering runs.  When
-    store_waves is set, wave_history holds full-rate per-step edge data
-    (short runs only; memory grows linearly with steps).
+    Every series holds one entry per logged sample: every log_every-th step
+    and a closing sample at the final state (also after an abort), so
+    final_stacks() reads the last sample.  Edge series are keyed by
+    directed pair (i, j) = "agent i's view of neighbor j"; the closing
+    sample has none.  Wave series exist only for scattering runs.
+
+    delays     quantized channel delays per directed edge (delayed modes)
+    passivity  online PassivityReport, set when a reference is attached;
+               an aborted run keeps the values reached before the abort
     """
 
     config: SimConfig
@@ -216,30 +210,19 @@ class TrajectoryLog:
     edge_p: list = field(default_factory=list)
     edge_s_in: list = field(default_factory=list)
     edge_s_out: list = field(default_factory=list)
-    consensus: list = field(default_factory=list)
     kkt: list = field(default_factory=list)
     diag_t: list = field(default_factory=list)
     lyap_direct: list = field(default_factory=list)
     lyap_delayed: list = field(default_factory=list)
-    compensator_excess: np.ndarray = None
-    multiplier_excess: np.ndarray = None
-    coupling_excess: np.ndarray = None
-    wave_identity_max: float = 0.0
-    wave_history: dict = None
+    delays: dict = None
+    passivity: "PassivityReport" = None
     events: list = field(default_factory=list)
     abort_reason: str = None
     abort_step: int = None
-    final_states: list = None
 
     def final_stacks(self):
-        """(x, xi, lam, mu) stacks of the final state."""
-        s = self.final_states
-        return (
-            np.array([a.rho.sum(axis=0) for a in s]),
-            np.array([a.xi for a in s]),
-            [a.lam for a in s],
-            [a.mu for a in s],
-        )
+        """(x, xi, lam, mu) stacks of the final state (the last sample)."""
+        return self.x[-1], self.xi[-1], self.lam[-1], self.mu[-1]
 
     def to_csv(self, path):
         """Long-format CSV: t, entity_kind, entity_id, variable,
@@ -255,8 +238,8 @@ class TrajectoryLog:
                 def row(kind, ident, var, comp, val):
                     f.write(f"{ts},{kind},{ident},{var},{comp},{repr(float(val))}\n")
 
-                row("global", "net", "consensus_error", 0, self.consensus[s])
                 res = self.kkt[s]
+                row("global", "net", "consensus_error", 0, res.consensus)
                 for name, val in res.as_dict().items():
                     row("global", "net", f"kkt_{name}", 0, val)
                 if tt in diag_by_t:
@@ -295,12 +278,6 @@ class TrajectoryLog:
                             row("edge", f"{i}->{j}", var, c, vec[c])
 
 
-def consensus_error(net, x):
-    """Infinity norm of the blockwise Laplacian action on stacked x."""
-    lx = laplacian_apply(net, np.asarray(x, dtype=float))
-    return float(np.abs(lx).max()) if lx.size else 0.0
-
-
 def lyapunov_direct(prob, states, ref, comp):
     """Delay-free Lyapunov value at a list of AgentStates:
 
@@ -314,55 +291,38 @@ def lyapunov_direct(prob, states, ref, comp):
     return total
 
 
-def _full_storage(prob, states, ref, comp):
-    """Per-agent delayed-run storage S_i (xi shifted by 2 xi*)."""
-    out = np.zeros(len(states))
-    for i, s in enumerate(states):
-        out[i] = (
-            compensator_storage(comp, s.rho, ref.z)
-            + multiplier_storage(s.lam, s.mu, ref.lam[i], ref.mu[i])
-            + 0.5 * float(np.sum((s.xi - 2.0 * ref.xi[i]) ** 2))
-        )
-    return out
-
-
 def lyapunov_delayed(prob, log, ref, comp, upto=None):
-    """Delayed-run Lyapunov value from a full-rate log (log_every == 1).
+    """Delayed-run Lyapunov value from a full-rate scattering log
+    (log_every == 1), at sample upto (default: the last one).
 
-    Channel storages are rebuilt by the same left-endpoint rectangle rule
-    the online accumulator uses; requires wave history (store_waves).
+    The agent storages S_i shift xi by 2 xi*; the channel storages are
+    rebuilt from the logged waves by the same left-endpoint rectangle rule
+    the online accumulator uses.
     """
-    if log.wave_history is None:
-        raise ValueError("lyapunov_delayed needs a log recorded with store_waves")
-    if log.config.log_every != 1:
-        raise ValueError("lyapunov_delayed needs full-rate logging (log_every=1)")
     cfg = log.config
-    net = prob.network
-    n_samples = len(log.t) if upto is None else upto + 1
-    k = n_samples - 1
-    states = [
-        AgentState(log.rho[k][i], log.xi[k][i], log.lam[k][i], log.mu[k][i])
+    if cfg.mode != "scattering":
+        raise ValueError("lyapunov_delayed needs a scattering run")
+    if cfg.log_every != 1:
+        raise ValueError("lyapunov_delayed needs full-rate logging (log_every=1)")
+    k = len(log.t) - 1 if upto is None else upto
+    total = float(np.sum([
+        compensator_storage(comp, log.rho[k][i], ref.z)
+        + multiplier_storage(log.lam[k][i], log.mu[k][i], ref.lam[i], ref.mu[i])
+        + 0.5 * float(np.sum((log.xi[k][i] - 2.0 * ref.xi[i]) ** 2))
         for i in range(log.n_agents)
-    ]
-    total = float(_full_storage(prob, states, ref, comp).sum())
-    h = cfg.step
-    hist = log.wave_history
-    for i, j, w in net.edges():
+    ]))
+    s_in, s_out = log.edge_s_in, log.edge_s_out
+    for i, j, w in prob.network.edges():
         _, _, gamma, delta = ref.edge_offsets(i, j, w, cfg.eta)
-        t_ij = hist["delay"][(i, j)]
-        t_ji = hist["delay"][(j, i)]
-        total += 0.5 * t_ij * float(gamma @ gamma) + 0.5 * t_ji * float(delta @ delta)
-        s_out_ij = hist["s_out"][(i, j)]
-        s_in_ij = hist["s_in"][(i, j)]
-        s_out_ji = hist["s_out"][(j, i)]
-        s_in_ji = hist["s_in"][(j, i)]
+        total += (0.5 * log.delays[(i, j)] * float(gamma @ gamma)
+                  + 0.5 * log.delays[(j, i)] * float(delta @ delta))
         acc = 0.0
         for step in range(k):
-            acc += float(np.sum((s_out_ij[step] + gamma) ** 2))
-            acc -= float(np.sum((s_in_ji[step] + gamma) ** 2))
-            acc += float(np.sum((s_out_ji[step] - delta) ** 2))
-            acc -= float(np.sum((s_in_ij[step] - delta) ** 2))
-        total += 0.5 * h * acc
+            acc += float(np.sum((s_out[step][(i, j)] + gamma) ** 2))
+            acc -= float(np.sum((s_in[step][(j, i)] + gamma) ** 2))
+            acc += float(np.sum((s_out[step][(j, i)] - delta) ** 2))
+            acc -= float(np.sum((s_in[step][(i, j)] - delta) ** 2))
+        total += 0.5 * cfg.step * acc
     return total
 
 
@@ -563,21 +523,15 @@ def simulate(prob, cfg):
         }
 
     log = TrajectoryLog(config=cfg, n_agents=n, dim=dim)
-    if cfg.store_waves:
-        if cfg.mode != "scattering":
-            raise ValueError("store_waves only applies to scattering runs")
-        log.wave_history = {
-            "s_in": {key: [] for key in lines},
-            "s_out": {key: [] for key in lines},
-            "delay": {(i, j): lines[(i, j)].delay for i, j, _ in directed},
-        }
+    if lines:
+        log.delays = {key: line.delay for key, line in lines.items()}
 
     ref = cfg.reference
     diag_every = max(1, int(round(cfg.diag_interval / h)))
     diag = None
     if ref is not None:
         diag = _DiagState(prob, ref, comp, cfg, lines)
-        log.compensator_excess, log.multiplier_excess, log.coupling_excess = diag.excess
+        log.passivity = PassivityReport(*diag.excess, wave_identity_max=0.0)
 
     def snapshot(t, derivs, edge_r, edge_p, edge_sin, edge_sout, x_stack, xi_stack):
         log.t.append(t)
@@ -601,7 +555,6 @@ def simulate(prob, cfg):
         log.edge_p.append(edge_p)
         log.edge_s_in.append(edge_sin)
         log.edge_s_out.append(edge_sout)
-        log.consensus.append(consensus_error(net, x_stack))
         # the scattering loop settles with xi doubled (each end absorbs the
         # midpoint average), so xi/2 is the stationarity certificate there
         xi_cert = 0.5 * xi_stack if cfg.mode == "scattering" else xi_stack
@@ -615,7 +568,11 @@ def simulate(prob, cfg):
             )
         )
 
-    aborted = False
+    def abort(kind, detail):
+        log.events.append({"step": k, "t": k * h, "kind": kind, "detail": detail})
+        log.abort_reason = kind
+        log.abort_step = k
+
     k = 0
     with np.errstate(all="ignore"):  # guards, not warnings, handle blow-ups
         for k in range(n_steps):
@@ -645,12 +602,7 @@ def simulate(prob, cfg):
                 for i in range(n)
             ]
             if any(not np.isfinite(d.nu).all() for d in derivs):
-                log.events.append(
-                    {"step": k, "t": t, "kind": "nan", "detail": "non-finite derivative"}
-                )
-                log.abort_reason = "nan"
-                log.abort_step = k
-                aborted = True
+                abort("nan", "non-finite derivative")
                 # only the delayed modes' r came out of a channel
                 snapshot(t, None, edge_r if lines else None, None, None, None,
                          x_stack, xi_stack)
@@ -664,10 +616,6 @@ def simulate(prob, cfg):
                         sent = ends[(i, j)].outgoing_wave(edge_r[(i, j)], edge_p[(i, j)])
                         edge_sout[(i, j)] = sent
                     lines[(i, j)].push(sent, t)
-                if cfg.store_waves:
-                    for key in lines:
-                        log.wave_history["s_in"][key].append(edge_sin[key])
-                        log.wave_history["s_out"][key].append(edge_sout[key])
 
             if diag is not None:
                 diag.step(
@@ -683,12 +631,7 @@ def simulate(prob, cfg):
             try:
                 new_states = [euler_step(states[i], derivs[i], h) for i in range(n)]
             except LambdaGuardError as err:
-                log.events.append(
-                    {"step": k, "t": t, "kind": "lambda_guard", "detail": str(err)}
-                )
-                log.abort_reason = "lambda_guard"
-                log.abort_step = k
-                aborted = True
+                abort("lambda_guard", str(err))
                 break
             states = new_states
             worst = max(
@@ -701,21 +644,13 @@ def simulate(prob, cfg):
                 for s in states
             )
             if not np.isfinite(worst) or worst > DIVERGENCE_LIMIT:
-                log.events.append(
-                    {
-                        "step": k,
-                        "t": t,
-                        "kind": "divergence",
-                        "detail": f"state magnitude {worst:.3e} "
-                                  f"exceeds {DIVERGENCE_LIMIT:.0e}",
-                    }
-                )
-                log.abort_reason = "divergence"
-                log.abort_step = k
-                aborted = True
+                abort("divergence", f"state magnitude {worst:.3e} "
+                                    f"exceeds {DIVERGENCE_LIMIT:.0e}")
                 break
 
-    # closing sample at the final state (no derivative information)
+    # closing sample at the final state (no derivative information), unless
+    # the last sample already holds it (a guard/nan abort on a logged step)
+    aborted = log.abort_reason is not None
     if n_steps == 0:
         t_end = 0.0
     elif not aborted:
@@ -730,7 +665,6 @@ def simulate(prob, cfg):
         snapshot(t_end, None, None, None, None, None, x_stack, xi_stack)
     if diag is not None and not aborted and n_steps:
         diag.record(t_end, states, xi_stack, log, on_grid=True)
-    log.final_states = states
     return log
 
 
@@ -834,8 +768,8 @@ class _DiagState:
             r, p = edge_r[(i, j)], edge_p[(i, j)]
             bnd_coup[i] += float((r - r_star) @ (p - p_star))
             if edge_sin:
-                log.wave_identity_max = max(
-                    log.wave_identity_max,
+                log.passivity.wave_identity_max = max(
+                    log.passivity.wave_identity_max,
                     abs(wave_identity_residual(edge_sin[(i, j)], edge_sout[(i, j)], r, p)),
                 )
         storages = self.record(t, states, xi_stack, log, on_grid)
@@ -869,6 +803,6 @@ def converged_reference(prob, duration, step=1e-3, compensator=None, lam0=0.01,
     log = simulate(prob, cfg)
     if log.abort_reason is not None:
         raise RuntimeError(f"reference run aborted: {log.abort_reason}")
-    ref = ReferencePoint.from_states(log.final_states)
+    ref = ReferencePoint(*log.final_stacks())
     ref.validate(prob, tol)
     return ref, log

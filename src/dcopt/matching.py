@@ -17,6 +17,7 @@ nonnegativity bounds for its own row.
 
 import csv
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,10 +89,9 @@ def generate_instance(seed, n=5, area=100.0, min_gap=1e-6):
         )
         if n == 1:
             return inst
-        costs = sorted(
-            assignment_cost(inst, p) for p in itertools.permutations(range(n))
-        )
-        if costs[1] - costs[0] >= min_gap:
+        _, costs = _permutation_costs(inst)
+        lowest, second = np.partition(costs, 1)[:2]
+        if second - lowest >= min_gap:
             return inst
     raise RuntimeError("could not sample an instance with a unique optimum")
 
@@ -169,23 +169,37 @@ def assignment_cost(inst, perm):
     return float(sum(d[l, perm[l]] for l in range(inst.n)))
 
 
+def _permutation_costs(inst):
+    """All n! permutations in lexicographic order, as an (n!, n) table, and
+    the assignment_cost of each.
+
+    Costs are summed robot by robot, left to right, so each equals the
+    Python sum in assignment_cost bit for bit.
+    """
+    n = inst.n
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n))),
+        np.int8,
+        count=math.factorial(n) * n,
+    ).reshape(-1, n)
+    d = inst.distances()
+    costs = np.zeros(perms.shape[0])
+    for l in range(n):
+        costs += d[l, perms[:, l]]
+    return perms, costs
+
+
 def brute_force_optimal(inst):
     """Enumerate all permutations; return (permutation, cost).
 
-    Ties resolve to the lexicographically smallest permutation because
-    enumeration is in lexicographic order and only strict improvements are
-    accepted.
+    Ties resolve to the lexicographically smallest permutation: enumeration
+    is in lexicographic order and argmin takes the first minimum.
     """
-    n = inst.n
-    if n > _MAX_BRUTE_FORCE:
+    if inst.n > _MAX_BRUTE_FORCE:
         raise ValueError(f"brute force limited to n <= {_MAX_BRUTE_FORCE}")
-    d = inst.distances()
-    best, best_cost = None, np.inf
-    for perm in itertools.permutations(range(n)):
-        cost = sum(d[l, perm[l]] for l in range(n))
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    return best, float(best_cost)
+    perms, costs = _permutation_costs(inst)
+    best = int(np.argmin(costs))
+    return tuple(int(v) for v in perms[best]), float(costs[best])
 
 
 def extract_assignment(z, n=None):

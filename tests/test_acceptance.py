@@ -53,7 +53,7 @@ def reference(oracle_setup):
     _, _, sim = build_scenario(cfg, "no_delay")
     log, wall = timed_run(prob, sim)
     assert log.abort_reason is None, "reference pass aborted"
-    ref = ReferencePoint.from_states(log.final_states)
+    ref = ReferencePoint(*log.final_stacks())
     ref.validate(prob, KKT_TOL)
     return ref
 
@@ -142,12 +142,12 @@ def test_criterion_02_scattering_reproduction(capfd, oracle_setup, sc_run):
 def test_criterion_03_naive_delay_fragility(capfd, naive_run, sc_run):
     naive_log, _ = naive_run
     sc_log, _ = sc_run
-    sc_cons = sc_log.consensus[-1]
+    sc_cons = sc_log.kkt[-1].consensus
     if naive_log.abort_reason is not None:
         ok = True
         detail = f"divergence guard tripped at step {naive_log.abort_step}"
     else:
-        naive_cons = naive_log.consensus[-1]
+        naive_cons = naive_log.kkt[-1].consensus
         ratio = naive_cons / sc_cons
         ok = ratio > 10.0
         detail = (
@@ -194,9 +194,9 @@ def test_criterion_06_storage_rate_bounds(capfd, nd_run, sc_run):
     worsts = {}
     for tag, (log, _) in (("no_delay", nd_run), ("scattering", sc_run)):
         for name, arr in (
-            ("compensator", log.compensator_excess),
-            ("multiplier", log.multiplier_excess),
-            ("coupling", log.coupling_excess),
+            ("compensator", log.passivity.compensator_excess),
+            ("multiplier", log.passivity.multiplier_excess),
+            ("coupling", log.passivity.coupling_excess),
         ):
             worsts[f"{tag}/{name}"] = float(np.nanmax(arr))
     ok = all(v <= 0.0 for v in worsts.values())
@@ -206,10 +206,11 @@ def test_criterion_06_storage_rate_bounds(capfd, nd_run, sc_run):
 
 def test_criterion_07_wave_identity(capfd, sc_run):
     log, _ = sc_run
-    ok = log.wave_identity_max <= 1e-10
+    wave_max = log.passivity.wave_identity_max
+    ok = wave_max <= 1e-10
     report(
         capfd, 7, "wave power identity", ok,
-        f"max |(|s_in|^2 - |s_out|^2) - 2 r'p| = {log.wave_identity_max:.2e} "
+        f"max |(|s_in|^2 - |s_out|^2) - 2 r'p| = {wave_max:.2e} "
         f"(<= 1e-10) over all steps and edges",
     )
 

@@ -12,7 +12,6 @@ from dcopt import (
     Network,
     ReferencePoint,
     SimConfig,
-    consensus_error,
     converged_reference,
     lyapunov_direct,
     lyapunov_delayed,
@@ -74,13 +73,6 @@ def test_sim_config_validation():
         SimConfig(mode="naive_delay").delay_for(0, 1)
 
 
-def test_store_waves_requires_scattering():
-    prob = single_agent_problem()
-    cfg = SimConfig(duration=0.01, store_waves=True)
-    with pytest.raises(ValueError, match="store_waves"):
-        simulate(prob, cfg)
-
-
 def test_single_agent_converges_to_minimum():
     # slowest closed-loop pole is s^2 + 16s + 5 = 0 -> -0.319, so 40 s
     # buys about e^-12.8 of the initial offset
@@ -100,14 +92,8 @@ def test_duration_zero_single_snapshot():
     log = simulate(prob, SimConfig(duration=0.0))
     assert len(log.t) == 1
     assert log.t[0] == 0.0
-    assert log.final_states is not None
-    assert log.consensus == [0.0]
-
-
-def test_consensus_error_oracle():
-    net = ring(2, 3.0)
-    assert consensus_error(net, np.array([[1.0], [0.0]])) == pytest.approx(3.0)
-    assert consensus_error(net, np.ones((2, 1))) == 0.0
+    assert_final_state(log, x=0.0)
+    assert log.kkt[0].consensus == 0.0
 
 
 def test_three_agents_reach_consensus_optimum():
@@ -141,6 +127,16 @@ def test_to_csv_byte_identical(tmp_path):
     assert header == "t,entity_kind,entity_id,variable,component_index,value"
 
 
+def assert_final_state(log, x, lam=None):
+    """final_stacks() is the closing sample and holds the expected state."""
+    stacks = log.final_stacks()
+    for got, series in zip(stacks, (log.x, log.xi, log.lam, log.mu)):
+        assert got is series[-1]
+    np.testing.assert_allclose(stacks[0], np.full((1, 1), x), rtol=1e-12)
+    if lam is not None:
+        np.testing.assert_allclose(stacks[2][0], [lam], rtol=1e-12)
+
+
 def test_lambda_guard_aborts_run():
     # g(x) = x - 500 at x ~ 0 gives lam_dot = -1000 lam: one Euler step at
     # h = 1e-3 lands exactly on zero, which the guard must reject
@@ -155,6 +151,26 @@ def test_lambda_guard_aborts_run():
     assert log.events[0]["kind"] == "lambda_guard"
     # final snapshot is the pre-step state at t = 0
     assert log.t[-1] == 0.0
+    assert_final_state(log, x=0.0, lam=0.01)
+
+
+def test_lambda_guard_off_the_log_grid():
+    # f = x^2 / 2 + 100 x drives x to about -11 in the first step
+    # (h = 0.01), so g = x - 49 sends lam below zero at step 1, which is not
+    # a log step: the closing sample at t = h holds the pre-step state
+    net = Network([[0.0]])
+    loc = LocalProblem(
+        make_quadratic([[1.0]], [100.0]), inequalities=[make_affine([1.0], -49.0)]
+    )
+    prob = DistributedProblem(net, [loc])
+    log = simulate(prob, SimConfig(step=0.01, diag_interval=0.01, duration=1.0,
+                                   log_every=7))
+    assert log.abort_reason == "lambda_guard"
+    assert log.abort_step == 1
+    assert log.t == [0.0, pytest.approx(0.01)]
+    # after step 0: nu = -100 - lam^2, x = h (1 + 10) nu, lam (1 + 2 h g(0))
+    assert_final_state(log, x=0.01 * 11.0 * (-100.0 - 1e-4),
+                       lam=0.01 * (1.0 + 0.02 * -49.0))
 
 
 def test_divergence_guard_aborts_run():
@@ -172,6 +188,8 @@ def test_divergence_guard_aborts_run():
     assert "exceeds" in log.events[-1]["detail"]
     # the bad state is the committed one, so the closing sample is at t = h
     assert log.t[-1] == pytest.approx(1e-3)
+    # one Euler step from rho = (2e9, 0) with nu = 3 - 2e9
+    assert_final_state(log, x=2e9 + 1e-3 * 11.0 * (3.0 - 2e9))
 
 
 def test_nan_guard_aborts_before_commit():
@@ -184,6 +202,7 @@ def test_nan_guard_aborts_before_commit():
     assert log.abort_reason == "nan"
     assert log.events[0]["kind"] == "nan"
     assert log.t[-1] == 0.0
+    assert_final_state(log, x=np.inf)
 
 
 def two_agent_integrator_run(mode):
@@ -392,6 +411,11 @@ def scattering_cfg(delays, **kw):
     return SimConfig(mode="scattering", delays=delays, **kw)
 
 
+def assert_reports_match(posthoc, online):
+    for name in ("compensator_excess", "multiplier_excess", "coupling_excess"):
+        assert np.allclose(getattr(posthoc, name), getattr(online, name), atol=1e-10)
+
+
 def test_scattering_online_diag_matches_posthoc():
     prob = three_agent_quadratic()
     ref, _ = converged_reference(prob, duration=40.0)
@@ -400,17 +424,13 @@ def test_scattering_online_diag_matches_posthoc():
     for i, j, _ in prob.network.directed_edges():
         delays[(i, j)] = float(rng.uniform(0.2, 0.3))
     comp = SimConfig().compensator
-    cfg = scattering_cfg(
-        delays, duration=2.0, log_every=1, store_waves=True, reference=ref,
-    )
+    cfg = scattering_cfg(delays, duration=2.0, log_every=1, reference=ref)
     log = simulate(prob, cfg)
     assert log.abort_reason is None
     report = passivity_check(prob, log, ref, comp)
-    assert np.allclose(report.compensator_excess, log.compensator_excess, atol=1e-10)
-    assert np.allclose(report.multiplier_excess, log.multiplier_excess, atol=1e-10)
-    assert np.allclose(report.coupling_excess, log.coupling_excess, atol=1e-10)
+    assert_reports_match(report, log.passivity)
     assert report.wave_identity_max <= 1e-10
-    assert log.wave_identity_max <= 1e-10
+    assert log.passivity.wave_identity_max <= 1e-10
     # online delayed-Lyapunov value at each grid sample equals the post-hoc reconstruction
     for kth, t in enumerate(log.diag_t[:-1]):
         step_index = int(round(t / cfg.step))
@@ -425,9 +445,7 @@ def test_no_delay_online_diag_matches_posthoc():
     cfg = SimConfig(duration=2.0, log_every=1, reference=ref)
     log = simulate(prob, cfg)
     report = passivity_check(prob, log, ref, comp)
-    assert np.allclose(report.compensator_excess, log.compensator_excess, atol=1e-10)
-    assert np.allclose(report.multiplier_excess, log.multiplier_excess, atol=1e-10)
-    assert np.allclose(report.coupling_excess, log.coupling_excess, atol=1e-10)
+    assert_reports_match(report, log.passivity)
     # the storage-rate bounds themselves must hold on this convex problem
     assert report.ok()
     # V is non-increasing along the no-delay run
@@ -443,5 +461,25 @@ def test_naive_mode_has_no_port_checks():
     cfg = SimConfig(mode="naive_delay", delays=delays, duration=0.5,
                     log_every=1, reference=ref)
     log = simulate(prob, cfg)
-    assert np.isnan(log.coupling_excess).all()
+    assert np.isnan(log.passivity.coupling_excess).all()
     assert log.lyap_delayed == []
+
+
+def test_lyapunov_delayed_needs_full_rate_scattering_log():
+    prob = three_agent_quadratic()
+    delays = {(i, j): 0.2004 for i, j, _ in prob.network.directed_edges()}
+
+    def run(mode, log_every):
+        cfg = SimConfig(mode=mode, delays=delays, duration=0.05,
+                        log_every=log_every)
+        log = simulate(prob, cfg)
+        return log, ReferencePoint(*log.final_stacks()), cfg.compensator
+
+    log, ref, comp = run("naive_delay", 1)
+    with pytest.raises(ValueError, match="needs a scattering run"):
+        lyapunov_delayed(prob, log, ref, comp)
+    log, ref, comp = run("scattering", 2)
+    # the delays the channels realize, quantized to whole steps
+    assert log.delays == {key: pytest.approx(0.2) for key in delays}
+    with pytest.raises(ValueError, match=r"full-rate logging \(log_every=1\)"):
+        lyapunov_delayed(prob, log, ref, comp)

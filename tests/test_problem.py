@@ -184,6 +184,18 @@ def test_kkt_residual_zero_at_saddle():
     assert res.max() == pytest.approx(0.0, abs=1e-12)
 
 
+def test_kkt_residual_consensus_oracle():
+    # consensus is max |(L x)_i|: x = (1, 0) on one edge of weight 3 gives 3
+    prob = DistributedProblem(
+        ring(2, 3.0), [LocalProblem(make_affine([0.0])) for _ in range(2)]
+    )
+    zero = [np.zeros(0), np.zeros(0)]
+    xi = np.zeros((2, 1))
+    res = kkt_residual(prob, np.array([[1.0], [0.0]]), xi, zero, zero)
+    assert res.consensus == pytest.approx(3.0)
+    assert kkt_residual(prob, np.ones((2, 1)), xi, zero, zero).consensus == 0.0
+
+
 def test_kkt_residual_fields_respond():
     prob = single_agent_problem()
     lam = [np.array([0.5])]
