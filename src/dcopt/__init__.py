@@ -7,12 +7,10 @@ keeps convergence intact under unknown heterogeneous constant delays.
 """
 
 from .dynamics import (
-    AgentDerivative,
     AgentState,
     CompensatorParams,
     LambdaGuardError,
     compensator_storage,
-    compute_nu,
     constraint_force,
     derivatives,
     euler_step,
@@ -27,7 +25,6 @@ from .engine import (
     SimConfig,
     TrajectoryLog,
     converged_reference,
-    lyapunov_direct,
     lyapunov_delayed,
     passivity_check,
     simulate,

@@ -1,14 +1,20 @@
-"""Per-agent continuous dynamics and their explicit Euler discretization.
+"""Network continuous dynamics and their explicit Euler discretization.
 
 Each agent runs a primal flow shaped by a phase-lead compensator
 
     rho_dot_k = -b_k rho_k + c_k nu,   x = sum_k rho_k,
 
-driven by the negative Lagrangian gradient nu, plus integrator dynamics for
-the consensus multiplier xi and the constraint multipliers.  The inequality
-multiplier enters the Lagrangian squared, so its flow lam_dot = 2 lam g(x)
-keeps lam positive without projection; a step that would cross zero is a
-guard violation, never clamped.
+driven by nu, the negative gradient of its local Lagrangian plus its summed
+port effort, and integrator dynamics for the consensus multiplier xi and the
+constraint multipliers.  Agents meet their neighbors only through that
+effort e_i = sum_j p_ij, where p_ij = E_ij (r_ij - [x_i; xi_i]) is the
+coupling effort of the port to j: its first n entries add to nu_i and its
+last n are xi_dot_i.  The inequality multiplier enters the Lagrangian
+squared, so its flow lam_dot = 2 lam g(x) keeps lam positive without
+projection; a step that would cross zero is a guard violation, never
+clamped.  The whole network steps as one state of stacked arrays
+(AgentState), and the storage, bound and defect kernels return one value
+per agent.
 
 With m = 1, b = (0,), c = (1,) the compensator is a pure integrator and the
 flow reduces to plain primal-dual gradient dynamics (the ablation mode that
@@ -24,7 +30,6 @@ __all__ = [
     "AgentState",
     "AgentDerivative",
     "LambdaGuardError",
-    "compute_nu",
     "constraint_force",
     "derivatives",
     "euler_step",
@@ -32,11 +37,21 @@ __all__ = [
     "multiplier_storage",
     "primal_rate_bound",
     "multiplier_rate_bound",
+    "storage_step_defects",
 ]
 
 
 class LambdaGuardError(RuntimeError):
-    """An Euler step would drive an inequality multiplier to zero or below."""
+    """An Euler step would drive an inequality multiplier to zero or below.
+
+    index is the first such entry of the concatenated lam, value what it
+    would step to.
+    """
+
+    def __init__(self, index, value):
+        super().__init__(f"inequality multiplier {index} would step to {value:.3e}")
+        self.index = index
+        self.value = value
 
 
 @dataclass(frozen=True)
@@ -78,32 +93,43 @@ class CompensatorParams:
 
 @dataclass
 class AgentState:
-    """One agent's state: compensator stages, consensus and constraint
-    multipliers.  The primal estimate is x = rho.sum(axis=0)."""
+    """The network's state in one stacked layout.
 
-    rho: np.ndarray  # (m, n)
-    xi: np.ndarray  # (n,)
-    lam: np.ndarray  # (n_ineq,)
-    mu: np.ndarray  # (n_eq,)
+    rho  (N, m, n)  compensator stages; agent i's primal estimate is
+                    x[i] = rho[i].sum(axis=0)
+    xi   (N, n)     consensus multipliers
+    lam  (L,)       inequality multipliers and mu (M,) equality multipliers,
+                    each the agents' vectors concatenated in agent order
+                    (the layout of DistributedProblem)
+
+    A step builds new arrays and never writes into old ones.
+    """
+
+    rho: np.ndarray
+    xi: np.ndarray
+    lam: np.ndarray
+    mu: np.ndarray
 
     @property
     def x(self):
-        return self.rho.sum(axis=0)
+        return self.rho.sum(axis=1)
 
     @staticmethod
-    def zeros(comp, dim, n_ineq, n_eq, lam0=0.01):
+    def zeros(comp, prob, lam0=0.01):
         if lam0 <= 0.0:
             raise ValueError("initial inequality multipliers must be positive")
         return AgentState(
-            rho=np.zeros((comp.m, dim)),
-            xi=np.zeros(dim),
-            lam=np.full(n_ineq, float(lam0)),
-            mu=np.zeros(n_eq),
+            rho=np.zeros((prob.n_agents, comp.m, prob.dim)),
+            xi=np.zeros((prob.n_agents, prob.dim)),
+            lam=np.full(prob.ineq_owner.size, float(lam0)),
+            mu=np.zeros(prob.eq_owner.size),
         )
 
 
 @dataclass
 class AgentDerivative:
+    """Time derivatives of an AgentState, in its layout, plus nu (N, n)."""
+
     rho_dot: np.ndarray
     xi_dot: np.ndarray
     lam_dot: np.ndarray
@@ -111,45 +137,43 @@ class AgentDerivative:
     nu: np.ndarray  # kept for diagnostics
 
 
-def constraint_force(local, state, x=None):
-    """zeta = sum_k lam_k^2 grad g_k(x) + sum_k mu_k grad h_k(x)."""
-    if x is None:
-        x = state.x
+def _force(local, x, lam, mu):
+    """One agent's sum_k lam_k^2 grad g_k(x) + sum_k mu_k grad h_k(x)."""
     zeta = np.zeros(local.dim)
     if local.n_ineq:
-        zeta += local.ineq_gradients(x).T @ (state.lam**2)
+        zeta += local.ineq_gradients(x).T @ (lam**2)
     if local.n_eq:
-        zeta += local.eq_gradients(x).T @ state.mu
+        zeta += local.eq_gradients(x).T @ mu
     return zeta
 
 
-def compute_nu(local, state, received, x=None):
-    """Compensator input: negative Lagrangian gradient at the agent.
+def constraint_force(prob, x, lam, mu):
+    """zeta_i = sum_k lam_ik^2 grad g_ik(x_i) + sum_k mu_ik grad h_ik(x_i)
+    for x (N, n) and the concatenated lam, mu; stacked (N, n)."""
+    lam, mu = prob.split_multipliers(lam, mu)
+    return np.array([
+        _force(loc, x[i], lam[i], mu[i]) for i, loc in enumerate(prob.local_problems)
+    ])
 
-    received lists one (r_x, r_xi, weight) triple per neighbor, where r_x
-    and r_xi are the neighbor's primal/multiplier information as seen
-    through the channel (current state when there is no delay).
+
+def derivatives(prob, comp, state, effort):
+    """Time derivatives of the network state from time-t information.
+
+    effort (N, 2n) holds each agent's summed port effort sum_j p_ij.
     """
-    if x is None:
-        x = state.x
-    nu = -local.objective.gradient(x) - constraint_force(local, state, x)
-    for r_x, r_xi, w in received:
-        nu += w * (r_x - x)
-        nu -= w * (r_xi - state.xi)
-    return nu
-
-
-def derivatives(local, comp, state, received):
-    """Time derivatives of one agent's state from time-t information."""
+    n = prob.dim
     x = state.x
-    nu = compute_nu(local, state, received, x)
-    rho_dot = comp.c[:, None] * nu - comp.b[:, None] * state.rho
-    xi_dot = np.zeros(local.dim)
-    for r_x, _, w in received:
-        xi_dot += w * (r_x - x)
-    lam_dot = 2.0 * state.lam * local.ineq_values(x) if local.n_ineq else np.zeros(0)
-    mu_dot = local.eq_values(x) if local.n_eq else np.zeros(0)
-    return AgentDerivative(rho_dot, xi_dot, lam_dot, mu_dot, nu)
+    lam, mu = prob.split_multipliers(state.lam, state.mu)
+    nu = np.empty_like(x)
+    g, hv = [], []
+    for i, loc in enumerate(prob.local_problems):
+        nu[i] = -loc.objective.gradient(x[i]) - _force(loc, x[i], lam[i], mu[i])
+        g.append(loc.ineq_values(x[i]))
+        hv.append(loc.eq_values(x[i]))
+    nu += effort[:, :n]
+    rho_dot = comp.c[:, None] * nu[:, None, :] - comp.b[:, None] * state.rho
+    lam_dot = 2.0 * state.lam * np.concatenate(g)
+    return AgentDerivative(rho_dot, effort[:, n:], lam_dot, np.concatenate(hv), nu)
 
 
 def euler_step(state, deriv, h):
@@ -163,10 +187,8 @@ def euler_step(state, deriv, h):
         raise ValueError("step size must be positive")
     lam = state.lam + h * deriv.lam_dot
     if lam.size and lam.min() <= 0.0:
-        bad = np.nonzero(lam <= 0.0)[0]
-        raise LambdaGuardError(
-            f"inequality multiplier(s) {bad.tolist()} would cross zero"
-        )
+        k = int(np.argmax(lam <= 0.0))
+        raise LambdaGuardError(k, float(lam[k]))
     return AgentState(
         rho=state.rho + h * deriv.rho_dot,
         xi=state.xi + h * deriv.xi_dot,
@@ -175,85 +197,86 @@ def euler_step(state, deriv, h):
     )
 
 
+def _per_agent(prob, owner, values):
+    """Sums of values by owning agent, (N,)."""
+    return np.bincount(owner, weights=values, minlength=prob.n_agents)
+
+
 def compensator_storage(comp, rho, z_star):
-    """Storage of the compensator block relative to a primal reference:
+    """Storage of each agent's compensator block relative to a primal
+    reference, (N,) for rho (N, m, n):
 
     (1/(2 c_1)) |rho_1 - z*|^2 + sum_{k>=2} (1/(2 c_k)) |rho_k|^2
     """
-    s = float(np.sum((rho[0] - z_star) ** 2)) / (2.0 * comp.c[0])
+    s = np.sum((rho[:, 0] - z_star) ** 2, axis=1) / (2.0 * comp.c[0])
     for k in range(1, comp.m):
-        s += float(np.sum(rho[k] ** 2)) / (2.0 * comp.c[k])
+        s += np.sum(rho[:, k] ** 2, axis=1) / (2.0 * comp.c[k])
     return s
 
 
-def multiplier_storage(lam, mu, lam_star, mu_star):
-    """Storage of the multiplier block relative to a KKT reference:
+def multiplier_storage(prob, lam, mu, lam_star, mu_star):
+    """Storage of each agent's multiplier block relative to a KKT
+    reference, (N,) for multipliers in the layout of prob:
 
     sum_k [ (lam_k^2 - lam*_k^2)/4 - (lam*_k^2 / 2)(ln lam_k - ln lam*_k) ]
       + |mu - mu*|^2 / 2
 
     The log term is dropped where lam*_k = 0 (lam ln lam -> 0 limit).
     """
-    lam = np.asarray(lam, dtype=float)
-    lam_star = np.asarray(lam_star, dtype=float)
     if lam.size and lam.min() <= 0.0:
         raise ValueError("multiplier storage needs lam > 0")
-    s = float(np.sum(lam**2 - lam_star**2)) / 4.0
+    s = _per_agent(prob, prob.ineq_owner, lam**2 - lam_star**2) / 4.0
     active = lam_star > 0.0
     if np.any(active):
         ls = lam_star[active]
-        s -= 0.5 * float(np.sum(ls**2 * (np.log(lam[active]) - np.log(ls))))
-    s += 0.5 * float(np.sum((np.asarray(mu) - np.asarray(mu_star)) ** 2))
+        s -= 0.5 * _per_agent(
+            prob, prob.ineq_owner[active], ls**2 * (np.log(lam[active]) - np.log(ls))
+        )
+    s += 0.5 * _per_agent(prob, prob.eq_owner, (mu - mu_star) ** 2)
     return s
 
 
-def primal_rate_bound(local, state, nu, z_star):
-    """Upper bound certified for d/dt of compensator_storage:
+def primal_rate_bound(prob, state, nu, z_star):
+    """Upper bound certified for d/dt of compensator_storage, (N,):
 
     (x - z*)^T (phi - phi*),  phi = nu + grad f(x),  phi* = grad f(z*).
     """
     x = state.x
-    phi = nu + local.objective.gradient(x)
-    phi_star = local.objective.gradient(z_star)
-    return float((x - z_star) @ (phi - phi_star))
+    phi = nu + np.array([
+        loc.objective.gradient(x[i]) for i, loc in enumerate(prob.local_problems)
+    ])
+    phi_star = np.array([loc.objective.gradient(z_star) for loc in prob.local_problems])
+    return np.sum((x - z_star) * (phi - phi_star), axis=1)
 
 
-def multiplier_rate_bound(local, state, z_star, lam_star, mu_star):
-    """Upper bound certified for d/dt of multiplier_storage:
+def multiplier_rate_bound(prob, state, z_star, lam_star, mu_star):
+    """Upper bound certified for d/dt of multiplier_storage, (N,):
 
     (zeta - zeta*)^T (x - z*) with zeta the constraint force.
     """
     x = state.x
-    zeta = constraint_force(local, state, x)
-    zeta_star = np.zeros(local.dim)
-    if local.n_ineq:
-        zeta_star += local.ineq_gradients(z_star).T @ (np.asarray(lam_star) ** 2)
-    if local.n_eq:
-        zeta_star += local.eq_gradients(z_star).T @ np.asarray(mu_star)
-    return float((zeta - zeta_star) @ (x - z_star))
+    zeta = constraint_force(prob, x, state.lam, state.mu)
+    zeta_star = constraint_force(prob, np.broadcast_to(z_star, x.shape), lam_star, mu_star)
+    return np.sum((zeta - zeta_star) * (x - z_star), axis=1)
 
 
-def storage_step_defects(comp, state, deriv, lam_star, h):
+def storage_step_defects(prob, comp, state, deriv, lam_star, h):
     """Exact explicit-Euler defect rates of the three storage pieces.
 
     One Euler step y+ = y + h F moves each storage by more than h times
     its rate at the step start.  Returns (compensator, multiplier,
-    coupling) defect rates d with S(y+) - S(y) = h (rate + d) exactly:
-    the quadratic pieces contribute (h/2) F' Hess(S) F, and the
-    multiplier log term the closed-form remainder
+    coupling) defect rates d, each (N,), with S(y+) - S(y) = h (rate + d)
+    exactly per agent: the quadratic pieces contribute (h/2) F' Hess(S) F,
+    and the multiplier log term the closed-form remainder
     (lam*^2 / (2h)) (w - log(1 + w)) with w = h lam_dot / lam.  Per-step
     rate checks subtract d so they test the bound, not the integrator.
     A component about to trip the positivity guard (1 + w <= 0) falls
     back to the quadratic estimate to stay finite; its step never
     commits, so the value is never compared against a bound.
     """
-    d_c = 0.5 * h * sum(
-        float(deriv.rho_dot[k] @ deriv.rho_dot[k]) / comp.c[k]
-        for k in range(comp.m)
-    )
-    d_m = 0.25 * h * float(np.sum(deriv.lam_dot**2))
-    d_m += 0.5 * h * float(np.sum(deriv.mu_dot**2))
-    lam_star = np.asarray(lam_star, dtype=float)
+    d_c = 0.5 * h * np.sum(np.sum(deriv.rho_dot**2, axis=2) / comp.c, axis=1)
+    d_m = 0.25 * h * _per_agent(prob, prob.ineq_owner, deriv.lam_dot**2)
+    d_m += 0.5 * h * _per_agent(prob, prob.eq_owner, deriv.mu_dot**2)
     active = lam_star > 0.0
     if np.any(active):
         ls2 = lam_star[active] ** 2
@@ -262,6 +285,6 @@ def storage_step_defects(comp, state, deriv, lam_star, h):
         rem = np.where(
             safe, w - np.log1p(np.where(safe, w, 0.0)), 0.5 * w**2
         )
-        d_m += float(np.sum(ls2 * rem)) / (2.0 * h)
-    d_xi = 0.5 * h * float(deriv.xi_dot @ deriv.xi_dot)
+        d_m += _per_agent(prob, prob.ineq_owner[active], ls2 * rem) / (2.0 * h)
+    d_xi = 0.5 * h * np.sum(deriv.xi_dot**2, axis=1)
     return d_c, d_m, d_xi

@@ -1,16 +1,18 @@
 """Fixed-step simulation engine for the networked primal-dual flow.
 
-One explicit-Euler step has a fixed phase order:
+The network state is one AgentState of stacked arrays, and the directed
+edges i <- j are index arrays in network.directed_edges() order.  One
+explicit-Euler step has a fixed phase order:
 
     1. the port pair (r, p) of every directed edge i <- j, in every mode:
        r is what agent i holds of neighbor j (see below) and
        p = E (r - [x_i; xi_i]) the coupling effort.  The derivatives, the
-       online diagnostics and the log all read this one pair; the two
-       direct modes form p only when the log or a port check reads it,
-    2. all agent derivatives from time-t values,
-    3. all pushes into the delay lines (outgoing waves in scattering
-       mode, the sender's own [x; xi] in naive mode),
-    4. barrier commit of the Euler updates.
+       online diagnostics and the log all read this one pair,
+    2. the derivatives of the whole network in one call, from the local
+       terms and each agent's summed effort sum_j p_ij,
+    3. the push of every edge into the delay lines (outgoing waves in
+       scattering mode, the sender's own [x; xi] in naive mode),
+    4. barrier commit of the Euler update.
 
 Every quantity consumed in a step is therefore from time t; the step is a
 synchronous barrier, which is what makes runs bit-for-bit reproducible.
@@ -49,7 +51,6 @@ from .dynamics import (
     primal_rate_bound,
     storage_step_defects,
 )
-from .graph import neighbors
 from .problem import kkt_residual
 from .scattering import ChannelEnd, CouplingMatrix, DelayLine, wave_identity_residual
 
@@ -59,7 +60,6 @@ __all__ = [
     "ReferencePoint",
     "TrajectoryLog",
     "simulate",
-    "lyapunov_direct",
     "lyapunov_delayed",
     "passivity_check",
     "PassivityReport",
@@ -86,8 +86,11 @@ class SimConfig:
     log_every     steps between logged samples; the post-hoc oracles
                   (passivity_check, lyapunov_delayed) need 1, and then the
                   log holds every step's ports and waves.
-    initial       one AgentState per agent to start from instead of zeros
-                  with lam = lam0; shapes are checked before the first step.
+    initial       one stacked AgentState of the whole network to start from
+                  instead of zeros with lam = lam0: rho (N, m, n), xi (N, n),
+                  lam and mu in the multiplier layout of the problem.  It
+                  is copied, and its shapes and lam > 0 are checked before
+                  the first step.
     """
 
     step: float = 1e-3
@@ -100,7 +103,7 @@ class SimConfig:
     log_every: int = 100
     diag_interval: float = 0.1
     reference: "ReferencePoint" = None
-    initial: list = None
+    initial: AgentState = None
 
     def __post_init__(self):
         if self.compensator is None:
@@ -152,30 +155,32 @@ class ReferencePoint:
         return res
 
     def edge_offsets(self, i, j, weight, eta):
-        """(r*, p*, gamma*, delta*) for the directed pair (i, j).
+        """(r*, p*, gamma*, delta*) for the directed pair (i, j), or stacked
+        (E, 2n) for index arrays i, j and (E, 1) weights.
 
         r* stacks (z*, xi_i* + xi_j*); p* stacks (a (xi_i* - xi_j*), 0).
         gamma*/delta* are the wave offsets (p* -/+ eta r*) / sqrt(2 eta).
         """
-        r_star = np.concatenate([self.z, self.xi[i] + self.xi[j]])
-        p_star = np.concatenate(
-            [weight * (self.xi[i] - self.xi[j]), np.zeros(self.z.size)]
-        )
+        _, p_star = self.direct_offsets(i, j, weight)
+        z = np.broadcast_to(self.z, self.xi[i].shape)
+        r_star = np.concatenate([z, self.xi[i] + self.xi[j]], axis=-1)
         sq = np.sqrt(2.0 * eta)
         gamma = (p_star - eta * r_star) / sq
         delta = (p_star + eta * r_star) / sq
         return r_star, p_star, gamma, delta
 
     def direct_offsets(self, i, j, weight):
-        """(r*, p*) for an undelayed direct-exchange port (i, j).
+        """(r*, p*) for an undelayed direct-exchange port (i, j), or stacked
+        like edge_offsets.
 
         Without a channel, agent i receives r_ij = (x_j, xi_j), so the
         port settles at r* = (z*, xi_j*) and the same effort offset
         p* = (a (xi_i* - xi_j*), 0) as the delayed case.
         """
-        r_star = np.concatenate([self.z, self.xi[j]])
+        z = np.broadcast_to(self.z, self.xi[j].shape)
+        r_star = np.concatenate([z, self.xi[j]], axis=-1)
         p_star = np.concatenate(
-            [weight * (self.xi[i] - self.xi[j]), np.zeros(self.z.size)]
+            [weight * (self.xi[i] - self.xi[j]), np.zeros_like(z)], axis=-1
         )
         return r_star, p_star
 
@@ -229,9 +234,7 @@ class TrajectoryLog:
         component_index, value."""
         with open(path, "w", newline="") as f:
             f.write("t,entity_kind,entity_id,variable,component_index,value\n")
-            diag_by_t = {}
-            for k, tt in enumerate(self.diag_t):
-                diag_by_t[tt] = k
+            diag_by_t = {tt: k for k, tt in enumerate(self.diag_t)}
             for s, tt in enumerate(self.t):
                 ts = repr(float(tt))
 
@@ -249,22 +252,15 @@ class TrajectoryLog:
                     if self.lyap_delayed:
                         row("global", "net", "lyapunov_delayed", 0, self.lyap_delayed[k])
                 for i in range(self.n_agents):
-                    for c in range(self.dim):
-                        row("agent", i, "x", c, self.x[s][i, c])
-                    for c in range(self.dim):
-                        row("agent", i, "xi", c, self.xi[s][i, c])
-                    for k in range(self.rho[s].shape[1]):
-                        for c in range(self.dim):
-                            row("agent", i, f"rho{k}", c, self.rho[s][i, k, c])
-                    for c, v in enumerate(self.lam[s][i]):
-                        row("agent", i, "lambda", c, v)
-                    for c, v in enumerate(self.mu[s][i]):
-                        row("agent", i, "mu", c, v)
+                    agent = [("x", self.x[s][i]), ("xi", self.xi[s][i])]
+                    agent += [(f"rho{k}", v) for k, v in enumerate(self.rho[s][i])]
+                    agent += [("lambda", self.lam[s][i]), ("mu", self.mu[s][i])]
                     if self.nu[s] is not None:
-                        for c in range(self.dim):
-                            row("agent", i, "nu", c, self.nu[s][i, c])
-                    for c in range(self.dim):
-                        row("agent", i, "zeta", c, self.zeta[s][i, c])
+                        agent.append(("nu", self.nu[s][i]))
+                    agent.append(("zeta", self.zeta[s][i]))
+                    for var, vec in agent:
+                        for c, v in enumerate(vec):
+                            row("agent", i, var, c, v)
                 for series, var in (
                     (self.edge_r, "r"),
                     (self.edge_p, "p"),
@@ -276,19 +272,6 @@ class TrajectoryLog:
                     for (i, j), vec in series[s].items():
                         for c in range(vec.size):
                             row("edge", f"{i}->{j}", var, c, vec[c])
-
-
-def lyapunov_direct(prob, states, ref, comp):
-    """Delay-free Lyapunov value at a list of AgentStates:
-
-    sum_i [ S_c_i + S_g_i ] + (1/2) |xi - xi*|^2
-    """
-    total = 0.0
-    for i, (p, s) in enumerate(zip(prob.local_problems, states)):
-        total += compensator_storage(comp, s.rho, ref.z)
-        total += multiplier_storage(s.lam, s.mu, ref.lam[i], ref.mu[i])
-        total += 0.5 * float(np.sum((s.xi - ref.xi[i]) ** 2))
-    return total
 
 
 def lyapunov_delayed(prob, log, ref, comp, upto=None):
@@ -305,12 +288,12 @@ def lyapunov_delayed(prob, log, ref, comp, upto=None):
     if cfg.log_every != 1:
         raise ValueError("lyapunov_delayed needs full-rate logging (log_every=1)")
     k = len(log.t) - 1 if upto is None else upto
-    total = float(np.sum([
-        compensator_storage(comp, log.rho[k][i], ref.z)
-        + multiplier_storage(log.lam[k][i], log.mu[k][i], ref.lam[i], ref.mu[i])
-        + 0.5 * float(np.sum((log.xi[k][i] - 2.0 * ref.xi[i]) ** 2))
-        for i in range(log.n_agents)
-    ]))
+    total = float(np.sum(
+        compensator_storage(comp, log.rho[k], ref.z)
+        + multiplier_storage(prob, np.concatenate(log.lam[k]), np.concatenate(log.mu[k]),
+                             np.concatenate(ref.lam), np.concatenate(ref.mu))
+        + 0.5 * np.sum((log.xi[k] - 2.0 * ref.xi) ** 2, axis=1)
+    ))
     s_in, s_out = log.edge_s_in, log.edge_s_out
     for i, j, w in prob.network.edges():
         _, _, gamma, delta = ref.edge_offsets(i, j, w, cfg.eta)
@@ -359,110 +342,142 @@ def passivity_check(prob, log, ref, comp):
 
     The online path inside simulate() accumulates the same quantities; this
     post-hoc route exists so the two can be cross-checked on short runs.
+    It rebuilds the state, xi_dot (from the logged r) and lam_dot from the
+    log itself; only the storage, bound and defect kernels are shared.
     """
     if log.config.log_every != 1:
         raise ValueError("passivity_check needs full-rate logging (log_every=1)")
     n = log.n_agents
     dim = log.dim
     h = log.config.step
-    net = prob.network
     mode = log.config.mode
     tol = 1e-3
-    port_modes = ("no_delay", "scattering")
-    ex_comp = np.full(n, -np.inf)
-    ex_mult = np.full(n, -np.inf)
-    ex_coup = np.full(n, -np.inf if mode in port_modes else np.nan)
+    has_ports = mode in ("no_delay", "scattering")
+    edges = _Edges(prob.network)
+    lam_star, mu_star = np.concatenate(ref.lam), np.concatenate(ref.mu)
+    excess = np.full((3, n), -np.inf)
+    if not has_ports:
+        excess[2] = np.nan
     xi_factor = 2.0 if mode == "scattering" else 1.0
     wave_max = 0.0
-    offsets = {}
-    if mode == "scattering":
-        offsets = {
-            (i, j): ref.edge_offsets(i, j, w, log.config.eta)[:2]
-            for i, j, w in net.directed_edges()
-        }
-    elif mode == "no_delay":
-        offsets = {
-            (i, j): ref.direct_offsets(i, j, w)
-            for i, j, w in net.directed_edges()
-        }
+    r_star, p_star, _, _ = _port_offsets(ref, edges, log.config)
+
+    def stacked(series, k):
+        return np.array([series[k][key] for key in edges.keys]).reshape(-1, 2 * dim)
+
     prev = None
-    n_steps = len(log.t)
-    for k in range(n_steps):
-        sc = np.zeros(n)
-        sg = np.zeros(n)
-        bnd_comp = np.zeros(n)
-        bnd_mult = np.zeros(n)
-        bnd_coup = np.full(n, np.nan)
-        def_comp = np.zeros(n)
-        def_mult = np.zeros(n)
-        def_coup = np.zeros(n)
-        have_edges = log.edge_r[k] is not None and log.nu[k] is not None
-        for i in range(n):
-            p = prob.local_problems[i]
-            st = AgentState(log.rho[k][i], log.xi[k][i], log.lam[k][i], log.mu[k][i])
-            x_i = st.x
-            sc[i] = compensator_storage(comp, st.rho, ref.z)
-            sg[i] = multiplier_storage(st.lam, st.mu, ref.lam[i], ref.mu[i])
-            if log.nu[k] is not None:
-                nu = log.nu[k][i]
-                bnd_comp[i] = primal_rate_bound(p, st, nu, ref.z)
-                xi_dot = np.zeros(dim)
-                if have_edges:
-                    for j, w in neighbors(net, i):
-                        xi_dot += w * (log.edge_r[k][(i, j)][:dim] - x_i)
-                deriv = AgentDerivative(
-                    comp.c[:, None] * nu - comp.b[:, None] * st.rho,
-                    xi_dot,
-                    2.0 * st.lam * p.ineq_values(x_i) if p.n_ineq else np.zeros(0),
-                    p.eq_values(x_i) if p.n_eq else np.zeros(0),
-                    nu,
-                )
-                def_comp[i], def_mult[i], d_xi = storage_step_defects(
-                    comp, st, deriv, ref.lam[i], h
-                )
-                def_coup[i] = def_comp[i] + def_mult[i] + d_xi
-            bnd_mult[i] = multiplier_rate_bound(p, st, ref.z, ref.lam[i], ref.mu[i])
+    for k in range(len(log.t)):
+        st = AgentState(log.rho[k], log.xi[k], np.concatenate(log.lam[k]),
+                        np.concatenate(log.mu[k]))
+        sc = compensator_storage(comp, st.rho, ref.z)
+        sg = multiplier_storage(prob, st.lam, st.mu, lam_star, mu_star)
         s_full = None
-        if mode in port_modes:
-            # S_i needs only states; the rate bound additionally needs the
-            # port values (r, p), absent from the closing sample
-            s_full = sc + sg + 0.5 * np.sum(
-                (log.xi[k] - xi_factor * ref.xi) ** 2, axis=1
+        if has_ports:
+            s_full = sc + sg + 0.5 * np.sum((st.xi - xi_factor * ref.xi) ** 2, axis=1)
+        if prev is not None:
+            for row, s, (ps, bound, defect) in zip(excess, (sc, sg, s_full), prev):
+                if ps is not None:
+                    np.maximum(
+                        row, (s - ps) / h - bound - defect - tol * (1.0 + np.abs(ps)),
+                        out=row,
+                    )
+        prev = None
+        nu = log.nu[k]
+        if nu is None:  # the closing or an aborted sample: no step follows
+            continue
+        x = log.x[k]
+        r = stacked(log.edge_r, k)
+        xi_dot = edges.into @ (edges.weight * (r[:, :dim] - x[edges.own]))
+        locs = enumerate(prob.local_problems)
+        g, hv = zip(*((p.ineq_values(x[i]), p.eq_values(x[i])) for i, p in locs))
+        deriv = AgentDerivative(
+            comp.c[:, None] * nu[:, None, :] - comp.b[:, None] * st.rho,
+            xi_dot, 2.0 * st.lam * np.concatenate(g), np.concatenate(hv), nu,
+        )
+        d_c, d_m, d_xi = storage_step_defects(prob, comp, st, deriv, lam_star, h)
+        bnd_coup = np.full(n, np.nan)
+        if has_ports:
+            p = stacked(log.edge_p, k)
+            bnd_coup = edges.into @ np.sum((r - r_star) * (p - p_star), axis=1)
+        if mode == "scattering":
+            res = wave_identity_residual(
+                stacked(log.edge_s_in, k), stacked(log.edge_s_out, k), r, p
             )
-            if have_edges:
-                bnd_coup[:] = 0.0
-                for i in range(n):
-                    for j, w in neighbors(net, i):
-                        r_star, p_star = offsets[(i, j)]
-                        r_bar = log.edge_r[k][(i, j)] - r_star
-                        p_bar = log.edge_p[k][(i, j)] - p_star
-                        bnd_coup[i] += float(r_bar @ p_bar)
-                        if mode == "scattering":
-                            wave_max = max(
-                                wave_max,
-                                abs(
-                                    wave_identity_residual(
-                                        log.edge_s_in[k][(i, j)],
-                                        log.edge_s_out[k][(i, j)],
-                                        log.edge_r[k][(i, j)],
-                                        log.edge_p[k][(i, j)],
-                                    )
-                                ),
-                            )
-        if prev is not None and log.nu[k - 1] is not None:
-            psc, psg, psf, pbnd_comp, pbnd_mult, pbnd_coup, pdef_comp, pdef_mult, pdef_coup = prev
-            ex_comp = np.maximum(
-                ex_comp, (sc - psc) / h - pbnd_comp - pdef_comp - tol * (1.0 + np.abs(psc))
-            )
-            ex_mult = np.maximum(
-                ex_mult, (sg - psg) / h - pbnd_mult - pdef_mult - tol * (1.0 + np.abs(psg))
-            )
-            if psf is not None and s_full is not None and not np.isnan(pbnd_coup).any():
-                ex_coup = np.maximum(
-                    ex_coup, (s_full - psf) / h - pbnd_coup - pdef_coup - tol * (1.0 + np.abs(psf))
-                )
-        prev = (sc, sg, s_full, bnd_comp, bnd_mult, bnd_coup, def_comp, def_mult, def_coup)
-    return PassivityReport(ex_comp, ex_mult, ex_coup, wave_max)
+            wave_max = max(wave_max, float(np.abs(res).max(initial=0.0)))
+        prev = (
+            (sc, primal_rate_bound(prob, st, nu, ref.z), d_c),
+            (sg, multiplier_rate_bound(prob, st, ref.z, lam_star, mu_star), d_m),
+            (s_full, bnd_coup, d_c + d_m + d_xi),
+        )
+    return PassivityReport(*excess, wave_identity_max=wave_max)
+
+
+class _Edges:
+    """The directed edges i <- j of a network as index arrays, in
+    network.directed_edges() order: own = i, nbr = j, rev[e] the edge
+    j <- i, weight (E, 1), and into (N, E), the 0/1 matrix that sums edge
+    rows per receiving agent."""
+
+    def __init__(self, net):
+        directed = net.directed_edges()
+        self.keys = [(i, j) for i, j, _ in directed]
+        index = {key: e for e, key in enumerate(self.keys)}
+        self.own = np.array([i for i, _ in self.keys], dtype=int)
+        self.nbr = np.array([j for _, j in self.keys], dtype=int)
+        self.rev = np.array([index[(j, i)] for i, j in self.keys], dtype=int)
+        self.weight = np.array([w for _, _, w in directed]).reshape(-1, 1)
+        self.into = np.zeros((net.n_agents, len(self.keys)))
+        self.into[self.own, np.arange(len(self.keys))] = 1.0
+
+
+def _port_offsets(ref, edges, cfg):
+    """(r*, p*, gamma*, delta*) of every directed edge, stacked (E, 2n); the
+    direct modes have no wave offsets (None)."""
+    if cfg.mode == "scattering":
+        return ref.edge_offsets(edges.own, edges.nbr, edges.weight, cfg.eta)
+    return ref.direct_offsets(edges.own, edges.nbr, edges.weight) + (None, None)
+
+
+def _initial_state(prob, cfg):
+    """A checked copy of SimConfig.initial, or the zero start."""
+    zeros = AgentState.zeros(cfg.compensator, prob, cfg.lam0)
+    init = cfg.initial
+    if init is None:
+        return zeros
+    if not isinstance(init, AgentState):
+        raise TypeError("initial: expected one stacked AgentState")
+    state = AgentState(*(np.array(a, dtype=float)
+                         for a in (init.rho, init.xi, init.lam, init.mu)))
+    for name in ("rho", "xi", "lam", "mu"):
+        got, shape = getattr(state, name).shape, getattr(zeros, name).shape
+        if got != shape:
+            raise ValueError(f"initial.{name}: expected shape {shape}, got {got}")
+    if state.lam.size and state.lam.min() <= 0.0:
+        agent, local = _ineq_entry(prob, int(np.argmax(state.lam <= 0.0)))
+        raise ValueError(
+            f"initial.lam: inequality multipliers must be positive "
+            f"(agent {agent}, multiplier {local})"
+        )
+    return state
+
+
+def _ineq_entry(prob, k):
+    """(agent, local index) of entry k of the concatenated lam."""
+    agent = int(prob.ineq_owner[k])
+    return agent, k - prob.ineq_slices[agent].start
+
+
+def _largest_entry(prob, state):
+    """(agent, field, magnitude) of the state entry of largest magnitude;
+    a NaN entry counts as the largest."""
+    n = prob.n_agents
+    mags = np.zeros((4, n))
+    mags[0] = np.abs(state.rho).reshape(n, -1).max(axis=1)
+    mags[1] = np.abs(state.xi).max(axis=1)
+    np.maximum.at(mags[2], prob.ineq_owner, np.abs(state.lam))
+    np.maximum.at(mags[3], prob.eq_owner, np.abs(state.mu))
+    f, i = np.unravel_index(np.argmax(np.where(np.isnan(mags), np.inf, mags)), mags.shape)
+    return int(i), ("rho", "xi", "lam", "mu")[f], float(mags[f, i])
 
 
 def simulate(prob, cfg):
@@ -471,105 +486,58 @@ def simulate(prob, cfg):
     Aborts (multiplier guard, divergence, NaN) are recorded on the log
     (abort_reason, abort_step, events) rather than raised: partial
     trajectories are the expected outcome of the naive-delay scenario.
+    Each abort event names the agent and the value that tripped.
     """
-    net = prob.network
     n = prob.n_agents
     dim = prob.dim
     comp = cfg.compensator
     h = cfg.step
     n_steps = int(round(cfg.duration / h))
 
-    if cfg.initial is not None:
-        if len(cfg.initial) != n:
-            raise ValueError(
-                f"initial: expected {n} agent states, got {len(cfg.initial)}"
-            )
-        states = [
-            AgentState(s.rho.copy(), s.xi.copy(), s.lam.copy(), s.mu.copy())
-            for s in cfg.initial
-        ]
-        for i, (s, p) in enumerate(zip(states, prob.local_problems)):
-            for name, arr, shape in (
-                ("rho", s.rho, (comp.m, dim)),
-                ("xi", s.xi, (dim,)),
-                ("lam", s.lam, (p.n_ineq,)),
-                ("mu", s.mu, (p.n_eq,)),
-            ):
-                if arr.shape != shape:
-                    raise ValueError(
-                        f"initial[{i}].{name}: expected shape {shape}, got {arr.shape}"
-                    )
-            if s.lam.size and s.lam.min() <= 0.0:
-                raise ValueError(
-                    f"initial[{i}].lam: inequality multipliers must be positive"
-                )
-    else:
-        states = [
-            AgentState.zeros(comp, dim, p.n_ineq, p.n_eq, cfg.lam0)
-            for p in prob.local_problems
-        ]
+    state = _initial_state(prob, cfg)
 
-    directed = net.directed_edges()
-    couplings = {(i, j): CouplingMatrix(w, dim) for i, j, w in directed}
-    lines = {}  # lines[(i, j)] carries what i sends to j
-    if cfg.mode != "no_delay":
-        lines = {
-            (i, j): DelayLine(cfg.delay_for(i, j), h, 2 * dim) for i, j, _ in directed
-        }
-    ends = {}
-    if cfg.mode == "scattering":
-        ends = {
-            (i, j): ChannelEnd(couplings[(i, j)], cfg.eta) for i, j, _ in directed
-        }
-
+    edges = _Edges(prob.network)
+    own, nbr = edges.own, edges.nbr
+    coupling = CouplingMatrix(edges.weight, dim)
     log = TrajectoryLog(config=cfg, n_agents=n, dim=dim)
-    if lines:
-        log.delays = {key: line.delay for key, line in lines.items()}
+    line = end = None  # line e carries what agent own[e] sends to nbr[e]
+    if cfg.mode != "no_delay":
+        delays = np.array([cfg.delay_for(i, j) for i, j in edges.keys])
+        line = DelayLine(delays, h, 2 * dim)
+        log.delays = dict(zip(edges.keys, line.delay.tolist()))
+    if cfg.mode == "scattering":
+        end = ChannelEnd(coupling, cfg.eta)
 
     ref = cfg.reference
     diag_every = max(1, int(round(cfg.diag_interval / h)))
     diag = None
     if ref is not None:
-        diag = _DiagState(prob, ref, comp, cfg, lines)
+        diag = _DiagState(prob, ref, comp, cfg, edges,
+                          None if line is None else line.delay)
         log.passivity = PassivityReport(*diag.excess, wave_identity_max=0.0)
 
-    def snapshot(t, derivs, edge_r, edge_p, edge_sin, edge_sout, x_stack, xi_stack):
+    def snapshot(t, state, x, deriv, ports):
+        lam, mu = prob.split_multipliers(state.lam, state.mu)
         log.t.append(t)
-        log.x.append(x_stack.copy())
-        log.xi.append(xi_stack.copy())
-        log.rho.append(np.array([s.rho for s in states]))
-        log.lam.append([s.lam.copy() for s in states])
-        log.mu.append([s.mu.copy() for s in states])
-        log.nu.append(
-            np.array([d.nu for d in derivs]) if derivs is not None else None
-        )
-        log.zeta.append(
-            np.array(
-                [
-                    constraint_force(prob.local_problems[i], states[i], x_stack[i])
-                    for i in range(n)
-                ]
-            )
-        )
-        log.edge_r.append(edge_r)
-        log.edge_p.append(edge_p)
-        log.edge_s_in.append(edge_sin)
-        log.edge_s_out.append(edge_sout)
+        log.x.append(x)
+        log.xi.append(state.xi)
+        log.rho.append(state.rho)
+        log.lam.append(lam)
+        log.mu.append(mu)
+        log.nu.append(None if deriv is None else deriv.nu)
+        log.zeta.append(constraint_force(prob, x, state.lam, state.mu))
+        for series, arr in zip(
+            (log.edge_r, log.edge_p, log.edge_s_in, log.edge_s_out), ports
+        ):
+            series.append(None if arr is None else dict(zip(edges.keys, arr)))
         # the scattering loop settles with xi doubled (each end absorbs the
         # midpoint average), so xi/2 is the stationarity certificate there
-        xi_cert = 0.5 * xi_stack if cfg.mode == "scattering" else xi_stack
-        log.kkt.append(
-            kkt_residual(
-                prob,
-                x_stack,
-                xi_cert,
-                [s.lam for s in states],
-                [s.mu for s in states],
-            )
-        )
+        xi_cert = 0.5 * state.xi if end is not None else state.xi
+        log.kkt.append(kkt_residual(prob, x, xi_cert, lam, mu))
 
-    def abort(kind, detail):
-        log.events.append({"step": k, "t": k * h, "kind": kind, "detail": detail})
+    def abort(kind, agent, value, detail):
+        log.events.append({"step": k, "t": k * h, "kind": kind, "agent": agent,
+                           "value": value, "detail": detail})
         log.abort_reason = kind
         log.abort_step = k
 
@@ -577,94 +545,71 @@ def simulate(prob, cfg):
     with np.errstate(all="ignore"):  # guards, not warnings, handle blow-ups
         for k in range(n_steps):
             t = k * h
-            x_stack = np.array([s.rho.sum(axis=0) for s in states])
-            xi_stack = np.array([s.xi for s in states])
-            u = np.concatenate([x_stack, xi_stack], axis=1)  # rows [x_i; xi_i]
+            x = state.x
+            u = np.concatenate([x, state.xi], axis=1)  # rows [x_i; xi_i]
 
             # phase 1: the port pair (r, p) of every directed edge i <- j
-            edge_r, edge_p, edge_sin, edge_sout = {}, {}, {}, {}
-            received = [[] for _ in range(n)]
-            want_p = k % cfg.log_every == 0 or (diag is not None and diag.has_ports)
-            for i, j, w in directed:
-                r = lines[(j, i)].pop(t) if lines else u[j]
-                if cfg.mode == "scattering":  # what crossed is j's wave
-                    edge_sin[(i, j)] = r
-                    r, p = ends[(i, j)].recover(r, x_stack[i], xi_stack[i])
-                else:
-                    p = couplings[(i, j)].apply(r - u[i]) if want_p else None
-                edge_r[(i, j)] = r
-                edge_p[(i, j)] = p
-                received[i].append((r[:dim], r[dim:], w))
+            r = u[nbr] if line is None else line.pop(t)[edges.rev]
+            s_in = s_out = None
+            if end is not None:  # what crossed is j's wave
+                s_in = r
+                r, p = end.recover(s_in, x[own], state.xi[own])
+            else:
+                p = coupling.apply(r - u[own])
 
-            # phase 2: derivatives from time-t values
-            derivs = [
-                derivatives(prob.local_problems[i], comp, states[i], received[i])
-                for i in range(n)
-            ]
-            if any(not np.isfinite(d.nu).all() for d in derivs):
-                abort("nan", "non-finite derivative")
+            # phase 2: derivatives from the summed efforts
+            deriv = derivatives(prob, comp, state, edges.into @ p)
+            bad = ~np.isfinite(deriv.nu)
+            if bad.any():
+                i = int(np.argmax(bad.any(axis=1)))
+                value = float(deriv.nu[i][bad[i]][0])
+                abort("nan", i, value, f"agent {i}: non-finite derivative ({value})")
                 # only the delayed modes' r came out of a channel
-                snapshot(t, None, edge_r if lines else None, None, None, None,
-                         x_stack, xi_stack)
+                snapshot(t, state, x, None,
+                         (None if line is None else r, None, None, None))
                 break
 
             # phase 3: push what crosses each edge into its delay line
-            if lines:
-                for i, j, w in directed:
-                    sent = u[i]
-                    if cfg.mode == "scattering":
-                        sent = ends[(i, j)].outgoing_wave(edge_r[(i, j)], edge_p[(i, j)])
-                        edge_sout[(i, j)] = sent
-                    lines[(i, j)].push(sent, t)
+            if end is not None:
+                s_out = end.outgoing_wave(r, p)
+                line.push(s_out, t)
+            elif line is not None:
+                line.push(u[own], t)
 
             if diag is not None:
-                diag.step(
-                    t, states, xi_stack, derivs, edge_r, edge_p,
-                    edge_sin, edge_sout, log, k % diag_every == 0,
-                )
+                diag.step(t, state, deriv, r, p, s_in, s_out, log, k % diag_every == 0)
 
             if k % cfg.log_every == 0:
-                snapshot(t, derivs, edge_r, edge_p, edge_sin or None,
-                         edge_sout or None, x_stack, xi_stack)
+                snapshot(t, state, x, deriv, (r, p, s_in, s_out))
 
             # phase 4: barrier commit
             try:
-                new_states = [euler_step(states[i], derivs[i], h) for i in range(n)]
+                state = euler_step(state, deriv, h)
             except LambdaGuardError as err:
-                abort("lambda_guard", str(err))
+                i, local = _ineq_entry(prob, err.index)
+                abort("lambda_guard", i, err.value,
+                      f"agent {i}: inequality multiplier {local} would step to "
+                      f"{err.value:.3e}")
                 break
-            states = new_states
-            worst = max(
-                max(
-                    float(np.abs(s.rho).max(initial=0.0)),
-                    float(np.abs(s.xi).max(initial=0.0)),
-                    float(np.abs(s.lam).max(initial=0.0)),
-                    float(np.abs(s.mu).max(initial=0.0)),
-                )
-                for s in states
-            )
-            if not np.isfinite(worst) or worst > DIVERGENCE_LIMIT:
-                abort("divergence", f"state magnitude {worst:.3e} "
-                                    f"exceeds {DIVERGENCE_LIMIT:.0e}")
+            worst = np.max([np.abs(a).max(initial=0.0)
+                            for a in (state.rho, state.xi, state.lam, state.mu)])
+            if not worst <= DIVERGENCE_LIMIT:  # also true for NaN
+                i, name, value = _largest_entry(prob, state)
+                abort("divergence", i, value,
+                      f"agent {i}: {name} magnitude {value:.3e} "
+                      f"exceeds {DIVERGENCE_LIMIT:.0e}")
                 break
 
     # closing sample at the final state (no derivative information), unless
-    # the last sample already holds it (a guard/nan abort on a logged step)
-    aborted = log.abort_reason is not None
-    if n_steps == 0:
-        t_end = 0.0
-    elif not aborted:
-        t_end = n_steps * h
-    elif log.abort_reason == "divergence":
-        t_end = (k + 1) * h  # the bad state is the committed one
-    else:
-        t_end = k * h  # guard/nan aborts leave the pre-step state
-    x_stack = np.array([s.rho.sum(axis=0) for s in states])
-    xi_stack = np.array([s.xi for s in states])
+    # the last sample already holds it (a guard/nan abort on a logged step).
+    # A completed run and a divergence committed step k; guard and nan
+    # aborts leave the pre-step state.
+    committed = n_steps > 0 and log.abort_reason in (None, "divergence")
+    t_end = (k + committed) * h
     if not log.t or log.t[-1] < t_end or n_steps == 0:
-        snapshot(t_end, None, None, None, None, None, x_stack, xi_stack)
-    if diag is not None and not aborted and n_steps:
-        diag.record(t_end, states, xi_stack, log, on_grid=True)
+        snapshot(t_end, state, state.x, None, (None,) * 4)
+    if diag is not None and log.abort_reason is None and n_steps:
+        diag.record(t_end, state, log, on_grid=True)
     return log
 
 
@@ -676,55 +621,55 @@ class _DiagState:
     (see storage_step_defects); the recorded excess already subtracts the
     1e-3 (1 + |S|) tolerance, so <= 0 means the bound held.  excess rows
     are the compensator, multiplier and coupling checks; the coupling row
-    is NaN for naive-delay runs, which have no port interpretation.
+    is NaN for naive-delay runs, which have no port interpretation.  Each
+    kernel runs once per step for the whole network.
     """
 
-    def __init__(self, prob, ref, comp, cfg, lines):
+    def __init__(self, prob, ref, comp, cfg, edges, delays):
         self.prob = prob
         self.ref = ref
         self.comp = comp
         self.cfg = cfg
+        self.into = edges.into
+        self.lam_star = np.concatenate(ref.lam)
+        self.mu_star = np.concatenate(ref.mu)
         self.has_ports = cfg.mode in ("no_delay", "scattering")
         self.excess = np.full((3, prob.n_agents), -np.inf)
         if not self.has_ports:
             self.excess[2] = np.nan
         self.xi_factor = 2.0 if cfg.mode == "scattering" else 1.0
         self.prev = None
-        self.ports = {}  # (r*, p*) per directed port
-        self.waves = {}  # (gamma*, delta*) per undirected scattering channel
         self.edge_const = 0.0
         self.acc = 0.0
-        for i, j, w in prob.network.directed_edges():
-            if cfg.mode == "no_delay":
-                self.ports[(i, j)] = ref.direct_offsets(i, j, w)
-            elif cfg.mode == "scattering":
-                r_star, p_star, gamma, delta = ref.edge_offsets(i, j, w, cfg.eta)
-                self.ports[(i, j)] = (r_star, p_star)
-                if i < j:
-                    self.waves[(i, j)] = (gamma, delta)
-                    self.edge_const += 0.5 * lines[(i, j)].delay * float(gamma @ gamma)
-                    self.edge_const += 0.5 * lines[(j, i)].delay * float(delta @ delta)
+        self.channels = None
+        self.r_star, self.p_star, gamma, delta = _port_offsets(ref, edges, cfg)
+        if cfg.mode == "scattering":
+            # one channel per undirected edge: (i, j) with i < j and its
+            # reverse (j, i)
+            fwd = np.flatnonzero(edges.own < edges.nbr)
+            bwd = edges.rev[fwd]
+            self.channels = (fwd, bwd, gamma[fwd], delta[fwd])
+            self.edge_const = 0.5 * float(np.sum(
+                delays[fwd] * np.sum(gamma[fwd] ** 2, axis=1)
+                + delays[bwd] * np.sum(delta[fwd] ** 2, axis=1)
+            ))
 
-    def record(self, t, states, xi_stack, log, on_grid):
+    def record(self, t, state, log, on_grid):
         """Storages at t, the rate-excess update against the previous
         step's bounds, and the Lyapunov samples when t is on the grid.
 
         Returns the storages (S_c, S_g, S) per agent; S is None when there
         is no coupling check.
         """
-        ref, comp = self.ref, self.comp
+        ref = self.ref
         h = self.cfg.step
         tol = 1e-3
-        n = len(states)
-        sc = np.zeros(n)
-        sg = np.zeros(n)
-        for i, s in enumerate(states):
-            sc[i] = compensator_storage(comp, s.rho, ref.z)
-            sg[i] = multiplier_storage(s.lam, s.mu, ref.lam[i], ref.mu[i])
+        sc = compensator_storage(self.comp, state.rho, ref.z)
+        sg = multiplier_storage(self.prob, state.lam, state.mu, self.lam_star, self.mu_star)
         s_full = None
-        if not np.isnan(self.excess[2]).all():
+        if self.has_ports:
             s_full = sc + sg + 0.5 * np.sum(
-                (xi_stack - self.xi_factor * ref.xi) ** 2, axis=1
+                (state.xi - self.xi_factor * ref.xi) ** 2, axis=1
             )
         storages = (sc, sg, s_full)
         if self.prev is not None:
@@ -737,51 +682,40 @@ class _DiagState:
         if on_grid:
             log.diag_t.append(t)
             log.lyap_direct.append(
-                float(sc.sum() + sg.sum()) + 0.5 * float(np.sum((xi_stack - ref.xi) ** 2))
+                float(sc.sum() + sg.sum()) + 0.5 * float(np.sum((state.xi - ref.xi) ** 2))
             )
-            if self.cfg.mode == "scattering":
+            if self.channels is not None:
                 log.lyap_delayed.append(
                     float(s_full.sum()) + self.edge_const + 0.5 * self.acc
                 )
         return storages
 
-    def step(self, t, states, xi_stack, derivs, edge_r, edge_p, edge_sin,
-             edge_sout, log, on_grid):
+    def step(self, t, state, deriv, r, p, s_in, s_out, log, on_grid):
         prob, ref = self.prob, self.ref
-        n = len(states)
         h = self.cfg.step
-        bnd_comp = np.zeros(n)
-        bnd_mult = np.zeros(n)
-        bnd_coup = np.full(n, 0.0 if self.has_ports else np.nan)
-        def_comp = np.zeros(n)
-        def_mult = np.zeros(n)
-        def_coup = np.zeros(n)
-        for i in range(n):
-            p = prob.local_problems[i]
-            bnd_comp[i] = primal_rate_bound(p, states[i], derivs[i].nu, ref.z)
-            bnd_mult[i] = multiplier_rate_bound(p, states[i], ref.z, ref.lam[i], ref.mu[i])
-            def_comp[i], def_mult[i], d_xi = storage_step_defects(
-                self.comp, states[i], derivs[i], ref.lam[i], h
-            )
-            def_coup[i] = def_comp[i] + def_mult[i] + d_xi
-        for (i, j), (r_star, p_star) in self.ports.items():
-            r, p = edge_r[(i, j)], edge_p[(i, j)]
-            bnd_coup[i] += float((r - r_star) @ (p - p_star))
-            if edge_sin:
-                log.passivity.wave_identity_max = max(
-                    log.passivity.wave_identity_max,
-                    abs(wave_identity_residual(edge_sin[(i, j)], edge_sout[(i, j)], r, p)),
-                )
-        storages = self.record(t, states, xi_stack, log, on_grid)
-        for (i, j), (gamma, delta) in self.waves.items():
+        bnd_comp = primal_rate_bound(prob, state, deriv.nu, ref.z)
+        bnd_mult = multiplier_rate_bound(prob, state, ref.z, self.lam_star, self.mu_star)
+        bnd_coup = np.full(prob.n_agents, np.nan)
+        d_c, d_m, d_xi = storage_step_defects(
+            prob, self.comp, state, deriv, self.lam_star, h
+        )
+        if self.has_ports:
+            bnd_coup = self.into @ np.sum((r - self.r_star) * (p - self.p_star), axis=1)
+        if s_in is not None:
+            res = np.abs(wave_identity_residual(s_in, s_out, r, p)).max(initial=0.0)
+            log.passivity.wave_identity_max = max(log.passivity.wave_identity_max,
+                                                  float(res))
+        storages = self.record(t, state, log, on_grid)
+        if self.channels is not None:
+            fwd, bwd, gamma, delta = self.channels
             self.acc += h * float(
-                np.sum((edge_sout[(i, j)] + gamma) ** 2)
-                - np.sum((edge_sin[(j, i)] + gamma) ** 2)
-                + np.sum((edge_sout[(j, i)] - delta) ** 2)
-                - np.sum((edge_sin[(i, j)] - delta) ** 2)
+                np.sum((s_out[fwd] + gamma) ** 2)
+                - np.sum((s_in[bwd] + gamma) ** 2)
+                + np.sum((s_out[bwd] - delta) ** 2)
+                - np.sum((s_in[fwd] - delta) ** 2)
             )
         self.prev = tuple(zip(
-            storages, (bnd_comp, bnd_mult, bnd_coup), (def_comp, def_mult, def_coup)
+            storages, (bnd_comp, bnd_mult, bnd_coup), (d_c, d_m, d_c + d_m + d_xi)
         ))
 
 

@@ -8,7 +8,8 @@ to a Network; consensus over the network replaces a shared variable.
 Only first-order information (value, gradient) is required of any function.
 """
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -175,60 +176,55 @@ class LocalProblem:
         self.n_ineq = len(self.inequalities)
         self.n_eq = len(self.equalities)
         # stacked constant-gradient fast path; None when any gradient varies
-        self._g_mat = self._stack_constant(self.inequalities)
-        self._h_mat = self._stack_constant(self.equalities)
-        self._g_off = None
-        self._h_off = None
-        if self._g_mat is not None:
-            self._g_off = np.array([g.value(np.zeros(self.dim)) for g in self.inequalities])
-        if self._h_mat is not None:
-            self._h_off = np.array([h.value(np.zeros(self.dim)) for h in self.equalities])
+        self._g_mat, self._g_off = self._stack_constant(self.inequalities)
+        self._h_mat, self._h_off = self._stack_constant(self.equalities)
 
-    @staticmethod
-    def _stack_constant(funcs):
+    def _stack_constant(self, funcs):
+        """(gradient rows, values at 0) when every function is affine with a
+        constant gradient, else (None, None)."""
         rows = []
         for f in funcs:
             c = f.constant_gradient()
             if c is None or not f.is_affine:
-                return None
+                return None, None
             rows.append(c)
-        return np.array(rows) if rows else np.zeros((0, 0))
+        zero = np.zeros(self.dim)
+        return np.array(rows).reshape(-1, self.dim), np.array([f.value(zero) for f in funcs])
 
     def ineq_values(self, x):
         """Vector of g_k(x)."""
         if self._g_mat is not None:
-            if self.n_ineq == 0:
-                return np.zeros(0)
             return self._g_mat @ x + self._g_off
         return np.array([g.value(x) for g in self.inequalities])
 
     def eq_values(self, x):
         """Vector of h_k(x)."""
         if self._h_mat is not None:
-            if self.n_eq == 0:
-                return np.zeros(0)
             return self._h_mat @ x + self._h_off
         return np.array([h.value(x) for h in self.equalities])
 
     def ineq_gradients(self, x):
         """(n_ineq, n) matrix of constraint gradients at x."""
-        if self._g_mat is not None and self.n_ineq > 0:
+        if self._g_mat is not None:
             return self._g_mat
-        if self.n_ineq == 0:
-            return np.zeros((0, self.dim))
         return np.array([g.gradient(x) for g in self.inequalities])
 
     def eq_gradients(self, x):
         """(n_eq, n) matrix of equality gradients at x."""
-        if self._h_mat is not None and self.n_eq > 0:
+        if self._h_mat is not None:
             return self._h_mat
-        if self.n_eq == 0:
-            return np.zeros((0, self.dim))
         return np.array([h.gradient(x) for h in self.equalities])
 
 
 class DistributedProblem:
-    """Local problems attached to the agents of a network."""
+    """Local problems attached to the agents of a network.
+
+    It also fixes the network's multiplier layout: the inequality
+    multipliers form one vector lam, the agents' lam_i concatenated in agent
+    order, and the equality multipliers one vector mu likewise.
+    ineq_owner[k] (eq_owner[k]) is the agent that owns entry k, and
+    ineq_slices[i] (eq_slices[i]) selects agent i's entries.
+    """
 
     def __init__(self, network, local_problems):
         locs = tuple(local_problems)
@@ -241,6 +237,15 @@ class DistributedProblem:
         self.local_problems = locs
         self.dim = locs[0].dim
         self.n_agents = network.n_agents
+        self.ineq_owner, self.ineq_slices = _layout([p.n_ineq for p in locs])
+        self.eq_owner, self.eq_slices = _layout([p.n_eq for p in locs])
+
+    def split_multipliers(self, lam, mu):
+        """Per-agent lists of views into the concatenated lam and mu."""
+        return (
+            [lam[s] for s in self.ineq_slices],
+            [mu[s] for s in self.eq_slices],
+        )
 
     def check_multipliers(self, lam, mu):
         if len(lam) != self.n_agents or len(mu) != self.n_agents:
@@ -263,6 +268,13 @@ class DistributedProblem:
         return x, xi
 
 
+def _layout(counts):
+    """(owner of each entry, slice of each agent) for per-agent counts."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    ends = itertools.accumulate(counts)
+    return owner, tuple(slice(e - c, e) for c, e in zip(counts, ends))
+
+
 @dataclass
 class KKTResidual:
     """Infinity-norm residuals of the optimality conditions."""
@@ -274,22 +286,10 @@ class KKTResidual:
     comp_slack: float
 
     def max(self):
-        return max(
-            self.consensus,
-            self.stationarity,
-            self.primal_eq,
-            self.primal_ineq,
-            self.comp_slack,
-        )
+        return max(self.as_dict().values())
 
     def as_dict(self):
-        return {
-            "consensus": self.consensus,
-            "stationarity": self.stationarity,
-            "primal_eq": self.primal_eq,
-            "primal_ineq": self.primal_ineq,
-            "comp_slack": self.comp_slack,
-        }
+        return asdict(self)
 
 
 def generalized_lagrangian(prob, x, xi, lam, mu):

@@ -18,6 +18,11 @@ The receiver never sees the sender's state: it reconstructs (r, p) from the
 incoming wave and its own state by solving (E + eta I) r = sqrt(2 eta) s_in
 + E [x; xi], which splits into n independent 2x2 systems with determinant
 eta (a + eta) + a^2 > 0.
+
+Every class here serves one edge or many at once: a weight array of shape
+(E, 1) makes a CouplingMatrix or ChannelEnd act row-wise on (E, 2n) stacks
+with the same formulas on the last axis, and a DelayLine holds one line per
+entry of a delay array.
 """
 
 import numpy as np
@@ -31,46 +36,54 @@ __all__ = [
 
 
 class CouplingMatrix:
-    """Block coupling E = [[a, -a], [a, 0]] (x) I_n for one directed pair."""
+    """Block coupling E = [[a, -a], [a, 0]] (x) I_n for one directed pair,
+    or for E pairs at once when weight is an (E, 1) array."""
 
     def __init__(self, weight, dim):
-        if weight <= 0.0:
+        weight = np.asarray(weight, dtype=float)
+        if np.any(weight <= 0.0):
             raise ValueError("coupling weight must be positive")
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        self.weight = float(weight)
+        self.weight = float(weight) if weight.ndim == 0 else weight
         self.dim = int(dim)
 
     def apply(self, vec):
-        """E @ vec for a stacked 2n-vector [u; v]."""
+        """E @ vec for stacked 2n-vectors [u; v] along the last axis."""
         n = self.dim
-        u, v = vec[:n], vec[n:]
+        u, v = vec[..., :n], vec[..., n:]
         a = self.weight
-        return np.concatenate([a * (u - v), a * u])
+        return np.concatenate([a * (u - v), a * u], axis=-1)
 
 
 class DelayLine:
-    """Fixed ring buffer realizing a constant transmission delay.
+    """Fixed ring buffer realizing constant transmission delays.
 
-    The delay is quantized to round(delay / h) >= 1 Euler steps.  Popping at
-    step k returns the sample pushed at step k - K; the buffer starts zeroed,
-    which realizes the zero-history convention for t < delay.
+    delay is one delay, for one line of (width,) samples, or an (E,) array
+    of delays, for E lines that carry (E, width) samples and share one
+    buffer with a read offset per line.  Each delay is quantized to
+    round(delay / h) >= 1 Euler steps.  Popping at step k returns, on each
+    line, the sample pushed at step k - K of that line; pop before push
+    within a step.  The buffer starts zeroed, which realizes the
+    zero-history convention for t < delay.
     """
 
     def __init__(self, delay, h, width):
         if h <= 0.0:
             raise ValueError("step size must be positive")
-        steps = int(round(delay / h))
-        if steps < 1:
+        delay = np.asarray(delay, dtype=float)
+        steps = np.rint(delay / h).astype(int)
+        if np.any(steps < 1):
             raise ValueError(
-                f"delay {delay} shorter than one step {h}; delays must be >= h"
+                f"delay {delay[steps < 1]} shorter than one step {h}; delays must be >= h"
             )
-        self.delay = steps * h
+        self.steps = int(steps) if delay.ndim == 0 else steps
+        self.delay = self.steps * h
         self.h = float(h)
-        self.steps = steps
         self.width = int(width)
-        self._buf = np.zeros((steps, width))
-        self._idx = 0
+        self._shape = delay.shape + (self.width,)
+        self._lines = np.arange(steps.size)
+        self._buf = np.zeros((steps.max(initial=1), steps.size, self.width))
         self._pops = 0
         self._pushes = 0
 
@@ -83,24 +96,24 @@ class DelayLine:
             )
 
     def pop(self, t=None):
-        """Sample from one delay ago (zeros before the line fills)."""
+        """Samples from one delay ago (zeros before a line fills)."""
         self._check_time(t, self._pops)
-        out = self._buf[self._idx].copy()
+        slots = (self._pushes - self.steps) % len(self._buf)
         self._pops += 1
-        return out
+        return self._buf[slots, self._lines].reshape(self._shape)
 
     def push(self, value, t=None):
         self._check_time(t, self._pushes)
         value = np.asarray(value, dtype=float)
-        if value.shape != (self.width,):
-            raise ValueError(f"expected shape ({self.width},), got {value.shape}")
-        self._buf[self._idx] = value
+        if value.shape != self._shape:
+            raise ValueError(f"expected shape {self._shape}, got {value.shape}")
+        self._buf[self._pushes % len(self._buf)] = value.reshape(-1, self.width)
         self._pushes += 1
-        self._idx = (self._idx + 1) % self.steps
 
 
 class ChannelEnd:
-    """One agent's end of one directed channel.
+    """One agent's end of one directed channel, or of E channels when the
+    coupling weight is an (E, 1) array.
 
     Holds the coupling and the 2x2 reconstruction inverse (precomputed).
     """
@@ -112,7 +125,7 @@ class ChannelEnd:
         self.eta = float(eta)
         a = coupling.weight
         det = eta * (a + eta) + a * a
-        if det <= 0.0:
+        if np.any(det <= 0.0):
             raise ValueError("coupling + impedance not invertible")
         # rows of (E + eta I)^{-1} restricted to one coordinate
         self._m11 = eta / det
@@ -126,13 +139,13 @@ class ChannelEnd:
         n = self.coupling.dim
         a = self.coupling.weight
         # rhs of (E + eta I) r = sqrt(2 eta) s_in + E [x; xi]
-        u = self._sq2e * s_in[:n] + a * (x - xi)
-        v = self._sq2e * s_in[n:] + a * x
+        u = self._sq2e * s_in[..., :n] + a * (x - xi)
+        v = self._sq2e * s_in[..., n:] + a * x
         r_x = self._m11 * u + self._m12 * v
         r_xi = self._m21 * u + self._m22 * v
         dx = r_x - x
-        p = np.concatenate([a * (dx - (r_xi - xi)), a * dx])
-        return np.concatenate([r_x, r_xi]), p
+        p = np.concatenate([a * (dx - (r_xi - xi)), a * dx], axis=-1)
+        return np.concatenate([r_x, r_xi], axis=-1), p
 
     def outgoing_wave(self, r, p):
         """Wave sent back into the channel from the recovered pair."""
@@ -140,10 +153,11 @@ class ChannelEnd:
 
 
 def wave_identity_residual(s_in, s_out, r, p):
-    """Residual of the per-end power identity |s_in|^2 - |s_out|^2 = 2 r^T p.
+    """Residual of the per-end power identity |s_in|^2 - |s_out|^2 = 2 r^T p,
+    one per row of (E, 2n) stacks.
 
     Evaluated in the factored form (s_in - s_out)^T (s_in + s_out) - 2 r^T p,
     which is algebraically identical but avoids the cancellation of two
     large squared norms.
     """
-    return float((s_in - s_out) @ (s_in + s_out) - 2.0 * (r @ p))
+    return np.sum((s_in - s_out) * (s_in + s_out), axis=-1) - 2.0 * np.sum(r * p, axis=-1)

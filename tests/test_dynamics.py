@@ -6,14 +6,17 @@ import pytest
 from dcopt import (
     AgentState,
     CompensatorParams,
+    CouplingMatrix,
+    DistributedProblem,
     LambdaGuardError,
     LocalProblem,
-    compute_nu,
+    Network,
     constraint_force,
     derivatives,
     euler_step,
     make_affine,
     make_quadratic,
+    ring,
 )
 from dcopt.dynamics import (
     compensator_storage,
@@ -28,22 +31,31 @@ def lead_comp():
     return CompensatorParams(np.array([0.0, 5.0]), np.array([1.0, 10.0]))
 
 
-def hand_local():
+def alone(local):
+    """A one-agent problem around one local problem."""
+    return DistributedProblem(Network([[0.0]]), [local])
+
+
+def hand_prob():
     # f = x^2/2, g = x - 1 <= 0, h = x - 2 = 0
-    return LocalProblem(
+    return alone(LocalProblem(
         make_quadratic([[1.0]]),
         inequalities=[make_affine([1.0], -1.0)],
         equalities=[make_affine([1.0], -2.0)],
-    )
+    ))
 
 
 def hand_state():
     return AgentState(
-        rho=np.array([[1.0], [2.0]]),
-        xi=np.array([0.5]),
+        rho=np.array([[[1.0], [2.0]]]),
+        xi=np.array([[0.5]]),
         lam=np.array([0.2]),
         mu=np.array([0.3]),
     )
+
+
+def no_effort(prob):
+    return np.zeros((prob.n_agents, 2 * prob.dim))
 
 
 def test_compensator_validation():
@@ -64,50 +76,68 @@ def test_compensator_validation():
 
 def test_zero_state_shapes():
     comp = lead_comp()
-    st = AgentState.zeros(comp, dim=3, n_ineq=2, n_eq=1, lam0=0.01)
-    assert st.rho.shape == (2, 3)
-    assert st.xi.shape == (3,)
-    assert np.all(st.lam == 0.01)
+    prob = DistributedProblem(ring(2, 1.0), [
+        LocalProblem(make_affine(np.ones(3)),
+                     inequalities=[make_affine(np.ones(3))] * 2,
+                     equalities=[make_affine(np.ones(3))]),
+        LocalProblem(make_affine(np.ones(3)),
+                     inequalities=[make_affine(np.ones(3))]),
+    ])
+    st = AgentState.zeros(comp, prob, lam0=0.01)
+    assert st.rho.shape == (2, 2, 3)
+    assert st.xi.shape == (2, 3)
+    assert st.lam.shape == (3,) and np.all(st.lam == 0.01)
     assert st.mu.shape == (1,)
-    assert np.array_equal(st.x, np.zeros(3))
+    assert np.array_equal(st.x, np.zeros((2, 3)))
+    # the multiplier layout: agent 0 owns lam[0:2] and mu[0:1]
+    assert prob.ineq_owner.tolist() == [0, 0, 1]
+    assert prob.eq_owner.tolist() == [0]
+    assert prob.ineq_slices == (slice(0, 2), slice(2, 3))
+    assert prob.eq_slices == (slice(0, 1), slice(1, 1))
+    lam, mu = prob.split_multipliers(np.arange(3.0), np.arange(1.0))
+    assert [v.tolist() for v in lam] == [[0.0, 1.0], [2.0]]
+    assert [v.tolist() for v in mu] == [[0.0], []]
     with pytest.raises(ValueError):
-        AgentState.zeros(comp, 3, 1, 0, lam0=0.0)
+        AgentState.zeros(comp, prob, lam0=0.0)
 
 
 def test_constraint_force_hand_value():
-    loc, st = hand_local(), hand_state()
+    prob, st = hand_prob(), hand_state()
     # lam^2 * 1 + mu * 1 = 0.04 + 0.3
-    assert constraint_force(loc, st) == pytest.approx([0.34])
+    assert constraint_force(prob, st.x, st.lam, st.mu)[0] == pytest.approx([0.34])
 
 
 def test_derivatives_hand_values_isolated():
-    loc, st = hand_local(), hand_state()
+    prob, st = hand_prob(), hand_state()
     comp = lead_comp()
-    d = derivatives(loc, comp, st, received=[])
-    assert st.x == pytest.approx([3.0])
-    assert d.nu == pytest.approx([-3.34])            # -x - zeta
-    assert d.rho_dot[0] == pytest.approx([-3.34])    # c1 nu
-    assert d.rho_dot[1] == pytest.approx([-43.4])    # c2 nu - b2 rho2
-    assert d.xi_dot == pytest.approx([0.0])
-    assert d.lam_dot == pytest.approx([0.8])         # 2 lam g(3)
-    assert d.mu_dot == pytest.approx([1.0])          # h(3)
+    d = derivatives(prob, comp, st, no_effort(prob))
+    assert st.x[0] == pytest.approx([3.0])
+    assert d.nu[0] == pytest.approx([-3.34])          # -x - zeta
+    assert d.rho_dot[0, 0] == pytest.approx([-3.34])  # c1 nu
+    assert d.rho_dot[0, 1] == pytest.approx([-43.4])  # c2 nu - b2 rho2
+    assert d.xi_dot[0] == pytest.approx([0.0])
+    assert d.lam_dot == pytest.approx([0.8])          # 2 lam g(3)
+    assert d.mu_dot == pytest.approx([1.0])           # h(3)
 
 
 def test_derivatives_with_neighbor():
-    loc, st = hand_local(), hand_state()
+    prob, st = hand_prob(), hand_state()
     comp = lead_comp()
-    received = [(np.array([2.0]), np.array([1.0]), 4.0)]
-    d = derivatives(loc, comp, st, received)
-    # coupling adds w (r_x - x) - w (r_xi - xi) = -4 - 2
-    assert d.nu == pytest.approx([-9.34])
-    assert d.xi_dot == pytest.approx([-4.0])
-    assert compute_nu(loc, st, received) == pytest.approx(d.nu)
+    # one neighbor seen at r = [x_j; xi_j] = [2; 1] over weight 4
+    r = np.array([2.0, 1.0])
+    u = np.concatenate([st.x[0], st.xi[0]])
+    effort = CouplingMatrix(4.0, 1).apply(r - u)[None, :]
+    d = derivatives(prob, comp, st, effort)
+    # the effort adds w (r_x - x) - w (r_xi - xi) = -4 - 2 to nu, and
+    # w (r_x - x) is xi_dot
+    assert d.nu[0] == pytest.approx([-9.34])
+    assert d.xi_dot[0] == pytest.approx([-4.0])
 
 
 def test_euler_step_values_and_guard():
-    loc, st = hand_local(), hand_state()
+    prob, st = hand_prob(), hand_state()
     st.lam = np.array([0.01])
-    d = derivatives(loc, lead_comp(), st, [])
+    d = derivatives(prob, lead_comp(), st, no_effort(prob))
     # g(3) = 2 so lam_dot = 0.04; try the shrink direction instead
     d.lam_dot = np.array([-0.02])
     nxt = euler_step(st, d, 1e-3)
@@ -116,60 +146,68 @@ def test_euler_step_values_and_guard():
     assert nxt.rho == pytest.approx(st.rho + 1e-3 * d.rho_dot)
     # crossing zero must raise, not clamp
     d.lam_dot = np.array([-10.0])
-    with pytest.raises(LambdaGuardError):
+    with pytest.raises(LambdaGuardError) as err:
         euler_step(st, d, 1e-3)
+    assert err.value.index == 0
+    assert err.value.value == pytest.approx(0.01 - 1e-2)
     with pytest.raises(ValueError):
         euler_step(st, d, 0.0)
 
 
 def test_euler_step_does_not_mutate_input():
     st = hand_state()
-    d = derivatives(hand_local(), lead_comp(), st, [])
-    before = st.rho.copy()
-    euler_step(st, d, 1e-3)
-    assert np.array_equal(st.rho, before)
+    prob = hand_prob()
+    d = derivatives(prob, lead_comp(), st, no_effort(prob))
+    before = [a.copy() for a in (st.rho, st.xi, st.lam, st.mu)]
+    nxt = euler_step(st, d, 1e-3)
+    for old, new, field in zip(before, (nxt.rho, nxt.xi, nxt.lam, nxt.mu),
+                               (st.rho, st.xi, st.lam, st.mu)):
+        assert np.array_equal(field, old)
+        assert not np.shares_memory(new, field)
 
 
 def test_compensator_storage_hand_value():
     comp = lead_comp()
-    rho = np.array([[2.0], [3.0]])
-    # (2-1)^2/2 + 3^2/20
-    assert compensator_storage(comp, rho, np.array([1.0])) == pytest.approx(0.95)
-    assert compensator_storage(comp, np.array([[1.0], [0.0]]), np.array([1.0])) == 0.0
+    rho = np.array([[[2.0], [3.0]], [[1.0], [0.0]]])
+    # (2-1)^2/2 + 3^2/20 for agent 0, zero for agent 1
+    assert compensator_storage(comp, rho, np.array([1.0])) == pytest.approx([0.95, 0.0])
 
 
 def test_multiplier_storage_hand_value():
+    prob = hand_prob()  # one inequality, one equality
     val = multiplier_storage(
-        np.array([2.0]), np.array([0.5]), np.array([1.0]), np.array([0.0])
+        prob, np.array([2.0]), np.array([0.5]), np.array([1.0]), np.array([0.0])
     )
     # (4-1)/4 - (1/2) ln 2 + 0.125
-    assert val == pytest.approx(0.875 - 0.5 * np.log(2.0))
+    assert val == pytest.approx([0.875 - 0.5 * np.log(2.0)])
     # lam* = 0 drops the log term
-    val0 = multiplier_storage(np.array([2.0]), np.zeros(1), np.zeros(1), np.zeros(1))
-    assert val0 == pytest.approx(1.0)
+    val0 = multiplier_storage(prob, np.array([2.0]), np.zeros(1), np.zeros(1), np.zeros(1))
+    assert val0 == pytest.approx([1.0])
     with pytest.raises(ValueError):
-        multiplier_storage(np.array([0.0]), np.zeros(1), np.zeros(1), np.zeros(1))
+        multiplier_storage(prob, np.array([0.0]), np.zeros(1), np.zeros(1), np.zeros(1))
 
 
 def test_multiplier_storage_nonnegative_min_at_reference():
     # convex in lam^2 with minimum 0 at lam = lam*, mu = mu*
     rng = np.random.default_rng(3)
+    one = make_affine([1.0])
+    prob = alone(LocalProblem(one, inequalities=[one] * 3, equalities=[one] * 2))
     lam_star = np.array([1.3, 0.0, 0.4])
     mu_star = rng.normal(size=2)
     assert multiplier_storage(
-        np.array([1.3, 0.7, 0.4]), mu_star, lam_star, mu_star
-    ) == pytest.approx(0.5 * 0.7**2 / 2.0)
+        prob, np.array([1.3, 0.7, 0.4]), mu_star, lam_star, mu_star
+    ) == pytest.approx([0.5 * 0.7**2 / 2.0])
     for _ in range(50):
         lam = rng.uniform(0.05, 3.0, size=3)
         mu = rng.normal(size=2)
-        assert multiplier_storage(lam, mu, lam_star, mu_star) >= -1e-12
+        assert multiplier_storage(prob, lam, mu, lam_star, mu_star)[0] >= -1e-12
 
 
-def analytic_rates(comp, loc, st, d, z_star, lam_star, mu_star):
-    """Exact d/dt of the two storage pieces along the flow."""
-    rate_c = float((st.rho[0] - z_star) @ d.rho_dot[0]) / comp.c[0]
+def analytic_rates(comp, st, d, z_star, lam_star, mu_star):
+    """Exact d/dt of one agent's two storage pieces along the flow."""
+    rate_c = float((st.rho[0, 0] - z_star) @ d.rho_dot[0, 0]) / comp.c[0]
     for k in range(1, comp.m):
-        rate_c += float(st.rho[k] @ d.rho_dot[k]) / comp.c[k]
+        rate_c += float(st.rho[0, k] @ d.rho_dot[0, k]) / comp.c[k]
     grad_lam = st.lam / 2.0 - np.where(
         lam_star > 0.0, lam_star**2 / (2.0 * st.lam), 0.0
     )
@@ -179,19 +217,19 @@ def analytic_rates(comp, loc, st, d, z_star, lam_star, mu_star):
 
 def random_setup(rng, n=3):
     a = rng.normal(size=(n, n))
-    loc = LocalProblem(
+    prob = alone(LocalProblem(
         make_quadratic(a @ a.T + 0.1 * np.eye(n), rng.normal(size=n)),
         inequalities=[make_affine(rng.normal(size=n), 1.0)],
         equalities=[make_affine(rng.normal(size=n), 0.0)],
-    )
+    ))
     comp = lead_comp()
     st = AgentState(
-        rho=rng.normal(size=(2, n)),
-        xi=rng.normal(size=n),
+        rho=rng.normal(size=(1, 2, n)),
+        xi=rng.normal(size=(1, n)),
         lam=rng.uniform(0.1, 2.0, size=1),
         mu=rng.normal(size=1),
     )
-    return loc, comp, st
+    return prob, comp, st
 
 
 def test_primal_rate_bound_dominates_exact_rate():
@@ -199,13 +237,14 @@ def test_primal_rate_bound_dominates_exact_rate():
     # >= 0 by convexity; check numerically across random states
     rng = np.random.default_rng(41)
     for _ in range(40):
-        loc, comp, st = random_setup(rng)
+        prob, comp, st = random_setup(rng)
         z_star = rng.normal(size=3)
-        received = [(rng.normal(size=3), rng.normal(size=3), 2.0)]
-        d = derivatives(loc, comp, st, received)
-        rate_c, _ = analytic_rates(comp, loc, st, d, z_star, np.zeros(1), np.zeros(1))
-        bound = primal_rate_bound(loc, st, d.nu, z_star)
-        assert rate_c <= bound + 1e-10
+        effort = rng.normal(size=(1, 6))
+        d = derivatives(prob, comp, st, effort)
+        rate_c, _ = analytic_rates(comp, st, d, z_star, np.zeros(1), np.zeros(1))
+        bound = primal_rate_bound(prob, st, d.nu, z_star)
+        assert bound.shape == (1,)
+        assert rate_c <= bound[0] + 1e-10
 
 
 def test_multiplier_rate_bound_dominates_exact_rate():
@@ -217,24 +256,24 @@ def test_multiplier_rate_bound_dominates_exact_rate():
         z_star = rng.normal(size=n)
         g_c = rng.normal(size=n)
         h_c = rng.normal(size=n)
-        loc = LocalProblem(
+        prob = alone(LocalProblem(
             make_quadratic(np.eye(n)),
             inequalities=[make_affine(g_c, -float(g_c @ z_star) - 0.5)],
             equalities=[make_affine(h_c, -float(h_c @ z_star))],
-        )
+        ))
         comp = lead_comp()
         st = AgentState(
-            rho=rng.normal(size=(2, n)),
-            xi=np.zeros(n),
+            rho=rng.normal(size=(1, 2, n)),
+            xi=np.zeros((1, n)),
             lam=rng.uniform(0.1, 2.0, size=1),
             mu=rng.normal(size=1),
         )
         lam_star = np.zeros(1)  # inactive constraint at z*
         mu_star = rng.normal(size=1)
-        d = derivatives(loc, comp, st, [])
-        _, rate_g = analytic_rates(comp, loc, st, d, z_star, lam_star, mu_star)
-        bound = multiplier_rate_bound(loc, st, z_star, lam_star, mu_star)
-        assert rate_g <= bound + 1e-10
+        d = derivatives(prob, comp, st, no_effort(prob))
+        _, rate_g = analytic_rates(comp, st, d, z_star, lam_star, mu_star)
+        bound = multiplier_rate_bound(prob, st, z_star, lam_star, mu_star)
+        assert rate_g <= bound[0] + 1e-10
 
 
 def test_storage_step_defects_exact_for_quadratic_pieces():
@@ -243,41 +282,41 @@ def test_storage_step_defects_exact_for_quadratic_pieces():
     rng = np.random.default_rng(67)
     h = 1e-3
     for _ in range(20):
-        loc, comp, st = random_setup(rng)
+        prob, comp, st = random_setup(rng)
         z_star = rng.normal(size=3)
         lam_star = np.zeros(1)
         mu_star = rng.normal(size=1)
-        d = derivatives(loc, comp, st, [])
+        d = derivatives(prob, comp, st, rng.normal(size=(1, 6)))
         nxt = euler_step(st, d, h)
-        rate_c, rate_g = analytic_rates(comp, loc, st, d, z_star, lam_star, mu_star)
-        d_c, d_m, d_xi = storage_step_defects(comp, st, d, lam_star, h)
+        rate_c, rate_g = analytic_rates(comp, st, d, z_star, lam_star, mu_star)
+        d_c, d_m, d_xi = storage_step_defects(prob, comp, st, d, lam_star, h)
         ds_c = compensator_storage(comp, nxt.rho, z_star) - compensator_storage(
             comp, st.rho, z_star
         )
         assert ds_c == pytest.approx(h * (rate_c + d_c), abs=1e-14)
-        ds_g = multiplier_storage(nxt.lam, nxt.mu, lam_star, mu_star) - (
-            multiplier_storage(st.lam, st.mu, lam_star, mu_star)
+        ds_g = multiplier_storage(prob, nxt.lam, nxt.mu, lam_star, mu_star) - (
+            multiplier_storage(prob, st.lam, st.mu, lam_star, mu_star)
         )
         assert ds_g == pytest.approx(h * (rate_g + d_m), abs=1e-14)
-        assert d_xi == pytest.approx(0.5 * h * float(d.xi_dot @ d.xi_dot))
+        assert d_xi == pytest.approx(0.5 * h * np.sum(d.xi_dot**2, axis=1))
 
 
 def test_storage_step_defects_exact_for_log_term():
     # lam* > 0 brings in the log term; the closed-form remainder keeps
     # the defect exact even when one step moves lam by a large fraction
     rng = np.random.default_rng(71)
-    loc, comp, st = random_setup(rng)
+    prob, comp, st = random_setup(rng)
     lam_star = np.array([0.9])
     mu_star = np.zeros(1)
     for h in (1e-3, 0.2):
-        d = derivatives(loc, comp, st, [])
+        d = derivatives(prob, comp, st, no_effort(prob))
         if st.lam[0] + h * d.lam_dot[0] <= 0.0:
             continue
         nxt = euler_step(st, d, h)
-        _, rate_g = analytic_rates(comp, loc, st, d, np.zeros(3), lam_star, mu_star)
-        _, d_m, _ = storage_step_defects(comp, st, d, lam_star, h)
-        ds = multiplier_storage(nxt.lam, nxt.mu, lam_star, mu_star) - (
-            multiplier_storage(st.lam, st.mu, lam_star, mu_star)
+        _, rate_g = analytic_rates(comp, st, d, np.zeros(3), lam_star, mu_star)
+        _, d_m, _ = storage_step_defects(prob, comp, st, d, lam_star, h)
+        ds = multiplier_storage(prob, nxt.lam, nxt.mu, lam_star, mu_star) - (
+            multiplier_storage(prob, st.lam, st.mu, lam_star, mu_star)
         )
         assert ds == pytest.approx(h * (rate_g + d_m), abs=1e-12)
 
@@ -286,25 +325,25 @@ def test_storage_step_defects_guard_fallback_stays_finite():
     # a step that would push lam <= 0 never commits (euler_step raises),
     # but the defect evaluated before the step must still be finite; the
     # log remainder falls back to its quadratic estimate there
-    loc = LocalProblem(
+    prob = alone(LocalProblem(
         make_quadratic(np.eye(3)),
         inequalities=[make_affine(np.zeros(3), -1.0)],
-    )
+    ))
     comp = lead_comp()
     st = AgentState(
-        rho=np.zeros((2, 3)), xi=np.zeros(3),
+        rho=np.zeros((1, 2, 3)), xi=np.zeros((1, 3)),
         lam=np.array([0.01]), mu=np.zeros(0),
     )
-    d = derivatives(loc, comp, st, [])
+    d = derivatives(prob, comp, st, no_effort(prob))
     lam_dot = float(d.lam_dot[0])  # 2 lam g = -0.02
     assert lam_dot < 0.0
     h = 2.0 * 0.01 / abs(lam_dot)
     lam_star = np.array([0.9])
-    _, d_m, _ = storage_step_defects(comp, st, d, lam_star, h)
-    assert np.isfinite(d_m)
+    _, d_m, _ = storage_step_defects(prob, comp, st, d, lam_star, h)
+    assert np.isfinite(d_m).all()
     w = h * lam_dot / 0.01
     expected = 0.25 * h * lam_dot**2 + (0.9**2 / (2.0 * h)) * 0.5 * w**2
-    assert d_m == pytest.approx(expected)
+    assert d_m == pytest.approx([expected])
     with pytest.raises(LambdaGuardError):
         euler_step(st, d, h)
 
@@ -312,8 +351,53 @@ def test_storage_step_defects_guard_fallback_stays_finite():
 def test_pure_integrator_reduces_to_gradient_flow():
     # m = 1: rho_dot = nu and x follows the plain primal-dual field
     rng = np.random.default_rng(5)
-    loc, _, st2 = random_setup(rng)
+    prob, _, st2 = random_setup(rng)
     comp = CompensatorParams.pure_integrator()
-    st = AgentState(rho=st2.rho[:1].copy(), xi=st2.xi, lam=st2.lam, mu=st2.mu)
-    d = derivatives(loc, comp, st, [])
-    assert np.allclose(d.rho_dot[0], d.nu, atol=1e-15)
+    st = AgentState(rho=st2.rho[:, :1].copy(), xi=st2.xi, lam=st2.lam, mu=st2.mu)
+    d = derivatives(prob, comp, st, rng.normal(size=(1, 6)))
+    assert np.allclose(d.rho_dot[:, 0], d.nu, atol=1e-15)
+
+
+def three_agent_layout():
+    """Three agents on a ring with unequal constraint counts: agent 0 has
+    two inequalities, agent 1 none, agent 2 one inequality and two
+    equalities."""
+    rng = np.random.default_rng(83)
+
+    def aff(d=0.0):
+        return make_affine(rng.normal(size=2), d)
+
+    locs = [
+        LocalProblem(make_quadratic(np.eye(2)), inequalities=[aff(-1.0), aff(-2.0)]),
+        LocalProblem(make_quadratic(2.0 * np.eye(2))),
+        LocalProblem(make_quadratic(np.eye(2), [1.0, 0.0]), inequalities=[aff(-1.0)],
+                     equalities=[aff(0.5), aff()]),
+    ]
+    return DistributedProblem(ring(3, 1.5), locs), locs
+
+
+def test_network_kernels_equal_one_agent_values():
+    # the network kernels sum each agent's entries of the concatenated
+    # multipliers: they must equal the kernels of three one-agent problems
+    prob, locs = three_agent_layout()
+    rng = np.random.default_rng(89)
+    comp = lead_comp()
+    st = AgentState(rho=rng.normal(size=(3, 2, 2)), xi=rng.normal(size=(3, 2)),
+                    lam=rng.uniform(0.2, 2.0, size=3), mu=rng.normal(size=2))
+    lam_star = np.array([0.7, 0.0, 1.1])
+    mu_star = rng.normal(size=2)
+    h = 1e-2
+    d = derivatives(prob, comp, st, rng.normal(size=(3, 4)))
+    s_net = multiplier_storage(prob, st.lam, st.mu, lam_star, mu_star)
+    defects_net = storage_step_defects(prob, comp, st, d, lam_star, h)
+    for i, loc in enumerate(locs):
+        one = alone(loc)
+        li, mi = prob.ineq_slices[i], prob.eq_slices[i]
+        st_i = AgentState(st.rho[i:i + 1], st.xi[i:i + 1], st.lam[li], st.mu[mi])
+        d_i = type(d)(d.rho_dot[i:i + 1], d.xi_dot[i:i + 1], d.lam_dot[li],
+                      d.mu_dot[mi], d.nu[i:i + 1])
+        s_i = multiplier_storage(one, st.lam[li], st.mu[mi], lam_star[li], mu_star[mi])
+        assert s_net[i] == pytest.approx(s_i[0], rel=1e-15, abs=1e-15)
+        for net, single in zip(defects_net,
+                               storage_step_defects(one, comp, st_i, d_i, lam_star[li], h)):
+            assert net[i] == pytest.approx(single[0], rel=1e-15, abs=1e-15)

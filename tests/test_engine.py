@@ -13,7 +13,6 @@ from dcopt import (
     ReferencePoint,
     SimConfig,
     converged_reference,
-    lyapunov_direct,
     lyapunov_delayed,
     make_affine,
     make_quadratic,
@@ -148,10 +147,27 @@ def test_lambda_guard_aborts_run():
     log = simulate(prob, SimConfig(duration=1.0))
     assert log.abort_reason == "lambda_guard"
     assert log.abort_step == 0
-    assert log.events[0]["kind"] == "lambda_guard"
+    ev = log.events[0]
+    assert ev["kind"] == "lambda_guard"
+    assert ev["agent"] == 0 and ev["value"] == 0.0
+    assert "agent 0: inequality multiplier 0 would step to 0.000e+00" in ev["detail"]
     # final snapshot is the pre-step state at t = 0
     assert log.t[-1] == 0.0
     assert_final_state(log, x=0.0, lam=0.01)
+    # on a network the event names the agent and its own multiplier index:
+    # the second inequality of agent 2 is entry 2 of the concatenated lam
+    idle = make_affine([-1.0], -1.0)  # -x - 1 <= 0, slack at x = 0
+    locs = [
+        LocalProblem(make_quadratic([[1.0]]), inequalities=[idle]),
+        LocalProblem(make_quadratic([[1.0]])),
+        LocalProblem(make_quadratic([[1.0]]),
+                     inequalities=[idle, make_affine([1.0], -500.0)]),
+    ]
+    log = simulate(DistributedProblem(ring(3, 1.0), locs), SimConfig(duration=1.0))
+    ev = log.events[0]
+    assert (log.abort_reason, log.abort_step) == ("lambda_guard", 0)
+    assert ev["agent"] == 2 and ev["value"] == 0.0
+    assert "agent 2: inequality multiplier 1 would" in ev["detail"]
 
 
 def test_lambda_guard_off_the_log_grid():
@@ -167,6 +183,11 @@ def test_lambda_guard_off_the_log_grid():
                                    log_every=7))
     assert log.abort_reason == "lambda_guard"
     assert log.abort_step == 1
+    ev = log.events[0]
+    assert ev["agent"] == 0 and ev["step"] == 1
+    # lam after step 1: lam1 (1 + 2 h g(x1)) with g(x1) = x1 - 49 < -50
+    assert ev["value"] <= 0.0
+    assert f"would step to {ev['value']:.3e}" in ev["detail"]
     assert log.t == [0.0, pytest.approx(0.01)]
     # after step 0: nu = -100 - lam^2, x = h (1 + 10) nu, lam (1 + 2 h g(0))
     assert_final_state(log, x=0.01 * 11.0 * (-100.0 - 1e-4),
@@ -177,30 +198,43 @@ def test_divergence_guard_aborts_run():
     # start just beyond the magnitude limit: the first committed state is
     # still out of range, so the guard fires at step 0
     prob = single_agent_problem()
-    init = [
-        AgentState(rho=np.array([[2e9], [0.0]]), xi=np.zeros(1),
-                   lam=np.zeros(0), mu=np.zeros(0)),
-    ]
+    init = AgentState(rho=np.array([[[2e9], [0.0]]]), xi=np.zeros((1, 1)),
+                      lam=np.zeros(0), mu=np.zeros(0))
     log = simulate(prob, SimConfig(duration=1.0, initial=init))
     assert log.abort_reason == "divergence"
     assert log.abort_step == 0
-    assert log.events[-1]["kind"] == "divergence"
-    assert "exceeds" in log.events[-1]["detail"]
+    ev = log.events[-1]
+    assert ev["kind"] == "divergence"
+    # the largest entry is rho_1 after one step: 2e9 + h (3 - 2e9)
+    assert ev["agent"] == 0
+    assert ev["value"] == pytest.approx(2e9 + 1e-3 * (3.0 - 2e9), rel=1e-12)
+    assert "agent 0: rho magnitude" in ev["detail"] and "exceeds" in ev["detail"]
     # the bad state is the committed one, so the closing sample is at t = h
     assert log.t[-1] == pytest.approx(1e-3)
     # one Euler step from rho = (2e9, 0) with nu = 3 - 2e9
     assert_final_state(log, x=2e9 + 1e-3 * 11.0 * (3.0 - 2e9))
+    # on a network the event names the agent and field of the largest entry
+    prob = three_agent_quadratic()
+    init = AgentState.zeros(SimConfig().compensator, prob)
+    init.xi = np.array([[0.0], [-5e9], [0.0]])
+    log = simulate(prob, SimConfig(duration=1.0, initial=init))
+    ev = log.events[-1]
+    assert (log.abort_reason, ev["agent"]) == ("divergence", 1)
+    assert ev["value"] == pytest.approx(5e9, rel=1e-3)
+    assert "agent 1: xi magnitude" in ev["detail"]
 
 
 def test_nan_guard_aborts_before_commit():
     prob = single_agent_problem()
-    init = [
-        AgentState(rho=np.array([[np.inf], [0.0]]), xi=np.zeros(1),
-                   lam=np.zeros(0), mu=np.zeros(0)),
-    ]
+    init = AgentState(rho=np.array([[[np.inf], [0.0]]]), xi=np.zeros((1, 1)),
+                      lam=np.zeros(0), mu=np.zeros(0))
     log = simulate(prob, SimConfig(duration=1.0, initial=init))
     assert log.abort_reason == "nan"
-    assert log.events[0]["kind"] == "nan"
+    ev = log.events[0]
+    assert ev["kind"] == "nan"
+    # nu = -(x - 3) at x = inf
+    assert ev["agent"] == 0 and ev["value"] == -np.inf
+    assert "agent 0: non-finite derivative" in ev["detail"]
     assert log.t[-1] == 0.0
     assert_final_state(log, x=np.inf)
 
@@ -212,12 +246,8 @@ def two_agent_integrator_run(mode):
     loc = LocalProblem(make_affine([0.0]))
     prob = DistributedProblem(net, [loc, loc])
     comp = CompensatorParams.pure_integrator()
-    init = [
-        AgentState(rho=np.array([[1.0]]), xi=np.zeros(1), lam=np.zeros(0),
-                   mu=np.zeros(0)),
-        AgentState(rho=np.array([[0.0]]), xi=np.zeros(1), lam=np.zeros(0),
-                   mu=np.zeros(0)),
-    ]
+    init = AgentState(rho=np.array([[[1.0]], [[0.0]]]), xi=np.zeros((2, 1)),
+                      lam=np.zeros(0), mu=np.zeros(0))
     delays = {(0, 1): 0.1, (1, 0): 0.1}
     cfg = SimConfig(step=0.1, duration=0.3, mode=mode, delays=delays,
                     compensator=comp, log_every=1, diag_interval=0.1,
@@ -261,37 +291,34 @@ def test_no_delay_logs_current_ports():
 
 def test_initial_states_checked_before_first_step():
     prob = three_agent_quadratic()  # dim 1, agent 0 has one inequality
+    comp = SimConfig().compensator
 
-    def states(n):
-        return [
-            AgentState(rho=np.zeros((2, 1)), xi=np.zeros(1),
-                       lam=np.full(int(i == 0), 0.01), mu=np.zeros(int(i == 2)))
-            for i in range(n)
-        ]
+    def state(**fields):
+        st = AgentState.zeros(comp, prob)
+        for name, value in fields.items():
+            setattr(st, name, value)
+        return st
 
     for init, msg in (
-        (states(4), "initial: expected 3 agent states, got 4"),
-        (states(2), "initial: expected 3 agent states, got 2"),
+        (state(rho=np.zeros((4, 2, 1))),
+         r"initial\.rho: expected shape \(3, 2, 1\), got \(4, 2, 1\)"),
+        (state(rho=np.zeros((3, 2, 2))), r"initial\.rho: expected shape \(3, 2, 1\)"),
+        (state(xi=np.zeros(3)), r"initial\.xi: expected shape \(3, 1\), got \(3,\)"),
+        (state(lam=np.zeros(2)), r"initial\.lam: expected shape \(1,\), got \(2,\)"),
+        (state(mu=np.zeros(0)), r"initial\.mu: expected shape \(1,\), got \(0,\)"),
+        (state(lam=np.array([0.0])),
+         r"initial\.lam: .* must be positive \(agent 0, multiplier 0\)"),
     ):
         with pytest.raises(ValueError, match=msg):
             simulate(prob, SimConfig(duration=0.1, initial=init))
-    bad = states(3)
-    bad[1].rho = np.zeros((2, 2))
-    with pytest.raises(ValueError, match=r"initial\[1\]\.rho: expected shape \(2, 1\)"):
-        simulate(prob, SimConfig(duration=0.1, initial=bad))
-    bad = states(3)
-    bad[0].lam = np.array([0.0])
-    with pytest.raises(ValueError, match=r"initial\[0\]\.lam: .* must be positive"):
-        simulate(prob, SimConfig(duration=0.1, initial=bad))
-    # a dim-3 problem given a 1-vector xi
-    locs = [LocalProblem(make_affine([0.0, 0.0, 0.0])) for _ in range(3)]
-    prob3 = DistributedProblem(ring(3, 1.0), locs)
-    init = [AgentState(rho=np.zeros((2, 3)), xi=np.zeros(3), lam=np.zeros(0),
-                       mu=np.zeros(0)) for _ in range(3)]
-    init[2].xi = np.zeros(1)
-    with pytest.raises(ValueError,
-                       match=r"initial\[2\]\.xi: expected shape \(3,\), got \(1,\)"):
-        simulate(prob3, SimConfig(duration=0.1, initial=init))
+    with pytest.raises(TypeError, match="one stacked AgentState"):
+        simulate(prob, SimConfig(duration=0.1, initial=[state()] * 3))
+    # the run starts from a copy: the caller's arrays are neither logged
+    # nor written
+    init = state(xi=np.array([[1.0], [0.0], [0.0]]))
+    log = simulate(prob, SimConfig(duration=0.01, log_every=1, initial=init))
+    assert log.xi[0] is not init.xi
+    assert np.array_equal(log.xi[0], init.xi)
 
 
 def test_reference_point_offsets():
@@ -325,38 +352,48 @@ def test_reference_point_validate():
 
 
 def test_lyapunov_direct_zero_at_reference():
+    # the online direct-Lyapunov sample at t = 0 of a run that starts at
+    # the reference state is zero, and positive from a perturbed start
     prob = three_agent_quadratic()
     ref, log = converged_reference(prob, duration=40.0)
     comp = SimConfig().compensator
-    states = []
-    for i in range(3):
-        rho = np.zeros((comp.m, 1))
-        rho[0] = ref.z
-        states.append(
-            AgentState(rho=rho, xi=ref.xi[i].copy(),
-                       lam=np.maximum(ref.lam[i], 1e-12), mu=ref.mu[i].copy())
-        )
-    at_ref = lyapunov_direct(prob, states, ref, comp)
-    assert at_ref == pytest.approx(0.0, abs=1e-9)
-    states[1].rho[0] += 0.5
-    assert lyapunov_direct(prob, states, ref, comp) > 0.0
+    rho = np.zeros((3, comp.m, 1))
+    rho[:, 0] = ref.z
+
+    def first_sample(rho):
+        init = AgentState(rho=rho, xi=ref.xi.copy(),
+                          lam=np.maximum(np.concatenate(ref.lam), 1e-12),
+                          mu=np.concatenate(ref.mu))
+        cfg = SimConfig(duration=0.01, reference=ref, initial=init)
+        return simulate(prob, cfg).lyap_direct[0]
+
+    assert first_sample(rho) == pytest.approx(0.0, abs=1e-9)
+    rho[1, 0] += 0.5
+    assert first_sample(rho) > 0.0
 
 
-def direct_primal_dual_run(prob, duration, step, lam0=0.01):
-    """Plain primal-dual gradient flow, Euler-stepped: the m = 1 target.
+def direct_primal_dual_run(prob, duration, step, lam0=0.01, comp=None,
+                           delay_steps=None):
+    """Primal-dual gradient flow through m compensator stages, Euler-stepped:
+    the engine's target in the two direct modes.
 
-    Independent of the engine: keeps raw (x, xi, lam, mu) arrays and walks
-    the textbook field directly.
+    Independent of the engine: keeps raw per-agent (rho, xi, lam, mu) arrays
+    and walks the textbook field directly.  comp defaults to the pure
+    integrator (m = 1), the plain primal-dual flow.  delay_steps maps each
+    directed edge (i, j) to the whole steps agent j's view of agent i lags
+    (zeros before that, the naive_delay exchange); None means no delay.
     """
     net = prob.network
     n, dim = prob.n_agents, prob.dim
-    x = np.zeros((n, dim))
+    b, c = (comp.b, comp.c) if comp is not None else ([0.0], [1.0])
+    rho = np.zeros((n, len(b), dim))
     xi = np.zeros((n, dim))
     lam = [np.full(p.n_ineq, lam0) for p in prob.local_problems]
     mu = [np.zeros(p.n_eq) for p in prob.local_problems]
     a = net.adjacency
     out_x, out_xi, out_lam, out_mu = [], [], [], []
-    for _ in range(int(round(duration / step))):
+    for k in range(int(round(duration / step))):
+        x = rho.sum(axis=1)
         out_x.append(x.copy())
         out_xi.append(xi.copy())
         out_lam.append([v.copy() for v in lam])
@@ -374,30 +411,37 @@ def direct_primal_dual_run(prob, duration, step, lam0=0.01):
             nu[i] = -g
             for j in range(n):
                 if a[i, j] > 0.0:
-                    nu[i] += a[i, j] * (x[j] - x[i]) - a[i, j] * (xi[j] - xi[i])
-                    xi_dot[i] += a[i, j] * (x[j] - x[i])
+                    lag = 0 if delay_steps is None else delay_steps[(j, i)]
+                    seen_x = out_x[k - lag][j] if k >= lag else np.zeros(dim)
+                    seen_xi = out_xi[k - lag][j] if k >= lag else np.zeros(dim)
+                    nu[i] += a[i, j] * (seen_x - x[i]) - a[i, j] * (seen_xi - xi[i])
+                    xi_dot[i] += a[i, j] * (seen_x - x[i])
             lam_dot.append(2.0 * lam[i] * p.ineq_values(x[i]) if p.n_ineq else np.zeros(0))
             mu_dot.append(p.eq_values(x[i]) if p.n_eq else np.zeros(0))
-        x = x + step * nu
+        rho_dot = np.stack([c[s] * nu - b[s] * rho[:, s] for s in range(len(b))], axis=1)
+        rho = rho + step * rho_dot
         xi = xi + step * xi_dot
         lam = [v + step * d for v, d in zip(lam, lam_dot)]
         mu = [v + step * d for v, d in zip(mu, mu_dot)]
-    out_x.append(x.copy())
+    out_x.append(rho.sum(axis=1))
     out_xi.append(xi.copy())
     out_lam.append([v.copy() for v in lam])
     out_mu.append([v.copy() for v in mu])
     return out_x, out_xi, out_lam, out_mu
 
 
-def test_pure_integrator_matches_direct_flow():
-    prob = three_agent_quadratic()
+def assert_matches_direct_flow(comp, mode, delay_steps=None):
+    prob = three_agent_quadratic()  # constraint counts 1/0/0 and 0/0/1
     step, duration = 1e-3, 2.0
-    cfg = SimConfig(
-        step=step, duration=duration,
-        compensator=CompensatorParams.pure_integrator(), log_every=1,
-    )
+    delays = None
+    if delay_steps is not None:
+        delays = {key: d * step for key, d in delay_steps.items()}
+    cfg = SimConfig(step=step, duration=duration, mode=mode, delays=delays,
+                    compensator=comp, log_every=1)
     log = simulate(prob, cfg)
-    dx, dxi, dlam, dmu = direct_primal_dual_run(prob, duration, step)
+    assert log.abort_reason is None
+    dx, dxi, dlam, dmu = direct_primal_dual_run(prob, duration, step, comp=comp,
+                                                delay_steps=delay_steps)
     assert len(log.t) == len(dx)
     for s in range(len(dx)):
         assert np.allclose(log.x[s], dx[s], atol=1e-12, rtol=0.0)
@@ -405,6 +449,26 @@ def test_pure_integrator_matches_direct_flow():
         for i in range(3):
             assert np.allclose(log.lam[s][i], dlam[s][i], atol=1e-12, rtol=0.0)
             assert np.allclose(log.mu[s][i], dmu[s][i], atol=1e-12, rtol=0.0)
+
+
+def test_pure_integrator_matches_direct_flow():
+    assert_matches_direct_flow(CompensatorParams.pure_integrator(), "no_delay")
+
+
+# 1..6-step delays, a different one on each directed edge of the ring
+DELAY_STEPS = {(0, 1): 1, (1, 0): 2, (0, 2): 3, (2, 0): 4, (1, 2): 5, (2, 1): 6}
+
+
+@pytest.mark.parametrize(
+    "m, mode",
+    [(1, "naive_delay"), (2, "no_delay"), (2, "naive_delay")],
+)
+def test_direct_flow_oracle(m, mode):
+    # the pure-integrator no-delay case is test_pure_integrator_matches_direct_flow
+    comp = CompensatorParams.pure_integrator() if m == 1 else SimConfig().compensator
+    assert_matches_direct_flow(
+        comp, mode, DELAY_STEPS if mode == "naive_delay" else None
+    )
 
 
 def scattering_cfg(delays, **kw):
