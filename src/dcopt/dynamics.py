@@ -137,23 +137,16 @@ class AgentDerivative:
     nu: np.ndarray  # kept for diagnostics
 
 
-def _force(local, x, lam, mu):
-    """One agent's sum_k lam_k^2 grad g_k(x) + sum_k mu_k grad h_k(x)."""
-    zeta = np.zeros(local.dim)
-    if local.n_ineq:
-        zeta += local.ineq_gradients(x).T @ (lam**2)
-    if local.n_eq:
-        zeta += local.eq_gradients(x).T @ mu
-    return zeta
-
-
 def constraint_force(prob, x, lam, mu):
     """zeta_i = sum_k lam_ik^2 grad g_ik(x_i) + sum_k mu_ik grad h_ik(x_i)
     for x (N, n) and the concatenated lam, mu; stacked (N, n)."""
-    lam, mu = prob.split_multipliers(lam, mu)
-    return np.array([
-        _force(loc, x[i], lam[i], mu[i]) for i, loc in enumerate(prob.local_problems)
-    ])
+    zeta = np.zeros(x.shape)
+    for i, loc in enumerate(prob.local_problems):
+        if loc.n_ineq:
+            zeta[i] += loc.ineq_gradients(x[i]).T @ (lam[prob.ineq_slices[i]] ** 2)
+        if loc.n_eq:
+            zeta[i] += loc.eq_gradients(x[i]).T @ mu[prob.eq_slices[i]]
+    return zeta
 
 
 def derivatives(prob, comp, state, effort):
@@ -163,17 +156,13 @@ def derivatives(prob, comp, state, effort):
     """
     n = prob.dim
     x = state.x
-    lam, mu = prob.split_multipliers(state.lam, state.mu)
-    nu = np.empty_like(x)
-    g, hv = [], []
-    for i, loc in enumerate(prob.local_problems):
-        nu[i] = -loc.objective.gradient(x[i]) - _force(loc, x[i], lam[i], mu[i])
-        g.append(loc.ineq_values(x[i]))
-        hv.append(loc.eq_values(x[i]))
-    nu += effort[:, :n]
+    locs = list(enumerate(prob.local_problems))
+    grad = np.array([loc.objective.gradient(x[i]) for i, loc in locs])
+    nu = -grad - constraint_force(prob, x, state.lam, state.mu) + effort[:, :n]
     rho_dot = comp.c[:, None] * nu[:, None, :] - comp.b[:, None] * state.rho
-    lam_dot = 2.0 * state.lam * np.concatenate(g)
-    return AgentDerivative(rho_dot, effort[:, n:], lam_dot, np.concatenate(hv), nu)
+    lam_dot = 2.0 * state.lam * np.concatenate([loc.ineq_values(x[i]) for i, loc in locs])
+    mu_dot = np.concatenate([loc.eq_values(x[i]) for i, loc in locs])
+    return AgentDerivative(rho_dot, effort[:, n:], lam_dot, mu_dot, nu)
 
 
 def euler_step(state, deriv, h):

@@ -33,6 +33,7 @@ integral, and the per-end wave power identity.  Online accumulation avoids
 holding full-rate wave histories in memory on long runs.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -134,8 +135,10 @@ class SimConfig:
 class ReferencePoint:
     """A KKT-validated converged state used as diagnostic reference.
 
-    Carries the common primal point z*, per-agent multipliers xi*, lam*,
-    mu*, and derives the per-edge channel offsets for the delayed Lyapunov
+    Carries the primal states x (N, n) and their mean z*, the consensus
+    multipliers xi* (N, n), and lam*, mu* as concatenated vectors in the
+    multiplier layout of the problem (agent i's are lam[prob.ineq_slices[i]]),
+    and derives the per-edge channel offsets for the delayed Lyapunov
     function.  From a run: ReferencePoint(*log.final_stacks()).
     """
 
@@ -144,8 +147,8 @@ class ReferencePoint:
         self.x = x
         self.z = x.mean(axis=0)
         self.xi = np.asarray(xi, dtype=float)
-        self.lam = [np.asarray(v, dtype=float).copy() for v in lam]
-        self.mu = [np.asarray(v, dtype=float).copy() for v in mu]
+        self.lam = np.array(lam, dtype=float)
+        self.mu = np.array(mu, dtype=float)
 
     def validate(self, prob, tol=1e-2):
         """Require every KKT residual field <= tol."""
@@ -191,11 +194,16 @@ class TrajectoryLog:
 
     Every series holds one entry per logged sample: every log_every-th step
     and a closing sample at the final state (also after an abort), so
-    final_stacks() reads the last sample.  Edge series are keyed by
-    directed pair (i, j) = "agent i's view of neighbor j"; the closing
-    sample has none.  Wave series exist only for scattering runs.
+    final_stacks() reads the last sample.  Each entry is the engine's own
+    array: x, xi, nu, zeta (N, n), rho (N, m, n), lam (L,) and mu (M,) in
+    the problem's multiplier layout (entry k owned by agent ineq_owner[k],
+    eq_owner[k]), and edge_r, edge_p, edge_s_in, edge_s_out (E, 2n), row e
+    for the directed edge edges[e] = (i, j), "agent i's view of neighbor
+    j"; waves exist only in scattering runs.  An entry is None where the
+    sample has none: nu and the edge series at the closing sample, and nu
+    and every edge series but the delayed modes' edge_r at a NaN abort.
 
-    delays     quantized channel delays per directed edge (delayed modes)
+    delays     (E,) quantized channel delays of the edges (delayed modes)
     passivity  online PassivityReport, set when a reference is attached;
                an aborted run keeps the values reached before the abort
     """
@@ -203,6 +211,9 @@ class TrajectoryLog:
     config: SimConfig
     n_agents: int
     dim: int
+    edges: list = None
+    ineq_owner: np.ndarray = None
+    eq_owner: np.ndarray = None
     t: list = field(default_factory=list)
     x: list = field(default_factory=list)
     xi: list = field(default_factory=list)
@@ -219,7 +230,7 @@ class TrajectoryLog:
     diag_t: list = field(default_factory=list)
     lyap_direct: list = field(default_factory=list)
     lyap_delayed: list = field(default_factory=list)
-    delays: dict = None
+    delays: np.ndarray = None
     passivity: "PassivityReport" = None
     events: list = field(default_factory=list)
     abort_reason: str = None
@@ -231,47 +242,49 @@ class TrajectoryLog:
 
     def to_csv(self, path):
         """Long-format CSV: t, entity_kind, entity_id, variable,
-        component_index, value."""
+        component_index, value, each value written as repr(float).
+
+        The rows come in blocks, one per sample, entity and variable: the
+        label is formatted once per block, the block's values leave numpy
+        in one tolist(), and the block goes out in one write, so the
+        writer holds no more than one block of text at a time."""
+        diag_by_t = {tt: k for k, tt in enumerate(self.diag_t)}
+        lyap = (("lyapunov_direct", self.lyap_direct), ("lyapunov_delayed", self.lyap_delayed))
+        # where each agent's multipliers start in the concatenated lam, mu
+        later = np.arange(1, self.n_agents)
+        lam_cuts = np.searchsorted(self.ineq_owner, later)
+        mu_cuts = np.searchsorted(self.eq_owner, later)
         with open(path, "w", newline="") as f:
             f.write("t,entity_kind,entity_id,variable,component_index,value\n")
-            diag_by_t = {tt: k for k, tt in enumerate(self.diag_t)}
             for s, tt in enumerate(self.t):
                 ts = repr(float(tt))
 
-                def row(kind, ident, var, comp, val):
-                    f.write(f"{ts},{kind},{ident},{var},{comp},{repr(float(val))}\n")
+                def block(label, values):
+                    lines = [f"{ts},{label}{c},{v!r}\n" for c, v in enumerate(values)]
+                    f.write("".join(lines))
 
-                res = self.kkt[s]
-                row("global", "net", "consensus_error", 0, res.consensus)
-                for name, val in res.as_dict().items():
-                    row("global", "net", f"kkt_{name}", 0, val)
-                if tt in diag_by_t:
-                    k = diag_by_t[tt]
-                    if self.lyap_direct:
-                        row("global", "net", "lyapunov_direct", 0, self.lyap_direct[k])
-                    if self.lyap_delayed:
-                        row("global", "net", "lyapunov_delayed", 0, self.lyap_delayed[k])
+                res, k = self.kkt[s], diag_by_t.get(tt)
+                block("global,net,consensus_error,", [float(res.consensus)])
+                for name, v in res.as_dict().items():
+                    block(f"global,net,kkt_{name},", [float(v)])
+                for name, series in lyap:
+                    if series and k is not None:
+                        block(f"global,net,{name},", [float(series[k])])
+                agent = [("x", self.x[s]), ("xi", self.xi[s])]
+                agent += [(f"rho{j}", v) for j, v in enumerate(self.rho[s].transpose(1, 0, 2))]
+                agent += [("lambda", np.split(self.lam[s], lam_cuts)),
+                          ("mu", np.split(self.mu[s], mu_cuts)),
+                          ("nu", self.nu[s]), ("zeta", self.zeta[s])]
                 for i in range(self.n_agents):
-                    agent = [("x", self.x[s][i]), ("xi", self.xi[s][i])]
-                    agent += [(f"rho{k}", v) for k, v in enumerate(self.rho[s][i])]
-                    agent += [("lambda", self.lam[s][i]), ("mu", self.mu[s][i])]
-                    if self.nu[s] is not None:
-                        agent.append(("nu", self.nu[s][i]))
-                    agent.append(("zeta", self.zeta[s][i]))
-                    for var, vec in agent:
-                        for c, v in enumerate(vec):
-                            row("agent", i, var, c, v)
-                for series, var in (
-                    (self.edge_r, "r"),
-                    (self.edge_p, "p"),
-                    (self.edge_s_in, "s_in"),
-                    (self.edge_s_out, "s_out"),
-                ):
-                    if series[s] is None:
-                        continue
-                    for (i, j), vec in series[s].items():
-                        for c in range(vec.size):
-                            row("edge", f"{i}->{j}", var, c, vec[c])
+                    for var, rows in agent:
+                        if rows is not None:
+                            block(f"agent,{i},{var},", rows[i].tolist())
+                for var, series in (("r", self.edge_r), ("p", self.edge_p),
+                                    ("s_in", self.edge_s_in), ("s_out", self.edge_s_out)):
+                    rows = series[s]
+                    if rows is not None:
+                        for (i, j), row in zip(self.edges, rows.tolist()):
+                            block(f"edge,{i}->{j},{var},", row)
 
 
 def lyapunov_delayed(prob, log, ref, comp, upto=None):
@@ -279,8 +292,10 @@ def lyapunov_delayed(prob, log, ref, comp, upto=None):
     (log_every == 1), at sample upto (default: the last one).
 
     The agent storages S_i shift xi by 2 xi*; the channel storages are
-    rebuilt from the logged waves by the same left-endpoint rectangle rule
-    the online accumulator uses.
+    rebuilt from the logged (E, 2n) waves of the samples before upto by
+    the same left-endpoint rectangle rule the online accumulator uses,
+    summed over steps and channels at once.  It reads only the log and the
+    reference, so it checks the online value independently.
     """
     cfg = log.config
     if cfg.mode != "scattering":
@@ -290,23 +305,25 @@ def lyapunov_delayed(prob, log, ref, comp, upto=None):
     k = len(log.t) - 1 if upto is None else upto
     total = float(np.sum(
         compensator_storage(comp, log.rho[k], ref.z)
-        + multiplier_storage(prob, np.concatenate(log.lam[k]), np.concatenate(log.mu[k]),
-                             np.concatenate(ref.lam), np.concatenate(ref.mu))
+        + multiplier_storage(prob, log.lam[k], log.mu[k], ref.lam, ref.mu)
         + 0.5 * np.sum((log.xi[k] - 2.0 * ref.xi) ** 2, axis=1)
     ))
-    s_in, s_out = log.edge_s_in, log.edge_s_out
-    for i, j, w in prob.network.edges():
-        _, _, gamma, delta = ref.edge_offsets(i, j, w, cfg.eta)
-        total += (0.5 * log.delays[(i, j)] * float(gamma @ gamma)
-                  + 0.5 * log.delays[(j, i)] * float(delta @ delta))
-        acc = 0.0
-        for step in range(k):
-            acc += float(np.sum((s_out[step][(i, j)] + gamma) ** 2))
-            acc -= float(np.sum((s_in[step][(j, i)] + gamma) ** 2))
-            acc += float(np.sum((s_out[step][(j, i)] - delta) ** 2))
-            acc -= float(np.sum((s_in[step][(i, j)] - delta) ** 2))
-        total += 0.5 * cfg.step * acc
-    return total
+    # one channel per undirected edge: the logged rows fwd of i <- j with
+    # i < j and bwd of its reverse j <- i
+    edges = _Edges(prob.network)
+    fwd = np.flatnonzero(edges.own < edges.nbr)
+    bwd = edges.rev[fwd]
+    _, _, gamma, delta = ref.edge_offsets(
+        edges.own[fwd], edges.nbr[fwd], edges.weight[fwd], cfg.eta
+    )
+    total += 0.5 * float(np.sum(log.delays[fwd] * np.sum(gamma**2, axis=1)
+                                + log.delays[bwd] * np.sum(delta**2, axis=1)))
+    shape = (k, len(log.edges), 2 * log.dim)
+    s_in = np.array(log.edge_s_in[:k]).reshape(shape)
+    s_out = np.array(log.edge_s_out[:k]).reshape(shape)
+    acc = (np.sum((s_out[:, fwd] + gamma) ** 2) - np.sum((s_in[:, bwd] + gamma) ** 2)
+           + np.sum((s_out[:, bwd] - delta) ** 2) - np.sum((s_in[:, fwd] - delta) ** 2))
+    return total + 0.5 * cfg.step * float(acc)
 
 
 @dataclass
@@ -354,7 +371,6 @@ def passivity_check(prob, log, ref, comp):
     tol = 1e-3
     has_ports = mode in ("no_delay", "scattering")
     edges = _Edges(prob.network)
-    lam_star, mu_star = np.concatenate(ref.lam), np.concatenate(ref.mu)
     excess = np.full((3, n), -np.inf)
     if not has_ports:
         excess[2] = np.nan
@@ -362,15 +378,11 @@ def passivity_check(prob, log, ref, comp):
     wave_max = 0.0
     r_star, p_star, _, _ = _port_offsets(ref, edges, log.config)
 
-    def stacked(series, k):
-        return np.array([series[k][key] for key in edges.keys]).reshape(-1, 2 * dim)
-
     prev = None
     for k in range(len(log.t)):
-        st = AgentState(log.rho[k], log.xi[k], np.concatenate(log.lam[k]),
-                        np.concatenate(log.mu[k]))
+        st = AgentState(log.rho[k], log.xi[k], log.lam[k], log.mu[k])
         sc = compensator_storage(comp, st.rho, ref.z)
-        sg = multiplier_storage(prob, st.lam, st.mu, lam_star, mu_star)
+        sg = multiplier_storage(prob, st.lam, st.mu, ref.lam, ref.mu)
         s_full = None
         if has_ports:
             s_full = sc + sg + 0.5 * np.sum((st.xi - xi_factor * ref.xi) ** 2, axis=1)
@@ -386,27 +398,25 @@ def passivity_check(prob, log, ref, comp):
         if nu is None:  # the closing or an aborted sample: no step follows
             continue
         x = log.x[k]
-        r = stacked(log.edge_r, k)
-        xi_dot = edges.into @ (edges.weight * (r[:, :dim] - x[edges.own]))
+        r = log.edge_r[k]
+        xi_dot = edges.per_agent(edges.weight * (r[:, :dim] - x[edges.own]))
         locs = enumerate(prob.local_problems)
         g, hv = zip(*((p.ineq_values(x[i]), p.eq_values(x[i])) for i, p in locs))
         deriv = AgentDerivative(
             comp.c[:, None] * nu[:, None, :] - comp.b[:, None] * st.rho,
             xi_dot, 2.0 * st.lam * np.concatenate(g), np.concatenate(hv), nu,
         )
-        d_c, d_m, d_xi = storage_step_defects(prob, comp, st, deriv, lam_star, h)
+        d_c, d_m, d_xi = storage_step_defects(prob, comp, st, deriv, ref.lam, h)
         bnd_coup = np.full(n, np.nan)
         if has_ports:
-            p = stacked(log.edge_p, k)
-            bnd_coup = edges.into @ np.sum((r - r_star) * (p - p_star), axis=1)
+            p = log.edge_p[k]
+            bnd_coup = edges.per_agent(np.sum((r - r_star) * (p - p_star), axis=1))
         if mode == "scattering":
-            res = wave_identity_residual(
-                stacked(log.edge_s_in, k), stacked(log.edge_s_out, k), r, p
-            )
+            res = wave_identity_residual(log.edge_s_in[k], log.edge_s_out[k], r, p)
             wave_max = max(wave_max, float(np.abs(res).max(initial=0.0)))
         prev = (
             (sc, primal_rate_bound(prob, st, nu, ref.z), d_c),
-            (sg, multiplier_rate_bound(prob, st, ref.z, lam_star, mu_star), d_m),
+            (sg, multiplier_rate_bound(prob, st, ref.z, ref.lam, ref.mu), d_m),
             (s_full, bnd_coup, d_c + d_m + d_xi),
         )
     return PassivityReport(*excess, wave_identity_max=wave_max)
@@ -415,8 +425,7 @@ def passivity_check(prob, log, ref, comp):
 class _Edges:
     """The directed edges i <- j of a network as index arrays, in
     network.directed_edges() order: own = i, nbr = j, rev[e] the edge
-    j <- i, weight (E, 1), and into (N, E), the 0/1 matrix that sums edge
-    rows per receiving agent."""
+    j <- i, and weight (E, 1)."""
 
     def __init__(self, net):
         directed = net.directed_edges()
@@ -426,8 +435,18 @@ class _Edges:
         self.nbr = np.array([j for _, j in self.keys], dtype=int)
         self.rev = np.array([index[(j, i)] for i, j in self.keys], dtype=int)
         self.weight = np.array([w for _, _, w in directed]).reshape(-1, 1)
-        self.into = np.zeros((net.n_agents, len(self.keys)))
-        self.into[self.own, np.arange(len(self.keys))] = 1.0
+        self.n_agents = net.n_agents
+        self._bins = {}  # row width -> flat bin of each edge entry
+
+    def per_agent(self, rows):
+        """Sums of (E,) or (E, w) edge rows by receiving agent, (N,) or
+        (N, w).  Edge e adds into agent own[e] alone, so a non-finite row
+        stays with its own agent."""
+        w = math.prod(rows.shape[1:])
+        if w not in self._bins:
+            self._bins[w] = (self.own[:, None] * w + np.arange(w)).ravel()
+        sums = np.bincount(self._bins[w], weights=rows.ravel(), minlength=self.n_agents * w)
+        return sums.reshape((self.n_agents,) + rows.shape[1:])
 
 
 def _port_offsets(ref, edges, cfg):
@@ -499,12 +518,13 @@ def simulate(prob, cfg):
     edges = _Edges(prob.network)
     own, nbr = edges.own, edges.nbr
     coupling = CouplingMatrix(edges.weight, dim)
-    log = TrajectoryLog(config=cfg, n_agents=n, dim=dim)
+    log = TrajectoryLog(config=cfg, n_agents=n, dim=dim, edges=edges.keys,
+                        ineq_owner=prob.ineq_owner, eq_owner=prob.eq_owner)
     line = end = None  # line e carries what agent own[e] sends to nbr[e]
     if cfg.mode != "no_delay":
         delays = np.array([cfg.delay_for(i, j) for i, j in edges.keys])
         line = DelayLine(delays, h, 2 * dim)
-        log.delays = dict(zip(edges.keys, line.delay.tolist()))
+        log.delays = line.delay
     if cfg.mode == "scattering":
         end = ChannelEnd(coupling, cfg.eta)
 
@@ -512,28 +532,26 @@ def simulate(prob, cfg):
     diag_every = max(1, int(round(cfg.diag_interval / h)))
     diag = None
     if ref is not None:
-        diag = _DiagState(prob, ref, comp, cfg, edges,
-                          None if line is None else line.delay)
+        diag = _DiagState(prob, ref, comp, cfg, edges, log.delays)
         log.passivity = PassivityReport(*diag.excess, wave_identity_max=0.0)
 
     def snapshot(t, state, x, deriv, ports):
-        lam, mu = prob.split_multipliers(state.lam, state.mu)
         log.t.append(t)
         log.x.append(x)
         log.xi.append(state.xi)
         log.rho.append(state.rho)
-        log.lam.append(lam)
-        log.mu.append(mu)
+        log.lam.append(state.lam)
+        log.mu.append(state.mu)
         log.nu.append(None if deriv is None else deriv.nu)
         log.zeta.append(constraint_force(prob, x, state.lam, state.mu))
         for series, arr in zip(
             (log.edge_r, log.edge_p, log.edge_s_in, log.edge_s_out), ports
         ):
-            series.append(None if arr is None else dict(zip(edges.keys, arr)))
+            series.append(arr)
         # the scattering loop settles with xi doubled (each end absorbs the
         # midpoint average), so xi/2 is the stationarity certificate there
         xi_cert = 0.5 * state.xi if end is not None else state.xi
-        log.kkt.append(kkt_residual(prob, x, xi_cert, lam, mu))
+        log.kkt.append(kkt_residual(prob, x, xi_cert, state.lam, state.mu))
 
     def abort(kind, agent, value, detail):
         log.events.append({"step": k, "t": k * h, "kind": kind, "agent": agent,
@@ -558,7 +576,7 @@ def simulate(prob, cfg):
                 p = coupling.apply(r - u[own])
 
             # phase 2: derivatives from the summed efforts
-            deriv = derivatives(prob, comp, state, edges.into @ p)
+            deriv = derivatives(prob, comp, state, edges.per_agent(p))
             bad = ~np.isfinite(deriv.nu)
             if bad.any():
                 i = int(np.argmax(bad.any(axis=1)))
@@ -630,9 +648,7 @@ class _DiagState:
         self.ref = ref
         self.comp = comp
         self.cfg = cfg
-        self.into = edges.into
-        self.lam_star = np.concatenate(ref.lam)
-        self.mu_star = np.concatenate(ref.mu)
+        self.per_agent = edges.per_agent
         self.has_ports = cfg.mode in ("no_delay", "scattering")
         self.excess = np.full((3, prob.n_agents), -np.inf)
         if not self.has_ports:
@@ -665,7 +681,7 @@ class _DiagState:
         h = self.cfg.step
         tol = 1e-3
         sc = compensator_storage(self.comp, state.rho, ref.z)
-        sg = multiplier_storage(self.prob, state.lam, state.mu, self.lam_star, self.mu_star)
+        sg = multiplier_storage(self.prob, state.lam, state.mu, ref.lam, ref.mu)
         s_full = None
         if self.has_ports:
             s_full = sc + sg + 0.5 * np.sum(
@@ -694,13 +710,11 @@ class _DiagState:
         prob, ref = self.prob, self.ref
         h = self.cfg.step
         bnd_comp = primal_rate_bound(prob, state, deriv.nu, ref.z)
-        bnd_mult = multiplier_rate_bound(prob, state, ref.z, self.lam_star, self.mu_star)
+        bnd_mult = multiplier_rate_bound(prob, state, ref.z, ref.lam, ref.mu)
         bnd_coup = np.full(prob.n_agents, np.nan)
-        d_c, d_m, d_xi = storage_step_defects(
-            prob, self.comp, state, deriv, self.lam_star, h
-        )
+        d_c, d_m, d_xi = storage_step_defects(prob, self.comp, state, deriv, ref.lam, h)
         if self.has_ports:
-            bnd_coup = self.into @ np.sum((r - self.r_star) * (p - self.p_star), axis=1)
+            bnd_coup = self.per_agent(np.sum((r - self.r_star) * (p - self.p_star), axis=1))
         if s_in is not None:
             res = np.abs(wave_identity_residual(s_in, s_out, r, p)).max(initial=0.0)
             log.passivity.wave_identity_max = max(log.passivity.wave_identity_max,

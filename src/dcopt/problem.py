@@ -240,39 +240,25 @@ class DistributedProblem:
         self.ineq_owner, self.ineq_slices = _layout([p.n_ineq for p in locs])
         self.eq_owner, self.eq_slices = _layout([p.n_eq for p in locs])
 
-    def split_multipliers(self, lam, mu):
-        """Per-agent lists of views into the concatenated lam and mu."""
-        return (
-            [lam[s] for s in self.ineq_slices],
-            [mu[s] for s in self.eq_slices],
-        )
-
-    def check_multipliers(self, lam, mu):
-        if len(lam) != self.n_agents or len(mu) != self.n_agents:
-            raise ValueError("one multiplier vector per agent required")
-        out_l, out_m = [], []
-        for p, li, mi in zip(self.local_problems, lam, mu):
-            li = np.asarray(li, dtype=float).reshape(-1)
-            mi = np.asarray(mi, dtype=float).reshape(-1)
-            if li.size != p.n_ineq:
-                raise ValueError("inequality multiplier length mismatch")
-            if mi.size != p.n_eq:
-                raise ValueError("equality multiplier length mismatch")
-            out_l.append(li)
-            out_m.append(mi)
-        return out_l, out_m
-
-    def check_states(self, x, xi):
-        x = np.asarray(x, dtype=float).reshape(self.n_agents, self.dim)
-        xi = np.asarray(xi, dtype=float).reshape(self.n_agents, self.dim)
-        return x, xi
-
 
 def _layout(counts):
     """(owner of each entry, slice of each agent) for per-agent counts."""
     owner = np.repeat(np.arange(len(counts)), counts)
     ends = itertools.accumulate(counts)
     return owner, tuple(slice(e - c, e) for c, e in zip(counts, ends))
+
+
+def _checked_point(prob, x, xi, lam, mu):
+    """x and xi as (N, n) arrays, and lam and mu as float vectors in the
+    multiplier layout of prob: a multiplier vector of any other shape is a
+    ValueError that names the field."""
+    x = np.asarray(x, dtype=float).reshape(prob.n_agents, prob.dim)
+    xi = np.asarray(xi, dtype=float).reshape(prob.n_agents, prob.dim)
+    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
+    for name, v, owner in (("lam", lam, prob.ineq_owner), ("mu", mu, prob.eq_owner)):
+        if v.shape != owner.shape:
+            raise ValueError(f"{name}: expected shape {owner.shape}, got {v.shape}")
+    return x, xi, lam, mu
 
 
 @dataclass
@@ -298,18 +284,19 @@ def generalized_lagrangian(prob, x, xi, lam, mu):
     sum_i [ f_i(x_i) + (lam_i^2)^T g_i(x_i) + mu_i^T h_i(x_i) ]
       - xi^T (L x) + (1/2) x^T (L x)
 
-    with L the network Laplacian acting blockwise on stacked states.
-    Squaring lam keeps the inequality weight nonnegative without projection.
+    with L the network Laplacian acting blockwise on stacked states, x and
+    xi (N, n), and lam, mu the concatenated multiplier vectors of prob's
+    layout (lam_i = lam[prob.ineq_slices[i]]).  Squaring lam keeps the
+    inequality weight nonnegative without projection.
     """
-    x, xi = prob.check_states(x, xi)
-    lam, mu = prob.check_multipliers(lam, mu)
+    x, xi, lam, mu = _checked_point(prob, x, xi, lam, mu)
     total = 0.0
     for i, p in enumerate(prob.local_problems):
         total += p.objective.value(x[i])
         if p.n_ineq:
-            total += float((lam[i] ** 2) @ p.ineq_values(x[i]))
+            total += float((lam[prob.ineq_slices[i]] ** 2) @ p.ineq_values(x[i]))
         if p.n_eq:
-            total += float(mu[i] @ p.eq_values(x[i]))
+            total += float(mu[prob.eq_slices[i]] @ p.eq_values(x[i]))
     lx = laplacian_apply(prob.network, x)
     total += float(-np.sum(xi * lx) + 0.5 * np.sum(x * lx))
     return total
@@ -324,9 +311,11 @@ def kkt_residual(prob, x, xi, lam, mu):
     primal_eq   : max | h_i(x_i) |
     primal_ineq : max ( g_i(x_i) clipped below at 0 )
     comp_slack  : max | lam_ik^2 g_ik(x_i) |
+
+    x and xi are (N, n); lam and mu are the concatenated multiplier vectors
+    of prob's layout, and any other shape is a ValueError naming the field.
     """
-    x, xi = prob.check_states(x, xi)
-    lam, mu = prob.check_multipliers(lam, mu)
+    x, xi, lam, mu = _checked_point(prob, x, xi, lam, mu)
     lx = laplacian_apply(prob.network, x)
     lxi = laplacian_apply(prob.network, xi)
     consensus = float(np.abs(lx).max()) if lx.size else 0.0
@@ -338,12 +327,13 @@ def kkt_residual(prob, x, xi, lam, mu):
         grad = p.objective.gradient(x[i]).astype(float, copy=True)
         if p.n_ineq:
             gi = p.ineq_values(x[i])
-            grad += p.ineq_gradients(x[i]).T @ (lam[i] ** 2)
+            lam2 = lam[prob.ineq_slices[i]] ** 2
+            grad += p.ineq_gradients(x[i]).T @ lam2
             primal_ineq = max(primal_ineq, float(np.maximum(gi, 0.0).max()))
-            comp_slack = max(comp_slack, float(np.abs(lam[i] ** 2 * gi).max()))
+            comp_slack = max(comp_slack, float(np.abs(lam2 * gi).max()))
         if p.n_eq:
             hi = p.eq_values(x[i])
-            grad += p.eq_gradients(x[i]).T @ mu[i]
+            grad += p.eq_gradients(x[i]).T @ mu[prob.eq_slices[i]]
             primal_eq = max(primal_eq, float(np.abs(hi).max()))
         # sum_j a_ij (xi_j - xi_i) = -(L xi)_i
         stationarity = max(stationarity, float(np.abs(grad - lxi[i]).max()))

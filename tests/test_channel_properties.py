@@ -1,8 +1,12 @@
-"""Property tests: the stacked channel layer equals its one-edge form.
+"""Property tests of the channel layer and the graph algebra.
 
 A CouplingMatrix or ChannelEnd built on an (E, 1) weight array and a
 DelayLine built on an (E,) delay array must give, bit for bit, what E
-one-edge objects give row by row.
+one-edge objects give row by row.  The recovered port pair must imply the
+incoming wave and satisfy the wave power identity, a delay line must hand
+each sample out exactly its delay later, and the Laplacian of a connected
+network must be symmetric positive semidefinite with the ones vector in
+its null space.
 """
 
 import numpy as np
@@ -10,7 +14,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcopt import ChannelEnd, CouplingMatrix, DelayLine
+from dcopt import (
+    ChannelEnd,
+    CouplingMatrix,
+    DelayLine,
+    Network,
+    laplacian,
+    wave_identity_residual,
+)
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -77,3 +88,75 @@ def test_multi_line_delay_equals_single_lines(steps, width, n_steps):
             assert np.array_equal(got[e], line.pop(t))
             line.push(sent[e], t)
         stacked.push(sent, t)
+
+
+@PROPERTY
+@given(edge_stacks())
+def test_recovered_pair_implies_incoming_wave(case):
+    # s_in = (p + eta r) / sqrt(2 eta) is what recover inverts
+    w, eta, dim, s_in, x, xi = case
+    end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
+    r, p = end.recover(s_in, x, xi)
+    implied = (p + eta * r) / np.sqrt(2.0 * eta)
+    scale = (np.abs(p).max() + eta * np.abs(r).max()) / np.sqrt(2.0 * eta)
+    np.testing.assert_allclose(implied, s_in, rtol=0.0, atol=1e-13 * (1.0 + scale))
+
+
+@PROPERTY
+@given(edge_stacks())
+def test_wave_power_identity(case):
+    # |s_in|^2 - |s_out|^2 = 2 r'p per edge, to rounding of the terms
+    w, eta, dim, s_in, x, xi = case
+    end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
+    r, p = end.recover(s_in, x, xi)
+    s_out = end.outgoing_wave(r, p)
+    res = wave_identity_residual(s_in, s_out, r, p)
+    terms = np.sum(s_in**2 + s_out**2 + 2.0 * np.abs(r * p), axis=1)
+    assert np.all(np.abs(res) <= 1e-13 * (1.0 + terms))
+
+
+@PROPERTY
+@given(
+    st.lists(st.integers(1, 7), min_size=1, max_size=6),
+    st.integers(1, 3),
+    st.integers(0, 20),
+)
+def test_delay_line_hands_out_each_sample_its_delay_later(steps, width, n_steps):
+    h = 0.1
+    line = DelayLine(np.array(steps) * h, h, width)
+    pushed = []
+    for k in range(n_steps):
+        got = line.pop(k * h)
+        for e, d in enumerate(steps):
+            want = pushed[k - d][e] if k >= d else np.zeros(width)
+            assert np.array_equal(got[e], want)
+        # every entry of every sample distinct: the step, line and component
+        sample = 1000.0 * (k + 1) + 10.0 * np.arange(len(steps))[:, None] + np.arange(width)
+        pushed.append(sample)
+        line.push(sample, k * h)
+
+
+@st.composite
+def connected_adjacency(draw):
+    """A symmetric weight matrix over 2..8 agents whose edges connect
+    them: a random spanning tree plus random extra edges."""
+    n = draw(st.integers(2, 8))
+    a = np.zeros((n, n))
+    for i in range(1, n):
+        j = draw(st.integers(0, i - 1))
+        a[i, j] = a[j, i] = draw(weights)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.booleans()):
+                a[i, j] = a[j, i] = draw(weights)
+    return a
+
+
+@PROPERTY
+@given(connected_adjacency())
+def test_laplacian_symmetric_psd_with_ones_null_space(a):
+    lap = laplacian(Network(a))
+    assert np.array_equal(lap, lap.T)
+    scale = float(a.sum(axis=1).max())
+    assert np.linalg.eigvalsh(lap).min() >= -1e-12 * scale
+    np.testing.assert_allclose(lap @ np.ones(len(a)), 0.0, rtol=0.0, atol=1e-13 * scale)

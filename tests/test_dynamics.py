@@ -94,9 +94,6 @@ def test_zero_state_shapes():
     assert prob.eq_owner.tolist() == [0]
     assert prob.ineq_slices == (slice(0, 2), slice(2, 3))
     assert prob.eq_slices == (slice(0, 1), slice(1, 1))
-    lam, mu = prob.split_multipliers(np.arange(3.0), np.arange(1.0))
-    assert [v.tolist() for v in lam] == [[0.0, 1.0], [2.0]]
-    assert [v.tolist() for v in mu] == [[0.0], []]
     with pytest.raises(ValueError):
         AgentState.zeros(comp, prob, lam0=0.0)
 

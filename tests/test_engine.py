@@ -11,6 +11,7 @@ from dcopt import (
     LocalProblem,
     Network,
     ReferencePoint,
+    ScalarFunction,
     SimConfig,
     converged_reference,
     lyapunov_delayed,
@@ -124,6 +125,115 @@ def test_to_csv_byte_identical(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == "t,entity_kind,entity_id,variable,component_index,value"
+
+
+def csv_oracle(prob, log):
+    """The log as trajectory.csv text, written row by row with plain nested
+    loops over samples, agents, variables, edges and components."""
+    lines = ["t,entity_kind,entity_id,variable,component_index,value"]
+    diag_by_t = {tt: k for k, tt in enumerate(log.diag_t)}
+    for s, tt in enumerate(log.t):
+        ts = repr(float(tt))
+
+        def row(kind, ident, var, comp, val):
+            lines.append(f"{ts},{kind},{ident},{var},{comp},{repr(float(val))}")
+
+        res = log.kkt[s]
+        row("global", "net", "consensus_error", 0, res.consensus)
+        for name, val in res.as_dict().items():
+            row("global", "net", f"kkt_{name}", 0, val)
+        if tt in diag_by_t:
+            k = diag_by_t[tt]
+            if log.lyap_direct:
+                row("global", "net", "lyapunov_direct", 0, log.lyap_direct[k])
+            if log.lyap_delayed:
+                row("global", "net", "lyapunov_delayed", 0, log.lyap_delayed[k])
+        for i in range(log.n_agents):
+            agent = [("x", log.x[s][i]), ("xi", log.xi[s][i])]
+            agent += [(f"rho{k}", v) for k, v in enumerate(log.rho[s][i])]
+            agent += [("lambda", log.lam[s][prob.ineq_slices[i]]),
+                      ("mu", log.mu[s][prob.eq_slices[i]])]
+            if log.nu[s] is not None:
+                agent.append(("nu", log.nu[s][i]))
+            agent.append(("zeta", log.zeta[s][i]))
+            for var, vec in agent:
+                for c, v in enumerate(vec):
+                    row("agent", i, var, c, v)
+        for series, var in ((log.edge_r, "r"), (log.edge_p, "p"),
+                            (log.edge_s_in, "s_in"), (log.edge_s_out, "s_out")):
+            if series[s] is None:
+                continue
+            for (i, j), vec in zip(log.edges, series[s]):
+                for c in range(vec.size):
+                    row("edge", f"{i}->{j}", var, c, vec[c])
+    return "\n".join(lines) + "\n"
+
+
+class GradientLeavesDomain(ScalarFunction):
+    """(x - 1)^2 / 2 whose gradient is NaN above x = 0.05: an objective
+    evaluated outside its domain, which makes the run abort on a NaN."""
+
+    dim = 1
+    declared_convex = True
+
+    def value(self, x):
+        return 0.5 * float((x[0] - 1.0) ** 2)
+
+    def gradient(self, x):
+        return np.array([x[0] - 1.0 if x[0] <= 0.05 else np.nan])
+
+
+def csv_case(name):
+    """(problem, log) of one to_csv oracle case.
+
+    The problem is three_agent_quadratic with two inactive inequalities
+    added to agent 1, so two agents own inequality multipliers, and with
+    agent 1's objective leaving its domain in the abort case.
+    """
+    base = three_agent_quadratic()
+    objective = make_quadratic([[1.0]], [-2.0])
+    if name == "naive_delay_abort":
+        objective = GradientLeavesDomain()
+    locs = list(base.local_problems)
+    locs[1] = LocalProblem(objective, inequalities=[make_affine([1.0], -4.0),
+                                                    make_affine([-1.0], -10.0)])
+    prob = DistributedProblem(base.network, locs)
+    delays = {(i, j): 0.004 + 0.001 * (i + j) for i, j, _ in prob.network.directed_edges()}
+    short = simulate(prob, SimConfig(duration=0.5, log_every=500))
+    ref = ReferencePoint(*short.final_stacks())
+    if name == "no_delay_reference":
+        cfg = SimConfig(duration=0.03, log_every=1, diag_interval=0.01, reference=ref)
+    elif name == "scattering_reference":
+        cfg = scattering_cfg(delays, duration=0.03, log_every=1, diag_interval=0.01,
+                             reference=ref)
+    elif name == "naive_delay_abort":
+        cfg = SimConfig(mode="naive_delay", delays=delays, duration=1.0, log_every=1)
+    else:  # log_every_7: the closing sample is off the logging grid
+        cfg = scattering_cfg(delays, duration=0.03, log_every=7, diag_interval=0.01,
+                             reference=ref)
+    return prob, simulate(prob, cfg)
+
+
+@pytest.mark.parametrize("name", ["no_delay_reference", "scattering_reference",
+                                  "naive_delay_abort", "log_every_7"])
+def test_to_csv_matches_row_oracle(tmp_path, name):
+    prob, log = csv_case(name)
+    path = tmp_path / "trajectory.csv"
+    log.to_csv(path)
+    text = path.read_text()
+    assert text == csv_oracle(prob, log)
+    # each case exercises the rows it is there for
+    if name == "no_delay_reference":
+        assert ",lyapunov_direct," in text and ",lyapunov_delayed," not in text
+    elif name == "scattering_reference":
+        assert ",lyapunov_delayed," in text and ",s_out," in text
+    elif name == "naive_delay_abort":
+        assert log.abort_reason == "nan" and len(log.t) > 2
+        assert log.edge_r[-1] is not None and log.edge_p[-1] is None
+        assert log.nu[-1] is None
+    else:
+        assert log.t[-1] == pytest.approx(0.03) and round(log.t[-2] / 1e-3) % 7 == 0
+        assert log.edge_r[-1] is None and len(log.diag_t) == 4
 
 
 def assert_final_state(log, x, lam=None):
@@ -260,13 +370,13 @@ def assert_logged_ports(log, lag):
     (zeros before that), and p_ij = E (r_ij - [x_i; xi_i])."""
     e = CouplingMatrix(1.0, 1)
     u = [np.concatenate([x, xi], axis=1) for x, xi in zip(log.x, log.xi)]
+    assert log.edges == [(0, 1), (1, 0)]
     for s in range(len(log.t) - 1):  # the closing sample has no ports
-        assert set(log.edge_r[s]) == {(0, 1), (1, 0)}
-        for i, j in log.edge_r[s]:
-            r = log.edge_r[s][(i, j)]
+        assert log.edge_r[s].shape == log.edge_p[s].shape == (2, 2)
+        for (i, j), r, p in zip(log.edges, log.edge_r[s], log.edge_p[s]):
             want = u[s - lag][j] if s >= lag else np.zeros(2)
             assert np.array_equal(r, want)
-            assert np.array_equal(log.edge_p[s][(i, j)], e.apply(r - u[s][i]))
+            assert np.array_equal(p, e.apply(r - u[s][i]))
     assert log.edge_r[-1] is None and log.edge_p[-1] is None
 
 
@@ -287,6 +397,22 @@ def test_no_delay_logs_current_ports():
     # t=0: nu_0 = 0 - 1, nu_1 = 1 - 0
     assert np.array([s[:, 0] for s in log.x])[1] == pytest.approx([0.9, 0.1])
     assert_logged_ports(log, lag=0)
+
+
+def test_nan_event_names_first_non_finite_agent():
+    # agent 2 starts at x = inf; on the ring 0-1-2-3 only agents 1, 2 and 3
+    # see it in the step-0 efforts, so the event names agent 1: an
+    # edge's effort must not reach agents that do not own the edge
+    prob = DistributedProblem(
+        ring(4, 1.0), [LocalProblem(make_quadratic([[1.0]])) for _ in range(4)]
+    )
+    init = AgentState.zeros(SimConfig().compensator, prob)
+    init.rho[2, 0, 0] = np.inf
+    log = simulate(prob, SimConfig(duration=0.01, initial=init))
+    assert log.abort_reason == "nan" and log.abort_step == 0
+    event = log.events[0]
+    assert event["agent"] == 1
+    assert event["detail"].startswith("agent 1: non-finite derivative")
 
 
 def test_initial_states_checked_before_first_step():
@@ -325,8 +451,8 @@ def test_reference_point_offsets():
     ref = ReferencePoint(
         x=np.array([[1.0], [1.0]]),
         xi=np.array([[2.0], [3.0]]),
-        lam=[np.zeros(0), np.zeros(0)],
-        mu=[np.zeros(0), np.zeros(0)],
+        lam=np.zeros(0),
+        mu=np.zeros(0),
     )
     assert ref.z == pytest.approx([1.0])
     r_star, p_star, gamma, delta = ref.edge_offsets(0, 1, 4.0, 1.0)
@@ -342,13 +468,15 @@ def test_reference_point_offsets():
 
 def test_reference_point_validate():
     prob = single_agent_problem()
-    good = ReferencePoint(np.array([[3.0]]), np.zeros((1, 1)), [np.zeros(0)],
-                          [np.zeros(0)])
+    good = ReferencePoint(np.array([[3.0]]), np.zeros((1, 1)), np.zeros(0), np.zeros(0))
     assert good.validate(prob, 1e-9).max() == pytest.approx(0.0)
-    bad = ReferencePoint(np.array([[0.0]]), np.zeros((1, 1)), [np.zeros(0)],
-                         [np.zeros(0)])
+    bad = ReferencePoint(np.array([[0.0]]), np.zeros((1, 1)), np.zeros(0), np.zeros(0))
     with pytest.raises(ValueError, match="fails KKT"):
         bad.validate(prob, 1e-2)
+    # the multipliers are one vector in the problem's layout
+    wrong = ReferencePoint(np.array([[3.0]]), np.zeros((1, 1)), np.zeros(1), np.zeros(0))
+    with pytest.raises(ValueError, match=r"lam: expected shape \(0,\), got \(1,\)"):
+        wrong.validate(prob, 1e-2)
 
 
 def test_lyapunov_direct_zero_at_reference():
@@ -362,8 +490,7 @@ def test_lyapunov_direct_zero_at_reference():
 
     def first_sample(rho):
         init = AgentState(rho=rho, xi=ref.xi.copy(),
-                          lam=np.maximum(np.concatenate(ref.lam), 1e-12),
-                          mu=np.concatenate(ref.mu))
+                          lam=np.maximum(ref.lam, 1e-12), mu=ref.mu)
         cfg = SimConfig(duration=0.01, reference=ref, initial=init)
         return simulate(prob, cfg).lyap_direct[0]
 
@@ -447,8 +574,9 @@ def assert_matches_direct_flow(comp, mode, delay_steps=None):
         assert np.allclose(log.x[s], dx[s], atol=1e-12, rtol=0.0)
         assert np.allclose(log.xi[s], dxi[s], atol=1e-12, rtol=0.0)
         for i in range(3):
-            assert np.allclose(log.lam[s][i], dlam[s][i], atol=1e-12, rtol=0.0)
-            assert np.allclose(log.mu[s][i], dmu[s][i], atol=1e-12, rtol=0.0)
+            lam, mu = log.lam[s][prob.ineq_slices[i]], log.mu[s][prob.eq_slices[i]]
+            assert np.allclose(lam, dlam[s][i], atol=1e-12, rtol=0.0)
+            assert np.allclose(mu, dmu[s][i], atol=1e-12, rtol=0.0)
 
 
 def test_pure_integrator_matches_direct_flow():
@@ -543,7 +671,9 @@ def test_lyapunov_delayed_needs_full_rate_scattering_log():
     with pytest.raises(ValueError, match="needs a scattering run"):
         lyapunov_delayed(prob, log, ref, comp)
     log, ref, comp = run("scattering", 2)
-    # the delays the channels realize, quantized to whole steps
-    assert log.delays == {key: pytest.approx(0.2) for key in delays}
+    # the delays the channels realize, quantized to whole steps, in the
+    # order of log.edges
+    assert log.edges == list(delays)
+    np.testing.assert_allclose(log.delays, 0.2, rtol=1e-12)
     with pytest.raises(ValueError, match=r"full-rate logging \(log_every=1\)"):
         lyapunov_delayed(prob, log, ref, comp)

@@ -141,13 +141,11 @@ def single_agent_problem():
 def test_lagrangian_single_agent_oracle():
     prob = single_agent_problem()
     # f(2) = 4, lam^2 g = 4 * 1 = 4, mu h = 1: total 9
-    val = generalized_lagrangian(
-        prob, [[2.0]], [[0.0]], [np.array([2.0])], [np.array([1.0])]
-    )
+    val = generalized_lagrangian(prob, [[2.0]], [[0.0]], np.array([2.0]), np.array([1.0]))
     assert val == pytest.approx(9.0)
     # squared multiplier: sign of lam cannot matter
     val_neg = generalized_lagrangian(
-        prob, [[2.0]], [[0.0]], [np.array([-2.0])], [np.array([1.0])]
+        prob, [[2.0]], [[0.0]], np.array([-2.0]), np.array([1.0])
     )
     assert val_neg == pytest.approx(val)
 
@@ -157,7 +155,7 @@ def test_lagrangian_two_agent_coupling():
     loc = LocalProblem(make_affine([0.0]))
     prob = DistributedProblem(net, [loc, loc])
     x = np.array([[1.0], [0.0]])
-    zero = [np.zeros(0), np.zeros(0)]
+    zero = np.zeros(0)
     # only the quadratic consensus penalty: 0.5 * x^T L x = 0.5
     assert generalized_lagrangian(prob, x, np.zeros((2, 1)), zero, zero) == (
         pytest.approx(0.5)
@@ -179,7 +177,7 @@ def test_kkt_residual_zero_at_saddle():
     prob = DistributedProblem(net, locs)
     x = np.array([[2.0], [2.0]])
     xi = np.array([[1.0 / a], [0.0]])
-    zero = [np.zeros(0), np.zeros(0)]
+    zero = np.zeros(0)
     res = kkt_residual(prob, x, xi, zero, zero)
     assert res.max() == pytest.approx(0.0, abs=1e-12)
 
@@ -189,7 +187,7 @@ def test_kkt_residual_consensus_oracle():
     prob = DistributedProblem(
         ring(2, 3.0), [LocalProblem(make_affine([0.0])) for _ in range(2)]
     )
-    zero = [np.zeros(0), np.zeros(0)]
+    zero = np.zeros(0)
     xi = np.zeros((2, 1))
     res = kkt_residual(prob, np.array([[1.0], [0.0]]), xi, zero, zero)
     assert res.consensus == pytest.approx(3.0)
@@ -198,8 +196,8 @@ def test_kkt_residual_consensus_oracle():
 
 def test_kkt_residual_fields_respond():
     prob = single_agent_problem()
-    lam = [np.array([0.5])]
-    mu = [np.array([0.0])]
+    lam = np.array([0.5])
+    mu = np.array([0.0])
     res = kkt_residual(prob, [[2.0]], [[0.0]], lam, mu)
     assert res.primal_eq == pytest.approx(1.0)       # h(2) = 1
     assert res.primal_ineq == pytest.approx(1.0)     # g(2) = 1 > 0
@@ -221,5 +219,8 @@ def test_distributed_problem_validation():
     with pytest.raises(ValueError, match="dimension"):
         DistributedProblem(net, [loc1, loc2])
     prob = DistributedProblem(net, [loc1, loc1])
-    with pytest.raises(ValueError, match="multiplier"):
-        prob.check_multipliers([np.array([1.0]), np.zeros(0)], [np.zeros(0), np.zeros(0)])
+    x = np.zeros((2, 1))
+    with pytest.raises(ValueError, match=r"lam: expected shape \(0,\), got \(1,\)"):
+        kkt_residual(prob, x, x, np.array([1.0]), np.zeros(0))
+    with pytest.raises(ValueError, match=r"mu: expected shape \(0,\), got \(2, 0\)"):
+        generalized_lagrangian(prob, x, x, np.zeros(0), [np.zeros(0), np.zeros(0)])
