@@ -11,7 +11,6 @@ from .dynamics import (
     CompensatorParams,
     LambdaGuardError,
     compensator_storage,
-    constraint_force,
     derivatives,
     euler_step,
     multiplier_rate_bound,
@@ -45,6 +44,7 @@ from .problem import (
     KKTResidual,
     LocalProblem,
     ScalarFunction,
+    constraint_force,
     generalized_lagrangian,
     kkt_residual,
     make_affine,

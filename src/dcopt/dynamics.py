@@ -16,6 +16,13 @@ clamped.  The whole network steps as one state of stacked arrays
 (AgentState), and the storage, bound and defect kernels return one value
 per agent.
 
+Every local term (grad f, g, G, h, H) comes from one
+DistributedProblem.local_terms call per state, which runs no loop over the
+agents when every function is affine, as in the matching LP.  The rate
+bounds read grad f(x) and zeta from the AgentDerivative of the same step
+and take phi* = grad f(z*) and zeta* = zeta(z*, lam*, mu*), which stay
+fixed for a run, from the caller.
+
 With m = 1, b = (0,), c = (1,) the compensator is a pure integrator and the
 flow reduces to plain primal-dual gradient dynamics (the ablation mode that
 oscillates on merely convex objectives).
@@ -25,12 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .problem import constraint_force
+
 __all__ = [
     "CompensatorParams",
     "AgentState",
     "AgentDerivative",
     "LambdaGuardError",
-    "constraint_force",
     "derivatives",
     "euler_step",
     "compensator_storage",
@@ -128,41 +136,36 @@ class AgentState:
 
 @dataclass
 class AgentDerivative:
-    """Time derivatives of an AgentState, in its layout, plus nu (N, n)."""
+    """Time derivatives of an AgentState, in its layout, plus what the
+    diagnostics read at the same x: nu, grad f(x) and the constraint force
+    zeta, each (N, n)."""
 
     rho_dot: np.ndarray
     xi_dot: np.ndarray
     lam_dot: np.ndarray
     mu_dot: np.ndarray
-    nu: np.ndarray  # kept for diagnostics
-
-
-def constraint_force(prob, x, lam, mu):
-    """zeta_i = sum_k lam_ik^2 grad g_ik(x_i) + sum_k mu_ik grad h_ik(x_i)
-    for x (N, n) and the concatenated lam, mu; stacked (N, n)."""
-    zeta = np.zeros(x.shape)
-    for i, loc in enumerate(prob.local_problems):
-        if loc.n_ineq:
-            zeta[i] += loc.ineq_gradients(x[i]).T @ (lam[prob.ineq_slices[i]] ** 2)
-        if loc.n_eq:
-            zeta[i] += loc.eq_gradients(x[i]).T @ mu[prob.eq_slices[i]]
-    return zeta
+    nu: np.ndarray
+    grad: np.ndarray
+    zeta: np.ndarray
 
 
 def derivatives(prob, comp, state, effort):
     """Time derivatives of the network state from time-t information.
 
-    effort (N, 2n) holds each agent's summed port effort sum_j p_ij.
+    effort (N, 2n) holds each agent's summed port effort sum_j p_ij.  The
+    local terms come from one prob.local_terms(x) call, with no loop over
+    the agents when the problem is affine, and the constraint force from
+    one bincount by owner.  The result also keeps grad f(x) and zeta for
+    the diagnostics.
     """
     n = prob.dim
     x = state.x
-    locs = list(enumerate(prob.local_problems))
-    grad = np.array([loc.objective.gradient(x[i]) for i, loc in locs])
-    nu = -grad - constraint_force(prob, x, state.lam, state.mu) + effort[:, :n]
+    terms = prob.local_terms(x)
+    zeta = constraint_force(prob, terms, state.lam, state.mu)
+    nu = -terms.grad - zeta + effort[:, :n]
     rho_dot = comp.c[:, None] * nu[:, None, :] - comp.b[:, None] * state.rho
-    lam_dot = 2.0 * state.lam * np.concatenate([loc.ineq_values(x[i]) for i, loc in locs])
-    mu_dot = np.concatenate([loc.eq_values(x[i]) for i, loc in locs])
-    return AgentDerivative(rho_dot, effort[:, n:], lam_dot, mu_dot, nu)
+    lam_dot = 2.0 * state.lam * terms.g
+    return AgentDerivative(rho_dot, effort[:, n:], lam_dot, terms.h, nu, terms.grad, zeta)
 
 
 def euler_step(state, deriv, h):
@@ -225,28 +228,24 @@ def multiplier_storage(prob, lam, mu, lam_star, mu_star):
     return s
 
 
-def primal_rate_bound(prob, state, nu, z_star):
+def primal_rate_bound(state, deriv, z_star, phi_star):
     """Upper bound certified for d/dt of compensator_storage, (N,):
 
-    (x - z*)^T (phi - phi*),  phi = nu + grad f(x),  phi* = grad f(z*).
+    (x - z*)^T (phi - phi*),  phi = nu + grad f(x),  phi* = grad f(z*),
+
+    with nu and grad f(x) from deriv and phi* (N, n) fixed for the run.
     """
-    x = state.x
-    phi = nu + np.array([
-        loc.objective.gradient(x[i]) for i, loc in enumerate(prob.local_problems)
-    ])
-    phi_star = np.array([loc.objective.gradient(z_star) for loc in prob.local_problems])
-    return np.sum((x - z_star) * (phi - phi_star), axis=1)
+    phi = deriv.nu + deriv.grad
+    return np.sum((state.x - z_star) * (phi - phi_star), axis=1)
 
 
-def multiplier_rate_bound(prob, state, z_star, lam_star, mu_star):
+def multiplier_rate_bound(state, deriv, z_star, zeta_star):
     """Upper bound certified for d/dt of multiplier_storage, (N,):
 
-    (zeta - zeta*)^T (x - z*) with zeta the constraint force.
+    (zeta - zeta*)^T (x - z*) with zeta the constraint force of deriv and
+    zeta* = zeta(z*, lam*, mu*) (N, n) fixed for the run.
     """
-    x = state.x
-    zeta = constraint_force(prob, x, state.lam, state.mu)
-    zeta_star = constraint_force(prob, np.broadcast_to(z_star, x.shape), lam_star, mu_star)
-    return np.sum((zeta - zeta_star) * (x - z_star), axis=1)
+    return np.sum((deriv.zeta - zeta_star) * (state.x - z_star), axis=1)
 
 
 def storage_step_defects(prob, comp, state, deriv, lam_star, h):

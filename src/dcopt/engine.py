@@ -44,7 +44,6 @@ from .dynamics import (
     CompensatorParams,
     LambdaGuardError,
     compensator_storage,
-    constraint_force,
     derivatives,
     euler_step,
     multiplier_rate_bound,
@@ -52,7 +51,7 @@ from .dynamics import (
     primal_rate_bound,
     storage_step_defects,
 )
-from .problem import kkt_residual
+from .problem import constraint_force, kkt_residual
 from .scattering import ChannelEnd, CouplingMatrix, DelayLine, wave_identity_residual
 
 __all__ = [
@@ -156,6 +155,12 @@ class ReferencePoint:
         if res.max() > tol:
             raise ValueError(f"reference point fails KKT at {tol}: {res.as_dict()}")
         return res
+
+    def forces(self, prob):
+        """(phi*, zeta*) = (grad f(z*), zeta(z*, lam*, mu*)), each (N, n):
+        the reference terms of the two rate bounds, fixed for a run."""
+        terms = prob.local_terms(np.broadcast_to(self.z, self.x.shape))
+        return terms.grad, constraint_force(prob, terms, self.lam, self.mu)
 
     def edge_offsets(self, i, j, weight, eta):
         """(r*, p*, gamma*, delta*) for the directed pair (i, j), or stacked
@@ -360,7 +365,8 @@ def passivity_check(prob, log, ref, comp):
     The online path inside simulate() accumulates the same quantities; this
     post-hoc route exists so the two can be cross-checked on short runs.
     It rebuilds the state, xi_dot (from the logged r) and lam_dot from the
-    log itself; only the storage, bound and defect kernels are shared.
+    log itself; only the local-terms, storage, bound and defect kernels are
+    shared.
     """
     if log.config.log_every != 1:
         raise ValueError("passivity_check needs full-rate logging (log_every=1)")
@@ -377,6 +383,7 @@ def passivity_check(prob, log, ref, comp):
     xi_factor = 2.0 if mode == "scattering" else 1.0
     wave_max = 0.0
     r_star, p_star, _, _ = _port_offsets(ref, edges, log.config)
+    phi_star, zeta_star = ref.forces(prob)
 
     prev = None
     for k in range(len(log.t)):
@@ -400,11 +407,11 @@ def passivity_check(prob, log, ref, comp):
         x = log.x[k]
         r = log.edge_r[k]
         xi_dot = edges.per_agent(edges.weight * (r[:, :dim] - x[edges.own]))
-        locs = enumerate(prob.local_problems)
-        g, hv = zip(*((p.ineq_values(x[i]), p.eq_values(x[i])) for i, p in locs))
+        terms = prob.local_terms(x)
         deriv = AgentDerivative(
             comp.c[:, None] * nu[:, None, :] - comp.b[:, None] * st.rho,
-            xi_dot, 2.0 * st.lam * np.concatenate(g), np.concatenate(hv), nu,
+            xi_dot, 2.0 * st.lam * terms.g, terms.h, nu,
+            terms.grad, constraint_force(prob, terms, st.lam, st.mu),
         )
         d_c, d_m, d_xi = storage_step_defects(prob, comp, st, deriv, ref.lam, h)
         bnd_coup = np.full(n, np.nan)
@@ -415,8 +422,8 @@ def passivity_check(prob, log, ref, comp):
             res = wave_identity_residual(log.edge_s_in[k], log.edge_s_out[k], r, p)
             wave_max = max(wave_max, float(np.abs(res).max(initial=0.0)))
         prev = (
-            (sc, primal_rate_bound(prob, st, nu, ref.z), d_c),
-            (sg, multiplier_rate_bound(prob, st, ref.z, ref.lam, ref.mu), d_m),
+            (sc, primal_rate_bound(st, deriv, ref.z, phi_star), d_c),
+            (sg, multiplier_rate_bound(st, deriv, ref.z, zeta_star), d_m),
             (s_full, bnd_coup, d_c + d_m + d_xi),
         )
     return PassivityReport(*excess, wave_identity_max=wave_max)
@@ -467,10 +474,16 @@ def _initial_state(prob, cfg):
         raise TypeError("initial: expected one stacked AgentState")
     state = AgentState(*(np.array(a, dtype=float)
                          for a in (init.rho, init.xi, init.lam, init.mu)))
+    owners = {"lam": prob.ineq_owner, "mu": prob.eq_owner}
     for name in ("rho", "xi", "lam", "mu"):
-        got, shape = getattr(state, name).shape, getattr(zeros, name).shape
-        if got != shape:
-            raise ValueError(f"initial.{name}: expected shape {shape}, got {got}")
+        values, shape = getattr(state, name), getattr(zeros, name).shape
+        if values.shape != shape:
+            raise ValueError(f"initial.{name}: expected shape {shape}, got {values.shape}")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            k = np.unravel_index(np.argmax(bad), shape)
+            agent = int(owners[name][k[0]]) if name in owners else int(k[0])
+            raise ValueError(f"initial.{name}: non-finite value {values[k]} (agent {agent})")
     if state.lam.size and state.lam.min() <= 0.0:
         agent, local = _ineq_entry(prob, int(np.argmax(state.lam <= 0.0)))
         raise ValueError(
@@ -543,7 +556,8 @@ def simulate(prob, cfg):
         log.lam.append(state.lam)
         log.mu.append(state.mu)
         log.nu.append(None if deriv is None else deriv.nu)
-        log.zeta.append(constraint_force(prob, x, state.lam, state.mu))
+        log.zeta.append(deriv.zeta if deriv is not None else constraint_force(
+            prob, prob.local_terms(x), state.lam, state.mu))
         for series, arr in zip(
             (log.edge_r, log.edge_p, log.edge_s_in, log.edge_s_out), ports
         ):
@@ -659,6 +673,7 @@ class _DiagState:
         self.acc = 0.0
         self.channels = None
         self.r_star, self.p_star, gamma, delta = _port_offsets(ref, edges, cfg)
+        self.phi_star, self.zeta_star = ref.forces(prob)
         if cfg.mode == "scattering":
             # one channel per undirected edge: (i, j) with i < j and its
             # reverse (j, i)
@@ -709,8 +724,8 @@ class _DiagState:
     def step(self, t, state, deriv, r, p, s_in, s_out, log, on_grid):
         prob, ref = self.prob, self.ref
         h = self.cfg.step
-        bnd_comp = primal_rate_bound(prob, state, deriv.nu, ref.z)
-        bnd_mult = multiplier_rate_bound(prob, state, ref.z, ref.lam, ref.mu)
+        bnd_comp = primal_rate_bound(state, deriv, ref.z, self.phi_star)
+        bnd_mult = multiplier_rate_bound(state, deriv, ref.z, self.zeta_star)
         bnd_coup = np.full(prob.n_agents, np.nan)
         d_c, d_m, d_xi = storage_step_defects(prob, self.comp, state, deriv, ref.lam, h)
         if self.has_ports:

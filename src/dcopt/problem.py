@@ -10,6 +10,7 @@ Only first-order information (value, gradient) is required of any function.
 
 import itertools
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +24,9 @@ __all__ = [
     "make_quadratic",
     "make_linear_nonneg_bound",
     "LocalProblem",
+    "LocalTerms",
     "DistributedProblem",
+    "constraint_force",
     "KKTResidual",
     "generalized_lagrangian",
     "kkt_residual",
@@ -175,45 +178,56 @@ class LocalProblem:
                 raise ValueError("equality dimension mismatch")
         self.n_ineq = len(self.inequalities)
         self.n_eq = len(self.equalities)
-        # stacked constant-gradient fast path; None when any gradient varies
-        self._g_mat, self._g_off = self._stack_constant(self.inequalities)
-        self._h_mat, self._h_off = self._stack_constant(self.equalities)
-
-    def _stack_constant(self, funcs):
-        """(gradient rows, values at 0) when every function is affine with a
-        constant gradient, else (None, None)."""
-        rows = []
-        for f in funcs:
-            c = f.constant_gradient()
-            if c is None or not f.is_affine:
-                return None, None
-            rows.append(c)
-        zero = np.zeros(self.dim)
-        return np.array(rows).reshape(-1, self.dim), np.array([f.value(zero) for f in funcs])
 
     def ineq_values(self, x):
         """Vector of g_k(x)."""
-        if self._g_mat is not None:
-            return self._g_mat @ x + self._g_off
         return np.array([g.value(x) for g in self.inequalities])
 
     def eq_values(self, x):
         """Vector of h_k(x)."""
-        if self._h_mat is not None:
-            return self._h_mat @ x + self._h_off
         return np.array([h.value(x) for h in self.equalities])
 
     def ineq_gradients(self, x):
         """(n_ineq, n) matrix of constraint gradients at x."""
-        if self._g_mat is not None:
-            return self._g_mat
-        return np.array([g.gradient(x) for g in self.inequalities])
+        return np.array([g.gradient(x) for g in self.inequalities]).reshape(-1, self.dim)
 
     def eq_gradients(self, x):
         """(n_eq, n) matrix of equality gradients at x."""
-        if self._h_mat is not None:
-            return self._h_mat
-        return np.array([h.gradient(x) for h in self.equalities])
+        return np.array([h.gradient(x) for h in self.equalities]).reshape(-1, self.dim)
+
+
+class LocalTerms(NamedTuple):
+    """The agents' first-order local terms at a stacked x (N, n), in the
+    multiplier layout of the problem:
+
+    grad (N, n)       objective gradients grad f_i(x_i)
+    g (L,), G (L, n)  inequality values g_k(x_owner) and gradient rows
+    h (M,), H (M, n)  equality values and gradient rows
+
+    The constraint terms are stored stacked, inequalities first: values
+    [g; h] (L + M,) and rows [G; H] (L + M, n), with cut = L.
+    """
+
+    grad: np.ndarray
+    values: np.ndarray
+    rows: np.ndarray
+    cut: int
+
+    @property
+    def g(self):
+        return self.values[:self.cut]
+
+    @property
+    def G(self):
+        return self.rows[:self.cut]
+
+    @property
+    def h(self):
+        return self.values[self.cut:]
+
+    @property
+    def H(self):
+        return self.rows[self.cut:]
 
 
 class DistributedProblem:
@@ -239,6 +253,37 @@ class DistributedProblem:
         self.n_agents = network.n_agents
         self.ineq_owner, self.ineq_slices = _layout([p.n_ineq for p in locs])
         self.eq_owner, self.eq_slices = _layout([p.n_eq for p in locs])
+        # owner of each stacked constraint row [G; H], and the flat (N, n)
+        # bin of each of its entries, for the force
+        self._row_owner = np.concatenate([self.ineq_owner, self.eq_owner])
+        self._row_bins = (self._row_owner[:, None] * self.dim + np.arange(self.dim)).ravel()
+        self._affine = _stack_affine(self)
+
+    def local_terms(self, x):
+        """The LocalTerms at x (N, n).
+
+        When every function reports a constant gradient, the terms were
+        stacked at construction and a call is one gather of x by row owner
+        and one einsum, with no loop over the agents.  Otherwise one loop
+        over the local problems asks each function for its value and
+        gradient.
+        """
+        cut = self.ineq_owner.size
+        if self._affine is not None:
+            grad, rows, offsets = self._affine
+            values = np.einsum("kn,kn->k", rows, x[self._row_owner]) + offsets
+            return LocalTerms(grad, values, rows, cut)
+        grad = np.empty((self.n_agents, self.dim))
+        values = np.empty(self._row_owner.size)
+        rows = np.empty((self._row_owner.size, self.dim))
+        terms = LocalTerms(grad, values, rows, cut)
+        g, G, h, H = terms.g, terms.G, terms.h, terms.H  # views to fill
+        for i, p in enumerate(self.local_problems):
+            grad[i] = p.objective.gradient(x[i])
+            si, se = self.ineq_slices[i], self.eq_slices[i]
+            g[si], G[si] = p.ineq_values(x[i]), p.ineq_gradients(x[i])
+            h[se], H[se] = p.eq_values(x[i]), p.eq_gradients(x[i])
+        return terms
 
 
 def _layout(counts):
@@ -246,6 +291,27 @@ def _layout(counts):
     owner = np.repeat(np.arange(len(counts)), counts)
     ends = itertools.accumulate(counts)
     return owner, tuple(slice(e - c, e) for c, e in zip(counts, ends))
+
+
+def _stack_affine(prob):
+    """(C (N, n), rows [G; H], offsets [g(0); h(0)]), all read-only, when
+    every objective and constraint of prob reports a constant gradient and
+    every constraint is affine; else None."""
+    locs = prob.local_problems
+    cons = [f for p in locs for f in p.inequalities] + [f for p in locs for f in p.equalities]
+    grads = [p.objective.constant_gradient() for p in locs]
+    rows = [f.constant_gradient() for f in cons]
+    if any(c is None for c in grads + rows) or not all(f.is_affine for f in cons):
+        return None
+    zero = np.zeros(prob.dim)
+    stacked = (
+        np.array(grads, dtype=float),
+        np.array(rows, dtype=float).reshape(-1, prob.dim),
+        np.array([f.value(zero) for f in cons]),
+    )
+    for a in stacked:
+        a.setflags(write=False)
+    return stacked
 
 
 def _checked_point(prob, x, xi, lam, mu):
@@ -261,6 +327,17 @@ def _checked_point(prob, x, xi, lam, mu):
     return x, xi, lam, mu
 
 
+def constraint_force(prob, terms, lam, mu):
+    """zeta_i = sum_k lam_ik^2 grad g_ik(x_i) + sum_k mu_ik grad h_ik(x_i),
+    stacked (N, n), from the LocalTerms at x and lam, mu in the multiplier
+    layout of prob.  Each weighted row adds into its owning agent alone
+    (bincount), so a non-finite row stays with its own agent."""
+    weighted = np.concatenate([lam**2, mu])[:, None] * terms.rows
+    zeta = np.bincount(prob._row_bins, weights=weighted.ravel(),
+                       minlength=prob.n_agents * prob.dim)
+    return zeta.reshape(prob.n_agents, prob.dim)
+
+
 @dataclass
 class KKTResidual:
     """Infinity-norm residuals of the optimality conditions."""
@@ -272,7 +349,8 @@ class KKTResidual:
     comp_slack: float
 
     def max(self):
-        return max(self.as_dict().values())
+        """The worst field; NaN when any field is NaN."""
+        return float(np.max(list(self.as_dict().values())))
 
     def as_dict(self):
         return asdict(self)
@@ -290,16 +368,17 @@ def generalized_lagrangian(prob, x, xi, lam, mu):
     inequality weight nonnegative without projection.
     """
     x, xi, lam, mu = _checked_point(prob, x, xi, lam, mu)
-    total = 0.0
-    for i, p in enumerate(prob.local_problems):
-        total += p.objective.value(x[i])
-        if p.n_ineq:
-            total += float((lam[prob.ineq_slices[i]] ** 2) @ p.ineq_values(x[i]))
-        if p.n_eq:
-            total += float(mu[prob.eq_slices[i]] @ p.eq_values(x[i]))
+    terms = prob.local_terms(x)
+    total = sum(p.objective.value(x[i]) for i, p in enumerate(prob.local_problems))
+    total += float(lam**2 @ terms.g) + float(mu @ terms.h)
     lx = laplacian_apply(prob.network, x)
     total += float(-np.sum(xi * lx) + 0.5 * np.sum(x * lx))
     return total
+
+
+def _inf_norm(a):
+    """max |a|, 0 for an empty a; NaN when a holds a NaN."""
+    return float(np.abs(a).max(initial=0.0))
 
 
 def kkt_residual(prob, x, xi, lam, mu):
@@ -314,27 +393,19 @@ def kkt_residual(prob, x, xi, lam, mu):
 
     x and xi are (N, n); lam and mu are the concatenated multiplier vectors
     of prob's layout, and any other shape is a ValueError naming the field.
+    Every field is a numpy reduction over the whole network, so a NaN from
+    any agent reaches each field it enters.
     """
     x, xi, lam, mu = _checked_point(prob, x, xi, lam, mu)
+    terms = prob.local_terms(x)
     lx = laplacian_apply(prob.network, x)
     lxi = laplacian_apply(prob.network, xi)
-    consensus = float(np.abs(lx).max()) if lx.size else 0.0
-    stationarity = 0.0
-    primal_eq = 0.0
-    primal_ineq = 0.0
-    comp_slack = 0.0
-    for i, p in enumerate(prob.local_problems):
-        grad = p.objective.gradient(x[i]).astype(float, copy=True)
-        if p.n_ineq:
-            gi = p.ineq_values(x[i])
-            lam2 = lam[prob.ineq_slices[i]] ** 2
-            grad += p.ineq_gradients(x[i]).T @ lam2
-            primal_ineq = max(primal_ineq, float(np.maximum(gi, 0.0).max()))
-            comp_slack = max(comp_slack, float(np.abs(lam2 * gi).max()))
-        if p.n_eq:
-            hi = p.eq_values(x[i])
-            grad += p.eq_gradients(x[i]).T @ mu[prob.eq_slices[i]]
-            primal_eq = max(primal_eq, float(np.abs(hi).max()))
-        # sum_j a_ij (xi_j - xi_i) = -(L xi)_i
-        stationarity = max(stationarity, float(np.abs(grad - lxi[i]).max()))
-    return KKTResidual(consensus, stationarity, primal_eq, primal_ineq, comp_slack)
+    # sum_j a_ij (xi_j - xi_i) = -(L xi)_i
+    stationarity = terms.grad + constraint_force(prob, terms, lam, mu) - lxi
+    return KKTResidual(
+        consensus=_inf_norm(lx),
+        stationarity=_inf_norm(stationarity),
+        primal_eq=_inf_norm(terms.h),
+        primal_ineq=float(np.maximum(terms.g, 0.0).max(initial=0.0)),
+        comp_slack=_inf_norm(lam**2 * terms.g),
+    )

@@ -178,6 +178,14 @@ def test_kkt_series_max():
     assert np.array_equal(kkt_series_max(log), [3.0, 1.0])
 
 
+def test_kkt_series_max_keeps_nan():
+    # a NaN field makes its sample NaN wherever it sits among the fields
+    log = fake_log([{"consensus": 1.0, "comp_slack": np.nan},
+                    {"consensus": np.nan, "comp_slack": 1.0}, {"primal_eq": 1.0}])
+    series = kkt_series_max(log)
+    assert np.isnan(series[:2]).all() and series[2] == 1.0
+
+
 def read_diag(path):
     out = {}
     for line in path.read_text().splitlines():

@@ -101,7 +101,8 @@ def test_zero_state_shapes():
 def test_constraint_force_hand_value():
     prob, st = hand_prob(), hand_state()
     # lam^2 * 1 + mu * 1 = 0.04 + 0.3
-    assert constraint_force(prob, st.x, st.lam, st.mu)[0] == pytest.approx([0.34])
+    terms = prob.local_terms(st.x)
+    assert constraint_force(prob, terms, st.lam, st.mu)[0] == pytest.approx([0.34])
 
 
 def test_derivatives_hand_values_isolated():
@@ -239,7 +240,8 @@ def test_primal_rate_bound_dominates_exact_rate():
         effort = rng.normal(size=(1, 6))
         d = derivatives(prob, comp, st, effort)
         rate_c, _ = analytic_rates(comp, st, d, z_star, np.zeros(1), np.zeros(1))
-        bound = primal_rate_bound(prob, st, d.nu, z_star)
+        phi_star = prob.local_terms(z_star[None, :]).grad
+        bound = primal_rate_bound(st, d, z_star, phi_star)
         assert bound.shape == (1,)
         assert rate_c <= bound[0] + 1e-10
 
@@ -269,7 +271,9 @@ def test_multiplier_rate_bound_dominates_exact_rate():
         mu_star = rng.normal(size=1)
         d = derivatives(prob, comp, st, no_effort(prob))
         _, rate_g = analytic_rates(comp, st, d, z_star, lam_star, mu_star)
-        bound = multiplier_rate_bound(prob, st, z_star, lam_star, mu_star)
+        star = prob.local_terms(z_star[None, :])
+        zeta_star = constraint_force(prob, star, lam_star, mu_star)
+        bound = multiplier_rate_bound(st, d, z_star, zeta_star)
         assert rate_g <= bound[0] + 1e-10
 
 
@@ -392,7 +396,7 @@ def test_network_kernels_equal_one_agent_values():
         li, mi = prob.ineq_slices[i], prob.eq_slices[i]
         st_i = AgentState(st.rho[i:i + 1], st.xi[i:i + 1], st.lam[li], st.mu[mi])
         d_i = type(d)(d.rho_dot[i:i + 1], d.xi_dot[i:i + 1], d.lam_dot[li],
-                      d.mu_dot[mi], d.nu[i:i + 1])
+                      d.mu_dot[mi], d.nu[i:i + 1], d.grad[i:i + 1], d.zeta[i:i + 1])
         s_i = multiplier_storage(one, st.lam[li], st.mu[mi], lam_star[li], mu_star[mi])
         assert s_net[i] == pytest.approx(s_i[0], rel=1e-15, abs=1e-15)
         for net, single in zip(defects_net,

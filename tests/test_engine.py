@@ -13,7 +13,11 @@ from dcopt import (
     ReferencePoint,
     ScalarFunction,
     SimConfig,
+    build_distributed_problem,
     converged_reference,
+    derivatives,
+    generate_instance,
+    kkt_residual,
     lyapunov_delayed,
     make_affine,
     make_quadratic,
@@ -335,8 +339,10 @@ def test_divergence_guard_aborts_run():
 
 
 def test_nan_guard_aborts_before_commit():
+    # a finite start (a non-finite one is rejected up front) whose stages
+    # sum to x = inf
     prob = single_agent_problem()
-    init = AgentState(rho=np.array([[[np.inf], [0.0]]]), xi=np.zeros((1, 1)),
+    init = AgentState(rho=np.array([[[1e308], [1e308]]]), xi=np.zeros((1, 1)),
                       lam=np.zeros(0), mu=np.zeros(0))
     log = simulate(prob, SimConfig(duration=1.0, initial=init))
     assert log.abort_reason == "nan"
@@ -400,14 +406,15 @@ def test_no_delay_logs_current_ports():
 
 
 def test_nan_event_names_first_non_finite_agent():
-    # agent 2 starts at x = inf; on the ring 0-1-2-3 only agents 1, 2 and 3
-    # see it in the step-0 efforts, so the event names agent 1: an
-    # edge's effort must not reach agents that do not own the edge
+    # agent 2 starts at x = inf (two finite stages whose sum overflows); on
+    # the ring 0-1-2-3 only agents 1, 2 and 3 see it in the step-0 efforts,
+    # so the event names agent 1: an edge's effort must not reach agents
+    # that do not own the edge
     prob = DistributedProblem(
         ring(4, 1.0), [LocalProblem(make_quadratic([[1.0]])) for _ in range(4)]
     )
     init = AgentState.zeros(SimConfig().compensator, prob)
-    init.rho[2, 0, 0] = np.inf
+    init.rho[2, :, 0] = 1e308
     log = simulate(prob, SimConfig(duration=0.01, initial=init))
     assert log.abort_reason == "nan" and log.abort_step == 0
     event = log.events[0]
@@ -434,6 +441,14 @@ def test_initial_states_checked_before_first_step():
         (state(mu=np.zeros(0)), r"initial\.mu: expected shape \(1,\), got \(0,\)"),
         (state(lam=np.array([0.0])),
          r"initial\.lam: .* must be positive \(agent 0, multiplier 0\)"),
+        # a non-finite entry names its field, its agent and its value, not
+        # a neighbour that sees it in the first step
+        (state(rho=np.array([[[0.0], [0.0]], [[0.0], [0.0]], [[0.0], [np.inf]]])),
+         r"initial\.rho: non-finite value inf \(agent 2\)"),
+        (state(xi=np.array([[0.0], [np.nan], [0.0]])),
+         r"initial\.xi: non-finite value nan \(agent 1\)"),
+        (state(lam=np.array([-np.inf])), r"initial\.lam: non-finite value -inf \(agent 0\)"),
+        (state(mu=np.array([np.nan])), r"initial\.mu: non-finite value nan \(agent 2\)"),
     ):
         with pytest.raises(ValueError, match=msg):
             simulate(prob, SimConfig(duration=0.1, initial=init))
@@ -557,8 +572,9 @@ def direct_primal_dual_run(prob, duration, step, lam0=0.01, comp=None,
     return out_x, out_xi, out_lam, out_mu
 
 
-def assert_matches_direct_flow(comp, mode, delay_steps=None):
-    prob = three_agent_quadratic()  # constraint counts 1/0/0 and 0/0/1
+def assert_matches_direct_flow(comp, mode, delay_steps=None, prob=None):
+    if prob is None:
+        prob = three_agent_quadratic()  # constraint counts 1/0/0 and 0/0/1
     step, duration = 1e-3, 2.0
     delays = None
     if delay_steps is not None:
@@ -677,3 +693,100 @@ def test_lyapunov_delayed_needs_full_rate_scattering_log():
     np.testing.assert_allclose(log.delays, 0.2, rtol=1e-12)
     with pytest.raises(ValueError, match=r"full-rate logging \(log_every=1\)"):
         lyapunov_delayed(prob, log, ref, comp)
+
+
+def test_kkt_residual_keeps_nan():
+    # one agent's NaN reaches every field it enters; agent 2's equality
+    # sees only its own x = 0
+    prob = three_agent_quadratic()
+    x = np.array([[np.nan], [0.0], [0.0]])
+    res = kkt_residual(prob, x, np.zeros((3, 1)), np.array([0.01]), np.zeros(1))
+    for name in ("consensus", "stationarity", "primal_ineq", "comp_slack"):
+        assert np.isnan(getattr(res, name)), name
+    assert res.primal_eq == 3.0
+    assert np.isnan(res.max())
+
+
+class Opaque(ScalarFunction):
+    """A function that does not report its constant gradient, so a problem
+    built from it takes the loop path of local_terms."""
+
+    def __init__(self, f):
+        self.f = f
+        self.dim = f.dim
+        self.is_affine = f.is_affine
+        self.declared_convex = f.declared_convex
+
+    def value(self, x):
+        return self.f.value(x)
+
+    def gradient(self, x):
+        return self.f.gradient(x)
+
+
+def opaque(prob):
+    return DistributedProblem(prob.network, [
+        LocalProblem(Opaque(p.objective), [Opaque(g) for g in p.inequalities],
+                     [Opaque(h) for h in p.equalities])
+        for p in prob.local_problems
+    ])
+
+
+def assert_terms_equal(a, b, tol):
+    for name in ("grad", "g", "G", "h", "H"):
+        np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=0.0, atol=tol,
+                                   err_msg=name)
+
+
+def test_local_terms_affine_and_loop_paths_agree():
+    # the matching LP is affine throughout, so its terms are stacked once;
+    # the same functions behind Opaque take the per-agent loop
+    prob = build_distributed_problem(generate_instance(5))
+    loop = opaque(prob)
+    assert prob._affine is not None and loop._affine is None
+    rng = np.random.default_rng(7)
+    comp = SimConfig().compensator
+    for _ in range(5):
+        st = AgentState(rho=rng.normal(size=(5, comp.m, prob.dim)),
+                        xi=rng.normal(size=(5, prob.dim)),
+                        lam=rng.uniform(0.1, 2.0, size=prob.ineq_owner.size),
+                        mu=rng.normal(size=prob.eq_owner.size))
+        assert_terms_equal(prob.local_terms(st.x), loop.local_terms(st.x), 1e-12)
+        effort = rng.normal(size=(5, 2 * prob.dim))
+        da = derivatives(prob, comp, st, effort)
+        db = derivatives(loop, comp, st, effort)
+        for name in ("rho_dot", "xi_dot", "lam_dot", "mu_dot", "nu", "grad", "zeta"):
+            np.testing.assert_allclose(getattr(da, name), getattr(db, name),
+                                       rtol=0.0, atol=1e-12, err_msg=name)
+    cfg = SimConfig(duration=1.0, log_every=100)
+    la, lb = simulate(prob, cfg), simulate(loop, cfg)
+    assert la.abort_reason is None and lb.abort_reason is None
+    for a, b in zip(la.final_stacks(), lb.final_stacks()):
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-12)
+
+
+def quadratic_inequality_problem():
+    """three_agent_quadratic with agent 0's bound x <= 5 as x^2/2 <= 12.5
+    (inactive at x* = 3): its gradient row depends on the state."""
+    net = ring(3, 2.0)
+    locs = [
+        LocalProblem(make_quadratic([[1.0]], [-1.0]),
+                     inequalities=[make_quadratic([[1.0]], d=-12.5)]),
+        LocalProblem(make_quadratic([[1.0]], [-2.0])),
+        LocalProblem(make_quadratic([[1.0]], [-6.0]),
+                     equalities=[make_affine([1.0], -3.0)]),
+    ]
+    return DistributedProblem(net, locs)
+
+
+def test_local_terms_loop_path_with_state_dependent_rows():
+    prob = quadratic_inequality_problem()
+    assert prob._affine is None
+    x = np.array([[2.0], [-1.0], [4.0]])
+    terms = prob.local_terms(x)
+    assert terms.grad[:, 0].tolist() == [1.0, -3.0, -2.0]
+    assert terms.g.tolist() == [2.0 - 12.5] and terms.G.tolist() == [[2.0]]
+    assert terms.h.tolist() == [1.0] and terms.H.tolist() == [[1.0]]
+    assert prob.local_terms(2.0 * x).G.tolist() == [[4.0]]
+    # the engine follows the independent loop on this problem too
+    assert_matches_direct_flow(SimConfig().compensator, "no_delay", prob=prob)
