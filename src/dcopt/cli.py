@@ -16,6 +16,7 @@ reproduces trajectory.csv byte for byte).
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -88,6 +89,7 @@ def _check_number(field, value, positive=False, nonneg=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: expected a number, got {value!r}")
     v = float(value)
+    _require(math.isfinite(v), field, f"must be finite, got {v}")
     if positive:
         _require(v > 0.0, field, f"must be > 0, got {v}")
     if nonneg:
@@ -267,7 +269,7 @@ def compute_reference(cfg, prob):
     try:
         res = ref.validate(prob, KKT_TOL)
     except ValueError:
-        worst = max(log.kkt[-1].as_dict().values())
+        worst = log.kkt[-1].max()
         return None, (
             f"no-delay end state fails KKT at {KKT_TOL:g} "
             f"(max residual {worst:.3e})"

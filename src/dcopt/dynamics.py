@@ -28,7 +28,7 @@ flow reduces to plain primal-dual gradient dynamics (the ablation mode that
 oscillates on merely convex objectives).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -110,17 +110,22 @@ class AgentState:
                     each the agents' vectors concatenated in agent order
                     (the layout of DistributedProblem)
 
-    A step builds new arrays and never writes into old ones.
+    A step builds new arrays and never writes into old ones.  x is formed
+    once per rho array and kept, so a step's phases share one x; replace
+    rho rather than write into it.
     """
 
     rho: np.ndarray
     xi: np.ndarray
     lam: np.ndarray
     mu: np.ndarray
+    _x: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def x(self):
-        return self.rho.sum(axis=1)
+        if self._x is None or self._x[0] is not self.rho:
+            self._x = (self.rho, self.rho.sum(axis=1))
+        return self._x[1]
 
     @staticmethod
     def zeros(comp, prob, lam0=0.01):

@@ -63,7 +63,6 @@ __all__ = [
     "lyapunov_delayed",
     "passivity_check",
     "PassivityReport",
-    "converged_reference",
 ]
 
 MODES = ("no_delay", "naive_delay", "scattering")
@@ -108,6 +107,9 @@ class SimConfig:
     def __post_init__(self):
         if self.compensator is None:
             self.compensator = CompensatorParams(np.array([0.0, 5.0]), np.array([1.0, 10.0]))
+        for name in ("step", "duration", "eta", "lam0", "diag_interval"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.step <= 0.0:
             raise ValueError("step must be positive")
         if self.duration < 0.0:
@@ -150,9 +152,9 @@ class ReferencePoint:
         self.mu = np.array(mu, dtype=float)
 
     def validate(self, prob, tol=1e-2):
-        """Require every KKT residual field <= tol."""
+        """Require every KKT residual field <= tol; a NaN field fails."""
         res = kkt_residual(prob, self.x, self.xi, self.lam, self.mu)
-        if res.max() > tol:
+        if not res.max() <= tol:
             raise ValueError(f"reference point fails KKT at {tol}: {res.as_dict()}")
         return res
 
@@ -746,26 +748,3 @@ class _DiagState:
         self.prev = tuple(zip(
             storages, (bnd_comp, bnd_mult, bnd_coup), (d_c, d_m, d_c + d_m + d_xi)
         ))
-
-
-def converged_reference(prob, duration, step=1e-3, compensator=None, lam0=0.01,
-                        tol=1e-2, log_every=1000):
-    """Run the no-delay flow to convergence and validate the endpoint.
-
-    Returns (reference, log).  Raises when the endpoint misses the KKT
-    tolerance; a longer duration is the usual fix.
-    """
-    cfg = SimConfig(
-        step=step,
-        duration=duration,
-        mode="no_delay",
-        compensator=compensator,
-        lam0=lam0,
-        log_every=log_every,
-    )
-    log = simulate(prob, cfg)
-    if log.abort_reason is not None:
-        raise RuntimeError(f"reference run aborted: {log.abort_reason}")
-    ref = ReferencePoint(*log.final_stacks())
-    ref.validate(prob, tol)
-    return ref, log

@@ -7,7 +7,6 @@ __all__ = [
     "ring",
     "laplacian",
     "laplacian_apply",
-    "neighbors",
     "is_connected",
 ]
 
@@ -20,11 +19,10 @@ class Network:
     adjacency : (N, N) array_like
         Symmetric weight matrix, zero diagonal, nonnegative entries.
         a[i, j] > 0 means i and j exchange information with weight a[i, j].
-    require_connected : bool
-        Reject graphs whose positive-weight edges do not connect all agents.
+        The positive-weight edges must connect all agents.
     """
 
-    def __init__(self, adjacency, require_connected=True):
+    def __init__(self, adjacency):
         a = np.array(adjacency, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
@@ -39,12 +37,7 @@ class Network:
         a.setflags(write=False)
         self.adjacency = a
         self.n_agents = a.shape[0]
-        # neighbor lists in ascending j order; fixed at construction
-        self._neighbors = tuple(
-            tuple((j, a[i, j]) for j in range(self.n_agents) if a[i, j] > 0.0)
-            for i in range(self.n_agents)
-        )
-        if require_connected and not is_connected(self):
+        if not is_connected(self):
             raise ValueError("network is not connected")
 
     def edges(self):
@@ -107,23 +100,13 @@ def laplacian_apply(net, v):
     return deg[:, None] * v - a @ v
 
 
-def neighbors(net, i):
-    """Neighbors of agent i as a tuple of (j, weight), ascending j."""
-    if not 0 <= i < net.n_agents:
-        raise ValueError(f"agent index {i} out of range")
-    return net._neighbors[i]
-
-
 def is_connected(net):
     """True when every agent is reachable over positive-weight edges."""
-    n = net.n_agents
-    seen = np.zeros(n, dtype=bool)
-    stack = [0]
+    seen = np.zeros(net.n_agents, dtype=bool)
     seen[0] = True
+    stack = [0]
     while stack:
-        i = stack.pop()
-        for j, _ in net._neighbors[i]:
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
+        reached = (net.adjacency[stack.pop()] > 0.0) & ~seen
+        seen |= reached
+        stack.extend(np.flatnonzero(reached).tolist())
     return bool(seen.all())

@@ -15,26 +15,22 @@ contributes the row-l cost, the row-l and column-l sum constraints, and
 nonnegativity bounds for its own row.
 """
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import ring
 from .problem import (
+    AffineFunction,
     DistributedProblem,
     LocalProblem,
-    make_affine,
     make_linear_nonneg_bound,
 )
 
 __all__ = [
     "MatchingInstance",
     "generate_instance",
-    "load_instance_csv",
-    "save_instance_csv",
     "build_distributed_problem",
     "brute_force_optimal",
     "assignment_cost",
@@ -42,6 +38,7 @@ __all__ = [
 ]
 
 _MAX_BRUTE_FORCE = 10  # 10! permutations is already ~3.6M
+_MIN_GAP = 1e-6  # least cost gap between the best two permutations
 
 
 @dataclass(frozen=True)
@@ -73,11 +70,11 @@ class MatchingInstance:
         return np.sqrt((diff**2).sum(axis=2))
 
 
-def generate_instance(seed, n=5, area=100.0, min_gap=1e-6):
+def generate_instance(seed, n=5, area=100.0):
     """Sample robot/target positions uniformly in [0, area]^2.
 
     Re-samples (deterministically, by advancing the seed) until the optimal
-    permutation is unique with a cost gap of at least min_gap, so that the
+    permutation is unique with a cost gap of at least _MIN_GAP, so that the
     LP relaxation has a unique vertex optimizer.
     """
     if n < 1:
@@ -91,54 +88,18 @@ def generate_instance(seed, n=5, area=100.0, min_gap=1e-6):
             return inst
         _, costs = _permutation_costs(inst)
         lowest, second = np.partition(costs, 1)[:2]
-        if second - lowest >= min_gap:
+        if second - lowest >= _MIN_GAP:
             return inst
     raise RuntimeError("could not sample an instance with a unique optimum")
 
 
-def save_instance_csv(inst, path):
-    """Write rows kind,id,px,py (kind in {robot, target})."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["kind", "id", "px", "py"])
-        for i, (px, py) in enumerate(inst.robots):
-            w.writerow(["robot", i, repr(float(px)), repr(float(py))])
-        for i, (px, py) in enumerate(inst.targets):
-            w.writerow(["target", i, repr(float(px)), repr(float(py))])
-
-
-def load_instance_csv(path):
-    """Read an instance written by save_instance_csv."""
-    robots, targets = {}, {}
-    with open(path, newline="") as f:
-        for row in csv.reader(f):
-            if not row or row[0] == "kind":
-                continue
-            kind, ident, px, py = row[0], int(row[1]), float(row[2]), float(row[3])
-            if kind == "robot":
-                robots[ident] = (px, py)
-            elif kind == "target":
-                targets[ident] = (px, py)
-            else:
-                raise ValueError(f"unknown kind {kind!r} in {path}")
-    if sorted(robots) != list(range(len(robots))) or sorted(robots) != sorted(targets):
-        raise ValueError("instance file must list robots/targets 0..n-1")
-    n = len(robots)
-    return MatchingInstance(
-        np.array([robots[i] for i in range(n)]),
-        np.array([targets[i] for i in range(n)]),
-    )
-
-
-def build_distributed_problem(inst, network=None):
+def build_distributed_problem(inst, network):
     """Distributed LP over the full n*n assignment vector (row-major).
 
     Agent l owns: objective sum_k d_lk x_(l,k), equalities "row l sums to 1"
     and "column l sums to 1", and bounds x_(l,k) >= 0 for its row.
     """
     n = inst.n
-    if network is None:
-        network = ring(n, 4.0)
     if network.n_agents != n:
         raise ValueError("network size must equal the number of robots")
     d = inst.distances()
@@ -153,11 +114,11 @@ def build_distributed_problem(inst, network=None):
         col[l::n] = 1.0
         locals_.append(
             LocalProblem(
-                objective=make_affine(c, 0.0),
+                objective=AffineFunction(c, 0.0),
                 inequalities=[
                     make_linear_nonneg_bound(l * n + k, dim) for k in range(n)
                 ],
-                equalities=[make_affine(row, -1.0), make_affine(col, -1.0)],
+                equalities=[AffineFunction(row, -1.0), AffineFunction(col, -1.0)],
             )
         )
     return DistributedProblem(network, locals_)
@@ -202,15 +163,14 @@ def brute_force_optimal(inst):
     return tuple(int(v) for v in perms[best]), float(costs[best])
 
 
-def extract_assignment(z, n=None):
+def extract_assignment(z):
     """Read a permutation off an assignment vector by row-wise argmax.
 
     Returns the permutation tuple, or None when the rounding is not
     trustworthy: some chosen entry < 0.5, or the argmax rows collide.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
-    if n is None:
-        n = int(round(np.sqrt(z.size)))
+    n = int(round(np.sqrt(z.size)))
     if n * n != z.size:
         raise ValueError("assignment vector length must be a square")
     zm = z.reshape(n, n)

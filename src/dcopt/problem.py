@@ -20,8 +20,6 @@ __all__ = [
     "ScalarFunction",
     "AffineFunction",
     "QuadraticFunction",
-    "make_affine",
-    "make_quadratic",
     "make_linear_nonneg_bound",
     "LocalProblem",
     "LocalTerms",
@@ -125,16 +123,6 @@ class QuadraticFunction(ScalarFunction):
     def gradient(self, x):
         x = self._check(x)
         return self.q @ x + self.c
-
-
-def make_affine(c, d=0.0):
-    """Affine function c^T x + d."""
-    return AffineFunction(c, d)
-
-
-def make_quadratic(q, c=None, d=0.0):
-    """Convex quadratic (1/2) x^T Q x + c^T x + d; Q symmetric PSD."""
-    return QuadraticFunction(q, c, d)
 
 
 def make_linear_nonneg_bound(k, dim):

@@ -13,13 +13,15 @@ import time
 import numpy as np
 import pytest
 
-from dcopt import (
-    ReferencePoint,
-    brute_force_optimal,
-    extract_assignment,
-    simulate,
+from dcopt import brute_force_optimal, extract_assignment, simulate
+from dcopt.cli import (
+    RunSpec,
+    build_scenario,
+    classify,
+    compute_reference,
+    run,
+    validate_config,
 )
-from dcopt.cli import KKT_TOL, RunSpec, build_scenario, classify, run, validate_config
 from test_engine import direct_primal_dual_run, three_agent_quadratic
 
 CONVERGED_DURATION = 60.0
@@ -50,11 +52,8 @@ def oracle_setup():
 @pytest.fixture(scope="module")
 def reference(oracle_setup):
     cfg, _, prob, _, _ = oracle_setup
-    _, _, sim = build_scenario(cfg, "no_delay")
-    log, wall = timed_run(prob, sim)
-    assert log.abort_reason is None, "reference pass aborted"
-    ref = ReferencePoint(*log.final_stacks())
-    ref.validate(prob, KKT_TOL)
+    ref, note = compute_reference(cfg, prob)
+    assert ref is not None, note
     return ref
 
 
@@ -216,7 +215,8 @@ def test_criterion_07_wave_identity(capfd, sc_run):
 
 
 def test_criterion_08_pure_integrator_reduction(capfd):
-    from dcopt import CompensatorParams, SimConfig
+    from dcopt import SimConfig
+    from dcopt.dynamics import CompensatorParams
 
     prob = three_agent_quadratic()
     step, duration = 1e-3, 2.0
@@ -246,7 +246,7 @@ def test_criterion_08_pure_integrator_reduction(capfd):
 
 
 def test_criterion_09_gradient_correctness(capfd, oracle_setup):
-    from dcopt import make_quadratic
+    from dcopt.problem import QuadraticFunction
 
     _, _, prob, _, _ = oracle_setup
     funcs = []
@@ -256,7 +256,7 @@ def test_criterion_09_gradient_correctness(capfd, oracle_setup):
         funcs.extend(p.equalities)
     rng = np.random.default_rng(101)
     a = rng.normal(size=(6, 6))
-    funcs.append(make_quadratic(a @ a.T, rng.normal(size=6), 0.3))
+    funcs.append(QuadraticFunction(a @ a.T, rng.normal(size=6), 0.3))
     worst = 0.0
     for f in funcs:
         for _ in range(100):

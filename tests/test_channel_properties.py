@@ -14,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcopt import (
+from dcopt.graph import Network, laplacian
+from dcopt.scattering import (
     ChannelEnd,
     CouplingMatrix,
     DelayLine,
-    Network,
-    laplacian,
     wave_identity_residual,
 )
 

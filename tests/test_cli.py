@@ -6,7 +6,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from dcopt import KKTResidual
 from dcopt.cli import (
     DEFAULT_CONFIG,
     ConfigError,
@@ -19,6 +18,9 @@ from dcopt.cli import (
     sample_delays,
     validate_config,
 )
+from dcopt.problem import KKTResidual
+
+INF, NAN = float("inf"), float("nan")
 
 
 def test_defaults_pass_validation():
@@ -76,6 +78,16 @@ def test_bad_json_and_bad_top_level(tmp_path):
         ({"delay_range": [0.3]}, r"delay_range: expected \[low, high\]"),
         ({"delay_range": [0.3, 0.2]}, r"delay_range\[1\]: high must be >= low"),
         ({"agents": 11}, "agents: must be <= 10"),
+        # json writes and reads the literals Infinity and NaN
+        ({"duration": INF}, "duration: must be finite, got inf"),
+        ({"area": INF}, "area: must be finite, got inf"),
+        ({"eta": INF}, "eta: must be finite, got inf"),
+        ({"ring_weight": INF}, "ring_weight: must be finite, got inf"),
+        ({"initial_multiplier": INF}, "initial_multiplier: must be finite, got inf"),
+        ({"step": NAN}, "step: must be finite, got nan"),
+        ({"diag_interval": NAN}, "diag_interval: must be finite, got nan"),
+        ({"compensator_gains": [1.0, NAN]}, r"compensator_gains\[1\]: must be finite"),
+        ({"delay_range": [0.2, INF]}, r"delay_range\[1\]: must be finite, got inf"),
     ],
 )
 def test_field_validation_messages(tmp_path, patch, msg):
@@ -251,6 +263,15 @@ def test_main_exit_codes(tmp_path, capsys):
                  "--config", str(missing)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+    # json reads the literal Infinity; argparse reads "nan"
+    bad.write_text('{"duration": Infinity}')
+    code = main(["--scenario", "no_delay", "--out", str(tmp_path / "o"),
+                 "--config", str(bad)])
+    assert code == 2
+    assert "config error: duration: must be finite, got inf" in capsys.readouterr().err
+    code = main(["--scenario", "no_delay", "--out", str(tmp_path / "o"), "--step", "nan"])
+    assert code == 2
+    assert "config error: step: must be finite, got nan" in capsys.readouterr().err
     code = main(["--scenario", "no_delay", "--out", str(tmp_path / "o2"),
                  "--duration", "0.1"])
     assert code == 0

@@ -3,28 +3,27 @@
 import numpy as np
 import pytest
 
-from dcopt import (
-    AgentState,
+from dcopt import AgentState, ring
+from dcopt.dynamics import (
     CompensatorParams,
-    CouplingMatrix,
-    DistributedProblem,
     LambdaGuardError,
-    LocalProblem,
-    Network,
-    constraint_force,
+    compensator_storage,
     derivatives,
     euler_step,
-    make_affine,
-    make_quadratic,
-    ring,
-)
-from dcopt.dynamics import (
-    compensator_storage,
     multiplier_rate_bound,
     multiplier_storage,
     primal_rate_bound,
     storage_step_defects,
 )
+from dcopt.graph import Network
+from dcopt.problem import (
+    AffineFunction,
+    DistributedProblem,
+    LocalProblem,
+    QuadraticFunction,
+    constraint_force,
+)
+from dcopt.scattering import CouplingMatrix
 
 
 def lead_comp():
@@ -39,9 +38,9 @@ def alone(local):
 def hand_prob():
     # f = x^2/2, g = x - 1 <= 0, h = x - 2 = 0
     return alone(LocalProblem(
-        make_quadratic([[1.0]]),
-        inequalities=[make_affine([1.0], -1.0)],
-        equalities=[make_affine([1.0], -2.0)],
+        QuadraticFunction([[1.0]]),
+        inequalities=[AffineFunction([1.0], -1.0)],
+        equalities=[AffineFunction([1.0], -2.0)],
     ))
 
 
@@ -77,11 +76,11 @@ def test_compensator_validation():
 def test_zero_state_shapes():
     comp = lead_comp()
     prob = DistributedProblem(ring(2, 1.0), [
-        LocalProblem(make_affine(np.ones(3)),
-                     inequalities=[make_affine(np.ones(3))] * 2,
-                     equalities=[make_affine(np.ones(3))]),
-        LocalProblem(make_affine(np.ones(3)),
-                     inequalities=[make_affine(np.ones(3))]),
+        LocalProblem(AffineFunction(np.ones(3)),
+                     inequalities=[AffineFunction(np.ones(3))] * 2,
+                     equalities=[AffineFunction(np.ones(3))]),
+        LocalProblem(AffineFunction(np.ones(3)),
+                     inequalities=[AffineFunction(np.ones(3))]),
     ])
     st = AgentState.zeros(comp, prob, lam0=0.01)
     assert st.rho.shape == (2, 2, 3)
@@ -188,7 +187,7 @@ def test_multiplier_storage_hand_value():
 def test_multiplier_storage_nonnegative_min_at_reference():
     # convex in lam^2 with minimum 0 at lam = lam*, mu = mu*
     rng = np.random.default_rng(3)
-    one = make_affine([1.0])
+    one = AffineFunction([1.0])
     prob = alone(LocalProblem(one, inequalities=[one] * 3, equalities=[one] * 2))
     lam_star = np.array([1.3, 0.0, 0.4])
     mu_star = rng.normal(size=2)
@@ -216,9 +215,9 @@ def analytic_rates(comp, st, d, z_star, lam_star, mu_star):
 def random_setup(rng, n=3):
     a = rng.normal(size=(n, n))
     prob = alone(LocalProblem(
-        make_quadratic(a @ a.T + 0.1 * np.eye(n), rng.normal(size=n)),
-        inequalities=[make_affine(rng.normal(size=n), 1.0)],
-        equalities=[make_affine(rng.normal(size=n), 0.0)],
+        QuadraticFunction(a @ a.T + 0.1 * np.eye(n), rng.normal(size=n)),
+        inequalities=[AffineFunction(rng.normal(size=n), 1.0)],
+        equalities=[AffineFunction(rng.normal(size=n), 0.0)],
     ))
     comp = lead_comp()
     st = AgentState(
@@ -256,9 +255,9 @@ def test_multiplier_rate_bound_dominates_exact_rate():
         g_c = rng.normal(size=n)
         h_c = rng.normal(size=n)
         prob = alone(LocalProblem(
-            make_quadratic(np.eye(n)),
-            inequalities=[make_affine(g_c, -float(g_c @ z_star) - 0.5)],
-            equalities=[make_affine(h_c, -float(h_c @ z_star))],
+            QuadraticFunction(np.eye(n)),
+            inequalities=[AffineFunction(g_c, -float(g_c @ z_star) - 0.5)],
+            equalities=[AffineFunction(h_c, -float(h_c @ z_star))],
         ))
         comp = lead_comp()
         st = AgentState(
@@ -327,8 +326,8 @@ def test_storage_step_defects_guard_fallback_stays_finite():
     # but the defect evaluated before the step must still be finite; the
     # log remainder falls back to its quadratic estimate there
     prob = alone(LocalProblem(
-        make_quadratic(np.eye(3)),
-        inequalities=[make_affine(np.zeros(3), -1.0)],
+        QuadraticFunction(np.eye(3)),
+        inequalities=[AffineFunction(np.zeros(3), -1.0)],
     ))
     comp = lead_comp()
     st = AgentState(
@@ -366,12 +365,12 @@ def three_agent_layout():
     rng = np.random.default_rng(83)
 
     def aff(d=0.0):
-        return make_affine(rng.normal(size=2), d)
+        return AffineFunction(rng.normal(size=2), d)
 
     locs = [
-        LocalProblem(make_quadratic(np.eye(2)), inequalities=[aff(-1.0), aff(-2.0)]),
-        LocalProblem(make_quadratic(2.0 * np.eye(2))),
-        LocalProblem(make_quadratic(np.eye(2), [1.0, 0.0]), inequalities=[aff(-1.0)],
+        LocalProblem(QuadraticFunction(np.eye(2)), inequalities=[aff(-1.0), aff(-2.0)]),
+        LocalProblem(QuadraticFunction(2.0 * np.eye(2))),
+        LocalProblem(QuadraticFunction(np.eye(2), [1.0, 0.0]), inequalities=[aff(-1.0)],
                      equalities=[aff(0.5), aff()]),
     ]
     return DistributedProblem(ring(3, 1.5), locs), locs

@@ -5,32 +5,33 @@ import pytest
 
 from dcopt import (
     AgentState,
-    CompensatorParams,
-    CouplingMatrix,
-    DistributedProblem,
-    LocalProblem,
-    Network,
     ReferencePoint,
-    ScalarFunction,
     SimConfig,
     build_distributed_problem,
-    converged_reference,
-    derivatives,
     generate_instance,
     kkt_residual,
     lyapunov_delayed,
-    make_affine,
-    make_quadratic,
     passivity_check,
     ring,
     simulate,
 )
+from dcopt.cli import compute_reference, validate_config
+from dcopt.dynamics import CompensatorParams, derivatives
+from dcopt.graph import Network
+from dcopt.problem import (
+    AffineFunction,
+    DistributedProblem,
+    LocalProblem,
+    QuadraticFunction,
+    ScalarFunction,
+)
+from dcopt.scattering import CouplingMatrix
 
 
 def single_agent_problem():
     # f = (x - 3)^2 / 2, unconstrained
     net = Network([[0.0]])
-    return DistributedProblem(net, [LocalProblem(make_quadratic([[1.0]], [-3.0]))])
+    return DistributedProblem(net, [LocalProblem(QuadraticFunction([[1.0]], [-3.0]))])
 
 
 def three_agent_quadratic():
@@ -42,16 +43,23 @@ def three_agent_quadratic():
     net = ring(3, 2.0)
     locs = [
         LocalProblem(
-            make_quadratic([[1.0]], [-1.0]),
-            inequalities=[make_affine([1.0], -5.0)],
+            QuadraticFunction([[1.0]], [-1.0]),
+            inequalities=[AffineFunction([1.0], -5.0)],
         ),
-        LocalProblem(make_quadratic([[1.0]], [-2.0])),
+        LocalProblem(QuadraticFunction([[1.0]], [-2.0])),
         LocalProblem(
-            make_quadratic([[1.0]], [-6.0]),
-            equalities=[make_affine([1.0], -3.0)],
+            QuadraticFunction([[1.0]], [-6.0]),
+            equalities=[AffineFunction([1.0], -3.0)],
         ),
     ]
     return DistributedProblem(net, locs)
+
+
+def cli_reference(prob):
+    """The CLI's reference: the no-delay end state after 40 s, KKT-checked."""
+    ref, note = compute_reference(validate_config(None, {"duration": 40.0}), prob)
+    assert ref is not None, note
+    return ref
 
 
 def test_sim_config_validation():
@@ -69,6 +77,11 @@ def test_sim_config_validation():
         SimConfig(log_every=0)
     with pytest.raises(ValueError, match="diag_interval"):
         SimConfig(step=1e-2, diag_interval=1e-3)
+    for name, value in (("step", np.nan), ("eta", np.nan), ("lam0", np.nan),
+                        ("diag_interval", np.nan), ("duration", np.inf),
+                        ("duration", np.nan), ("eta", np.inf)):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            SimConfig(**{name: value})
     cfg = SimConfig(mode="scattering", delays={(0, 1): 0.2})
     assert cfg.delay_for(0, 1) == 0.2
     with pytest.raises(ValueError, match="1->0"):
@@ -195,12 +208,12 @@ def csv_case(name):
     agent 1's objective leaving its domain in the abort case.
     """
     base = three_agent_quadratic()
-    objective = make_quadratic([[1.0]], [-2.0])
+    objective = QuadraticFunction([[1.0]], [-2.0])
     if name == "naive_delay_abort":
         objective = GradientLeavesDomain()
     locs = list(base.local_problems)
-    locs[1] = LocalProblem(objective, inequalities=[make_affine([1.0], -4.0),
-                                                    make_affine([-1.0], -10.0)])
+    locs[1] = LocalProblem(objective, inequalities=[AffineFunction([1.0], -4.0),
+                                                    AffineFunction([-1.0], -10.0)])
     prob = DistributedProblem(base.network, locs)
     delays = {(i, j): 0.004 + 0.001 * (i + j) for i, j, _ in prob.network.directed_edges()}
     short = simulate(prob, SimConfig(duration=0.5, log_every=500))
@@ -255,7 +268,7 @@ def test_lambda_guard_aborts_run():
     # h = 1e-3 lands exactly on zero, which the guard must reject
     net = Network([[0.0]])
     loc = LocalProblem(
-        make_quadratic([[1.0]]), inequalities=[make_affine([1.0], -500.0)]
+        QuadraticFunction([[1.0]]), inequalities=[AffineFunction([1.0], -500.0)]
     )
     prob = DistributedProblem(net, [loc])
     log = simulate(prob, SimConfig(duration=1.0))
@@ -270,12 +283,12 @@ def test_lambda_guard_aborts_run():
     assert_final_state(log, x=0.0, lam=0.01)
     # on a network the event names the agent and its own multiplier index:
     # the second inequality of agent 2 is entry 2 of the concatenated lam
-    idle = make_affine([-1.0], -1.0)  # -x - 1 <= 0, slack at x = 0
+    idle = AffineFunction([-1.0], -1.0)  # -x - 1 <= 0, slack at x = 0
     locs = [
-        LocalProblem(make_quadratic([[1.0]]), inequalities=[idle]),
-        LocalProblem(make_quadratic([[1.0]])),
-        LocalProblem(make_quadratic([[1.0]]),
-                     inequalities=[idle, make_affine([1.0], -500.0)]),
+        LocalProblem(QuadraticFunction([[1.0]]), inequalities=[idle]),
+        LocalProblem(QuadraticFunction([[1.0]])),
+        LocalProblem(QuadraticFunction([[1.0]]),
+                     inequalities=[idle, AffineFunction([1.0], -500.0)]),
     ]
     log = simulate(DistributedProblem(ring(3, 1.0), locs), SimConfig(duration=1.0))
     ev = log.events[0]
@@ -290,7 +303,7 @@ def test_lambda_guard_off_the_log_grid():
     # a log step: the closing sample at t = h holds the pre-step state
     net = Network([[0.0]])
     loc = LocalProblem(
-        make_quadratic([[1.0]], [100.0]), inequalities=[make_affine([1.0], -49.0)]
+        QuadraticFunction([[1.0]], [100.0]), inequalities=[AffineFunction([1.0], -49.0)]
     )
     prob = DistributedProblem(net, [loc])
     log = simulate(prob, SimConfig(step=0.01, diag_interval=0.01, duration=1.0,
@@ -359,7 +372,7 @@ def two_agent_integrator_run(mode):
     """Two agents on one edge of weight 1, pure integrator, f = 0; agent 0
     starts at x = 1, agent 1 at 0; step 0.1, one-step delays, full-rate log."""
     net = ring(2, 1.0)
-    loc = LocalProblem(make_affine([0.0]))
+    loc = LocalProblem(AffineFunction([0.0]))
     prob = DistributedProblem(net, [loc, loc])
     comp = CompensatorParams.pure_integrator()
     init = AgentState(rho=np.array([[[1.0]], [[0.0]]]), xi=np.zeros((2, 1)),
@@ -411,7 +424,7 @@ def test_nan_event_names_first_non_finite_agent():
     # so the event names agent 1: an edge's effort must not reach agents
     # that do not own the edge
     prob = DistributedProblem(
-        ring(4, 1.0), [LocalProblem(make_quadratic([[1.0]])) for _ in range(4)]
+        ring(4, 1.0), [LocalProblem(QuadraticFunction([[1.0]])) for _ in range(4)]
     )
     init = AgentState.zeros(SimConfig().compensator, prob)
     init.rho[2, :, 0] = 1e308
@@ -492,13 +505,18 @@ def test_reference_point_validate():
     wrong = ReferencePoint(np.array([[3.0]]), np.zeros((1, 1)), np.zeros(1), np.zeros(0))
     with pytest.raises(ValueError, match=r"lam: expected shape \(0,\), got \(1,\)"):
         wrong.validate(prob, 1e-2)
+    # a NaN point fails: every residual field is NaN, and NaN > tol is False
+    prob = three_agent_quadratic()
+    nan = ReferencePoint(np.full((3, 1), np.nan), np.zeros((3, 1)), np.ones(1), np.zeros(1))
+    with pytest.raises(ValueError, match="fails KKT"):
+        nan.validate(prob, 1e-2)
 
 
 def test_lyapunov_direct_zero_at_reference():
     # the online direct-Lyapunov sample at t = 0 of a run that starts at
     # the reference state is zero, and positive from a perturbed start
     prob = three_agent_quadratic()
-    ref, log = converged_reference(prob, duration=40.0)
+    ref = cli_reference(prob)
     comp = SimConfig().compensator
     rho = np.zeros((3, comp.m, 1))
     rho[:, 0] = ref.z
@@ -626,7 +644,7 @@ def assert_reports_match(posthoc, online):
 
 def test_scattering_online_diag_matches_posthoc():
     prob = three_agent_quadratic()
-    ref, _ = converged_reference(prob, duration=40.0)
+    ref = cli_reference(prob)
     delays = {}
     rng = np.random.default_rng(2)
     for i, j, _ in prob.network.directed_edges():
@@ -648,7 +666,7 @@ def test_scattering_online_diag_matches_posthoc():
 
 def test_no_delay_online_diag_matches_posthoc():
     prob = three_agent_quadratic()
-    ref, _ = converged_reference(prob, duration=40.0)
+    ref = cli_reference(prob)
     comp = SimConfig().compensator
     cfg = SimConfig(duration=2.0, log_every=1, reference=ref)
     log = simulate(prob, cfg)
@@ -663,7 +681,7 @@ def test_no_delay_online_diag_matches_posthoc():
 
 def test_naive_mode_has_no_port_checks():
     prob = three_agent_quadratic()
-    ref, _ = converged_reference(prob, duration=40.0)
+    ref = cli_reference(prob)
     delays = {key: 0.2 for key in
               [(i, j) for i, j, _ in prob.network.directed_edges()]}
     cfg = SimConfig(mode="naive_delay", delays=delays, duration=0.5,
@@ -741,7 +759,7 @@ def assert_terms_equal(a, b, tol):
 def test_local_terms_affine_and_loop_paths_agree():
     # the matching LP is affine throughout, so its terms are stacked once;
     # the same functions behind Opaque take the per-agent loop
-    prob = build_distributed_problem(generate_instance(5))
+    prob = build_distributed_problem(generate_instance(5), ring(5, 4.0))
     loop = opaque(prob)
     assert prob._affine is not None and loop._affine is None
     rng = np.random.default_rng(7)
@@ -770,11 +788,11 @@ def quadratic_inequality_problem():
     (inactive at x* = 3): its gradient row depends on the state."""
     net = ring(3, 2.0)
     locs = [
-        LocalProblem(make_quadratic([[1.0]], [-1.0]),
-                     inequalities=[make_quadratic([[1.0]], d=-12.5)]),
-        LocalProblem(make_quadratic([[1.0]], [-2.0])),
-        LocalProblem(make_quadratic([[1.0]], [-6.0]),
-                     equalities=[make_affine([1.0], -3.0)]),
+        LocalProblem(QuadraticFunction([[1.0]], [-1.0]),
+                     inequalities=[QuadraticFunction([[1.0]], d=-12.5)]),
+        LocalProblem(QuadraticFunction([[1.0]], [-2.0])),
+        LocalProblem(QuadraticFunction([[1.0]], [-6.0]),
+                     equalities=[AffineFunction([1.0], -3.0)]),
     ]
     return DistributedProblem(net, locs)
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from dcopt import Network, is_connected, laplacian, neighbors, ring
-from dcopt.graph import laplacian_apply
+from dcopt import ring
+from dcopt.graph import Network, is_connected, laplacian, laplacian_apply
 
 
 def test_ring_structure():
@@ -13,7 +13,7 @@ def test_ring_structure():
     assert net.edges() == [(0, 1, 4.0), (0, 4, 4.0), (1, 2, 4.0),
                            (2, 3, 4.0), (3, 4, 4.0)]
     assert len(net.directed_edges()) == 10
-    assert neighbors(net, 0) == ((1, 4.0), (4, 4.0))
+    assert np.flatnonzero(net.adjacency[0]).tolist() == [1, 4]
 
 
 def test_two_agent_ring_single_edge():
@@ -44,12 +44,6 @@ def test_network_validation():
         Network(np.zeros((3, 3)))
 
 
-def test_disconnected_allowed_when_requested():
-    net = Network(np.zeros((3, 3)), require_connected=False)
-    assert not is_connected(net)
-    assert net.edges() == []
-
-
 def test_adjacency_read_only():
     net = ring(3)
     with pytest.raises(ValueError):
@@ -70,7 +64,7 @@ def test_laplacian_rows_sum_to_zero():
     a = rng.uniform(0.0, 1.0, size=(6, 6))
     a = (a + a.T) / 2.0
     np.fill_diagonal(a, 0.0)
-    net = Network(a, require_connected=False)
+    net = Network(a)  # every off-diagonal weight is positive: connected
     lap = laplacian(net)
     assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
     assert np.allclose(lap, lap.T)
@@ -94,14 +88,6 @@ def test_laplacian_apply_kills_consensus():
     assert np.allclose(laplacian_apply(net, v), 0.0, atol=1e-14)
 
 
-def test_neighbors_out_of_range():
-    net = ring(3)
-    with pytest.raises(ValueError):
-        neighbors(net, 3)
-    with pytest.raises(ValueError):
-        neighbors(net, -1)
-
-
 def test_is_connected_path_vs_split():
     a = np.zeros((4, 4))
     a[0, 1] = a[1, 0] = 1.0
@@ -111,4 +97,5 @@ def test_is_connected_path_vs_split():
     b = np.zeros((4, 4))
     b[0, 1] = b[1, 0] = 1.0
     b[2, 3] = b[3, 2] = 1.0
-    assert not is_connected(Network(b, require_connected=False))
+    with pytest.raises(ValueError, match="not connected"):
+        Network(b)

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
-from dcopt import (
+from dcopt import kkt_residual, ring
+from dcopt.graph import Network
+from dcopt.problem import (
+    AffineFunction,
     DistributedProblem,
     LocalProblem,
-    Network,
+    QuadraticFunction,
     ScalarFunction,
     generalized_lagrangian,
-    kkt_residual,
-    make_affine,
     make_linear_nonneg_bound,
-    make_quadratic,
-    ring,
 )
 
 
@@ -27,7 +26,7 @@ def central_diff(f, x, h=1e-6):
 
 
 def test_affine_value_gradient():
-    f = make_affine([2.0, -1.0], 0.5)
+    f = AffineFunction([2.0, -1.0], 0.5)
     x = np.array([3.0, 4.0])
     assert f.value(x) == pytest.approx(2.5)
     assert np.array_equal(f.gradient(x), [2.0, -1.0])
@@ -37,7 +36,7 @@ def test_affine_value_gradient():
 
 def test_quadratic_value_gradient():
     q = np.array([[2.0, 0.0], [0.0, 4.0]])
-    f = make_quadratic(q, [1.0, -1.0], 3.0)
+    f = QuadraticFunction(q, [1.0, -1.0], 3.0)
     x = np.array([1.0, 2.0])
     # 0.5*(2 + 16) + (1 - 2) + 3
     assert f.value(x) == pytest.approx(11.0)
@@ -50,8 +49,8 @@ def test_gradients_match_central_differences():
     a = rng.normal(size=(4, 4))
     q = a @ a.T
     funcs = [
-        make_affine(rng.normal(size=4), rng.normal()),
-        make_quadratic(q, rng.normal(size=4), rng.normal()),
+        AffineFunction(rng.normal(size=4), rng.normal()),
+        QuadraticFunction(q, rng.normal(size=4), rng.normal()),
         make_linear_nonneg_bound(2, 4),
     ]
     for f in funcs:
@@ -64,17 +63,17 @@ def test_gradients_match_central_differences():
 
 def test_quadratic_rejects_bad_matrices():
     with pytest.raises(ValueError, match="symmetric"):
-        make_quadratic([[1.0, 2.0], [0.0, 1.0]])
+        QuadraticFunction([[1.0, 2.0], [0.0, 1.0]])
     with pytest.raises(ValueError, match="semidefinite"):
-        make_quadratic([[-1.0]])
+        QuadraticFunction([[-1.0]])
     with pytest.raises(ValueError, match="square"):
-        make_quadratic(np.zeros((2, 3)))
+        QuadraticFunction(np.zeros((2, 3)))
     with pytest.raises(ValueError, match="length"):
-        make_quadratic(np.eye(2), [1.0])
+        QuadraticFunction(np.eye(2), [1.0])
 
 
 def test_dimension_checks():
-    f = make_affine([1.0, 2.0])
+    f = AffineFunction([1.0, 2.0])
     with pytest.raises(ValueError):
         f.value(np.zeros(3))
     with pytest.raises(ValueError):
@@ -99,18 +98,18 @@ def test_local_problem_rejects_nonconvex_and_nonaffine():
 
     with pytest.raises(ValueError, match="convex"):
         LocalProblem(Cubic())
-    quad = make_quadratic([[1.0]])
+    quad = QuadraticFunction([[1.0]])
     with pytest.raises(ValueError, match="affine"):
-        LocalProblem(make_affine([1.0]), equalities=[quad])
+        LocalProblem(AffineFunction([1.0]), equalities=[quad])
     with pytest.raises(ValueError, match="convex"):
-        LocalProblem(make_affine([1.0]), inequalities=[Cubic()])
+        LocalProblem(AffineFunction([1.0]), inequalities=[Cubic()])
 
 
 def test_local_problem_stacks():
     p = LocalProblem(
-        make_quadratic(np.eye(2)),
-        inequalities=[make_linear_nonneg_bound(0, 2), make_affine([1.0, 1.0], -4.0)],
-        equalities=[make_affine([1.0, -1.0], 0.5)],
+        QuadraticFunction(np.eye(2)),
+        inequalities=[make_linear_nonneg_bound(0, 2), AffineFunction([1.0, 1.0], -4.0)],
+        equalities=[AffineFunction([1.0, -1.0], 0.5)],
     )
     x = np.array([1.0, 2.0])
     assert np.allclose(p.ineq_values(x), [-1.0, -1.0])
@@ -120,7 +119,7 @@ def test_local_problem_stacks():
 
 
 def test_empty_constraint_stacks():
-    p = LocalProblem(make_quadratic(np.eye(2)))
+    p = LocalProblem(QuadraticFunction(np.eye(2)))
     x = np.zeros(2)
     assert p.ineq_values(x).shape == (0,)
     assert p.eq_values(x).shape == (0,)
@@ -131,9 +130,9 @@ def test_empty_constraint_stacks():
 def single_agent_problem():
     net = Network([[0.0]])
     loc = LocalProblem(
-        make_quadratic([[2.0]]),                     # x^2
-        inequalities=[make_affine([1.0], -1.0)],     # x - 1 <= 0
-        equalities=[make_affine([1.0], -1.0)],       # x - 1 = 0
+        QuadraticFunction([[2.0]]),                     # x^2
+        inequalities=[AffineFunction([1.0], -1.0)],     # x - 1 <= 0
+        equalities=[AffineFunction([1.0], -1.0)],       # x - 1 = 0
     )
     return DistributedProblem(net, [loc])
 
@@ -152,7 +151,7 @@ def test_lagrangian_single_agent_oracle():
 
 def test_lagrangian_two_agent_coupling():
     net = ring(2, 1.0)
-    loc = LocalProblem(make_affine([0.0]))
+    loc = LocalProblem(AffineFunction([0.0]))
     prob = DistributedProblem(net, [loc, loc])
     x = np.array([[1.0], [0.0]])
     zero = np.zeros(0)
@@ -171,8 +170,8 @@ def test_kkt_residual_zero_at_saddle():
     a = 2.0
     net = ring(2, a)
     locs = [
-        LocalProblem(make_quadratic([[1.0]], [-1.0])),
-        LocalProblem(make_quadratic([[1.0]], [-3.0])),
+        LocalProblem(QuadraticFunction([[1.0]], [-1.0])),
+        LocalProblem(QuadraticFunction([[1.0]], [-3.0])),
     ]
     prob = DistributedProblem(net, locs)
     x = np.array([[2.0], [2.0]])
@@ -185,7 +184,7 @@ def test_kkt_residual_zero_at_saddle():
 def test_kkt_residual_consensus_oracle():
     # consensus is max |(L x)_i|: x = (1, 0) on one edge of weight 3 gives 3
     prob = DistributedProblem(
-        ring(2, 3.0), [LocalProblem(make_affine([0.0])) for _ in range(2)]
+        ring(2, 3.0), [LocalProblem(AffineFunction([0.0])) for _ in range(2)]
     )
     zero = np.zeros(0)
     xi = np.zeros((2, 1))
@@ -212,8 +211,8 @@ def test_kkt_residual_fields_respond():
 
 def test_distributed_problem_validation():
     net = ring(2)
-    loc1 = LocalProblem(make_affine([0.0]))
-    loc2 = LocalProblem(make_affine([0.0, 0.0]))
+    loc1 = LocalProblem(AffineFunction([0.0]))
+    loc2 = LocalProblem(AffineFunction([0.0, 0.0]))
     with pytest.raises(ValueError, match="per agent"):
         DistributedProblem(net, [loc1])
     with pytest.raises(ValueError, match="dimension"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dcopt import ChannelEnd, CouplingMatrix, DelayLine, wave_identity_residual
+from dcopt.scattering import ChannelEnd, CouplingMatrix, DelayLine, wave_identity_residual
 
 
 def test_coupling_matrix_apply():
