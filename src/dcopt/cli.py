@@ -88,7 +88,11 @@ def _require(cond, field, detail):
 def _check_number(field, value, positive=False, nonneg=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{field}: expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigError(f"{field}: must be finite, got an integer too large "
+                          f"for a float") from None
     _require(math.isfinite(v), field, f"must be finite, got {v}")
     if positive:
         _require(v > 0.0, field, f"must be > 0, got {v}")
@@ -111,6 +115,8 @@ def validate_config(path=None, overrides=None):
                 raw = json.load(f)
             except json.JSONDecodeError as err:
                 raise ConfigError(f"config: not valid JSON ({err})") from err
+            except ValueError as err:  # an integer literal of too many digits
+                raise ConfigError(f"config: {err}") from err
         if not isinstance(raw, dict):
             raise ConfigError("config: top level must be an object")
     for key in raw:

@@ -14,7 +14,9 @@ squared, so its flow lam_dot = 2 lam g(x) keeps lam positive without
 projection; a step that would cross zero is a guard violation, never
 clamped.  The whole network steps as one state of stacked arrays
 (AgentState), and the storage, bound and defect kernels return one value
-per agent.
+per agent.  Those kernels also take a block of states and derivatives
+stacked along leading axes, (K, N, ...), and reduce over the trailing
+axes only, so the online diagnostics evaluate K steps in one call.
 
 Every local term (grad f, g, G, h, H) comes from one
 DistributedProblem.local_terms call per state, which runs no loop over the
@@ -28,6 +30,7 @@ flow reduces to plain primal-dual gradient dynamics (the ablation mode that
 oscillates on merely convex objectives).
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -112,7 +115,8 @@ class AgentState:
 
     A step builds new arrays and never writes into old ones.  x is formed
     once per rho array and kept, so a step's phases share one x; replace
-    rho rather than write into it.
+    rho rather than write into it.  The diagnostics stack K states into
+    one AgentState with a leading step axis: rho (K, N, m, n), x (K, N, n).
     """
 
     rho: np.ndarray
@@ -124,7 +128,7 @@ class AgentState:
     @property
     def x(self):
         if self._x is None or self._x[0] is not self.rho:
-            self._x = (self.rho, self.rho.sum(axis=1))
+            self._x = (self.rho, self.rho.sum(axis=-2))
         return self._x[1]
 
     @staticmethod
@@ -195,25 +199,33 @@ def euler_step(state, deriv, h):
 
 
 def _per_agent(prob, owner, values):
-    """Sums of values by owning agent, (N,)."""
-    return np.bincount(owner, weights=values, minlength=prob.n_agents)
+    """Sums of values (..., L) over their last axis by owning agent,
+    (..., N).  Each leading row bins into its own N slots, so a NaN stays
+    with its own agent and row."""
+    n = prob.n_agents
+    lead = values.shape[:-1]
+    rows = math.prod(lead)
+    bins = (owner + n * np.arange(rows)[:, None]).ravel()
+    sums = np.bincount(bins, weights=values.ravel(), minlength=rows * n)
+    return sums.reshape(lead + (n,))
 
 
 def compensator_storage(comp, rho, z_star):
     """Storage of each agent's compensator block relative to a primal
-    reference, (N,) for rho (N, m, n):
+    reference, (..., N) for rho (..., N, m, n):
 
     (1/(2 c_1)) |rho_1 - z*|^2 + sum_{k>=2} (1/(2 c_k)) |rho_k|^2
     """
-    s = np.sum((rho[:, 0] - z_star) ** 2, axis=1) / (2.0 * comp.c[0])
+    s = np.sum((rho[..., 0, :] - z_star) ** 2, axis=-1) / (2.0 * comp.c[0])
     for k in range(1, comp.m):
-        s += np.sum(rho[:, k] ** 2, axis=1) / (2.0 * comp.c[k])
+        s += np.sum(rho[..., k, :] ** 2, axis=-1) / (2.0 * comp.c[k])
     return s
 
 
 def multiplier_storage(prob, lam, mu, lam_star, mu_star):
     """Storage of each agent's multiplier block relative to a KKT
-    reference, (N,) for multipliers in the layout of prob:
+    reference, (..., N) for multipliers (..., L), (..., M) in the layout of
+    prob:
 
     sum_k [ (lam_k^2 - lam*_k^2)/4 - (lam*_k^2 / 2)(ln lam_k - ln lam*_k) ]
       + |mu - mu*|^2 / 2
@@ -227,30 +239,30 @@ def multiplier_storage(prob, lam, mu, lam_star, mu_star):
     if np.any(active):
         ls = lam_star[active]
         s -= 0.5 * _per_agent(
-            prob, prob.ineq_owner[active], ls**2 * (np.log(lam[active]) - np.log(ls))
+            prob, prob.ineq_owner[active], ls**2 * (np.log(lam[..., active]) - np.log(ls))
         )
     s += 0.5 * _per_agent(prob, prob.eq_owner, (mu - mu_star) ** 2)
     return s
 
 
 def primal_rate_bound(state, deriv, z_star, phi_star):
-    """Upper bound certified for d/dt of compensator_storage, (N,):
+    """Upper bound certified for d/dt of compensator_storage, (..., N):
 
     (x - z*)^T (phi - phi*),  phi = nu + grad f(x),  phi* = grad f(z*),
 
     with nu and grad f(x) from deriv and phi* (N, n) fixed for the run.
     """
     phi = deriv.nu + deriv.grad
-    return np.sum((state.x - z_star) * (phi - phi_star), axis=1)
+    return np.sum((state.x - z_star) * (phi - phi_star), axis=-1)
 
 
 def multiplier_rate_bound(state, deriv, z_star, zeta_star):
-    """Upper bound certified for d/dt of multiplier_storage, (N,):
+    """Upper bound certified for d/dt of multiplier_storage, (..., N):
 
     (zeta - zeta*)^T (x - z*) with zeta the constraint force of deriv and
     zeta* = zeta(z*, lam*, mu*) (N, n) fixed for the run.
     """
-    return np.sum((deriv.zeta - zeta_star) * (state.x - z_star), axis=1)
+    return np.sum((deriv.zeta - zeta_star) * (state.x - z_star), axis=-1)
 
 
 def storage_step_defects(prob, comp, state, deriv, lam_star, h):
@@ -258,7 +270,8 @@ def storage_step_defects(prob, comp, state, deriv, lam_star, h):
 
     One Euler step y+ = y + h F moves each storage by more than h times
     its rate at the step start.  Returns (compensator, multiplier,
-    coupling) defect rates d, each (N,), with S(y+) - S(y) = h (rate + d)
+    coupling) defect rates d, each (..., N) for a state and derivative
+    stacked along leading axes, with S(y+) - S(y) = h (rate + d)
     exactly per agent: the quadratic pieces contribute (h/2) F' Hess(S) F,
     and the multiplier log term the closed-form remainder
     (lam*^2 / (2h)) (w - log(1 + w)) with w = h lam_dot / lam.  Per-step
@@ -267,17 +280,17 @@ def storage_step_defects(prob, comp, state, deriv, lam_star, h):
     back to the quadratic estimate to stay finite; its step never
     commits, so the value is never compared against a bound.
     """
-    d_c = 0.5 * h * np.sum(np.sum(deriv.rho_dot**2, axis=2) / comp.c, axis=1)
+    d_c = 0.5 * h * np.sum(np.sum(deriv.rho_dot**2, axis=-1) / comp.c, axis=-1)
     d_m = 0.25 * h * _per_agent(prob, prob.ineq_owner, deriv.lam_dot**2)
     d_m += 0.5 * h * _per_agent(prob, prob.eq_owner, deriv.mu_dot**2)
     active = lam_star > 0.0
     if np.any(active):
         ls2 = lam_star[active] ** 2
-        w = h * deriv.lam_dot[active] / state.lam[active]
+        w = h * deriv.lam_dot[..., active] / state.lam[..., active]
         safe = w > -1.0
         rem = np.where(
             safe, w - np.log1p(np.where(safe, w, 0.0)), 0.5 * w**2
         )
         d_m += _per_agent(prob, prob.ineq_owner[active], ls2 * rem) / (2.0 * h)
-    d_xi = 0.5 * h * np.sum(deriv.xi_dot**2, axis=1)
+    d_xi = 0.5 * h * np.sum(deriv.xi_dot**2, axis=-1)
     return d_c, d_m, d_xi

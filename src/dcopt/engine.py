@@ -26,15 +26,18 @@ naive_delay  r = the neighbor's [x_j; xi_j] popped from the delay line
 scattering   r and p are recovered from the incoming wave and [x_i; xi_i]
 
 When a reference point (a KKT-validated converged state) is supplied, the
-engine additionally accumulates storage-function diagnostics online at full
-step rate: Lyapunov values on a fixed sampling grid, finite-difference
-storage-rate checks for every agent at every step, the channel energy
-integral, and the per-end wave power identity.  Online accumulation avoids
-holding full-rate wave histories in memory on long runs.
+engine additionally accumulates storage-function diagnostics online:
+Lyapunov values on a fixed sampling grid, finite-difference storage-rate
+checks for every agent at every step, the channel energy integral, and the
+per-end wave power identity.  Every step is checked, but the certificates
+are evaluated per block of _DIAG_BLOCK steps, each kernel called once on
+the stacked block; the last, partial block is evaluated at the end of the
+run, also after an abort.  Online accumulation avoids holding full-rate
+wave histories in memory on long runs: only the current block is held.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,6 +72,11 @@ MODES = ("no_delay", "naive_delay", "scattering")
 
 DIVERGENCE_LIMIT = 1e9
 
+# Steps per evaluation of the online certificates.  Each queued step keeps
+# its state, derivative and ports alive, so memory grows with the block
+# while the per-call overhead it saves levels off.
+_DIAG_BLOCK = 16
+
 
 @dataclass
 class SimConfig:
@@ -79,7 +87,7 @@ class SimConfig:
     modes, ignored in no_delay mode.
 
     reference     KKT-validated ReferencePoint; when set, the online
-                  storage/passivity diagnostics run at every step.
+                  storage/passivity diagnostics check every step.
     diag_interval seconds between the Lyapunov samples of those
                   diagnostics (the rate checks run at every step anyway).
     log_every     steps between logged samples; the post-hoc oracles
@@ -445,17 +453,22 @@ class _Edges:
         self.rev = np.array([index[(j, i)] for i, j in self.keys], dtype=int)
         self.weight = np.array([w for _, _, w in directed]).reshape(-1, 1)
         self.n_agents = net.n_agents
-        self._bins = {}  # row width -> flat bin of each edge entry
+        self._bins = {}  # (lead, row shape) -> (flat bins, bin count, sum shape)
 
-    def per_agent(self, rows):
-        """Sums of (E,) or (E, w) edge rows by receiving agent, (N,) or
-        (N, w).  Edge e adds into agent own[e] alone, so a non-finite row
-        stays with its own agent."""
-        w = math.prod(rows.shape[1:])
-        if w not in self._bins:
-            self._bins[w] = (self.own[:, None] * w + np.arange(w)).ravel()
-        sums = np.bincount(self._bins[w], weights=rows.ravel(), minlength=self.n_agents * w)
-        return sums.reshape((self.n_agents,) + rows.shape[1:])
+    def per_agent(self, rows, lead=0):
+        """Sums of edge rows by receiving agent: rows of shape B + (E,) + W,
+        B the first `lead` axes (say, a block of steps), give B + (N,) + W.
+        Edge e adds into agent own[e] of its own leading row alone, so a
+        non-finite entry stays with its own agent and row."""
+        key = (lead, rows.shape)
+        if key not in self._bins:
+            head, tail = rows.shape[:lead], rows.shape[lead + 1:]
+            b, w, n = math.prod(head), math.prod(tail), self.n_agents
+            bins = (self.own[:, None] * w + np.arange(w)).ravel()
+            self._bins[key] = ((bins + n * w * np.arange(b)[:, None]).ravel(),
+                               b * n * w, head + (n,) + tail)
+        bins, size, shape = self._bins[key]
+        return np.bincount(bins, weights=rows.ravel(), minlength=size).reshape(shape)
 
 
 def _port_offsets(ref, edges, cfg):
@@ -464,6 +477,11 @@ def _port_offsets(ref, edges, cfg):
     if cfg.mode == "scattering":
         return ref.edge_offsets(edges.own, edges.nbr, edges.weight, cfg.eta)
     return ref.direct_offsets(edges.own, edges.nbr, edges.weight) + (None, None)
+
+
+def _stack(arrays):
+    """np.stack of equal-shaped arrays, in one concatenate call."""
+    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
 
 
 def _initial_state(prob, cfg):
@@ -642,21 +660,32 @@ def simulate(prob, cfg):
     t_end = (k + committed) * h
     if not log.t or log.t[-1] < t_end or n_steps == 0:
         snapshot(t_end, state, state.x, None, (None,) * 4)
-    if diag is not None and log.abort_reason is None and n_steps:
-        diag.record(t_end, state, log, on_grid=True)
+    if diag is not None:
+        # the queued steps, and the final state of a completed run
+        closing = (t_end, state) if log.abort_reason is None and n_steps else None
+        with np.errstate(all="ignore"):
+            diag.flush(log, closing)
     return log
 
 
 class _DiagState:
     """Online storage-function diagnostics (one instance per simulate).
 
-    Per-step rate checks compare the forward difference of each storage
-    against its certified bound plus the exact explicit-Euler step defect
-    (see storage_step_defects); the recorded excess already subtracts the
-    1e-3 (1 + |S|) tolerance, so <= 0 means the bound held.  excess rows
-    are the compensator, multiplier and coupling checks; the coupling row
-    is NaN for naive-delay runs, which have no port interpretation.  Each
-    kernel runs once per step for the whole network.
+    Every step is checked: the forward difference of each storage against
+    its certified bound plus the exact explicit-Euler step defect at the
+    step before (see storage_step_defects); the recorded excess already
+    subtracts the 1e-3 (1 + |S|) tolerance, so <= 0 means the bound held.
+    excess rows are the compensator, multiplier and coupling checks; the
+    coupling row is NaN for naive-delay runs, which have no port
+    interpretation.
+
+    The checks run per block of _DIAG_BLOCK steps.  step() keeps
+    references to the arrays the engine built for a step, which it never
+    writes into again, and flush() stacks the block and calls each kernel
+    once on (K, ...) arrays.  The last step's storages, bounds and defects
+    and the channel integral carry over from one block to the next, so
+    every step is compared against the one before it, as step by step, and
+    memory stays bounded by one block.
     """
 
     def __init__(self, prob, ref, comp, cfg, edges, delays):
@@ -666,11 +695,15 @@ class _DiagState:
         self.cfg = cfg
         self.per_agent = edges.per_agent
         self.has_ports = cfg.mode in ("no_delay", "scattering")
-        self.excess = np.full((3, prob.n_agents), -np.inf)
+        n = prob.n_agents
+        self.excess = np.full((3, n), -np.inf)
         if not self.has_ports:
             self.excess[2] = np.nan
         self.xi_factor = 2.0 if cfg.mode == "scattering" else 1.0
-        self.prev = None
+        self.block = []
+        # (storage, bound, defect) rows of the last evaluated step, (3, 1, N)
+        # each; (3, 0, N) before the first block
+        self.prev = (np.empty((3, 0, n)),) * 3
         self.edge_const = 0.0
         self.acc = 0.0
         self.channels = None
@@ -687,64 +720,101 @@ class _DiagState:
                 + delays[bwd] * np.sum(delta[fwd] ** 2, axis=1)
             ))
 
-    def record(self, t, state, log, on_grid):
-        """Storages at t, the rate-excess update against the previous
-        step's bounds, and the Lyapunov samples when t is on the grid.
-
-        Returns the storages (S_c, S_g, S) per agent; S is None when there
-        is no coupling check.
-        """
-        ref = self.ref
-        h = self.cfg.step
-        tol = 1e-3
-        sc = compensator_storage(self.comp, state.rho, ref.z)
-        sg = multiplier_storage(self.prob, state.lam, state.mu, ref.lam, ref.mu)
-        s_full = None
-        if self.has_ports:
-            s_full = sc + sg + 0.5 * np.sum(
-                (state.xi - self.xi_factor * ref.xi) ** 2, axis=1
-            )
-        storages = (sc, sg, s_full)
-        if self.prev is not None:
-            for ex, s, (ps, bound, defect) in zip(self.excess, storages, self.prev):
-                if ps is not None:
-                    np.maximum(
-                        ex, (s - ps) / h - bound - defect - tol * (1.0 + np.abs(ps)),
-                        out=ex,
-                    )
-        if on_grid:
-            log.diag_t.append(t)
-            log.lyap_direct.append(
-                float(sc.sum() + sg.sum()) + 0.5 * float(np.sum((state.xi - ref.xi) ** 2))
-            )
-            if self.channels is not None:
-                log.lyap_delayed.append(
-                    float(s_full.sum()) + self.edge_const + 0.5 * self.acc
-                )
-        return storages
-
     def step(self, t, state, deriv, r, p, s_in, s_out, log, on_grid):
-        prob, ref = self.prob, self.ref
-        h = self.cfg.step
-        bnd_comp = primal_rate_bound(state, deriv, ref.z, self.phi_star)
-        bnd_mult = multiplier_rate_bound(state, deriv, ref.z, self.zeta_star)
-        bnd_coup = np.full(prob.n_agents, np.nan)
-        d_c, d_m, d_xi = storage_step_defects(prob, self.comp, state, deriv, ref.lam, h)
+        """Queue step t (a Lyapunov sample when on_grid); a full block is
+        evaluated first."""
+        if len(self.block) == _DIAG_BLOCK:
+            self.flush(log)
+        self.block.append((t, on_grid, state, deriv, r, p, s_in, s_out))
+
+    def flush(self, log, closing=None):
+        """Evaluate the queued steps: storages, the rate-excess update of
+        each against the step before, the wave identity, the channel
+        integral and the Lyapunov samples on the grid.
+
+        closing = (t, state) adds the final state of a completed run: its
+        storages are checked against the last step's bounds, and it is a
+        Lyapunov sample.
+        """
+        if not self.block:
+            return
+        ref, h, tol = self.ref, self.cfg.step, 1e-3
+        K = len(self.block)
+        times, grid, states, derivs, r, p, s_in, s_out = map(list, zip(*self.block))
+        self.block = []
+        if closing is not None:
+            times.append(closing[0])
+            grid.append(True)
+            states.append(closing[1])
+
+        st = AgentState(*(_stack([getattr(s, name) for s in states])
+                          for name in ("rho", "xi", "lam", "mu")))
+        sc = compensator_storage(self.comp, st.rho, ref.z)
+        sg = multiplier_storage(self.prob, st.lam, st.mu, ref.lam, ref.mu)
+        # the coupling storage; NaN, like its excess row, without ports
+        s_full = np.full_like(sc, np.nan)
         if self.has_ports:
-            bnd_coup = self.per_agent(np.sum((r - self.r_star) * (p - self.p_star), axis=1))
-        if s_in is not None:
-            res = np.abs(wave_identity_residual(s_in, s_out, r, p)).max(initial=0.0)
-            log.passivity.wave_identity_max = max(log.passivity.wave_identity_max,
-                                                  float(res))
-        storages = self.record(t, state, log, on_grid)
-        if self.channels is not None:
-            fwd, bwd, gamma, delta = self.channels
-            self.acc += h * float(
-                np.sum((s_out[fwd] + gamma) ** 2)
-                - np.sum((s_in[bwd] + gamma) ** 2)
-                + np.sum((s_out[bwd] - delta) ** 2)
-                - np.sum((s_in[fwd] - delta) ** 2)
+            s_full = sc + sg + 0.5 * np.sum((st.xi - self.xi_factor * ref.xi) ** 2, axis=-1)
+
+        xi = st.xi
+        if closing is not None:  # the bounds belong to the K steps only
+            st = AgentState(st.rho[:K], xi[:K], st.lam[:K], st.mu[:K])
+        deriv = AgentDerivative(*(_stack([getattr(d, f.name) for d in derivs])
+                                  for f in fields(AgentDerivative)))
+        d_c, d_m, d_xi = storage_step_defects(self.prob, self.comp, st, deriv, ref.lam, h)
+        bnd_coup = np.full_like(d_c, np.nan)
+        if self.has_ports:
+            r, p = _stack(r), _stack(p)
+            bnd_coup = self.per_agent(
+                np.sum((r - self.r_star) * (p - self.p_star), axis=-1), lead=1
             )
-        self.prev = tuple(zip(
-            storages, (bnd_comp, bnd_mult, bnd_coup), (d_c, d_m, d_c + d_m + d_xi)
-        ))
+        # (storage, bound, defect) rows: compensator, multiplier, coupling
+        storage = np.stack((sc, sg, s_full))
+        bound = np.stack((primal_rate_bound(st, deriv, ref.z, self.phi_star),
+                          multiplier_rate_bound(st, deriv, ref.z, self.zeta_star),
+                          bnd_coup))
+        defect = np.stack((d_c, d_m, d_c + d_m + d_xi))
+
+        # each sample is checked against the step before it, the first
+        # against the carried last step of the previous block
+        carry = (storage[:, K - 1:K], bound[:, K - 1:], defect[:, K - 1:])
+        storage, bound, defect = (np.concatenate([old, new], axis=1)
+                                  for old, new in zip(self.prev, (storage, bound, defect)))
+        self.prev = carry
+        pairs = storage.shape[1] - 1
+        if pairs:
+            before = storage[:, :-1]
+            rate = ((storage[:, 1:] - before) / h - bound[:, :pairs] - defect[:, :pairs]
+                    - tol * (1.0 + np.abs(before)))
+            np.maximum(self.excess, rate.max(axis=1), out=self.excess)
+
+        acc = None
+        if self.channels is not None:
+            s_in, s_out = _stack(s_in), _stack(s_out)
+            res = np.abs(wave_identity_residual(s_in, s_out, r, p)).max(axis=-1, initial=0.0)
+            # a step whose residual is NaN is passed over, as max() does
+            log.passivity.wave_identity_max = float(
+                np.fmax.reduce(res, initial=log.passivity.wave_identity_max)
+            )
+            fwd, bwd, gamma, delta = self.channels
+
+            def energy(a):  # per step, summed like one step's (E, 2n) array
+                return np.sum((a**2).reshape(K, -1), axis=1)
+
+            power = (energy(s_out[:, fwd] + gamma) - energy(s_in[:, bwd] + gamma)
+                     + energy(s_out[:, bwd] - delta) - energy(s_in[:, fwd] - delta))
+            # acc[j]: the channel integral up to the step before sample j
+            acc = np.cumsum(np.concatenate([[self.acc], h * power]))
+            self.acc = float(acc[K])
+
+        on = np.flatnonzero(grid)
+        if on.size:
+            log.diag_t.extend(times[j] for j in on)
+            log.lyap_direct.extend((
+                sc[on].sum(axis=-1) + sg[on].sum(axis=-1)
+                + 0.5 * np.sum((xi[on] - ref.xi) ** 2, axis=(-2, -1))
+            ).tolist())
+            if acc is not None:
+                log.lyap_delayed.extend(
+                    (s_full[on].sum(axis=-1) + self.edge_const + 0.5 * acc[on]).tolist()
+                )

@@ -21,6 +21,7 @@ from dcopt.cli import (
 from dcopt.problem import KKTResidual
 
 INF, NAN = float("inf"), float("nan")
+HUGE = 10**400  # 401 digits
 
 
 def test_defaults_pass_validation():
@@ -52,6 +53,11 @@ def test_bad_json_and_bad_top_level(tmp_path):
         validate_config(path)
     path.write_text("[1, 2]")
     with pytest.raises(ConfigError, match="top level"):
+        validate_config(path)
+    # json reads integers of at most 4300 digits (Pythons without that
+    # limit read it, and the field check rejects it)
+    path.write_text('{"area": ' + "1" * 5000 + "}")
+    with pytest.raises(ConfigError, match=r"config: Exceeds the limit|area: must be finite"):
         validate_config(path)
 
 
@@ -88,6 +94,11 @@ def test_bad_json_and_bad_top_level(tmp_path):
         ({"diag_interval": NAN}, "diag_interval: must be finite, got nan"),
         ({"compensator_gains": [1.0, NAN]}, r"compensator_gains\[1\]: must be finite"),
         ({"delay_range": [0.2, INF]}, r"delay_range\[1\]: must be finite, got inf"),
+        # a JSON integer too large for a float
+        ({"area": HUGE}, "area: must be finite, got an integer too large"),
+        ({"delay_range": [0.2, HUGE]}, r"delay_range\[1\]: must be finite, got an integer"),
+        ({"compensator_gains": [1.0, HUGE]},
+         r"compensator_gains\[1\]: must be finite, got an integer"),
     ],
 )
 def test_field_validation_messages(tmp_path, patch, msg):

@@ -1,5 +1,7 @@
 """Compensator dynamics, Euler stepping, storage functions and rate bounds."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -401,3 +403,43 @@ def test_network_kernels_equal_one_agent_values():
         for net, single in zip(defects_net,
                                storage_step_defects(one, comp, st_i, d_i, lam_star[li], h)):
             assert net[i] == pytest.approx(single[0], rel=1e-15, abs=1e-15)
+
+
+def test_kernels_take_a_block_of_steps():
+    # K states and derivatives stacked along a leading axis give, row by
+    # row, the values of the K steps one at a time; a NaN stays with its
+    # own agent and step
+    prob, _ = three_agent_layout()
+    rng = np.random.default_rng(97)
+    comp = lead_comp()
+    lam_star = np.array([0.7, 0.0, 1.1])
+    mu_star = rng.normal(size=2)
+    z_star = rng.normal(size=2)
+    phi_star, zeta_star = rng.normal(size=(2, 3, 2))
+    h = 1e-2
+    states = [AgentState(rho=rng.normal(size=(3, 2, 2)), xi=rng.normal(size=(3, 2)),
+                         lam=rng.uniform(0.2, 2.0, size=3), mu=rng.normal(size=2))
+              for _ in range(4)]
+    derivs = [derivatives(prob, comp, st, rng.normal(size=(3, 4))) for st in states]
+    derivs[1].lam_dot[2] = np.nan  # agent 2's inequality at step 1
+
+    def kernels(st, d):
+        return (compensator_storage(comp, st.rho, z_star),
+                multiplier_storage(prob, st.lam, st.mu, lam_star, mu_star),
+                primal_rate_bound(st, d, z_star, phi_star),
+                multiplier_rate_bound(st, d, z_star, zeta_star),
+                *storage_step_defects(prob, comp, st, d, lam_star, h))
+
+    def stack(items, name):
+        return np.stack([getattr(item, name) for item in items])
+
+    block = kernels(
+        AgentState(*(stack(states, name) for name in ("rho", "xi", "lam", "mu"))),
+        type(derivs[0])(*(stack(derivs, f.name) for f in dataclasses.fields(derivs[0]))),
+    )
+    for k, (st, d) in enumerate(zip(states, derivs)):
+        for stacked, one in zip(block, kernels(st, d), strict=True):
+            assert stacked.shape == (4, 3)
+            np.testing.assert_array_equal(stacked[k], one)
+    d_m = block[5]
+    assert np.argwhere(np.isnan(d_m)).tolist() == [[1, 2]]

@@ -15,8 +15,9 @@ from dcopt import (
     ring,
     simulate,
 )
-from dcopt.cli import compute_reference, validate_config
+from dcopt.cli import build_scenario, compute_reference, validate_config
 from dcopt.dynamics import CompensatorParams, derivatives
+from dcopt.engine import _Edges
 from dcopt.graph import Network
 from dcopt.problem import (
     AffineFunction,
@@ -435,6 +436,19 @@ def test_nan_event_names_first_non_finite_agent():
     assert event["detail"].startswith("agent 1: non-finite derivative")
 
 
+def test_edge_sums_keep_rows_and_agents_apart():
+    # a block of edge rows (steps, edges, width) sums row by row into the
+    # receiving agents: a NaN reaches one agent of one step only
+    edges = _Edges(ring(4, 1.0))
+    rows = np.arange(3 * 8 * 2, dtype=float).reshape(3, 8, 2)
+    rows[1, 5, 0] = np.nan
+    block = edges.per_agent(rows, lead=1)
+    assert block.shape == (3, 4, 2)
+    for k in range(3):
+        np.testing.assert_array_equal(block[k], edges.per_agent(rows[k]))
+    assert np.argwhere(np.isnan(block)).tolist() == [[1, int(edges.own[5]), 0]]
+
+
 def test_initial_states_checked_before_first_step():
     prob = three_agent_quadratic()  # dim 1, agent 0 has one inequality
     comp = SimConfig().compensator
@@ -677,6 +691,60 @@ def test_no_delay_online_diag_matches_posthoc():
     # V is non-increasing along the no-delay run
     v = np.array(log.lyap_direct)
     assert np.all(np.diff(v) <= 1e-3 * cfg.step * (1.0 + v[0]))
+
+
+@pytest.fixture(scope="module")
+def paper():
+    """The paper's matching LP (seed 5, N = 5, ring(5, 4)) with the CLI's
+    reference for it from a 20 s no-delay pass."""
+    cfg = validate_config(None, {"duration": 20.0})
+    _, prob, _ = build_scenario(cfg, "no_delay")
+    ref, note = compute_reference(cfg, prob)
+    assert ref is not None, note
+    return cfg, prob, ref
+
+
+def test_matching_lp_online_diag_matches_posthoc(paper):
+    # the stacked affine local-terms path under heterogeneous delays; 1237
+    # steps are no whole number of diagnostic blocks, and Lyapunov samples
+    # every 37 steps fall inside blocks and in the partial last one
+    cfg, prob, ref = paper
+    assert prob._affine is not None
+    _, _, sim = build_scenario(dict(cfg, duration=1.237, diag_interval=0.037, log_every=1),
+                               "scattering")
+    assert len(set(sim.delays.values())) > 1
+    sim.reference = ref
+    log = simulate(prob, sim)
+    assert log.abort_reason is None and len(log.t) == 1238
+    h = sim.step
+    assert log.diag_t == [k * h for k in range(0, 1237, 37)] + [1237 * h]
+    report = passivity_check(prob, log, ref, sim.compensator)
+    assert_reports_match(report, log.passivity)
+    assert report.ok() and log.passivity.ok()
+    assert log.passivity.wave_identity_max == pytest.approx(report.wave_identity_max,
+                                                            rel=1e-12)
+    for t, v in zip(log.diag_t, log.lyap_delayed, strict=True):
+        upto = int(round(t / h))
+        assert lyapunov_delayed(prob, log, ref, sim.compensator, upto=upto) == pytest.approx(
+            v, rel=1e-9, abs=1e-9)
+
+
+def test_online_diag_reported_after_abort(paper):
+    # at h = 0.05 the paper instance trips the multiplier guard at step 2,
+    # inside the first block of online checks: the steps before the abort
+    # are still checked and reach the report
+    cfg, prob, ref = paper
+    _, _, sim = build_scenario(dict(cfg, step=0.05, duration=1.0, log_every=1), "no_delay")
+    sim.reference = ref
+    log = simulate(prob, sim)
+    assert (log.abort_reason, log.abort_step) == ("lambda_guard", 2)
+    report = passivity_check(prob, log, ref, sim.compensator)
+    for name in ("compensator_excess", "multiplier_excess", "coupling_excess"):
+        online = getattr(log.passivity, name)
+        assert np.isfinite(online).all()
+        assert np.array_equal(online, getattr(report, name))
+    assert log.passivity.wave_identity_max == report.wave_identity_max == 0.0
+    assert log.diag_t == [0.0, 2 * sim.step]
 
 
 def test_naive_mode_has_no_port_checks():
