@@ -12,9 +12,10 @@ coupling effort of the port to j: its first n entries add to nu_i and its
 last n are xi_dot_i.  The inequality multiplier enters the Lagrangian
 squared, so its flow lam_dot = 2 lam g(x) keeps lam positive without
 projection; a step that would cross zero is a guard violation, never
-clamped.  The whole network steps as one state of stacked arrays
-(AgentState), and the storage, bound and defect kernels return one value
-per agent.  Those kernels also take a block of states and derivatives
+clamped.  The whole network steps as one state (AgentState): its stacked
+arrays are views of one flat vector z, so an Euler step is one vector
+update, and the storage, bound and defect kernels return one value per
+agent.  Those kernels also take a block of states and derivatives
 stacked along leading axes, (K, N, ...), and reduce over the trailing
 axes only, so the online diagnostics evaluate K steps in one call.
 
@@ -30,8 +31,10 @@ flow reduces to plain primal-dual gradient dynamics (the ablation mode that
 oscillates on merely convex objectives).
 """
 
+import functools
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,9 +105,97 @@ class CompensatorParams:
         return CompensatorParams(np.array([0.0]), np.array([1.0]))
 
 
-@dataclass
-class AgentState:
-    """The network's state in one stacked layout.
+class _Layout:
+    """Where the four packed fields of an AgentState (or of its
+    AgentDerivative) sit in one flat vector: each field's shape for one
+    state and its slice of the vector, D entries in all."""
+
+    def __init__(self, shapes):
+        shapes = tuple(shapes)
+        stops = list(itertools.accumulate(math.prod(s) for s in shapes))
+        self.size = stops[-1]
+        self._fields = tuple((slice(a, b), shape)
+                             for a, b, shape in zip([0] + stops[:-1], stops, shapes))
+
+    def views(self, vector):
+        """The fields of vector (..., D) as views, each (...,) + its shape."""
+        lead = vector.shape[:-1]
+        return [vector[..., s].reshape(lead + shape) for s, shape in self._fields]
+
+
+def _stack(arrays):
+    """np.stack of equal-shaped arrays, in one concatenate call."""
+    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
+
+
+def _field(k):
+    """The k-th packed field of a _Packed: a view of its vector, made with
+    the other views on first access; assigning writes into the vector and
+    must keep the field's shape."""
+
+    def get(self):
+        if self._views is None:
+            self._views = self._layout.views(self._vector)
+        return self._views[k]
+
+    def put(self, value):
+        view, value = get(self), np.asarray(value, dtype=float)
+        if value.shape != view.shape:
+            raise ValueError(
+                f"{self._names[k]}: expected shape {view.shape}, got {value.shape}"
+            )
+        view[...] = value
+        self._written()
+
+    return property(get, put)
+
+
+class _Packed:
+    """Four named fields that are views of one contiguous float vector.
+
+    The constructor copies its arrays into a new vector (..., D).  The
+    leading axes are those of the first field before its last three (rho
+    is (..., N, m, n)), and every field must start with them.
+    """
+
+    _names = ()
+    _views = None
+
+    def __init__(self, *arrays):
+        arrays = [np.asarray(a, dtype=float) for a in arrays]
+        lead = arrays[0].shape[:-3]
+        for name, a in zip(self._names, arrays):
+            if a.shape[:len(lead)] != lead:
+                raise ValueError(f"{name}: expected leading axes {lead}, got shape {a.shape}")
+        self._layout = _Layout(a.shape[len(lead):] for a in arrays)
+        self._vector = np.empty(lead + (self._layout.size,))
+        for view, a in zip(self._layout.views(self._vector), arrays):
+            view[...] = a
+
+    @classmethod
+    def _of(cls, layout, vector):
+        """The fields of vector in layout, without a copy."""
+        obj = cls.__new__(cls)
+        obj._layout = layout
+        obj._vector = vector
+        return obj
+
+    def _written(self):
+        pass
+
+    @classmethod
+    def stack(cls, items):
+        """K items of one layout as one with a leading axis: its vector is
+        (K, D) and its fields (K, ...) views of it."""
+        return cls._of(items[0]._layout, _stack([item._vector for item in items]))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
+        return f"{type(self).__name__}({fields})"
+
+
+class AgentState(_Packed):
+    """The network's state, packed in one contiguous float vector z (D,).
 
     rho  (N, m, n)  compensator stages; agent i's primal estimate is
                     x[i] = rho[i].sum(axis=0)
@@ -113,23 +204,36 @@ class AgentState:
                     each the agents' vectors concatenated in agent order
                     (the layout of DistributedProblem)
 
-    A step builds new arrays and never writes into old ones.  x is formed
-    once per rho array and kept, so a step's phases share one x; replace
-    rho rather than write into it.  The diagnostics stack K states into
-    one AgentState with a leading step axis: rho (K, N, m, n), x (K, N, n).
+    The four fields are views of z, in that order, so an Euler step is one
+    vector update and the divergence guard one reduction over z.  The
+    constructor copies its arrays into a new z; assigning a field writes
+    into z and must keep the field's shape.  A step builds a new z and
+    never writes into an old one.  x is formed once per state and kept:
+    assigning rho drops it, but a write into rho's entries does not, so
+    assign rho rather than write into it.  The diagnostics stack K states
+    into one (AgentState.stack) whose z is (K, D) and whose fields are
+    (K, N, m, n), ... views of it.
     """
 
-    rho: np.ndarray
-    xi: np.ndarray
-    lam: np.ndarray
-    mu: np.ndarray
-    _x: tuple = field(default=None, init=False, repr=False, compare=False)
+    _names = ("rho", "xi", "lam", "mu")
+    rho, xi, lam, mu = (_field(k) for k in range(4))
+    _x = None
+
+    def __init__(self, rho, xi, lam, mu):
+        super().__init__(rho, xi, lam, mu)
+
+    @property
+    def z(self):
+        return self._vector
 
     @property
     def x(self):
-        if self._x is None or self._x[0] is not self.rho:
-            self._x = (self.rho, self.rho.sum(axis=-2))
-        return self._x[1]
+        if self._x is None:
+            self._x = self.rho.sum(axis=-2)
+        return self._x
+
+    def _written(self):
+        self._x = None
 
     @staticmethod
     def zeros(comp, prob, lam0=0.01):
@@ -143,19 +247,33 @@ class AgentState:
         )
 
 
-@dataclass
-class AgentDerivative:
-    """Time derivatives of an AgentState, in its layout, plus what the
-    diagnostics read at the same x: nu, grad f(x) and the constraint force
-    zeta, each (N, n)."""
+class AgentDerivative(_Packed):
+    """Time derivatives of an AgentState, packed like it: rho_dot, xi_dot,
+    lam_dot and mu_dot are views of one vector zdot, so z + h zdot is the
+    Euler step.  It also keeps what the diagnostics read at the same x, as
+    separate (N, n) arrays: nu, grad f(x) and the constraint force zeta.
+    stack() stacks those three next to zdot.
+    """
 
-    rho_dot: np.ndarray
-    xi_dot: np.ndarray
-    lam_dot: np.ndarray
-    mu_dot: np.ndarray
-    nu: np.ndarray
-    grad: np.ndarray
-    zeta: np.ndarray
+    _names = ("rho_dot", "xi_dot", "lam_dot", "mu_dot")
+    rho_dot, xi_dot, lam_dot, mu_dot = (_field(k) for k in range(4))
+    nu = grad = zeta = None
+
+    def __init__(self, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta):
+        super().__init__(rho_dot, xi_dot, lam_dot, mu_dot)
+        self.nu, self.grad, self.zeta = nu, grad, zeta
+
+    @property
+    def zdot(self):
+        return self._vector
+
+    @classmethod
+    def stack(cls, items):
+        stacked = super().stack(items)
+        stacked.nu, stacked.grad, stacked.zeta = (
+            _stack([getattr(d, name) for d in items]) for name in ("nu", "grad", "zeta")
+        )
+        return stacked
 
 
 def derivatives(prob, comp, state, effort):
@@ -164,8 +282,10 @@ def derivatives(prob, comp, state, effort):
     effort (N, 2n) holds each agent's summed port effort sum_j p_ij.  The
     local terms come from one prob.local_terms(x) call, with no loop over
     the agents when the problem is affine, and the constraint force from
-    one bincount by owner.  The result also keeps grad f(x) and zeta for
-    the diagnostics.
+    one bincount by owner.  The four derivative fields go into one fresh
+    zdot by one concatenate, so a step that reads only zdot (the Euler
+    update) never builds their views.  The result also keeps grad f(x)
+    and zeta for the diagnostics.
     """
     n = prob.dim
     x = state.x
@@ -174,11 +294,14 @@ def derivatives(prob, comp, state, effort):
     nu = -terms.grad - zeta + effort[:, :n]
     rho_dot = comp.c[:, None] * nu[:, None, :] - comp.b[:, None] * state.rho
     lam_dot = 2.0 * state.lam * terms.g
-    return AgentDerivative(rho_dot, effort[:, n:], lam_dot, terms.h, nu, terms.grad, zeta)
+    zdot = np.concatenate([rho_dot, effort[:, n:], lam_dot, terms.h], axis=None)
+    d = AgentDerivative._of(state._layout, zdot)
+    d.nu, d.grad, d.zeta = nu, terms.grad, zeta
+    return d
 
 
 def euler_step(state, deriv, h):
-    """Explicit Euler update; guards multiplier positivity.
+    """Explicit Euler update z + h zdot; guards multiplier positivity.
 
     Raises LambdaGuardError when any lam component would become <= 0.
     The guard is an integration-accuracy failure, so it aborts rather than
@@ -186,16 +309,12 @@ def euler_step(state, deriv, h):
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    lam = state.lam + h * deriv.lam_dot
+    nxt = AgentState._of(state._layout, state.z + h * deriv.zdot)
+    lam = nxt.lam
     if lam.size and lam.min() <= 0.0:
         k = int(np.argmax(lam <= 0.0))
         raise LambdaGuardError(k, float(lam[k]))
-    return AgentState(
-        rho=state.rho + h * deriv.rho_dot,
-        xi=state.xi + h * deriv.xi_dot,
-        lam=lam,
-        mu=state.mu + h * deriv.mu_dot,
-    )
+    return nxt
 
 
 def _per_agent(prob, owner, values):
@@ -205,9 +324,20 @@ def _per_agent(prob, owner, values):
     n = prob.n_agents
     lead = values.shape[:-1]
     rows = math.prod(lead)
-    bins = (owner + n * np.arange(rows)[:, None]).ravel()
+    bins = _agent_bins(n, rows, owner.dtype.str, owner.tobytes())
     sums = np.bincount(bins, weights=values.ravel(), minlength=rows * n)
     return sums.reshape(lead + (n,))
+
+
+@functools.lru_cache(maxsize=64)
+def _agent_bins(n, rows, dtype, owner):
+    """The bincount bins of _per_agent, cached per owner array (its dtype
+    and bytes) and number of leading rows: entry k of row j goes to slot
+    j n + owner[k]."""
+    owner = np.frombuffer(owner, dtype=dtype)
+    bins = (owner + n * np.arange(rows)[:, None]).ravel()
+    bins.setflags(write=False)
+    return bins
 
 
 def compensator_storage(comp, rho, z_star):

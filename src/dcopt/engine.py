@@ -1,8 +1,9 @@
 """Fixed-step simulation engine for the networked primal-dual flow.
 
-The network state is one AgentState of stacked arrays, and the directed
-edges i <- j are index arrays in network.directed_edges() order.  One
-explicit-Euler step has a fixed phase order:
+The network state is one AgentState, stacked arrays packed in one flat
+vector, and the directed edges i <- j are index arrays in
+network.directed_edges() order.  One explicit-Euler step has a fixed
+phase order:
 
     1. the port pair (r, p) of every directed edge i <- j, in every mode:
        r is what agent i holds of neighbor j (see below) and
@@ -12,7 +13,9 @@ explicit-Euler step has a fixed phase order:
        terms and each agent's summed effort sum_j p_ij,
     3. the push of every edge into the delay lines (outgoing waves in
        scattering mode, the sender's own [x; xi] in naive mode),
-    4. barrier commit of the Euler update.
+    4. barrier commit of the Euler update: one vector update z + h zdot of
+       the packed state (see AgentState), the multiplier guard on its lam
+       view and the divergence guard, one abs-max over z.
 
 Every quantity consumed in a step is therefore from time t; the step is a
 synchronous barrier, which is what makes runs bit-for-bit reproducible.
@@ -37,7 +40,8 @@ wave histories in memory on long runs: only the current block is held.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+import numbers
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,6 +50,7 @@ from .dynamics import (
     AgentState,
     CompensatorParams,
     LambdaGuardError,
+    _stack,
     compensator_storage,
     derivatives,
     euler_step,
@@ -128,6 +133,8 @@ class SimConfig:
             raise ValueError("eta must be positive")
         if self.lam0 <= 0.0:
             raise ValueError("initial inequality multipliers must be positive")
+        if isinstance(self.log_every, bool) or not isinstance(self.log_every, numbers.Integral):
+            raise ValueError(f"log_every must be an integer, got {self.log_every!r}")
         if self.log_every < 1:
             raise ValueError("log_every must be >= 1")
         if self.diag_interval < self.step:
@@ -479,11 +486,6 @@ def _port_offsets(ref, edges, cfg):
     return ref.direct_offsets(edges.own, edges.nbr, edges.weight) + (None, None)
 
 
-def _stack(arrays):
-    """np.stack of equal-shaped arrays, in one concatenate call."""
-    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
-
-
 def _initial_state(prob, cfg):
     """A checked copy of SimConfig.initial, or the zero start."""
     zeros = AgentState.zeros(cfg.compensator, prob, cfg.lam0)
@@ -492,8 +494,7 @@ def _initial_state(prob, cfg):
         return zeros
     if not isinstance(init, AgentState):
         raise TypeError("initial: expected one stacked AgentState")
-    state = AgentState(*(np.array(a, dtype=float)
-                         for a in (init.rho, init.xi, init.lam, init.mu)))
+    state = AgentState(init.rho, init.xi, init.lam, init.mu)
     owners = {"lam": prob.ineq_owner, "mu": prob.eq_owner}
     for name in ("rho", "xi", "lam", "mu"):
         values, shape = getattr(state, name), getattr(zeros, name).shape
@@ -634,7 +635,7 @@ def simulate(prob, cfg):
             if k % cfg.log_every == 0:
                 snapshot(t, state, x, deriv, (r, p, s_in, s_out))
 
-            # phase 4: barrier commit
+            # phase 4: barrier commit, one update of the packed state
             try:
                 state = euler_step(state, deriv, h)
             except LambdaGuardError as err:
@@ -643,9 +644,7 @@ def simulate(prob, cfg):
                       f"agent {i}: inequality multiplier {local} would step to "
                       f"{err.value:.3e}")
                 break
-            worst = np.max([np.abs(a).max(initial=0.0)
-                            for a in (state.rho, state.xi, state.lam, state.mu)])
-            if not worst <= DIVERGENCE_LIMIT:  # also true for NaN
+            if not np.abs(state.z).max() <= DIVERGENCE_LIMIT:  # also true for NaN
                 i, name, value = _largest_entry(prob, state)
                 abort("divergence", i, value,
                       f"agent {i}: {name} magnitude {value:.3e} "
@@ -747,8 +746,7 @@ class _DiagState:
             grid.append(True)
             states.append(closing[1])
 
-        st = AgentState(*(_stack([getattr(s, name) for s in states])
-                          for name in ("rho", "xi", "lam", "mu")))
+        st = AgentState.stack(states)
         sc = compensator_storage(self.comp, st.rho, ref.z)
         sg = multiplier_storage(self.prob, st.lam, st.mu, ref.lam, ref.mu)
         # the coupling storage; NaN, like its excess row, without ports
@@ -758,9 +756,8 @@ class _DiagState:
 
         xi = st.xi
         if closing is not None:  # the bounds belong to the K steps only
-            st = AgentState(st.rho[:K], xi[:K], st.lam[:K], st.mu[:K])
-        deriv = AgentDerivative(*(_stack([getattr(d, f.name) for d in derivs])
-                                  for f in fields(AgentDerivative)))
+            st = AgentState.stack(states[:K])
+        deriv = AgentDerivative.stack(derivs)
         d_c, d_m, d_xi = storage_step_defects(self.prob, self.comp, st, deriv, ref.lam, h)
         bnd_coup = np.full_like(d_c, np.nan)
         if self.has_ports:

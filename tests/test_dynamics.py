@@ -1,12 +1,11 @@
 """Compensator dynamics, Euler stepping, storage functions and rate bounds."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 from dcopt import AgentState, ring
 from dcopt.dynamics import (
+    AgentDerivative,
     CompensatorParams,
     LambdaGuardError,
     compensator_storage,
@@ -163,6 +162,82 @@ def test_euler_step_does_not_mutate_input():
                                (st.rho, st.xi, st.lam, st.mu)):
         assert np.array_equal(field, old)
         assert not np.shares_memory(new, field)
+    # the new state is a new vector: neither the state nor the derivative
+    # it came from can be written through it
+    assert not np.shares_memory(nxt.z, st.z)
+    assert not np.shares_memory(nxt.z, d.zdot)
+
+
+def test_state_fields_are_views_of_one_vector():
+    st = hand_state()
+    assert st.z.shape == (5,) and st.z.flags.c_contiguous
+    # rho (both stages), xi, lam, mu in that order
+    assert st.z.tolist() == [1.0, 2.0, 0.5, 0.2, 0.3]
+    for name in ("rho", "xi", "lam", "mu"):
+        assert np.shares_memory(getattr(st, name), st.z)
+    prob = hand_prob()
+    d = derivatives(prob, lead_comp(), st, no_effort(prob))
+    assert d.zdot.shape == st.z.shape
+    for name in ("rho_dot", "xi_dot", "lam_dot", "mu_dot"):
+        assert np.shares_memory(getattr(d, name), d.zdot)
+    for name in ("nu", "grad", "zeta"):
+        assert not np.shares_memory(getattr(d, name), d.zdot)
+    # the constructor copies its arrays
+    rho = np.ones((1, 2, 1))
+    assert not np.shares_memory(AgentState(rho, st.xi, st.lam, st.mu).z, rho)
+
+
+def test_field_assignment_writes_through_and_checks_shape():
+    st = hand_state()
+    x_before = st.x.copy()
+    st.xi = np.array([[7.0]])
+    st.rho = np.array([[[4.0], [5.0]]])
+    assert st.z.tolist() == [4.0, 5.0, 7.0, 0.2, 0.3]
+    # assigning rho drops the cached x
+    assert x_before.tolist() == [[3.0]] and st.x.tolist() == [[9.0]]
+    d = derivatives(hand_prob(), lead_comp(), st, no_effort(hand_prob()))
+    d.lam_dot = np.array([-0.5])
+    assert d.zdot[3] == -0.5
+    for field, value, msg in (
+        ("xi", np.zeros(1), r"xi: expected shape \(1, 1\), got \(1,\)"),
+        ("rho", np.zeros((1, 3, 1)), r"rho: expected shape \(1, 2, 1\), got \(1, 3, 1\)"),
+        ("lam", 0.5, r"lam: expected shape \(1,\), got \(\)"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            setattr(st, field, value)
+    with pytest.raises(ValueError, match=r"lam_dot: expected shape \(1,\)"):
+        d.lam_dot = np.zeros(2)
+    assert st.z.tolist() == [4.0, 5.0, 7.0, 0.2, 0.3]
+    # fields must share the leading axes of rho
+    with pytest.raises(ValueError, match="xi: expected leading axes"):
+        AgentState(np.zeros((2, 1, 2, 1)), np.zeros((1, 1)), np.zeros((2, 1)), np.zeros((2, 1)))
+
+
+def test_stacked_vector_gives_stacked_views():
+    prob, _ = three_agent_layout()
+    rng = np.random.default_rng(3)
+    comp = lead_comp()
+    states = [AgentState(rho=rng.normal(size=(3, 2, 2)), xi=rng.normal(size=(3, 2)),
+                         lam=rng.uniform(0.2, 2.0, size=3), mu=rng.normal(size=2))
+              for _ in range(4)]
+    derivs = [derivatives(prob, comp, st, rng.normal(size=(3, 4))) for st in states]
+    st, d = AgentState.stack(states), AgentDerivative.stack(derivs)
+    D = states[0].z.size
+    assert st.z.shape == d.zdot.shape == (4, D)
+    assert (st.rho.shape, st.xi.shape, st.lam.shape, st.mu.shape) == (
+        (4, 3, 2, 2), (4, 3, 2), (4, 3), (4, 2))
+    assert d.rho_dot.shape == (4, 3, 2, 2) and d.nu.shape == (4, 3, 2)
+    for name in ("rho", "xi", "lam", "mu"):
+        assert np.shares_memory(getattr(st, name), st.z)
+        for k, one in enumerate(states):
+            np.testing.assert_array_equal(getattr(st, name)[k], getattr(one, name))
+    for name in ("rho_dot", "xi_dot", "lam_dot", "mu_dot", "nu", "grad", "zeta"):
+        for k, one in enumerate(derivs):
+            np.testing.assert_array_equal(getattr(d, name)[k], getattr(one, name))
+    np.testing.assert_array_equal(st.x, np.stack([one.x for one in states]))
+    # the public constructor takes the same stacked fields
+    again = AgentState(st.rho, st.xi, st.lam, st.mu)
+    np.testing.assert_array_equal(again.z, st.z)
 
 
 def test_compensator_storage_hand_value():
@@ -435,7 +510,8 @@ def test_kernels_take_a_block_of_steps():
 
     block = kernels(
         AgentState(*(stack(states, name) for name in ("rho", "xi", "lam", "mu"))),
-        type(derivs[0])(*(stack(derivs, f.name) for f in dataclasses.fields(derivs[0]))),
+        AgentDerivative(*(stack(derivs, name) for name in (
+            "rho_dot", "xi_dot", "lam_dot", "mu_dot", "nu", "grad", "zeta"))),
     )
     for k, (st, d) in enumerate(zip(states, derivs)):
         for stacked, one in zip(block, kernels(st, d), strict=True):

@@ -76,6 +76,11 @@ def test_sim_config_validation():
         SimConfig(lam0=0.0)
     with pytest.raises(ValueError, match="log_every"):
         SimConfig(log_every=0)
+    # 2.5 would log every 5 steps (k % 2.5 == 0), True every step
+    for value in (2.5, True, "10"):
+        with pytest.raises(ValueError, match=f"log_every must be an integer, got {value!r}"):
+            SimConfig(log_every=value)
+    assert SimConfig(log_every=np.int64(3)).log_every == 3
     with pytest.raises(ValueError, match="diag_interval"):
         SimConfig(step=1e-2, diag_interval=1e-3)
     for name, value in (("step", np.nan), ("eta", np.nan), ("lam0", np.nan),
@@ -454,10 +459,11 @@ def test_initial_states_checked_before_first_step():
     comp = SimConfig().compensator
 
     def state(**fields):
-        st = AgentState.zeros(comp, prob)
-        for name, value in fields.items():
-            setattr(st, name, value)
-        return st
+        # the constructor packs any shapes; assigning a field would refuse
+        # a wrong one before simulate() sees it
+        zeros = AgentState.zeros(comp, prob)
+        return AgentState(**{name: fields.get(name, getattr(zeros, name))
+                             for name in ("rho", "xi", "lam", "mu")})
 
     for init, msg in (
         (state(rho=np.zeros((4, 2, 1))),
@@ -676,6 +682,33 @@ def test_scattering_online_diag_matches_posthoc():
         step_index = int(round(t / cfg.step))
         v_delayed = lyapunov_delayed(prob, log, ref, comp, upto=step_index)
         assert v_delayed == pytest.approx(log.lyap_delayed[kth], rel=1e-9, abs=1e-9)
+
+
+def test_logged_samples_are_never_overwritten():
+    # the log and the online diagnostics hold the engine's own arrays,
+    # views of each step's state and derivative vectors, so the engine
+    # must never write into a vector it handed out.  A sample written into
+    # after it was logged would hold a later value, which differs between
+    # runs that stop at different times: the samples of a full-rate
+    # scattering run, copied at its end, must equal bit for bit those of a
+    # re-run of the same config and of a run cut to half its length.
+    prob = three_agent_quadratic()
+    ref = cli_reference(prob)
+    delays = {(i, j): 0.25 for i, j, _ in prob.network.directed_edges()}
+
+    def samples(duration):
+        cfg = scattering_cfg(delays, duration=duration, log_every=1, reference=ref)
+        log = simulate(prob, cfg)
+        assert log.abort_reason is None
+        return [[a.copy() for a in series] for series in (log.rho, log.xi, log.lam)]
+
+    first = samples(0.5)
+    for again in (samples(0.5), samples(0.25)):
+        for old, new in zip(first, again):
+            # the cut run's closing sample is the full run's sample there
+            assert len(new) in (len(old), (len(old) - 1) // 2 + 1)
+            for a, b in zip(old, new):
+                np.testing.assert_array_equal(a, b)
 
 
 def test_no_delay_online_diag_matches_posthoc():
