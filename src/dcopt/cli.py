@@ -341,13 +341,19 @@ def run(spec):
 
     ref = None
     ref_note = "diagnostics disabled"
+    ref_seconds = None
     if cfg["diagnostics"]:
+        t0 = time.perf_counter()
         ref, ref_note = compute_reference(cfg, prob)
+        ref_seconds = time.perf_counter() - t0
         sim.reference = ref
 
     t0 = time.perf_counter()
     log = simulate(prob, sim)
     wall = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    log.to_csv(os.path.join(spec.out_dir, "trajectory.csv"))
+    csv_seconds = time.perf_counter() - t0
 
     verdict = classify(log, cfg["duration"])
     oracle, oracle_cost = brute_force_optimal(inst)
@@ -365,6 +371,8 @@ def run(spec):
         ("seed", cfg["seed"]),
         ("simulated_seconds", float(log.t[-1]) if log.t else 0.0),
         ("wall_seconds", wall),
+        ("reference_seconds", ref_seconds),
+        ("csv_seconds", csv_seconds),
         ("abort_reason", log.abort_reason),
         ("abort_step", log.abort_step),
         ("oracle_permutation", oracle),
@@ -411,7 +419,6 @@ def run(spec):
                       f"{ev['detail']}")
         )
 
-    log.to_csv(os.path.join(spec.out_dir, "trajectory.csv"))
     write_diagnostics(os.path.join(spec.out_dir, "diagnostics.txt"), lines)
     with open(os.path.join(spec.out_dir, "config.normalized"), "w") as f:
         json.dump(cfg, f, indent=2, sort_keys=True)

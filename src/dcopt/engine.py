@@ -10,7 +10,8 @@ phase order:
        p = E (r - [x_i; xi_i]) the coupling effort.  The derivatives, the
        online diagnostics and the log all read this one pair,
     2. the derivatives of the whole network in one call, from the local
-       terms and each agent's summed effort sum_j p_ij,
+       terms and each agent's summed effort sum_j p_ij; a non-finite entry
+       in any field of zdot aborts the run with the pre-step state,
     3. the push of every edge into the delay lines (outgoing waves in
        scattering mode, the sender's own [x; xi] in naive mode),
     4. barrier commit of the Euler update: one vector update z + h zdot of
@@ -81,6 +82,10 @@ DIVERGENCE_LIMIT = 1e9
 # its state, derivative and ports alive, so memory grows with the block
 # while the per-call overhead it saves levels off.
 _DIAG_BLOCK = 16
+
+# Rows per write of TrajectoryLog.to_csv.  A write's text is built in full
+# first, so this bounds the writer's memory beyond its row plans.
+_CSV_ROWS = 2048
 
 
 @dataclass
@@ -266,47 +271,87 @@ class TrajectoryLog:
         """Long-format CSV: t, entity_kind, entity_id, variable,
         component_index, value, each value written as repr(float).
 
-        The rows come in blocks, one per sample, entity and variable: the
-        label is formatted once per block, the block's values leave numpy
-        in one tolist(), and the block goes out in one write, so the
-        writer holds no more than one block of text at a time."""
+        The rows follow a plan per sample kind, that is per set of series
+        the sample holds (nu, the edge series) and of Lyapunov rows it
+        carries; see _row_plan.  A sample is then one concatenate of its
+        values, one gather into row order and one tolist(); each block of
+        _CSV_ROWS rows is its reprs interleaved with the plan's labels and
+        t, one join and one write.  So the writer holds one plan per kind,
+        one sample's values and one block of text at a time."""
         diag_by_t = {tt: k for k, tt in enumerate(self.diag_t)}
         lyap = (("lyapunov_direct", self.lyap_direct), ("lyapunov_delayed", self.lyap_delayed))
-        # where each agent's multipliers start in the concatenated lam, mu
-        later = np.arange(1, self.n_agents)
-        lam_cuts = np.searchsorted(self.ineq_owner, later)
-        mu_cuts = np.searchsorted(self.eq_owner, later)
+        plans = {}
         with open(path, "w", newline="") as f:
             f.write("t,entity_kind,entity_id,variable,component_index,value\n")
             for s, tt in enumerate(self.t):
-                ts = repr(float(tt))
-
-                def block(label, values):
-                    lines = [f"{ts},{label}{c},{v!r}\n" for c, v in enumerate(values)]
-                    f.write("".join(lines))
-
                 res, k = self.kkt[s], diag_by_t.get(tt)
-                block("global,net,consensus_error,", [float(res.consensus)])
-                for name, v in res.as_dict().items():
-                    block(f"global,net,kkt_{name},", [float(v)])
-                for name, series in lyap:
-                    if series and k is not None:
-                        block(f"global,net,{name},", [float(series[k])])
-                agent = [("x", self.x[s]), ("xi", self.xi[s])]
-                agent += [(f"rho{j}", v) for j, v in enumerate(self.rho[s].transpose(1, 0, 2))]
-                agent += [("lambda", np.split(self.lam[s], lam_cuts)),
-                          ("mu", np.split(self.mu[s], mu_cuts)),
-                          ("nu", self.nu[s]), ("zeta", self.zeta[s])]
-                for i in range(self.n_agents):
-                    for var, rows in agent:
-                        if rows is not None:
-                            block(f"agent,{i},{var},", rows[i].tolist())
-                for var, series in (("r", self.edge_r), ("p", self.edge_p),
-                                    ("s_in", self.edge_s_in), ("s_out", self.edge_s_out)):
-                    rows = series[s]
-                    if rows is not None:
-                        for (i, j), row in zip(self.edges, rows.tolist()):
-                            block(f"edge,{i}->{j},{var},", row)
+                head = {"consensus_error": res.consensus}
+                head.update((f"kkt_{name}", v) for name, v in res.as_dict().items())
+                head.update((name, series[k]) for name, series in lyap
+                            if series and k is not None)
+                arrays = (self.x[s], self.xi[s], self.rho[s], self.lam[s], self.mu[s],
+                          self.nu[s], self.zeta[s], self.edge_r[s], self.edge_p[s],
+                          self.edge_s_in[s], self.edge_s_out[s])
+                kind = (tuple(head), tuple(a is None for a in arrays))
+                if kind not in plans:
+                    plans[kind] = self._row_plan(kind[0], arrays)
+                labels, index = plans[kind]
+                values = np.concatenate([list(head.values())]
+                                        + [a for a in arrays if a is not None], axis=None)
+                values = values[index].tolist()
+                ts = repr(float(tt))
+                for a in range(0, len(labels), _CSV_ROWS):
+                    # ts, label a, value a, "\n" ts, label a+1, value a+1, ..., "\n"
+                    chunk = labels[a:a + _CSV_ROWS]
+                    text = ["\n" + ts] * (3 * len(chunk) + 1)
+                    text[0], text[-1] = ts, "\n"
+                    text[1::3] = chunk
+                    text[2::3] = map(repr, values[a:a + _CSV_ROWS])
+                    f.write("".join(text))
+
+    def _row_plan(self, head, arrays):
+        """(labels, index) of one sample kind for to_csv.
+
+        head names the global rows; arrays are the sample's x, xi, rho,
+        lam, mu, nu, zeta, edge_r, edge_p, edge_s_in and edge_s_out, None
+        where absent.  index gathers the head values followed by the
+        present arrays, raveled and concatenated, into row order: the
+        global rows, then agent by agent its x, xi, rho stages, lam and mu
+        (split by owner), nu and zeta, then each edge series edge by edge.
+        labels holds each row's ",entity_kind,entity_id,variable,
+        component_index," text, the row between t and its value.
+        """
+        starts = np.cumsum([len(head)] + [0 if a is None else a.size for a in arrays])
+        x, rho, nu = arrays[0], arrays[2], arrays[5]
+        n, d = x.shape
+        m = rho.shape[1]
+
+        def rows(start, stride, width=d):  # agent i: start + i stride, width entries
+            return [start + i * stride + np.arange(width) for i in range(n)]
+
+        def owned(start, owner):
+            return [start + np.flatnonzero(owner == i) for i in range(n)]
+
+        agent = [("x", rows(starts[0], d)), ("xi", rows(starts[1], d))]
+        agent += [(f"rho{q}", rows(starts[2] + q * d, m * d)) for q in range(m)]
+        agent += [("lambda", owned(starts[3], self.ineq_owner)),
+                  ("mu", owned(starts[4], self.eq_owner))]
+        if nu is not None:
+            agent.append(("nu", rows(starts[5], d)))
+        agent.append(("zeta", rows(starts[6], d)))
+
+        index = [np.arange(len(head))]
+        labels = [f",global,net,{name},0," for name in head]
+        for i in range(n):
+            for var, where in agent:
+                index.append(where[i])
+                labels += [f",agent,{i},{var},{c}," for c in range(where[i].size)]
+        for var, start, a in zip(("r", "p", "s_in", "s_out"), starts[7:], arrays[7:]):
+            if a is not None:
+                index.append(start + np.arange(a.size))
+                labels += [f",edge,{i}->{j},{var},{c},"
+                           for i, j in self.edges for c in range(a.shape[1])]
+        return labels, np.concatenate(index)
 
 
 def lyapunov_delayed(prob, log, ref, comp, upto=None):
@@ -533,6 +578,19 @@ def _largest_entry(prob, state):
     return int(i), ("rho", "xi", "lam", "mu")[f], float(mags[f, i])
 
 
+def _non_finite_entry(prob, deriv):
+    """(agent, field, value) of the first non-finite derivative entry: the
+    lowest agent with one, and its first such field and entry."""
+    for i in range(prob.n_agents):
+        for name, values in (("rho_dot", deriv.rho_dot[i].ravel()),
+                             ("xi_dot", deriv.xi_dot[i]),
+                             ("lam_dot", deriv.lam_dot[prob.ineq_slices[i]]),
+                             ("mu_dot", deriv.mu_dot[prob.eq_slices[i]])):
+            bad = ~np.isfinite(values)
+            if bad.any():
+                return i, name, float(values[bad][0])
+
+
 def simulate(prob, cfg):
     """Run the networked flow; returns a TrajectoryLog.
 
@@ -612,11 +670,9 @@ def simulate(prob, cfg):
 
             # phase 2: derivatives from the summed efforts
             deriv = derivatives(prob, comp, state, edges.per_agent(p))
-            bad = ~np.isfinite(deriv.nu)
-            if bad.any():
-                i = int(np.argmax(bad.any(axis=1)))
-                value = float(deriv.nu[i][bad[i]][0])
-                abort("nan", i, value, f"agent {i}: non-finite derivative ({value})")
+            if not np.isfinite(deriv.zdot).all():  # nu reaches zdot via rho_dot
+                i, name, value = _non_finite_entry(prob, deriv)
+                abort("nan", i, value, f"agent {i}: non-finite derivative {name} ({value})")
                 # only the delayed modes' r came out of a channel
                 snapshot(t, state, x, None,
                          (None if line is None else r, None, None, None))

@@ -231,6 +231,9 @@ def test_run_writes_artifacts(tmp_path):
     assert diag["oracle_permutation"] == "(2, 0, 3, 4, 1)"
     # 0.2 s is far too short for the reference pass to certify
     assert "fails KKT" in diag["reference"]
+    # what each phase cost, next to wall_seconds (the simulate call)
+    for key in ("wall_seconds", "reference_seconds", "csv_seconds"):
+        assert float(diag[key]) > 0.0
     # normalized config re-validates to itself
     cfg = validate_config(out / "config.normalized")
     assert cfg == json.loads((out / "config.normalized").read_text())
@@ -260,6 +263,9 @@ def test_run_abort_exit_code(tmp_path):
     diag = read_diag(tmp_path / "out" / "diagnostics.txt")
     assert diag["verdict"] == "diverged"
     assert diag["abort_reason"] == "divergence"
+    # no reference pass without diagnostics
+    assert diag["reference_seconds"] == "n/a"
+    assert float(diag["csv_seconds"]) > 0.0
 
 
 def test_main_exit_codes(tmp_path, capsys):

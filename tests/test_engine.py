@@ -1,5 +1,7 @@
 """Simulation engine: stepping, modes, aborts, logs, diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -206,13 +208,70 @@ class GradientLeavesDomain(ScalarFunction):
         return np.array([x[0] - 1.0 if x[0] <= 0.05 else np.nan])
 
 
+class ValueLeavesDomain(ScalarFunction):
+    """x - 4 whose value is NaN above x = 0.05 while its gradient stays 1:
+    a constraint evaluated outside its domain, which turns only the
+    multiplier derivative non-finite."""
+
+    dim = 1
+    declared_convex = True
+
+    def value(self, x):
+        return float(x[0] - 4.0) if x[0] <= 0.05 else np.nan
+
+    def gradient(self, x):
+        return np.array([1.0])
+
+
+def test_non_finite_lam_dot_aborts_as_nan():
+    # agent 1 passes x = 0.05 at step 3: its constraint value, and so only
+    # its lam_dot, turns NaN while nu stays finite; the run must abort as
+    # nan there, keep the pre-step state and name the agent and the field
+    base = three_agent_quadratic()
+    locs = list(base.local_problems)
+    locs[1] = LocalProblem(QuadraticFunction([[1.0]], [-2.0]),
+                           inequalities=[ValueLeavesDomain()])
+    prob = DistributedProblem(base.network, locs)
+    log = simulate(prob, SimConfig(duration=1.0, log_every=50))
+    assert (log.abort_reason, log.abort_step) == ("nan", 3)
+    ev = log.events[0]
+    assert ev["agent"] == 1 and np.isnan(ev["value"])
+    assert ev["detail"] == "agent 1: non-finite derivative lam_dot (nan)"
+    assert log.t[-1] == pytest.approx(0.003)
+    assert all(np.isfinite(a).all() for a in log.final_stacks())
+    assert log.x[-1][1, 0] > 0.05 and log.nu[-1] is None
+
+
+SPECIAL_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05]
+
+
+def write_special_floats(log, s):
+    """Overwrite sample s of every series with the special floats, cycled
+    from a different start per series, and its KKT fields likewise."""
+    names = ["x", "xi", "rho", "lam", "mu", "nu", "zeta",
+             "edge_r", "edge_p", "edge_s_in", "edge_s_out"]
+    for shift, name in enumerate(names):
+        series = getattr(log, name)
+        series[s] = np.resize(np.roll(SPECIAL_FLOATS, -shift), series[s].shape)
+    fields = dataclasses.fields(log.kkt[s])
+    log.kkt[s] = dataclasses.replace(
+        log.kkt[s], **{f.name: v for f, v in zip(fields, SPECIAL_FLOATS[1:])})
+
+
 def csv_case(name):
     """(problem, log) of one to_csv oracle case.
 
     The problem is three_agent_quadratic with two inactive inequalities
     added to agent 1, so two agents own inequality multipliers, and with
     agent 1's objective leaving its domain in the abort case.
+    special_floats is the log_every_7 run with special floats written
+    into its second sample; matching_n8 is the CLI's N=8 matching LP.
     """
+    if name == "matching_n8":
+        cfg = validate_config(None, {"agents": 8, "duration": 0.05, "log_every": 7,
+                                     "diagnostics": False})
+        _, prob, sim = build_scenario(cfg, "scattering")
+        return prob, simulate(prob, sim)
     base = three_agent_quadratic()
     objective = QuadraticFunction([[1.0]], [-2.0])
     if name == "naive_delay_abort":
@@ -231,14 +290,18 @@ def csv_case(name):
                              reference=ref)
     elif name == "naive_delay_abort":
         cfg = SimConfig(mode="naive_delay", delays=delays, duration=1.0, log_every=1)
-    else:  # log_every_7: the closing sample is off the logging grid
+    else:  # log_every_7, special_floats: the closing sample is off the grid
         cfg = scattering_cfg(delays, duration=0.03, log_every=7, diag_interval=0.01,
                              reference=ref)
-    return prob, simulate(prob, cfg)
+    log = simulate(prob, cfg)
+    if name == "special_floats":
+        write_special_floats(log, 1)
+    return prob, log
 
 
 @pytest.mark.parametrize("name", ["no_delay_reference", "scattering_reference",
-                                  "naive_delay_abort", "log_every_7"])
+                                  "naive_delay_abort", "log_every_7", "special_floats",
+                                  "matching_n8"])
 def test_to_csv_matches_row_oracle(tmp_path, name):
     prob, log = csv_case(name)
     path = tmp_path / "trajectory.csv"
@@ -254,9 +317,22 @@ def test_to_csv_matches_row_oracle(tmp_path, name):
         assert log.abort_reason == "nan" and len(log.t) > 2
         assert log.edge_r[-1] is not None and log.edge_p[-1] is None
         assert log.nu[-1] is None
-    else:
+    elif name == "log_every_7":
         assert log.t[-1] == pytest.approx(0.03) and round(log.t[-2] / 1e-3) % 7 == 0
         assert log.edge_r[-1] is None and len(log.diag_t) == 4
+    elif name == "special_floats":
+        rows = [line.split(",") for line in text.splitlines()
+                if line.startswith(repr(log.t[1]) + ",")]
+        assert {row[5] for row in rows} == {"-0.0", "nan", "inf", "-inf", "5e-324",
+                                            "1e+16", "1e-05"}
+        assert {row[3] for row in rows} >= {"x", "xi", "rho1", "lambda", "mu", "nu", "zeta",
+                                            "r", "p", "s_in", "s_out", "kkt_comp_slack"}
+    else:  # matching_n8: the size the benchmark writes, closing sample off grid
+        assert (prob.n_agents, prob.dim, len(log.edges)) == (8, 64, 16)
+        assert log.rho[0].shape[1] == 2
+        assert np.bincount(prob.ineq_owner).tolist() == [8] * 8
+        assert log.t[-1] == pytest.approx(0.05) and round(log.t[-2] / 1e-3) == 49
+        assert log.nu[-1] is None and log.edge_s_out[-2] is not None
 
 
 def assert_final_state(log, x, lam=None):
@@ -367,9 +443,9 @@ def test_nan_guard_aborts_before_commit():
     assert log.abort_reason == "nan"
     ev = log.events[0]
     assert ev["kind"] == "nan"
-    # nu = -(x - 3) at x = inf
+    # rho_dot_0 = c_0 nu = -(x - 3) at x = inf, the first non-finite entry
     assert ev["agent"] == 0 and ev["value"] == -np.inf
-    assert "agent 0: non-finite derivative" in ev["detail"]
+    assert ev["detail"] == "agent 0: non-finite derivative rho_dot (-inf)"
     assert log.t[-1] == 0.0
     assert_final_state(log, x=np.inf)
 
