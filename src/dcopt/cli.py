@@ -201,6 +201,9 @@ def validate_config(path=None, overrides=None):
     low = _check_number("delay_range[0]", dr[0], positive=True)
     high = _check_number("delay_range[1]", dr[1], positive=True)
     _require(low <= high, "delay_range[1]", "high must be >= low")
+    # a delay line counts a delay's steps in int64
+    _require(high / cfg["step"] < 2.0**63, "delay_range[1]",
+             f"{high} s is over 2**63 steps of {cfg['step']} s")
     cfg["delay_range"] = [low, high]
     return cfg
 

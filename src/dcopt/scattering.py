@@ -15,14 +15,18 @@ creating it; that is what keeps the closed loop stable for arbitrary
 constant delays.
 
 The receiver never sees the sender's state: it reconstructs (r, p) from the
-incoming wave and its own state by solving (E + eta I) r = sqrt(2 eta) s_in
-+ E [x; xi], which splits into n independent 2x2 systems with determinant
-eta (a + eta) + a^2 > 0.
+incoming wave and its own state u = [x; xi] by solving (E + eta I) r =
+sqrt(2 eta) s_in + E u, which splits into n independent 2x2 systems with
+determinant eta (a + eta) + a^2 > 0.  With their inverse M and N = M E,
 
-Every class here serves one edge or many at once: a weight array of shape
-(E, 1) makes a CouplingMatrix or ChannelEnd act row-wise on (E, 2n) stacks
-with the same formulas on the last axis, and a DelayLine holds one line per
-entry of a delay array.
+    r = sqrt(2 eta) M s_in + N u,   p = E (r - u) = sqrt(2 eta) N s_in - eta N u,
+    s_out = (eta M - N) s_in + sqrt(2 eta) N u,
+
+one constant 6x4 map per edge on each coordinate pair.  Every class here
+serves one edge or many at once: a weight array of shape (E, 1) makes a
+CouplingMatrix (the 2x2 map E) or a ChannelEnd act on (E, 2n) stacks in one
+batched matmul, each edge's rows reading only that edge's inputs, and a
+DelayLine holds one line per entry of a delay array.
 """
 
 import numpy as np
@@ -45,15 +49,13 @@ class CouplingMatrix:
             raise ValueError("coupling weight must be positive")
         if dim < 1:
             raise ValueError("dimension must be at least 1")
-        self.weight = float(weight) if weight.ndim == 0 else weight
         self.dim = int(dim)
+        a = weight.reshape(-1, 1, 1)  # (E, 2, 2) blocks; one edge is a batch of one
+        self.blocks = np.concatenate([a, -a, a, np.zeros_like(a)], axis=-1).reshape(-1, 2, 2)
 
     def apply(self, vec):
         """E @ vec for stacked 2n-vectors [u; v] along the last axis."""
-        n = self.dim
-        u, v = vec[..., :n], vec[..., n:]
-        a = self.weight
-        return np.concatenate([a * (u - v), a * u], axis=-1)
+        return (self.blocks @ vec.reshape(-1, 2, self.dim)).reshape(vec.shape)
 
 
 class DelayLine:
@@ -72,7 +74,10 @@ class DelayLine:
         if h <= 0.0:
             raise ValueError("step size must be positive")
         delay = np.asarray(delay, dtype=float)
-        steps = np.rint(delay / h).astype(int)
+        bad = delay[~(np.abs(delay / h) < 2.0**63)]  # NaN too
+        if bad.size:
+            raise ValueError(f"delay {bad[0]} s has no finite int64 step count (step {h})")
+        steps = np.rint(delay / h).astype(np.int64)
         if np.any(steps < 1):
             raise ValueError(
                 f"delay {delay[steps < 1]} shorter than one step {h}; delays must be >= h"
@@ -113,39 +118,32 @@ class DelayLine:
 
 class ChannelEnd:
     """One agent's end of one directed channel, or of E channels when the
-    coupling weight is an (E, 1) array.
-
-    Holds the coupling and the 2x2 reconstruction inverse (precomputed).
-    """
+    coupling weight is an (E, 1) array: per edge, the precomputed 6x4 map
+    from (s_in, u) to (r, p, s_out) of the module docstring."""
 
     def __init__(self, coupling, eta):
         if eta <= 0.0:
             raise ValueError("wave impedance eta must be positive")
         self.coupling = coupling
         self.eta = float(eta)
-        a = coupling.weight
+        a = coupling.blocks[:, :1, :1]
         det = eta * (a + eta) + a * a
         if np.any(det <= 0.0):
             raise ValueError("coupling + impedance not invertible")
-        # rows of (E + eta I)^{-1} restricted to one coordinate
-        self._m11 = eta / det
-        self._m12 = a / det
-        self._m21 = -a / det
-        self._m22 = (a + eta) / det
-        self._sq2e = np.sqrt(2.0 * eta)
+        # M = (E + eta I)^{-1} and N = M E; rows r, p, s_out, columns s_in, u
+        m = np.concatenate([np.full_like(a, eta), a, -a, a + eta], axis=-1)
+        m = m.reshape(-1, 2, 2) / det
+        nm = m @ coupling.blocks
+        self._sq2e = sq = np.sqrt(2.0 * eta)
+        self._map = np.concatenate([np.concatenate(blocks, axis=-1) for blocks in (
+            (sq * m, nm), (sq * nm, -eta * nm), (eta * m - nm, sq * nm))], axis=1)
 
-    def recover(self, s_in, x, xi):
-        """Reconstruct (r, p) from the incoming wave and the local state."""
-        n = self.coupling.dim
-        a = self.coupling.weight
-        # rhs of (E + eta I) r = sqrt(2 eta) s_in + E [x; xi]
-        u = self._sq2e * s_in[..., :n] + a * (x - xi)
-        v = self._sq2e * s_in[..., n:] + a * x
-        r_x = self._m11 * u + self._m12 * v
-        r_xi = self._m21 * u + self._m22 * v
-        dx = r_x - x
-        p = np.concatenate([a * (dx - (r_xi - xi)), a * dx], axis=-1)
-        return np.concatenate([r_x, r_xi], axis=-1), p
+    def recover(self, s_in, u):
+        """(r, p, s_out) from the incoming wave and the local state
+        u = [x; xi], stacked like s_in; each a view of one product."""
+        out = self._map @ np.concatenate([s_in, u], axis=-1).reshape(-1, 4, self.coupling.dim)
+        out = out.reshape(s_in.shape[:-1] + (3, -1))
+        return out[..., 0, :], out[..., 1, :], out[..., 2, :]
 
     def outgoing_wave(self, r, p):
         """Wave sent back into the channel from the recovered pair."""
@@ -154,10 +152,7 @@ class ChannelEnd:
 
 def wave_identity_residual(s_in, s_out, r, p):
     """Residual of the per-end power identity |s_in|^2 - |s_out|^2 = 2 r^T p,
-    one per row of (E, 2n) stacks.
-
-    Evaluated in the factored form (s_in - s_out)^T (s_in + s_out) - 2 r^T p,
-    which is algebraically identical but avoids the cancellation of two
-    large squared norms.
-    """
+    one per row of (E, 2n) stacks, in the factored form (s_in - s_out)^T
+    (s_in + s_out) - 2 r^T p, which avoids the cancellation of two large
+    squared norms."""
     return np.sum((s_in - s_out) * (s_in + s_out), axis=-1) - 2.0 * np.sum(r * p, axis=-1)

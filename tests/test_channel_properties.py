@@ -56,14 +56,61 @@ def test_stacked_coupling_equals_scalar(case):
 def test_stacked_channel_end_equals_scalar(case):
     w, eta, dim, s_in, x, xi = case
     end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
-    r, p = end.recover(s_in, x, xi)
-    s_out = end.outgoing_wave(r, p)
+    u = np.concatenate([x, xi], axis=1)
+    r, p, s_out = end.recover(s_in, u)
     for e, a in enumerate(w):
         one = ChannelEnd(CouplingMatrix(a, dim), eta)
-        r_e, p_e = one.recover(s_in[e], x[e], xi[e])
+        r_e, p_e, s_out_e = one.recover(s_in[e], u[e])
         assert np.array_equal(r[e], r_e)
         assert np.array_equal(p[e], p_e)
-        assert np.array_equal(s_out[e], one.outgoing_wave(r_e, p_e))
+        assert np.array_equal(s_out[e], s_out_e)
+
+
+def per_op_end(w, eta, dim, s_in, x, xi):
+    """(r, p, s_out) of stacked channel ends by elementwise formulas: the
+    2x2 solve of (E + eta I) r = sqrt(2 eta) s_in + E [x; xi] per
+    coordinate, then p = E (r - [x; xi]) and s_out = (eta r - p) / sqrt(2 eta)."""
+    a = w.reshape(-1, 1)
+    det = eta * (a + eta) + a * a
+    sq2e = np.sqrt(2.0 * eta)
+    u = sq2e * s_in[:, :dim] + a * (x - xi)
+    v = sq2e * s_in[:, dim:] + a * x
+    r_x = (eta / det) * u + (a / det) * v
+    r_xi = (-a / det) * u + ((a + eta) / det) * v
+    dx = r_x - x
+    r = np.concatenate([r_x, r_xi], axis=1)
+    p = np.concatenate([a * (dx - (r_xi - xi)), a * dx], axis=1)
+    return r, p, (eta * r - p) / sq2e
+
+
+@PROPERTY
+@given(edge_stacks())
+def test_channel_end_matches_per_op_oracle(case):
+    w, eta, dim, s_in, x, xi = case
+    end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
+    got = end.recover(s_in, np.concatenate([x, xi], axis=1))
+    want = per_op_end(w, eta, dim, s_in, x, xi)
+    # both round to a few ulps of the largest input or output magnitude
+    scale = max(np.abs(a).max() for a in (s_in, x, xi) + want)
+    for g, o in zip(got, want):
+        np.testing.assert_allclose(g, o, rtol=0.0, atol=1e-13 * (1.0 + scale))
+
+
+@PROPERTY
+@given(edge_stacks(), st.data())
+def test_non_finite_input_stays_on_its_edge(case, data):
+    w, eta, dim, s_in, x, xi = case
+    end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
+    u = np.concatenate([x, xi], axis=1)
+    clean = end.recover(s_in, u)
+    edge = data.draw(st.integers(0, len(w) - 1))
+    col = data.draw(st.integers(0, 2 * dim - 1))
+    bad = data.draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    s_bad, u_bad = s_in.copy(), u.copy()
+    (s_bad if data.draw(st.booleans()) else u_bad)[edge, col] = bad
+    others = np.arange(len(w)) != edge
+    for got, want in zip(end.recover(s_bad, u_bad), clean):
+        assert np.array_equal(got[others], want[others])
 
 
 @PROPERTY
@@ -95,7 +142,7 @@ def test_recovered_pair_implies_incoming_wave(case):
     # s_in = (p + eta r) / sqrt(2 eta) is what recover inverts
     w, eta, dim, s_in, x, xi = case
     end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
-    r, p = end.recover(s_in, x, xi)
+    r, p, _ = end.recover(s_in, np.concatenate([x, xi], axis=1))
     implied = (p + eta * r) / np.sqrt(2.0 * eta)
     scale = (np.abs(p).max() + eta * np.abs(r).max()) / np.sqrt(2.0 * eta)
     np.testing.assert_allclose(implied, s_in, rtol=0.0, atol=1e-13 * (1.0 + scale))
@@ -107,8 +154,7 @@ def test_wave_power_identity(case):
     # |s_in|^2 - |s_out|^2 = 2 r'p per edge, to rounding of the terms
     w, eta, dim, s_in, x, xi = case
     end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
-    r, p = end.recover(s_in, x, xi)
-    s_out = end.outgoing_wave(r, p)
+    r, p, s_out = end.recover(s_in, np.concatenate([x, xi], axis=1))
     res = wave_identity_residual(s_in, s_out, r, p)
     terms = np.sum(s_in**2 + s_out**2 + 2.0 * np.abs(r * p), axis=1)
     assert np.all(np.abs(res) <= 1e-13 * (1.0 + terms))

@@ -99,6 +99,8 @@ def test_bad_json_and_bad_top_level(tmp_path):
         ({"delay_range": [0.2, HUGE]}, r"delay_range\[1\]: must be finite, got an integer"),
         ({"compensator_gains": [1.0, HUGE]},
          r"compensator_gains\[1\]: must be finite, got an integer"),
+        # finite, but more steps than a delay line can count
+        ({"delay_range": [0.2, 1e30]}, r"delay_range\[1\]: 1e\+30 s is over 2\*\*63 steps"),
     ],
 )
 def test_field_validation_messages(tmp_path, patch, msg):

@@ -838,6 +838,28 @@ def test_matching_lp_online_diag_matches_posthoc(paper):
             v, rel=1e-9, abs=1e-9)
 
 
+def test_certificates_bit_equal_at_any_block_size(paper, monkeypatch):
+    # 403 steps are a whole number of blocks of neither 5 nor 32 steps, and
+    # Lyapunov samples every 37 steps fall inside blocks; a block of 1
+    # evaluates step by step
+    cfg, prob, ref = paper
+    _, _, sim = build_scenario(dict(cfg, duration=0.403, diag_interval=0.037), "scattering")
+    sim.reference = ref
+    logs = []
+    for block in (1, 5, 32):
+        monkeypatch.setattr("dcopt.engine._DIAG_BLOCK", block)
+        logs.append(simulate(prob, sim))
+        assert logs[-1].abort_reason is None
+    first = logs[0]
+    assert len(first.diag_t) == 12 and first.lyap_delayed
+    for log in logs[1:]:
+        for name in ("compensator_excess", "multiplier_excess", "coupling_excess"):
+            assert np.array_equal(getattr(log.passivity, name), getattr(first.passivity, name))
+        assert log.passivity.wave_identity_max == first.passivity.wave_identity_max
+        for name in ("diag_t", "lyap_direct", "lyap_delayed"):
+            assert getattr(log, name) == getattr(first, name)
+
+
 def test_online_diag_reported_after_abort(paper):
     # at h = 0.05 the paper instance trips the multiplier guard at step 2,
     # inside the first block of online checks: the steps before the abort

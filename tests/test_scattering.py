@@ -1,5 +1,8 @@
 """Delay lines, wave recovery, and the channel power identity."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 
@@ -50,6 +53,19 @@ def test_delay_line_rounding_and_errors():
         line.push(np.zeros(3))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan, 1e30])
+def test_delay_line_names_non_finite_or_over_long_delay(bad):
+    # the step count is checked before it is cast to int64, so there is no
+    # invalid-cast warning and the message names the value, alone or in a
+    # stack of lines
+    msg = re.escape(f"delay {bad} s has no finite int64 step count")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for delay in (bad, np.array([0.2, bad, 0.3])):
+            with pytest.raises(ValueError, match=msg):
+                DelayLine(delay, 0.1, 1)
+
+
 def test_delay_line_time_skew_check():
     line = DelayLine(0.2, 0.1, 1)
     for k, t in enumerate((0.0, 0.1)):
@@ -66,7 +82,7 @@ def test_recover_frozen_oracle():
     # (E + I) r = (2, 0) gives r = (2/3, -2/3), p = E r = (4/3, 2/3)
     end = ChannelEnd(CouplingMatrix(1.0, 1), eta=1.0)
     s_in = np.sqrt(2.0) * np.array([1.0, 0.0])
-    r, p = end.recover(s_in, np.zeros(1), np.zeros(1))
+    r, p, _ = end.recover(s_in, np.zeros(2))
     assert np.allclose(r, [2.0 / 3.0, -2.0 / 3.0], atol=1e-14)
     assert np.allclose(p, [4.0 / 3.0, 2.0 / 3.0], atol=1e-14)
 
@@ -88,7 +104,7 @@ def test_recover_matches_dense_solve():
         rhs = np.sqrt(2.0 * eta) * s_in + dense @ np.concatenate([x, xi])
         r_ref = np.linalg.solve(dense + eta * np.eye(2 * n), rhs)
         p_ref = dense @ (r_ref - np.concatenate([x, xi]))
-        r, p = end.recover(s_in, x, xi)
+        r, p, _ = end.recover(s_in, np.concatenate([x, xi]))
         assert np.allclose(r, r_ref, atol=1e-12)
         assert np.allclose(p, p_ref, atol=1e-12)
 
@@ -101,7 +117,7 @@ def test_recover_consistency_with_wave_definition():
     for _ in range(20):
         s_in = rng.normal(size=4)
         x, xi = rng.normal(size=2), rng.normal(size=2)
-        r, p = end.recover(s_in, x, xi)
+        r, p, _ = end.recover(s_in, np.concatenate([x, xi]))
         back = (p + end.eta * r) / np.sqrt(2.0 * end.eta)
         assert np.allclose(back, s_in, atol=1e-12)
 
@@ -112,9 +128,9 @@ def test_wave_identity_residual_zero_on_channel_pairs():
     for _ in range(20):
         s_in = rng.normal(scale=10.0, size=4)
         x, xi = rng.normal(size=2), rng.normal(size=2)
-        r, p = end.recover(s_in, x, xi)
-        s_out = end.outgoing_wave(r, p)
+        r, p, s_out = end.recover(s_in, np.concatenate([x, xi]))
         assert abs(wave_identity_residual(s_in, s_out, r, p)) < 1e-12
+        assert np.allclose(end.outgoing_wave(r, p), s_out, rtol=0.0, atol=1e-12)
 
 
 def test_wave_identity_residual_detects_violation():
