@@ -94,6 +94,7 @@ class CompensatorParams:
         c.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
+        object.__setattr__(self, "_columns", (b[:, None], c[:, None]))  # (m, 1) each
 
     @property
     def m(self):
@@ -114,13 +115,14 @@ class _Layout:
         shapes = tuple(shapes)
         stops = list(itertools.accumulate(math.prod(s) for s in shapes))
         self.size = stops[-1]
-        self._fields = tuple((slice(a, b), shape)
+        self._fields = tuple((slice(a, b), shape, len(shape) == 1)
                              for a, b, shape in zip([0] + stops[:-1], stops, shapes))
 
     def views(self, vector):
         """The fields of vector (..., D) as views, each (...,) + its shape."""
         lead = vector.shape[:-1]
-        return [vector[..., s].reshape(lead + shape) for s, shape in self._fields]
+        return [vector[s] if flat and not lead else vector[..., s].reshape(lead + shape)
+                for s, shape, flat in self._fields]
 
 
 def _stack(arrays):
@@ -228,8 +230,9 @@ class AgentState(_Packed):
 
     @property
     def x(self):
+        """(..., N, n): rho summed over its stages (np.add.reduce, sum() unwrapped)."""
         if self._x is None:
-            self._x = self.rho.sum(axis=-2)
+            self._x = np.add.reduce(self.rho, axis=-2)
         return self._x
 
     def _written(self):
@@ -288,12 +291,13 @@ def derivatives(prob, comp, state, effort):
     and zeta for the diagnostics.
     """
     n = prob.dim
-    x = state.x
-    terms = prob.local_terms(x)
-    zeta = constraint_force(prob, terms, state.lam, state.mu)
-    nu = -terms.grad - zeta + effort[:, :n]
-    rho_dot = comp.c[:, None] * nu[:, None, :] - comp.b[:, None] * state.rho
-    lam_dot = 2.0 * state.lam * terms.g
+    terms = prob.local_terms(state.x)
+    lam = state.lam
+    zeta = constraint_force(prob, terms, lam, state.mu)
+    nu = terms.neg_grad - zeta + effort[:, :n]
+    b, c = comp._columns
+    rho_dot = c * nu[:, None, :] - b * state.rho
+    lam_dot = 2.0 * lam * terms.g
     zdot = np.concatenate([rho_dot, effort[:, n:], lam_dot, terms.h], axis=None)
     d = AgentDerivative._of(state._layout, zdot)
     d.nu, d.grad, d.zeta = nu, terms.grad, zeta
@@ -301,17 +305,19 @@ def derivatives(prob, comp, state, effort):
 
 
 def euler_step(state, deriv, h):
-    """Explicit Euler update z + h zdot; guards multiplier positivity.
+    """Explicit Euler update z + h zdot as a new state; guards multiplier
+    positivity.
 
     Raises LambdaGuardError when any lam component would become <= 0.
     The guard is an integration-accuracy failure, so it aborts rather than
-    clamps: clamping would silently change the flow.
+    clamps: clamping would silently change the flow.  A NaN lam does not
+    trip it: the caller tests the returned z for NaN and divergence.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    nxt = AgentState._of(state._layout, state.z + h * deriv.zdot)
+    nxt = AgentState._of(state._layout, state._vector + h * deriv._vector)
     lam = nxt.lam
-    if lam.size and lam.min() <= 0.0:
+    if lam.size and np.minimum.reduce(lam) <= 0.0:
         k = int(np.argmax(lam <= 0.0))
         raise LambdaGuardError(k, float(lam[k]))
     return nxt

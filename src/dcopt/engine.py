@@ -12,13 +12,19 @@ phase order:
        outgoing waves.  The derivatives, the diagnostics and the log all
        read this one pair,
     2. the derivatives of the whole network in one call, from the local
-       terms and each agent's summed effort sum_j p_ij; a non-finite entry
-       in any field of zdot aborts the run with the pre-step state,
+       terms and each agent's summed effort sum_j p_ij, and the Euler
+       update z + h zdot of the packed state (see AgentState) with its
+       guards, on its lam view and one abs-max over it; not yet committed,
     3. the push of every edge into the delay lines (the outgoing waves of
        phase 1 in scattering mode, the sender's own [x; xi] in naive mode),
-    4. barrier commit of the Euler update: one vector update z + h zdot of
-       the packed state (see AgentState), the multiplier guard on its lam
-       view and the divergence guard, one abs-max over z.
+    4. barrier commit of the update, or the abort of the first tripped of:
+       nan (a non-finite zdot; the pre-step state is kept and the step is
+       neither pushed, checked nor logged), lambda_guard (an updated lam
+       <= 0; the pre-step state is kept after the step's phase 3, checks
+       and sample) and divergence (an updated entry beyond
+       DIVERGENCE_LIMIT in magnitude, overflow included; the step commits).
+       zdot is tested only after a trip: from a finite z, z + h zdot is
+       finite and within the limit only when zdot is finite.
 
 Every quantity consumed in a step is therefore from time t; the step is a
 synchronous barrier, which is what makes runs bit-for-bit reproducible.
@@ -657,15 +663,18 @@ def simulate(prob, cfg):
         log.abort_step = k
 
     k = 0
+    pair = np.array([nbr, own])  # no_delay: both ends of every edge in one gather
     with np.errstate(all="ignore"):  # guards, not warnings, handle blow-ups
         for k in range(n_steps):
             t = k * h
             x = state.x
             u = np.concatenate([x, state.xi], axis=1)  # rows [x_i; xi_i]
-            u_own = u[own]
 
             # phase 1: the port pair (r, p) of every directed edge i <- j
-            r = u[nbr] if line is None else line.pop(t)[edges.rev]
+            if line is None:
+                r, u_own = u.take(pair, 0)
+            else:
+                r, u_own = line.pop(t).take(edges.rev, 0), u.take(own, 0)
             s_in = s_out = None
             if end is not None:  # what crossed is j's wave; i's goes back
                 s_in = r
@@ -673,9 +682,14 @@ def simulate(prob, cfg):
             else:
                 p = coupling.apply(r - u_own)
 
-            # phase 2: derivatives from the summed efforts
+            # phase 2: derivatives from the summed efforts, the update, its guards
             deriv = derivatives(prob, comp, state, edges.per_agent(p))
-            if not np.isfinite(deriv.zdot).all():  # nu reaches zdot via rho_dot
+            try:
+                nxt = euler_step(state, deriv, h)
+                trip = None if np.abs(nxt.z).max() <= DIVERGENCE_LIMIT else "divergence"
+            except LambdaGuardError as err:
+                trip = err
+            if trip is not None and not np.isfinite(deriv.zdot).all():
                 i, name, value = _non_finite_entry(prob, deriv)
                 abort("nan", i, value, f"agent {i}: non-finite derivative {name} ({value})")
                 # only the delayed modes' r came out of a channel
@@ -690,37 +704,35 @@ def simulate(prob, cfg):
             if diag is not None:
                 diag.step(t, state, deriv, r, p, s_in, s_out, log, k % diag_every == 0)
 
-            if k % cfg.log_every == 0:
-                snapshot(t, state, x, deriv, (r, p, s_in, s_out))
+            if k % cfg.log_every == 0:  # no_delay: r, not the whole gather it is half of
+                snapshot(t, state, x, deriv, (r.copy() if line is None else r, p, s_in, s_out))
 
-            # phase 4: barrier commit, one update of the packed state
-            try:
-                state = euler_step(state, deriv, h)
-            except LambdaGuardError as err:
-                i, local = _ineq_entry(prob, err.index)
-                abort("lambda_guard", i, err.value,
+            # phase 4: barrier commit, unless a guard tripped
+            if isinstance(trip, LambdaGuardError):
+                i, local = _ineq_entry(prob, trip.index)
+                abort("lambda_guard", i, trip.value,
                       f"agent {i}: inequality multiplier {local} would step to "
-                      f"{err.value:.3e}")
+                      f"{trip.value:.3e}")
                 break
-            if not np.abs(state.z).max() <= DIVERGENCE_LIMIT:  # also true for NaN
+            state = nxt
+            if trip is not None:
                 i, name, value = _largest_entry(prob, state)
                 abort("divergence", i, value,
                       f"agent {i}: {name} magnitude {value:.3e} "
                       f"exceeds {DIVERGENCE_LIMIT:.0e}")
                 break
 
-    # closing sample at the final state (no derivative information), unless
-    # the last sample already holds it (a guard/nan abort on a logged step).
-    # A completed run and a divergence committed step k; guard and nan
-    # aborts leave the pre-step state.
-    committed = n_steps > 0 and log.abort_reason in (None, "divergence")
-    t_end = (k + committed) * h
-    if not log.t or log.t[-1] < t_end or n_steps == 0:
-        snapshot(t_end, state, state.x, None, (None,) * 4)
-    if diag is not None:
-        # the queued steps, and the final state of a completed run
-        closing = (t_end, state) if log.abort_reason is None and n_steps else None
-        with np.errstate(all="ignore"):
+        # closing sample at the final state (no derivative information),
+        # unless the last sample already holds it (a guard/nan abort on a
+        # logged step).  A completed run and a divergence committed step k;
+        # guard and nan aborts leave the pre-step state.
+        committed = n_steps > 0 and log.abort_reason in (None, "divergence")
+        t_end = (k + committed) * h
+        if not log.t or log.t[-1] < t_end or n_steps == 0:
+            snapshot(t_end, state, state.x, None, (None,) * 4)
+        if diag is not None:
+            # the queued steps, and the final state of a completed run
+            closing = (t_end, state) if log.abort_reason is None and n_steps else None
             diag.flush(log, closing)
     return log
 

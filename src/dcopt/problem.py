@@ -188,7 +188,7 @@ class LocalTerms(NamedTuple):
     """The agents' first-order local terms at a stacked x (N, n), in the
     multiplier layout of the problem:
 
-    grad (N, n)       objective gradients grad f_i(x_i)
+    grad (N, n)       objective gradients grad f_i(x_i), and neg_grad = -grad
     g (L,), G (L, n)  inequality values g_k(x_owner) and gradient rows
     h (M,), H (M, n)  equality values and gradient rows
 
@@ -197,6 +197,7 @@ class LocalTerms(NamedTuple):
     """
 
     grad: np.ndarray
+    neg_grad: np.ndarray
     values: np.ndarray
     rows: np.ndarray
     cut: int
@@ -258,20 +259,19 @@ class DistributedProblem:
         """
         cut = self.ineq_owner.size
         if self._affine is not None:
-            grad, rows, offsets = self._affine
-            values = np.einsum("kn,kn->k", rows, x[self._row_owner]) + offsets
-            return LocalTerms(grad, values, rows, cut)
+            grad, neg_grad, rows, offsets = self._affine
+            values = np.einsum("kn,kn->k", rows, x.take(self._row_owner, 0)) + offsets
+            return LocalTerms(grad, neg_grad, values, rows, cut)
         grad = np.empty((self.n_agents, self.dim))
         values = np.empty(self._row_owner.size)
         rows = np.empty((self._row_owner.size, self.dim))
-        terms = LocalTerms(grad, values, rows, cut)
-        g, G, h, H = terms.g, terms.G, terms.h, terms.H  # views to fill
+        g, G, h, H = values[:cut], rows[:cut], values[cut:], rows[cut:]  # views to fill
         for i, p in enumerate(self.local_problems):
             grad[i] = p.objective.gradient(x[i])
             si, se = self.ineq_slices[i], self.eq_slices[i]
             g[si], G[si] = p.ineq_values(x[i]), p.ineq_gradients(x[i])
             h[se], H[se] = p.eq_values(x[i]), p.eq_gradients(x[i])
-        return terms
+        return LocalTerms(grad, -grad, values, rows, cut)
 
 
 def _layout(counts):
@@ -282,7 +282,7 @@ def _layout(counts):
 
 
 def _stack_affine(prob):
-    """(C (N, n), rows [G; H], offsets [g(0); h(0)]), all read-only, when
+    """(C (N, n), -C, rows [G; H], offsets [g(0); h(0)]), all read-only, when
     every objective and constraint of prob reports a constant gradient and
     every constraint is affine; else None."""
     locs = prob.local_problems
@@ -292,8 +292,9 @@ def _stack_affine(prob):
     if any(c is None for c in grads + rows) or not all(f.is_affine for f in cons):
         return None
     zero = np.zeros(prob.dim)
+    grad = np.array(grads, dtype=float)
     stacked = (
-        np.array(grads, dtype=float),
+        grad, -grad,
         np.array(rows, dtype=float).reshape(-1, prob.dim),
         np.array([f.value(zero) for f in cons]),
     )

@@ -450,6 +450,56 @@ def test_nan_guard_aborts_before_commit():
     assert_final_state(log, x=np.inf)
 
 
+# The guards of one step rank nan > lambda_guard > divergence: a nan abort
+# keeps the pre-step state and logs nothing of the step, a guard abort keeps
+# the pre-step state after the step's sample, a divergence commits the step.
+
+
+def test_nan_wins_over_lambda_guard():
+    # at x = 0.1 the objective's gradient is NaN (rho_dot) while g = x - 600
+    # sends lam from 0.01 to 0.01 (1 + 2 h g) < 0 with a finite lam_dot
+    loc = LocalProblem(GradientLeavesDomain(), inequalities=[AffineFunction([1.0], -600.0)])
+    prob = DistributedProblem(Network([[0.0]]), [loc])
+    init = AgentState(rho=np.array([[[0.1], [0.0]]]), xi=np.zeros((1, 1)),
+                      lam=np.array([0.01]), mu=np.zeros(0))
+    log = simulate(prob, SimConfig(duration=1.0, initial=init))
+    assert (log.abort_reason, log.abort_step) == ("nan", 0)
+    assert log.events[0]["detail"] == "agent 0: non-finite derivative rho_dot (nan)"
+    assert log.t == [0.0] and log.nu[-1] is None
+    assert_final_state(log, x=0.1, lam=0.01)
+
+
+def test_lambda_guard_wins_over_divergence():
+    # x = 2e9 is past the divergence limit before and after the step, and
+    # g = -x - 600 sends lam below zero in the same step
+    loc = LocalProblem(QuadraticFunction([[1.0]], [-3.0]),
+                       inequalities=[AffineFunction([-1.0], -600.0)])
+    prob = DistributedProblem(Network([[0.0]]), [loc])
+    init = AgentState(rho=np.array([[[2e9], [0.0]]]), xi=np.zeros((1, 1)),
+                      lam=np.array([0.01]), mu=np.zeros(0))
+    log = simulate(prob, SimConfig(duration=1.0, initial=init))
+    assert (log.abort_reason, log.abort_step) == ("lambda_guard", 0)
+    assert [ev["kind"] for ev in log.events] == ["lambda_guard"]
+    # the step's sample is logged, and it is the final state
+    assert log.t == [0.0] and log.nu[-1] is not None
+    assert_final_state(log, x=2e9, lam=0.01)
+
+
+def test_overflowing_update_aborts_as_divergence():
+    # a gradient of 1e307 gives the finite rho_dot = (-1e307, -1e308), but
+    # h = 10 overflows the second stage to -inf: a divergence, not a nan
+    prob = DistributedProblem(Network([[0.0]]), [LocalProblem(AffineFunction([1e307]))])
+    log = simulate(prob, SimConfig(step=10.0, diag_interval=10.0, duration=100.0))
+    assert (log.abort_reason, log.abort_step) == ("divergence", 0)
+    ev = log.events[0]
+    assert ev["agent"] == 0 and ev["value"] == np.inf
+    assert ev["detail"] == "agent 0: rho magnitude inf exceeds 1e+09"
+    # the committed state closes the log at t = h
+    assert log.t == [0.0, 10.0]
+    np.testing.assert_array_equal(log.rho[-1], [[[-1e308], [-np.inf]]])
+    assert_final_state(log, x=-np.inf)
+
+
 def two_agent_integrator_run(mode):
     """Two agents on one edge of weight 1, pure integrator, f = 0; agent 0
     starts at x = 1, agent 1 at 0; step 0.1, one-step delays, full-rate log."""
@@ -686,10 +736,10 @@ def direct_primal_dual_run(prob, duration, step, lam0=0.01, comp=None,
     return out_x, out_xi, out_lam, out_mu
 
 
-def assert_matches_direct_flow(comp, mode, delay_steps=None, prob=None):
+def assert_matches_direct_flow(comp, mode, delay_steps=None, prob=None, duration=2.0):
     if prob is None:
         prob = three_agent_quadratic()  # constraint counts 1/0/0 and 0/0/1
-    step, duration = 1e-3, 2.0
+    step = 1e-3
     delays = None
     if delay_steps is not None:
         delays = {key: d * step for key, d in delay_steps.items()}
@@ -703,7 +753,7 @@ def assert_matches_direct_flow(comp, mode, delay_steps=None, prob=None):
     for s in range(len(dx)):
         assert np.allclose(log.x[s], dx[s], atol=1e-12, rtol=0.0)
         assert np.allclose(log.xi[s], dxi[s], atol=1e-12, rtol=0.0)
-        for i in range(3):
+        for i in range(prob.n_agents):
             lam, mu = log.lam[s][prob.ineq_slices[i]], log.mu[s][prob.eq_slices[i]]
             assert np.allclose(lam, dlam[s][i], atol=1e-12, rtol=0.0)
             assert np.allclose(mu, dmu[s][i], atol=1e-12, rtol=0.0)
@@ -727,6 +777,24 @@ def test_direct_flow_oracle(m, mode):
     assert_matches_direct_flow(
         comp, mode, DELAY_STEPS if mode == "naive_delay" else None
     )
+
+
+@pytest.mark.parametrize("mode", ["no_delay", "naive_delay"])
+@pytest.mark.parametrize("stages", [1, 3])
+@pytest.mark.parametrize("agents, seed", [(3, 0), (4, 8)])
+def test_direct_flow_oracle_on_matching_lp(agents, seed, stages, mode):
+    # the CLI's matching LP (affine local terms, ring weight 4) at other
+    # sizes and seeds than the paper's, with 1..7-step delays
+    _, prob, _ = build_scenario(validate_config(None, {"agents": agents, "seed": seed}),
+                                "no_delay")
+    comp = CompensatorParams.pure_integrator()
+    if stages == 3:
+        comp = CompensatorParams(np.array([0.0, 2.0, 7.0]), np.array([1.0, 4.0, 9.0]))
+    delay_steps = None
+    if mode == "naive_delay":
+        delay_steps = {(i, j): 1 + e % 7
+                       for e, (i, j, _) in enumerate(prob.network.directed_edges())}
+    assert_matches_direct_flow(comp, mode, delay_steps, prob=prob, duration=0.5)
 
 
 def scattering_cfg(delays, **kw):

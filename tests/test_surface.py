@@ -4,15 +4,20 @@ targets the benchmark's tracer wraps.
 perfbench/spans.py names the functions and methods it wraps by module path
 and attribute.  A target that is gone reads as zero in its layer metric, so
 a rename or a removal must fail here and not only in a traced benchmark run.
+So must a target that is still there but no longer on the path simulate
+takes: its metric reads zero just the same.
 """
 
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import dcopt
+from dcopt.cli import build_scenario, validate_config
+from dcopt.engine import MODES
 
 SUBMODULES = ("cli", "dynamics", "engine", "graph", "matching", "problem", "scattering")
 
@@ -46,13 +51,54 @@ def test_submodule_all_names_exist(name):
         assert hasattr(module, attr), f"dcopt.{name}.{attr}"
 
 
-def test_benchmark_span_targets_resolve():
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_span_targets_resolve():
+    spans = load_spans()
     targets = [(path, attr) for _, path, attr in spans.SPANS + spans.COUNTS]
     assert targets
     # the lookup Tracer.install makes before it wraps a target
     missing = [f"{path}.{attr}" for path, attr in targets
                if getattr(spans._resolve(path), attr, None) is None]
     assert missing == []
+
+
+# the per-step layers of the bench, and the modes whose steps call each
+PER_STEP = {
+    "dynamics.derivatives": MODES,
+    "dynamics.euler_step": MODES,
+    "scattering.recover": ("scattering",),
+    "scattering.delay_line": ("naive_delay", "scattering"),
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_benchmark_per_step_spans_see_every_step(mode, monkeypatch):
+    # wrap each per-step target where the tracer wraps it: a short run must
+    # call each one of its mode once per step, and the others never
+    spans = load_spans()
+    calls = Counter()
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    expected = {}
+    for name, path, attr in spans.SPANS:
+        if name in PER_STEP:
+            owner = spans._resolve(path)
+            monkeypatch.setattr(owner, attr, counting((name, attr), getattr(owner, attr)))
+            expected[(name, attr)] = 50 if mode in PER_STEP[name] else 0
+    assert len(expected) == 5
+    cfg = validate_config(None, {"agents": 3, "duration": 0.05, "diagnostics": False})
+    _, prob, sim = build_scenario(cfg, mode)
+    log = dcopt.engine.simulate(prob, sim)
+    assert log.abort_reason is None and len(log.t) == 2
+    assert {key: calls[key] for key in expected} == expected
