@@ -50,6 +50,11 @@ wave histories in memory on long runs: only the current block is held.
 
 import math
 import numbers
+import os
+import pickle
+import shutil
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -96,6 +101,49 @@ _DIAG_BLOCK = 32
 # Rows per write of TrajectoryLog.to_csv.  A write's text is built in full
 # first, so this bounds the writer's memory beyond its row plans.
 _CSV_ROWS = 2048
+# The series of a sample, in the order of TrajectoryLog._row_plan's arrays.
+_CSV_SERIES = ("x", "xi", "rho", "lam", "mu", "nu", "zeta",
+               "edge_r", "edge_p", "edge_s_in", "edge_s_out")
+
+# Fewest rows (array entries) for which TrajectoryLog.to_csv forks writers:
+# about 0.25 s of repr, against 2.4 ms per fork and wait and 13 ms to append
+# a 22 MB part (2-core VM).
+_CSV_FORK_ROWS = 1 << 18
+
+
+def _fork_writer(part, write, lo, hi):
+    """(pid, pipe read end) of a forked child that runs write(f, lo, hi) on
+    the new file part and exits, 1 with its exception pickled into the
+    pipe; it writes nothing to stdout or stderr."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid:
+        os.close(w)
+        return pid, r
+    code = 1
+    try:
+        with open(part, "w", newline="") as f:
+            write(f, lo, hi)
+        code = 0
+    except BaseException as err:  # raised again by the parent
+        os.write(w, pickle.dumps(err))
+    finally:
+        os._exit(code)
+
+
+def _wait(pid, r):
+    """(its pickled exception or b"", wait status) of a _fork_writer child."""
+    try:
+        with os.fdopen(r, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        status = os.waitpid(pid, 0)[1]
+    return data, status
 
 
 @dataclass
@@ -287,37 +335,79 @@ class TrajectoryLog:
         values, one gather into row order and one tolist(); each block of
         _CSV_ROWS rows is its reprs interleaved with the plan's labels and
         t, one join and one write.  So the writer holds one plan per kind,
-        one sample's values and one block of text at a time."""
+        one sample's values and one block of text at a time.
+
+        The samples go in contiguous ranges of near-equal row counts, one
+        per CPU the process may use: this process writes the first range,
+        forked children the others into path.part<k>, which are appended in
+        order.  One process writes all when the log has fewer than
+        _CSV_FORK_ROWS rows, os.fork is missing or another Python thread runs."""
+        with open(path, "w", newline="") as f:
+            f.write("t,entity_kind,entity_id,variable,component_index,value\n")
+            bounds = self._csv_bounds()
+            parts, children = [f"{path}.part{k}" for k in range(1, len(bounds) - 1)], []
+            try:
+                if parts:  # a child would inherit unflushed text
+                    for stream in (f, sys.stdout, sys.stderr):
+                        stream.flush()
+                try:
+                    for k, part in enumerate(parts, 1):
+                        children.append(_fork_writer(part, self._write_samples, *bounds[k:k + 2]))
+                    self._write_samples(f, *bounds[:2])
+                finally:
+                    ends = [_wait(*child) for child in children]
+                for data, status in ends:
+                    if data or status:
+                        raise pickle.loads(data) if data else ChildProcessError(
+                            f"CSV writer of {path} ended with wait status {status}")
+                f.flush()
+                for part in parts:
+                    with open(part, "rb") as src:  # copyfileobj loops over short writes
+                        shutil.copyfileobj(src, f.buffer)
+            finally:
+                for part in filter(os.path.exists, parts):
+                    os.unlink(part)
+
+    def _csv_bounds(self):
+        """to_csv's sample bounds, [0, len(t)] for one writer.  Equal sample
+        counts are near-equal row counts: a log's samples differ only in
+        their Lyapunov rows and the closing sample's missing series."""
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(cpus or 1, len(self.t))
+        rows = sum(a.size for name in _CSV_SERIES for a in getattr(self, name) if a is not None)
+        if (workers < 2 or rows < _CSV_FORK_ROWS or not hasattr(os, "fork")
+                or threading.active_count() > 1):
+            return [0, len(self.t)]
+        return [len(self.t) * k // workers for k in range(workers + 1)]
+
+    def _write_samples(self, f, lo, hi):
+        """Write the rows of samples lo..hi-1 to the text file f."""
         diag_by_t = {tt: k for k, tt in enumerate(self.diag_t)}
         lyap = (("lyapunov_direct", self.lyap_direct), ("lyapunov_delayed", self.lyap_delayed))
         plans = {}
-        with open(path, "w", newline="") as f:
-            f.write("t,entity_kind,entity_id,variable,component_index,value\n")
-            for s, tt in enumerate(self.t):
-                res, k = self.kkt[s], diag_by_t.get(tt)
-                head = {"consensus_error": res.consensus}
-                head.update((f"kkt_{name}", v) for name, v in res.as_dict().items())
-                head.update((name, series[k]) for name, series in lyap
-                            if series and k is not None)
-                arrays = (self.x[s], self.xi[s], self.rho[s], self.lam[s], self.mu[s],
-                          self.nu[s], self.zeta[s], self.edge_r[s], self.edge_p[s],
-                          self.edge_s_in[s], self.edge_s_out[s])
-                kind = (tuple(head), tuple(a is None for a in arrays))
-                if kind not in plans:
-                    plans[kind] = self._row_plan(kind[0], arrays)
-                labels, index = plans[kind]
-                values = np.concatenate([list(head.values())]
-                                        + [a for a in arrays if a is not None], axis=None)
-                values = values[index].tolist()
-                ts = repr(float(tt))
-                for a in range(0, len(labels), _CSV_ROWS):
-                    # ts, label a, value a, "\n" ts, label a+1, value a+1, ..., "\n"
-                    chunk = labels[a:a + _CSV_ROWS]
-                    text = ["\n" + ts] * (3 * len(chunk) + 1)
-                    text[0], text[-1] = ts, "\n"
-                    text[1::3] = chunk
-                    text[2::3] = map(repr, values[a:a + _CSV_ROWS])
-                    f.write("".join(text))
+        for s, tt in enumerate(self.t[lo:hi], lo):
+            res, k = self.kkt[s], diag_by_t.get(tt)
+            head = {"consensus_error": res.consensus}
+            head.update((f"kkt_{name}", v) for name, v in res.as_dict().items())
+            head.update((name, series[k]) for name, series in lyap
+                        if series and k is not None)
+            arrays = tuple(getattr(self, name)[s] for name in _CSV_SERIES)
+            kind = (tuple(head), tuple(a is None for a in arrays))
+            if kind not in plans:
+                plans[kind] = self._row_plan(kind[0], arrays)
+            labels, index = plans[kind]
+            values = np.concatenate([list(head.values())]
+                                    + [a for a in arrays if a is not None], axis=None)
+            values = values[index].tolist()
+            ts = repr(float(tt))
+            for a in range(0, len(labels), _CSV_ROWS):
+                # ts, label a, value a, "\n" ts, label a+1, value a+1, ..., "\n"
+                chunk = labels[a:a + _CSV_ROWS]
+                text = ["\n" + ts] * (3 * len(chunk) + 1)
+                text[0], text[-1] = ts, "\n"
+                text[1::3] = chunk
+                text[2::3] = map(repr, values[a:a + _CSV_ROWS])
+                f.write("".join(text))
 
     def _row_plan(self, head, arrays):
         """(labels, index) of one sample kind for to_csv.

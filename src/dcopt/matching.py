@@ -138,11 +138,17 @@ def _permutation_costs(inst):
     Python sum in assignment_cost bit for bit.
     """
     n = inst.n
-    perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n))),
-        np.int8,
-        count=math.factorial(n) * n,
-    ).reshape(-1, n)
+    # block v of the table is v followed by the (n-1)! table mapped onto the
+    # values other than v (row v of others): itertools enumerates only the
+    # (n-1)! table, and numpy writes the n blocks
+    rows = math.factorial(n - 1)
+    rest = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n - 1))),
+                       np.int8, count=rows * (n - 1)).reshape(rows, n - 1)
+    others = np.arange(n - 1, dtype=np.int8) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    perms = np.empty((n, rows, n), np.int8)
+    perms[:, :, 0] = np.arange(n)[:, None]
+    perms[:, :, 1:] = others[:, rest]
+    perms = perms.reshape(-1, n)
     d = inst.distances()
     costs = np.zeros(perms.shape[0])
     for l in range(n):
@@ -167,12 +173,15 @@ def extract_assignment(z):
     """Read a permutation off an assignment vector by row-wise argmax.
 
     Returns the permutation tuple, or None when the rounding is not
-    trustworthy: some chosen entry < 0.5, or the argmax rows collide.
+    trustworthy: some entry is not finite, some chosen entry < 0.5, or the
+    argmax rows collide.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     n = int(round(np.sqrt(z.size)))
     if n * n != z.size:
         raise ValueError("assignment vector length must be a square")
+    if not np.isfinite(z).all():
+        return None
     zm = z.reshape(n, n)
     # ties resolve to the lowest column index (np.argmax convention)
     perm = tuple(int(np.argmax(zm[l])) for l in range(n))

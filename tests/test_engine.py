@@ -1,6 +1,10 @@
 """Simulation engine: stepping, modes, aborts, logs, diagnostics."""
 
 import dataclasses
+import errno
+import os
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -17,9 +21,10 @@ from dcopt import (
     ring,
     simulate,
 )
+from dcopt import engine
 from dcopt.cli import build_scenario, compute_reference, validate_config
 from dcopt.dynamics import CompensatorParams, derivatives
-from dcopt.engine import _Edges
+from dcopt.engine import TrajectoryLog, _Edges
 from dcopt.graph import Network
 from dcopt.problem import (
     AffineFunction,
@@ -299,9 +304,11 @@ def csv_case(name):
     return prob, log
 
 
-@pytest.mark.parametrize("name", ["no_delay_reference", "scattering_reference",
-                                  "naive_delay_abort", "log_every_7", "special_floats",
-                                  "matching_n8"])
+CSV_CASES = ["no_delay_reference", "scattering_reference", "naive_delay_abort",
+             "log_every_7", "special_floats", "matching_n8"]
+
+
+@pytest.mark.parametrize("name", CSV_CASES)
 def test_to_csv_matches_row_oracle(tmp_path, name):
     prob, log = csv_case(name)
     path = tmp_path / "trajectory.csv"
@@ -333,6 +340,150 @@ def test_to_csv_matches_row_oracle(tmp_path, name):
         assert np.bincount(prob.ineq_owner).tolist() == [8] * 8
         assert log.t[-1] == pytest.approx(0.05) and round(log.t[-2] / 1e-3) == 49
         assert log.nu[-1] is None and log.edge_s_out[-2] is not None
+
+
+@pytest.fixture
+def forked_csv(monkeypatch):
+    """force(workers): to_csv splits any log over that many CPUs from now
+    on; returns the list of the sample bounds each forked child got."""
+    forks = []
+    fork_writer = engine._fork_writer
+
+    def counted(part, write, lo, hi):
+        forks.append((lo, hi))
+        return fork_writer(part, write, lo, hi)
+
+    def force(workers):
+        monkeypatch.setattr(engine, "_CSV_FORK_ROWS", 0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
+                            raising=False)
+        monkeypatch.setattr(engine, "_fork_writer", counted)
+        return forks
+
+    return force
+
+
+def assert_no_leftovers(tmp_path):
+    """No part file in tmp_path and no child process of this one."""
+    assert not [p.name for p in tmp_path.iterdir() if ".part" in p.name]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("workers", [2, 3, "beyond_samples"])
+@pytest.mark.parametrize("name", CSV_CASES)
+def test_forked_to_csv_matches_row_oracle(tmp_path, forked_csv, name, workers):
+    prob, log = csv_case(name)
+    n = len(log.t) + 3 if workers == "beyond_samples" else workers
+    forks = forked_csv(n)
+    path = tmp_path / "trajectory.csv"
+    log.to_csv(path)
+    assert path.read_text() == csv_oracle(prob, log)
+    # one range per worker, at most one per sample, the first one here
+    assert len(forks) == min(n, len(log.t)) - 1
+    assert forks[0][0] > 0 and forks[-1][1] == len(log.t)
+    assert all(lo < hi for lo, hi in forks)
+    assert_no_leftovers(tmp_path)
+
+
+def test_forked_to_csv_survives_signals(tmp_path, forked_csv):
+    # a signal handler run while a part is appended interrupts the copy's
+    # system calls; each must resume until every byte is in
+    prob, log = csv_case("matching_n8")
+    forked_csv(3)
+    path = tmp_path / "trajectory.csv"
+    expected = csv_oracle(prob, log)
+    previous = signal.signal(signal.SIGALRM, lambda signum, frame: None)
+    signal.setitimer(signal.ITIMER_REAL, 1e-3, 1e-3)
+    try:
+        for _ in range(5):
+            log.to_csv(path)
+            assert path.read_text() == expected
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+    assert_no_leftovers(tmp_path)
+
+
+class WriterFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where, error", [
+    ("child", OSError(errno.ENOSPC, "No space left on device")),
+    ("child", WriterFailed("range lost")),
+    ("parent", OSError(errno.ENOSPC, "No space left on device")),
+    ("killed", None),  # ends without a word: its part is incomplete
+])
+def test_forked_to_csv_failure_leaves_nothing(tmp_path, forked_csv, capfd, monkeypatch,
+                                              where, error):
+    _, log = csv_case("log_every_7")
+    forks = forked_csv(3)
+    write = TrajectoryLog._write_samples
+
+    def failing(self, f, lo, hi):
+        if where == "killed" and lo > 0:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if where != "killed" and (lo > 0) == (where == "child"):
+            raise error
+        write(self, f, lo, hi)
+
+    monkeypatch.setattr(TrajectoryLog, "_write_samples", failing)
+    expected = ChildProcessError if where == "killed" else type(error)
+    with pytest.raises(expected) as info:
+        log.to_csv(tmp_path / "trajectory.csv")
+    if where == "child" and isinstance(error, OSError):
+        assert info.value.errno == errno.ENOSPC
+    assert len(forks) == 2
+    assert_no_leftovers(tmp_path)
+    # the children wrote nothing to the terminal
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open fds in /proc")
+def test_forked_to_csv_fork_failure_leaves_nothing(tmp_path, forked_csv, monkeypatch):
+    # the second of two forks fails: the first child is waited for, and
+    # neither its part nor a pipe end stays open
+    _, log = csv_case("log_every_7")
+    forks = forked_csv(3)
+    fork = os.fork
+
+    def second_fails():
+        if len(forks) == 2:
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", second_fails)
+    fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        log.to_csv(tmp_path / "trajectory.csv")
+    assert len(forks) == 2
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert_no_leftovers(tmp_path)
+
+
+def test_forked_to_csv_opens_path_first(tmp_path, forked_csv):
+    _, log = csv_case("log_every_7")
+    forks = forked_csv(3)
+    with pytest.raises(FileNotFoundError):
+        log.to_csv(tmp_path / "missing" / "trajectory.csv")
+    assert forks == []
+
+
+def test_to_csv_with_a_live_thread_runs_in_one_process(tmp_path, forked_csv):
+    prob, log = csv_case("log_every_7")
+    forks = forked_csv(3)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        log.to_csv(tmp_path / "trajectory.csv")
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == []
+    assert (tmp_path / "trajectory.csv").read_text() == csv_oracle(prob, log)
 
 
 def assert_final_state(log, x, lam=None):

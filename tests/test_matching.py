@@ -10,7 +10,7 @@ from dcopt import (
     generate_instance,
     ring,
 )
-from dcopt.matching import MatchingInstance, assignment_cost
+from dcopt.matching import MatchingInstance, _permutation_costs, assignment_cost
 
 
 def square_instance():
@@ -89,6 +89,20 @@ def test_brute_force_matches_exhaustive_rescan():
         assert all_costs[perm] == cost
 
 
+def test_permutation_table_is_lexicographic_itertools_order():
+    import itertools
+
+    rng = np.random.default_rng(3)
+    for n in range(1, 9):
+        inst = MatchingInstance(rng.uniform(0, 10, (n, 2)), rng.uniform(0, 10, (n, 2)))
+        perms, costs = _permutation_costs(inst)
+        table = np.array(list(itertools.permutations(range(n))), dtype=np.int8)
+        assert perms.dtype == np.int8 and np.array_equal(perms, table.reshape(-1, n))
+        # left-to-right sums over robots, bit for bit
+        for row in (0, len(table) // 2, len(table) - 1):
+            assert costs[row] == assignment_cost(inst, table[row])
+
+
 def test_brute_force_tie_breaks_lexicographic():
     # two robots equidistant to two targets: both permutations cost the
     # same, the lexicographically smaller one wins
@@ -154,6 +168,18 @@ def test_extract_assignment():
     assert extract_assignment(z) is None
     with pytest.raises(ValueError, match="square"):
         extract_assignment(np.zeros(7))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_extract_assignment_rejects_non_finite(bad):
+    # nan < 0.5 is False, so a NaN on the chosen entries used to pass
+    assert extract_assignment([bad, 0.0, 0.0, bad]) is None
+    # one non-finite entry off the chosen ones is enough
+    z = np.eye(3).reshape(-1)
+    z[1] = bad
+    assert extract_assignment(z) is None
+    z[1] = 0.0
+    assert extract_assignment(z) == (0, 1, 2)
 
 
 def test_extract_assignment_from_perturbed_vertex():
