@@ -13,18 +13,23 @@ last n are xi_dot_i.  The inequality multiplier enters the Lagrangian
 squared, so its flow lam_dot = 2 lam g(x) keeps lam positive without
 projection; a step that would cross zero is a guard violation, never
 clamped.  The whole network steps as one state (AgentState): its stacked
-arrays are views of one flat vector z, so an Euler step is one vector
-update, and the storage, bound and defect kernels return one value per
-agent.  Those kernels also take a block of states and derivatives
-stacked along leading axes, (K, N, ...), and reduce over the trailing
-axes only, so the online diagnostics evaluate K steps in one call.
+arrays are plain attributes, views of one flat vector z taken once per
+state from a slice table that is computed once per layout, so an Euler
+step is one vector update, and the storage, bound and defect kernels
+return one value per agent.  Those kernels also take a block of states
+and derivatives stacked along leading axes, (K, N, ...), and reduce over
+the trailing axes only, so the online diagnostics evaluate K steps in one
+call.
 
 Every local term (grad f, g, G, h, H) comes from one
-DistributedProblem.local_terms call per state, which runs no loop over the
-agents when every function is affine, as in the matching LP.  The rate
-bounds read grad f(x) and zeta from the AgentDerivative of the same step
-and take phi* = grad f(z*) and zeta* = zeta(z*, lam*, mu*), which stay
-fixed for a run, from the caller.
+DistributedProblem.local_terms call per state.  When every function is
+affine, as in the matching LP, the constraint values are one batched
+product of per-agent blocks padded to the largest row count, and the
+constraint force one batched product over the same blocks: no loop over
+the agents, and no agent's terms read another agent's x or multipliers.
+The rate bounds read grad f(x) and zeta from the AgentDerivative of the
+same step and take phi* = grad f(z*) and zeta* = zeta(z*, lam*, mu*),
+which stay fixed for a run, from the caller.
 
 With m = 1, b = (0,), c = (1,) the compensator is a pure integrator and the
 flow reduces to plain primal-dual gradient dynamics (the ablation mode that
@@ -106,23 +111,24 @@ class CompensatorParams:
         return CompensatorParams(np.array([0.0]), np.array([1.0]))
 
 
-class _Layout:
-    """Where the four packed fields of an AgentState (or of its
-    AgentDerivative) sit in one flat vector: each field's shape for one
-    state and its slice of the vector, D entries in all."""
+@functools.lru_cache(maxsize=64)
+def _slice_table(shapes):
+    """The slice table of one layout: the (slice, shape) of each packed
+    field in the flat vector, and the vector's size D.  shapes are the
+    fields' shapes for one state; a table is computed once per layout."""
+    stops = list(itertools.accumulate(math.prod(s) for s in shapes))
+    fields = tuple((slice(a, b), shape) for a, b, shape in zip([0] + stops[:-1], stops, shapes))
+    return fields, stops[-1]
 
-    def __init__(self, shapes):
-        shapes = tuple(shapes)
-        stops = list(itertools.accumulate(math.prod(s) for s in shapes))
-        self.size = stops[-1]
-        self._fields = tuple((slice(a, b), shape, len(shape) == 1)
-                             for a, b, shape in zip([0] + stops[:-1], stops, shapes))
 
-    def views(self, vector):
-        """The fields of vector (..., D) as views, each (...,) + its shape."""
-        lead = vector.shape[:-1]
-        return [vector[s] if flat and not lead else vector[..., s].reshape(lead + shape)
-                for s, shape, flat in self._fields]
+def _views(table, vector):
+    """The fields of vector (..., D) as views, each (...,) + its shape.
+    Both packed records have two shaped fields followed by two flat ones."""
+    if vector.ndim == 1:
+        (a, sa), (b, sb), (c, _), (d, _) = table[0]
+        return vector[a].reshape(sa), vector[b].reshape(sb), vector[c], vector[d]
+    lead = vector.shape[:-1]
+    return [vector[..., s].reshape(lead + shape) for s, shape in table[0]]
 
 
 def _stack(arrays):
@@ -130,66 +136,33 @@ def _stack(arrays):
     return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
 
 
-def _field(k):
-    """The k-th packed field of a _Packed: a view of its vector, made with
-    the other views on first access; assigning writes into the vector and
-    must keep the field's shape."""
-
-    def get(self):
-        if self._views is None:
-            self._views = self._layout.views(self._vector)
-        return self._views[k]
-
-    def put(self, value):
-        view, value = get(self), np.asarray(value, dtype=float)
-        if value.shape != view.shape:
-            raise ValueError(
-                f"{self._names[k]}: expected shape {view.shape}, got {value.shape}"
-            )
-        view[...] = value
-        self._written()
-
-    return property(get, put)
+def _pack(names, arrays):
+    """(slice table, new vector (..., D)) holding copies of arrays.  The
+    leading axes are those of the first array before its last three (rho
+    is (..., N, m, n)), and every array must start with them."""
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    lead = arrays[0].shape[:-3]
+    for name, a in zip(names, arrays):
+        if a.shape[:len(lead)] != lead:
+            raise ValueError(f"{name}: expected leading axes {lead}, got shape {a.shape}")
+    table = _slice_table(tuple(a.shape[len(lead):] for a in arrays))
+    vector = np.empty(lead + (table[1],))
+    for view, a in zip(_views(table, vector), arrays):
+        view[...] = a
+    return table, vector
 
 
 class _Packed:
-    """Four named fields that are views of one contiguous float vector.
+    """AgentState and AgentDerivative: fields (_names) that view one vector."""
 
-    The constructor copies its arrays into a new vector (..., D).  The
-    leading axes are those of the first field before its last three (rho
-    is (..., N, m, n)), and every field must start with them.
-    """
-
-    _names = ()
-    _views = None
-
-    def __init__(self, *arrays):
-        arrays = [np.asarray(a, dtype=float) for a in arrays]
-        lead = arrays[0].shape[:-3]
-        for name, a in zip(self._names, arrays):
-            if a.shape[:len(lead)] != lead:
-                raise ValueError(f"{name}: expected leading axes {lead}, got shape {a.shape}")
-        self._layout = _Layout(a.shape[len(lead):] for a in arrays)
-        self._vector = np.empty(lead + (self._layout.size,))
-        for view, a in zip(self._layout.views(self._vector), arrays):
-            view[...] = a
+    __slots__ = ()
 
     @classmethod
-    def _of(cls, layout, vector):
-        """The fields of vector in layout, without a copy."""
-        obj = cls.__new__(cls)
-        obj._layout = layout
-        obj._vector = vector
+    def _of(cls, table, vector, *rest):
+        """The record whose vector is vector in layout table, without a copy."""
+        obj = object.__new__(cls)
+        obj._fill(table, vector, *rest)
         return obj
-
-    def _written(self):
-        pass
-
-    @classmethod
-    def stack(cls, items):
-        """K items of one layout as one with a leading axis: its vector is
-        (K, D) and its fields (K, ...) views of it."""
-        return cls._of(items[0]._layout, _stack([item._vector for item in items]))
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
@@ -206,37 +179,33 @@ class AgentState(_Packed):
                     each the agents' vectors concatenated in agent order
                     (the layout of DistributedProblem)
 
-    The four fields are views of z, in that order, so an Euler step is one
-    vector update and the divergence guard one reduction over z.  The
-    constructor copies its arrays into a new z; assigning a field writes
-    into z and must keep the field's shape.  A step builds a new z and
-    never writes into an old one.  x is formed once per state and kept:
-    assigning rho drops it, but a write into rho's entries does not, so
-    assign rho rather than write into it.  The diagnostics stack K states
-    into one (AgentState.stack) whose z is (K, D) and whose fields are
-    (K, N, m, n), ... views of it.
+    The four fields and x are plain attributes, formed once per state: the
+    fields are views of z in that order, taken from the layout's slice
+    table, so an Euler step is one vector update and the divergence guard
+    one reduction over z.  The constructor copies its arrays into a new z;
+    a step builds a new z and never writes into an old one.  A write into a
+    field changes z but not x; assigning a field only rebinds it.  The
+    diagnostics stack K states into one (AgentState.stack) whose z is
+    (K, D) and whose fields are (K, N, m, n), ... views of it.
     """
 
+    __slots__ = ("z", "rho", "xi", "lam", "mu", "x", "_table")
     _names = ("rho", "xi", "lam", "mu")
-    rho, xi, lam, mu = (_field(k) for k in range(4))
-    _x = None
 
     def __init__(self, rho, xi, lam, mu):
-        super().__init__(rho, xi, lam, mu)
+        with np.errstate(over="ignore"):  # finite stages whose x overflows: the nan guard's
+            self._fill(*_pack(self._names, (rho, xi, lam, mu)))
 
-    @property
-    def z(self):
-        return self._vector
+    def _fill(self, table, z):
+        self._table, self.z = table, z
+        self.rho, self.xi, self.lam, self.mu = _views(table, z)
+        self.x = np.add.reduce(self.rho, axis=-2)  # sum() unwrapped
 
-    @property
-    def x(self):
-        """(..., N, n): rho summed over its stages (np.add.reduce, sum() unwrapped)."""
-        if self._x is None:
-            self._x = np.add.reduce(self.rho, axis=-2)
-        return self._x
-
-    def _written(self):
-        self._x = None
+    @classmethod
+    def stack(cls, items):
+        """K states of one layout as one with a leading axis: its z is
+        (K, D) and its fields (K, ...) views of it."""
+        return cls._of(items[0]._table, _stack([item.z for item in items]))
 
     @staticmethod
     def zeros(comp, prob, lam0=0.01):
@@ -252,31 +221,35 @@ class AgentState(_Packed):
 
 class AgentDerivative(_Packed):
     """Time derivatives of an AgentState, packed like it: rho_dot, xi_dot,
-    lam_dot and mu_dot are views of one vector zdot, so z + h zdot is the
-    Euler step.  It also keeps what the diagnostics read at the same x, as
+    lam_dot and mu_dot are plain views of one vector zdot, so z + h zdot is
+    the Euler step; they are taken together on the first read of any (the
+    diagnostics and the nan report), so a step that reads only zdot takes
+    none.  It also keeps what the diagnostics read at the same x, as
     separate (N, n) arrays: nu, grad f(x) and the constraint force zeta.
     stack() stacks those three next to zdot.
     """
 
+    __slots__ = ("zdot", "rho_dot", "xi_dot", "lam_dot", "mu_dot", "nu", "grad", "zeta",
+                 "_table")
     _names = ("rho_dot", "xi_dot", "lam_dot", "mu_dot")
-    rho_dot, xi_dot, lam_dot, mu_dot = (_field(k) for k in range(4))
-    nu = grad = zeta = None
 
     def __init__(self, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta):
-        super().__init__(rho_dot, xi_dot, lam_dot, mu_dot)
-        self.nu, self.grad, self.zeta = nu, grad, zeta
+        self._fill(*_pack(self._names, (rho_dot, xi_dot, lam_dot, mu_dot)), nu, grad, zeta)
 
-    @property
-    def zdot(self):
-        return self._vector
+    def _fill(self, table, zdot, nu, grad, zeta):
+        self._table, self.zdot, self.nu, self.grad, self.zeta = table, zdot, nu, grad, zeta
+
+    def __getattr__(self, name):  # only reached while the views are not taken
+        if name not in self._names:
+            raise AttributeError(name)
+        self.rho_dot, self.xi_dot, self.lam_dot, self.mu_dot = _views(self._table, self.zdot)
+        return getattr(self, name)
 
     @classmethod
     def stack(cls, items):
-        stacked = super().stack(items)
-        stacked.nu, stacked.grad, stacked.zeta = (
-            _stack([getattr(d, name) for d in items]) for name in ("nu", "grad", "zeta")
-        )
-        return stacked
+        return cls._of(items[0]._table, _stack([d.zdot for d in items]),
+                       *(_stack([getattr(d, name) for d in items])
+                         for name in ("nu", "grad", "zeta")))
 
 
 def derivatives(prob, comp, state, effort):
@@ -285,10 +258,9 @@ def derivatives(prob, comp, state, effort):
     effort (N, 2n) holds each agent's summed port effort sum_j p_ij.  The
     local terms come from one prob.local_terms(x) call, with no loop over
     the agents when the problem is affine, and the constraint force from
-    one bincount by owner.  The four derivative fields go into one fresh
-    zdot by one concatenate, so a step that reads only zdot (the Euler
-    update) never builds their views.  The result also keeps grad f(x)
-    and zeta for the diagnostics.
+    one batched product over the agents' padded blocks.  The four
+    derivative fields go into one fresh zdot by one concatenate.  The
+    result also keeps grad f(x) and zeta for the diagnostics.
     """
     n = prob.dim
     terms = prob.local_terms(state.x)
@@ -299,9 +271,7 @@ def derivatives(prob, comp, state, effort):
     rho_dot = c * nu[:, None, :] - b * state.rho
     lam_dot = 2.0 * lam * terms.g
     zdot = np.concatenate([rho_dot, effort[:, n:], lam_dot, terms.h], axis=None)
-    d = AgentDerivative._of(state._layout, zdot)
-    d.nu, d.grad, d.zeta = nu, terms.grad, zeta
-    return d
+    return AgentDerivative._of(state._table, zdot, nu, terms.grad, zeta)
 
 
 def euler_step(state, deriv, h):
@@ -315,7 +285,7 @@ def euler_step(state, deriv, h):
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    nxt = AgentState._of(state._layout, state._vector + h * deriv._vector)
+    nxt = AgentState._of(state._table, state.z + h * deriv.zdot)
     lam = nxt.lam
     if lam.size and np.minimum.reduce(lam) <= 0.0:
         k = int(np.argmax(lam <= 0.0))

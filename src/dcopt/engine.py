@@ -1,7 +1,7 @@
 """Fixed-step simulation engine for the networked primal-dual flow.
 
-The network state is one AgentState, stacked arrays packed in one flat
-vector, and the directed edges i <- j are index arrays in
+The network state is one AgentState, stacked arrays that are plain views
+of one flat vector, and the directed edges i <- j are index arrays in
 network.directed_edges() order.  One explicit-Euler step has a fixed
 phase order:
 
@@ -12,7 +12,8 @@ phase order:
        outgoing waves.  The derivatives, the diagnostics and the log all
        read this one pair,
     2. the derivatives of the whole network in one call, from the local
-       terms and each agent's summed effort sum_j p_ij, and the Euler
+       terms and each agent's summed effort sum_j p_ij (one bincount by
+       receiving agent, its bins planned once per run), and the Euler
        update z + h zdot of the packed state (see AgentState) with its
        guards, on its lam view and one abs-max over it; not yet committed,
     3. the push of every edge into the delay lines (the outgoing waves of
@@ -605,22 +606,27 @@ class _Edges:
         self.rev = np.array([index[(j, i)] for i, j in self.keys], dtype=int)
         self.weight = np.array([w for _, _, w in directed]).reshape(-1, 1)
         self.n_agents = net.n_agents
-        self._bins = {}  # (lead, row shape) -> (flat bins, bin count, sum shape)
+        self._plans = {}  # (lead, rows shape) -> (flat bins, bin count, sum shape)
 
     def per_agent(self, rows, lead=0):
         """Sums of edge rows by receiving agent: rows of shape B + (E,) + W,
         B the first `lead` axes (say, a block of steps), give B + (N,) + W.
         Edge e adds into agent own[e] of its own leading row alone, so a
         non-finite entry stays with its own agent and row."""
-        key = (lead, rows.shape)
-        if key not in self._bins:
-            head, tail = rows.shape[:lead], rows.shape[lead + 1:]
+        bins, size, shape = self.sum_plan(rows.shape, lead)
+        return np.bincount(bins, weights=rows.ravel(), minlength=size).reshape(shape)
+
+    def sum_plan(self, shape, lead=0):
+        """(bins, bin count, sum shape) of per_agent for rows of this shape,
+        made once per shape; a per-step caller takes it once per run."""
+        key = (lead, shape)
+        if key not in self._plans:
+            head, tail = shape[:lead], shape[lead + 1:]
             b, w, n = math.prod(head), math.prod(tail), self.n_agents
             bins = (self.own[:, None] * w + np.arange(w)).ravel()
-            self._bins[key] = ((bins + n * w * np.arange(b)[:, None]).ravel(),
-                               b * n * w, head + (n,) + tail)
-        bins, size, shape = self._bins[key]
-        return np.bincount(bins, weights=rows.ravel(), minlength=size).reshape(shape)
+            self._plans[key] = ((bins + n * w * np.arange(b)[:, None]).ravel(),
+                                b * n * w, head + (n,) + tail)
+        return self._plans[key]
 
 
 def _port_offsets(ref, edges, cfg):
@@ -753,7 +759,9 @@ def simulate(prob, cfg):
         log.abort_step = k
 
     k = 0
+    log_every = cfg.log_every
     pair = np.array([nbr, own])  # no_delay: both ends of every edge in one gather
+    bins, size, shape = edges.sum_plan((len(own), 2 * dim))  # the efforts sum_j p_ij
     with np.errstate(all="ignore"):  # guards, not warnings, handle blow-ups
         for k in range(n_steps):
             t = k * h
@@ -762,7 +770,8 @@ def simulate(prob, cfg):
 
             # phase 1: the port pair (r, p) of every directed edge i <- j
             if line is None:
-                r, u_own = u.take(pair, 0)
+                ends = u.take(pair, 0)
+                r, u_own = ends[0], ends[1]
             else:
                 r, u_own = line.pop(t).take(edges.rev, 0), u.take(own, 0)
             s_in = s_out = None
@@ -773,10 +782,12 @@ def simulate(prob, cfg):
                 p = coupling.apply(r - u_own)
 
             # phase 2: derivatives from the summed efforts, the update, its guards
-            deriv = derivatives(prob, comp, state, edges.per_agent(p))
+            effort = np.bincount(bins, weights=p.ravel(), minlength=size).reshape(shape)
+            deriv = derivatives(prob, comp, state, effort)
             try:
                 nxt = euler_step(state, deriv, h)
-                trip = None if np.abs(nxt.z).max() <= DIVERGENCE_LIMIT else "divergence"
+                trip = (None if np.maximum.reduce(np.abs(nxt.z)) <= DIVERGENCE_LIMIT
+                        else "divergence")
             except LambdaGuardError as err:
                 trip = err
             if trip is not None and not np.isfinite(deriv.zdot).all():
@@ -794,7 +805,7 @@ def simulate(prob, cfg):
             if diag is not None:
                 diag.step(t, state, deriv, r, p, s_in, s_out, log, k % diag_every == 0)
 
-            if k % cfg.log_every == 0:  # no_delay: r, not the whole gather it is half of
+            if k % log_every == 0:  # no_delay: r, not the whole gather it is half of
                 snapshot(t, state, x, deriv, (r.copy() if line is None else r, p, s_in, s_out))
 
             # phase 4: barrier commit, unless a guard tripped

@@ -43,7 +43,8 @@ _MIN_GAP = 1e-6  # least cost gap between the best two permutations
 
 @dataclass(frozen=True)
 class MatchingInstance:
-    """Positions of n robots and n targets; distances are Euclidean."""
+    """Positions of n robots and n targets; distances are Euclidean.  One
+    from generate_instance carries its optimum, for brute_force_optimal."""
 
     robots: np.ndarray  # (n, 2)
     targets: np.ndarray  # (n, 2)
@@ -84,11 +85,10 @@ def generate_instance(seed, n=5, area=100.0):
         inst = MatchingInstance(
             rng.uniform(0.0, area, (n, 2)), rng.uniform(0.0, area, (n, 2))
         )
-        if n == 1:
-            return inst
-        _, costs = _permutation_costs(inst)
-        lowest, second = np.partition(costs, 1)[:2]
-        if second - lowest >= _MIN_GAP:
+        perms, costs = _permutation_costs(inst)
+        optimum = _best(perms, costs)
+        if n == 1 or np.partition(costs, 1)[1] - optimum[1] >= _MIN_GAP:
+            object.__setattr__(inst, "_optimum", optimum)
             return inst
     raise RuntimeError("could not sample an instance with a unique optimum")
 
@@ -160,13 +160,20 @@ def brute_force_optimal(inst):
     """Enumerate all permutations; return (permutation, cost).
 
     Ties resolve to the lexicographically smallest permutation: enumeration
-    is in lexicographic order and argmin takes the first minimum.
+    is in lexicographic order and argmin takes the first minimum.  An
+    instance from generate_instance returns the optimum it carries, found
+    the same way when its uniqueness was checked.
     """
     if inst.n > _MAX_BRUTE_FORCE:
         raise ValueError(f"brute force limited to n <= {_MAX_BRUTE_FORCE}")
-    perms, costs = _permutation_costs(inst)
-    best = int(np.argmin(costs))
-    return tuple(int(v) for v in perms[best]), float(costs[best])
+    known = inst.__dict__.get("_optimum")
+    return known if known is not None else _best(*_permutation_costs(inst))
+
+
+def _best(perms, costs):
+    """(permutation, cost) of the first least cost."""
+    best = costs.argmin()
+    return tuple(perms[best].tolist()), float(costs[best])
 
 
 def extract_assignment(z):

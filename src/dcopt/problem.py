@@ -8,9 +8,9 @@ to a Network; consensus over the network replaces a shared variable.
 Only first-order information (value, gradient) is required of any function.
 """
 
+import functools
 import itertools
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -184,7 +184,7 @@ class LocalProblem:
         return np.array([h.gradient(x) for h in self.equalities]).reshape(-1, self.dim)
 
 
-class LocalTerms(NamedTuple):
+class LocalTerms:
     """The agents' first-order local terms at a stacked x (N, n), in the
     multiplier layout of the problem:
 
@@ -192,31 +192,23 @@ class LocalTerms(NamedTuple):
     g (L,), G (L, n)  inequality values g_k(x_owner) and gradient rows
     h (M,), H (M, n)  equality values and gradient rows
 
-    The constraint terms are stored stacked, inequalities first: values
-    [g; h] (L + M,) and rows [G; H] (L + M, n), with cut = L.
+    rows is [G; H] (L + M, n), and blocks (N, R, n) the same rows in
+    DistributedProblem's padded layout, which constraint_force reads.
     """
 
-    grad: np.ndarray
-    neg_grad: np.ndarray
-    values: np.ndarray
-    rows: np.ndarray
-    cut: int
+    __slots__ = ("grad", "neg_grad", "g", "h", "rows", "blocks")
 
-    @property
-    def g(self):
-        return self.values[:self.cut]
+    def __init__(self, grad, neg_grad, values, rows, blocks, cut):
+        self.grad, self.neg_grad, self.rows, self.blocks = grad, neg_grad, rows, blocks
+        self.g, self.h = values[:cut], values[cut:]
 
     @property
     def G(self):
-        return self.rows[:self.cut]
-
-    @property
-    def h(self):
-        return self.values[self.cut:]
+        return self.rows[:self.g.size]
 
     @property
     def H(self):
-        return self.rows[self.cut:]
+        return self.rows[self.g.size:]
 
 
 class DistributedProblem:
@@ -242,36 +234,73 @@ class DistributedProblem:
         self.n_agents = network.n_agents
         self.ineq_owner, self.ineq_slices = _layout([p.n_ineq for p in locs])
         self.eq_owner, self.eq_slices = _layout([p.n_eq for p in locs])
-        # owner of each stacked constraint row [G; H], and the flat (N, n)
-        # bin of each of its entries, for the force
-        self._row_owner = np.concatenate([self.ineq_owner, self.eq_owner])
-        self._row_bins = (self._row_owner[:, None] * self.dim + np.arange(self.dim)).ravel()
-        self._affine = _stack_affine(self)
+
+    @functools.cached_property
+    def _padded(self):
+        """(slot, gather) of the padded layout of the local kernels, made on
+        first use: agent i's block of R rows, the largest row count of any
+        agent, holds its inequality rows, then its equality rows, then zero
+        rows.  slot[k] is the position of entry k of [g; h], gather[i, r]
+        (N, R) the entry at row r of block i (L + M for a padding row)."""
+        R = max(p.n_ineq + p.n_eq for p in self.local_problems)
+        slot = np.array([i * R + k for i, p in enumerate(self.local_problems)
+                         for k in range(p.n_ineq)]
+                        + [i * R + p.n_ineq + k for i, p in enumerate(self.local_problems)
+                           for k in range(p.n_eq)], dtype=np.intp)
+        gather = np.full((self.n_agents, R), slot.size, dtype=np.intp)
+        gather.flat[slot] = np.arange(slot.size)
+        return slot, gather
+
+    @functools.cached_property
+    def _affine(self):
+        """(C (N, n), -C, rows [G; H], their padded blocks (N, R, n), offsets
+        [g(0); h(0)]), all read-only and made on first use, when every
+        objective and constraint reports a constant gradient and every
+        constraint is affine; else None."""
+        locs = self.local_problems
+        cons = [f for p in locs for f in p.inequalities] + [f for p in locs for f in p.equalities]
+        grads = [p.objective.constant_gradient() for p in locs]
+        rows = [f.constant_gradient() for f in cons]
+        if any(c is None for c in grads + rows) or not all(f.is_affine for f in cons):
+            return None
+        grad = np.array(grads, dtype=float)
+        rows = np.array(rows, dtype=float).reshape(-1, self.dim)
+        slot, gather = self._padded
+        blocks = np.zeros((gather.size, self.dim))
+        blocks[slot] = rows
+        stacked = (grad, -grad, rows, blocks.reshape(gather.shape + (self.dim,)),
+                   np.array([f.value(np.zeros(self.dim)) for f in cons]))
+        for a in stacked:
+            a.setflags(write=False)
+        return stacked
 
     def local_terms(self, x):
         """The LocalTerms at x (N, n).
 
-        When every function reports a constant gradient, the terms were
-        stacked at construction and a call is one gather of x by row owner
-        and one einsum, with no loop over the agents.  Otherwise one loop
-        over the local problems asks each function for its value and
-        gradient.
+        When every function reports a constant gradient, the terms are
+        stacked once, and the constraint values are one einsum of the
+        padded blocks with each agent's own x_i (no agent's rows read
+        another's x), taken into layout order, with no loop over the
+        agents; it sums each row as an einsum over rows gathered by owner
+        does.  Otherwise one loop over the local problems asks each
+        function for its value and gradient.
         """
-        cut = self.ineq_owner.size
+        cut, (slot, gather) = self.ineq_owner.size, self._padded
         if self._affine is not None:
-            grad, neg_grad, rows, offsets = self._affine
-            values = np.einsum("kn,kn->k", rows, x.take(self._row_owner, 0)) + offsets
-            return LocalTerms(grad, neg_grad, values, rows, cut)
+            grad, neg_grad, rows, blocks, offsets = self._affine
+            values = np.einsum("irn,in->ir", blocks, x).take(slot) + offsets
+            return LocalTerms(grad, neg_grad, values, rows, blocks, cut)
         grad = np.empty((self.n_agents, self.dim))
-        values = np.empty(self._row_owner.size)
-        rows = np.empty((self._row_owner.size, self.dim))
-        g, G, h, H = values[:cut], rows[:cut], values[cut:], rows[cut:]  # views to fill
+        values = np.empty(slot.size)
+        blocks = np.zeros(gather.shape + (self.dim,))
+        g, h = values[:cut], values[cut:]  # views to fill
         for i, p in enumerate(self.local_problems):
             grad[i] = p.objective.gradient(x[i])
-            si, se = self.ineq_slices[i], self.eq_slices[i]
-            g[si], G[si] = p.ineq_values(x[i]), p.ineq_gradients(x[i])
-            h[se], H[se] = p.eq_values(x[i]), p.eq_gradients(x[i])
-        return LocalTerms(grad, -grad, values, rows, cut)
+            g[self.ineq_slices[i]], h[self.eq_slices[i]] = p.ineq_values(x[i]), p.eq_values(x[i])
+            blocks[i, :p.n_ineq] = p.ineq_gradients(x[i])
+            blocks[i, p.n_ineq:p.n_ineq + p.n_eq] = p.eq_gradients(x[i])
+        rows = blocks.reshape(-1, self.dim).take(slot, 0)
+        return LocalTerms(grad, -grad, values, rows, blocks, cut)
 
 
 def _layout(counts):
@@ -279,28 +308,6 @@ def _layout(counts):
     owner = np.repeat(np.arange(len(counts)), counts)
     ends = itertools.accumulate(counts)
     return owner, tuple(slice(e - c, e) for c, e in zip(counts, ends))
-
-
-def _stack_affine(prob):
-    """(C (N, n), -C, rows [G; H], offsets [g(0); h(0)]), all read-only, when
-    every objective and constraint of prob reports a constant gradient and
-    every constraint is affine; else None."""
-    locs = prob.local_problems
-    cons = [f for p in locs for f in p.inequalities] + [f for p in locs for f in p.equalities]
-    grads = [p.objective.constant_gradient() for p in locs]
-    rows = [f.constant_gradient() for f in cons]
-    if any(c is None for c in grads + rows) or not all(f.is_affine for f in cons):
-        return None
-    zero = np.zeros(prob.dim)
-    grad = np.array(grads, dtype=float)
-    stacked = (
-        grad, -grad,
-        np.array(rows, dtype=float).reshape(-1, prob.dim),
-        np.array([f.value(zero) for f in cons]),
-    )
-    for a in stacked:
-        a.setflags(write=False)
-    return stacked
 
 
 def _checked_point(prob, x, xi, lam, mu):
@@ -316,15 +323,19 @@ def _checked_point(prob, x, xi, lam, mu):
     return x, xi, lam, mu
 
 
+_PAD_WEIGHT = np.zeros(1)  # the weight of a padding row
+
+
 def constraint_force(prob, terms, lam, mu):
     """zeta_i = sum_k lam_ik^2 grad g_ik(x_i) + sum_k mu_ik grad h_ik(x_i),
     stacked (N, n), from the LocalTerms at x and lam, mu in the multiplier
-    layout of prob.  Each weighted row adds into its owning agent alone
-    (bincount), so a non-finite row stays with its own agent."""
-    weighted = np.concatenate([lam**2, mu])[:, None] * terms.rows
-    zeta = np.bincount(prob._row_bins, weights=weighted.ravel(),
-                       minlength=prob.n_agents * prob.dim)
-    return zeta.reshape(prob.n_agents, prob.dim)
+    layout of prob.  The weights [lam^2; mu] are taken into the padded
+    layout (0 on padding rows), and each agent's weight row times its own
+    block is one einsum, so a non-finite row or weight stays with its own
+    agent.  The einsum adds an agent's weighted rows in layout order, as
+    the bincount by owner did."""
+    weights = np.concatenate([lam**2, mu, _PAD_WEIGHT]).take(prob._padded[1])
+    return np.einsum("ir,irn->in", weights, terms.blocks)
 
 
 @dataclass

@@ -576,7 +576,7 @@ def test_divergence_guard_aborts_run():
     # on a network the event names the agent and field of the largest entry
     prob = three_agent_quadratic()
     init = AgentState.zeros(SimConfig().compensator, prob)
-    init.xi = np.array([[0.0], [-5e9], [0.0]])
+    init.xi[1] = -5e9
     log = simulate(prob, SimConfig(duration=1.0, initial=init))
     ev = log.events[-1]
     assert (log.abort_reason, ev["agent"]) == ("divergence", 1)
@@ -711,6 +711,22 @@ def test_nan_event_names_first_non_finite_agent():
     )
     init = AgentState.zeros(SimConfig().compensator, prob)
     init.rho[2, :, 0] = 1e308
+    log = simulate(prob, SimConfig(duration=0.01, initial=init))
+    assert log.abort_reason == "nan" and log.abort_step == 0
+    event = log.events[0]
+    assert event["agent"] == 1
+    assert event["detail"].startswith("agent 1: non-finite derivative")
+
+
+def test_affine_path_keeps_a_non_finite_value_with_its_agent():
+    # the same start on the matching LP, whose local terms take the padded
+    # per-agent kernels: agent 2's rows read x_2 = inf (0 * inf = NaN on
+    # its zero coefficients) and must not reach agent 0, whose neighbors 1
+    # and 3 are still finite at step 0
+    prob = build_distributed_problem(generate_instance(5, n=4), ring(4, 4.0))
+    assert prob._affine is not None
+    init = AgentState.zeros(SimConfig().compensator, prob)
+    init.rho[2] = 1e308
     log = simulate(prob, SimConfig(duration=0.01, initial=init))
     assert log.abort_reason == "nan" and log.abort_step == 0
     event = log.events[0]

@@ -103,6 +103,26 @@ def test_permutation_table_is_lexicographic_itertools_order():
             assert costs[row] == assignment_cost(inst, table[row])
 
 
+def test_generated_optimum_equals_enumeration(monkeypatch):
+    import itertools
+
+    from dcopt import matching
+
+    for n in range(1, 9):
+        inst = generate_instance(n, n=n)
+        fresh = MatchingInstance(inst.robots, inst.targets)
+        perm, cost = brute_force_optimal(fresh)
+        # a plain rescan: the first permutation of least cost, summed like
+        # assignment_cost
+        best = min(itertools.permutations(range(n)), key=lambda p: assignment_cost(fresh, p))
+        assert (perm, cost) == (best, assignment_cost(fresh, best))
+        # the generated instance carries the same optimum and does not
+        # enumerate again
+        monkeypatch.setattr(matching, "_permutation_costs", None)
+        assert brute_force_optimal(inst) == (perm, cost)
+        monkeypatch.undo()
+
+
 def test_brute_force_tie_breaks_lexicographic():
     # two robots equidistant to two targets: both permutations cost the
     # same, the lexicographically smaller one wins

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dcopt import kkt_residual, ring
 from dcopt.graph import Network
@@ -11,6 +14,7 @@ from dcopt.problem import (
     LocalProblem,
     QuadraticFunction,
     ScalarFunction,
+    constraint_force,
     generalized_lagrangian,
     make_linear_nonneg_bound,
 )
@@ -223,3 +227,80 @@ def test_distributed_problem_validation():
         kkt_residual(prob, x, x, np.array([1.0]), np.zeros(0))
     with pytest.raises(ValueError, match=r"mu: expected shape \(0,\), got \(2, 0\)"):
         generalized_lagrangian(prob, x, x, np.zeros(0), [np.zeros(0), np.zeros(0)])
+
+
+# The padded per-agent kernels of local_terms and constraint_force against a
+# plain loop over the agents, on problems with uneven constraint counts.
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
+
+
+@st.composite
+def uneven_problems(draw):
+    """(problem, x, lam, mu): N agents, each with 0-3 inequalities and 0-3
+    equalities, all affine."""
+    n_agents = draw(st.integers(1, 5))
+    dim = draw(st.integers(1, 4))
+    coef = arrays(float, dim, elements=st.floats(-10.0, 10.0))
+    offset = st.floats(-10.0, 10.0)
+
+    def affine():
+        return AffineFunction(draw(coef), draw(offset))
+
+    locs = [LocalProblem(affine(),
+                         [affine() for _ in range(draw(st.integers(0, 3)))],
+                         [affine() for _ in range(draw(st.integers(0, 3)))])
+            for _ in range(n_agents)]
+    net = ring(n_agents, 1.0) if n_agents > 1 else Network([[0.0]])
+    prob = DistributedProblem(net, locs)
+    x = draw(arrays(float, (n_agents, dim), elements=st.floats(-10.0, 10.0)))
+    lam = draw(arrays(float, prob.ineq_owner.size, elements=st.floats(0.01, 10.0)))
+    mu = draw(arrays(float, prob.eq_owner.size, elements=st.floats(-10.0, 10.0)))
+    return prob, x, lam, mu
+
+
+def loop_terms(prob, x, lam, mu):
+    """(g, h, zeta) agent by agent, from each function's value and gradient."""
+    g, h, zeta = [], [], np.zeros_like(x)
+    for i, p in enumerate(prob.local_problems):
+        li, mi = lam[prob.ineq_slices[i]], mu[prob.eq_slices[i]]
+        g += [f.value(x[i]) for f in p.inequalities]
+        h += [f.value(x[i]) for f in p.equalities]
+        for w, f in zip(np.concatenate([li**2, mi]), p.inequalities + p.equalities):
+            zeta[i] += w * f.gradient(x[i])
+    return np.array(g), np.array(h), zeta
+
+
+def kernel_terms(prob, x, lam, mu):
+    terms = prob.local_terms(x)
+    return terms.g, terms.h, constraint_force(prob, terms, lam, mu)
+
+
+@PROPERTY
+@given(uneven_problems(), st.integers(0, 4), st.sampled_from(["x", "row", None]))
+def test_padded_kernels_equal_the_agent_loop(case, agent, poison):
+    from test_engine import opaque
+
+    prob, x, lam, mu = case
+    agent %= prob.n_agents
+    if poison == "x":
+        x[agent, 0] = np.nan
+    elif poison == "row":
+        p = prob.local_problems[agent]
+        funcs = p.inequalities + p.equalities
+        if funcs:
+            funcs[0].c.setflags(write=True)
+            funcs[0].c[0] = np.nan
+            prob = DistributedProblem(prob.network, prob.local_problems)  # stack again
+    assert prob._affine is not None
+    want = loop_terms(prob, x, lam, mu)
+    got = kernel_terms(prob, x, lam, mu)
+    for kernels in (got, kernel_terms(opaque(prob), x, lam, mu)):
+        for name, values, ref in zip(("g", "h", "zeta"), kernels, want):
+            np.testing.assert_allclose(values, ref, rtol=1e-12, atol=1e-12, err_msg=name)
+    # a NaN stays in its own agent's outputs, and reaches them
+    g, h, zeta = got
+    owners = np.concatenate([prob.ineq_owner[np.isnan(g)], prob.eq_owner[np.isnan(h)],
+                             np.flatnonzero(np.isnan(zeta).any(axis=1))])
+    has_rows = prob.local_problems[agent].n_ineq + prob.local_problems[agent].n_eq > 0
+    assert set(owners.tolist()) == ({agent} if poison and has_rows else set())
