@@ -20,7 +20,6 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,24 +59,6 @@ OSCILLATION_FACTOR = 10.0
 
 class ConfigError(ValueError):
     """Config rejected; the message names the offending field."""
-
-
-@dataclass
-class RunSpec:
-    """One CLI invocation: where the config is, what to run, where to write."""
-
-    config_path: str = None
-    out_dir: str = "."
-    scenario: str = "no_delay"
-    duration: float = None
-    step: float = None
-    seed: int = None
-
-    def __post_init__(self):
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"scenario: {self.scenario!r} is not one of {SCENARIOS}"
-            )
 
 
 def _require(cond, field, detail):
@@ -249,12 +230,7 @@ def _sim_config(cfg, scenario, net):
             np.array(cfg["compensator_poles"], dtype=float),
             np.array(cfg["compensator_gains"], dtype=float),
         )
-    mode = {
-        "no_delay": "no_delay",
-        "no_compensator": "no_delay",
-        "naive_delay": "naive_delay",
-        "scattering": "scattering",
-    }[scenario]
+    mode = "no_delay" if scenario == "no_compensator" else scenario
     delays = sample_delays(net, cfg) if mode != "no_delay" else None
     return SimConfig(
         step=cfg["step"],
@@ -329,18 +305,17 @@ def write_diagnostics(path, lines):
             f.write(f"{key}: {_fmt(value)}\n")
 
 
-def run(spec):
-    """Execute one scenario end to end; returns the process exit status."""
+def run(scenario, out_dir=".", config_path=None, duration=None, step=None, seed=None):
+    """Execute one scenario end to end, writing the artifacts into out_dir;
+    returns the process exit status.  config_path is a JSON config
+    (defaults if None), and duration, step and seed override its values."""
+    if scenario not in SCENARIOS:
+        raise ConfigError(f"scenario: {scenario!r} is not one of {SCENARIOS}")
     cfg = validate_config(
-        spec.config_path,
-        overrides={
-            "duration": spec.duration,
-            "step": spec.step,
-            "seed": spec.seed,
-        },
+        config_path, overrides={"duration": duration, "step": step, "seed": seed}
     )
-    os.makedirs(spec.out_dir, exist_ok=True)
-    inst, prob, sim = build_scenario(cfg, spec.scenario)
+    os.makedirs(out_dir, exist_ok=True)
+    inst, prob, sim = build_scenario(cfg, scenario)
 
     ref = None
     ref_note = "diagnostics disabled"
@@ -355,7 +330,7 @@ def run(spec):
     log = simulate(prob, sim)
     wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    log.to_csv(os.path.join(spec.out_dir, "trajectory.csv"))
+    log.to_csv(os.path.join(out_dir, "trajectory.csv"))
     csv_seconds = time.perf_counter() - t0
 
     verdict = classify(log, cfg["duration"])
@@ -369,7 +344,7 @@ def run(spec):
     )
 
     lines = [
-        ("scenario", spec.scenario),
+        ("scenario", scenario),
         ("verdict", verdict),
         ("seed", cfg["seed"]),
         ("simulated_seconds", float(log.t[-1]) if log.t else 0.0),
@@ -422,12 +397,12 @@ def run(spec):
                       f"{ev['detail']}")
         )
 
-    write_diagnostics(os.path.join(spec.out_dir, "diagnostics.txt"), lines)
-    with open(os.path.join(spec.out_dir, "config.normalized"), "w") as f:
+    write_diagnostics(os.path.join(out_dir, "diagnostics.txt"), lines)
+    with open(os.path.join(out_dir, "config.normalized"), "w") as f:
         json.dump(cfg, f, indent=2, sort_keys=True)
         f.write("\n")
 
-    if log.abort_reason is not None and spec.scenario != "naive_delay":
+    if log.abort_reason is not None and scenario != "naive_delay":
         return 1
     return 0
 
@@ -452,16 +427,8 @@ def main(argv=None):
     )
     parser.add_argument("--step", type=float, help="override step size")
     args = parser.parse_args(argv)
-    spec = RunSpec(
-        config_path=args.config,
-        out_dir=args.out,
-        scenario=args.scenario,
-        duration=args.duration,
-        step=args.step,
-        seed=args.seed,
-    )
     try:
-        return run(spec)
+        return run(args.scenario, args.out, args.config, args.duration, args.step, args.seed)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ last n are xi_dot_i.  The inequality multiplier enters the Lagrangian
 squared, so its flow lam_dot = 2 lam g(x) keeps lam positive without
 projection; a step that would cross zero is a guard violation, never
 clamped.  The whole network steps as one state (AgentState): its stacked
-arrays are plain attributes, views of one flat vector z taken once per
+arrays are read-only attributes, views of one flat vector z taken once per
 state from a slice table that is computed once per layout, so an Euler
 step is one vector update, and the storage, bound and defect kernels
 return one value per agent.  Those kernels also take a block of states
@@ -21,8 +21,8 @@ and derivatives stacked along leading axes, (K, N, ...), and reduce over
 the trailing axes only, so the online diagnostics evaluate K steps in one
 call.
 
-Every local term (grad f, g, G, h, H) comes from one
-DistributedProblem.local_terms call per state.  When every function is
+Every local term (grad f, g, h and the gradient rows of g and h) comes
+from one DistributedProblem.local_terms call per state.  When every function is
 affine, as in the matching LP, the constraint values are one batched
 product of per-agent blocks padded to the largest row count, and the
 constraint force one batched product over the same blocks: no loop over
@@ -39,11 +39,12 @@ oscillates on merely convex objectives).
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import constraint_force
+from .problem import _owner_sums, constraint_force
 
 __all__ = [
     "CompensatorParams",
@@ -152,6 +153,13 @@ def _pack(names, arrays):
     return table, vector
 
 
+def _read_only(*names):
+    """Properties that read the private slots _name of names: assigning one
+    is an AttributeError that names it.  A read costs about 50 ns, 10 for a
+    slot, so the per-step derivatives and euler_step read the slots."""
+    return tuple(property(operator.attrgetter("_" + name)) for name in names)
+
+
 class _Packed:
     """AgentState and AgentDerivative: fields (_names) that view one vector."""
 
@@ -179,27 +187,28 @@ class AgentState(_Packed):
                     each the agents' vectors concatenated in agent order
                     (the layout of DistributedProblem)
 
-    The four fields and x are plain attributes, formed once per state: the
-    fields are views of z in that order, taken from the layout's slice
+    The four fields and x are read-only attributes, formed once per state:
+    the fields are views of z in that order, taken from the layout's slice
     table, so an Euler step is one vector update and the divergence guard
     one reduction over z.  The constructor copies its arrays into a new z;
     a step builds a new z and never writes into an old one.  A write into a
-    field changes z but not x; assigning a field only rebinds it.  The
+    field changes z but not x; assigning a field is an AttributeError.  The
     diagnostics stack K states into one (AgentState.stack) whose z is
     (K, D) and whose fields are (K, N, m, n), ... views of it.
     """
 
-    __slots__ = ("z", "rho", "xi", "lam", "mu", "x", "_table")
+    __slots__ = ("_z", "_rho", "_xi", "_lam", "_mu", "_x", "_table")
     _names = ("rho", "xi", "lam", "mu")
+    z, rho, xi, lam, mu, x = _read_only("z", *_names, "x")
 
     def __init__(self, rho, xi, lam, mu):
         with np.errstate(over="ignore"):  # finite stages whose x overflows: the nan guard's
             self._fill(*_pack(self._names, (rho, xi, lam, mu)))
 
     def _fill(self, table, z):
-        self._table, self.z = table, z
-        self.rho, self.xi, self.lam, self.mu = _views(table, z)
-        self.x = np.add.reduce(self.rho, axis=-2)  # sum() unwrapped
+        self._table, self._z = table, z
+        self._rho, self._xi, self._lam, self._mu = _views(table, z)
+        self._x = np.add.reduce(self._rho, axis=-2)  # sum() unwrapped
 
     @classmethod
     def stack(cls, items):
@@ -221,7 +230,7 @@ class AgentState(_Packed):
 
 class AgentDerivative(_Packed):
     """Time derivatives of an AgentState, packed like it: rho_dot, xi_dot,
-    lam_dot and mu_dot are plain views of one vector zdot, so z + h zdot is
+    lam_dot and mu_dot are read-only views of one vector zdot, so z + h zdot is
     the Euler step; they are taken together on the first read of any (the
     diagnostics and the nan report), so a step that reads only zdot takes
     none.  It also keeps what the diagnostics read at the same x, as
@@ -229,20 +238,22 @@ class AgentDerivative(_Packed):
     stack() stacks those three next to zdot.
     """
 
-    __slots__ = ("zdot", "rho_dot", "xi_dot", "lam_dot", "mu_dot", "nu", "grad", "zeta",
-                 "_table")
+    __slots__ = ("_zdot", "_rho_dot", "_xi_dot", "_lam_dot", "_mu_dot", "_nu", "_grad",
+                 "_zeta", "_table")
     _names = ("rho_dot", "xi_dot", "lam_dot", "mu_dot")
+    zdot, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta = _read_only(
+        "zdot", *_names, "nu", "grad", "zeta")
 
     def __init__(self, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta):
         self._fill(*_pack(self._names, (rho_dot, xi_dot, lam_dot, mu_dot)), nu, grad, zeta)
 
     def _fill(self, table, zdot, nu, grad, zeta):
-        self._table, self.zdot, self.nu, self.grad, self.zeta = table, zdot, nu, grad, zeta
+        self._table, self._zdot, self._nu, self._grad, self._zeta = table, zdot, nu, grad, zeta
 
     def __getattr__(self, name):  # only reached while the views are not taken
         if name not in self._names:
             raise AttributeError(name)
-        self.rho_dot, self.xi_dot, self.lam_dot, self.mu_dot = _views(self._table, self.zdot)
+        self._rho_dot, self._xi_dot, self._lam_dot, self._mu_dot = _views(self._table, self._zdot)
         return getattr(self, name)
 
     @classmethod
@@ -263,12 +274,12 @@ def derivatives(prob, comp, state, effort):
     result also keeps grad f(x) and zeta for the diagnostics.
     """
     n = prob.dim
-    terms = prob.local_terms(state.x)
-    lam = state.lam
-    zeta = constraint_force(prob, terms, lam, state.mu)
+    terms = prob.local_terms(state._x)
+    lam = state._lam
+    zeta = constraint_force(prob, terms, lam, state._mu)
     nu = terms.neg_grad - zeta + effort[:, :n]
     b, c = comp._columns
-    rho_dot = c * nu[:, None, :] - b * state.rho
+    rho_dot = c * nu[:, None, :] - b * state._rho
     lam_dot = 2.0 * lam * terms.g
     zdot = np.concatenate([rho_dot, effort[:, n:], lam_dot, terms.h], axis=None)
     return AgentDerivative._of(state._table, zdot, nu, terms.grad, zeta)
@@ -285,35 +296,12 @@ def euler_step(state, deriv, h):
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    nxt = AgentState._of(state._table, state.z + h * deriv.zdot)
-    lam = nxt.lam
+    nxt = AgentState._of(state._table, state._z + h * deriv._zdot)
+    lam = nxt._lam
     if lam.size and np.minimum.reduce(lam) <= 0.0:
         k = int(np.argmax(lam <= 0.0))
         raise LambdaGuardError(k, float(lam[k]))
     return nxt
-
-
-def _per_agent(prob, owner, values):
-    """Sums of values (..., L) over their last axis by owning agent,
-    (..., N).  Each leading row bins into its own N slots, so a NaN stays
-    with its own agent and row."""
-    n = prob.n_agents
-    lead = values.shape[:-1]
-    rows = math.prod(lead)
-    bins = _agent_bins(n, rows, owner.dtype.str, owner.tobytes())
-    sums = np.bincount(bins, weights=values.ravel(), minlength=rows * n)
-    return sums.reshape(lead + (n,))
-
-
-@functools.lru_cache(maxsize=64)
-def _agent_bins(n, rows, dtype, owner):
-    """The bincount bins of _per_agent, cached per owner array (its dtype
-    and bytes) and number of leading rows: entry k of row j goes to slot
-    j n + owner[k]."""
-    owner = np.frombuffer(owner, dtype=dtype)
-    bins = (owner + n * np.arange(rows)[:, None]).ravel()
-    bins.setflags(write=False)
-    return bins
 
 
 def compensator_storage(comp, rho, z_star):
@@ -340,14 +328,13 @@ def multiplier_storage(prob, lam, mu, lam_star, mu_star):
     """
     if lam.size and lam.min() <= 0.0:
         raise ValueError("multiplier storage needs lam > 0")
-    s = _per_agent(prob, prob.ineq_owner, lam**2 - lam_star**2) / 4.0
+    s = _owner_sums(prob.ineq_owner, prob.n_agents, lam**2 - lam_star**2, -1) / 4.0
     active = lam_star > 0.0
     if np.any(active):
         ls = lam_star[active]
-        s -= 0.5 * _per_agent(
-            prob, prob.ineq_owner[active], ls**2 * (np.log(lam[..., active]) - np.log(ls))
-        )
-    s += 0.5 * _per_agent(prob, prob.eq_owner, (mu - mu_star) ** 2)
+        s -= 0.5 * _owner_sums(prob.ineq_owner[active], prob.n_agents,
+                               ls**2 * (np.log(lam[..., active]) - np.log(ls)), -1)
+    s += 0.5 * _owner_sums(prob.eq_owner, prob.n_agents, (mu - mu_star) ** 2, -1)
     return s
 
 
@@ -387,8 +374,8 @@ def storage_step_defects(prob, comp, state, deriv, lam_star, h):
     commits, so the value is never compared against a bound.
     """
     d_c = 0.5 * h * np.sum(np.sum(deriv.rho_dot**2, axis=-1) / comp.c, axis=-1)
-    d_m = 0.25 * h * _per_agent(prob, prob.ineq_owner, deriv.lam_dot**2)
-    d_m += 0.5 * h * _per_agent(prob, prob.eq_owner, deriv.mu_dot**2)
+    d_m = 0.25 * h * _owner_sums(prob.ineq_owner, prob.n_agents, deriv.lam_dot**2, -1)
+    d_m += 0.5 * h * _owner_sums(prob.eq_owner, prob.n_agents, deriv.mu_dot**2, -1)
     active = lam_star > 0.0
     if np.any(active):
         ls2 = lam_star[active] ** 2
@@ -397,6 +384,6 @@ def storage_step_defects(prob, comp, state, deriv, lam_star, h):
         rem = np.where(
             safe, w - np.log1p(np.where(safe, w, 0.0)), 0.5 * w**2
         )
-        d_m += _per_agent(prob, prob.ineq_owner[active], ls2 * rem) / (2.0 * h)
+        d_m += _owner_sums(prob.ineq_owner[active], prob.n_agents, ls2 * rem, -1) / (2.0 * h)
     d_xi = 0.5 * h * np.sum(deriv.xi_dot**2, axis=-1)
     return d_c, d_m, d_xi

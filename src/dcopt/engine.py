@@ -74,7 +74,7 @@ from .dynamics import (
     primal_rate_bound,
     storage_step_defects,
 )
-from .problem import constraint_force, kkt_residual
+from .problem import _owner_sum_plan, _owner_sums, constraint_force, kkt_residual
 from .scattering import ChannelEnd, CouplingMatrix, DelayLine, wave_identity_residual
 
 __all__ = [
@@ -476,11 +476,8 @@ def lyapunov_delayed(prob, log, ref, comp, upto=None):
         + multiplier_storage(prob, log.lam[k], log.mu[k], ref.lam, ref.mu)
         + 0.5 * np.sum((log.xi[k] - 2.0 * ref.xi) ** 2, axis=1)
     ))
-    # one channel per undirected edge: the logged rows fwd of i <- j with
-    # i < j and bwd of its reverse j <- i
     edges = _Edges(prob.network)
-    fwd = np.flatnonzero(edges.own < edges.nbr)
-    bwd = edges.rev[fwd]
+    fwd, bwd = edges.fwd, edges.bwd
     _, _, gamma, delta = ref.edge_offsets(
         edges.own[fwd], edges.nbr[fwd], edges.weight[fwd], cfg.eta
     )
@@ -510,16 +507,6 @@ class PassivityReport:
     multiplier_excess: np.ndarray
     coupling_excess: np.ndarray
     wave_identity_max: float
-
-    def ok(self, wave_tol=1e-10):
-        fine = (
-            float(self.compensator_excess.max(initial=-np.inf)) <= 0.0
-            and float(self.multiplier_excess.max(initial=-np.inf)) <= 0.0
-        )
-        coup = self.coupling_excess
-        if coup.size and not np.isnan(coup).all():
-            fine = fine and float(np.nanmax(coup)) <= 0.0
-        return fine and self.wave_identity_max <= wave_tol
 
 
 def passivity_check(prob, log, ref, comp):
@@ -569,7 +556,7 @@ def passivity_check(prob, log, ref, comp):
             continue
         x = log.x[k]
         r = log.edge_r[k]
-        xi_dot = edges.per_agent(edges.weight * (r[:, :dim] - x[edges.own]))
+        xi_dot = _owner_sums(edges.own, n, edges.weight * (r[:, :dim] - x[edges.own]))
         terms = prob.local_terms(x)
         deriv = AgentDerivative(
             comp.c[:, None] * nu[:, None, :] - comp.b[:, None] * st.rho,
@@ -580,7 +567,7 @@ def passivity_check(prob, log, ref, comp):
         bnd_coup = np.full(n, np.nan)
         if has_ports:
             p = log.edge_p[k]
-            bnd_coup = edges.per_agent(np.sum((r - r_star) * (p - p_star), axis=1))
+            bnd_coup = _owner_sums(edges.own, n, np.sum((r - r_star) * (p - p_star), axis=1))
         if mode == "scattering":
             res = wave_identity_residual(log.edge_s_in[k], log.edge_s_out[k], r, p)
             wave_max = max(wave_max, float(np.abs(res).max(initial=0.0)))
@@ -595,7 +582,8 @@ def passivity_check(prob, log, ref, comp):
 class _Edges:
     """The directed edges i <- j of a network as index arrays, in
     network.directed_edges() order: own = i, nbr = j, rev[e] the edge
-    j <- i, and weight (E, 1)."""
+    j <- i, and weight (E, 1).  Channel c, one per undirected edge, joins
+    edge fwd[c] = i <- j with i < j and its reverse bwd[c] = j <- i."""
 
     def __init__(self, net):
         directed = net.directed_edges()
@@ -605,28 +593,8 @@ class _Edges:
         self.nbr = np.array([j for _, j in self.keys], dtype=int)
         self.rev = np.array([index[(j, i)] for i, j in self.keys], dtype=int)
         self.weight = np.array([w for _, _, w in directed]).reshape(-1, 1)
-        self.n_agents = net.n_agents
-        self._plans = {}  # (lead, rows shape) -> (flat bins, bin count, sum shape)
-
-    def per_agent(self, rows, lead=0):
-        """Sums of edge rows by receiving agent: rows of shape B + (E,) + W,
-        B the first `lead` axes (say, a block of steps), give B + (N,) + W.
-        Edge e adds into agent own[e] of its own leading row alone, so a
-        non-finite entry stays with its own agent and row."""
-        bins, size, shape = self.sum_plan(rows.shape, lead)
-        return np.bincount(bins, weights=rows.ravel(), minlength=size).reshape(shape)
-
-    def sum_plan(self, shape, lead=0):
-        """(bins, bin count, sum shape) of per_agent for rows of this shape,
-        made once per shape; a per-step caller takes it once per run."""
-        key = (lead, shape)
-        if key not in self._plans:
-            head, tail = shape[:lead], shape[lead + 1:]
-            b, w, n = math.prod(head), math.prod(tail), self.n_agents
-            bins = (self.own[:, None] * w + np.arange(w)).ravel()
-            self._plans[key] = ((bins + n * w * np.arange(b)[:, None]).ravel(),
-                                b * n * w, head + (n,) + tail)
-        return self._plans[key]
+        self.fwd = np.flatnonzero(self.own < self.nbr)
+        self.bwd = self.rev[self.fwd]
 
 
 def _port_offsets(ref, edges, cfg):
@@ -761,7 +729,7 @@ def simulate(prob, cfg):
     k = 0
     log_every = cfg.log_every
     pair = np.array([nbr, own])  # no_delay: both ends of every edge in one gather
-    bins, size, shape = edges.sum_plan((len(own), 2 * dim))  # the efforts sum_j p_ij
+    bins, size, shape = _owner_sum_plan(own, n, (len(own), 2 * dim))  # the efforts sum_j p_ij
     with np.errstate(all="ignore"):  # guards, not warnings, handle blow-ups
         for k in range(n_steps):
             t = k * h
@@ -863,7 +831,7 @@ class _DiagState:
         self.ref = ref
         self.comp = comp
         self.cfg = cfg
-        self.per_agent = edges.per_agent
+        self.own = edges.own
         self.has_ports = cfg.mode in ("no_delay", "scattering")
         n = prob.n_agents
         self.excess = np.full((3, n), -np.inf)
@@ -880,10 +848,7 @@ class _DiagState:
         self.r_star, self.p_star, gamma, delta = _port_offsets(ref, edges, cfg)
         self.phi_star, self.zeta_star = ref.forces(prob)
         if cfg.mode == "scattering":
-            # one channel per undirected edge: (i, j) with i < j and its
-            # reverse (j, i)
-            fwd = np.flatnonzero(edges.own < edges.nbr)
-            bwd = edges.rev[fwd]
+            fwd, bwd = edges.fwd, edges.bwd
             self.channels = (fwd, bwd, gamma[fwd], delta[fwd])
             self.edge_const = 0.5 * float(np.sum(
                 delays[fwd] * np.sum(gamma[fwd] ** 2, axis=1)
@@ -933,9 +898,8 @@ class _DiagState:
         bnd_coup = np.full_like(d_c, np.nan)
         if self.has_ports:
             r, p = _stack(r), _stack(p)
-            bnd_coup = self.per_agent(
-                np.sum((r - self.r_star) * (p - self.p_star), axis=-1), lead=1
-            )
+            bnd_coup = _owner_sums(self.own, self.prob.n_agents,
+                                   np.sum((r - self.r_star) * (p - self.p_star), axis=-1), 1)
         # (storage, bound, defect) rows: compensator, multiplier, coupling
         storage = np.stack((sc, sg, s_full))
         bound = np.stack((primal_rate_bound(st, deriv, ref.z, self.phi_star),

@@ -5,7 +5,6 @@ import numpy as np
 __all__ = [
     "Network",
     "ring",
-    "laplacian",
     "laplacian_apply",
     "is_connected",
 ]
@@ -40,16 +39,6 @@ class Network:
         if not is_connected(self):
             raise ValueError("network is not connected")
 
-    def edges(self):
-        """Undirected edges as (i, j, weight) with i < j."""
-        a = self.adjacency
-        return [
-            (i, j, a[i, j])
-            for i in range(self.n_agents)
-            for j in range(i + 1, self.n_agents)
-            if a[i, j] > 0.0
-        ]
-
     def directed_edges(self):
         """Ordered pairs (i, j, weight) with a[i, j] > 0, sorted by (i, j)."""
         a = self.adjacency
@@ -61,7 +50,7 @@ class Network:
         ]
 
     def __repr__(self):
-        return f"Network(n_agents={self.n_agents}, n_edges={len(self.edges())})"
+        return f"Network(n_agents={self.n_agents}, n_edges={len(self.directed_edges()) // 2})"
 
 
 def ring(n_agents, weight=1.0):
@@ -81,23 +70,14 @@ def ring(n_agents, weight=1.0):
     return Network(a)
 
 
-def laplacian(net):
-    """Graph Laplacian diag(A @ 1) - A of the network."""
-    a = net.adjacency
-    return np.diag(a.sum(axis=1)) - a
-
-
 def laplacian_apply(net, v):
     """Blockwise Laplacian action on stacked per-agent vectors.
 
-    v has shape (N, n); row i of the result is sum_j a_ij (v_i - v_j).
+    v has shape (N, n) or (N,); row i of the result is sum_j a_ij (v_i - v_j).
     """
     v = np.asarray(v, dtype=float)
     a = net.adjacency
-    deg = a.sum(axis=1)
-    if v.ndim == 1:
-        return deg * v - a @ v
-    return deg[:, None] * v - a @ v
+    return (a.sum(axis=1) * v.T).T - a @ v
 
 
 def is_connected(net):

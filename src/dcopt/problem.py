@@ -10,6 +10,7 @@ Only first-order information (value, gradient) is required of any function.
 
 import functools
 import itertools
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,7 +27,6 @@ __all__ = [
     "DistributedProblem",
     "constraint_force",
     "KKTResidual",
-    "generalized_lagrangian",
     "kkt_residual",
 ]
 
@@ -188,27 +188,18 @@ class LocalTerms:
     """The agents' first-order local terms at a stacked x (N, n), in the
     multiplier layout of the problem:
 
-    grad (N, n)       objective gradients grad f_i(x_i), and neg_grad = -grad
-    g (L,), G (L, n)  inequality values g_k(x_owner) and gradient rows
-    h (M,), H (M, n)  equality values and gradient rows
-
-    rows is [G; H] (L + M, n), and blocks (N, R, n) the same rows in
-    DistributedProblem's padded layout, which constraint_force reads.
+    grad (N, n)  objective gradients grad f_i(x_i), and neg_grad = -grad
+    g (L,)       inequality values g_k(x_owner)
+    h (M,)       equality values
+    blocks       (N, R, n) the gradient rows of g and h in DistributedProblem's
+                 padded layout, which constraint_force reads
     """
 
-    __slots__ = ("grad", "neg_grad", "g", "h", "rows", "blocks")
+    __slots__ = ("grad", "neg_grad", "g", "h", "blocks")
 
-    def __init__(self, grad, neg_grad, values, rows, blocks, cut):
-        self.grad, self.neg_grad, self.rows, self.blocks = grad, neg_grad, rows, blocks
+    def __init__(self, grad, neg_grad, values, blocks, cut):
+        self.grad, self.neg_grad, self.blocks = grad, neg_grad, blocks
         self.g, self.h = values[:cut], values[cut:]
-
-    @property
-    def G(self):
-        return self.rows[:self.g.size]
-
-    @property
-    def H(self):
-        return self.rows[self.g.size:]
 
 
 class DistributedProblem:
@@ -253,10 +244,10 @@ class DistributedProblem:
 
     @functools.cached_property
     def _affine(self):
-        """(C (N, n), -C, rows [G; H], their padded blocks (N, R, n), offsets
-        [g(0); h(0)]), all read-only and made on first use, when every
-        objective and constraint reports a constant gradient and every
-        constraint is affine; else None."""
+        """(C (N, n), -C, the constraint gradient rows in padded blocks
+        (N, R, n), offsets [g(0); h(0)]), all read-only and made on first
+        use, when every objective and constraint reports a constant
+        gradient and every constraint is affine; else None."""
         locs = self.local_problems
         cons = [f for p in locs for f in p.inequalities] + [f for p in locs for f in p.equalities]
         grads = [p.objective.constant_gradient() for p in locs]
@@ -268,7 +259,7 @@ class DistributedProblem:
         slot, gather = self._padded
         blocks = np.zeros((gather.size, self.dim))
         blocks[slot] = rows
-        stacked = (grad, -grad, rows, blocks.reshape(gather.shape + (self.dim,)),
+        stacked = (grad, -grad, blocks.reshape(gather.shape + (self.dim,)),
                    np.array([f.value(np.zeros(self.dim)) for f in cons]))
         for a in stacked:
             a.setflags(write=False)
@@ -287,9 +278,9 @@ class DistributedProblem:
         """
         cut, (slot, gather) = self.ineq_owner.size, self._padded
         if self._affine is not None:
-            grad, neg_grad, rows, blocks, offsets = self._affine
+            grad, neg_grad, blocks, offsets = self._affine
             values = np.einsum("irn,in->ir", blocks, x).take(slot) + offsets
-            return LocalTerms(grad, neg_grad, values, rows, blocks, cut)
+            return LocalTerms(grad, neg_grad, values, blocks, cut)
         grad = np.empty((self.n_agents, self.dim))
         values = np.empty(slot.size)
         blocks = np.zeros(gather.shape + (self.dim,))
@@ -299,8 +290,7 @@ class DistributedProblem:
             g[self.ineq_slices[i]], h[self.eq_slices[i]] = p.ineq_values(x[i]), p.eq_values(x[i])
             blocks[i, :p.n_ineq] = p.ineq_gradients(x[i])
             blocks[i, p.n_ineq:p.n_ineq + p.n_eq] = p.eq_gradients(x[i])
-        rows = blocks.reshape(-1, self.dim).take(slot, 0)
-        return LocalTerms(grad, -grad, values, rows, blocks, cut)
+        return LocalTerms(grad, -grad, values, blocks, cut)
 
 
 def _layout(counts):
@@ -310,17 +300,35 @@ def _layout(counts):
     return owner, tuple(slice(e - c, e) for c, e in zip(counts, ends))
 
 
-def _checked_point(prob, x, xi, lam, mu):
-    """x and xi as (N, n) arrays, and lam and mu as float vectors in the
-    multiplier layout of prob: a multiplier vector of any other shape is a
-    ValueError that names the field."""
-    x = np.asarray(x, dtype=float).reshape(prob.n_agents, prob.dim)
-    xi = np.asarray(xi, dtype=float).reshape(prob.n_agents, prob.dim)
-    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
-    for name, v, owner in (("lam", lam, prob.ineq_owner), ("mu", mu, prob.eq_owner)):
-        if v.shape != owner.shape:
-            raise ValueError(f"{name}: expected shape {owner.shape}, got {v.shape}")
-    return x, xi, lam, mu
+def _owner_sums(owner, n_agents, rows, axis=0):
+    """Sums of rows by owning agent: rows B + (K,) + W, whose K entries
+    along axis belong to the agents owner (K,) (multiplier entries by
+    ineq_owner or eq_owner, edges by receiving agent), give B + (N,) + W.
+    Entry k adds into agent owner[k] of its own leading row alone, so a
+    non-finite entry stays with its own agent and row; each agent's
+    entries are added in their order along axis."""
+    bins, size, shape = _owner_sum_plan(owner, n_agents, rows.shape, axis)
+    return np.bincount(bins, weights=rows.ravel(), minlength=size).reshape(shape)
+
+
+def _owner_sum_plan(owner, n_agents, shape, axis=0):
+    """(bins, bin count, sum shape) of _owner_sums for rows of this shape,
+    made once per owner array, shape and axis; a per-step caller takes it
+    once per run."""
+    return _bins(owner.dtype.str, owner.tobytes(), n_agents, shape, axis % len(shape))
+
+
+@functools.lru_cache(maxsize=64)
+def _bins(dtype, owner, n, shape, axis):
+    """_owner_sum_plan, keyed by the owner array's dtype and bytes: entry
+    (b, k, w) goes to bin (b n + owner[k]) W + w."""
+    owner = np.frombuffer(owner, dtype=dtype)
+    head, tail = shape[:axis], shape[axis + 1:]
+    b, w = math.prod(head), math.prod(tail)
+    bins = (owner[:, None] * w + np.arange(w)).ravel()
+    bins = (bins + n * w * np.arange(b)[:, None]).ravel()
+    bins.setflags(write=False)
+    return bins, b * n * w, head + (n,) + tail
 
 
 _PAD_WEIGHT = np.zeros(1)  # the weight of a padding row
@@ -356,26 +364,6 @@ class KKTResidual:
         return asdict(self)
 
 
-def generalized_lagrangian(prob, x, xi, lam, mu):
-    """Saddle function whose flow the agent dynamics follow.
-
-    sum_i [ f_i(x_i) + (lam_i^2)^T g_i(x_i) + mu_i^T h_i(x_i) ]
-      - xi^T (L x) + (1/2) x^T (L x)
-
-    with L the network Laplacian acting blockwise on stacked states, x and
-    xi (N, n), and lam, mu the concatenated multiplier vectors of prob's
-    layout (lam_i = lam[prob.ineq_slices[i]]).  Squaring lam keeps the
-    inequality weight nonnegative without projection.
-    """
-    x, xi, lam, mu = _checked_point(prob, x, xi, lam, mu)
-    terms = prob.local_terms(x)
-    total = sum(p.objective.value(x[i]) for i, p in enumerate(prob.local_problems))
-    total += float(lam**2 @ terms.g) + float(mu @ terms.h)
-    lx = laplacian_apply(prob.network, x)
-    total += float(-np.sum(xi * lx) + 0.5 * np.sum(x * lx))
-    return total
-
-
 def _inf_norm(a):
     """max |a|, 0 for an empty a; NaN when a holds a NaN."""
     return float(np.abs(a).max(initial=0.0))
@@ -396,7 +384,12 @@ def kkt_residual(prob, x, xi, lam, mu):
     Every field is a numpy reduction over the whole network, so a NaN from
     any agent reaches each field it enters.
     """
-    x, xi, lam, mu = _checked_point(prob, x, xi, lam, mu)
+    x = np.asarray(x, dtype=float).reshape(prob.n_agents, prob.dim)
+    xi = np.asarray(xi, dtype=float).reshape(prob.n_agents, prob.dim)
+    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
+    for name, v, owner in (("lam", lam, prob.ineq_owner), ("mu", mu, prob.eq_owner)):
+        if v.shape != owner.shape:
+            raise ValueError(f"{name}: expected shape {owner.shape}, got {v.shape}")
     terms = prob.local_terms(x)
     lx = laplacian_apply(prob.network, x)
     lxi = laplacian_apply(prob.network, xi)

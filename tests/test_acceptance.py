@@ -15,7 +15,6 @@ import pytest
 
 from dcopt import brute_force_optimal, extract_assignment, simulate
 from dcopt.cli import (
-    RunSpec,
     build_scenario,
     classify,
     compute_reference,
@@ -284,9 +283,8 @@ def test_criterion_10_deterministic_artifacts(capfd, tmp_path):
     cfg_path.write_text(json.dumps({"duration": 2.0, "diagnostics": False}))
     outs = []
     for name in ("a", "b"):
-        spec = RunSpec(config_path=str(cfg_path), out_dir=str(tmp_path / name),
-                       scenario="scattering")
-        assert run(spec) == 0
+        assert run("scattering", out_dir=str(tmp_path / name),
+                   config_path=str(cfg_path)) == 0
         outs.append((tmp_path / name / "trajectory.csv").read_bytes())
     ok = outs[0] == outs[1] and len(outs[0]) > 0
     report(

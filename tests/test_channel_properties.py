@@ -6,7 +6,8 @@ one-edge objects give row by row.  The recovered port pair must imply the
 incoming wave and satisfy the wave power identity, a delay line must hand
 each sample out exactly its delay later, and the Laplacian of a connected
 network must be symmetric positive semidefinite with the ones vector in
-its null space.
+its null space.  The sums by owning agent, which the port efforts, the
+storages and the defects share, must equal a plain loop bit for bit.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcopt.graph import Network, laplacian
+from dcopt.graph import Network, laplacian_apply
+from dcopt.problem import _owner_sums
 from dcopt.scattering import (
     ChannelEnd,
     CouplingMatrix,
@@ -200,8 +202,50 @@ def connected_adjacency(draw):
 @PROPERTY
 @given(connected_adjacency())
 def test_laplacian_symmetric_psd_with_ones_null_space(a):
-    lap = laplacian(Network(a))
+    lap = laplacian_apply(Network(a), np.eye(len(a)))
     assert np.array_equal(lap, lap.T)
     scale = float(a.sum(axis=1).max())
     assert np.linalg.eigvalsh(lap).min() >= -1e-12 * scale
     np.testing.assert_allclose(lap @ np.ones(len(a)), 0.0, rtol=0.0, atol=1e-13 * scale)
+
+
+def loop_sums(owner, n_agents, rows, axis):
+    """_owner_sums by one addition per entry, in entry order."""
+    lead, tail = rows.shape[:axis], rows.shape[axis + 1:]
+    out = np.zeros(lead + (n_agents,) + tail)
+    for b in np.ndindex(lead):
+        for k, i in enumerate(owner):
+            for w in np.ndindex(tail):
+                out[b + (i,) + w] += rows[b + (k,) + w]
+    return out
+
+
+@st.composite
+def owned_rows(draw):
+    """(owner (K,), N, rows B + (K,) + W, axis of K): N may exceed the
+    owners drawn, so some agents own nothing; 0-2 leading axes and a
+    trailing width 0-3 or none."""
+    n_agents = draw(st.integers(1, 5))
+    owner = np.array(draw(st.lists(st.integers(0, n_agents - 1), max_size=6)), dtype=np.intp)
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    tail = draw(st.sampled_from([(), (0,), (1,), (2,), (3,)]))
+    rows = draw(arrays(float, lead + (owner.size,) + tail, elements=finite))
+    axis = len(lead) - draw(st.sampled_from([0, rows.ndim]))  # as given, or negative
+    return owner, n_agents, rows, axis
+
+
+@PROPERTY
+@given(owned_rows(), st.data())
+def test_owner_sums_equal_a_loop_and_keep_a_nan_in_its_agent(case, data):
+    owner, n_agents, rows, axis = case
+    got = _owner_sums(owner, n_agents, rows, axis)
+    lead = len(rows.shape[:axis])
+    assert got.shape == rows.shape[:lead] + (n_agents,) + rows.shape[lead + 1:]
+    assert np.array_equal(got, loop_sums(owner, n_agents, rows, lead))
+    if rows.size:
+        at = tuple(data.draw(st.integers(0, s - 1)) for s in rows.shape)
+        bad = rows.copy()
+        bad[at] = np.nan
+        want = at[:lead] + (owner[at[lead]],) + at[lead + 1:]
+        assert np.argwhere(np.isnan(_owner_sums(owner, n_agents, bad, axis))).tolist() == [
+            list(want)]

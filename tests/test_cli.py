@@ -9,7 +9,6 @@ import pytest
 from dcopt.cli import (
     DEFAULT_CONFIG,
     ConfigError,
-    RunSpec,
     build_scenario,
     classify,
     kkt_series_max,
@@ -110,9 +109,12 @@ def test_field_validation_messages(tmp_path, patch, msg):
         validate_config(path)
 
 
-def test_run_spec_rejects_unknown_scenario():
+def test_run_spec_rejects_unknown_scenario(tmp_path):
+    # run is called without argparse's choices; it refuses before it
+    # makes the output directory
     with pytest.raises(ConfigError, match="scenario"):
-        RunSpec(scenario="instant")
+        run("instant", out_dir=str(tmp_path / "out"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_sample_delays_deterministic_in_range():
@@ -220,9 +222,7 @@ def read_diag(path):
 
 
 def test_run_writes_artifacts(tmp_path):
-    spec = RunSpec(out_dir=str(tmp_path / "out"), scenario="no_delay",
-                   duration=0.2)
-    code = run(spec)
+    code = run("no_delay", out_dir=str(tmp_path / "out"), duration=0.2)
     assert code == 0
     out = tmp_path / "out"
     assert (out / "trajectory.csv").exists()
@@ -244,10 +244,23 @@ def test_run_writes_artifacts(tmp_path):
 def test_run_byte_identical_trajectories(tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
-        assert run(RunSpec(out_dir=str(d), scenario="no_delay",
-                           duration=0.2)) == 0
+        assert run("no_delay", out_dir=str(d), duration=0.2) == 0
     b1 = (d1 / "trajectory.csv").read_bytes()
     assert b1 == (d2 / "trajectory.csv").read_bytes()
+    assert len(b1) > 1000
+
+
+def test_rerun_from_normalized_config_reproduces_trajectory(tmp_path):
+    # the overrides land in config.normalized, so a run from that file
+    # alone writes the same bytes; seed 3 also moves the sampled delays
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert run("scattering", out_dir=str(first), duration=0.2, seed=3) == 0
+    normalized = first / "config.normalized"
+    cfg = json.loads(normalized.read_text())
+    assert (cfg["duration"], cfg["seed"]) == (0.2, 3)
+    assert run("scattering", out_dir=str(again), config_path=str(normalized)) == 0
+    b1 = (first / "trajectory.csv").read_bytes()
+    assert b1 == (again / "trajectory.csv").read_bytes()
     assert len(b1) > 1000
 
 
@@ -259,9 +272,7 @@ def test_run_abort_exit_code(tmp_path):
         "step": 600.0, "diag_interval": 600.0, "duration": 120000.0,
         "diagnostics": False,
     }))
-    spec = RunSpec(config_path=str(cfg_path), out_dir=str(tmp_path / "out"),
-                   scenario="no_delay")
-    assert run(spec) == 1
+    assert run("no_delay", out_dir=str(tmp_path / "out"), config_path=str(cfg_path)) == 1
     diag = read_diag(tmp_path / "out" / "diagnostics.txt")
     assert diag["verdict"] == "diverged"
     assert diag["abort_reason"] == "divergence"

@@ -205,6 +205,24 @@ def test_field_writes_go_through_to_the_vector():
         AgentState(np.zeros((2, 1, 2, 1)), np.zeros((1, 1)), np.zeros((2, 1)), np.zeros((2, 1)))
 
 
+def test_assigning_a_field_raises_and_leaves_the_vector():
+    # an assigned array would not reach z or zdot, so the Euler step would
+    # silently ignore it: the fields are read-only, their views writable
+    prob, st = hand_prob(), hand_state()
+    d = derivatives(prob, lead_comp(), st, no_effort(prob))
+    for record, names in ((st, ("z", "rho", "xi", "lam", "mu", "x")),
+                          (d, ("zdot", "rho_dot", "xi_dot", "lam_dot", "mu_dot",
+                               "nu", "grad", "zeta"))):
+        for name in names:
+            before = getattr(record, name)
+            with pytest.raises(AttributeError, match=f"'{name}'"):
+                setattr(record, name, np.zeros_like(before))
+            assert getattr(record, name) is before
+    assert st.z.tolist() == [1.0, 2.0, 0.5, 0.2, 0.3]
+    d.lam_dot[...] = -0.02  # a write into the view is the way
+    assert euler_step(st, d, 1e-3).lam[0] == pytest.approx(0.2 - 2e-5)
+
+
 def test_stacked_vector_gives_stacked_views():
     prob, _ = three_agent_layout()
     rng = np.random.default_rng(3)

@@ -32,6 +32,7 @@ from dcopt.problem import (
     LocalProblem,
     QuadraticFunction,
     ScalarFunction,
+    _owner_sums,
 )
 from dcopt.scattering import CouplingMatrix
 
@@ -740,10 +741,10 @@ def test_edge_sums_keep_rows_and_agents_apart():
     edges = _Edges(ring(4, 1.0))
     rows = np.arange(3 * 8 * 2, dtype=float).reshape(3, 8, 2)
     rows[1, 5, 0] = np.nan
-    block = edges.per_agent(rows, lead=1)
+    block = _owner_sums(edges.own, 4, rows, 1)
     assert block.shape == (3, 4, 2)
     for k in range(3):
-        np.testing.assert_array_equal(block[k], edges.per_agent(rows[k]))
+        np.testing.assert_array_equal(block[k], _owner_sums(edges.own, 4, rows[k]))
     assert np.argwhere(np.isnan(block)).tolist() == [[1, int(edges.own[5]), 0]]
 
 
@@ -973,6 +974,15 @@ def assert_reports_match(posthoc, online):
         assert np.allclose(getattr(posthoc, name), getattr(online, name), atol=1e-10)
 
 
+def bounds_hold(report):
+    """Every rate check of a PassivityReport within its tolerance (a NaN
+    coupling row, a naive-delay run's, is not checked) and the wave
+    identity within 1e-10."""
+    checked = np.concatenate([report.compensator_excess, report.multiplier_excess,
+                              report.coupling_excess[~np.isnan(report.coupling_excess)]])
+    return bool(np.all(checked <= 0.0)) and report.wave_identity_max <= 1e-10
+
+
 def test_scattering_online_diag_matches_posthoc():
     prob = three_agent_quadratic()
     ref = cli_reference(prob)
@@ -1031,7 +1041,7 @@ def test_no_delay_online_diag_matches_posthoc():
     report = passivity_check(prob, log, ref, comp)
     assert_reports_match(report, log.passivity)
     # the storage-rate bounds themselves must hold on this convex problem
-    assert report.ok()
+    assert bounds_hold(report)
     # V is non-increasing along the no-delay run
     v = np.array(log.lyap_direct)
     assert np.all(np.diff(v) <= 1e-3 * cfg.step * (1.0 + v[0]))
@@ -1064,7 +1074,7 @@ def test_matching_lp_online_diag_matches_posthoc(paper):
     assert log.diag_t == [k * h for k in range(0, 1237, 37)] + [1237 * h]
     report = passivity_check(prob, log, ref, sim.compensator)
     assert_reports_match(report, log.passivity)
-    assert report.ok() and log.passivity.ok()
+    assert bounds_hold(report) and bounds_hold(log.passivity)
     assert log.passivity.wave_identity_max == pytest.approx(report.wave_identity_max,
                                                             rel=1e-12)
     for t, v in zip(log.diag_t, log.lyap_delayed, strict=True):
@@ -1185,7 +1195,7 @@ def opaque(prob):
 
 
 def assert_terms_equal(a, b, tol):
-    for name in ("grad", "g", "G", "h", "H"):
+    for name in ("grad", "g", "h", "blocks"):
         np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=0.0, atol=tol,
                                    err_msg=name)
 
@@ -1237,8 +1247,9 @@ def test_local_terms_loop_path_with_state_dependent_rows():
     x = np.array([[2.0], [-1.0], [4.0]])
     terms = prob.local_terms(x)
     assert terms.grad[:, 0].tolist() == [1.0, -3.0, -2.0]
-    assert terms.g.tolist() == [2.0 - 12.5] and terms.G.tolist() == [[2.0]]
-    assert terms.h.tolist() == [1.0] and terms.H.tolist() == [[1.0]]
-    assert prob.local_terms(2.0 * x).G.tolist() == [[4.0]]
+    # one row per block: agent 0's inequality row, none, agent 2's equality row
+    assert terms.g.tolist() == [2.0 - 12.5] and terms.h.tolist() == [1.0]
+    assert terms.blocks.tolist() == [[[2.0]], [[0.0]], [[1.0]]]
+    assert prob.local_terms(2.0 * x).blocks[0].tolist() == [[4.0]]
     # the engine follows the independent loop on this problem too
     assert_matches_direct_flow(SimConfig().compensator, "no_delay", prob=prob)

@@ -4,21 +4,22 @@ import numpy as np
 import pytest
 
 from dcopt import ring
-from dcopt.graph import Network, is_connected, laplacian, laplacian_apply
+from dcopt.graph import Network, is_connected, laplacian_apply
 
 
 def test_ring_structure():
     net = ring(5, 4.0)
     assert net.n_agents == 5
-    assert net.edges() == [(0, 1, 4.0), (0, 4, 4.0), (1, 2, 4.0),
-                           (2, 3, 4.0), (3, 4, 4.0)]
+    assert [(i, j, w) for i, j, w in net.directed_edges() if i < j] == [
+        (0, 1, 4.0), (0, 4, 4.0), (1, 2, 4.0), (2, 3, 4.0), (3, 4, 4.0)]
     assert len(net.directed_edges()) == 10
     assert np.flatnonzero(net.adjacency[0]).tolist() == [1, 4]
+    assert repr(net) == "Network(n_agents=5, n_edges=5)"
 
 
 def test_two_agent_ring_single_edge():
     net = ring(2, 1.5)
-    assert net.edges() == [(0, 1, 1.5)]
+    assert net.directed_edges() == [(0, 1, 1.5), (1, 0, 1.5)]
     assert net.adjacency[0, 1] == 1.5
 
 
@@ -52,7 +53,7 @@ def test_adjacency_read_only():
 
 def test_laplacian_known_matrix():
     net = ring(3, 2.0)
-    lap = laplacian(net)
+    lap = laplacian_apply(net, np.eye(3))
     expect = np.array([[4.0, -2.0, -2.0],
                        [-2.0, 4.0, -2.0],
                        [-2.0, -2.0, 4.0]])
@@ -65,7 +66,7 @@ def test_laplacian_rows_sum_to_zero():
     a = (a + a.T) / 2.0
     np.fill_diagonal(a, 0.0)
     net = Network(a)  # every off-diagonal weight is positive: connected
-    lap = laplacian(net)
+    lap = laplacian_apply(net, np.eye(6))
     assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
     assert np.allclose(lap, lap.T)
     # PSD: eigenvalues nonnegative
@@ -75,7 +76,8 @@ def test_laplacian_rows_sum_to_zero():
 def test_laplacian_apply_matches_matrix():
     rng = np.random.default_rng(11)
     net = ring(5, 4.0)
-    lap = laplacian(net)
+    a = net.adjacency
+    lap = np.diag(a.sum(1)) - a
     v = rng.normal(size=(5, 3))
     assert np.allclose(laplacian_apply(net, v), lap @ v, atol=1e-14)
     w = rng.normal(size=5)

@@ -1,4 +1,4 @@
-"""Objective/constraint functions, the saddle function, KKT residuals."""
+"""Objective/constraint functions, local terms, KKT residuals."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from dcopt.problem import (
     QuadraticFunction,
     ScalarFunction,
     constraint_force,
-    generalized_lagrangian,
     make_linear_nonneg_bound,
 )
 
@@ -141,33 +140,6 @@ def single_agent_problem():
     return DistributedProblem(net, [loc])
 
 
-def test_lagrangian_single_agent_oracle():
-    prob = single_agent_problem()
-    # f(2) = 4, lam^2 g = 4 * 1 = 4, mu h = 1: total 9
-    val = generalized_lagrangian(prob, [[2.0]], [[0.0]], np.array([2.0]), np.array([1.0]))
-    assert val == pytest.approx(9.0)
-    # squared multiplier: sign of lam cannot matter
-    val_neg = generalized_lagrangian(
-        prob, [[2.0]], [[0.0]], np.array([-2.0]), np.array([1.0])
-    )
-    assert val_neg == pytest.approx(val)
-
-
-def test_lagrangian_two_agent_coupling():
-    net = ring(2, 1.0)
-    loc = LocalProblem(AffineFunction([0.0]))
-    prob = DistributedProblem(net, [loc, loc])
-    x = np.array([[1.0], [0.0]])
-    zero = np.zeros(0)
-    # only the quadratic consensus penalty: 0.5 * x^T L x = 0.5
-    assert generalized_lagrangian(prob, x, np.zeros((2, 1)), zero, zero) == (
-        pytest.approx(0.5)
-    )
-    # xi = (0.5, 0): -xi^T L x = -0.5 cancels it
-    xi = np.array([[0.5], [0.0]])
-    assert generalized_lagrangian(prob, x, xi, zero, zero) == pytest.approx(0.0)
-
-
 def test_kkt_residual_zero_at_saddle():
     # f_i = 0.5 (x - t_i)^2, t = (1, 3), weight a: optimum x* = 2 with
     # xi difference balancing the gradients, xi1 - xi2 = 1/a
@@ -211,6 +183,8 @@ def test_kkt_residual_fields_respond():
     assert set(d) == {"consensus", "stationarity", "primal_eq",
                       "primal_ineq", "comp_slack"}
     assert res.max() == pytest.approx(max(d.values()))
+    # lam enters squared: its sign cannot matter
+    assert kkt_residual(prob, [[2.0]], [[0.0]], -lam, mu) == res
 
 
 def test_distributed_problem_validation():
@@ -226,7 +200,7 @@ def test_distributed_problem_validation():
     with pytest.raises(ValueError, match=r"lam: expected shape \(0,\), got \(1,\)"):
         kkt_residual(prob, x, x, np.array([1.0]), np.zeros(0))
     with pytest.raises(ValueError, match=r"mu: expected shape \(0,\), got \(2, 0\)"):
-        generalized_lagrangian(prob, x, x, np.zeros(0), [np.zeros(0), np.zeros(0)])
+        kkt_residual(prob, x, x, np.zeros(0), [np.zeros(0), np.zeros(0)])
 
 
 # The padded per-agent kernels of local_terms and constraint_force against a

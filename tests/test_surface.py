@@ -1,5 +1,5 @@
-"""The public surface: the package exports, each module's __all__, and the
-targets the benchmark's tracer wraps.
+"""The public surface: the package exports, each module's __all__ (pinned),
+and the targets the benchmark's tracer wraps.
 
 perfbench/spans.py names the functions and methods it wraps by module path
 and attribute.  A target that is gone reads as zero in its layer metric, so
@@ -42,6 +42,31 @@ def test_package_exports_the_readme_names():
     ]
     for name in dcopt.__all__:
         assert hasattr(dcopt, name), name
+
+
+# each submodule's __all__ as it stands: a public name added back for the
+# tests alone would show up here as an edit (cli declares none)
+SUBMODULE_ALL = {
+    "cli": None,
+    "dynamics": ["CompensatorParams", "AgentState", "AgentDerivative", "LambdaGuardError",
+                 "derivatives", "euler_step", "compensator_storage", "multiplier_storage",
+                 "primal_rate_bound", "multiplier_rate_bound", "storage_step_defects"],
+    "engine": ["MODES", "SimConfig", "ReferencePoint", "TrajectoryLog", "simulate",
+               "lyapunov_delayed", "passivity_check", "PassivityReport"],
+    "graph": ["Network", "ring", "laplacian_apply", "is_connected"],
+    "matching": ["MatchingInstance", "generate_instance", "build_distributed_problem",
+                 "brute_force_optimal", "assignment_cost", "extract_assignment"],
+    "problem": ["ScalarFunction", "AffineFunction", "QuadraticFunction",
+                "make_linear_nonneg_bound", "LocalProblem", "LocalTerms", "DistributedProblem",
+                "constraint_force", "KKTResidual", "kkt_residual"],
+    "scattering": ["CouplingMatrix", "DelayLine", "ChannelEnd", "wave_identity_residual"],
+}
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_submodule_all_is_pinned(name):
+    module = importlib.import_module(f"dcopt.{name}")
+    assert getattr(module, "__all__", None) == SUBMODULE_ALL[name]
 
 
 @pytest.mark.parametrize("name", SUBMODULES)
