@@ -22,11 +22,13 @@ the trailing axes only, so the online diagnostics evaluate K steps in one
 call.
 
 Every local term (grad f, g, h and the gradient rows of g and h) comes
-from one DistributedProblem.local_terms call per state.  When every function is
-affine, as in the matching LP, the constraint values are one batched
-product of per-agent blocks padded to the largest row count, and the
-constraint force one batched product over the same blocks: no loop over
-the agents, and no agent's terms read another agent's x or multipliers.
+from one DistributedProblem.local_terms call per state.  The gradient rows
+form one (L + M, n) table in the multiplier layout.  When every function is
+affine, as in the matching LP, the constraint values are one einsum of each
+row with its owner's x, and the constraint force one bincount of the rows'
+nonzero entries, weighted by [lam^2; mu], into their owners' columns: no
+loop over the agents, and no agent's terms read another agent's x or
+multipliers.
 The rate bounds read grad f(x) and zeta from the AgentDerivative of the
 same step and take phi* = grad f(z*) and zeta* = zeta(z*, lam*, mu*),
 which stay fixed for a run, from the caller.
@@ -90,6 +92,9 @@ class CompensatorParams:
         c = np.array(self.c, dtype=float).reshape(-1)
         if b.size == 0 or b.size != c.size:
             raise ValueError("b and c must be nonempty and the same length")
+        for name, v in (("b", b), ("c", c)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} must be finite")
         if b[0] != 0.0:
             raise ValueError("b[0] must be exactly 0 (integral action)")
         if np.any(np.diff(b) <= 0.0):
@@ -218,8 +223,8 @@ class AgentState(_Packed):
 
     @staticmethod
     def zeros(comp, prob, lam0=0.01):
-        if lam0 <= 0.0:
-            raise ValueError("initial inequality multipliers must be positive")
+        if not 0.0 < lam0 < np.inf:  # NaN fails both
+            raise ValueError("initial inequality multipliers lam0 must be positive and finite")
         return AgentState(
             rho=np.zeros((prob.n_agents, comp.m, prob.dim)),
             xi=np.zeros((prob.n_agents, prob.dim)),
@@ -269,7 +274,7 @@ def derivatives(prob, comp, state, effort):
     effort (N, 2n) holds each agent's summed port effort sum_j p_ij.  The
     local terms come from one prob.local_terms(x) call, with no loop over
     the agents when the problem is affine, and the constraint force from
-    one batched product over the agents' padded blocks.  The four
+    one bincount over the constraint rows.  The four
     derivative fields go into one fresh zdot by one concatenate.  The
     result also keeps grad f(x) and zeta for the diagnostics.
     """

@@ -16,7 +16,7 @@ class Network:
     Parameters
     ----------
     adjacency : (N, N) array_like
-        Symmetric weight matrix, zero diagonal, nonnegative entries.
+        Finite symmetric weight matrix, zero diagonal, nonnegative entries.
         a[i, j] > 0 means i and j exchange information with weight a[i, j].
         The positive-weight edges must connect all agents.
     """
@@ -27,6 +27,8 @@ class Network:
             raise ValueError("adjacency must be a square matrix")
         if a.shape[0] < 1:
             raise ValueError("network needs at least one agent")
+        if not np.all(np.isfinite(a)):
+            raise ValueError("adjacency must be finite")
         if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
             raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0.0):
@@ -60,8 +62,8 @@ def ring(n_agents, weight=1.0):
     """
     if n_agents < 2:
         raise ValueError("a ring needs at least two agents")
-    if weight <= 0.0:
-        raise ValueError("ring weight must be positive")
+    if not 0.0 < weight < np.inf:  # NaN fails both
+        raise ValueError("ring weight must be positive and finite")
     a = np.zeros((n_agents, n_agents))
     for i in range(n_agents):
         j = (i + 1) % n_agents

@@ -167,38 +167,22 @@ class LocalProblem:
         self.n_ineq = len(self.inequalities)
         self.n_eq = len(self.equalities)
 
-    def ineq_values(self, x):
-        """Vector of g_k(x)."""
-        return np.array([g.value(x) for g in self.inequalities])
-
-    def eq_values(self, x):
-        """Vector of h_k(x)."""
-        return np.array([h.value(x) for h in self.equalities])
-
-    def ineq_gradients(self, x):
-        """(n_ineq, n) matrix of constraint gradients at x."""
-        return np.array([g.gradient(x) for g in self.inequalities]).reshape(-1, self.dim)
-
-    def eq_gradients(self, x):
-        """(n_eq, n) matrix of equality gradients at x."""
-        return np.array([h.gradient(x) for h in self.equalities]).reshape(-1, self.dim)
-
 
 class LocalTerms:
     """The agents' first-order local terms at a stacked x (N, n), in the
     multiplier layout of the problem:
 
-    grad (N, n)  objective gradients grad f_i(x_i), and neg_grad = -grad
-    g (L,)       inequality values g_k(x_owner)
-    h (M,)       equality values
-    blocks       (N, R, n) the gradient rows of g and h in DistributedProblem's
-                 padded layout, which constraint_force reads
+    grad (N, n)      objective gradients grad f_i(x_i), and neg_grad = -grad
+    g (L,)           inequality values g_k(x_owner)
+    h (M,)           equality values
+    rows (L + M, n)  the constraint gradient rows, all g rows then all h
+                     rows in the same order, which constraint_force reads
     """
 
-    __slots__ = ("grad", "neg_grad", "g", "h", "blocks")
+    __slots__ = ("grad", "neg_grad", "g", "h", "rows")
 
-    def __init__(self, grad, neg_grad, values, blocks, cut):
-        self.grad, self.neg_grad, self.blocks = grad, neg_grad, blocks
+    def __init__(self, grad, neg_grad, values, rows, cut):
+        self.grad, self.neg_grad, self.rows = grad, neg_grad, rows
         self.g, self.h = values[:cut], values[cut:]
 
 
@@ -209,7 +193,9 @@ class DistributedProblem:
     multipliers form one vector lam, the agents' lam_i concatenated in agent
     order, and the equality multipliers one vector mu likewise.
     ineq_owner[k] (eq_owner[k]) is the agent that owns entry k, and
-    ineq_slices[i] (eq_slices[i]) selects agent i's entries.
+    ineq_slices[i] (eq_slices[i]) selects agent i's entries.  The
+    constraint rows of LocalTerms follow [lam; mu]: entry k of [g; h]
+    belongs to agent _owner[k] and function _constraints[k].
     """
 
     def __init__(self, network, local_problems):
@@ -225,72 +211,64 @@ class DistributedProblem:
         self.n_agents = network.n_agents
         self.ineq_owner, self.ineq_slices = _layout([p.n_ineq for p in locs])
         self.eq_owner, self.eq_slices = _layout([p.n_eq for p in locs])
-
-    @functools.cached_property
-    def _padded(self):
-        """(slot, gather) of the padded layout of the local kernels, made on
-        first use: agent i's block of R rows, the largest row count of any
-        agent, holds its inequality rows, then its equality rows, then zero
-        rows.  slot[k] is the position of entry k of [g; h], gather[i, r]
-        (N, R) the entry at row r of block i (L + M for a padding row)."""
-        R = max(p.n_ineq + p.n_eq for p in self.local_problems)
-        slot = np.array([i * R + k for i, p in enumerate(self.local_problems)
-                         for k in range(p.n_ineq)]
-                        + [i * R + p.n_ineq + k for i, p in enumerate(self.local_problems)
-                           for k in range(p.n_eq)], dtype=np.intp)
-        gather = np.full((self.n_agents, R), slot.size, dtype=np.intp)
-        gather.flat[slot] = np.arange(slot.size)
-        return slot, gather
+        self._owner = np.concatenate([self.ineq_owner, self.eq_owner])
+        self._constraints = tuple([f for p in locs for f in p.inequalities]
+                                  + [f for p in locs for f in p.equalities])
 
     @functools.cached_property
     def _affine(self):
-        """(C (N, n), -C, the constraint gradient rows in padded blocks
-        (N, R, n), offsets [g(0); h(0)]), all read-only and made on first
-        use, when every objective and constraint reports a constant
-        gradient and every constraint is affine; else None."""
-        locs = self.local_problems
-        cons = [f for p in locs for f in p.inequalities] + [f for p in locs for f in p.equalities]
-        grads = [p.objective.constant_gradient() for p in locs]
+        """(C (N, n), -C, the constraint rows (L + M, n), offsets
+        [g(0); h(0)]), all read-only and made on first use, when every
+        objective and constraint reports a constant gradient and every
+        constraint is affine; else None."""
+        cons = self._constraints
+        grads = [p.objective.constant_gradient() for p in self.local_problems]
         rows = [f.constant_gradient() for f in cons]
         if any(c is None for c in grads + rows) or not all(f.is_affine for f in cons):
             return None
         grad = np.array(grads, dtype=float)
-        rows = np.array(rows, dtype=float).reshape(-1, self.dim)
-        slot, gather = self._padded
-        blocks = np.zeros((gather.size, self.dim))
-        blocks[slot] = rows
-        stacked = (grad, -grad, blocks.reshape(gather.shape + (self.dim,)),
+        stacked = (grad, -grad, np.array(rows, dtype=float).reshape(-1, self.dim),
                    np.array([f.value(np.zeros(self.dim)) for f in cons]))
         for a in stacked:
             a.setflags(write=False)
         return stacked
 
+    @functools.cached_property
+    def _force_plan(self):
+        """(entries, their rows, their bins) of constraint_force, made on
+        first use: the flat indices into the constraint rows that the force
+        reads, the row of each and its bin owner * n + column.  The affine
+        path reads only the nonzero entries of its constant rows (NaN and
+        inf are nonzero); the loop path, whose rows change, reads them all."""
+        n = self.dim
+        if self._affine is None:
+            entries = np.arange(self._owner.size * n)
+        else:
+            entries = np.flatnonzero(self._affine[2])
+        rows, cols = np.divmod(entries, n)
+        return entries, rows, self._owner[rows] * n + cols
+
     def local_terms(self, x):
         """The LocalTerms at x (N, n).
 
-        When every function reports a constant gradient, the terms are
-        stacked once, and the constraint values are one einsum of the
-        padded blocks with each agent's own x_i (no agent's rows read
-        another's x), taken into layout order, with no loop over the
-        agents; it sums each row as an einsum over rows gathered by owner
-        does.  Otherwise one loop over the local problems asks each
-        function for its value and gradient.
+        When every function is affine with a constant gradient, the terms
+        are stacked once, and the constraint values are one einsum of each
+        constant row with its owner's x, plus the offsets: no loop over the
+        agents, and no row reads another agent's x.  Otherwise one loop over
+        the constraints, in layout order, asks each function for its value
+        and gradient at its owner's x.
         """
-        cut, (slot, gather) = self.ineq_owner.size, self._padded
+        cut = self.ineq_owner.size
         if self._affine is not None:
-            grad, neg_grad, blocks, offsets = self._affine
-            values = np.einsum("irn,in->ir", blocks, x).take(slot) + offsets
-            return LocalTerms(grad, neg_grad, values, blocks, cut)
-        grad = np.empty((self.n_agents, self.dim))
-        values = np.empty(slot.size)
-        blocks = np.zeros(gather.shape + (self.dim,))
-        g, h = values[:cut], values[cut:]  # views to fill
-        for i, p in enumerate(self.local_problems):
-            grad[i] = p.objective.gradient(x[i])
-            g[self.ineq_slices[i]], h[self.eq_slices[i]] = p.ineq_values(x[i]), p.eq_values(x[i])
-            blocks[i, :p.n_ineq] = p.ineq_gradients(x[i])
-            blocks[i, p.n_ineq:p.n_ineq + p.n_eq] = p.eq_gradients(x[i])
-        return LocalTerms(grad, -grad, values, blocks, cut)
+            grad, neg_grad, rows, offsets = self._affine
+            values = np.einsum("kn,kn->k", rows, x.take(self._owner, 0)) + offsets
+            return LocalTerms(grad, neg_grad, values, rows, cut)
+        grad = np.array([p.objective.gradient(xi) for p, xi in zip(self.local_problems, x)],
+                        dtype=float)
+        at = list(zip(self._constraints, x.take(self._owner, 0)))
+        values = np.array([f.value(xk) for f, xk in at], dtype=float)
+        rows = np.array([f.gradient(xk) for f, xk in at], dtype=float).reshape(-1, self.dim)
+        return LocalTerms(grad, -grad, values, rows, cut)
 
 
 def _layout(counts):
@@ -331,19 +309,21 @@ def _bins(dtype, owner, n, shape, axis):
     return bins, b * n * w, head + (n,) + tail
 
 
-_PAD_WEIGHT = np.zeros(1)  # the weight of a padding row
-
-
 def constraint_force(prob, terms, lam, mu):
     """zeta_i = sum_k lam_ik^2 grad g_ik(x_i) + sum_k mu_ik grad h_ik(x_i),
-    stacked (N, n), from the LocalTerms at x and lam, mu in the multiplier
-    layout of prob.  The weights [lam^2; mu] are taken into the padded
-    layout (0 on padding rows), and each agent's weight row times its own
-    block is one einsum, so a non-finite row or weight stays with its own
-    agent.  The einsum adds an agent's weighted rows in layout order, as
-    the bincount by owner did."""
-    weights = np.concatenate([lam**2, mu, _PAD_WEIGHT]).take(prob._padded[1])
-    return np.einsum("ir,irn->in", weights, terms.blocks)
+    stacked (N, n) float, from the LocalTerms at x and lam, mu in the
+    multiplier layout of prob.  Each entry of the constraint rows that
+    prob's plan reads, times its row's weight in [lam^2; mu], is one
+    bincount weight into bin owner * n + column, so a non-finite row or
+    weight stays with its own agent; an agent's entries add in layout
+    order.  On the affine path the zero entries are not read, so a
+    non-finite multiplier reaches only the columns where its row has a
+    nonzero coefficient (an all-zero row contributes nothing); the loop
+    path reads every entry, and 0 * NaN reaches the owner's every column."""
+    entries, rows, bins = prob._force_plan
+    weights = np.concatenate([lam**2, mu]).take(rows) * terms.rows.take(entries)
+    force = np.bincount(bins, weights=weights, minlength=prob.n_agents * prob.dim)
+    return force.reshape(prob.n_agents, prob.dim).astype(float, copy=False)  # int64 if no weights
 
 
 @dataclass

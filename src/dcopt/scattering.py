@@ -45,8 +45,8 @@ class CouplingMatrix:
 
     def __init__(self, weight, dim):
         weight = np.asarray(weight, dtype=float)
-        if np.any(weight <= 0.0):
-            raise ValueError("coupling weight must be positive")
+        if not np.all((weight > 0.0) & (weight < np.inf)):  # NaN fails both
+            raise ValueError("coupling weight must be positive and finite")
         if dim < 1:
             raise ValueError("dimension must be at least 1")
         self.dim = int(dim)
@@ -122,8 +122,8 @@ class ChannelEnd:
     from (s_in, u) to (r, p, s_out) of the module docstring."""
 
     def __init__(self, coupling, eta):
-        if eta <= 0.0:
-            raise ValueError("wave impedance eta must be positive")
+        if not 0.0 < eta < np.inf:  # NaN fails both
+            raise ValueError("wave impedance eta must be positive and finite")
         self.coupling = coupling
         self.eta = float(eta)
         a = coupling.blocks[:, :1, :1]

@@ -74,6 +74,23 @@ def test_compensator_validation():
         comp.b[0] = 2.0
 
 
+def test_compensator_rejects_non_finite_b_and_c():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="b must be finite"):
+            CompensatorParams(np.array([0.0, bad]), np.ones(2))
+        with pytest.raises(ValueError, match="c must be finite"):
+            CompensatorParams(np.array([0.0, 1.0]), np.array([1.0, bad]))
+
+
+def test_zero_state_rejects_non_finite_lam0():
+    prob = DistributedProblem(ring(2, 1.0), [
+        LocalProblem(AffineFunction(np.ones(1)), inequalities=[AffineFunction(np.ones(1))])
+    ] * 2)
+    for lam0 in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="lam0 must be positive and finite"):
+            AgentState.zeros(lead_comp(), prob, lam0=lam0)
+
+
 def test_zero_state_shapes():
     comp = lead_comp()
     prob = DistributedProblem(ring(2, 1.0), [

@@ -720,8 +720,8 @@ def test_nan_event_names_first_non_finite_agent():
 
 
 def test_affine_path_keeps_a_non_finite_value_with_its_agent():
-    # the same start on the matching LP, whose local terms take the padded
-    # per-agent kernels: agent 2's rows read x_2 = inf (0 * inf = NaN on
+    # the same start on the matching LP, whose local terms take the affine
+    # row-table kernels: agent 2's rows read x_2 = inf (0 * inf = NaN on
     # its zero coefficients) and must not reach agent 0, whose neighbors 1
     # and 3 are still finite at step 0
     prob = build_distributed_problem(generate_instance(5, n=4), ring(4, 4.0))
@@ -878,10 +878,10 @@ def direct_primal_dual_run(prob, duration, step, lam0=0.01, comp=None,
         mu_dot = []
         for i, p in enumerate(prob.local_problems):
             g = p.objective.gradient(x[i]).astype(float, copy=True)
-            if p.n_ineq:
-                g += p.ineq_gradients(x[i]).T @ (lam[i] ** 2)
-            if p.n_eq:
-                g += p.eq_gradients(x[i]).T @ mu[i]
+            for f, w in zip(p.inequalities, lam[i] ** 2):
+                g += w * f.gradient(x[i])
+            for f, w in zip(p.equalities, mu[i]):
+                g += w * f.gradient(x[i])
             nu[i] = -g
             for j in range(n):
                 if a[i, j] > 0.0:
@@ -890,8 +890,8 @@ def direct_primal_dual_run(prob, duration, step, lam0=0.01, comp=None,
                     seen_xi = out_xi[k - lag][j] if k >= lag else np.zeros(dim)
                     nu[i] += a[i, j] * (seen_x - x[i]) - a[i, j] * (seen_xi - xi[i])
                     xi_dot[i] += a[i, j] * (seen_x - x[i])
-            lam_dot.append(2.0 * lam[i] * p.ineq_values(x[i]) if p.n_ineq else np.zeros(0))
-            mu_dot.append(p.eq_values(x[i]) if p.n_eq else np.zeros(0))
+            lam_dot.append(2.0 * lam[i] * np.array([f.value(x[i]) for f in p.inequalities]))
+            mu_dot.append(np.array([f.value(x[i]) for f in p.equalities]))
         rho_dot = np.stack([c[s] * nu - b[s] * rho[:, s] for s in range(len(b))], axis=1)
         rho = rho + step * rho_dot
         xi = xi + step * xi_dot
@@ -1195,26 +1195,27 @@ def opaque(prob):
 
 
 def assert_terms_equal(a, b, tol):
-    for name in ("grad", "g", "h", "blocks"):
+    for name in ("grad", "g", "h", "rows"):
         np.testing.assert_allclose(getattr(a, name), getattr(b, name), rtol=0.0, atol=tol,
                                    err_msg=name)
 
 
-def test_local_terms_affine_and_loop_paths_agree():
+@pytest.mark.parametrize("seed, n_agents", [(5, 5), (0, 3), (8, 6), (3, 8)])
+def test_local_terms_affine_and_loop_paths_agree(seed, n_agents):
     # the matching LP is affine throughout, so its terms are stacked once;
-    # the same functions behind Opaque take the per-agent loop
-    prob = build_distributed_problem(generate_instance(5), ring(5, 4.0))
+    # the same functions behind Opaque take the loop over the constraints
+    prob = build_distributed_problem(generate_instance(seed, n=n_agents), ring(n_agents, 4.0))
     loop = opaque(prob)
     assert prob._affine is not None and loop._affine is None
     rng = np.random.default_rng(7)
     comp = SimConfig().compensator
     for _ in range(5):
-        st = AgentState(rho=rng.normal(size=(5, comp.m, prob.dim)),
-                        xi=rng.normal(size=(5, prob.dim)),
+        st = AgentState(rho=rng.normal(size=(n_agents, comp.m, prob.dim)),
+                        xi=rng.normal(size=(n_agents, prob.dim)),
                         lam=rng.uniform(0.1, 2.0, size=prob.ineq_owner.size),
                         mu=rng.normal(size=prob.eq_owner.size))
         assert_terms_equal(prob.local_terms(st.x), loop.local_terms(st.x), 1e-12)
-        effort = rng.normal(size=(5, 2 * prob.dim))
+        effort = rng.normal(size=(n_agents, 2 * prob.dim))
         da = derivatives(prob, comp, st, effort)
         db = derivatives(loop, comp, st, effort)
         for name in ("rho_dot", "xi_dot", "lam_dot", "mu_dot", "nu", "grad", "zeta"):
@@ -1247,9 +1248,10 @@ def test_local_terms_loop_path_with_state_dependent_rows():
     x = np.array([[2.0], [-1.0], [4.0]])
     terms = prob.local_terms(x)
     assert terms.grad[:, 0].tolist() == [1.0, -3.0, -2.0]
-    # one row per block: agent 0's inequality row, none, agent 2's equality row
+    # one row per constraint in layout order: agent 0's inequality row,
+    # then agent 2's equality row
     assert terms.g.tolist() == [2.0 - 12.5] and terms.h.tolist() == [1.0]
-    assert terms.blocks.tolist() == [[[2.0]], [[0.0]], [[1.0]]]
-    assert prob.local_terms(2.0 * x).blocks[0].tolist() == [[4.0]]
+    assert terms.rows.tolist() == [[2.0], [1.0]]
+    assert prob.local_terms(2.0 * x).rows.tolist() == [[4.0], [1.0]]
     # the engine follows the independent loop on this problem too
     assert_matches_direct_flow(SimConfig().compensator, "no_delay", prob=prob)

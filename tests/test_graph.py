@@ -32,6 +32,20 @@ def test_ring_rejects_bad_args():
         ring(3, weight=-1.0)
 
 
+def test_ring_rejects_non_finite_weight():
+    # an inf weight used to build a network whose run aborted at step 0
+    for weight in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="ring weight must be positive and finite"):
+            ring(3, weight)
+
+
+def test_network_rejects_non_finite_adjacency():
+    # finiteness is checked before symmetry, so a NaN is not called asymmetric
+    for w in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="adjacency must be finite"):
+            Network([[0.0, w], [w, 0.0]])
+
+
 def test_network_validation():
     with pytest.raises(ValueError, match="symmetric"):
         Network([[0.0, 1.0], [2.0, 0.0]])

@@ -156,7 +156,7 @@ def test_build_distributed_problem_structure():
         z = np.zeros(25)
         z[l * 5 : (l + 1) * 5] = 0.2
         z[l::5] = 0.2
-        assert np.allclose(p.eq_values(z), 0.0, atol=1e-12)
+        assert np.allclose([h.value(z) for h in p.equalities], 0.0, atol=1e-12)
 
 
 def test_build_distributed_problem_feasible_point_kkt_shape():
@@ -165,8 +165,8 @@ def test_build_distributed_problem_feasible_point_kkt_shape():
     prob = build_distributed_problem(inst, ring(3, 2.0))
     z = np.full(9, 1.0 / 3.0)
     for p in prob.local_problems:
-        assert np.allclose(p.eq_values(z), 0.0, atol=1e-12)
-        assert np.all(p.ineq_values(z) <= 0.0)
+        assert np.allclose([h.value(z) for h in p.equalities], 0.0, atol=1e-12)
+        assert all(g.value(z) <= 0.0 for g in p.inequalities)
 
 
 def test_build_distributed_problem_network_size_check():

@@ -115,19 +115,19 @@ def test_local_problem_stacks():
         equalities=[AffineFunction([1.0, -1.0], 0.5)],
     )
     x = np.array([1.0, 2.0])
-    assert np.allclose(p.ineq_values(x), [-1.0, -1.0])
-    assert np.allclose(p.eq_values(x), [-0.5])
-    assert np.allclose(p.ineq_gradients(x), [[-1.0, 0.0], [1.0, 1.0]])
-    assert np.allclose(p.eq_gradients(x), [[1.0, -1.0]])
+    assert p.n_ineq == 2 and p.n_eq == 1
+    assert [g.value(x) for g in p.inequalities] == [-1.0, -1.0]
+    assert [h.value(x) for h in p.equalities] == [-0.5]
+    assert [g.gradient(x).tolist() for g in p.inequalities] == [[-1.0, 0.0], [1.0, 1.0]]
+    assert [h.gradient(x).tolist() for h in p.equalities] == [[1.0, -1.0]]
 
 
 def test_empty_constraint_stacks():
     p = LocalProblem(QuadraticFunction(np.eye(2)))
-    x = np.zeros(2)
-    assert p.ineq_values(x).shape == (0,)
-    assert p.eq_values(x).shape == (0,)
-    assert p.ineq_gradients(x).shape == (0, 2)
-    assert p.eq_gradients(x).shape == (0, 2)
+    assert p.inequalities == () and p.equalities == () and p.n_ineq == p.n_eq == 0
+    terms = DistributedProblem(Network([[0.0]]), [p]).local_terms(np.zeros((1, 2)))
+    assert terms.g.shape == terms.h.shape == (0,)
+    assert terms.rows.shape == (0, 2)
 
 
 def single_agent_problem():
@@ -203,8 +203,9 @@ def test_distributed_problem_validation():
         kkt_residual(prob, x, x, np.zeros(0), [np.zeros(0), np.zeros(0)])
 
 
-# The padded per-agent kernels of local_terms and constraint_force against a
-# plain loop over the agents, on problems with uneven constraint counts.
+# The row-table kernels of local_terms and constraint_force, on both paths,
+# against a plain loop over the agents, on problems with uneven constraint
+# counts.
 
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=60)
 
@@ -252,7 +253,7 @@ def kernel_terms(prob, x, lam, mu):
 
 @PROPERTY
 @given(uneven_problems(), st.integers(0, 4), st.sampled_from(["x", "row", None]))
-def test_padded_kernels_equal_the_agent_loop(case, agent, poison):
+def test_row_table_kernels_equal_the_agent_loop(case, agent, poison):
     from test_engine import opaque
 
     prob, x, lam, mu = case
@@ -278,3 +279,64 @@ def test_padded_kernels_equal_the_agent_loop(case, agent, poison):
                              np.flatnonzero(np.isnan(zeta).any(axis=1))])
     has_rows = prob.local_problems[agent].n_ineq + prob.local_problems[agent].n_eq > 0
     assert set(owners.tolist()) == ({agent} if poison and has_rows else set())
+
+
+def both_paths(prob):
+    """prob, which takes the affine path, and the same functions behind
+    Opaque, which take the loop path."""
+    from test_engine import opaque
+
+    loop = opaque(prob)
+    assert prob._affine is not None and loop._affine is None
+    return prob, loop
+
+
+def test_row_table_without_constraints():
+    prob = DistributedProblem(ring(3, 1.0), [LocalProblem(AffineFunction([1.0, -1.0]))] * 3)
+    x = np.arange(6.0).reshape(3, 2)
+    for p in both_paths(prob):
+        terms = p.local_terms(x)
+        assert terms.rows.shape == (0, 2) and terms.g.shape == terms.h.shape == (0,)
+        force = constraint_force(p, terms, np.zeros(0), np.zeros(0))
+        assert force.dtype == np.float64 and force.shape == (3, 2) and not force.any()
+
+
+def test_row_table_all_zero_row():
+    # agent 0's inequality 0 x + 1 <= 0 has an all-zero gradient row: its
+    # value is its offset and it adds nothing to the force
+    prob = DistributedProblem(ring(2, 1.0), [
+        LocalProblem(AffineFunction([1.0, 0.0]), [AffineFunction([0.0, 0.0], 1.0)]),
+        LocalProblem(AffineFunction([0.0, 1.0]), equalities=[AffineFunction([1.0, 2.0], -1.0)]),
+    ])
+    x = np.array([[3.0, -4.0], [1.0, 1.0]])
+    for p in both_paths(prob):
+        terms = p.local_terms(x)
+        assert terms.g.tolist() == [1.0] and terms.h.tolist() == [2.0]
+        assert terms.rows.tolist() == [[0.0, 0.0], [1.0, 2.0]]
+        force = constraint_force(p, terms, np.array([5.0]), np.array([0.5]))
+        assert force.tolist() == [[0.0, 0.0], [0.5, 1.0]]
+
+
+def test_row_table_nan_multiplier_stays_with_its_agent():
+    # lam = [agent 0's zero row, agent 0's row (0, 1), agent 1's row (1, 0)]
+    prob = DistributedProblem(ring(3, 1.0), [
+        LocalProblem(AffineFunction([1.0, 0.0]), [AffineFunction([0.0, 0.0], -1.0),
+                                                  AffineFunction([0.0, 1.0], -9.0)]),
+        LocalProblem(AffineFunction([0.0, 1.0]), [AffineFunction([1.0, 0.0], -9.0)]),
+        LocalProblem(AffineFunction([1.0, 1.0]), equalities=[AffineFunction([1.0, 1.0])]),
+    ])
+    x, xi, mu = np.ones((3, 2)), np.zeros((3, 2)), np.array([0.5])
+    affine, loop = both_paths(prob)
+    for k, owner, columns in ((2, 1, [0]), (1, 0, [1]), (0, 0, [])):
+        lam = np.full(3, 0.5)
+        lam[k] = np.nan
+        for p in (affine, loop):
+            zeta = constraint_force(p, p.local_terms(x), lam, mu)
+            # the loop path reads zero entries too, and 0 * NaN is NaN
+            want = columns if p is affine else [0, 1]
+            assert np.flatnonzero(np.isnan(zeta[owner])).tolist() == want
+            assert not np.isnan(np.delete(zeta, owner, axis=0)).any()
+            res = kkt_residual(p, x, xi, lam, mu)
+            assert np.isnan(res.comp_slack) and np.isnan(res.max())
+            # an all-zero row reaches no column on the affine path
+            assert np.isnan(res.stationarity) == (p is loop or bool(columns))

@@ -25,6 +25,12 @@ def test_coupling_matrix_apply():
         CouplingMatrix(1.0, 0)
 
 
+def test_coupling_matrix_rejects_non_finite_weight():
+    for w in (np.nan, np.inf, [[1.0], [np.nan]]):
+        with pytest.raises(ValueError, match="coupling weight must be positive and finite"):
+            CouplingMatrix(w, 2)
+
+
 def test_delay_line_zero_history_then_exact():
     line = DelayLine(delay=0.3, h=0.1, width=2)
     assert line.steps == 3
@@ -145,4 +151,10 @@ def test_wave_identity_residual_detects_violation():
 def test_channel_end_validation():
     with pytest.raises(ValueError, match="impedance"):
         ChannelEnd(CouplingMatrix(1.0, 1), eta=0.0)
+
+
+def test_channel_end_rejects_non_finite_eta():
+    for eta in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            ChannelEnd(CouplingMatrix(1.0, 1), eta=eta)
 
