@@ -141,6 +141,10 @@ def validate_config(path=None, overrides=None):
         cfg["diag_interval"] >= cfg["step"],
         "diag_interval", "must be >= step",
     )
+    # simulate counts both in whole steps
+    for field in ("duration", "diag_interval"):
+        _require(cfg[field] / cfg["step"] < 2.0**63, field,
+                 f"{cfg[field]} s is over 2**63 steps of {cfg['step']} s")
     _require(
         isinstance(cfg["log_every"], int)
         and not isinstance(cfg["log_every"], bool)
@@ -190,22 +194,22 @@ def validate_config(path=None, overrides=None):
 
 
 def sample_delays(network, cfg):
-    """Per-directed-edge constant delays, seeded from the config seed.
+    """Constant delays (E,), one per directed edge in the network's table
+    order, seeded from the config seed.
 
     The stream is decoupled from the instance-position stream by a fixed
     second seed word, so positions and delays vary independently.
     """
     rng = np.random.default_rng([cfg["seed"], 1])
     low, high = cfg["delay_range"]
-    delays = {}
-    for i, j, _ in network.directed_edges():
-        delay = float(rng.uniform(low, high))
-        if delay < cfg["step"]:
-            raise ConfigError(
-                f"delay_range: sampled delay {delay:.6f} s on edge {i}->{j} "
-                f"is below one step ({cfg['step']} s)"
-            )
-        delays[(i, j)] = delay
+    delays = rng.uniform(low, high, network.own.size)
+    short = np.flatnonzero(delays < cfg["step"])
+    if short.size:
+        e = short[0]
+        raise ConfigError(
+            f"delay_range: sampled delay {delays[e]:.6f} s on edge "
+            f"{network.own[e]}->{network.nbr[e]} is below one step ({cfg['step']} s)"
+        )
     return delays
 
 

@@ -1,9 +1,10 @@
 """Fixed-step simulation engine for the networked primal-dual flow.
 
 The network state is one AgentState, stacked arrays that are plain views
-of one flat vector, and the directed edges i <- j are index arrays in
-network.directed_edges() order.  One explicit-Euler step has a fixed
-phase order:
+of one flat vector, and the directed edges i <- j are the rows of the
+network's edge table (Network.own, nbr, rev, weight); every per-edge array
+of a run, from the delays to the logged ports, is in that row order.  One
+explicit-Euler step has a fixed phase order:
 
     1. the port pair (r, p) of every directed edge i <- j, in every mode:
        r is what agent i holds of neighbor j (see below) and
@@ -151,9 +152,12 @@ def _wait(pid, r):
 class SimConfig:
     """Everything simulate() needs besides the problem itself.
 
-    delays maps directed edges (i, j) to the transmission delay of the
-    i -> j channel in seconds; required (and >= step) for the two delayed
-    modes, ignored in no_delay mode.
+    delays is an (E,) array in the order of the network's edge table:
+    delays[e] is the transmission delay in seconds of the channel from
+    agent own[e] to agent nbr[e].  It is required (each entry >= step) in
+    the two delayed modes, and any other shape is a ValueError naming
+    delays; no_delay mode ignores it.  duration and diag_interval must
+    each be under 2**63 steps.
 
     reference     KKT-validated ReferencePoint; when set, the online
                   storage/passivity diagnostics check every step.
@@ -174,7 +178,7 @@ class SimConfig:
     mode: str = "no_delay"
     compensator: CompensatorParams = None
     eta: float = 1.0
-    delays: dict = None
+    delays: np.ndarray = None
     lam0: float = 0.01
     log_every: int = 100
     diag_interval: float = 0.1
@@ -203,13 +207,9 @@ class SimConfig:
             raise ValueError("log_every must be >= 1")
         if self.diag_interval < self.step:
             raise ValueError("diag_interval must be >= step")
-
-    def delay_for(self, i, j):
-        if self.delays is None:
-            raise ValueError("delays required for delayed modes")
-        if (i, j) in self.delays:
-            return float(self.delays[(i, j)])
-        raise ValueError(f"no delay specified for directed edge {i}->{j}")
+        for name in ("duration", "diag_interval"):
+            if not getattr(self, name) / self.step < 2.0**63:
+                raise ValueError(f"{name} is over 2**63 steps of {self.step} s")
 
 
 class ReferencePoint:
@@ -218,8 +218,9 @@ class ReferencePoint:
     Carries the primal states x (N, n) and their mean z*, the consensus
     multipliers xi* (N, n), and lam*, mu* as concatenated vectors in the
     multiplier layout of the problem (agent i's are lam[prob.ineq_slices[i]]),
-    and derives the per-edge channel offsets for the delayed Lyapunov
-    function.  From a run: ReferencePoint(*log.final_stacks()).
+    and derives the port and wave offsets of every edge for the rate bounds
+    and the delayed Lyapunov function.  From a run:
+    ReferencePoint(*log.final_stacks()).
     """
 
     def __init__(self, x, xi, lam, mu):
@@ -243,35 +244,24 @@ class ReferencePoint:
         terms = prob.local_terms(np.broadcast_to(self.z, self.x.shape))
         return terms.grad, constraint_force(prob, terms, self.lam, self.mu)
 
-    def edge_offsets(self, i, j, weight, eta):
-        """(r*, p*, gamma*, delta*) for the directed pair (i, j), or stacked
-        (E, 2n) for index arrays i, j and (E, 1) weights.
+    def port_offsets(self, net, mode, eta):
+        """(r*, p*, gamma*, delta*) of every edge i <- j of net, each
+        (E, 2n) in the order of its edge table.
 
-        r* stacks (z*, xi_i* + xi_j*); p* stacks (a (xi_i* - xi_j*), 0).
-        gamma*/delta* are the wave offsets (p* -/+ eta r*) / sqrt(2 eta).
+        p* stacks (a_ij (xi_i* - xi_j*), 0) in every mode.  Without a
+        channel agent i receives r_ij = (x_j, xi_j), so r* stacks
+        (z*, xi_j*) and there are no wave offsets (None).  In scattering
+        mode r* stacks (z*, xi_i* + xi_j*), and gamma*/delta* are the wave
+        offsets (p* -/+ eta r*) / sqrt(2 eta).
         """
-        _, p_star = self.direct_offsets(i, j, weight)
-        z = np.broadcast_to(self.z, self.xi[i].shape)
-        r_star = np.concatenate([z, self.xi[i] + self.xi[j]], axis=-1)
+        xi_i, xi_j = self.xi[net.own], self.xi[net.nbr]
+        z = np.broadcast_to(self.z, xi_j.shape)
+        p_star = np.concatenate([net.weight * (xi_i - xi_j), np.zeros_like(z)], axis=-1)
+        if mode != "scattering":
+            return np.concatenate([z, xi_j], axis=-1), p_star, None, None
+        r_star = np.concatenate([z, xi_i + xi_j], axis=-1)
         sq = np.sqrt(2.0 * eta)
-        gamma = (p_star - eta * r_star) / sq
-        delta = (p_star + eta * r_star) / sq
-        return r_star, p_star, gamma, delta
-
-    def direct_offsets(self, i, j, weight):
-        """(r*, p*) for an undelayed direct-exchange port (i, j), or stacked
-        like edge_offsets.
-
-        Without a channel, agent i receives r_ij = (x_j, xi_j), so the
-        port settles at r* = (z*, xi_j*) and the same effort offset
-        p* = (a (xi_i* - xi_j*), 0) as the delayed case.
-        """
-        z = np.broadcast_to(self.z, self.xi[j].shape)
-        r_star = np.concatenate([z, self.xi[j]], axis=-1)
-        p_star = np.concatenate(
-            [weight * (self.xi[i] - self.xi[j]), np.zeros_like(z)], axis=-1
-        )
-        return r_star, p_star
+        return r_star, p_star, (p_star - eta * r_star) / sq, (p_star + eta * r_star) / sq
 
 
 @dataclass
@@ -476,11 +466,9 @@ def lyapunov_delayed(prob, log, ref, comp, upto=None):
         + multiplier_storage(prob, log.lam[k], log.mu[k], ref.lam, ref.mu)
         + 0.5 * np.sum((log.xi[k] - 2.0 * ref.xi) ** 2, axis=1)
     ))
-    edges = _Edges(prob.network)
-    fwd, bwd = edges.fwd, edges.bwd
-    _, _, gamma, delta = ref.edge_offsets(
-        edges.own[fwd], edges.nbr[fwd], edges.weight[fwd], cfg.eta
-    )
+    fwd, bwd = prob.network.fwd, prob.network.bwd
+    _, _, gamma, delta = ref.port_offsets(prob.network, cfg.mode, cfg.eta)
+    gamma, delta = gamma[fwd], delta[fwd]
     total += 0.5 * float(np.sum(log.delays[fwd] * np.sum(gamma**2, axis=1)
                                 + log.delays[bwd] * np.sum(delta**2, axis=1)))
     shape = (k, len(log.edges), 2 * log.dim)
@@ -526,13 +514,13 @@ def passivity_check(prob, log, ref, comp):
     mode = log.config.mode
     tol = 1e-3
     has_ports = mode in ("no_delay", "scattering")
-    edges = _Edges(prob.network)
+    net = prob.network
     excess = np.full((3, n), -np.inf)
     if not has_ports:
         excess[2] = np.nan
     xi_factor = 2.0 if mode == "scattering" else 1.0
     wave_max = 0.0
-    r_star, p_star, _, _ = _port_offsets(ref, edges, log.config)
+    r_star, p_star, _, _ = ref.port_offsets(net, mode, log.config.eta)
     phi_star, zeta_star = ref.forces(prob)
 
     prev = None
@@ -556,7 +544,7 @@ def passivity_check(prob, log, ref, comp):
             continue
         x = log.x[k]
         r = log.edge_r[k]
-        xi_dot = _owner_sums(edges.own, n, edges.weight * (r[:, :dim] - x[edges.own]))
+        xi_dot = _owner_sums(net.own, n, net.weight * (r[:, :dim] - x[net.own]))
         terms = prob.local_terms(x)
         deriv = AgentDerivative(
             comp.c[:, None] * nu[:, None, :] - comp.b[:, None] * st.rho,
@@ -567,7 +555,7 @@ def passivity_check(prob, log, ref, comp):
         bnd_coup = np.full(n, np.nan)
         if has_ports:
             p = log.edge_p[k]
-            bnd_coup = _owner_sums(edges.own, n, np.sum((r - r_star) * (p - p_star), axis=1))
+            bnd_coup = _owner_sums(net.own, n, np.sum((r - r_star) * (p - p_star), axis=1))
         if mode == "scattering":
             res = wave_identity_residual(log.edge_s_in[k], log.edge_s_out[k], r, p)
             wave_max = max(wave_max, float(np.abs(res).max(initial=0.0)))
@@ -579,30 +567,19 @@ def passivity_check(prob, log, ref, comp):
     return PassivityReport(*excess, wave_identity_max=wave_max)
 
 
-class _Edges:
-    """The directed edges i <- j of a network as index arrays, in
-    network.directed_edges() order: own = i, nbr = j, rev[e] the edge
-    j <- i, and weight (E, 1).  Channel c, one per undirected edge, joins
-    edge fwd[c] = i <- j with i < j and its reverse bwd[c] = j <- i."""
-
-    def __init__(self, net):
-        directed = net.directed_edges()
-        self.keys = [(i, j) for i, j, _ in directed]
-        index = {key: e for e, key in enumerate(self.keys)}
-        self.own = np.array([i for i, _ in self.keys], dtype=int)
-        self.nbr = np.array([j for _, j in self.keys], dtype=int)
-        self.rev = np.array([index[(j, i)] for i, j in self.keys], dtype=int)
-        self.weight = np.array([w for _, _, w in directed]).reshape(-1, 1)
-        self.fwd = np.flatnonzero(self.own < self.nbr)
-        self.bwd = self.rev[self.fwd]
-
-
-def _port_offsets(ref, edges, cfg):
-    """(r*, p*, gamma*, delta*) of every directed edge, stacked (E, 2n); the
-    direct modes have no wave offsets (None)."""
-    if cfg.mode == "scattering":
-        return ref.edge_offsets(edges.own, edges.nbr, edges.weight, cfg.eta)
-    return ref.direct_offsets(edges.own, edges.nbr, edges.weight) + (None, None)
+def _check_stacks(prob, what, stacks, shapes):
+    """Require each stack of stacks named in shapes to have that shape and
+    finite values; the error names what.name and, for a value, its agent."""
+    owners = {"lam": prob.ineq_owner, "mu": prob.eq_owner}
+    for name, shape in shapes.items():
+        values = getattr(stacks, name)
+        if values.shape != shape:
+            raise ValueError(f"{what}.{name}: expected shape {shape}, got {values.shape}")
+        bad = ~np.isfinite(values)
+        if bad.any():
+            k = np.unravel_index(np.argmax(bad), shape)
+            agent = int(owners[name][k[0]]) if name in owners else int(k[0])
+            raise ValueError(f"{what}.{name}: non-finite value {values[k]} (agent {agent})")
 
 
 def _initial_state(prob, cfg):
@@ -614,16 +591,8 @@ def _initial_state(prob, cfg):
     if not isinstance(init, AgentState):
         raise TypeError("initial: expected one stacked AgentState")
     state = AgentState(init.rho, init.xi, init.lam, init.mu)
-    owners = {"lam": prob.ineq_owner, "mu": prob.eq_owner}
-    for name in ("rho", "xi", "lam", "mu"):
-        values, shape = getattr(state, name), getattr(zeros, name).shape
-        if values.shape != shape:
-            raise ValueError(f"initial.{name}: expected shape {shape}, got {values.shape}")
-        bad = ~np.isfinite(values)
-        if bad.any():
-            k = np.unravel_index(np.argmax(bad), shape)
-            agent = int(owners[name][k[0]]) if name in owners else int(k[0])
-            raise ValueError(f"initial.{name}: non-finite value {values[k]} (agent {agent})")
+    _check_stacks(prob, "initial", state,
+                  {name: getattr(zeros, name).shape for name in ("rho", "xi", "lam", "mu")})
     if state.lam.size and state.lam.min() <= 0.0:
         agent, local = _ineq_entry(prob, int(np.argmax(state.lam <= 0.0)))
         raise ValueError(
@@ -680,25 +649,35 @@ def simulate(prob, cfg):
     n_steps = int(round(cfg.duration / h))
 
     state = _initial_state(prob, cfg)
+    ref = cfg.reference
+    if ref is not None:
+        _check_stacks(prob, "reference", ref, {"x": (n, dim), "xi": (n, dim),
+                                               "lam": prob.ineq_owner.shape,
+                                               "mu": prob.eq_owner.shape})
 
-    edges = _Edges(prob.network)
-    own, nbr = edges.own, edges.nbr
-    coupling = CouplingMatrix(edges.weight, dim)
-    log = TrajectoryLog(config=cfg, n_agents=n, dim=dim, edges=edges.keys,
+    net = prob.network
+    own, nbr = net.own, net.nbr
+    coupling = CouplingMatrix(net.weight, dim)
+    log = TrajectoryLog(config=cfg, n_agents=n, dim=dim,
+                        edges=list(zip(own.tolist(), nbr.tolist())),
                         ineq_owner=prob.ineq_owner, eq_owner=prob.eq_owner)
     line = end = None  # line e carries what agent own[e] sends to nbr[e]
     if cfg.mode != "no_delay":
-        delays = np.array([cfg.delay_for(i, j) for i, j in edges.keys])
+        if cfg.delays is None:
+            raise ValueError("delays required for delayed modes")
+        delays = np.asarray(cfg.delays)
+        if delays.shape != own.shape:
+            raise ValueError(f"delays: expected shape {own.shape}, one per edge in the "
+                             f"network's table order, got {delays.shape}")
         line = DelayLine(delays, h, 2 * dim)
         log.delays = line.delay
     if cfg.mode == "scattering":
         end = ChannelEnd(coupling, cfg.eta)
 
-    ref = cfg.reference
     diag_every = max(1, int(round(cfg.diag_interval / h)))
     diag = None
     if ref is not None:
-        diag = _DiagState(prob, ref, comp, cfg, edges, log.delays)
+        diag = _DiagState(prob, ref, comp, cfg, log.delays)
         log.passivity = PassivityReport(*diag.excess, wave_identity_max=0.0)
 
     def snapshot(t, state, x, deriv, ports):
@@ -741,7 +720,7 @@ def simulate(prob, cfg):
                 ends = u.take(pair, 0)
                 r, u_own = ends[0], ends[1]
             else:
-                r, u_own = line.pop(t).take(edges.rev, 0), u.take(own, 0)
+                r, u_own = line.pop(t).take(net.rev, 0), u.take(own, 0)
             s_in = s_out = None
             if end is not None:  # what crossed is j's wave; i's goes back
                 s_in = r
@@ -826,12 +805,13 @@ class _DiagState:
     memory stays bounded by one block.
     """
 
-    def __init__(self, prob, ref, comp, cfg, edges, delays):
+    def __init__(self, prob, ref, comp, cfg, delays):
         self.prob = prob
         self.ref = ref
         self.comp = comp
         self.cfg = cfg
-        self.own = edges.own
+        net = prob.network
+        self.own = net.own
         self.has_ports = cfg.mode in ("no_delay", "scattering")
         n = prob.n_agents
         self.excess = np.full((3, n), -np.inf)
@@ -845,10 +825,10 @@ class _DiagState:
         self.edge_const = 0.0
         self.acc = 0.0
         self.channels = None
-        self.r_star, self.p_star, gamma, delta = _port_offsets(ref, edges, cfg)
+        self.r_star, self.p_star, gamma, delta = ref.port_offsets(net, cfg.mode, cfg.eta)
         self.phi_star, self.zeta_star = ref.forces(prob)
         if cfg.mode == "scattering":
-            fwd, bwd = edges.fwd, edges.bwd
+            fwd, bwd = net.fwd, net.bwd
             self.channels = (fwd, bwd, gamma[fwd], delta[fwd])
             self.edge_const = 0.5 * float(np.sum(
                 delays[fwd] * np.sum(gamma[fwd] ** 2, axis=1)

@@ -17,8 +17,15 @@ class Network:
     ----------
     adjacency : (N, N) array_like
         Finite symmetric weight matrix, zero diagonal, nonnegative entries.
-        a[i, j] > 0 means i and j exchange information with weight a[i, j].
-        The positive-weight edges must connect all agents.
+        a[i, j] > 0 means i and j exchange information with weight a[i, j],
+        so a[j, i] > 0 exactly where a[i, j] > 0.  The positive-weight edges
+        must connect all agents.
+
+    The directed edges i <- j ("agent i's view of neighbor j"), one per
+    a[i, j] > 0, form one read-only table of E rows in (i, j) row-major
+    order: own[e] = i, nbr[e] = j, weight[e] = a[i, j] as an (E, 1) column
+    and rev[e] the row of j <- i.  Channel c, one per undirected edge,
+    joins row fwd[c] = i <- j with i < j and its reverse bwd[c] = j <- i.
     """
 
     def __init__(self, adjacency):
@@ -35,24 +42,30 @@ class Network:
             raise ValueError("adjacency diagonal must be zero (no self-loops)")
         if np.any(a < 0.0):
             raise ValueError("edge weights must be nonnegative")
+        positive = a > 0.0
+        one_way = positive > positive.T
+        if one_way.any():
+            i, j = np.argwhere(one_way)[0]
+            raise ValueError(f"adjacency must be symmetric: a[{i}, {j}] = {a[i, j]:g} > 0 "
+                             f"but a[{j}, {i}] = 0")
         a.setflags(write=False)
         self.adjacency = a
         self.n_agents = a.shape[0]
         if not is_connected(self):
             raise ValueError("network is not connected")
-
-    def directed_edges(self):
-        """Ordered pairs (i, j, weight) with a[i, j] > 0, sorted by (i, j)."""
-        a = self.adjacency
-        return [
-            (i, j, a[i, j])
-            for i in range(self.n_agents)
-            for j in range(self.n_agents)
-            if a[i, j] > 0.0
-        ]
+        flat = np.flatnonzero(positive)
+        self.own, self.nbr = np.divmod(flat, len(a))
+        self.weight = a.take(flat)[:, None]
+        # the rows sorted by (j, i): the edge set is symmetric, so the k-th
+        # of them is the reverse of row k
+        self.rev = np.lexsort((self.own, self.nbr))
+        self.fwd = np.flatnonzero(self.own < self.nbr)
+        self.bwd = self.rev[self.fwd]
+        for table in (self.own, self.nbr, self.weight, self.rev, self.fwd, self.bwd):
+            table.setflags(write=False)
 
     def __repr__(self):
-        return f"Network(n_agents={self.n_agents}, n_edges={len(self.directed_edges()) // 2})"
+        return f"Network(n_agents={self.n_agents}, n_edges={self.fwd.size})"
 
 
 def ring(n_agents, weight=1.0):

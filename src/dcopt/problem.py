@@ -364,12 +364,12 @@ def kkt_residual(prob, x, xi, lam, mu):
     Every field is a numpy reduction over the whole network, so a NaN from
     any agent reaches each field it enters.
     """
-    x = np.asarray(x, dtype=float).reshape(prob.n_agents, prob.dim)
-    xi = np.asarray(xi, dtype=float).reshape(prob.n_agents, prob.dim)
-    lam, mu = np.asarray(lam, dtype=float), np.asarray(mu, dtype=float)
-    for name, v, owner in (("lam", lam, prob.ineq_owner), ("mu", mu, prob.eq_owner)):
-        if v.shape != owner.shape:
-            raise ValueError(f"{name}: expected shape {owner.shape}, got {v.shape}")
+    x, xi, lam, mu = (np.asarray(v, dtype=float) for v in (x, xi, lam, mu))
+    stacked = (prob.n_agents, prob.dim)
+    for name, v, shape in (("x", x, stacked), ("xi", xi, stacked),
+                           ("lam", lam, prob.ineq_owner.shape), ("mu", mu, prob.eq_owner.shape)):
+        if v.shape != shape:
+            raise ValueError(f"{name}: expected shape {shape}, got {v.shape}")
     terms = prob.local_terms(x)
     lx = laplacian_apply(prob.network, x)
     lxi = laplacian_apply(prob.network, xi)

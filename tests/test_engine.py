@@ -24,7 +24,7 @@ from dcopt import (
 from dcopt import engine
 from dcopt.cli import build_scenario, compute_reference, validate_config
 from dcopt.dynamics import CompensatorParams, derivatives
-from dcopt.engine import TrajectoryLog, _Edges
+from dcopt.engine import TrajectoryLog
 from dcopt.graph import Network
 from dcopt.problem import (
     AffineFunction,
@@ -64,6 +64,24 @@ def three_agent_quadratic():
     return DistributedProblem(net, locs)
 
 
+def chord_quadratic():
+    """three_agent_quadratic's agents and a fourth pulled toward 3 (x* = 3
+    still), on a graph that is no ring: edges 0-1 (weight 1.0), 1-2 (2.5),
+    2-3 (4.0) and the chord 0-2 (0.5)."""
+    a = np.zeros((4, 4))
+    for i, j, w in ((0, 1, 1.0), (1, 2, 2.5), (2, 3, 4.0), (0, 2, 0.5)):
+        a[i, j] = a[j, i] = w
+    locs = list(three_agent_quadratic().local_problems)
+    locs.append(LocalProblem(QuadraticFunction([[1.0]], [-3.0])))
+    return DistributedProblem(Network(a), locs)
+
+
+def per_edge(net, delay):
+    """SimConfig.delays of net: delay(i, j) of each edge i <- j, in the
+    order of its edge table."""
+    return np.array([delay(i, j) for i, j in zip(net.own.tolist(), net.nbr.tolist())])
+
+
 def cli_reference(prob):
     """The CLI's reference: the no-delay end state after 40 s, KKT-checked."""
     ref, note = compute_reference(validate_config(None, {"duration": 40.0}), prob)
@@ -96,12 +114,20 @@ def test_sim_config_validation():
                         ("duration", np.nan), ("eta", np.inf)):
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             SimConfig(**{name: value})
-    cfg = SimConfig(mode="scattering", delays={(0, 1): 0.2})
-    assert cfg.delay_for(0, 1) == 0.2
-    with pytest.raises(ValueError, match="1->0"):
-        cfg.delay_for(1, 0)
+    # step counts that overflowed to inf in simulate
+    for fields, name in (({"step": 1e-310, "duration": 1e10}, "duration"),
+                         ({"step": 1e-310, "duration": 0.0, "diag_interval": 1e10},
+                          "diag_interval")):
+        with pytest.raises(ValueError, match=fr"{name} is over 2\*\*63 steps of 1e-310 s"):
+            SimConfig(**fields)
+    # the delays are one array in the order of the network's edge table
+    prob = three_agent_quadratic()
+    for delays, shape in (([0.2], r"\(1,\)"), ({(0, 1): 0.2}, r"\(\)"),
+                          (np.full((6, 1), 0.2), r"\(6, 1\)")):
+        with pytest.raises(ValueError, match=fr"delays: expected shape \(6,\), .* got {shape}"):
+            simulate(prob, SimConfig(mode="scattering", delays=delays, duration=0.01))
     with pytest.raises(ValueError, match="delays required"):
-        SimConfig(mode="naive_delay").delay_for(0, 1)
+        simulate(prob, SimConfig(mode="naive_delay", duration=0.01))
 
 
 def test_single_agent_converges_to_minimum():
@@ -286,7 +312,7 @@ def csv_case(name):
     locs[1] = LocalProblem(objective, inequalities=[AffineFunction([1.0], -4.0),
                                                     AffineFunction([-1.0], -10.0)])
     prob = DistributedProblem(base.network, locs)
-    delays = {(i, j): 0.004 + 0.001 * (i + j) for i, j, _ in prob.network.directed_edges()}
+    delays = per_edge(prob.network, lambda i, j: 0.004 + 0.001 * (i + j))
     short = simulate(prob, SimConfig(duration=0.5, log_every=500))
     ref = ReferencePoint(*short.final_stacks())
     if name == "no_delay_reference":
@@ -661,8 +687,7 @@ def two_agent_integrator_run(mode):
     comp = CompensatorParams.pure_integrator()
     init = AgentState(rho=np.array([[[1.0]], [[0.0]]]), xi=np.zeros((2, 1)),
                       lam=np.zeros(0), mu=np.zeros(0))
-    delays = {(0, 1): 0.1, (1, 0): 0.1}
-    cfg = SimConfig(step=0.1, duration=0.3, mode=mode, delays=delays,
+    cfg = SimConfig(step=0.1, duration=0.3, mode=mode, delays=np.array([0.1, 0.1]),
                     compensator=comp, log_every=1, diag_interval=0.1,
                     initial=init)
     return simulate(prob, cfg)
@@ -738,14 +763,14 @@ def test_affine_path_keeps_a_non_finite_value_with_its_agent():
 def test_edge_sums_keep_rows_and_agents_apart():
     # a block of edge rows (steps, edges, width) sums row by row into the
     # receiving agents: a NaN reaches one agent of one step only
-    edges = _Edges(ring(4, 1.0))
+    own = ring(4, 1.0).own
     rows = np.arange(3 * 8 * 2, dtype=float).reshape(3, 8, 2)
     rows[1, 5, 0] = np.nan
-    block = _owner_sums(edges.own, 4, rows, 1)
+    block = _owner_sums(own, 4, rows, 1)
     assert block.shape == (3, 4, 2)
     for k in range(3):
-        np.testing.assert_array_equal(block[k], _owner_sums(edges.own, 4, rows[k]))
-    assert np.argwhere(np.isnan(block)).tolist() == [[1, int(edges.own[5]), 0]]
+        np.testing.assert_array_equal(block[k], _owner_sums(own, 4, rows[k]))
+    assert np.argwhere(np.isnan(block)).tolist() == [[1, int(own[5]), 0]]
 
 
 def test_initial_states_checked_before_first_step():
@@ -797,15 +822,38 @@ def test_reference_point_offsets():
         mu=np.zeros(0),
     )
     assert ref.z == pytest.approx([1.0])
-    r_star, p_star, gamma, delta = ref.edge_offsets(0, 1, 4.0, 1.0)
-    assert r_star == pytest.approx([1.0, 5.0])
-    assert p_star == pytest.approx([-4.0, 0.0])
+    net = ring(2, 4.0)  # row 0 is the edge 0 <- 1, row 1 its reverse
+    r_star, p_star, gamma, delta = ref.port_offsets(net, "scattering", 1.0)
+    assert r_star.tolist() == [[1.0, 5.0], [1.0, 5.0]]
+    assert p_star.tolist() == [[-4.0, 0.0], [4.0, 0.0]]
     sq = np.sqrt(2.0)
-    assert gamma == pytest.approx([(-4.0 - 1.0) / sq, (0.0 - 5.0) / sq])
-    assert delta == pytest.approx([(-4.0 + 1.0) / sq, (0.0 + 5.0) / sq])
-    r_d, p_d = ref.direct_offsets(0, 1, 4.0)
-    assert r_d == pytest.approx([1.0, 3.0])
-    assert p_d == pytest.approx([-4.0, 0.0])
+    assert gamma[0] == pytest.approx([(-4.0 - 1.0) / sq, (0.0 - 5.0) / sq])
+    assert delta[0] == pytest.approx([(-4.0 + 1.0) / sq, (0.0 + 5.0) / sq])
+    for mode in ("no_delay", "naive_delay"):
+        r_d, p_d, gamma, delta = ref.port_offsets(net, mode, 1.0)
+        assert r_d.tolist() == [[1.0, 3.0], [1.0, 2.0]]
+        assert p_d.tolist() == p_star.tolist()
+        assert gamma is None and delta is None
+
+
+def test_reference_checked_before_first_step():
+    # a reference from the three-agent run attached to a four-agent one
+    # used to die inside the online diagnostics with an IndexError
+    three = ReferencePoint(*simulate(three_agent_quadratic(), SimConfig(duration=0.1))
+                           .final_stacks())
+    prob = chord_quadratic()  # four agents, one inequality and one equality
+    x, xi = np.zeros((4, 1)), np.zeros((4, 1))
+    for ref, msg in (
+        (three, r"reference\.x: expected shape \(4, 1\), got \(3, 1\)"),
+        (ReferencePoint(x, np.zeros((1, 4)), np.ones(1), np.zeros(1)),
+         r"reference\.xi: expected shape \(4, 1\), got \(1, 4\)"),
+        (ReferencePoint(x, xi, np.ones(2), np.zeros(1)),
+         r"reference\.lam: expected shape \(1,\), got \(2,\)"),
+        (ReferencePoint(x, xi, np.ones(1), np.array([np.nan])),
+         r"reference\.mu: non-finite value nan \(agent 2\)"),
+    ):
+        with pytest.raises(ValueError, match=msg):
+            simulate(prob, SimConfig(duration=0.1, reference=ref))
 
 
 def test_reference_point_validate():
@@ -910,7 +958,7 @@ def assert_matches_direct_flow(comp, mode, delay_steps=None, prob=None, duration
     step = 1e-3
     delays = None
     if delay_steps is not None:
-        delays = {key: d * step for key, d in delay_steps.items()}
+        delays = per_edge(prob.network, lambda i, j: delay_steps[(i, j)] * step)
     cfg = SimConfig(step=step, duration=duration, mode=mode, delays=delays,
                     compensator=comp, log_every=1)
     log = simulate(prob, cfg)
@@ -933,6 +981,14 @@ def test_pure_integrator_matches_direct_flow():
 
 # 1..6-step delays, a different one on each directed edge of the ring
 DELAY_STEPS = {(0, 1): 1, (1, 0): 2, (0, 2): 3, (2, 0): 4, (1, 2): 5, (2, 1): 6}
+
+
+def edge_steps(net, mode):
+    """1..7-step delays, edge by edge in table order, in naive_delay mode."""
+    if mode == "naive_delay":
+        return {(i, j): 1 + e % 7
+                for e, (i, j) in enumerate(zip(net.own.tolist(), net.nbr.tolist()))}
+    return None
 
 
 @pytest.mark.parametrize(
@@ -958,11 +1014,16 @@ def test_direct_flow_oracle_on_matching_lp(agents, seed, stages, mode):
     comp = CompensatorParams.pure_integrator()
     if stages == 3:
         comp = CompensatorParams(np.array([0.0, 2.0, 7.0]), np.array([1.0, 4.0, 9.0]))
-    delay_steps = None
-    if mode == "naive_delay":
-        delay_steps = {(i, j): 1 + e % 7
-                       for e, (i, j, _) in enumerate(prob.network.directed_edges())}
-    assert_matches_direct_flow(comp, mode, delay_steps, prob=prob, duration=0.5)
+    assert_matches_direct_flow(comp, mode, edge_steps(prob.network, mode), prob=prob,
+                               duration=0.5)
+
+
+@pytest.mark.parametrize("mode", ["no_delay", "naive_delay"])
+@pytest.mark.parametrize("m", [1, 2])
+def test_direct_flow_oracle_on_chord_graph(m, mode):
+    prob = chord_quadratic()
+    comp = CompensatorParams.pure_integrator() if m == 1 else SimConfig().compensator
+    assert_matches_direct_flow(comp, mode, edge_steps(prob.network, mode), prob=prob)
 
 
 def scattering_cfg(delays, **kw):
@@ -984,25 +1045,22 @@ def bounds_hold(report):
 
 
 def test_scattering_online_diag_matches_posthoc():
-    prob = three_agent_quadratic()
-    ref = cli_reference(prob)
-    delays = {}
-    rng = np.random.default_rng(2)
-    for i, j, _ in prob.network.directed_edges():
-        delays[(i, j)] = float(rng.uniform(0.2, 0.3))
     comp = SimConfig().compensator
-    cfg = scattering_cfg(delays, duration=2.0, log_every=1, reference=ref)
-    log = simulate(prob, cfg)
-    assert log.abort_reason is None
-    report = passivity_check(prob, log, ref, comp)
-    assert_reports_match(report, log.passivity)
-    assert report.wave_identity_max <= 1e-10
-    assert log.passivity.wave_identity_max <= 1e-10
-    # online delayed-Lyapunov value at each grid sample equals the post-hoc reconstruction
-    for kth, t in enumerate(log.diag_t[:-1]):
-        step_index = int(round(t / cfg.step))
-        v_delayed = lyapunov_delayed(prob, log, ref, comp, upto=step_index)
-        assert v_delayed == pytest.approx(log.lyap_delayed[kth], rel=1e-9, abs=1e-9)
+    for prob in (three_agent_quadratic(), chord_quadratic()):
+        ref = cli_reference(prob)
+        delays = np.random.default_rng(2).uniform(0.2, 0.3, prob.network.own.size)
+        cfg = scattering_cfg(delays, duration=2.0, log_every=1, reference=ref)
+        log = simulate(prob, cfg)
+        assert log.abort_reason is None
+        report = passivity_check(prob, log, ref, comp)
+        assert_reports_match(report, log.passivity)
+        assert bounds_hold(report) and bounds_hold(log.passivity)
+        # online delayed-Lyapunov value at each grid sample equals the post-hoc
+        # reconstruction
+        for kth, t in enumerate(log.diag_t[:-1]):
+            step_index = int(round(t / cfg.step))
+            v_delayed = lyapunov_delayed(prob, log, ref, comp, upto=step_index)
+            assert v_delayed == pytest.approx(log.lyap_delayed[kth], rel=1e-9, abs=1e-9)
 
 
 def test_logged_samples_are_never_overwritten():
@@ -1015,7 +1073,7 @@ def test_logged_samples_are_never_overwritten():
     # re-run of the same config and of a run cut to half its length.
     prob = three_agent_quadratic()
     ref = cli_reference(prob)
-    delays = {(i, j): 0.25 for i, j, _ in prob.network.directed_edges()}
+    delays = np.full(prob.network.own.size, 0.25)
 
     def samples(duration):
         cfg = scattering_cfg(delays, duration=duration, log_every=1, reference=ref)
@@ -1066,7 +1124,7 @@ def test_matching_lp_online_diag_matches_posthoc(paper):
     assert prob._affine is not None
     _, _, sim = build_scenario(dict(cfg, duration=1.237, diag_interval=0.037, log_every=1),
                                "scattering")
-    assert len(set(sim.delays.values())) > 1
+    assert len(set(sim.delays.tolist())) > 1
     sim.reference = ref
     log = simulate(prob, sim)
     assert log.abort_reason is None and len(log.t) == 1238
@@ -1126,8 +1184,7 @@ def test_online_diag_reported_after_abort(paper):
 def test_naive_mode_has_no_port_checks():
     prob = three_agent_quadratic()
     ref = cli_reference(prob)
-    delays = {key: 0.2 for key in
-              [(i, j) for i, j, _ in prob.network.directed_edges()]}
+    delays = np.full(prob.network.own.size, 0.2)
     cfg = SimConfig(mode="naive_delay", delays=delays, duration=0.5,
                     log_every=1, reference=ref)
     log = simulate(prob, cfg)
@@ -1137,7 +1194,7 @@ def test_naive_mode_has_no_port_checks():
 
 def test_lyapunov_delayed_needs_full_rate_scattering_log():
     prob = three_agent_quadratic()
-    delays = {(i, j): 0.2004 for i, j, _ in prob.network.directed_edges()}
+    delays = np.full(prob.network.own.size, 0.2004)
 
     def run(mode, log_every):
         cfg = SimConfig(mode=mode, delays=delays, duration=0.05,
@@ -1150,8 +1207,8 @@ def test_lyapunov_delayed_needs_full_rate_scattering_log():
         lyapunov_delayed(prob, log, ref, comp)
     log, ref, comp = run("scattering", 2)
     # the delays the channels realize, quantized to whole steps, in the
-    # order of log.edges
-    assert log.edges == list(delays)
+    # order of log.edges, the network's edge table
+    assert log.edges == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
     np.testing.assert_allclose(log.delays, 0.2, rtol=1e-12)
     with pytest.raises(ValueError, match=r"full-rate logging \(log_every=1\)"):
         lyapunov_delayed(prob, log, ref, comp)

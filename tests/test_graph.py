@@ -1,26 +1,79 @@
-"""Network construction, Laplacian algebra, connectivity."""
+"""Network construction, its edge table, Laplacian algebra, connectivity."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dcopt import ring
+from dcopt.cli import sample_delays
 from dcopt.graph import Network, is_connected, laplacian_apply
+
+
+def edge_list(net):
+    """The edge table as (i, j, weight) rows."""
+    return list(zip(net.own.tolist(), net.nbr.tolist(), net.weight[:, 0].tolist()))
 
 
 def test_ring_structure():
     net = ring(5, 4.0)
     assert net.n_agents == 5
-    assert [(i, j, w) for i, j, w in net.directed_edges() if i < j] == [
+    assert [(i, j, w) for i, j, w in edge_list(net) if i < j] == [
         (0, 1, 4.0), (0, 4, 4.0), (1, 2, 4.0), (2, 3, 4.0), (3, 4, 4.0)]
-    assert len(net.directed_edges()) == 10
+    assert net.weight.shape == (10, 1)
     assert np.flatnonzero(net.adjacency[0]).tolist() == [1, 4]
     assert repr(net) == "Network(n_agents=5, n_edges=5)"
 
 
 def test_two_agent_ring_single_edge():
     net = ring(2, 1.5)
-    assert net.directed_edges() == [(0, 1, 1.5), (1, 0, 1.5)]
+    assert edge_list(net) == [(0, 1, 1.5), (1, 0, 1.5)]
+    assert net.rev.tolist() == [1, 0]
+    assert (net.fwd.tolist(), net.bwd.tolist()) == ([0], [1])
     assert net.adjacency[0, 1] == 1.5
+
+
+@st.composite
+def connected_adjacencies(draw):
+    """A connected weighted adjacency over 2-7 agents: a random spanning
+    tree under a random labelling, plus up to eight more edges."""
+    n = draw(st.integers(2, 7))
+    label = draw(st.permutations(range(n)))
+    weight = st.floats(0.05, 20.0)
+    a = np.zeros((n, n))
+    for j in range(1, n):
+        i = draw(st.integers(0, j - 1))
+        a[label[i], label[j]] = a[label[j], label[i]] = draw(weight)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                              max_size=8)):
+        if i != j:
+            a[i, j] = a[j, i] = draw(weight)
+    return a
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(connected_adjacencies(), st.integers(0, 2**32), st.floats(0.01, 1.0))
+def test_edge_table_equals_a_double_loop(a, seed, low):
+    net = Network(a)
+    n = len(a)
+    assert edge_list(net) == [(i, j, a[i, j]) for i in range(n) for j in range(n)
+                              if a[i, j] > 0.0]
+    e = np.arange(net.own.size)
+    assert np.array_equal(net.own[net.rev], net.nbr)
+    assert np.array_equal(net.nbr[net.rev], net.own)
+    assert np.array_equal(net.rev[net.rev], e)
+    # one channel per undirected edge: fwd i <- j with i < j, bwd its reverse
+    assert np.all(net.own[net.fwd] < net.nbr[net.fwd])
+    assert np.array_equal(net.bwd, net.rev[net.fwd])
+    assert np.array_equal(np.sort(np.concatenate([net.fwd, net.bwd])), e)
+    assert repr(net) == f"Network(n_agents={n}, n_edges={net.fwd.size})"
+    for table in (net.own, net.nbr, net.weight, net.rev, net.fwd, net.bwd):
+        assert not table.flags.writeable
+    # one draw of E delays is the per-edge scalar draws, in table order
+    cfg = {"seed": seed, "delay_range": [low, 2.0 * low], "step": 1e-3}
+    rng = np.random.default_rng([seed, 1])
+    scalar = [float(rng.uniform(low, 2.0 * low)) for _ in e]
+    assert sample_delays(net, cfg).tolist() == scalar
 
 
 def test_ring_rejects_bad_args():
@@ -49,6 +102,9 @@ def test_network_rejects_non_finite_adjacency():
 def test_network_validation():
     with pytest.raises(ValueError, match="symmetric"):
         Network([[0.0, 1.0], [2.0, 0.0]])
+    # equal within 1e-12, but 0 -> 2 has a weight and 2 -> 0 none
+    with pytest.raises(ValueError, match=r"symmetric: a\[0, 2\] = 1e-13 > 0 but a\[2, 0\] = 0"):
+        Network([[0.0, 1.0, 1e-13], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     with pytest.raises(ValueError, match="diagonal"):
         Network([[1.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="nonnegative"):

@@ -201,6 +201,11 @@ def test_distributed_problem_validation():
         kkt_residual(prob, x, x, np.array([1.0]), np.zeros(0))
     with pytest.raises(ValueError, match=r"mu: expected shape \(0,\), got \(2, 0\)"):
         kkt_residual(prob, x, x, np.zeros(0), [np.zeros(0), np.zeros(0)])
+    # a transposed or flat stack used to be reshaped silently
+    with pytest.raises(ValueError, match=r"x: expected shape \(2, 1\), got \(1, 2\)"):
+        kkt_residual(prob, x.T, x, np.zeros(0), np.zeros(0))
+    with pytest.raises(ValueError, match=r"xi: expected shape \(2, 1\), got \(2,\)"):
+        kkt_residual(prob, x, x.ravel(), np.zeros(0), np.zeros(0))
 
 
 # The row-table kernels of local_terms and constraint_force, on both paths,
