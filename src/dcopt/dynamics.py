@@ -137,11 +137,6 @@ def _views(table, vector):
     return [vector[..., s].reshape(lead + shape) for s, shape in table[0]]
 
 
-def _stack(arrays):
-    """np.stack of equal-shaped arrays, in one concatenate call."""
-    return np.concatenate(arrays).reshape((len(arrays),) + arrays[0].shape)
-
-
 def _pack(names, arrays):
     """(slice table, new vector (..., D)) holding copies of arrays.  The
     leading axes are those of the first array before its last three (rho
@@ -197,9 +192,9 @@ class AgentState(_Packed):
     table, so an Euler step is one vector update and the divergence guard
     one reduction over z.  The constructor copies its arrays into a new z;
     a step builds a new z and never writes into an old one.  A write into a
-    field changes z but not x; assigning a field is an AttributeError.  The
-    diagnostics stack K states into one (AgentState.stack) whose z is
-    (K, D) and whose fields are (K, N, m, n), ... views of it.
+    field changes z but not x; assigning a field is an AttributeError.  A
+    z of (K, D), as the constructor makes from fields with a leading axis
+    (K, N, m, n), ..., holds K states, whose fields are (K, ...) views.
     """
 
     __slots__ = ("_z", "_rho", "_xi", "_lam", "_mu", "_x", "_table")
@@ -214,12 +209,6 @@ class AgentState(_Packed):
         self._table, self._z = table, z
         self._rho, self._xi, self._lam, self._mu = _views(table, z)
         self._x = np.add.reduce(self._rho, axis=-2)  # sum() unwrapped
-
-    @classmethod
-    def stack(cls, items):
-        """K states of one layout as one with a leading axis: its z is
-        (K, D) and its fields (K, ...) views of it."""
-        return cls._of(items[0]._table, _stack([item.z for item in items]))
 
     @staticmethod
     def zeros(comp, prob, lam0=0.01):
@@ -240,7 +229,6 @@ class AgentDerivative(_Packed):
     diagnostics and the nan report), so a step that reads only zdot takes
     none.  It also keeps what the diagnostics read at the same x, as
     separate (N, n) arrays: nu, grad f(x) and the constraint force zeta.
-    stack() stacks those three next to zdot.
     """
 
     __slots__ = ("_zdot", "_rho_dot", "_xi_dot", "_lam_dot", "_mu_dot", "_nu", "_grad",
@@ -260,12 +248,6 @@ class AgentDerivative(_Packed):
             raise AttributeError(name)
         self._rho_dot, self._xi_dot, self._lam_dot, self._mu_dot = _views(self._table, self._zdot)
         return getattr(self, name)
-
-    @classmethod
-    def stack(cls, items):
-        return cls._of(items[0]._table, _stack([d.zdot for d in items]),
-                       *(_stack([getattr(d, name) for d in items])
-                         for name in ("nu", "grad", "zeta")))
 
 
 def derivatives(prob, comp, state, effort):

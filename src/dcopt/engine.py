@@ -45,16 +45,23 @@ Lyapunov values on a fixed sampling grid, finite-difference storage-rate
 checks for every agent at every step, the channel energy integral, and the
 per-end wave power identity.  Every step is checked, but the certificates
 are evaluated per block of _DIAG_BLOCK steps, each kernel called once on
-the stacked block; the last, partial block is evaluated at the end of the
-run, also after an abort.  Online accumulation avoids holding full-rate
-wave histories in memory on long runs: only the current block is held.
+the block's rows; the last, partial block is evaluated at the end of the
+run, also after an abort.  The engine copies each step's state, derivative
+and ports into a row of preallocated block buffers, so memory stays bounded
+by one block however long the run.  A long run on a machine with a second
+CPU forks an evaluator: the buffers are two slots of one shared mmap, and
+the child evaluates one slot while the engine fills the other.  Both paths
+run the same evaluation on the same rows, so the reports are identical.
 """
 
+import contextlib
 import math
+import mmap
 import numbers
 import os
 import pickle
 import shutil
+import struct
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -66,7 +73,6 @@ from .dynamics import (
     AgentState,
     CompensatorParams,
     LambdaGuardError,
-    _stack,
     compensator_storage,
     derivatives,
     euler_step,
@@ -94,11 +100,20 @@ MODES = ("no_delay", "naive_delay", "scattering")
 DIVERGENCE_LIMIT = 1e9
 
 # Steps per evaluation of the online certificates; the reports are bit-equal
-# at any size.  Each queued step keeps its state, derivative and ports
-# alive, so memory grows with the block while the per-call overhead it
-# saves levels off (N = 5 scattering, 2-core VM: 170 us per step at 16, 151
-# at 32, within noise of 32 at 64).
+# at any size.  The block buffers hold one row per step, so memory grows with
+# the block while the per-call overhead it saves levels off (N = 5
+# scattering, 2-core VM: 170 us per step at 16, 151 at 32, within noise of
+# 32 at 64).
 _DIAG_BLOCK = 32
+
+# Fewest steps for which a run with a reference forks a certificate
+# evaluator.  The fork, the engine's copy-on-write faults after it and the
+# final join cost about 6 ms, and the evaluator saves about 30 us per N = 5
+# scattering step, so it breaks even near 350 steps (2-core VM).
+_DIAG_FORK_STEPS = 1000
+# A message to the evaluator: slot, steps in it, and whether a closing row
+# follows them.
+_DIAG_MSG = struct.Struct("3i")
 
 # Rows per write of TrajectoryLog.to_csv.  A write's text is built in full
 # first, so this bounds the writer's memory beyond its row plans.
@@ -111,6 +126,24 @@ _CSV_SERIES = ("x", "xi", "rho", "lam", "mu", "nu", "zeta",
 # about 0.25 s of repr, against 2.4 ms per fork and wait and 13 ms to append
 # a 22 MB part (2-core VM).
 _CSV_FORK_ROWS = 1 << 18
+
+
+def _fork_cpus():
+    """CPUs this process may use for forked helpers; 1 when os.fork is
+    missing or another Python thread runs, since a fork of a threaded
+    process can deadlock."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def _current_cpu():
+    """The CPU this process runs on now (Linux), or None."""
+    try:
+        with open("/proc/self/stat", "rb") as f:
+            return int(f.read().rpartition(b")")[2].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
 
 
 def _fork_writer(part, write, lo, hi):
@@ -139,7 +172,7 @@ def _fork_writer(part, write, lo, hi):
 
 
 def _wait(pid, r):
-    """(its pickled exception or b"", wait status) of a _fork_writer child."""
+    """(all it wrote to the pipe read end r, wait status) of a forked child."""
     try:
         with os.fdopen(r, "rb") as pipe:
             data = pipe.read()
@@ -328,11 +361,12 @@ class TrajectoryLog:
         t, one join and one write.  So the writer holds one plan per kind,
         one sample's values and one block of text at a time.
 
-        The samples go in contiguous ranges of near-equal row counts, one
-        per CPU the process may use: this process writes the first range,
-        forked children the others into path.part<k>, which are appended in
-        order.  One process writes all when the log has fewer than
-        _CSV_FORK_ROWS rows, os.fork is missing or another Python thread runs."""
+        The samples go in contiguous ranges of near-equal cost (see
+        _csv_bounds), one per CPU the process may use: this process writes
+        the first range, forked children the others into path.part<k>, which
+        are appended in order.  One process writes all when the log has fewer
+        than _CSV_FORK_ROWS rows, os.fork is missing or another Python thread
+        runs."""
         with open(path, "w", newline="") as f:
             f.write("t,entity_kind,entity_id,variable,component_index,value\n")
             bounds = self._csv_bounds()
@@ -360,16 +394,22 @@ class TrajectoryLog:
                     os.unlink(part)
 
     def _csv_bounds(self):
-        """to_csv's sample bounds, [0, len(t)] for one writer.  Equal sample
-        counts are near-equal row counts: a log's samples differ only in
-        their Lyapunov rows and the closing sample's missing series."""
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        workers = min(cpus or 1, len(self.t))
-        rows = sum(a.size for name in _CSV_SERIES for a in getattr(self, name) if a is not None)
-        if (workers < 2 or rows < _CSV_FORK_ROWS or not hasattr(os, "fork")
-                or threading.active_count() > 1):
+        """to_csv's sample bounds, [0, len(t)] for one writer.  The ranges
+        split the repr cost, not the samples: a nonzero value costs about 7
+        zeros (1.1 against 0.16 us), and a run's early samples are mostly
+        zeros, from the zero start and the zero delay-line history."""
+        workers = min(_fork_cpus(), len(self.t))
+        series = [getattr(self, name) for name in _CSV_SERIES]
+        rows = sum(a.size for arrays in series for a in arrays if a is not None)
+        if workers < 2 or rows < _CSV_FORK_ROWS:
             return [0, len(self.t)]
-        return [len(self.t) * k // workers for k in range(workers + 1)]
+        cost = np.cumsum([sum(a.size + 6 * np.count_nonzero(a) for a in sample if a is not None)
+                          for sample in zip(*series)])
+        bounds = [0]
+        for k in range(1, workers):  # nonempty ranges: one sample at least each
+            cut = int(np.searchsorted(cost, cost[-1] * k / workers))
+            bounds.append(min(max(cut, bounds[-1] + 1), len(cost) - workers + k))
+        return bounds + [len(cost)]
 
     def _write_samples(self, f, lo, hi):
         """Write the rows of samples lo..hi-1 to the text file f."""
@@ -675,10 +715,6 @@ def simulate(prob, cfg):
         end = ChannelEnd(coupling, cfg.eta)
 
     diag_every = max(1, int(round(cfg.diag_interval / h)))
-    diag = None
-    if ref is not None:
-        diag = _DiagState(prob, ref, comp, cfg, log.delays)
-        log.passivity = PassivityReport(*diag.excess, wave_identity_max=0.0)
 
     def snapshot(t, state, x, deriv, ports):
         log.t.append(t)
@@ -709,7 +745,9 @@ def simulate(prob, cfg):
     log_every = cfg.log_every
     pair = np.array([nbr, own])  # no_delay: both ends of every edge in one gather
     bins, size, shape = _owner_sum_plan(own, n, (len(own), 2 * dim))  # the efforts sum_j p_ij
-    with np.errstate(all="ignore"):  # guards, not warnings, handle blow-ups
+    diag = None if ref is None else _DiagState(prob, ref, comp, cfg, log.delays, state, n_steps)
+    # guards, not warnings, handle blow-ups; an evaluator is reaped on every path
+    with np.errstate(all="ignore"), diag or contextlib.nullcontext():
         for k in range(n_steps):
             t = k * h
             x = state.x
@@ -750,7 +788,7 @@ def simulate(prob, cfg):
                 line.push(u_own if end is None else s_out, t)
 
             if diag is not None:
-                diag.step(t, state, deriv, r, p, s_in, s_out, log, k % diag_every == 0)
+                diag.step(t, state, deriv, r, p, s_in, s_out, k % diag_every == 0)
 
             if k % log_every == 0:  # no_delay: r, not the whole gather it is half of
                 snapshot(t, state, x, deriv, (r.copy() if line is None else r, p, s_in, s_out))
@@ -779,9 +817,9 @@ def simulate(prob, cfg):
         if not log.t or log.t[-1] < t_end or n_steps == 0:
             snapshot(t_end, state, state.x, None, (None,) * 4)
         if diag is not None:
-            # the queued steps, and the final state of a completed run
+            # the last rows, and the final state of a completed run
             closing = (t_end, state) if log.abort_reason is None and n_steps else None
-            diag.flush(log, closing)
+            diag.finish(log, closing)
     return log
 
 
@@ -796,20 +834,29 @@ class _DiagState:
     coupling row is NaN for naive-delay runs, which have no port
     interpretation.
 
-    The checks run per block of _DIAG_BLOCK steps.  step() keeps
-    references to the arrays the engine built for a step, which it never
-    writes into again, and flush() stacks the block and calls each kernel
-    once on (K, ...) arrays.  The last step's storages, bounds and defects
-    and the channel integral carry over from one block to the next, so
-    every step is compared against the one before it, as step by step, and
-    memory stays bounded by one block.
+    step() copies a step into row j of a slot of block buffers: t, the
+    on-grid flag, z, zdot, nu, grad, zeta and, as the mode has them, r, p,
+    s_in and s_out; z, t and the flag have one more row, for the closing
+    state.  A full slot is evaluated by _evaluate, each kernel called once
+    on its rows.  The last step's storages, bounds and defects and the
+    channel integral carry over from one block to the next, so every step
+    is compared against the one before it, as step by step.
+
+    A run of _DIAG_FORK_STEPS steps or more, with a second CPU, os.fork and
+    no other Python thread, forks an evaluator here: the slots are two, in
+    one shared mmap, and the child evaluates one while the engine fills the
+    other.  One pipe names the slot to evaluate, one returns it free; at
+    the end the child sends back its reports, or its exception, which the
+    engine raises again.  Used as a context manager, the run reaps the
+    child on every path.
     """
 
-    def __init__(self, prob, ref, comp, cfg, delays):
+    def __init__(self, prob, ref, comp, cfg, delays, state, steps):
         self.prob = prob
         self.ref = ref
         self.comp = comp
         self.cfg = cfg
+        self.table = state._table
         net = prob.network
         self.own = net.own
         self.has_ports = cfg.mode in ("no_delay", "scattering")
@@ -818,12 +865,13 @@ class _DiagState:
         if not self.has_ports:
             self.excess[2] = np.nan
         self.xi_factor = 2.0 if cfg.mode == "scattering" else 1.0
-        self.block = []
         # (storage, bound, defect) rows of the last evaluated step, (3, 1, N)
         # each; (3, 0, N) before the first block
         self.prev = (np.empty((3, 0, n)),) * 3
         self.edge_const = 0.0
         self.acc = 0.0
+        self.wave_max = 0.0
+        self.diag_t, self.lyap_direct, self.lyap_delayed = [], [], []
         self.channels = None
         self.r_star, self.p_star, gamma, delta = ref.port_offsets(net, cfg.mode, cfg.eta)
         self.phi_star, self.zeta_star = ref.forces(prob)
@@ -835,34 +883,140 @@ class _DiagState:
                 + delays[bwd] * np.sum(delta[fwd] ** 2, axis=1)
             ))
 
-    def step(self, t, state, deriv, r, p, s_in, s_out, log, on_grid):
-        """Queue step t (a Lyapunov sample when on_grid); a full block is
-        evaluated first."""
-        if len(self.block) == _DIAG_BLOCK:
-            self.flush(log)
-        self.block.append((t, on_grid, state, deriv, r, p, s_in, s_out))
+        forked = steps >= _DIAG_FORK_STEPS and _fork_cpus() >= 2
+        b, ports = _DIAG_BLOCK, 2 * self.has_ports + 2 * (self.channels is not None)
+        shapes = ([(b + 1,), (b + 1,), (b + 1, state.z.size), (b, state.z.size)]
+                  + [(b, n, prob.dim)] * 3 + [(b, len(net.own), 2 * prob.dim)] * ports)
+        # each field starts 64-byte aligned, so no kernel reads a less aligned
+        # array than a fresh numpy one
+        sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes]
+        slots = np.frombuffer(mmap.mmap(-1, 8 * (1 + forked) * sum(sizes)), dtype=float)
+        self.slots = [tuple(a[:math.prod(shape)].reshape(shape) for a, shape in
+                            zip(np.split(slot, np.cumsum(sizes)[:-1]), shapes))
+                      for slot in slots.reshape(1 + forked, -1)]
+        self.s, self.j, self.busy, self.pid = 0, 0, False, None
+        if forked:
+            work, self.work = os.pipe()
+            self.free, free = os.pipe()
+            cpu = _current_cpu()
+            try:
+                self.pid = os.fork()
+            except OSError:  # evaluate in this process
+                for fd in (work, self.work, self.free, free):
+                    os.close(fd)
+                return
+            if not self.pid:
+                os.close(self.work)
+                os.close(self.free)
+                self._serve(work, free, cpu)
+            os.close(work)
+            os.close(free)
 
-    def flush(self, log, closing=None):
-        """Evaluate the queued steps: storages, the rate-excess update of
-        each against the step before, the wave identity, the channel
-        integral and the Lyapunov samples on the grid.
+    def __enter__(self):
+        return self
 
-        closing = (t, state) adds the final state of a completed run: its
-        storages are checked against the last step's bounds, and it is a
-        Lyapunov sample.
-        """
-        if not self.block:
-            return
-        ref, h, tol = self.ref, self.cfg.step, 1e-3
-        K = len(self.block)
-        times, grid, states, derivs, r, p, s_in, s_out = map(list, zip(*self.block))
-        self.block = []
+    def __exit__(self, *exc):
+        if self.pid is not None:  # the run raised: the child's reports are moot
+            os.close(self.work)
+            os.close(self.free)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+    def step(self, t, state, deriv, r, p, s_in, s_out, on_grid):
+        """Copy step t (a Lyapunov sample when on_grid) into the next row;
+        a full block is evaluated first."""
+        if self.j == _DIAG_BLOCK:
+            self._hand_off(False)
+        for rows, value in zip(self.slots[self.s], (t, on_grid, state._z, deriv._zdot,
+                                                     deriv._nu, deriv._grad, deriv._zeta,
+                                                     r, p, s_in, s_out)):
+            rows[self.j] = value
+        self.j += 1
+
+    def finish(self, log, closing):
+        """Evaluate the last rows, with closing = (t, state), the final
+        state of a completed run, when given, and set the log's reports."""
         if closing is not None:
-            times.append(closing[0])
-            grid.append(True)
-            states.append(closing[1])
+            for rows, value in zip(self.slots[self.s], (closing[0], True, closing[1]._z)):
+                rows[self.j] = value
+        if self.j:
+            self._hand_off(closing is not None)
+        excess, wave_max, *series = self._join() if self.pid else self._reports()
+        log.passivity = PassivityReport(*excess, wave_identity_max=wave_max)
+        log.diag_t, log.lyap_direct, log.lyap_delayed = series
 
-        st = AgentState.stack(states)
+    def _hand_off(self, closing):
+        """Evaluate the filled rows of the current slot, here or in the
+        evaluator, which then gets the slot while this fills the other."""
+        if self.pid is None:
+            self._evaluate(self.s, self.j, closing)
+        else:
+            try:
+                os.write(self.work, _DIAG_MSG.pack(self.s, self.j, closing))
+            except BrokenPipeError:  # the evaluator ended: raise its error
+                self._join()
+            self.s ^= 1
+            if self.busy:  # the other slot is still being evaluated
+                msg = os.read(self.free, 1)
+                if msg not in (b"\0", b"\1"):
+                    self._join(msg)
+            self.busy = True
+        self.j = 0
+
+    def _join(self, head=b""):
+        """The evaluator's reports, once the pipe is closed; its exception
+        is raised again, and an end without reports is a ChildProcessError."""
+        os.close(self.work)
+        data, status = _wait(self.pid, self.free)
+        self.pid = None
+        data = (head + data).lstrip(b"\0\1")  # slots freed since the last read
+        if data[:1] == b"E":
+            raise pickle.loads(data[1:])
+        if data[:1] != b"R" or status:
+            raise ChildProcessError(f"certificate evaluator ended with wait status {status}")
+        return pickle.loads(data[1:])
+
+    def _serve(self, work, free, cpu):
+        """The evaluator: evaluate each slot named on the pipe work and
+        return it on free; at the end of work, send b"R" and the pickled
+        reports, or b"E" and an exception, on free, and exit.  It keeps off
+        cpu, the engine's CPU at the fork: woken on the engine's CPU, as the
+        scheduler tends to place it, it would wait for the engine or stall
+        it (2-core VM: each hand-off took the engine 1.1 ms, a whole block's
+        evaluation)."""
+        code, out = 1, b""
+        try:
+            others = os.sched_getaffinity(0) - {cpu} if hasattr(os, "sched_setaffinity") else ()
+            with contextlib.suppress(OSError):  # a set it may not use: stay anywhere
+                if others:
+                    os.sched_setaffinity(0, others)
+            with os.fdopen(work, "rb") as inbox, np.errstate(all="ignore"):
+                while msg := inbox.read(_DIAG_MSG.size):
+                    slot, j, closing = _DIAG_MSG.unpack(msg)
+                    self._evaluate(slot, j, closing)
+                    os.write(free, bytes((slot,)))  # one byte: written whole
+            out, code = b"R" + pickle.dumps(self._reports()), 0
+        except BaseException as err:  # raised again by the engine
+            out = b"E" + pickle.dumps(err)
+        finally:
+            try:
+                with os.fdopen(free, "wb") as outbox:
+                    outbox.write(out)
+            finally:
+                os._exit(code)
+
+    def _reports(self):
+        return self.excess, self.wave_max, self.diag_t, self.lyap_direct, self.lyap_delayed
+
+    def _evaluate(self, slot, K, closing):
+        """Evaluate the K steps of slot, and its closing row when closing:
+        storages, the rate-excess update of each against the step before,
+        the wave identity, the channel integral and the Lyapunov samples on
+        the grid.  A closing state's storages are checked against the last
+        step's bounds, and it is a Lyapunov sample."""
+        t, grid, z, zdot, nu, grad, zeta, *ports = self.slots[slot]
+        ref, h, tol = self.ref, self.cfg.step, 1e-3
+        st = AgentState._of(self.table, z[:K + closing])
         sc = compensator_storage(self.comp, st.rho, ref.z)
         sg = multiplier_storage(self.prob, st.lam, st.mu, ref.lam, ref.mu)
         # the coupling storage; NaN, like its excess row, without ports
@@ -871,13 +1025,13 @@ class _DiagState:
             s_full = sc + sg + 0.5 * np.sum((st.xi - self.xi_factor * ref.xi) ** 2, axis=-1)
 
         xi = st.xi
-        if closing is not None:  # the bounds belong to the K steps only
-            st = AgentState.stack(states[:K])
-        deriv = AgentDerivative.stack(derivs)
+        if closing:  # the bounds belong to the K steps only
+            st = AgentState._of(self.table, z[:K])
+        deriv = AgentDerivative._of(self.table, zdot[:K], nu[:K], grad[:K], zeta[:K])
         d_c, d_m, d_xi = storage_step_defects(self.prob, self.comp, st, deriv, ref.lam, h)
         bnd_coup = np.full_like(d_c, np.nan)
         if self.has_ports:
-            r, p = _stack(r), _stack(p)
+            r, p = ports[0][:K], ports[1][:K]
             bnd_coup = _owner_sums(self.own, self.prob.n_agents,
                                    np.sum((r - self.r_star) * (p - self.p_star), axis=-1), 1)
         # (storage, bound, defect) rows: compensator, multiplier, coupling
@@ -902,12 +1056,10 @@ class _DiagState:
 
         acc = None
         if self.channels is not None:
-            s_in, s_out = _stack(s_in), _stack(s_out)
+            s_in, s_out = ports[2][:K], ports[3][:K]
             res = np.abs(wave_identity_residual(s_in, s_out, r, p)).max(axis=-1, initial=0.0)
             # a step whose residual is NaN is passed over, as max() does
-            log.passivity.wave_identity_max = float(
-                np.fmax.reduce(res, initial=log.passivity.wave_identity_max)
-            )
+            self.wave_max = float(np.fmax.reduce(res, initial=self.wave_max))
             fwd, bwd, gamma, delta = self.channels
 
             def energy(a):  # per step, summed like one step's (E, 2n) array
@@ -919,14 +1071,14 @@ class _DiagState:
             acc = np.cumsum(np.concatenate([[self.acc], h * power]))
             self.acc = float(acc[K])
 
-        on = np.flatnonzero(grid)
+        on = np.flatnonzero(grid[:K + closing])
         if on.size:
-            log.diag_t.extend(times[j] for j in on)
-            log.lyap_direct.extend((
+            self.diag_t.extend(t[on].tolist())
+            self.lyap_direct.extend((
                 sc[on].sum(axis=-1) + sg[on].sum(axis=-1)
                 + 0.5 * np.sum((xi[on] - ref.xi) ** 2, axis=(-2, -1))
             ).tolist())
             if acc is not None:
-                log.lyap_delayed.extend(
+                self.lyap_delayed.extend(
                     (s_full[on].sum(axis=-1) + self.edge_const + 0.5 * acc[on]).tolist()
                 )

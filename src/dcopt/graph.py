@@ -18,8 +18,8 @@ class Network:
     adjacency : (N, N) array_like
         Finite symmetric weight matrix, zero diagonal, nonnegative entries.
         a[i, j] > 0 means i and j exchange information with weight a[i, j],
-        so a[j, i] > 0 exactly where a[i, j] > 0.  The positive-weight edges
-        must connect all agents.
+        and a[j, i] must equal it exactly.  The positive-weight edges must
+        connect all agents.
 
     The directed edges i <- j ("agent i's view of neighbor j"), one per
     a[i, j] > 0, form one read-only table of E rows in (i, j) row-major
@@ -36,18 +36,18 @@ class Network:
             raise ValueError("network needs at least one agent")
         if not np.all(np.isfinite(a)):
             raise ValueError("adjacency must be finite")
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-12):
-            raise ValueError("adjacency must be symmetric")
         if np.any(np.diag(a) != 0.0):
             raise ValueError("adjacency diagonal must be zero (no self-loops)")
         if np.any(a < 0.0):
             raise ValueError("edge weights must be nonnegative")
+        # exactly: the two ends of a channel couple with one weight
+        unequal = np.argwhere(a != a.T)
+        if unequal.size:
+            i, j = unequal[0]
+            aij, aji = float(a[i, j]), float(a[j, i])
+            raise ValueError(f"adjacency must be symmetric: a[{i}, {j}] = {aij!r} "
+                             f"{'> 0 ' if aji == 0.0 else ''}but a[{j}, {i}] = {aji!r}")
         positive = a > 0.0
-        one_way = positive > positive.T
-        if one_way.any():
-            i, j = np.argwhere(one_way)[0]
-            raise ValueError(f"adjacency must be symmetric: a[{i}, {j}] = {a[i, j]:g} > 0 "
-                             f"but a[{j}, {i}] = 0")
         a.setflags(write=False)
         self.adjacency = a
         self.n_agents = a.shape[0]

@@ -240,6 +240,16 @@ def test_assigning_a_field_raises_and_leaves_the_vector():
     assert euler_step(st, d, 1e-3).lam[0] == pytest.approx(0.2 - 2e-5)
 
 
+STATE_FIELDS = ("rho", "xi", "lam", "mu")
+DERIVATIVE_FIELDS = ("rho_dot", "xi_dot", "lam_dot", "mu_dot", "nu", "grad", "zeta")
+
+
+def stacked_fields(items, names):
+    """The named fields of equal-layout records, each stacked along a new
+    leading axis: the constructors' arguments for one stacked record."""
+    return [np.stack([getattr(item, name) for item in items]) for name in names]
+
+
 def test_stacked_vector_gives_stacked_views():
     prob, _ = three_agent_layout()
     rng = np.random.default_rng(3)
@@ -248,7 +258,8 @@ def test_stacked_vector_gives_stacked_views():
                          lam=rng.uniform(0.2, 2.0, size=3), mu=rng.normal(size=2))
               for _ in range(4)]
     derivs = [derivatives(prob, comp, st, rng.normal(size=(3, 4))) for st in states]
-    st, d = AgentState.stack(states), AgentDerivative.stack(derivs)
+    st = AgentState(*stacked_fields(states, STATE_FIELDS))
+    d = AgentDerivative(*stacked_fields(derivs, DERIVATIVE_FIELDS))
     D = states[0].z.size
     assert st.z.shape == d.zdot.shape == (4, D)
     assert (st.rho.shape, st.xi.shape, st.lam.shape, st.mu.shape) == (
@@ -262,9 +273,9 @@ def test_stacked_vector_gives_stacked_views():
         for k, one in enumerate(derivs):
             np.testing.assert_array_equal(getattr(d, name)[k], getattr(one, name))
     np.testing.assert_array_equal(st.x, np.stack([one.x for one in states]))
-    # the public constructor takes the same stacked fields
-    again = AgentState(st.rho, st.xi, st.lam, st.mu)
-    np.testing.assert_array_equal(again.z, st.z)
+    # the stacked z holds each state's z as a row
+    np.testing.assert_array_equal(st.z, np.stack([one.z for one in states]))
+    np.testing.assert_array_equal(d.zdot, np.stack([one.zdot for one in derivs]))
 
 
 def test_compensator_storage_hand_value():
@@ -532,14 +543,8 @@ def test_kernels_take_a_block_of_steps():
                 multiplier_rate_bound(st, d, z_star, zeta_star),
                 *storage_step_defects(prob, comp, st, d, lam_star, h))
 
-    def stack(items, name):
-        return np.stack([getattr(item, name) for item in items])
-
-    block = kernels(
-        AgentState(*(stack(states, name) for name in ("rho", "xi", "lam", "mu"))),
-        AgentDerivative(*(stack(derivs, name) for name in (
-            "rho_dot", "xi_dot", "lam_dot", "mu_dot", "nu", "grad", "zeta"))),
-    )
+    block = kernels(AgentState(*stacked_fields(states, STATE_FIELDS)),
+                    AgentDerivative(*stacked_fields(derivs, DERIVATIVE_FIELDS)))
     for k, (st, d) in enumerate(zip(states, derivs)):
         for stacked, one in zip(block, kernels(st, d), strict=True):
             assert stacked.shape == (4, 3)

@@ -390,11 +390,16 @@ def forked_csv(monkeypatch):
     return force
 
 
+def assert_no_children():
+    """No child process of this one, running or unwaited."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def assert_no_leftovers(tmp_path):
     """No part file in tmp_path and no child process of this one."""
     assert not [p.name for p in tmp_path.iterdir() if ".part" in p.name]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    assert_no_children()
 
 
 @pytest.mark.parametrize("workers", [2, 3, "beyond_samples"])
@@ -410,6 +415,31 @@ def test_forked_to_csv_matches_row_oracle(tmp_path, forked_csv, name, workers):
     assert len(forks) == min(n, len(log.t)) - 1
     assert forks[0][0] > 0 and forks[-1][1] == len(log.t)
     assert all(lo < hi for lo, hi in forks)
+    assert_no_leftovers(tmp_path)
+
+
+def test_forked_to_csv_balances_the_repr_cost(tmp_path, forked_csv, paper):
+    # the zero start and the zero delay-line history make the early samples
+    # mostly zeros, whose repr costs about a seventh of a nonzero value's:
+    # the ranges split zeros + 7 nonzeros, not the samples
+    cfg, _, _ = paper
+    _, prob, sim = build_scenario(dict(cfg, duration=0.6, log_every=6), "scattering")
+    log = simulate(prob, sim)
+    forked_csv(1)
+    log.to_csv(tmp_path / "one.csv")
+    forks = forked_csv(2)
+    log.to_csv(tmp_path / "two.csv")
+    assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+    [(cut, end)] = forks
+    arrays = [[a for name in engine._CSV_SERIES if (a := getattr(log, name)[k]) is not None]
+              for k in range(len(log.t))]
+    cost = np.array([sum(a.size + 6 * np.count_nonzero(a) for a in sample) for sample in arrays])
+    nonzero = np.array([sum(np.count_nonzero(a) for a in sample) for sample in arrays])
+    half = len(log.t) // 2
+    assert end == len(log.t) and cut > half
+    assert nonzero[:half].sum() < 0.8 * nonzero[half:].sum()
+    # an even split, give or take the sample at the cut
+    assert abs(cost[:cut].sum() - cost[cut:].sum()) <= 2 * cost.max()
     assert_no_leftovers(tmp_path)
 
 
@@ -1161,6 +1191,207 @@ def test_certificates_bit_equal_at_any_block_size(paper, monkeypatch):
         assert log.passivity.wave_identity_max == first.passivity.wave_identity_max
         for name in ("diag_t", "lyap_direct", "lyap_delayed"):
             assert getattr(log, name) == getattr(first, name)
+
+
+@pytest.fixture
+def forked_diag(monkeypatch):
+    """force(forked): from now on simulate evaluates the certificates of any
+    run with a reference in a forked evaluator (forked=True, two CPUs as
+    far as it can tell) or in this process (False); returns the list of the
+    pids forked."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    def force(forked=True):
+        monkeypatch.setattr(engine, "_DIAG_FORK_STEPS", 0 if forked else 2**63)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    return force
+
+
+def both_paths(forked_diag, prob, sim):
+    """(log, log) of one run with the certificates evaluated in this
+    process and in a forked evaluator."""
+    forks = forked_diag(False)
+    here = simulate(prob, sim)
+    assert forks == []
+    forked_diag(True)
+    forked = simulate(prob, sim)
+    assert len(forks) == 1
+    assert_no_children()
+    return here, forked
+
+
+def assert_same_certificates(a, b):
+    """The online reports of two logs are bitwise equal, NaN included."""
+    for name in ("compensator_excess", "multiplier_excess", "coupling_excess"):
+        assert getattr(a.passivity, name).tobytes() == getattr(b.passivity, name).tobytes()
+    assert (np.float64(a.passivity.wave_identity_max).tobytes()
+            == np.float64(b.passivity.wave_identity_max).tobytes())
+    for name in ("diag_t", "lyap_direct", "lyap_delayed"):
+        assert (np.array(getattr(a, name), dtype=float).tobytes()
+                == np.array(getattr(b, name), dtype=float).tobytes())
+
+
+@pytest.mark.parametrize("scenario, steps, block", [
+    ("no_delay", 100, 32),
+    ("naive_delay", 100, 32),
+    ("scattering", 100, 32),
+    ("no_compensator", 100, 32),  # m = 1
+    ("scattering", 20, 32),  # shorter than one block
+    ("scattering", 64, 32),  # ends on a block boundary
+    ("no_delay", 32, 32),
+    ("scattering", 300, 1),  # a hand-off per step: a slot reused early would show
+])
+def test_certificates_equal_in_process_and_forked(paper, forked_diag, monkeypatch, scenario,
+                                                  steps, block):
+    monkeypatch.setattr(engine, "_DIAG_BLOCK", block)
+    cfg, _, ref = paper
+    _, prob, sim = build_scenario(dict(cfg, duration=steps * 1e-3, diag_interval=0.007),
+                                  scenario)
+    sim.reference = ref
+    here, forked = both_paths(forked_diag, prob, sim)
+    assert here.abort_reason is None and len(here.diag_t) == steps // 7 + 2
+    assert_same_certificates(here, forked)
+    assert np.isnan(forked.passivity.coupling_excess).all() == (scenario == "naive_delay")
+    assert bool(forked.lyap_delayed) == (scenario == "scattering")
+
+
+@pytest.mark.parametrize("case, block, step", [
+    ("lambda_guard", 4, 6),
+    ("divergence", 4, 26),
+    ("nan", 2, 3),
+])
+def test_certificates_equal_in_process_and_forked_after_abort(paper, forked_diag, monkeypatch,
+                                                              case, block, step):
+    # each abort falls inside a block after at least one full one
+    monkeypatch.setattr(engine, "_DIAG_BLOCK", block)
+    if case == "lambda_guard":
+        cfg, _, ref = paper
+        _, prob, sim = build_scenario(dict(cfg, step=0.05, duration=1.0), "scattering")
+        sim.reference = ref
+    elif case == "divergence":  # h = 0.2 is past explicit Euler's limit here
+        prob = single_agent_problem()
+        sim = SimConfig(step=0.2, duration=20.0, diag_interval=0.4,
+                        reference=ReferencePoint([[3.0]], [[0.0]], [], []))
+    else:
+        base = three_agent_quadratic()
+        locs = list(base.local_problems)
+        locs[1] = LocalProblem(QuadraticFunction([[1.0]], [-2.0]),
+                               inequalities=[ValueLeavesDomain()])
+        prob = DistributedProblem(base.network, locs)
+        sim = SimConfig(duration=1.0, diag_interval=0.002, reference=ReferencePoint(
+            np.full((3, 1), 3.0), np.zeros((3, 1)), np.full(prob.ineq_owner.size, 0.1),
+            np.zeros(prob.eq_owner.size)))
+    here, forked = both_paths(forked_diag, prob, sim)
+    assert (here.abort_reason, here.abort_step) == (forked.abort_reason, forked.abort_step)
+    assert (here.abort_reason, here.abort_step) == (case, step)
+    assert np.isfinite(here.passivity.compensator_excess).all()
+    assert_same_certificates(here, forked)
+
+
+class EvaluatorFailed(Exception):
+    pass
+
+
+@pytest.mark.parametrize("how", ["raises", "killed"])
+@pytest.mark.parametrize("steps", [20, 200])  # seen at the end, or at a hand-off
+def test_evaluator_failure_is_raised_in_the_engine(paper, forked_diag, monkeypatch, capfd,
+                                                   how, steps):
+    cfg, _, ref = paper
+    _, prob, sim = build_scenario(dict(cfg, duration=steps * 1e-3), "scattering")
+    sim.reference = ref
+    engine_pid = os.getpid()
+    storage = engine.compensator_storage
+
+    def failing(*args):
+        if os.getpid() != engine_pid:  # in the evaluator only
+            if how == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise EvaluatorFailed("block lost")
+        return storage(*args)
+
+    monkeypatch.setattr(engine, "compensator_storage", failing)
+    forks = forked_diag(True)
+    if how == "killed":
+        with pytest.raises(ChildProcessError, match=f"wait status {signal.SIGKILL}$"):
+            simulate(prob, sim)
+    else:
+        with pytest.raises(EvaluatorFailed, match="block lost"):
+            simulate(prob, sim)
+    assert len(forks) == 1
+    assert_no_children()
+    assert capfd.readouterr() == ("", "")
+
+
+class EngineFailed(Exception):
+    pass
+
+
+def test_engine_failure_reaps_the_evaluator(paper, forked_diag, monkeypatch):
+    cfg, _, ref = paper
+    _, prob, sim = build_scenario(dict(cfg, duration=0.2), "scattering")
+    sim.reference = ref
+    calls = []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == 100:
+            raise EngineFailed("step 99")
+        return derivatives(*args)
+
+    monkeypatch.setattr(engine, "derivatives", failing)
+    forks = forked_diag(True)
+    with pytest.raises(EngineFailed):
+        simulate(prob, sim)
+    assert len(forks) == 1
+    assert_no_children()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open fds in /proc")
+def test_fork_failure_evaluates_in_process(paper, forked_diag, monkeypatch):
+    cfg, _, ref = paper
+    _, prob, sim = build_scenario(dict(cfg, duration=0.1), "scattering")
+    sim.reference = ref
+    forked_diag(False)
+    here = simulate(prob, sim)
+    forks = forked_diag(True)
+
+    def fails():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fails)
+    fds = len(os.listdir("/proc/self/fd"))
+    log = simulate(prob, sim)
+    assert len(os.listdir("/proc/self/fd")) == fds
+    assert forks == []
+    assert_same_certificates(here, log)
+    assert_no_children()
+
+
+def test_certificates_with_a_live_thread_evaluate_in_process(paper, forked_diag):
+    cfg, _, ref = paper
+    _, prob, sim = build_scenario(dict(cfg, duration=0.05), "scattering")
+    sim.reference = ref
+    forks = forked_diag(True)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        log = simulate(prob, sim)
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert forks == [] and log.abort_reason is None
 
 
 def test_online_diag_reported_after_abort(paper):

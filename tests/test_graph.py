@@ -105,6 +105,11 @@ def test_network_validation():
     # equal within 1e-12, but 0 -> 2 has a weight and 2 -> 0 none
     with pytest.raises(ValueError, match=r"symmetric: a\[0, 2\] = 1e-13 > 0 but a\[2, 0\] = 0"):
         Network([[0.0, 1.0, 1e-13], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
+    # equal within 1e-12 but not exactly: the two ends would couple with
+    # different weights
+    with pytest.raises(ValueError, match=r"symmetric: a\[0, 1\] = 1\.0 but "
+                                         r"a\[1, 0\] = 1\.0000000000001$"):
+        Network([[0.0, 1.0], [1.0 + 1e-13, 0.0]])
     with pytest.raises(ValueError, match="diagonal"):
         Network([[1.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match="nonnegative"):
