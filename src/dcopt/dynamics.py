@@ -46,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import _owner_sums, constraint_force
+from .graph import _owner_sums
+from .problem import constraint_force
 
 __all__ = [
     "CompensatorParams",

@@ -81,7 +81,8 @@ from .dynamics import (
     primal_rate_bound,
     storage_step_defects,
 )
-from .problem import _owner_sum_plan, _owner_sums, constraint_force, kkt_residual
+from .graph import _owner_sum_plan, _owner_sums
+from .problem import constraint_force, kkt_residual
 from .scattering import ChannelEnd, CouplingMatrix, DelayLine, wave_identity_residual
 
 __all__ = [
@@ -146,10 +147,11 @@ def _current_cpu():
         return None
 
 
-def _fork_writer(part, write, lo, hi):
-    """(pid, pipe read end) of a forked child that runs write(f, lo, hi) on
-    the new file part and exits, 1 with its exception pickled into the
-    pipe; it writes nothing to stdout or stderr."""
+def _fork(fn, *args):
+    """(pid, pipe read end) of a forked child that runs fn(*args), writes
+    b"R" and the pickled result, or b"E" and the pickled exception, to the
+    pipe and exits; it writes nothing to stdout or stderr.  An OSError of
+    the fork is raised here, with no pipe end left open."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -160,25 +162,31 @@ def _fork_writer(part, write, lo, hi):
     if pid:
         os.close(w)
         return pid, r
-    code = 1
     try:
-        with open(part, "w", newline="") as f:
-            write(f, lo, hi)
-        code = 0
-    except BaseException as err:  # raised again by the parent
-        os.write(w, pickle.dumps(err))
+        try:
+            out = b"R" + pickle.dumps(fn(*args))
+        except BaseException as err:  # raised again by _join
+            out = b"E" + pickle.dumps(err)
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(out)
     finally:
-        os._exit(code)
+        os._exit(0)
 
 
-def _wait(pid, r):
-    """(all it wrote to the pipe read end r, wait status) of a forked child."""
+def _join(what, pid, fd):
+    """The result of the child (pid, fd) of _fork, once it has exited.  Its
+    exception is raised again; an end without either, by a signal say, is
+    a ChildProcessError naming what."""
     try:
-        with os.fdopen(r, "rb") as pipe:
+        with os.fdopen(fd, "rb") as pipe:
             data = pipe.read()
     finally:
         status = os.waitpid(pid, 0)[1]
-    return data, status
+    if status or data[:1] not in (b"R", b"E"):
+        raise ChildProcessError(f"{what} ended with wait status {status}")
+    if data[:1] == b"E":
+        raise pickle.loads(data[1:])
+    return pickle.loads(data[1:])
 
 
 @dataclass
@@ -250,7 +258,7 @@ class ReferencePoint:
 
     Carries the primal states x (N, n) and their mean z*, the consensus
     multipliers xi* (N, n), and lam*, mu* as concatenated vectors in the
-    multiplier layout of the problem (agent i's are lam[prob.ineq_slices[i]]),
+    multiplier layout of the problem (agent i's are lam[prob.ineq_owner == i]),
     and derives the port and wave offsets of every edge for the rate bounds
     and the delayed Lyapunov function.  From a run:
     ReferencePoint(*log.final_stacks()).
@@ -305,24 +313,24 @@ class TrajectoryLog:
     and a closing sample at the final state (also after an abort), so
     final_stacks() reads the last sample.  Each entry is the engine's own
     array: x, xi, nu, zeta (N, n), rho (N, m, n), lam (L,) and mu (M,) in
-    the problem's multiplier layout (entry k owned by agent ineq_owner[k],
-    eq_owner[k]), and edge_r, edge_p, edge_s_in, edge_s_out (E, 2n), row e
-    for the directed edge edges[e] = (i, j), "agent i's view of neighbor
-    j"; waves exist only in scattering runs.  An entry is None where the
-    sample has none: nu and the edge series at the closing sample, and nu
-    and every edge series but the delayed modes' edge_r at a NaN abort.
+    the problem's multiplier layout (entry k owned by agent
+    problem.ineq_owner[k], problem.eq_owner[k]), and edge_r, edge_p,
+    edge_s_in, edge_s_out (E, 2n), row e for row e of the network's edge
+    table, i <- j with i = own[e] and j = nbr[e], "agent i's view of
+    neighbor j"; waves exist only in scattering runs.  An entry is None
+    where the sample has none: nu and the edge series at the closing
+    sample, and nu and every edge series but the delayed modes' edge_r at
+    a NaN abort.
 
+    problem    the DistributedProblem that was run: N, n, the edge table
+               and the multiplier owners come from it, not from copies
     delays     (E,) quantized channel delays of the edges (delayed modes)
     passivity  online PassivityReport, set when a reference is attached;
                an aborted run keeps the values reached before the abort
     """
 
     config: SimConfig
-    n_agents: int
-    dim: int
-    edges: list = None
-    ineq_owner: np.ndarray = None
-    eq_owner: np.ndarray = None
+    problem: "DistributedProblem"
     t: list = field(default_factory=list)
     x: list = field(default_factory=list)
     xi: list = field(default_factory=list)
@@ -377,14 +385,17 @@ class TrajectoryLog:
                         stream.flush()
                 try:
                     for k, part in enumerate(parts, 1):
-                        children.append(_fork_writer(part, self._write_samples, *bounds[k:k + 2]))
+                        children.append(_fork(self._write_part, part, *bounds[k:k + 2]))
                     self._write_samples(f, *bounds[:2])
                 finally:
-                    ends = [_wait(*child) for child in children]
-                for data, status in ends:
-                    if data or status:
-                        raise pickle.loads(data) if data else ChildProcessError(
-                            f"CSV writer of {path} ended with wait status {status}")
+                    errors = []
+                    for child in children:  # every child is waited for
+                        try:
+                            _join(f"CSV writer of {path}", *child)
+                        except BaseException as err:
+                            errors.append(err)
+                if errors:
+                    raise errors[0]
                 f.flush()
                 for part in parts:
                     with open(part, "rb") as src:  # copyfileobj loops over short writes
@@ -410,6 +421,11 @@ class TrajectoryLog:
             cut = int(np.searchsorted(cost, cost[-1] * k / workers))
             bounds.append(min(max(cut, bounds[-1] + 1), len(cost) - workers + k))
         return bounds + [len(cost)]
+
+    def _write_part(self, part, lo, hi):
+        """Write the rows of samples lo..hi-1 to the new file part."""
+        with open(part, "w", newline="") as f:
+            self._write_samples(f, lo, hi)
 
     def _write_samples(self, f, lo, hi):
         """Write the rows of samples lo..hi-1 to the text file f."""
@@ -465,8 +481,8 @@ class TrajectoryLog:
 
         agent = [("x", rows(starts[0], d)), ("xi", rows(starts[1], d))]
         agent += [(f"rho{q}", rows(starts[2] + q * d, m * d)) for q in range(m)]
-        agent += [("lambda", owned(starts[3], self.ineq_owner)),
-                  ("mu", owned(starts[4], self.eq_owner))]
+        agent += [("lambda", owned(starts[3], self.problem.ineq_owner)),
+                  ("mu", owned(starts[4], self.problem.eq_owner))]
         if nu is not None:
             agent.append(("nu", rows(starts[5], d)))
         agent.append(("zeta", rows(starts[6], d)))
@@ -477,11 +493,13 @@ class TrajectoryLog:
             for var, where in agent:
                 index.append(where[i])
                 labels += [f",agent,{i},{var},{c}," for c in range(where[i].size)]
+        net = self.problem.network
+        edges = list(zip(net.own.tolist(), net.nbr.tolist()))
         for var, start, a in zip(("r", "p", "s_in", "s_out"), starts[7:], arrays[7:]):
             if a is not None:
                 index.append(start + np.arange(a.size))
                 labels += [f",edge,{i}->{j},{var},{c},"
-                           for i, j in self.edges for c in range(a.shape[1])]
+                           for i, j in edges for c in range(a.shape[1])]
         return labels, np.concatenate(index)
 
 
@@ -511,7 +529,7 @@ def lyapunov_delayed(prob, log, ref, comp, upto=None):
     gamma, delta = gamma[fwd], delta[fwd]
     total += 0.5 * float(np.sum(log.delays[fwd] * np.sum(gamma**2, axis=1)
                                 + log.delays[bwd] * np.sum(delta**2, axis=1)))
-    shape = (k, len(log.edges), 2 * log.dim)
+    shape = (k, prob.network.own.size, 2 * prob.dim)
     s_in = np.array(log.edge_s_in[:k]).reshape(shape)
     s_out = np.array(log.edge_s_out[:k]).reshape(shape)
     acc = (np.sum((s_out[:, fwd] + gamma) ** 2) - np.sum((s_in[:, bwd] + gamma) ** 2)
@@ -548,8 +566,8 @@ def passivity_check(prob, log, ref, comp):
     """
     if log.config.log_every != 1:
         raise ValueError("passivity_check needs full-rate logging (log_every=1)")
-    n = log.n_agents
-    dim = log.dim
+    n = prob.n_agents
+    dim = prob.dim
     h = log.config.step
     mode = log.config.mode
     tol = 1e-3
@@ -645,7 +663,7 @@ def _initial_state(prob, cfg):
 def _ineq_entry(prob, k):
     """(agent, local index) of entry k of the concatenated lam."""
     agent = int(prob.ineq_owner[k])
-    return agent, k - prob.ineq_slices[agent].start
+    return agent, k - int(np.searchsorted(prob.ineq_owner, agent))
 
 
 def _largest_entry(prob, state):
@@ -667,8 +685,8 @@ def _non_finite_entry(prob, deriv):
     for i in range(prob.n_agents):
         for name, values in (("rho_dot", deriv.rho_dot[i].ravel()),
                              ("xi_dot", deriv.xi_dot[i]),
-                             ("lam_dot", deriv.lam_dot[prob.ineq_slices[i]]),
-                             ("mu_dot", deriv.mu_dot[prob.eq_slices[i]])):
+                             ("lam_dot", deriv.lam_dot[prob.ineq_owner == i]),
+                             ("mu_dot", deriv.mu_dot[prob.eq_owner == i])):
             bad = ~np.isfinite(values)
             if bad.any():
                 return i, name, float(values[bad][0])
@@ -698,9 +716,7 @@ def simulate(prob, cfg):
     net = prob.network
     own, nbr = net.own, net.nbr
     coupling = CouplingMatrix(net.weight, dim)
-    log = TrajectoryLog(config=cfg, n_agents=n, dim=dim,
-                        edges=list(zip(own.tolist(), nbr.tolist())),
-                        ineq_owner=prob.ineq_owner, eq_owner=prob.eq_owner)
+    log = TrajectoryLog(cfg, prob)
     line = end = None  # line e carries what agent own[e] sends to nbr[e]
     if cfg.mode != "no_delay":
         if cfg.delays is None:
@@ -845,10 +861,10 @@ class _DiagState:
     A run of _DIAG_FORK_STEPS steps or more, with a second CPU, os.fork and
     no other Python thread, forks an evaluator here: the slots are two, in
     one shared mmap, and the child evaluates one while the engine fills the
-    other.  One pipe names the slot to evaluate, one returns it free; at
-    the end the child sends back its reports, or its exception, which the
-    engine raises again.  Used as a context manager, the run reaps the
-    child on every path.
+    other.  One pipe names the slot to evaluate, one returns it free; the
+    child is a _fork of _serve, whose result is its reports, or its
+    exception, which the engine raises again.  Used as a context manager,
+    the run reaps the child on every path.
     """
 
     def __init__(self, prob, ref, comp, cfg, delays, state, steps):
@@ -898,27 +914,22 @@ class _DiagState:
         if forked:
             work, self.work = os.pipe()
             self.free, free = os.pipe()
-            cpu = _current_cpu()
             try:
-                self.pid = os.fork()
+                self.pid, self.result = _fork(self._serve, work, free, _current_cpu())
             except OSError:  # evaluate in this process
-                for fd in (work, self.work, self.free, free):
-                    os.close(fd)
-                return
-            if not self.pid:
                 os.close(self.work)
                 os.close(self.free)
-                self._serve(work, free, cpu)
-            os.close(work)
-            os.close(free)
+            finally:
+                os.close(work)
+                os.close(free)
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
         if self.pid is not None:  # the run raised: the child's reports are moot
-            os.close(self.work)
-            os.close(self.free)
+            for fd in (self.work, self.free, self.result):
+                os.close(fd)
             os.waitpid(self.pid, 0)
             self.pid = None
 
@@ -941,7 +952,7 @@ class _DiagState:
                 rows[self.j] = value
         if self.j:
             self._hand_off(closing is not None)
-        excess, wave_max, *series = self._join() if self.pid else self._reports()
+        excess, wave_max, *series = self._join_evaluator() if self.pid else self._reports()
         log.passivity = PassivityReport(*excess, wave_identity_max=wave_max)
         log.diag_t, log.lyap_direct, log.lyap_delayed = series
 
@@ -954,56 +965,44 @@ class _DiagState:
             try:
                 os.write(self.work, _DIAG_MSG.pack(self.s, self.j, closing))
             except BrokenPipeError:  # the evaluator ended: raise its error
-                self._join()
+                self._join_evaluator()
             self.s ^= 1
-            if self.busy:  # the other slot is still being evaluated
-                msg = os.read(self.free, 1)
-                if msg not in (b"\0", b"\1"):
-                    self._join(msg)
+            # the other slot is still being evaluated; no byte: the evaluator ended
+            if self.busy and not os.read(self.free, 1):
+                self._join_evaluator()
             self.busy = True
         self.j = 0
 
-    def _join(self, head=b""):
-        """The evaluator's reports, once the pipe is closed; its exception
-        is raised again, and an end without reports is a ChildProcessError."""
+    def _join_evaluator(self):
+        """The evaluator's reports, once the work pipe is closed; its
+        exception is raised again.  The free pipe stays open until then, as
+        the evaluator returns its last slot after the work pipe closes."""
         os.close(self.work)
-        data, status = _wait(self.pid, self.free)
-        self.pid = None
-        data = (head + data).lstrip(b"\0\1")  # slots freed since the last read
-        if data[:1] == b"E":
-            raise pickle.loads(data[1:])
-        if data[:1] != b"R" or status:
-            raise ChildProcessError(f"certificate evaluator ended with wait status {status}")
-        return pickle.loads(data[1:])
+        try:
+            return _join("certificate evaluator", self.pid, self.result)
+        finally:
+            os.close(self.free)
+            self.pid = None
 
     def _serve(self, work, free, cpu):
-        """The evaluator: evaluate each slot named on the pipe work and
-        return it on free; at the end of work, send b"R" and the pickled
-        reports, or b"E" and an exception, on free, and exit.  It keeps off
-        cpu, the engine's CPU at the fork: woken on the engine's CPU, as the
-        scheduler tends to place it, it would wait for the engine or stall
-        it (2-core VM: each hand-off took the engine 1.1 ms, a whole block's
-        evaluation)."""
-        code, out = 1, b""
-        try:
-            others = os.sched_getaffinity(0) - {cpu} if hasattr(os, "sched_setaffinity") else ()
-            with contextlib.suppress(OSError):  # a set it may not use: stay anywhere
-                if others:
-                    os.sched_setaffinity(0, others)
-            with os.fdopen(work, "rb") as inbox, np.errstate(all="ignore"):
-                while msg := inbox.read(_DIAG_MSG.size):
-                    slot, j, closing = _DIAG_MSG.unpack(msg)
-                    self._evaluate(slot, j, closing)
-                    os.write(free, bytes((slot,)))  # one byte: written whole
-            out, code = b"R" + pickle.dumps(self._reports()), 0
-        except BaseException as err:  # raised again by the engine
-            out = b"E" + pickle.dumps(err)
-        finally:
-            try:
-                with os.fdopen(free, "wb") as outbox:
-                    outbox.write(out)
-            finally:
-                os._exit(code)
+        """The evaluator, in the child: evaluate each slot named on the pipe
+        work and return it on free until work ends; then the reports.  It
+        keeps off cpu, the engine's CPU at the fork: woken on the engine's
+        CPU, as the scheduler tends to place it, it would wait for the
+        engine or stall it (2-core VM: each hand-off took the engine 1.1 ms,
+        a whole block's evaluation)."""
+        os.close(self.work)
+        os.close(self.free)
+        others = os.sched_getaffinity(0) - {cpu} if hasattr(os, "sched_setaffinity") else ()
+        with contextlib.suppress(OSError):  # a set it may not use: stay anywhere
+            if others:
+                os.sched_setaffinity(0, others)
+        with os.fdopen(work, "rb") as inbox, np.errstate(all="ignore"):
+            while msg := inbox.read(_DIAG_MSG.size):
+                slot, j, closing = _DIAG_MSG.unpack(msg)
+                self._evaluate(slot, j, closing)
+                os.write(free, bytes((slot,)))  # one byte: written whole
+        return self._reports()
 
     def _reports(self):
         return self.excess, self.wave_max, self.diag_t, self.lyap_direct, self.lyap_delayed

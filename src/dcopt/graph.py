@@ -1,4 +1,8 @@
-"""Undirected weighted agent networks and their Laplacians."""
+"""Undirected weighted agent networks, their Laplacians and the sums over
+what each agent owns."""
+
+import functools
+import math
 
 import numpy as np
 
@@ -6,7 +10,6 @@ __all__ = [
     "Network",
     "ring",
     "laplacian_apply",
-    "is_connected",
 ]
 
 
@@ -26,6 +29,7 @@ class Network:
     order: own[e] = i, nbr[e] = j, weight[e] = a[i, j] as an (E, 1) column
     and rev[e] the row of j <- i.  Channel c, one per undirected edge,
     joins row fwd[c] = i <- j with i < j and its reverse bwd[c] = j <- i.
+    The table is the network's only stored form; the matrix is not kept.
     """
 
     def __init__(self, adjacency):
@@ -47,14 +51,16 @@ class Network:
             aij, aji = float(a[i, j]), float(a[j, i])
             raise ValueError(f"adjacency must be symmetric: a[{i}, {j}] = {aij!r} "
                              f"{'> 0 ' if aji == 0.0 else ''}but a[{j}, {i}] = {aji!r}")
-        positive = a > 0.0
-        a.setflags(write=False)
-        self.adjacency = a
-        self.n_agents = a.shape[0]
-        if not is_connected(self):
+        n = self.n_agents = len(a)
+        flat = np.flatnonzero(a > 0.0)
+        self.own, self.nbr = np.divmod(flat, n)
+        # agent 0's reach grows by one edge per pass; N - 1 passes span a
+        # connected network
+        reach = np.arange(n) == 0
+        for _ in range(n - 1):
+            reach[self.own[reach[self.nbr]]] = True
+        if not reach.all():
             raise ValueError("network is not connected")
-        flat = np.flatnonzero(positive)
-        self.own, self.nbr = np.divmod(flat, len(a))
         self.weight = a.take(flat)[:, None]
         # the rows sorted by (j, i): the edge set is symmetric, so the k-th
         # of them is the reverse of row k
@@ -88,20 +94,45 @@ def ring(n_agents, weight=1.0):
 def laplacian_apply(net, v):
     """Blockwise Laplacian action on stacked per-agent vectors.
 
-    v has shape (N, n) or (N,); row i of the result is sum_j a_ij (v_i - v_j).
+    v has shape (N, n) or (N,), any other row count is a ValueError; row i
+    of the result is sum_j a_ij (v_i - v_j), as deg_i v_i minus the
+    weighted sum of the neighbors' rows, both summed over the edge table.
     """
     v = np.asarray(v, dtype=float)
-    a = net.adjacency
-    return (a.sum(axis=1) * v.T).T - a @ v
+    n = net.n_agents
+    if v.shape[:1] != (n,):
+        raise ValueError(f"v: expected {n} rows, got shape {v.shape}")
+    own, w = net.own, net.weight.reshape((-1,) + (1,) * (v.ndim - 1))
+    deg = _owner_sums(own, n, w)
+    return deg * v - _owner_sums(own, n, w * v[net.nbr])
 
 
-def is_connected(net):
-    """True when every agent is reachable over positive-weight edges."""
-    seen = np.zeros(net.n_agents, dtype=bool)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        reached = (net.adjacency[stack.pop()] > 0.0) & ~seen
-        seen |= reached
-        stack.extend(np.flatnonzero(reached).tolist())
-    return bool(seen.all())
+def _owner_sums(owner, n_agents, rows, axis=0):
+    """Sums of rows by owning agent: rows B + (K,) + W, whose K entries
+    along axis belong to the agents owner (K,) (multiplier entries by
+    ineq_owner or eq_owner, edges by receiving agent), give B + (N,) + W.
+    Entry k adds into agent owner[k] of its own leading row alone, so a
+    non-finite entry stays with its own agent and row; each agent's
+    entries are added in their order along axis."""
+    bins, size, shape = _owner_sum_plan(owner, n_agents, rows.shape, axis)
+    return np.bincount(bins, weights=rows.ravel(), minlength=size).reshape(shape)
+
+
+def _owner_sum_plan(owner, n_agents, shape, axis=0):
+    """(bins, bin count, sum shape) of _owner_sums for rows of this shape,
+    made once per owner array, shape and axis; a per-step caller takes it
+    once per run."""
+    return _bins(owner.dtype.str, owner.tobytes(), n_agents, shape, axis % len(shape))
+
+
+@functools.lru_cache(maxsize=64)
+def _bins(dtype, owner, n, shape, axis):
+    """_owner_sum_plan, keyed by the owner array's dtype and bytes: entry
+    (b, k, w) goes to bin (b n + owner[k]) W + w."""
+    owner = np.frombuffer(owner, dtype=dtype)
+    head, tail = shape[:axis], shape[axis + 1:]
+    b, w = math.prod(head), math.prod(tail)
+    bins = (owner[:, None] * w + np.arange(w)).ravel()
+    bins = (bins + n * w * np.arange(b)[:, None]).ravel()
+    bins.setflags(write=False)
+    return bins, b * n * w, head + (n,) + tail

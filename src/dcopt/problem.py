@@ -9,8 +9,6 @@ Only first-order information (value, gradient) is required of any function.
 """
 
 import functools
-import itertools
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -192,8 +190,8 @@ class DistributedProblem:
     It also fixes the network's multiplier layout: the inequality
     multipliers form one vector lam, the agents' lam_i concatenated in agent
     order, and the equality multipliers one vector mu likewise.
-    ineq_owner[k] (eq_owner[k]) is the agent that owns entry k, and
-    ineq_slices[i] (eq_slices[i]) selects agent i's entries.  The
+    ineq_owner[k] (eq_owner[k]) is the agent that owns entry k, the layout's
+    only stored form: lam[ineq_owner == i] are agent i's entries.  The
     constraint rows of LocalTerms follow [lam; mu]: entry k of [g; h]
     belongs to agent _owner[k] and function _constraints[k].
     """
@@ -209,8 +207,8 @@ class DistributedProblem:
         self.local_problems = locs
         self.dim = locs[0].dim
         self.n_agents = network.n_agents
-        self.ineq_owner, self.ineq_slices = _layout([p.n_ineq for p in locs])
-        self.eq_owner, self.eq_slices = _layout([p.n_eq for p in locs])
+        self.ineq_owner = np.repeat(np.arange(len(locs)), [p.n_ineq for p in locs])
+        self.eq_owner = np.repeat(np.arange(len(locs)), [p.n_eq for p in locs])
         self._owner = np.concatenate([self.ineq_owner, self.eq_owner])
         self._constraints = tuple([f for p in locs for f in p.inequalities]
                                   + [f for p in locs for f in p.equalities])
@@ -269,44 +267,6 @@ class DistributedProblem:
         values = np.array([f.value(xk) for f, xk in at], dtype=float)
         rows = np.array([f.gradient(xk) for f, xk in at], dtype=float).reshape(-1, self.dim)
         return LocalTerms(grad, -grad, values, rows, cut)
-
-
-def _layout(counts):
-    """(owner of each entry, slice of each agent) for per-agent counts."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    ends = itertools.accumulate(counts)
-    return owner, tuple(slice(e - c, e) for c, e in zip(counts, ends))
-
-
-def _owner_sums(owner, n_agents, rows, axis=0):
-    """Sums of rows by owning agent: rows B + (K,) + W, whose K entries
-    along axis belong to the agents owner (K,) (multiplier entries by
-    ineq_owner or eq_owner, edges by receiving agent), give B + (N,) + W.
-    Entry k adds into agent owner[k] of its own leading row alone, so a
-    non-finite entry stays with its own agent and row; each agent's
-    entries are added in their order along axis."""
-    bins, size, shape = _owner_sum_plan(owner, n_agents, rows.shape, axis)
-    return np.bincount(bins, weights=rows.ravel(), minlength=size).reshape(shape)
-
-
-def _owner_sum_plan(owner, n_agents, shape, axis=0):
-    """(bins, bin count, sum shape) of _owner_sums for rows of this shape,
-    made once per owner array, shape and axis; a per-step caller takes it
-    once per run."""
-    return _bins(owner.dtype.str, owner.tobytes(), n_agents, shape, axis % len(shape))
-
-
-@functools.lru_cache(maxsize=64)
-def _bins(dtype, owner, n, shape, axis):
-    """_owner_sum_plan, keyed by the owner array's dtype and bytes: entry
-    (b, k, w) goes to bin (b n + owner[k]) W + w."""
-    owner = np.frombuffer(owner, dtype=dtype)
-    head, tail = shape[:axis], shape[axis + 1:]
-    b, w = math.prod(head), math.prod(tail)
-    bins = (owner[:, None] * w + np.arange(w)).ravel()
-    bins = (bins + n * w * np.arange(b)[:, None]).ravel()
-    bins.setflags(write=False)
-    return bins, b * n * w, head + (n,) + tail
 
 
 def constraint_force(prob, terms, lam, mu):

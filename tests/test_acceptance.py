@@ -21,7 +21,7 @@ from dcopt.cli import (
     run,
     validate_config,
 )
-from test_engine import direct_primal_dual_run, three_agent_quadratic
+from test_engine import direct_primal_dual_run, ring_matrix, three_agent_quadratic
 
 CONVERGED_DURATION = 60.0
 BASELINE_DURATION = 200.0
@@ -224,14 +224,14 @@ def test_criterion_08_pure_integrator_reduction(capfd):
         compensator=CompensatorParams.pure_integrator(), log_every=1,
     )
     log = simulate(prob, cfg)
-    dx, dxi, dlam, dmu = direct_primal_dual_run(prob, duration, step)
+    dx, dxi, dlam, dmu = direct_primal_dual_run(prob, ring_matrix(3, 2.0), duration, step)
     worst = 0.0
     for s in range(len(dx)):
         worst = max(worst, float(np.abs(log.x[s] - dx[s]).max()))
         worst = max(worst, float(np.abs(log.xi[s] - dxi[s]).max()))
         for i in range(3):
-            lam = log.lam[s][prob.ineq_slices[i]]
-            mu = log.mu[s][prob.eq_slices[i]]
+            lam = log.lam[s][prob.ineq_owner == i]
+            mu = log.mu[s][prob.eq_owner == i]
             if dlam[s][i].size:
                 worst = max(worst, float(np.abs(lam - dlam[s][i]).max()))
             if dmu[s][i].size:

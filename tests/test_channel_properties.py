@@ -6,8 +6,9 @@ one-edge objects give row by row.  The recovered port pair must imply the
 incoming wave and satisfy the wave power identity, a delay line must hand
 each sample out exactly its delay later, and the Laplacian of a connected
 network must be symmetric positive semidefinite with the ones vector in
-its null space.  The sums by owning agent, which the port efforts, the
-storages and the defects share, must equal a plain loop bit for bit.
+its null space, and equal the dense matrix built from the input weights.
+The sums by owning agent, which the port efforts, the storages and the
+defects share, must equal a plain loop bit for bit.
 """
 
 import numpy as np
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcopt.graph import Network, laplacian_apply
-from dcopt.problem import _owner_sums
+from dcopt.graph import Network, _owner_sums, laplacian_apply, ring
+from test_engine import ring_matrix
 from dcopt.scattering import (
     ChannelEnd,
     CouplingMatrix,
@@ -207,6 +208,32 @@ def test_laplacian_symmetric_psd_with_ones_null_space(a):
     scale = float(a.sum(axis=1).max())
     assert np.linalg.eigvalsh(lap).min() >= -1e-12 * scale
     np.testing.assert_allclose(lap @ np.ones(len(a)), 0.0, rtol=0.0, atol=1e-13 * scale)
+
+
+@PROPERTY
+@given(connected_adjacency(), st.integers(0, 3), st.data())
+def test_laplacian_apply_equals_the_dense_matrix(a, width, data):
+    # the network stores only its edge table; the dense Laplacian is built
+    # here from the matrix it was given.  width 0 is a (N,) input
+    n = len(a)
+    shape = (n,) if width == 0 else (n, width)
+    v = data.draw(arrays(float, shape, elements=finite))
+    dense = (np.diag(a.sum(1)) - a) @ v
+    scale = float(a.sum(axis=1).max()) * max(1.0, float(np.abs(v).max(initial=0.0)))
+    got = laplacian_apply(Network(a), v)
+    assert got.shape == shape
+    np.testing.assert_allclose(got, dense, rtol=1e-12, atol=1e-12 * scale)
+
+
+def test_laplacian_apply_is_bit_equal_on_the_cli_ring():
+    # on ring(N, 4), the CLI's graph, the edge sums round exactly as the
+    # dense deg_i v_i - (A v)_i did
+    rng = np.random.default_rng(19)
+    for n in range(3, 11):
+        a = ring_matrix(n, 4.0)
+        for v in (rng.normal(size=(n, 6)), rng.normal(size=n)):
+            dense = (a.sum(1) * v.T).T - a @ v
+            assert laplacian_apply(ring(n, 4.0), v).tobytes() == dense.tobytes()
 
 
 def loop_sums(owner, n_agents, rows, axis):

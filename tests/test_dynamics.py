@@ -109,8 +109,6 @@ def test_zero_state_shapes():
     # the multiplier layout: agent 0 owns lam[0:2] and mu[0:1]
     assert prob.ineq_owner.tolist() == [0, 0, 1]
     assert prob.eq_owner.tolist() == [0]
-    assert prob.ineq_slices == (slice(0, 2), slice(2, 3))
-    assert prob.eq_slices == (slice(0, 1), slice(1, 1))
     with pytest.raises(ValueError):
         AgentState.zeros(comp, prob, lam0=0.0)
 
@@ -507,7 +505,7 @@ def test_network_kernels_equal_one_agent_values():
     defects_net = storage_step_defects(prob, comp, st, d, lam_star, h)
     for i, loc in enumerate(locs):
         one = alone(loc)
-        li, mi = prob.ineq_slices[i], prob.eq_slices[i]
+        li, mi = prob.ineq_owner == i, prob.eq_owner == i
         st_i = AgentState(st.rho[i:i + 1], st.xi[i:i + 1], st.lam[li], st.mu[mi])
         d_i = type(d)(d.rho_dot[i:i + 1], d.xi_dot[i:i + 1], d.lam_dot[li],
                       d.mu_dot[mi], d.nu[i:i + 1], d.grad[i:i + 1], d.zeta[i:i + 1])

@@ -25,14 +25,13 @@ from dcopt import engine
 from dcopt.cli import build_scenario, compute_reference, validate_config
 from dcopt.dynamics import CompensatorParams, derivatives
 from dcopt.engine import TrajectoryLog
-from dcopt.graph import Network
+from dcopt.graph import Network, _owner_sums
 from dcopt.problem import (
     AffineFunction,
     DistributedProblem,
     LocalProblem,
     QuadraticFunction,
     ScalarFunction,
-    _owner_sums,
 )
 from dcopt.scattering import CouplingMatrix
 
@@ -64,16 +63,30 @@ def three_agent_quadratic():
     return DistributedProblem(net, locs)
 
 
-def chord_quadratic():
-    """three_agent_quadratic's agents and a fourth pulled toward 3 (x* = 3
-    still), on a graph that is no ring: edges 0-1 (weight 1.0), 1-2 (2.5),
-    2-3 (4.0) and the chord 0-2 (0.5)."""
+def ring_matrix(n, weight):
+    """The adjacency matrix of ring(n, weight), built here, not read from
+    the network."""
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[i, (i + 1) % n] = a[(i + 1) % n, i] = weight
+    return a
+
+
+def chord_matrix():
+    """chord_quadratic's adjacency: edges 0-1 (weight 1.0), 1-2 (2.5), 2-3
+    (4.0) and the chord 0-2 (0.5)."""
     a = np.zeros((4, 4))
     for i, j, w in ((0, 1, 1.0), (1, 2, 2.5), (2, 3, 4.0), (0, 2, 0.5)):
         a[i, j] = a[j, i] = w
+    return a
+
+
+def chord_quadratic():
+    """three_agent_quadratic's agents and a fourth pulled toward 3 (x* = 3
+    still), on a graph that is no ring, chord_matrix()."""
     locs = list(three_agent_quadratic().local_problems)
     locs.append(LocalProblem(QuadraticFunction([[1.0]], [-3.0])))
-    return DistributedProblem(Network(a), locs)
+    return DistributedProblem(Network(chord_matrix()), locs)
 
 
 def per_edge(net, delay):
@@ -205,11 +218,11 @@ def csv_oracle(prob, log):
                 row("global", "net", "lyapunov_direct", 0, log.lyap_direct[k])
             if log.lyap_delayed:
                 row("global", "net", "lyapunov_delayed", 0, log.lyap_delayed[k])
-        for i in range(log.n_agents):
+        for i in range(prob.n_agents):
             agent = [("x", log.x[s][i]), ("xi", log.xi[s][i])]
             agent += [(f"rho{k}", v) for k, v in enumerate(log.rho[s][i])]
-            agent += [("lambda", log.lam[s][prob.ineq_slices[i]]),
-                      ("mu", log.mu[s][prob.eq_slices[i]])]
+            agent += [("lambda", log.lam[s][prob.ineq_owner == i]),
+                      ("mu", log.mu[s][prob.eq_owner == i])]
             if log.nu[s] is not None:
                 agent.append(("nu", log.nu[s][i]))
             agent.append(("zeta", log.zeta[s][i]))
@@ -220,7 +233,7 @@ def csv_oracle(prob, log):
                             (log.edge_s_in, "s_in"), (log.edge_s_out, "s_out")):
             if series[s] is None:
                 continue
-            for (i, j), vec in zip(log.edges, series[s]):
+            for i, j, vec in zip(prob.network.own, prob.network.nbr, series[s]):
                 for c in range(vec.size):
                     row("edge", f"{i}->{j}", var, c, vec[c])
     return "\n".join(lines) + "\n"
@@ -362,7 +375,7 @@ def test_to_csv_matches_row_oracle(tmp_path, name):
         assert {row[3] for row in rows} >= {"x", "xi", "rho1", "lambda", "mu", "nu", "zeta",
                                             "r", "p", "s_in", "s_out", "kkt_comp_slack"}
     else:  # matching_n8: the size the benchmark writes, closing sample off grid
-        assert (prob.n_agents, prob.dim, len(log.edges)) == (8, 64, 16)
+        assert (prob.n_agents, prob.dim, len(prob.network.own)) == (8, 64, 16)
         assert log.rho[0].shape[1] == 2
         assert np.bincount(prob.ineq_owner).tolist() == [8] * 8
         assert log.t[-1] == pytest.approx(0.05) and round(log.t[-2] / 1e-3) == 49
@@ -374,17 +387,17 @@ def forked_csv(monkeypatch):
     """force(workers): to_csv splits any log over that many CPUs from now
     on; returns the list of the sample bounds each forked child got."""
     forks = []
-    fork_writer = engine._fork_writer
+    fork = engine._fork
 
-    def counted(part, write, lo, hi):
+    def counted(fn, part, lo, hi):
         forks.append((lo, hi))
-        return fork_writer(part, write, lo, hi)
+        return fork(fn, part, lo, hi)
 
     def force(workers):
         monkeypatch.setattr(engine, "_CSV_FORK_ROWS", 0)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)),
                             raising=False)
-        monkeypatch.setattr(engine, "_fork_writer", counted)
+        monkeypatch.setattr(engine, "_fork", counted)
         return forks
 
     return force
@@ -728,10 +741,11 @@ def assert_logged_ports(log, lag):
     (zeros before that), and p_ij = E (r_ij - [x_i; xi_i])."""
     e = CouplingMatrix(1.0, 1)
     u = [np.concatenate([x, xi], axis=1) for x, xi in zip(log.x, log.xi)]
-    assert log.edges == [(0, 1), (1, 0)]
+    net = log.problem.network
+    assert (net.own.tolist(), net.nbr.tolist()) == ([0, 1], [1, 0])
     for s in range(len(log.t) - 1):  # the closing sample has no ports
         assert log.edge_r[s].shape == log.edge_p[s].shape == (2, 2)
-        for (i, j), r, p in zip(log.edges, log.edge_r[s], log.edge_p[s]):
+        for i, j, r, p in zip(net.own, net.nbr, log.edge_r[s], log.edge_p[s]):
             want = u[s - lag][j] if s >= lag else np.zeros(2)
             assert np.array_equal(r, want)
             assert np.array_equal(p, e.apply(r - u[s][i]))
@@ -924,25 +938,25 @@ def test_lyapunov_direct_zero_at_reference():
     assert first_sample(rho) > 0.0
 
 
-def direct_primal_dual_run(prob, duration, step, lam0=0.01, comp=None,
+def direct_primal_dual_run(prob, a, duration, step, lam0=0.01, comp=None,
                            delay_steps=None):
     """Primal-dual gradient flow through m compensator stages, Euler-stepped:
     the engine's target in the two direct modes.
 
     Independent of the engine: keeps raw per-agent (rho, xi, lam, mu) arrays
-    and walks the textbook field directly.  comp defaults to the pure
-    integrator (m = 1), the plain primal-dual flow.  delay_steps maps each
-    directed edge (i, j) to the whole steps agent j's view of agent i lags
-    (zeros before that, the naive_delay exchange); None means no delay.
+    and walks the textbook field directly over a, the dense adjacency
+    matrix the test built prob's network from, not the network's edge
+    table.  comp defaults to the pure integrator (m = 1), the plain
+    primal-dual flow.  delay_steps maps each directed edge (i, j) to the
+    whole steps agent j's view of agent i lags (zeros before that, the
+    naive_delay exchange); None means no delay.
     """
-    net = prob.network
     n, dim = prob.n_agents, prob.dim
     b, c = (comp.b, comp.c) if comp is not None else ([0.0], [1.0])
     rho = np.zeros((n, len(b), dim))
     xi = np.zeros((n, dim))
     lam = [np.full(p.n_ineq, lam0) for p in prob.local_problems]
     mu = [np.zeros(p.n_eq) for p in prob.local_problems]
-    a = net.adjacency
     out_x, out_xi, out_lam, out_mu = [], [], [], []
     for k in range(int(round(duration / step))):
         x = rho.sum(axis=1)
@@ -982,9 +996,12 @@ def direct_primal_dual_run(prob, duration, step, lam0=0.01, comp=None,
     return out_x, out_xi, out_lam, out_mu
 
 
-def assert_matches_direct_flow(comp, mode, delay_steps=None, prob=None, duration=2.0):
+def assert_matches_direct_flow(comp, mode, delay_steps=None, prob=None, a=None, duration=2.0):
+    """simulate against the oracle on prob, built on the adjacency matrix a
+    (default: three_agent_quadratic on its ring)."""
     if prob is None:
         prob = three_agent_quadratic()  # constraint counts 1/0/0 and 0/0/1
+        a = ring_matrix(3, 2.0)
     step = 1e-3
     delays = None
     if delay_steps is not None:
@@ -993,14 +1010,14 @@ def assert_matches_direct_flow(comp, mode, delay_steps=None, prob=None, duration
                     compensator=comp, log_every=1)
     log = simulate(prob, cfg)
     assert log.abort_reason is None
-    dx, dxi, dlam, dmu = direct_primal_dual_run(prob, duration, step, comp=comp,
+    dx, dxi, dlam, dmu = direct_primal_dual_run(prob, a, duration, step, comp=comp,
                                                 delay_steps=delay_steps)
     assert len(log.t) == len(dx)
     for s in range(len(dx)):
         assert np.allclose(log.x[s], dx[s], atol=1e-12, rtol=0.0)
         assert np.allclose(log.xi[s], dxi[s], atol=1e-12, rtol=0.0)
         for i in range(prob.n_agents):
-            lam, mu = log.lam[s][prob.ineq_slices[i]], log.mu[s][prob.eq_slices[i]]
+            lam, mu = log.lam[s][prob.ineq_owner == i], log.mu[s][prob.eq_owner == i]
             assert np.allclose(lam, dlam[s][i], atol=1e-12, rtol=0.0)
             assert np.allclose(mu, dmu[s][i], atol=1e-12, rtol=0.0)
 
@@ -1045,7 +1062,7 @@ def test_direct_flow_oracle_on_matching_lp(agents, seed, stages, mode):
     if stages == 3:
         comp = CompensatorParams(np.array([0.0, 2.0, 7.0]), np.array([1.0, 4.0, 9.0]))
     assert_matches_direct_flow(comp, mode, edge_steps(prob.network, mode), prob=prob,
-                               duration=0.5)
+                               a=ring_matrix(agents, 4.0), duration=0.5)
 
 
 @pytest.mark.parametrize("mode", ["no_delay", "naive_delay"])
@@ -1053,7 +1070,8 @@ def test_direct_flow_oracle_on_matching_lp(agents, seed, stages, mode):
 def test_direct_flow_oracle_on_chord_graph(m, mode):
     prob = chord_quadratic()
     comp = CompensatorParams.pure_integrator() if m == 1 else SimConfig().compensator
-    assert_matches_direct_flow(comp, mode, edge_steps(prob.network, mode), prob=prob)
+    assert_matches_direct_flow(comp, mode, edge_steps(prob.network, mode), prob=prob,
+                               a=chord_matrix())
 
 
 def scattering_cfg(delays, **kw):
@@ -1200,18 +1218,17 @@ def forked_diag(monkeypatch):
     far as it can tell) or in this process (False); returns the list of the
     pids forked."""
     forks = []
-    fork = os.fork
+    fork = engine._fork
 
-    def counted():
-        pid = fork()
-        if pid:
-            forks.append(pid)
-        return pid
+    def counted(fn, *args):
+        pid, fd = fork(fn, *args)
+        forks.append(pid)
+        return pid, fd
 
     def force(forked=True):
         monkeypatch.setattr(engine, "_DIAG_FORK_STEPS", 0 if forked else 2**63)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(os, "fork", counted)
+        monkeypatch.setattr(engine, "_fork", counted)
         return forks
 
     return force
@@ -1438,8 +1455,10 @@ def test_lyapunov_delayed_needs_full_rate_scattering_log():
         lyapunov_delayed(prob, log, ref, comp)
     log, ref, comp = run("scattering", 2)
     # the delays the channels realize, quantized to whole steps, in the
-    # order of log.edges, the network's edge table
-    assert log.edges == [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
+    # order of the network's edge table
+    net = log.problem.network
+    assert list(zip(net.own.tolist(), net.nbr.tolist())) == [
+        (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
     np.testing.assert_allclose(log.delays, 0.2, rtol=1e-12)
     with pytest.raises(ValueError, match=r"full-rate logging \(log_every=1\)"):
         lyapunov_delayed(prob, log, ref, comp)
@@ -1542,4 +1561,5 @@ def test_local_terms_loop_path_with_state_dependent_rows():
     assert terms.rows.tolist() == [[2.0], [1.0]]
     assert prob.local_terms(2.0 * x).rows.tolist() == [[4.0], [1.0]]
     # the engine follows the independent loop on this problem too
-    assert_matches_direct_flow(SimConfig().compensator, "no_delay", prob=prob)
+    assert_matches_direct_flow(SimConfig().compensator, "no_delay", prob=prob,
+                               a=ring_matrix(3, 2.0))

@@ -1,5 +1,7 @@
 """Network construction, its edge table, Laplacian algebra, connectivity."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from hypothesis import strategies as st
 
 from dcopt import ring
 from dcopt.cli import sample_delays
-from dcopt.graph import Network, is_connected, laplacian_apply
+from dcopt.graph import Network, laplacian_apply
+from test_engine import ring_matrix
 
 
 def edge_list(net):
@@ -21,7 +24,7 @@ def test_ring_structure():
     assert [(i, j, w) for i, j, w in edge_list(net) if i < j] == [
         (0, 1, 4.0), (0, 4, 4.0), (1, 2, 4.0), (2, 3, 4.0), (3, 4, 4.0)]
     assert net.weight.shape == (10, 1)
-    assert np.flatnonzero(net.adjacency[0]).tolist() == [1, 4]
+    assert net.nbr[net.own == 0].tolist() == [1, 4]
     assert repr(net) == "Network(n_agents=5, n_edges=5)"
 
 
@@ -30,7 +33,7 @@ def test_two_agent_ring_single_edge():
     assert edge_list(net) == [(0, 1, 1.5), (1, 0, 1.5)]
     assert net.rev.tolist() == [1, 0]
     assert (net.fwd.tolist(), net.bwd.tolist()) == ([0], [1])
-    assert net.adjacency[0, 1] == 1.5
+    assert net.weight[net.fwd, 0].tolist() == [1.5]
 
 
 @st.composite
@@ -120,12 +123,6 @@ def test_network_validation():
         Network(np.zeros((3, 3)))
 
 
-def test_adjacency_read_only():
-    net = ring(3)
-    with pytest.raises(ValueError):
-        net.adjacency[0, 1] = 7.0
-
-
 def test_laplacian_known_matrix():
     net = ring(3, 2.0)
     lap = laplacian_apply(net, np.eye(3))
@@ -150,13 +147,20 @@ def test_laplacian_rows_sum_to_zero():
 
 def test_laplacian_apply_matches_matrix():
     rng = np.random.default_rng(11)
-    net = ring(5, 4.0)
-    a = net.adjacency
+    a = ring_matrix(5, 4.0)
+    net = Network(a)
     lap = np.diag(a.sum(1)) - a
     v = rng.normal(size=(5, 3))
     assert np.allclose(laplacian_apply(net, v), lap @ v, atol=1e-14)
     w = rng.normal(size=5)
     assert np.allclose(laplacian_apply(net, w), lap @ w, atol=1e-14)
+
+
+def test_laplacian_apply_checks_the_row_count():
+    # a gather over the edge table would read rows 0..2 and drop row 3
+    for v in (np.ones((4, 2)), np.ones(2), np.float64(1.0)):
+        with pytest.raises(ValueError, match=re.escape(f"v: expected 3 rows, got shape {v.shape}")):
+            laplacian_apply(ring(3), v)
 
 
 def test_laplacian_apply_kills_consensus():
@@ -170,7 +174,7 @@ def test_is_connected_path_vs_split():
     a[0, 1] = a[1, 0] = 1.0
     a[1, 2] = a[2, 1] = 1.0
     a[2, 3] = a[3, 2] = 1.0
-    assert is_connected(Network(a))
+    assert Network(a).n_agents == 4  # connected: no error
     b = np.zeros((4, 4))
     b[0, 1] = b[1, 0] = 1.0
     b[2, 3] = b[3, 2] = 1.0

@@ -243,7 +243,7 @@ def loop_terms(prob, x, lam, mu):
     """(g, h, zeta) agent by agent, from each function's value and gradient."""
     g, h, zeta = [], [], np.zeros_like(x)
     for i, p in enumerate(prob.local_problems):
-        li, mi = lam[prob.ineq_slices[i]], mu[prob.eq_slices[i]]
+        li, mi = lam[prob.ineq_owner == i], mu[prob.eq_owner == i]
         g += [f.value(x[i]) for f in p.inequalities]
         h += [f.value(x[i]) for f in p.equalities]
         for w, f in zip(np.concatenate([li**2, mi]), p.inequalities + p.equalities):

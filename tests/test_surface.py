@@ -53,7 +53,7 @@ SUBMODULE_ALL = {
                  "primal_rate_bound", "multiplier_rate_bound", "storage_step_defects"],
     "engine": ["MODES", "SimConfig", "ReferencePoint", "TrajectoryLog", "simulate",
                "lyapunov_delayed", "passivity_check", "PassivityReport"],
-    "graph": ["Network", "ring", "laplacian_apply", "is_connected"],
+    "graph": ["Network", "ring", "laplacian_apply"],
     "matching": ["MatchingInstance", "generate_instance", "build_distributed_problem",
                  "brute_force_optimal", "assignment_cost", "extract_assignment"],
     "problem": ["ScalarFunction", "AffineFunction", "QuadraticFunction",
