@@ -16,10 +16,9 @@ clamped.  The whole network steps as one state (AgentState): its stacked
 arrays are read-only attributes, views of one flat vector z taken once per
 state from a slice table that is computed once per layout, so an Euler
 step is one vector update, and the storage, bound and defect kernels
-return one value per agent.  Those kernels also take a block of states
-and derivatives stacked along leading axes, (K, N, ...), and reduce over
-the trailing axes only, so the online diagnostics evaluate K steps in one
-call.
+return one value per agent.  Those kernels also take a block of K states
+and derivatives, (K, N, ...), and reduce over the trailing axes only, so
+the online diagnostics evaluate K steps in one call.
 
 Every local term (grad f, g, h and the gradient rows of g and h) comes
 from one DistributedProblem.local_terms call per state.  The gradient rows
@@ -138,17 +137,11 @@ def _views(table, vector):
     return [vector[..., s].reshape(lead + shape) for s, shape in table[0]]
 
 
-def _pack(names, arrays):
-    """(slice table, new vector (..., D)) holding copies of arrays.  The
-    leading axes are those of the first array before its last three (rho
-    is (..., N, m, n)), and every array must start with them."""
+def _pack(arrays):
+    """(slice table, new vector (D,)) holding copies of arrays."""
     arrays = [np.asarray(a, dtype=float) for a in arrays]
-    lead = arrays[0].shape[:-3]
-    for name, a in zip(names, arrays):
-        if a.shape[:len(lead)] != lead:
-            raise ValueError(f"{name}: expected leading axes {lead}, got shape {a.shape}")
-    table = _slice_table(tuple(a.shape[len(lead):] for a in arrays))
-    vector = np.empty(lead + (table[1],))
+    table = _slice_table(tuple(a.shape for a in arrays))
+    vector = np.empty(table[1])
     for view, a in zip(_views(table, vector), arrays):
         view[...] = a
     return table, vector
@@ -194,8 +187,8 @@ class AgentState(_Packed):
     one reduction over z.  The constructor copies its arrays into a new z;
     a step builds a new z and never writes into an old one.  A write into a
     field changes z but not x; assigning a field is an AttributeError.  A
-    z of (K, D), as the constructor makes from fields with a leading axis
-    (K, N, m, n), ..., holds K states, whose fields are (K, ...) views.
+    z of (K, D), K vectors of one layout as rows, holds K states whose
+    fields are (K, ...) views: AgentState._of(table, z), no copy.
     """
 
     __slots__ = ("_z", "_rho", "_xi", "_lam", "_mu", "_x", "_table")
@@ -204,7 +197,7 @@ class AgentState(_Packed):
 
     def __init__(self, rho, xi, lam, mu):
         with np.errstate(over="ignore"):  # finite stages whose x overflows: the nan guard's
-            self._fill(*_pack(self._names, (rho, xi, lam, mu)))
+            self._fill(*_pack((rho, xi, lam, mu)))
 
     def _fill(self, table, z):
         self._table, self._z = table, z
@@ -239,7 +232,7 @@ class AgentDerivative(_Packed):
         "zdot", *_names, "nu", "grad", "zeta")
 
     def __init__(self, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta):
-        self._fill(*_pack(self._names, (rho_dot, xi_dot, lam_dot, mu_dot)), nu, grad, zeta)
+        self._fill(*_pack((rho_dot, xi_dot, lam_dot, mu_dot)), nu, grad, zeta)
 
     def _fill(self, table, zdot, nu, grad, zeta):
         self._table, self._zdot, self._nu, self._grad, self._zeta = table, zdot, nu, grad, zeta
@@ -351,8 +344,8 @@ def storage_step_defects(prob, comp, state, deriv, lam_star, h):
 
     One Euler step y+ = y + h F moves each storage by more than h times
     its rate at the step start.  Returns (compensator, multiplier,
-    coupling) defect rates d, each (..., N) for a state and derivative
-    stacked along leading axes, with S(y+) - S(y) = h (rate + d)
+    coupling) defect rates d, each (..., N) for a state and derivative or
+    a block of K of them, (K, N, ...), with S(y+) - S(y) = h (rate + d)
     exactly per agent: the quadratic pieces contribute (h/2) F' Hess(S) F,
     and the multiplier log term the closed-form remainder
     (lam*^2 / (2h)) (w - log(1 + w)) with w = h lam_dot / lam.  Per-step

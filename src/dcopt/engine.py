@@ -45,13 +45,14 @@ Lyapunov values on a fixed sampling grid, finite-difference storage-rate
 checks for every agent at every step, the channel energy integral, and the
 per-end wave power identity.  Every step is checked, but the certificates
 are evaluated per block of _DIAG_BLOCK steps, each kernel called once on
-the block's rows; the last, partial block is evaluated at the end of the
-run, also after an abort.  The engine copies each step's state, derivative
-and ports into a row of preallocated block buffers, so memory stays bounded
-by one block however long the run.  A long run on a machine with a second
-CPU forks an evaluator: the buffers are two slots of one shared mmap, and
-the child evaluates one slot while the engine fills the other.  Both paths
-run the same evaluation on the same rows, so the reports are identical.
+the block's rows, a completed run's final state as one more row; the last,
+partial block is evaluated at the end of the run, also after an abort.  The
+engine copies each step's state, derivative and ports into a row of
+preallocated block buffers, so memory stays bounded by one block however
+long the run.  A long run on a machine with a second CPU forks an
+evaluator: the buffers are two slots of one shared mmap, and the child
+evaluates one slot while the engine fills the other.  Both paths run the
+same evaluation on the same rows, so the reports are identical.
 """
 
 import contextlib
@@ -112,9 +113,8 @@ _DIAG_BLOCK = 32
 # final join cost about 6 ms, and the evaluator saves about 30 us per N = 5
 # scattering step, so it breaks even near 350 steps (2-core VM).
 _DIAG_FORK_STEPS = 1000
-# A message to the evaluator: slot, steps in it, and whether a closing row
-# follows them.
-_DIAG_MSG = struct.Struct("3i")
+# A message to the evaluator: slot and rows in it.
+_DIAG_MSG = struct.Struct("2i")
 
 # Rows per write of TrajectoryLog.to_csv.  A write's text is built in full
 # first, so this bounds the writer's memory beyond its row plans.
@@ -322,8 +322,8 @@ class TrajectoryLog:
     sample, and nu and every edge series but the delayed modes' edge_r at
     a NaN abort.
 
-    problem    the DistributedProblem that was run: N, n, the edge table
-               and the multiplier owners come from it, not from copies
+    config     the SimConfig and problem the DistributedProblem that were
+               run; what reads a run takes their facts from them, not copies
     delays     (E,) quantized channel delays of the edges (delayed modes)
     passivity  online PassivityReport, set when a reference is attached;
                an aborted run keeps the values reached before the abort
@@ -503,9 +503,10 @@ class TrajectoryLog:
         return labels, np.concatenate(index)
 
 
-def lyapunov_delayed(prob, log, ref, comp, upto=None):
-    """Delayed-run Lyapunov value from a full-rate scattering log
-    (log_every == 1), at sample upto (default: the last one).
+def lyapunov_delayed(log, ref, upto=None):
+    """Delayed-run Lyapunov value about ref (checked against log.problem)
+    from a full-rate scattering log (log_every == 1), at sample upto
+    (default: the last one).
 
     The agent storages S_i shift xi by 2 xi*; the channel storages are
     rebuilt from the logged (E, 2n) waves of the samples before upto by
@@ -513,14 +514,15 @@ def lyapunov_delayed(prob, log, ref, comp, upto=None):
     summed over steps and channels at once.  It reads only the log and the
     reference, so it checks the online value independently.
     """
-    cfg = log.config
+    prob, cfg = log.problem, log.config
     if cfg.mode != "scattering":
         raise ValueError("lyapunov_delayed needs a scattering run")
     if cfg.log_every != 1:
         raise ValueError("lyapunov_delayed needs full-rate logging (log_every=1)")
+    _check_reference(prob, ref)
     k = len(log.t) - 1 if upto is None else upto
     total = float(np.sum(
-        compensator_storage(comp, log.rho[k], ref.z)
+        compensator_storage(cfg.compensator, log.rho[k], ref.z)
         + multiplier_storage(prob, log.lam[k], log.mu[k], ref.lam, ref.mu)
         + 0.5 * np.sum((log.xi[k] - 2.0 * ref.xi) ** 2, axis=1)
     ))
@@ -555,21 +557,25 @@ class PassivityReport:
     wave_identity_max: float
 
 
-def passivity_check(prob, log, ref, comp):
-    """Recompute the per-step storage-rate checks from a full-rate log.
+def passivity_check(log, ref):
+    """Recompute the per-step storage-rate checks about ref (checked
+    against log.problem) from a full-rate log.
 
     The online path inside simulate() accumulates the same quantities; this
     post-hoc route exists so the two can be cross-checked on short runs.
     It rebuilds the state, xi_dot (from the logged r) and lam_dot from the
-    log itself; only the local-terms, storage, bound and defect kernels are
-    shared.
+    log itself, and takes the problem and the compensator from it; only the
+    local-terms, storage, bound and defect kernels are shared.
     """
-    if log.config.log_every != 1:
+    prob, cfg = log.problem, log.config
+    if cfg.log_every != 1:
         raise ValueError("passivity_check needs full-rate logging (log_every=1)")
+    _check_reference(prob, ref)
     n = prob.n_agents
     dim = prob.dim
-    h = log.config.step
-    mode = log.config.mode
+    comp = cfg.compensator
+    h = cfg.step
+    mode = cfg.mode
     tol = 1e-3
     has_ports = mode in ("no_delay", "scattering")
     net = prob.network
@@ -578,7 +584,7 @@ def passivity_check(prob, log, ref, comp):
         excess[2] = np.nan
     xi_factor = 2.0 if mode == "scattering" else 1.0
     wave_max = 0.0
-    r_star, p_star, _, _ = ref.port_offsets(net, mode, log.config.eta)
+    r_star, p_star, _, _ = ref.port_offsets(net, mode, cfg.eta)
     phi_star, zeta_star = ref.forces(prob)
 
     prev = None
@@ -638,6 +644,13 @@ def _check_stacks(prob, what, stacks, shapes):
             k = np.unravel_index(np.argmax(bad), shape)
             agent = int(owners[name][k[0]]) if name in owners else int(k[0])
             raise ValueError(f"{what}.{name}: non-finite value {values[k]} (agent {agent})")
+
+
+def _check_reference(prob, ref):
+    """Require the ReferencePoint ref to fit prob, finite."""
+    agents = (prob.n_agents, prob.dim)
+    _check_stacks(prob, "reference", ref, {"x": agents, "xi": agents, "lam": prob.ineq_owner.shape,
+                                           "mu": prob.eq_owner.shape})
 
 
 def _initial_state(prob, cfg):
@@ -707,11 +720,8 @@ def simulate(prob, cfg):
     n_steps = int(round(cfg.duration / h))
 
     state = _initial_state(prob, cfg)
-    ref = cfg.reference
-    if ref is not None:
-        _check_stacks(prob, "reference", ref, {"x": (n, dim), "xi": (n, dim),
-                                               "lam": prob.ineq_owner.shape,
-                                               "mu": prob.eq_owner.shape})
+    if cfg.reference is not None:
+        _check_reference(prob, cfg.reference)
 
     net = prob.network
     own, nbr = net.own, net.nbr
@@ -730,9 +740,8 @@ def simulate(prob, cfg):
     if cfg.mode == "scattering":
         end = ChannelEnd(coupling, cfg.eta)
 
-    diag_every = max(1, int(round(cfg.diag_interval / h)))
-
-    def snapshot(t, state, x, deriv, ports):
+    def snapshot(t, state, deriv, ports):
+        x = state.x
         log.t.append(t)
         log.x.append(x)
         log.xi.append(state.xi)
@@ -761,13 +770,12 @@ def simulate(prob, cfg):
     log_every = cfg.log_every
     pair = np.array([nbr, own])  # no_delay: both ends of every edge in one gather
     bins, size, shape = _owner_sum_plan(own, n, (len(own), 2 * dim))  # the efforts sum_j p_ij
-    diag = None if ref is None else _DiagState(prob, ref, comp, cfg, log.delays, state, n_steps)
+    diag = None if cfg.reference is None else _DiagState(log, state, n_steps)
     # guards, not warnings, handle blow-ups; an evaluator is reaped on every path
     with np.errstate(all="ignore"), diag or contextlib.nullcontext():
         for k in range(n_steps):
             t = k * h
-            x = state.x
-            u = np.concatenate([x, state.xi], axis=1)  # rows [x_i; xi_i]
+            u = np.concatenate([state.x, state.xi], axis=1)  # rows [x_i; xi_i]
 
             # phase 1: the port pair (r, p) of every directed edge i <- j
             if line is None:
@@ -795,8 +803,7 @@ def simulate(prob, cfg):
                 i, name, value = _non_finite_entry(prob, deriv)
                 abort("nan", i, value, f"agent {i}: non-finite derivative {name} ({value})")
                 # only the delayed modes' r came out of a channel
-                snapshot(t, state, x, None,
-                         (None if line is None else r, None, None, None))
+                snapshot(t, state, None, (None if line is None else r, None, None, None))
                 break
 
             # phase 3: push what crosses each edge into its delay line
@@ -804,10 +811,10 @@ def simulate(prob, cfg):
                 line.push(u_own if end is None else s_out, t)
 
             if diag is not None:
-                diag.step(t, state, deriv, r, p, s_in, s_out, k % diag_every == 0)
+                diag.step(state, deriv, r, p, s_in, s_out)
 
             if k % log_every == 0:  # no_delay: r, not the whole gather it is half of
-                snapshot(t, state, x, deriv, (r.copy() if line is None else r, p, s_in, s_out))
+                snapshot(t, state, deriv, (r.copy() if line is None else r, p, s_in, s_out))
 
             # phase 4: barrier commit, unless a guard tripped
             if isinstance(trip, LambdaGuardError):
@@ -831,16 +838,16 @@ def simulate(prob, cfg):
         committed = n_steps > 0 and log.abort_reason in (None, "divergence")
         t_end = (k + committed) * h
         if not log.t or log.t[-1] < t_end or n_steps == 0:
-            snapshot(t_end, state, state.x, None, (None,) * 4)
-        if diag is not None:
-            # the last rows, and the final state of a completed run
-            closing = (t_end, state) if log.abort_reason is None and n_steps else None
-            diag.finish(log, closing)
+            snapshot(t_end, state, None, (None,) * 4)
+        # a completed run's final state is the certificates' last row
+        if diag is not None and log.abort_reason is None and n_steps:
+            diag.step(state, deriv, r, p, s_in, s_out, closing=True)
     return log
 
 
 class _DiagState:
-    """Online storage-function diagnostics (one instance per simulate).
+    """Online storage-function diagnostics of one run, read from its
+    TrajectoryLog: the problem, the config, its reference and compensator.
 
     Every step is checked: the forward difference of each storage against
     its certified bound plus the exact explicit-Euler step defect at the
@@ -852,36 +859,36 @@ class _DiagState:
 
     step() copies a step into row j of a slot of block buffers: t, the
     on-grid flag, z, zdot, nu, grad, zeta and, as the mode has them, r, p,
-    s_in and s_out; z, t and the flag have one more row, for the closing
-    state.  A full slot is evaluated by _evaluate, each kernel called once
-    on its rows.  The last step's storages, bounds and defects and the
-    channel integral carry over from one block to the next, so every step
-    is compared against the one before it, as step by step.
+    s_in and s_out; it counts the steps as simulate does.  A completed
+    run's final state is one more row, with the last step's derivative and
+    ports, whose own bound no row reads.  A full slot is evaluated by
+    _evaluate, each kernel called once on its rows.  The last row's
+    storages, bounds and defects and the channel integral carry over from
+    one block to the next, so every row is compared against the one before
+    it, as step by step.
 
     A run of _DIAG_FORK_STEPS steps or more, with a second CPU, os.fork and
     no other Python thread, forks an evaluator here: the slots are two, in
     one shared mmap, and the child evaluates one while the engine fills the
     other.  One pipe names the slot to evaluate, one returns it free; the
     child is a _fork of _serve, whose result is its reports, or its
-    exception, which the engine raises again.  Used as a context manager,
-    the run reaps the child on every path.
+    exception, which the engine raises again.  Leaving the with block sets
+    the log's reports; on every path the child is reaped.
     """
 
-    def __init__(self, prob, ref, comp, cfg, delays, state, steps):
-        self.prob = prob
-        self.ref = ref
-        self.comp = comp
-        self.cfg = cfg
+    def __init__(self, log, state, steps):
+        self.log = log
+        prob, cfg = log.problem, log.config
+        ref = cfg.reference
         self.table = state._table
         net = prob.network
-        self.own = net.own
         self.has_ports = cfg.mode in ("no_delay", "scattering")
         n = prob.n_agents
         self.excess = np.full((3, n), -np.inf)
         if not self.has_ports:
             self.excess[2] = np.nan
         self.xi_factor = 2.0 if cfg.mode == "scattering" else 1.0
-        # (storage, bound, defect) rows of the last evaluated step, (3, 1, N)
+        # (storage, bound, defect) rows of the last evaluated row, (3, 1, N)
         # each; (3, 0, N) before the first block
         self.prev = (np.empty((3, 0, n)),) * 3
         self.edge_const = 0.0
@@ -895,13 +902,14 @@ class _DiagState:
             fwd, bwd = net.fwd, net.bwd
             self.channels = (fwd, bwd, gamma[fwd], delta[fwd])
             self.edge_const = 0.5 * float(np.sum(
-                delays[fwd] * np.sum(gamma[fwd] ** 2, axis=1)
-                + delays[bwd] * np.sum(delta[fwd] ** 2, axis=1)
+                log.delays[fwd] * np.sum(gamma[fwd] ** 2, axis=1)
+                + log.delays[bwd] * np.sum(delta[fwd] ** 2, axis=1)
             ))
+        self.every = max(1, int(round(cfg.diag_interval / cfg.step)))
 
         forked = steps >= _DIAG_FORK_STEPS and _fork_cpus() >= 2
         b, ports = _DIAG_BLOCK, 2 * self.has_ports + 2 * (self.channels is not None)
-        shapes = ([(b + 1,), (b + 1,), (b + 1, state.z.size), (b, state.z.size)]
+        shapes = ([(b,), (b,), (b, state.z.size), (b, state.z.size)]
                   + [(b, n, prob.dim)] * 3 + [(b, len(net.own), 2 * prob.dim)] * ports)
         # each field starts 64-byte aligned, so no kernel reads a less aligned
         # array than a fresh numpy one
@@ -910,7 +918,7 @@ class _DiagState:
         self.slots = [tuple(a[:math.prod(shape)].reshape(shape) for a, shape in
                             zip(np.split(slot, np.cumsum(sizes)[:-1]), shapes))
                       for slot in slots.reshape(1 + forked, -1)]
-        self.s, self.j, self.busy, self.pid = 0, 0, False, None
+        self.k, self.s, self.j, self.busy, self.pid = 0, 0, 0, False, None
         if forked:
             work, self.work = os.pipe()
             self.free, free = os.pipe()
@@ -926,44 +934,43 @@ class _DiagState:
     def __enter__(self):
         return self
 
-    def __exit__(self, *exc):
-        if self.pid is not None:  # the run raised: the child's reports are moot
-            for fd in (self.work, self.free, self.result):
-                os.close(fd)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+    def __exit__(self, failed, *exc):
+        try:
+            if failed is None:  # the last rows, then the reports
+                if self.j:
+                    self._hand_off()
+                excess, wave_max, *series = self._join_evaluator() if self.pid else self._reports()
+                self.log.passivity = PassivityReport(*excess, wave_identity_max=wave_max)
+                self.log.diag_t, self.log.lyap_direct, self.log.lyap_delayed = series
+        finally:
+            if self.pid is not None:  # something raised: the child's reports are moot
+                for fd in (self.work, self.free, self.result):
+                    os.close(fd)
+                os.waitpid(self.pid, 0)
+                self.pid = None
 
-    def step(self, t, state, deriv, r, p, s_in, s_out, on_grid):
-        """Copy step t (a Lyapunov sample when on_grid) into the next row;
-        a full block is evaluated first."""
+    def step(self, state, deriv, r, p, s_in, s_out, closing=False):
+        """Copy the next step into the next row, or, closing, the final
+        state of a completed run with the last step's deriv and ports; a
+        full block is evaluated first."""
         if self.j == _DIAG_BLOCK:
-            self._hand_off(False)
-        for rows, value in zip(self.slots[self.s], (t, on_grid, state._z, deriv._zdot,
-                                                     deriv._nu, deriv._grad, deriv._zeta,
-                                                     r, p, s_in, s_out)):
+            self._hand_off()
+        k = self.k
+        row = (k * self.log.config.step, closing or k % self.every == 0, state._z, deriv._zdot,
+               deriv._nu, deriv._grad, deriv._zeta, r, p, s_in, s_out)
+        for rows, value in zip(self.slots[self.s], row):
             rows[self.j] = value
         self.j += 1
+        self.k += 1
 
-    def finish(self, log, closing):
-        """Evaluate the last rows, with closing = (t, state), the final
-        state of a completed run, when given, and set the log's reports."""
-        if closing is not None:
-            for rows, value in zip(self.slots[self.s], (closing[0], True, closing[1]._z)):
-                rows[self.j] = value
-        if self.j:
-            self._hand_off(closing is not None)
-        excess, wave_max, *series = self._join_evaluator() if self.pid else self._reports()
-        log.passivity = PassivityReport(*excess, wave_identity_max=wave_max)
-        log.diag_t, log.lyap_direct, log.lyap_delayed = series
-
-    def _hand_off(self, closing):
+    def _hand_off(self):
         """Evaluate the filled rows of the current slot, here or in the
         evaluator, which then gets the slot while this fills the other."""
         if self.pid is None:
-            self._evaluate(self.s, self.j, closing)
+            self._evaluate(self.s, self.j)
         else:
             try:
-                os.write(self.work, _DIAG_MSG.pack(self.s, self.j, closing))
+                os.write(self.work, _DIAG_MSG.pack(self.s, self.j))
             except BrokenPipeError:  # the evaluator ended: raise its error
                 self._join_evaluator()
             self.s ^= 1
@@ -999,39 +1006,35 @@ class _DiagState:
                 os.sched_setaffinity(0, others)
         with os.fdopen(work, "rb") as inbox, np.errstate(all="ignore"):
             while msg := inbox.read(_DIAG_MSG.size):
-                slot, j, closing = _DIAG_MSG.unpack(msg)
-                self._evaluate(slot, j, closing)
+                slot, rows = _DIAG_MSG.unpack(msg)
+                self._evaluate(slot, rows)
                 os.write(free, bytes((slot,)))  # one byte: written whole
         return self._reports()
 
     def _reports(self):
         return self.excess, self.wave_max, self.diag_t, self.lyap_direct, self.lyap_delayed
 
-    def _evaluate(self, slot, K, closing):
-        """Evaluate the K steps of slot, and its closing row when closing:
-        storages, the rate-excess update of each against the step before,
-        the wave identity, the channel integral and the Lyapunov samples on
-        the grid.  A closing state's storages are checked against the last
-        step's bounds, and it is a Lyapunov sample."""
+    def _evaluate(self, slot, K):
+        """Evaluate the K rows of slot: storages, the rate-excess update of
+        each against the row before, the wave identity, the channel integral
+        and the Lyapunov samples on the grid."""
         t, grid, z, zdot, nu, grad, zeta, *ports = self.slots[slot]
-        ref, h, tol = self.ref, self.cfg.step, 1e-3
-        st = AgentState._of(self.table, z[:K + closing])
-        sc = compensator_storage(self.comp, st.rho, ref.z)
-        sg = multiplier_storage(self.prob, st.lam, st.mu, ref.lam, ref.mu)
+        prob, cfg = self.log.problem, self.log.config
+        ref, comp, h, tol = cfg.reference, cfg.compensator, cfg.step, 1e-3
+        st = AgentState._of(self.table, z[:K])
+        deriv = AgentDerivative._of(self.table, zdot[:K], nu[:K], grad[:K], zeta[:K])
+        sc = compensator_storage(comp, st.rho, ref.z)
+        sg = multiplier_storage(prob, st.lam, st.mu, ref.lam, ref.mu)
         # the coupling storage; NaN, like its excess row, without ports
         s_full = np.full_like(sc, np.nan)
         if self.has_ports:
             s_full = sc + sg + 0.5 * np.sum((st.xi - self.xi_factor * ref.xi) ** 2, axis=-1)
 
-        xi = st.xi
-        if closing:  # the bounds belong to the K steps only
-            st = AgentState._of(self.table, z[:K])
-        deriv = AgentDerivative._of(self.table, zdot[:K], nu[:K], grad[:K], zeta[:K])
-        d_c, d_m, d_xi = storage_step_defects(self.prob, self.comp, st, deriv, ref.lam, h)
+        d_c, d_m, d_xi = storage_step_defects(prob, comp, st, deriv, ref.lam, h)
         bnd_coup = np.full_like(d_c, np.nan)
         if self.has_ports:
             r, p = ports[0][:K], ports[1][:K]
-            bnd_coup = _owner_sums(self.own, self.prob.n_agents,
+            bnd_coup = _owner_sums(prob.network.own, prob.n_agents,
                                    np.sum((r - self.r_star) * (p - self.p_star), axis=-1), 1)
         # (storage, bound, defect) rows: compensator, multiplier, coupling
         storage = np.stack((sc, sg, s_full))
@@ -1040,8 +1043,8 @@ class _DiagState:
                           bnd_coup))
         defect = np.stack((d_c, d_m, d_c + d_m + d_xi))
 
-        # each sample is checked against the step before it, the first
-        # against the carried last step of the previous block
+        # each row is checked against the row before it, the first against
+        # the carried last row of the previous block
         carry = (storage[:, K - 1:K], bound[:, K - 1:], defect[:, K - 1:])
         storage, bound, defect = (np.concatenate([old, new], axis=1)
                                   for old, new in zip(self.prev, (storage, bound, defect)))
@@ -1066,16 +1069,16 @@ class _DiagState:
 
             power = (energy(s_out[:, fwd] + gamma) - energy(s_in[:, bwd] + gamma)
                      + energy(s_out[:, bwd] - delta) - energy(s_in[:, fwd] - delta))
-            # acc[j]: the channel integral up to the step before sample j
+            # acc[j]: the channel integral up to the step before row j
             acc = np.cumsum(np.concatenate([[self.acc], h * power]))
             self.acc = float(acc[K])
 
-        on = np.flatnonzero(grid[:K + closing])
+        on = np.flatnonzero(grid[:K])
         if on.size:
             self.diag_t.extend(t[on].tolist())
             self.lyap_direct.extend((
                 sc[on].sum(axis=-1) + sg[on].sum(axis=-1)
-                + 0.5 * np.sum((xi[on] - ref.xi) ** 2, axis=(-2, -1))
+                + 0.5 * np.sum((st.xi[on] - ref.xi) ** 2, axis=(-2, -1))
             ).tolist())
             if acc is not None:
                 self.lyap_delayed.extend(

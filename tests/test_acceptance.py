@@ -158,8 +158,8 @@ def test_criterion_03_naive_delay_fragility(capfd, naive_run, sc_run):
 def test_criterion_04_oscillation_ablation(capfd, oracle_setup, m1_run, nd_run):
     m1_log, _ = m1_run
     nd_log, _ = nd_run
-    v_m1 = classify(m1_log, BASELINE_DURATION)
-    v_m2 = classify(nd_log, CONVERGED_DURATION)
+    v_m1 = classify(m1_log)
+    v_m2 = classify(nd_log)
     ok = v_m1 == "oscillating" and v_m2 == "converged"
     report(
         capfd, 4, "pure-integrator oscillation", ok,

@@ -164,6 +164,7 @@ def test_build_scenario_wiring():
 
 
 def fake_log(rows, abort=None):
+    """A log of one sample a second, its duration the last sample's t."""
     kkt = [
         KKTResidual(r.get("consensus", 0.0), r.get("stationarity", 0.0),
                     r.get("primal_eq", 0.0), r.get("primal_ineq", 0.0),
@@ -171,15 +172,16 @@ def fake_log(rows, abort=None):
         for r in rows
     ]
     return SimpleNamespace(
-        abort_reason=abort, kkt=kkt, t=list(np.arange(len(rows), dtype=float))
+        abort_reason=abort, kkt=kkt, t=list(np.arange(len(rows), dtype=float)),
+        config=SimpleNamespace(duration=float(len(rows) - 1)),
     )
 
 
 def test_classify_diverged_and_converged():
     log = fake_log([{"stationarity": 5.0}] * 4, abort="divergence")
-    assert classify(log, 3.0) == "diverged"
+    assert classify(log) == "diverged"
     log = fake_log([{"stationarity": 5.0}] * 3 + [{"stationarity": 1e-3}])
-    assert classify(log, 3.0) == "converged"
+    assert classify(log) == "converged"
 
 
 def test_classify_oscillating_per_field():
@@ -190,18 +192,18 @@ def test_classify_oscillating_per_field():
             "stationarity": 2.0,
             "primal_ineq": 3.0 if k % 2 else 1e-3,
         })
-    assert classify(fake_log(rows), 39.0) == "oscillating"
+    assert classify(fake_log(rows)) == "oscillating"
 
 
 def test_classify_not_converged_without_swing():
     rows = [{"stationarity": 2.0}] * 40
-    assert classify(fake_log(rows), 39.0) == "not_converged"
+    assert classify(fake_log(rows)) == "not_converged"
     # sub-tolerance wiggle does not count as oscillation
     rows = [
         {"stationarity": 2.0, "consensus": 9e-3 if k % 2 else 1e-6}
         for k in range(40)
     ]
-    assert classify(fake_log(rows), 39.0) == "not_converged"
+    assert classify(fake_log(rows)) == "not_converged"
 
 
 def test_kkt_series_max():

@@ -22,7 +22,7 @@ from dcopt import (
     simulate,
 )
 from dcopt import engine
-from dcopt.cli import build_scenario, compute_reference, validate_config
+from dcopt.cli import KKT_TOL, build_scenario, compute_reference, validate_config
 from dcopt.dynamics import CompensatorParams, derivatives
 from dcopt.engine import TrajectoryLog
 from dcopt.graph import Network, _owner_sums
@@ -1093,21 +1093,20 @@ def bounds_hold(report):
 
 
 def test_scattering_online_diag_matches_posthoc():
-    comp = SimConfig().compensator
     for prob in (three_agent_quadratic(), chord_quadratic()):
         ref = cli_reference(prob)
         delays = np.random.default_rng(2).uniform(0.2, 0.3, prob.network.own.size)
         cfg = scattering_cfg(delays, duration=2.0, log_every=1, reference=ref)
         log = simulate(prob, cfg)
         assert log.abort_reason is None
-        report = passivity_check(prob, log, ref, comp)
+        report = passivity_check(log, ref)
         assert_reports_match(report, log.passivity)
         assert bounds_hold(report) and bounds_hold(log.passivity)
         # online delayed-Lyapunov value at each grid sample equals the post-hoc
         # reconstruction
         for kth, t in enumerate(log.diag_t[:-1]):
             step_index = int(round(t / cfg.step))
-            v_delayed = lyapunov_delayed(prob, log, ref, comp, upto=step_index)
+            v_delayed = lyapunov_delayed(log, ref, upto=step_index)
             assert v_delayed == pytest.approx(log.lyap_delayed[kth], rel=1e-9, abs=1e-9)
 
 
@@ -1141,10 +1140,9 @@ def test_logged_samples_are_never_overwritten():
 def test_no_delay_online_diag_matches_posthoc():
     prob = three_agent_quadratic()
     ref = cli_reference(prob)
-    comp = SimConfig().compensator
     cfg = SimConfig(duration=2.0, log_every=1, reference=ref)
     log = simulate(prob, cfg)
-    report = passivity_check(prob, log, ref, comp)
+    report = passivity_check(log, ref)
     assert_reports_match(report, log.passivity)
     # the storage-rate bounds themselves must hold on this convex problem
     assert bounds_hold(report)
@@ -1154,14 +1152,65 @@ def test_no_delay_online_diag_matches_posthoc():
 
 
 @pytest.fixture(scope="module")
-def paper():
+def paper_reference():
     """The paper's matching LP (seed 5, N = 5, ring(5, 4)) with the CLI's
-    reference for it from a 20 s no-delay pass."""
+    reference for it from a 20 s no-delay pass, and its note."""
     cfg = validate_config(None, {"duration": 20.0})
     _, prob, _ = build_scenario(cfg, "no_delay")
     ref, note = compute_reference(cfg, prob)
     assert ref is not None, note
-    return cfg, prob, ref
+    return cfg, prob, ref, note
+
+
+@pytest.fixture(scope="module")
+def paper(paper_reference):
+    """(config, problem, reference) of paper_reference."""
+    return paper_reference[:3]
+
+
+def test_reference_note_reads_what_validate_recomputes(paper_reference):
+    # the note quotes the pass's closing KKT residual, the one validate
+    # recomputes from the reference's own arrays
+    _, prob, ref, note = paper_reference
+    assert note == f"no-delay end state, max KKT residual {ref.validate(prob, KKT_TOL).max():.3e}"
+
+
+def test_failing_reference_names_its_final_residual():
+    cfg = validate_config(None, {"duration": 20.0, "seed": 8})
+    _, prob, _ = build_scenario(cfg, "no_delay")
+    ref, note = compute_reference(cfg, prob)
+    assert ref is None
+    assert note == "no-delay end state fails KKT at 0.01 (max residual 2.777e-01)"
+
+
+@pytest.fixture(scope="module")
+def short_scattering_log(paper):
+    """A 50-step full-rate scattering log of the paper instance."""
+    cfg, prob, _ = paper
+    _, _, sim = build_scenario(dict(cfg, duration=0.05, log_every=1), "scattering")
+    log = simulate(prob, sim)
+    assert log.abort_reason is None and len(log.t) == 51
+    return log
+
+
+@pytest.mark.parametrize("oracle", [passivity_check, lyapunov_delayed])
+@pytest.mark.parametrize("field, bad, message", [
+    ("lam", lambda ref: ref.lam[:-1], r"expected shape \(25,\), got \(24,\)"),
+    ("xi", lambda ref: np.zeros((5, 3)), r"expected shape \(5, 25\), got \(5, 3\)"),
+    # mu entry 7 is agent 3's
+    ("mu", lambda ref: np.where(np.arange(10) == 7, np.nan, ref.mu),
+     r"non-finite value nan \(agent 3\)"),
+], ids=["short lam", "xi (5, 3)", "NaN mu"])
+def test_oracles_reject_a_reference_that_does_not_fit(paper, short_scattering_log, oracle,
+                                                      field, bad, message):
+    # each would index out of bounds or fail to broadcast deep inside the
+    # oracle; the reference is checked against the log's problem first
+    ref = paper[2]
+    stacks = {name: getattr(ref, name) for name in ("x", "xi", "lam", "mu")}
+    stacks[field] = bad(ref)
+    with pytest.raises(ValueError, match=rf"^reference\.{field}: {message}$"):
+        oracle(short_scattering_log, ReferencePoint(**stacks))
+    oracle(short_scattering_log, ref)  # the fitting reference passes
 
 
 def test_matching_lp_online_diag_matches_posthoc(paper):
@@ -1178,14 +1227,14 @@ def test_matching_lp_online_diag_matches_posthoc(paper):
     assert log.abort_reason is None and len(log.t) == 1238
     h = sim.step
     assert log.diag_t == [k * h for k in range(0, 1237, 37)] + [1237 * h]
-    report = passivity_check(prob, log, ref, sim.compensator)
+    report = passivity_check(log, ref)
     assert_reports_match(report, log.passivity)
     assert bounds_hold(report) and bounds_hold(log.passivity)
     assert log.passivity.wave_identity_max == pytest.approx(report.wave_identity_max,
                                                             rel=1e-12)
     for t, v in zip(log.diag_t, log.lyap_delayed, strict=True):
         upto = int(round(t / h))
-        assert lyapunov_delayed(prob, log, ref, sim.compensator, upto=upto) == pytest.approx(
+        assert lyapunov_delayed(log, ref, upto=upto) == pytest.approx(
             v, rel=1e-9, abs=1e-9)
 
 
@@ -1420,7 +1469,7 @@ def test_online_diag_reported_after_abort(paper):
     sim.reference = ref
     log = simulate(prob, sim)
     assert (log.abort_reason, log.abort_step) == ("lambda_guard", 2)
-    report = passivity_check(prob, log, ref, sim.compensator)
+    report = passivity_check(log, ref)
     for name in ("compensator_excess", "multiplier_excess", "coupling_excess"):
         online = getattr(log.passivity, name)
         assert np.isfinite(online).all()
@@ -1448,12 +1497,12 @@ def test_lyapunov_delayed_needs_full_rate_scattering_log():
         cfg = SimConfig(mode=mode, delays=delays, duration=0.05,
                         log_every=log_every)
         log = simulate(prob, cfg)
-        return log, ReferencePoint(*log.final_stacks()), cfg.compensator
+        return log, ReferencePoint(*log.final_stacks())
 
-    log, ref, comp = run("naive_delay", 1)
+    log, ref = run("naive_delay", 1)
     with pytest.raises(ValueError, match="needs a scattering run"):
-        lyapunov_delayed(prob, log, ref, comp)
-    log, ref, comp = run("scattering", 2)
+        lyapunov_delayed(log, ref)
+    log, ref = run("scattering", 2)
     # the delays the channels realize, quantized to whole steps, in the
     # order of the network's edge table
     net = log.problem.network
@@ -1461,7 +1510,7 @@ def test_lyapunov_delayed_needs_full_rate_scattering_log():
         (0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]
     np.testing.assert_allclose(log.delays, 0.2, rtol=1e-12)
     with pytest.raises(ValueError, match=r"full-rate logging \(log_every=1\)"):
-        lyapunov_delayed(prob, log, ref, comp)
+        lyapunov_delayed(log, ref)
 
 
 def test_kkt_residual_keeps_nan():
