@@ -124,19 +124,10 @@ def validate_config(path=None, overrides=None):
         cfg["agents"] <= _MAX_BRUTE_FORCE, "agents",
         f"must be <= {_MAX_BRUTE_FORCE} (brute-force oracle), got {cfg['agents']}",
     )
-    cfg["area"] = _check_number("area", cfg["area"], positive=True)
-    cfg["ring_weight"] = _check_number(
-        "ring_weight", cfg["ring_weight"], positive=True
-    )
-    cfg["step"] = _check_number("step", cfg["step"], positive=True)
-    cfg["duration"] = _check_number("duration", cfg["duration"], nonneg=True)
-    cfg["eta"] = _check_number("eta", cfg["eta"], positive=True)
-    cfg["initial_multiplier"] = _check_number(
-        "initial_multiplier", cfg["initial_multiplier"], positive=True
-    )
-    cfg["diag_interval"] = _check_number(
-        "diag_interval", cfg["diag_interval"], positive=True
-    )
+    for field in ("area", "ring_weight", "step", "duration", "eta", "initial_multiplier",
+                  "diag_interval"):
+        cfg[field] = _check_number(field, cfg[field], positive=field != "duration",
+                                   nonneg=field == "duration")
     _require(
         cfg["diag_interval"] >= cfg["step"],
         "diag_interval", "must be >= step",
@@ -285,8 +276,7 @@ def classify(log):
     series = kkt_series_max(log)
     if series.size and series[-1] <= KKT_TOL:
         return "converged"
-    times = np.array(log.t)
-    mask = times >= 0.75 * log.config.duration
+    mask = log.t >= 0.75 * log.config.duration
     if np.count_nonzero(mask) >= 2:
         for name in log.kkt[0].as_dict():
             q = np.array([getattr(r, name) for r in log.kkt])[mask]
@@ -352,7 +342,7 @@ def run(scenario, out_dir=".", config_path=None, duration=None, step=None, seed=
         ("scenario", scenario),
         ("verdict", verdict),
         ("seed", cfg["seed"]),
-        ("simulated_seconds", float(log.t[-1]) if log.t else 0.0),
+        ("simulated_seconds", float(log.t[-1])),
         ("wall_seconds", wall),
         ("reference_seconds", ref_seconds),
         ("csv_seconds", csv_seconds),

@@ -29,7 +29,9 @@ explicit-Euler step has a fixed phase order:
        finite and within the limit only when zdot is finite.
 
 Every quantity consumed in a step is therefore from time t; the step is a
-synchronous barrier, which is what makes runs bit-for-bit reproducible.
+synchronous barrier, which is what makes runs bit-for-bit reproducible.  A
+logged step copies t, the packed z, nu, zeta and the ports into the next
+row of one array per series, allocated for the run (see TrajectoryLog).
 
 Exchange modes
 --------------
@@ -119,7 +121,7 @@ _DIAG_MSG = struct.Struct("2i")
 # Rows per write of TrajectoryLog.to_csv.  A write's text is built in full
 # first, so this bounds the writer's memory beyond its row plans.
 _CSV_ROWS = 2048
-# The series of a sample, in the order of TrajectoryLog._row_plan's arrays.
+# The series of a sample, in the order TrajectoryLog._row_plan gathers them.
 _CSV_SERIES = ("x", "xi", "rho", "lam", "mu", "nu", "zeta",
                "edge_r", "edge_p", "edge_s_in", "edge_s_out")
 
@@ -261,14 +263,13 @@ class ReferencePoint:
     multiplier layout of the problem (agent i's are lam[prob.ineq_owner == i]),
     and derives the port and wave offsets of every edge for the rate bounds
     and the delayed Lyapunov function.  From a run:
-    ReferencePoint(*log.final_stacks()).
+    ReferencePoint(*log.final_stacks()), which copies the rows it is given.
     """
 
     def __init__(self, x, xi, lam, mu):
-        x = np.asarray(x, dtype=float)
-        self.x = x
-        self.z = x.mean(axis=0)
-        self.xi = np.asarray(xi, dtype=float)
+        self.x = np.array(x, dtype=float)
+        self.z = self.x.mean(axis=0)
+        self.xi = np.array(xi, dtype=float)
         self.lam = np.array(lam, dtype=float)
         self.mu = np.array(mu, dtype=float)
 
@@ -309,18 +310,19 @@ class ReferencePoint:
 class TrajectoryLog:
     """Decimated state/edge/diagnostic series plus run metadata.
 
-    Every series holds one entry per logged sample: every log_every-th step
-    and a closing sample at the final state (also after an abort), so
-    final_stacks() reads the last sample.  Each entry is the engine's own
-    array: x, xi, nu, zeta (N, n), rho (N, m, n), lam (L,) and mu (M,) in
-    the problem's multiplier layout (entry k owned by agent
+    The samples are every log_every-th step and a closing sample at the
+    final state (also after an abort), so final_stacks() reads the last
+    sample.  Each series is one array, a row per sample: t (S,), x, xi, nu,
+    zeta (S, N, n), rho (S, N, m, n), lam (S, L) and mu (S, M) in the
+    problem's multiplier layout (entry k owned by agent
     problem.ineq_owner[k], problem.eq_owner[k]), and edge_r, edge_p,
-    edge_s_in, edge_s_out (E, 2n), row e for row e of the network's edge
-    table, i <- j with i = own[e] and j = nbr[e], "agent i's view of
-    neighbor j"; waves exist only in scattering runs.  An entry is None
-    where the sample has none: nu and the edge series at the closing
-    sample, and nu and every edge series but the delayed modes' edge_r at
-    a NaN abort.
+    edge_s_in, edge_s_out (S, E, 2n), row e for row e of the network's
+    edge table, i <- j with i = own[e] and j = nbr[e], "agent i's view of
+    neighbor j".  x, xi, rho, lam and mu are the fields of one AgentState
+    over the samples' packed states.  nu and the edge series hold only the
+    samples a step followed, which come first: sample s has a row when
+    s < len(series).  So the closing sample has none, a NaN abort's only
+    the delayed modes' edge_r, and outside scattering runs waves have none.
 
     config     the SimConfig and problem the DistributedProblem that were
                run; what reads a run takes their facts from them, not copies
@@ -331,18 +333,18 @@ class TrajectoryLog:
 
     config: SimConfig
     problem: "DistributedProblem"
-    t: list = field(default_factory=list)
-    x: list = field(default_factory=list)
-    xi: list = field(default_factory=list)
-    rho: list = field(default_factory=list)
-    lam: list = field(default_factory=list)
-    mu: list = field(default_factory=list)
-    nu: list = field(default_factory=list)
-    zeta: list = field(default_factory=list)
-    edge_r: list = field(default_factory=list)
-    edge_p: list = field(default_factory=list)
-    edge_s_in: list = field(default_factory=list)
-    edge_s_out: list = field(default_factory=list)
+    t: np.ndarray = None
+    x: np.ndarray = None
+    xi: np.ndarray = None
+    rho: np.ndarray = None
+    lam: np.ndarray = None
+    mu: np.ndarray = None
+    nu: np.ndarray = None
+    zeta: np.ndarray = None
+    edge_r: np.ndarray = None
+    edge_p: np.ndarray = None
+    edge_s_in: np.ndarray = None
+    edge_s_out: np.ndarray = None
     kkt: list = field(default_factory=list)
     diag_t: list = field(default_factory=list)
     lyap_direct: list = field(default_factory=list)
@@ -411,11 +413,13 @@ class TrajectoryLog:
         zeros, from the zero start and the zero delay-line history."""
         workers = min(_fork_cpus(), len(self.t))
         series = [getattr(self, name) for name in _CSV_SERIES]
-        rows = sum(a.size for arrays in series for a in arrays if a is not None)
-        if workers < 2 or rows < _CSV_FORK_ROWS:
+        if workers < 2 or sum(a.size for a in series) < _CSV_FORK_ROWS:
             return [0, len(self.t)]
-        cost = np.cumsum([sum(a.size + 6 * np.count_nonzero(a) for a in sample if a is not None)
-                          for sample in zip(*series)])
+        cost = np.zeros(len(self.t), dtype=np.int64)
+        for a in series:  # a series of no rows has no size to infer
+            width = math.prod(a.shape[1:])
+            cost[:len(a)] += width + 6 * np.count_nonzero(a.reshape(len(a), width), axis=1)
+        cost = np.cumsum(cost)
         bounds = [0]
         for k in range(1, workers):  # nonempty ranges: one sample at least each
             cut = int(np.searchsorted(cost, cost[-1] * k / workers))
@@ -431,22 +435,23 @@ class TrajectoryLog:
         """Write the rows of samples lo..hi-1 to the text file f."""
         diag_by_t = {tt: k for k, tt in enumerate(self.diag_t)}
         lyap = (("lyapunov_direct", self.lyap_direct), ("lyapunov_delayed", self.lyap_delayed))
+        series = [getattr(self, name) for name in _CSV_SERIES]
         plans = {}
-        for s, tt in enumerate(self.t[lo:hi], lo):
+        for s, tt in enumerate(self.t[lo:hi].tolist(), lo):
             res, k = self.kkt[s], diag_by_t.get(tt)
             head = {"consensus_error": res.consensus}
             head.update((f"kkt_{name}", v) for name, v in res.as_dict().items())
-            head.update((name, series[k]) for name, series in lyap
-                        if series and k is not None)
-            arrays = tuple(getattr(self, name)[s] for name in _CSV_SERIES)
-            kind = (tuple(head), tuple(a is None for a in arrays))
+            head.update((name, values[k]) for name, values in lyap
+                        if values and k is not None)
+            kind = (tuple(head), tuple(s < len(a) for a in series))
             if kind not in plans:
-                plans[kind] = self._row_plan(kind[0], arrays)
+                plans[kind] = self._row_plan(*kind)
             labels, index = plans[kind]
             values = np.concatenate([list(head.values())]
-                                    + [a for a in arrays if a is not None], axis=None)
+                                    + [a[s] for a, held in zip(series, kind[1]) if held],
+                                    axis=None)
             values = values[index].tolist()
-            ts = repr(float(tt))
+            ts = repr(tt)
             for a in range(0, len(labels), _CSV_ROWS):
                 # ts, label a, value a, "\n" ts, label a+1, value a+1, ..., "\n"
                 chunk = labels[a:a + _CSV_ROWS]
@@ -456,22 +461,20 @@ class TrajectoryLog:
                 text[2::3] = map(repr, values[a:a + _CSV_ROWS])
                 f.write("".join(text))
 
-    def _row_plan(self, head, arrays):
+    def _row_plan(self, head, held):
         """(labels, index) of one sample kind for to_csv.
 
-        head names the global rows; arrays are the sample's x, xi, rho,
-        lam, mu, nu, zeta, edge_r, edge_p, edge_s_in and edge_s_out, None
-        where absent.  index gathers the head values followed by the
-        present arrays, raveled and concatenated, into row order: the
-        global rows, then agent by agent its x, xi, rho stages, lam and mu
-        (split by owner), nu and zeta, then each edge series edge by edge.
-        labels holds each row's ",entity_kind,entity_id,variable,
-        component_index," text, the row between t and its value.
+        head names the global rows; held tells, per series of _CSV_SERIES,
+        whether the sample has a row of it.  index gathers the head values
+        followed by the held rows, raveled and concatenated, into row
+        order: the global rows, then agent by agent its x, xi, rho stages,
+        lam and mu (split by owner), nu and zeta, then each edge series
+        edge by edge.  labels holds each row's ",entity_kind,entity_id,
+        variable,component_index," text, the row between t and its value.
         """
-        starts = np.cumsum([len(head)] + [0 if a is None else a.size for a in arrays])
-        x, rho, nu = arrays[0], arrays[2], arrays[5]
-        n, d = x.shape
-        m = rho.shape[1]
+        sizes = [math.prod(getattr(self, name).shape[1:]) for name in _CSV_SERIES]
+        starts = np.cumsum([len(head)] + [size * has for size, has in zip(sizes, held)])
+        n, m, d = self.rho.shape[1:]
 
         def rows(start, stride, width=d):  # agent i: start + i stride, width entries
             return [start + i * stride + np.arange(width) for i in range(n)]
@@ -483,7 +486,7 @@ class TrajectoryLog:
         agent += [(f"rho{q}", rows(starts[2] + q * d, m * d)) for q in range(m)]
         agent += [("lambda", owned(starts[3], self.problem.ineq_owner)),
                   ("mu", owned(starts[4], self.problem.eq_owner))]
-        if nu is not None:
+        if held[5]:
             agent.append(("nu", rows(starts[5], d)))
         agent.append(("zeta", rows(starts[6], d)))
 
@@ -495,11 +498,10 @@ class TrajectoryLog:
                 labels += [f",agent,{i},{var},{c}," for c in range(where[i].size)]
         net = self.problem.network
         edges = list(zip(net.own.tolist(), net.nbr.tolist()))
-        for var, start, a in zip(("r", "p", "s_in", "s_out"), starts[7:], arrays[7:]):
-            if a is not None:
-                index.append(start + np.arange(a.size))
-                labels += [f",edge,{i}->{j},{var},{c},"
-                           for i, j in edges for c in range(a.shape[1])]
+        for var, start, has in zip(("r", "p", "s_in", "s_out"), starts[7:], held[7:]):
+            if has:
+                index.append(start + np.arange(len(edges) * 2 * d))
+                labels += [f",edge,{i}->{j},{var},{c}," for i, j in edges for c in range(2 * d)]
         return labels, np.concatenate(index)
 
 
@@ -509,8 +511,8 @@ def lyapunov_delayed(log, ref, upto=None):
     (default: the last one).
 
     The agent storages S_i shift xi by 2 xi*; the channel storages are
-    rebuilt from the logged (E, 2n) waves of the samples before upto by
-    the same left-endpoint rectangle rule the online accumulator uses,
+    rebuilt from the rows of the logged waves, (upto, E, 2n), before upto
+    by the same left-endpoint rectangle rule the online accumulator uses,
     summed over steps and channels at once.  It reads only the log and the
     reference, so it checks the online value independently.
     """
@@ -531,9 +533,7 @@ def lyapunov_delayed(log, ref, upto=None):
     gamma, delta = gamma[fwd], delta[fwd]
     total += 0.5 * float(np.sum(log.delays[fwd] * np.sum(gamma**2, axis=1)
                                 + log.delays[bwd] * np.sum(delta**2, axis=1)))
-    shape = (k, prob.network.own.size, 2 * prob.dim)
-    s_in = np.array(log.edge_s_in[:k]).reshape(shape)
-    s_out = np.array(log.edge_s_out[:k]).reshape(shape)
+    s_in, s_out = log.edge_s_in[:k], log.edge_s_out[:k]
     acc = (np.sum((s_out[:, fwd] + gamma) ** 2) - np.sum((s_in[:, bwd] + gamma) ** 2)
            + np.sum((s_out[:, bwd] - delta) ** 2) - np.sum((s_in[:, fwd] - delta) ** 2))
     return total + 0.5 * cfg.step * float(acc)
@@ -564,8 +564,10 @@ def passivity_check(log, ref):
     The online path inside simulate() accumulates the same quantities; this
     post-hoc route exists so the two can be cross-checked on short runs.
     It rebuilds the state, xi_dot (from the logged r) and lam_dot from the
-    log itself, and takes the problem and the compensator from it; only the
-    local-terms, storage, bound and defect kernels are shared.
+    log's rows, and takes the problem and the compensator from it; only the
+    local-terms, storage, bound and defect kernels are shared.  Each sample
+    that a step followed, those with a row of nu, is checked against the
+    next one.
     """
     prob, cfg = log.problem, log.config
     if cfg.log_every != 1:
@@ -602,11 +604,9 @@ def passivity_check(log, ref):
                         row, (s - ps) / h - bound - defect - tol * (1.0 + np.abs(ps)),
                         out=row,
                     )
-        prev = None
-        nu = log.nu[k]
-        if nu is None:  # the closing or an aborted sample: no step follows
-            continue
-        x = log.x[k]
+        if k == len(log.nu):  # the closing or an aborted sample: no step follows
+            break
+        nu, x = log.nu[k], log.x[k]
         r = log.edge_r[k]
         xi_dot = _owner_sums(net.own, n, net.weight * (r[:, :dim] - x[net.own]))
         terms = prob.local_terms(x)
@@ -740,21 +740,23 @@ def simulate(prob, cfg):
     if cfg.mode == "scattering":
         end = ChannelEnd(coupling, cfg.eta)
 
+    # one row per sample: t, the packed state z, nu, zeta and the four edge
+    # series, each filled from its first row; waves only in scattering mode
+    samples = -(-n_steps // cfg.log_every) + 1
+    edge = (len(own), 2 * dim)
+    store = [np.empty((samples,) + shape) for shape in ((), (state.z.size,), (n, dim), (n, dim),
+                                                        edge, edge)]
+    store += [np.empty((samples if end is not None else 0,) + edge) for _ in range(2)]
+    filled = [0] * len(store)
+
     def snapshot(t, state, deriv, ports):
         x = state.x
-        log.t.append(t)
-        log.x.append(x)
-        log.xi.append(state.xi)
-        log.rho.append(state.rho)
-        log.lam.append(state.lam)
-        log.mu.append(state.mu)
-        log.nu.append(None if deriv is None else deriv.nu)
-        log.zeta.append(deriv.zeta if deriv is not None else constraint_force(
-            prob, prob.local_terms(x), state.lam, state.mu))
-        for series, arr in zip(
-            (log.edge_r, log.edge_p, log.edge_s_in, log.edge_s_out), ports
-        ):
-            series.append(arr)
+        nu, zeta = ((deriv.nu, deriv.zeta) if deriv is not None else
+                    (None, constraint_force(prob, prob.local_terms(x), state.lam, state.mu)))
+        for q, value in enumerate((t, state.z, nu, zeta, *ports)):  # None: no row
+            if value is not None:
+                store[q][filled[q]] = value
+                filled[q] += 1
         # the scattering loop settles with xi doubled (each end absorbs the
         # midpoint average), so xi/2 is the stationarity certificate there
         xi_cert = 0.5 * state.xi if end is not None else state.xi
@@ -813,8 +815,8 @@ def simulate(prob, cfg):
             if diag is not None:
                 diag.step(state, deriv, r, p, s_in, s_out)
 
-            if k % log_every == 0:  # no_delay: r, not the whole gather it is half of
-                snapshot(t, state, deriv, (r.copy() if line is None else r, p, s_in, s_out))
+            if k % log_every == 0:
+                snapshot(t, state, deriv, (r, p, s_in, s_out))
 
             # phase 4: barrier commit, unless a guard tripped
             if isinstance(trip, LambdaGuardError):
@@ -837,11 +839,16 @@ def simulate(prob, cfg):
         # guard and nan aborts leave the pre-step state.
         committed = n_steps > 0 and log.abort_reason in (None, "divergence")
         t_end = (k + committed) * h
-        if not log.t or log.t[-1] < t_end or n_steps == 0:
+        if not filled[0] or store[0][filled[0] - 1] < t_end:
             snapshot(t_end, state, None, (None,) * 4)
         # a completed run's final state is the certificates' last row
         if diag is not None and log.abort_reason is None and n_steps:
             diag.step(state, deriv, r, p, s_in, s_out, closing=True)
+        # each series cut to its rows; forming x may overflow, as in a step
+        log.t, z, log.nu, log.zeta, log.edge_r, log.edge_p, log.edge_s_in, log.edge_s_out = (
+            a[:rows] for a, rows in zip(store, filled))
+        st = AgentState._of(state._table, z)
+        log.x, log.xi, log.rho, log.lam, log.mu = st.x, st.xi, st.rho, st.lam, st.mu
     return log
 
 

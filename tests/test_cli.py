@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dcopt.cli import (
+    KKT_TOL,
     DEFAULT_CONFIG,
     ConfigError,
     build_scenario,
@@ -17,6 +18,8 @@ from dcopt.cli import (
     sample_delays,
     validate_config,
 )
+from dcopt.engine import simulate
+from dcopt.matching import brute_force_optimal, extract_assignment
 from dcopt.problem import KKTResidual
 
 INF, NAN = float("inf"), float("nan")
@@ -172,7 +175,7 @@ def fake_log(rows, abort=None):
         for r in rows
     ]
     return SimpleNamespace(
-        abort_reason=abort, kkt=kkt, t=list(np.arange(len(rows), dtype=float)),
+        abort_reason=abort, kkt=kkt, t=np.arange(len(rows), dtype=float),
         config=SimpleNamespace(duration=float(len(rows) - 1)),
     )
 
@@ -317,3 +320,23 @@ def test_main_exit_codes(tmp_path, capsys):
 def test_main_rejects_unknown_scenario():
     with pytest.raises(SystemExit):
         main(["--scenario", "warp", "--out", "/tmp/x"])
+
+
+@pytest.mark.parametrize("step, guard_step", [(5e-3, 312), (1e-2, 17)])
+def test_scattering_fails_where_no_delay_converges(step, guard_step):
+    # the paper's instance (seed 5, N = 5) over 20 s, diagnostics off: at a
+    # coarse step the scattering transient drives some g below -1/(2h), so
+    # the Euler update lam (1 + 2 h g) reaches 0, while the no-delay flow
+    # converges onto the oracle's assignment at the same step
+    cfg = validate_config(None, {"duration": 20.0, "step": step, "diagnostics": False})
+    inst, prob, sim = build_scenario(cfg, "scattering")
+    log = simulate(prob, sim)
+    assert (log.abort_reason, log.abort_step) == ("lambda_guard", guard_step)
+    assert classify(log) == "diverged"
+    _, _, sim = build_scenario(cfg, "no_delay")
+    log = simulate(prob, sim)
+    assert log.abort_reason is None and classify(log) == "converged"
+    assert log.kkt[-1].max() <= KKT_TOL
+    oracle, _ = brute_force_optimal(inst)
+    x_end = log.final_stacks()[0]
+    assert [extract_assignment(x) for x in x_end] == [oracle] * prob.n_agents

@@ -223,7 +223,7 @@ def csv_oracle(prob, log):
             agent += [(f"rho{k}", v) for k, v in enumerate(log.rho[s][i])]
             agent += [("lambda", log.lam[s][prob.ineq_owner == i]),
                       ("mu", log.mu[s][prob.eq_owner == i])]
-            if log.nu[s] is not None:
+            if s < len(log.nu):
                 agent.append(("nu", log.nu[s][i]))
             agent.append(("zeta", log.zeta[s][i]))
             for var, vec in agent:
@@ -231,7 +231,7 @@ def csv_oracle(prob, log):
                     row("agent", i, var, c, v)
         for series, var in ((log.edge_r, "r"), (log.edge_p, "p"),
                             (log.edge_s_in, "s_in"), (log.edge_s_out, "s_out")):
-            if series[s] is None:
+            if s >= len(series):
                 continue
             for i, j, vec in zip(prob.network.own, prob.network.nbr, series[s]):
                 for c in range(vec.size):
@@ -284,7 +284,7 @@ def test_non_finite_lam_dot_aborts_as_nan():
     assert ev["detail"] == "agent 1: non-finite derivative lam_dot (nan)"
     assert log.t[-1] == pytest.approx(0.003)
     assert all(np.isfinite(a).all() for a in log.final_stacks())
-    assert log.x[-1][1, 0] > 0.05 and log.nu[-1] is None
+    assert log.x[-1][1, 0] > 0.05 and len(log.nu) == len(log.t) - 1
 
 
 SPECIAL_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e16, 1e-05]
@@ -362,14 +362,14 @@ def test_to_csv_matches_row_oracle(tmp_path, name):
         assert ",lyapunov_delayed," in text and ",s_out," in text
     elif name == "naive_delay_abort":
         assert log.abort_reason == "nan" and len(log.t) > 2
-        assert log.edge_r[-1] is not None and log.edge_p[-1] is None
-        assert log.nu[-1] is None
+        assert len(log.edge_r) == len(log.t) and len(log.edge_p) == len(log.t) - 1
+        assert len(log.nu) == len(log.t) - 1
     elif name == "log_every_7":
         assert log.t[-1] == pytest.approx(0.03) and round(log.t[-2] / 1e-3) % 7 == 0
-        assert log.edge_r[-1] is None and len(log.diag_t) == 4
+        assert len(log.edge_r) == len(log.t) - 1 and len(log.diag_t) == 4
     elif name == "special_floats":
         rows = [line.split(",") for line in text.splitlines()
-                if line.startswith(repr(log.t[1]) + ",")]
+                if line.startswith(repr(float(log.t[1])) + ",")]
         assert {row[5] for row in rows} == {"-0.0", "nan", "inf", "-inf", "5e-324",
                                             "1e+16", "1e-05"}
         assert {row[3] for row in rows} >= {"x", "xi", "rho1", "lambda", "mu", "nu", "zeta",
@@ -379,7 +379,7 @@ def test_to_csv_matches_row_oracle(tmp_path, name):
         assert log.rho[0].shape[1] == 2
         assert np.bincount(prob.ineq_owner).tolist() == [8] * 8
         assert log.t[-1] == pytest.approx(0.05) and round(log.t[-2] / 1e-3) == 49
-        assert log.nu[-1] is None and log.edge_s_out[-2] is not None
+        assert len(log.nu) == len(log.edge_s_out) == len(log.t) - 1
 
 
 @pytest.fixture
@@ -444,7 +444,7 @@ def test_forked_to_csv_balances_the_repr_cost(tmp_path, forked_csv, paper):
     log.to_csv(tmp_path / "two.csv")
     assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
     [(cut, end)] = forks
-    arrays = [[a for name in engine._CSV_SERIES if (a := getattr(log, name)[k]) is not None]
+    arrays = [[a[k] for name in engine._CSV_SERIES if k < len(a := getattr(log, name))]
               for k in range(len(log.t))]
     cost = np.array([sum(a.size + 6 * np.count_nonzero(a) for a in sample) for sample in arrays])
     nonzero = np.array([sum(np.count_nonzero(a) for a in sample) for sample in arrays])
@@ -560,7 +560,8 @@ def assert_final_state(log, x, lam=None):
     """final_stacks() is the closing sample and holds the expected state."""
     stacks = log.final_stacks()
     for got, series in zip(stacks, (log.x, log.xi, log.lam, log.mu)):
-        assert got is series[-1]
+        if series[-1].size:
+            assert np.shares_memory(got, series[-1]) and np.array_equal(got, series[-1])
     np.testing.assert_allclose(stacks[0], np.full((1, 1), x), rtol=1e-12)
     if lam is not None:
         np.testing.assert_allclose(stacks[2][0], [lam], rtol=1e-12)
@@ -618,7 +619,7 @@ def test_lambda_guard_off_the_log_grid():
     # lam after step 1: lam1 (1 + 2 h g(x1)) with g(x1) = x1 - 49 < -50
     assert ev["value"] <= 0.0
     assert f"would step to {ev['value']:.3e}" in ev["detail"]
-    assert log.t == [0.0, pytest.approx(0.01)]
+    assert log.t.tolist() == [0.0, pytest.approx(0.01)]
     # after step 0: nu = -100 - lam^2, x = h (1 + 10) nu, lam (1 + 2 h g(0))
     assert_final_state(log, x=0.01 * 11.0 * (-100.0 - 1e-4),
                        lam=0.01 * (1.0 + 0.02 * -49.0))
@@ -686,7 +687,7 @@ def test_nan_wins_over_lambda_guard():
     log = simulate(prob, SimConfig(duration=1.0, initial=init))
     assert (log.abort_reason, log.abort_step) == ("nan", 0)
     assert log.events[0]["detail"] == "agent 0: non-finite derivative rho_dot (nan)"
-    assert log.t == [0.0] and log.nu[-1] is None
+    assert log.t.tolist() == [0.0] and len(log.nu) == 0
     assert_final_state(log, x=0.1, lam=0.01)
 
 
@@ -702,7 +703,7 @@ def test_lambda_guard_wins_over_divergence():
     assert (log.abort_reason, log.abort_step) == ("lambda_guard", 0)
     assert [ev["kind"] for ev in log.events] == ["lambda_guard"]
     # the step's sample is logged, and it is the final state
-    assert log.t == [0.0] and log.nu[-1] is not None
+    assert log.t.tolist() == [0.0] and len(log.nu) == 1
     assert_final_state(log, x=2e9, lam=0.01)
 
 
@@ -716,9 +717,69 @@ def test_overflowing_update_aborts_as_divergence():
     assert ev["agent"] == 0 and ev["value"] == np.inf
     assert ev["detail"] == "agent 0: rho magnitude inf exceeds 1e+09"
     # the committed state closes the log at t = h
-    assert log.t == [0.0, 10.0]
+    assert log.t.tolist() == [0.0, 10.0]
     np.testing.assert_array_equal(log.rho[-1], [[[-1e308], [-np.inf]]])
     assert_final_state(log, x=-np.inf)
+
+
+def store_case(mode, ending):
+    """A run of three_agent_quadratic's network in mode that ends as
+    ending: completed, lambda_guard (on a logged step), nan or divergence."""
+    base = three_agent_quadratic()
+    delays = np.full(base.network.own.size, 0.02)
+    fields = {"mode": mode, "delays": delays, "step": 0.01, "diag_interval": 0.01}
+    prob = base
+    if ending == "completed":  # the closing sample is off the log grid
+        fields.update(duration=0.1, log_every=3)
+    elif ending == "lambda_guard":  # as in test_lambda_guard_off_the_log_grid
+        loc = LocalProblem(QuadraticFunction([[1.0]], [100.0]),
+                           inequalities=[AffineFunction([1.0], -49.0)])
+        prob = DistributedProblem(base.network, [loc] * 3)
+        fields.update(duration=1.0, log_every=1)
+    elif ending == "nan":  # agent 1's gradient turns NaN past x = 0.05
+        locs = list(base.local_problems)
+        locs[1] = LocalProblem(GradientLeavesDomain())
+        prob = DistributedProblem(base.network, locs)
+        fields.update(duration=1.0, log_every=2)
+    else:  # a xi beyond the limit before and after step 0
+        init = AgentState.zeros(SimConfig().compensator, base)
+        init.xi[1] = -5e9
+        fields.update(duration=1.0, log_every=4, initial=init)
+    log = simulate(prob, SimConfig(**fields))
+    assert log.abort_reason == (None if ending == "completed" else ending)
+    return prob, log
+
+
+@pytest.mark.parametrize("ending", ["completed", "lambda_guard", "nan", "divergence"])
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_log_store_layout(mode, ending):
+    # every series is one array of rows; nu and the edge series hold the
+    # samples a step followed, first; no entry of the log is None
+    prob, log = store_case(mode, ending)
+    samples = len(log.t)
+    n, d, edges, m = prob.n_agents, prob.dim, prob.network.own.size, 2
+    stepped = samples - (ending != "lambda_guard")  # all but a closing or nan sample
+    rows = {"t": (samples,), "x": (samples, n, d), "xi": (samples, n, d),
+            "rho": (samples, n, m, d), "lam": (samples, prob.ineq_owner.size),
+            "mu": (samples, prob.eq_owner.size), "zeta": (samples, n, d),
+            "nu": (stepped, n, d), "edge_p": (stepped, edges, 2 * d),
+            "edge_r": (stepped + (ending == "nan" and mode != "no_delay"), edges, 2 * d)}
+    waves = stepped if mode == "scattering" else 0
+    rows.update(edge_s_in=(waves, edges, 2 * d), edge_s_out=(waves, edges, 2 * d))
+    for name, shape in rows.items():
+        series = getattr(log, name)
+        assert isinstance(series, np.ndarray) and series.dtype == float, name
+        assert series.shape == shape, name
+    if ending == "completed":
+        assert samples == -(-10 // 3) + 1 and log.t[-1] == pytest.approx(0.1)
+    elif ending == "lambda_guard":
+        assert log.abort_step == samples - 1 > 0
+    for s in range(samples):
+        np.testing.assert_array_equal(log.x[s], np.add.reduce(log.rho[s], axis=-2))
+    for name, value in vars(log).items():
+        if isinstance(value, list):
+            assert all(entry is not None for entry in value), name
+    assert len(log.kkt) == samples
 
 
 def two_agent_integrator_run(mode):
@@ -749,7 +810,7 @@ def assert_logged_ports(log, lag):
             want = u[s - lag][j] if s >= lag else np.zeros(2)
             assert np.array_equal(r, want)
             assert np.array_equal(p, e.apply(r - u[s][i]))
-    assert log.edge_r[-1] is None and log.edge_p[-1] is None
+    assert len(log.edge_r) == len(log.edge_p) == len(log.t) - 1
 
 
 def test_naive_delay_reads_delayed_states():
@@ -854,7 +915,7 @@ def test_initial_states_checked_before_first_step():
     # nor written
     init = state(xi=np.array([[1.0], [0.0], [0.0]]))
     log = simulate(prob, SimConfig(duration=0.01, log_every=1, initial=init))
-    assert log.xi[0] is not init.xi
+    assert not np.shares_memory(log.xi, init.xi)
     assert np.array_equal(log.xi[0], init.xi)
 
 
@@ -916,6 +977,11 @@ def test_reference_point_validate():
     nan = ReferencePoint(np.full((3, 1), np.nan), np.zeros((3, 1)), np.ones(1), np.zeros(1))
     with pytest.raises(ValueError, match="fails KKT"):
         nan.validate(prob, 1e-2)
+    # a reference from a run holds copies, not rows of the run's whole log
+    log = simulate(prob, SimConfig(duration=0.01, log_every=1))
+    ref = ReferencePoint(*log.final_stacks())
+    for name in ("x", "xi", "lam", "mu"):
+        assert not np.shares_memory(getattr(ref, name), getattr(log, name)), name
 
 
 def test_lyapunov_direct_zero_at_reference():
@@ -1111,11 +1177,11 @@ def test_scattering_online_diag_matches_posthoc():
 
 
 def test_logged_samples_are_never_overwritten():
-    # the log and the online diagnostics hold the engine's own arrays,
-    # views of each step's state and derivative vectors, so the engine
-    # must never write into a vector it handed out.  A sample written into
-    # after it was logged would hold a later value, which differs between
-    # runs that stop at different times: the samples of a full-rate
+    # each logged step writes its state into the next row of the log's
+    # store, once.  A row written into after it was logged, by a later
+    # sample or through a view the engine still writes, would hold a later
+    # value, which differs between runs that stop at different times: the
+    # samples of a full-rate
     # scattering run, copied at its end, must equal bit for bit those of a
     # re-run of the same config and of a run cut to half its length.
     prob = three_agent_quadratic()
