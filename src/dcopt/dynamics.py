@@ -184,9 +184,11 @@ class AgentState(_Packed):
     The four fields and x are read-only attributes, formed once per state:
     the fields are views of z in that order, taken from the layout's slice
     table, so an Euler step is one vector update and the divergence guard
-    one reduction over z.  The constructor copies its arrays into a new z;
-    a step builds a new z and never writes into an old one.  A write into a
-    field changes z but not x; assigning a field is an AttributeError.  A
+    one reduction over z.  The constructor copies its arrays into a new z.
+    euler_step without out builds a new state; with out it writes the
+    update into that state's z and x, in place, and never into the state it
+    steps from.  A write into a field changes z but not x (euler_step forms
+    x again); assigning a field is an AttributeError.  A
     z of (K, D), K vectors of one layout as rows, holds K states whose
     fields are (K, ...) views: AgentState._of(table, z), no copy.
     """
@@ -219,10 +221,8 @@ class AgentState(_Packed):
 class AgentDerivative(_Packed):
     """Time derivatives of an AgentState, packed like it: rho_dot, xi_dot,
     lam_dot and mu_dot are read-only views of one vector zdot, so z + h zdot is
-    the Euler step; they are taken together on the first read of any (the
-    diagnostics and the nan report), so a step that reads only zdot takes
-    none.  It also keeps what the diagnostics read at the same x, as
-    separate (N, n) arrays: nu, grad f(x) and the constraint force zeta.
+    the Euler step.  It also keeps what the diagnostics read at the same x,
+    as separate (N, n) arrays: nu, grad f(x) and the constraint force zeta.
     """
 
     __slots__ = ("_zdot", "_rho_dot", "_xi_dot", "_lam_dot", "_mu_dot", "_nu", "_grad",
@@ -236,48 +236,58 @@ class AgentDerivative(_Packed):
 
     def _fill(self, table, zdot, nu, grad, zeta):
         self._table, self._zdot, self._nu, self._grad, self._zeta = table, zdot, nu, grad, zeta
-
-    def __getattr__(self, name):  # only reached while the views are not taken
-        if name not in self._names:
-            raise AttributeError(name)
-        self._rho_dot, self._xi_dot, self._lam_dot, self._mu_dot = _views(self._table, self._zdot)
-        return getattr(self, name)
+        self._rho_dot, self._xi_dot, self._lam_dot, self._mu_dot = _views(table, zdot)
 
 
-def derivatives(prob, comp, state, effort):
+def derivatives(prob, comp, state, effort, out=None):
     """Time derivatives of the network state from time-t information.
 
     effort (N, 2n) holds each agent's summed port effort sum_j p_ij.  The
     local terms come from one prob.local_terms(x) call, with no loop over
     the agents when the problem is affine, and the constraint force from
-    one bincount over the constraint rows.  The four
-    derivative fields go into one fresh zdot by one concatenate.  The
-    result also keeps grad f(x) and zeta for the diagnostics.
+    one bincount over the constraint rows.  Every field is written into
+    out, an AgentDerivative of the state's layout, or into a fresh one:
+    the four derivative fields into the views of its zdot, and grad f(x),
+    nu and zeta, which the diagnostics read, into its own arrays.
     """
+    if out is None:
+        out = AgentDerivative._of(state._table, np.empty_like(state._z),
+                                  *(np.empty_like(state._x) for _ in range(3)))
     n = prob.dim
     terms = prob.local_terms(state._x)
     lam = state._lam
-    zeta = constraint_force(prob, terms, lam, state._mu)
-    nu = terms.neg_grad - zeta + effort[:, :n]
+    zeta = out._zeta
+    np.copyto(zeta, constraint_force(prob, terms, lam, state._mu))
+    np.copyto(out._grad, terms.grad)
+    nu = np.subtract(terms.neg_grad, zeta, out=out._nu)
+    np.add(nu, effort[:, :n], out=nu)
     b, c = comp._columns
-    rho_dot = c * nu[:, None, :] - b * state._rho
-    lam_dot = 2.0 * lam * terms.g
-    zdot = np.concatenate([rho_dot, effort[:, n:], lam_dot, terms.h], axis=None)
-    return AgentDerivative._of(state._table, zdot, nu, terms.grad, zeta)
+    rho_dot = np.multiply(c, nu[:, None, :], out=out._rho_dot)
+    np.subtract(rho_dot, b * state._rho, out=rho_dot)
+    np.copyto(out._xi_dot, effort[:, n:])
+    lam_dot = np.multiply(2.0, lam, out=out._lam_dot)
+    np.multiply(lam_dot, terms.g, out=lam_dot)
+    np.copyto(out._mu_dot, terms.h)
+    return out
 
 
-def euler_step(state, deriv, h):
-    """Explicit Euler update z + h zdot as a new state; guards multiplier
-    positivity.
+def euler_step(state, deriv, h, out=None):
+    """Explicit Euler update z + h zdot, written into out, an AgentState of
+    the state's layout other than state, or into a fresh one; guards
+    multiplier positivity.
 
-    Raises LambdaGuardError when any lam component would become <= 0.
-    The guard is an integration-accuracy failure, so it aborts rather than
-    clamps: clamping would silently change the flow.  A NaN lam does not
-    trip it: the caller tests the returned z for NaN and divergence.
+    Raises LambdaGuardError when any lam component would become <= 0, with
+    the update already written.  The guard is an integration-accuracy
+    failure, so it aborts rather than clamps: clamping would silently
+    change the flow.  A NaN lam does not trip it: the caller tests the
+    returned z for NaN and divergence.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    nxt = AgentState._of(state._table, state._z + h * deriv._zdot)
+    nxt = AgentState._of(state._table, np.zeros_like(state._z)) if out is None else out
+    z = np.multiply(h, deriv._zdot, out=nxt._z)
+    np.add(state._z, z, out=z)
+    np.add.reduce(nxt._rho, axis=-2, out=nxt._x)
     lam = nxt._lam
     if lam.size and np.minimum.reduce(lam) <= 0.0:
         k = int(np.argmax(lam <= 0.0))

@@ -29,9 +29,13 @@ explicit-Euler step has a fixed phase order:
        finite and within the limit only when zdot is finite.
 
 Every quantity consumed in a step is therefore from time t; the step is a
-synchronous barrier, which is what makes runs bit-for-bit reproducible.  A
-logged step copies t, the packed z, nu, zeta and the ports into the next
-row of one array per series, allocated for the run (see TrajectoryLog).
+synchronous barrier, which is what makes runs bit-for-bit reproducible.
+The step works in place: its ports, its derivative and its update are
+written into rows allocated once per run (_StepRows), the update into the
+row after the current state's, so one that does not commit overwrites no
+committed state.  A logged step copies t, the packed z, nu, zeta and the
+ports into the next row of one array per series, allocated for the run
+(see TrajectoryLog).
 
 Exchange modes
 --------------
@@ -49,12 +53,12 @@ per-end wave power identity.  Every step is checked, but the certificates
 are evaluated per block of _DIAG_BLOCK steps, each kernel called once on
 the block's rows, a completed run's final state as one more row; the last,
 partial block is evaluated at the end of the run, also after an abort.  The
-engine copies each step's state, derivative and ports into a row of
-preallocated block buffers, so memory stays bounded by one block however
-long the run.  A long run on a machine with a second CPU forks an
-evaluator: the buffers are two slots of one shared mmap, and the child
-evaluates one slot while the engine fills the other.  Both paths run the
-same evaluation on the same rows, so the reports are identical.
+step rows are then the block buffers, two slots of _DIAG_BLOCK rows in one
+shared mmap, so the engine copies nothing into them, and memory stays
+bounded by two blocks however long the run.  A long run on a machine with a
+second CPU forks an evaluator, which evaluates one slot while the engine
+fills the other.  Both paths run the same evaluation on the same rows, so
+the reports are identical.
 """
 
 import contextlib
@@ -104,8 +108,8 @@ MODES = ("no_delay", "naive_delay", "scattering")
 DIVERGENCE_LIMIT = 1e9
 
 # Steps per evaluation of the online certificates; the reports are bit-equal
-# at any size.  The block buffers hold one row per step, so memory grows with
-# the block while the per-call overhead it saves levels off (N = 5
+# at any size.  The step rows are two slots of this many rows, so memory grows
+# with the block while the per-call overhead it saves levels off (N = 5
 # scattering, 2-core VM: 170 us per step at 16, 151 at 32, within noise of
 # 32 at 64).
 _DIAG_BLOCK = 32
@@ -770,33 +774,38 @@ def simulate(prob, cfg):
 
     k = 0
     log_every = cfg.log_every
-    pair = np.array([nbr, own])  # no_delay: both ends of every edge in one gather
     bins, size, shape = _owner_sum_plan(own, n, (len(own), 2 * dim))  # the efforts sum_j p_ij
     diag = None if cfg.reference is None else _DiagState(log, state, n_steps)
+    rows = _StepRows(prob, cfg.mode, state, 1) if diag is None else diag.rows
+    state, count = rows.states[0], len(rows.states)
+    u = np.empty((n, 2 * dim))  # rows [x_i; xi_i]
+    u_own, diff = np.empty((2,) + edge)  # u gathered by receiving agent, r - u_own
     # guards, not warnings, handle blow-ups; an evaluator is reaped on every path
     with np.errstate(all="ignore"), diag or contextlib.nullcontext():
         for k in range(n_steps):
             t = k * h
-            u = np.concatenate([state.x, state.xi], axis=1)  # rows [x_i; xi_i]
+            deriv, r, p, s_in, s_out, waves = rows.at[k % count]
+            np.concatenate((state.x, state.xi), axis=1, out=u)
 
-            # phase 1: the port pair (r, p) of every directed edge i <- j
+            # phase 1: the port pair (r, p) of every directed edge i <- j; a
+            # take with mode "raise" would copy through a buffer, and every
+            # index is in range, so "clip" gathers straight into the row
+            u.take(own, 0, out=u_own, mode="clip")
             if line is None:
-                ends = u.take(pair, 0)
-                r, u_own = ends[0], ends[1]
+                u.take(nbr, 0, out=r, mode="clip")
+            else:  # what crossed is j's wave (scattering) or its [x_j; xi_j]
+                line.pop(t, s_in if end is not None else r, net.rev)
+            if end is not None:  # i's wave goes back
+                end.recover(s_in, u_own, waves)
             else:
-                r, u_own = line.pop(t).take(net.rev, 0), u.take(own, 0)
-            s_in = s_out = None
-            if end is not None:  # what crossed is j's wave; i's goes back
-                s_in = r
-                r, p, s_out = end.recover(s_in, u_own)
-            else:
-                p = coupling.apply(r - u_own)
+                coupling.apply(np.subtract(r, u_own, out=diff), p)
 
             # phase 2: derivatives from the summed efforts, the update, its guards
             effort = np.bincount(bins, weights=p.ravel(), minlength=size).reshape(shape)
-            deriv = derivatives(prob, comp, state, effort)
+            derivatives(prob, comp, state, effort, deriv)
+            nxt = rows.states[(k + 1) % count]
             try:
-                nxt = euler_step(state, deriv, h)
+                euler_step(state, deriv, h, nxt)
                 trip = (None if np.maximum.reduce(np.abs(nxt.z)) <= DIVERGENCE_LIMIT
                         else "divergence")
             except LambdaGuardError as err:
@@ -813,7 +822,7 @@ def simulate(prob, cfg):
                 line.push(u_own if end is None else s_out, t)
 
             if diag is not None:
-                diag.step(state, deriv, r, p, s_in, s_out)
+                diag.step()
 
             if k % log_every == 0:
                 snapshot(t, state, deriv, (r, p, s_in, s_out))
@@ -843,13 +852,60 @@ def simulate(prob, cfg):
             snapshot(t_end, state, None, (None,) * 4)
         # a completed run's final state is the certificates' last row
         if diag is not None and log.abort_reason is None and n_steps:
-            diag.step(state, deriv, r, p, s_in, s_out, closing=True)
+            diag.close()
         # each series cut to its rows; forming x may overflow, as in a step
         log.t, z, log.nu, log.zeta, log.edge_r, log.edge_p, log.edge_s_in, log.edge_s_out = (
             a[:rows] for a, rows in zip(store, filled))
         st = AgentState._of(state._table, z)
         log.x, log.xi, log.rho, log.lam, log.mu = st.x, st.xi, st.rho, st.lam, st.mu
     return log
+
+
+class _StepRows:
+    """The rows a run's steps are written into, in place: two slots of
+    per_slot rows, R rows in all, each field one (R, ...) array over one
+    shared mmap.  The fields are t and the on-grid flag (which only the
+    certificates read), the packed state z, its derivative zdot, nu, grad
+    and zeta, and the ports: r and p, or in scattering mode s_in and the
+    (E, 3, 2n) block of r, p and s_out that ChannelEnd.recover writes.
+
+    Step k reads its state from row k % R and writes its ports and
+    derivative into that row and its update into row (k + 1) % R, so the
+    update never lands on the state it steps from, and an uncommitted one
+    on no committed state.  The records of each row are made once: states[q]
+    is an AgentState over z[q] with its own x, and at[q] holds the row's
+    AgentDerivative, r, p, s_in, s_out and wave block, the ports the mode
+    lacks None.  ports holds r, p, s_in and s_out over all rows, (R, E, 2n)
+    each, or None.  Row 0 starts as a copy of state.
+    """
+
+    def __init__(self, prob, mode, state, per_slot):
+        n, dim, edges = prob.n_agents, prob.dim, len(prob.network.own)
+        size, agents, edge = state.z.size, (n, dim), (edges, 2 * dim)
+        waves = mode == "scattering"
+        shapes = [(), (), (size,), (size,), agents, agents, agents, edge,
+                  (edges, 3, 2 * dim) if waves else edge]
+        self.per_slot = per_slot
+        count = 2 * per_slot
+        # each field starts 64-byte aligned, so no kernel reads a less aligned
+        # array than a fresh numpy one
+        sizes = [-(-count * math.prod(shape) // 8) * 8 for shape in shapes]
+        flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
+        self.fields = [a[:count * math.prod(shape)].reshape((count,) + shape) for a, shape in
+                       zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+        _, _, z, zdot, nu, grad, zeta, first, second = self.fields
+        if waves:
+            self.ports = (second[:, :, 0], second[:, :, 1], first, second[:, :, 2])
+        else:
+            self.ports = (first, second, None, None)
+        table = state._table
+        self.states = [AgentState._of(table, row) for row in z]
+        self.at = [(AgentDerivative._of(table, zdot[q], nu[q], grad[q], zeta[q]),
+                    *(None if a is None else a[q] for a in self.ports),
+                    second[q] if waves else None)
+                   for q in range(count)]
+        np.copyto(self.states[0]._z, state._z)
+        np.copyto(self.states[0]._x, state._x)
 
 
 class _DiagState:
@@ -864,23 +920,25 @@ class _DiagState:
     coupling row is NaN for naive-delay runs, which have no port
     interpretation.
 
-    step() copies a step into row j of a slot of block buffers: t, the
-    on-grid flag, z, zdot, nu, grad, zeta and, as the mode has them, r, p,
-    s_in and s_out; it counts the steps as simulate does.  A completed
-    run's final state is one more row, with the last step's derivative and
-    ports, whose own bound no row reads.  A full slot is evaluated by
-    _evaluate, each kernel called once on its rows.  The last row's
-    storages, bounds and defects and the channel integral carry over from
-    one block to the next, so every row is compared against the one before
-    it, as step by step.
+    The block buffers are the run's step rows (rows, a _StepRows of two
+    slots), which the engine writes in place: z, zdot, nu, grad, zeta and
+    the ports r, p and, in scattering mode, s_in and s_out.  step() counts
+    a step once its rows are written, as simulate does, and writes its t
+    and on-grid flag.  A completed run's final state, already in the next
+    row, is one more row (close()), with the last step's derivative and
+    ports copied in, whose own bound no row reads.  A full slot is
+    evaluated by _evaluate, each kernel called once on its rows.  The last
+    row's storages, bounds and defects and the channel integral carry over
+    from one block to the next, so every row is compared against the one
+    before it, as step by step.
 
     A run of _DIAG_FORK_STEPS steps or more, with a second CPU, os.fork and
-    no other Python thread, forks an evaluator here: the slots are two, in
-    one shared mmap, and the child evaluates one while the engine fills the
-    other.  One pipe names the slot to evaluate, one returns it free; the
-    child is a _fork of _serve, whose result is its reports, or its
-    exception, which the engine raises again.  Leaving the with block sets
-    the log's reports; on every path the child is reaped.
+    no other Python thread, forks an evaluator here, after the rows are
+    made, so they are shared: the child evaluates one slot while the engine
+    fills the other.  One pipe names the slot to evaluate, one returns it
+    free; the child is a _fork of _serve, whose result is its reports, or
+    its exception, which the engine raises again.  Leaving the with block
+    sets the log's reports; on every path the child is reaped.
     """
 
     def __init__(self, log, state, steps):
@@ -915,16 +973,7 @@ class _DiagState:
         self.every = max(1, int(round(cfg.diag_interval / cfg.step)))
 
         forked = steps >= _DIAG_FORK_STEPS and _fork_cpus() >= 2
-        b, ports = _DIAG_BLOCK, 2 * self.has_ports + 2 * (self.channels is not None)
-        shapes = ([(b,), (b,), (b, state.z.size), (b, state.z.size)]
-                  + [(b, n, prob.dim)] * 3 + [(b, len(net.own), 2 * prob.dim)] * ports)
-        # each field starts 64-byte aligned, so no kernel reads a less aligned
-        # array than a fresh numpy one
-        sizes = [-(-math.prod(shape) // 8) * 8 for shape in shapes]
-        slots = np.frombuffer(mmap.mmap(-1, 8 * (1 + forked) * sum(sizes)), dtype=float)
-        self.slots = [tuple(a[:math.prod(shape)].reshape(shape) for a, shape in
-                            zip(np.split(slot, np.cumsum(sizes)[:-1]), shapes))
-                      for slot in slots.reshape(1 + forked, -1)]
+        self.rows = _StepRows(prob, cfg.mode, state, _DIAG_BLOCK)
         self.k, self.s, self.j, self.busy, self.pid = 0, 0, 0, False, None
         if forked:
             work, self.work = os.pipe()
@@ -956,19 +1005,34 @@ class _DiagState:
                 os.waitpid(self.pid, 0)
                 self.pid = None
 
-    def step(self, state, deriv, r, p, s_in, s_out, closing=False):
-        """Copy the next step into the next row, or, closing, the final
-        state of a completed run with the last step's deriv and ports; a
-        full block is evaluated first."""
-        if self.j == _DIAG_BLOCK:
-            self._hand_off()
+    def step(self, closing=False):
+        """Count the step whose rows the engine has written, or, closing,
+        the final state of a completed run, with t and the on-grid flag.  A
+        full slot is handed off.  When the next step's update goes into the
+        other slot's first row, wait until the evaluator has returned that
+        slot."""
         k = self.k
-        row = (k * self.log.config.step, closing or k % self.every == 0, state._z, deriv._zdot,
-               deriv._nu, deriv._grad, deriv._zeta, r, p, s_in, s_out)
-        for rows, value in zip(self.slots[self.s], row):
-            rows[self.j] = value
+        t, grid = self.rows.fields[:2]
+        q = k % len(t)
+        t[q] = k * self.log.config.step
+        grid[q] = closing or k % self.every == 0
         self.j += 1
         self.k += 1
+        if self.j == self.rows.per_slot:
+            self._hand_off()
+        # no byte: the evaluator ended
+        if self.j == self.rows.per_slot - 1 and self.busy and not os.read(self.free, 1):
+            self._join_evaluator()
+
+    def close(self):
+        """The final state of a completed run, already in the next row, as
+        one more row, with the last step's derivative and ports, whose own
+        bound no row reads."""
+        count = len(self.rows.states)
+        q = self.k % count
+        for a in self.rows.fields[3:]:
+            a[q] = a[(q - 1) % count]
+        self.step(closing=True)
 
     def _hand_off(self):
         """Evaluate the filled rows of the current slot, here or in the
@@ -980,11 +1044,8 @@ class _DiagState:
                 os.write(self.work, _DIAG_MSG.pack(self.s, self.j))
             except BrokenPipeError:  # the evaluator ended: raise its error
                 self._join_evaluator()
-            self.s ^= 1
-            # the other slot is still being evaluated; no byte: the evaluator ended
-            if self.busy and not os.read(self.free, 1):
-                self._join_evaluator()
             self.busy = True
+        self.s ^= 1
         self.j = 0
 
     def _join_evaluator(self):
@@ -1025,11 +1086,13 @@ class _DiagState:
         """Evaluate the K rows of slot: storages, the rate-excess update of
         each against the row before, the wave identity, the channel integral
         and the Lyapunov samples on the grid."""
-        t, grid, z, zdot, nu, grad, zeta, *ports = self.slots[slot]
+        rows = slice(slot * self.rows.per_slot, slot * self.rows.per_slot + K)
+        t, grid, z, zdot, nu, grad, zeta = (a[rows] for a in self.rows.fields[:7])
+        r, p, s_in, s_out = (None if a is None else a[rows] for a in self.rows.ports)
         prob, cfg = self.log.problem, self.log.config
         ref, comp, h, tol = cfg.reference, cfg.compensator, cfg.step, 1e-3
-        st = AgentState._of(self.table, z[:K])
-        deriv = AgentDerivative._of(self.table, zdot[:K], nu[:K], grad[:K], zeta[:K])
+        st = AgentState._of(self.table, z)
+        deriv = AgentDerivative._of(self.table, zdot, nu, grad, zeta)
         sc = compensator_storage(comp, st.rho, ref.z)
         sg = multiplier_storage(prob, st.lam, st.mu, ref.lam, ref.mu)
         # the coupling storage; NaN, like its excess row, without ports
@@ -1040,7 +1103,6 @@ class _DiagState:
         d_c, d_m, d_xi = storage_step_defects(prob, comp, st, deriv, ref.lam, h)
         bnd_coup = np.full_like(d_c, np.nan)
         if self.has_ports:
-            r, p = ports[0][:K], ports[1][:K]
             bnd_coup = _owner_sums(prob.network.own, prob.n_agents,
                                    np.sum((r - self.r_star) * (p - self.p_star), axis=-1), 1)
         # (storage, bound, defect) rows: compensator, multiplier, coupling
@@ -1065,7 +1127,6 @@ class _DiagState:
 
         acc = None
         if self.channels is not None:
-            s_in, s_out = ports[2][:K], ports[3][:K]
             res = np.abs(wave_identity_residual(s_in, s_out, r, p)).max(axis=-1, initial=0.0)
             # a step whose residual is NaN is passed over, as max() does
             self.wave_max = float(np.fmax.reduce(res, initial=self.wave_max))
@@ -1080,7 +1141,7 @@ class _DiagState:
             acc = np.cumsum(np.concatenate([[self.acc], h * power]))
             self.acc = float(acc[K])
 
-        on = np.flatnonzero(grid[:K])
+        on = np.flatnonzero(grid)
         if on.size:
             self.diag_t.extend(t[on].tolist())
             self.lyap_direct.extend((

@@ -30,6 +30,8 @@ class Network:
     and rev[e] the row of j <- i.  Channel c, one per undirected edge,
     joins row fwd[c] = i <- j with i < j and its reverse bwd[c] = j <- i.
     The table is the network's only stored form; the matrix is not kept.
+    laplacian_apply keeps its plans here, one per trailing shape of its
+    input.
     """
 
     def __init__(self, adjacency):
@@ -69,6 +71,7 @@ class Network:
         self.bwd = self.rev[self.fwd]
         for table in (self.own, self.nbr, self.weight, self.rev, self.fwd, self.bwd):
             table.setflags(write=False)
+        self._laplacian_plans = {}
 
     def __repr__(self):
         return f"Network(n_agents={self.n_agents}, n_edges={self.fwd.size})"
@@ -102,9 +105,27 @@ def laplacian_apply(net, v):
     n = net.n_agents
     if v.shape[:1] != (n,):
         raise ValueError(f"v: expected {n} rows, got shape {v.shape}")
-    own, w = net.own, net.weight.reshape((-1,) + (1,) * (v.ndim - 1))
-    deg = _owner_sums(own, n, w)
-    return deg * v - _owner_sums(own, n, w * v[net.nbr])
+    tail = v.shape[1:]
+    plan = net._laplacian_plans.get(tail)
+    if plan is None:
+        plan = net._laplacian_plans[tail] = _laplacian_plan(net, tail)
+    bins, size, shape, weight, degree = plan
+    nbrs = np.multiply(weight, v.take(net.nbr, 0))
+    return degree * v - np.bincount(bins, weights=nbrs.ravel(), minlength=size).reshape(shape)
+
+
+def _laplacian_plan(net, tail):
+    """(bins, bin count, sum shape, weights, degrees) of laplacian_apply
+    for inputs (N,) + tail: the edge sums' _owner_sum_plan, and each edge's
+    weight and each agent's summed weight, the degree, as read-only arrays
+    (E,) + tail and (N,) + tail, so both products are elementwise."""
+    n, own = net.n_agents, net.own
+    weight = net.weight.reshape((-1,) + (1,) * len(tail))
+    arrays = [np.broadcast_to(a, a.shape[:1] + tail).copy()
+              for a in (weight, _owner_sums(own, n, weight))]
+    for a in arrays:
+        a.setflags(write=False)
+    return _owner_sum_plan(own, n, own.shape + tail) + tuple(arrays)
 
 
 def _owner_sums(owner, n_agents, rows, axis=0):

@@ -233,18 +233,22 @@ class DistributedProblem:
 
     @functools.cached_property
     def _force_plan(self):
-        """(entries, their rows, their bins) of constraint_force, made on
-        first use: the flat indices into the constraint rows that the force
-        reads, the row of each and its bin owner * n + column.  The affine
-        path reads only the nonzero entries of its constant rows (NaN and
-        inf are nonzero); the loop path, whose rows change, reads them all."""
+        """(entries, their rows, their bins, their values) of
+        constraint_force, made on first use: the flat indices into the
+        constraint rows that the force reads, the row of each, its bin
+        owner * n + column and, on the affine path, its constant value.  The
+        affine path reads only the nonzero entries of its constant rows (NaN
+        and inf are nonzero); the loop path, whose rows change, reads them
+        all, and its values are None."""
         n = self.dim
+        values = None
         if self._affine is None:
             entries = np.arange(self._owner.size * n)
         else:
             entries = np.flatnonzero(self._affine[2])
+            values = self._affine[2].take(entries)
         rows, cols = np.divmod(entries, n)
-        return entries, rows, self._owner[rows] * n + cols
+        return entries, rows, self._owner[rows] * n + cols, values
 
     def local_terms(self, x):
         """The LocalTerms at x (N, n).
@@ -276,12 +280,15 @@ def constraint_force(prob, terms, lam, mu):
     prob's plan reads, times its row's weight in [lam^2; mu], is one
     bincount weight into bin owner * n + column, so a non-finite row or
     weight stays with its own agent; an agent's entries add in layout
-    order.  On the affine path the zero entries are not read, so a
-    non-finite multiplier reaches only the columns where its row has a
-    nonzero coefficient (an all-zero row contributes nothing); the loop
-    path reads every entry, and 0 * NaN reaches the owner's every column."""
-    entries, rows, bins = prob._force_plan
-    weights = np.concatenate([lam**2, mu]).take(rows) * terms.rows.take(entries)
+    order.  On the affine path the plan holds the entries of the constant
+    rows, and the zero entries are not read, so a non-finite multiplier
+    reaches only the columns where its row has a nonzero coefficient (an
+    all-zero row contributes nothing); the loop path reads every entry, and
+    0 * NaN reaches the owner's every column."""
+    entries, rows, bins, values = prob._force_plan
+    if values is None:
+        values = terms.rows.take(entries)
+    weights = np.concatenate([lam**2, mu]).take(rows) * values
     force = np.bincount(bins, weights=weights, minlength=prob.n_agents * prob.dim)
     return force.reshape(prob.n_agents, prob.dim).astype(float, copy=False)  # int64 if no weights
 

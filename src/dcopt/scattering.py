@@ -53,9 +53,11 @@ class CouplingMatrix:
         a = weight.reshape(-1, 1, 1)  # (E, 2, 2) blocks; one edge is a batch of one
         self.blocks = np.concatenate([a, -a, a, np.zeros_like(a)], axis=-1).reshape(-1, 2, 2)
 
-    def apply(self, vec):
-        """E @ vec for stacked 2n-vectors [u; v] along the last axis."""
-        return (self.blocks @ vec.reshape(-1, 2, self.dim)).reshape(vec.shape)
+    def apply(self, vec, out=None):
+        """E @ vec for stacked 2n-vectors [u; v] along the last axis,
+        written into out (C-contiguous, shaped like vec) when given."""
+        view = None if out is None else out.reshape(-1, 2, self.dim)
+        return np.matmul(self.blocks, vec.reshape(-1, 2, self.dim), out=view).reshape(vec.shape)
 
 
 class DelayLine:
@@ -87,8 +89,12 @@ class DelayLine:
         self.h = float(h)
         self.width = int(width)
         self._shape = delay.shape + (self.width,)
-        self._lines = np.arange(steps.size)
         self._buf = np.zeros((steps.max(initial=1), steps.size, self.width))
+        # _index[c] holds the buffer row of each line's sample to pop after
+        # c pushes (mod the depth), counted in rows of (width,)
+        depth = len(self._buf)
+        back = np.arange(depth).reshape((depth,) + (1,) * steps.ndim) - steps
+        self._index = back % depth * steps.size + np.arange(steps.size).reshape(steps.shape)
         self._pops = 0
         self._pushes = 0
 
@@ -100,12 +106,16 @@ class DelayLine:
                 f"delay line time skew: got t={t}, expected ~{count * self.h}"
             )
 
-    def pop(self, t=None):
-        """Samples from one delay ago (zeros before a line fills)."""
+    def pop(self, t=None, out=None, lines=None):
+        """Samples from one delay ago (zeros before a line fills).  lines
+        picks and orders the lines of an array of delays, one row each; the
+        samples are gathered by one take, into out when given."""
         self._check_time(t, self._pops)
-        slots = (self._pushes - self.steps) % len(self._buf)
+        index = self._index[self._pushes % len(self._buf)]
         self._pops += 1
-        return self._buf[slots, self._lines].reshape(self._shape)
+        if lines is not None:
+            index = index[lines]
+        return self._buf.reshape(-1, self.width).take(index, 0, out=out, mode="clip")
 
     def push(self, value, t=None):
         self._check_time(t, self._pushes)
@@ -138,11 +148,15 @@ class ChannelEnd:
         self._map = np.concatenate([np.concatenate(blocks, axis=-1) for blocks in (
             (sq * m, nm), (sq * nm, -eta * nm), (eta * m - nm, sq * nm))], axis=1)
 
-    def recover(self, s_in, u):
+    def recover(self, s_in, u, out=None):
         """(r, p, s_out) from the incoming wave and the local state
-        u = [x; xi], stacked like s_in; each a view of one product."""
-        out = self._map @ np.concatenate([s_in, u], axis=-1).reshape(-1, 4, self.coupling.dim)
-        out = out.reshape(s_in.shape[:-1] + (3, -1))
+        u = [x; xi], stacked like s_in; each a view of one product, written
+        into out, C-contiguous (..., 3, 2n), when given."""
+        dim = self.coupling.dim
+        if out is None:
+            out = np.empty(s_in.shape[:-1] + (3, 2 * dim))
+        v = np.concatenate([s_in, u], axis=-1).reshape(-1, 4, dim)
+        np.matmul(self._map, v, out=out.reshape(-1, 6, dim))
         return out[..., 0, :], out[..., 1, :], out[..., 2, :]
 
     def outgoing_wave(self, r, p):

@@ -8,7 +8,8 @@ each sample out exactly its delay later, and the Laplacian of a connected
 network must be symmetric positive semidefinite with the ones vector in
 its null space, and equal the dense matrix built from the input weights.
 The sums by owning agent, which the port efforts, the storages and the
-defects share, must equal a plain loop bit for bit.
+defects share, must equal a plain loop bit for bit.  On any such network,
+the engine's in-place steps must be the fresh-record steps bit for bit.
 """
 
 import numpy as np
@@ -16,8 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dcopt import ReferencePoint, SimConfig, simulate
+from dcopt.engine import MODES
 from dcopt.graph import Network, _owner_sums, laplacian_apply, ring
-from test_engine import ring_matrix
+from dcopt.problem import AffineFunction, DistributedProblem, LocalProblem, QuadraticFunction
+from test_engine import assert_steps_are_the_fresh_path, ring_matrix
 from dcopt.scattering import (
     ChannelEnd,
     CouplingMatrix,
@@ -276,3 +280,25 @@ def test_owner_sums_equal_a_loop_and_keep_a_nan_in_its_agent(case, data):
         want = at[:lead] + (owner[at[lead]],) + at[lead + 1:]
         assert np.argwhere(np.isnan(_owner_sums(owner, n_agents, bad, axis))).tolist() == [
             list(want)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(connected_adjacency(), st.sampled_from(MODES), st.integers(1, 200), st.integers(1, 2),
+       st.booleans(), st.data())
+def test_in_place_steps_are_the_fresh_path(a, mode, steps, dim, with_reference, data):
+    # quadratic pulls toward drawn targets under one bound each, delays of
+    # 1-5 steps, and with a reference the certificates' slot rows: whether
+    # the run completes or aborts, each logged step is the fresh path's
+    n, h = len(a), 1e-3
+    targets = data.draw(arrays(float, (n, dim), elements=st.floats(-5.0, 5.0)))
+    locs = [LocalProblem(QuadraticFunction(np.eye(dim), -c),
+                         inequalities=[AffineFunction(np.ones(dim), -10.0)]) for c in targets]
+    prob = DistributedProblem(Network(a), locs)
+    delays = h * data.draw(arrays(np.int64, prob.network.own.shape, elements=st.integers(1, 5)))
+    ref = None
+    if with_reference:
+        ref = ReferencePoint(np.zeros((n, dim)), np.zeros((n, dim)), np.ones(n), np.zeros(0))
+    log = simulate(prob, SimConfig(step=h, duration=steps * h, mode=mode, delays=delays,
+                                   log_every=1, diag_interval=h, reference=ref))
+    assert len(log.t) >= 1
+    assert_steps_are_the_fresh_path(log)

@@ -545,3 +545,84 @@ def test_kernels_take_a_block_of_steps():
             np.testing.assert_array_equal(stacked[k], one)
     d_m = block[5]
     assert np.argwhere(np.isnan(d_m)).tolist() == [[1, 2]]
+
+
+def stale_records(st):
+    """An AgentDerivative and an AgentState of st's layout whose every entry
+    is stale, 7.0: what derivatives and euler_step do not write shows."""
+    d = AgentDerivative(*(np.full_like(a, 7.0) for a in (st.rho, st.xi, st.lam, st.mu)),
+                        *(np.full_like(st.x, 7.0) for _ in range(3)))
+    return d, AgentState(*(np.full_like(a, 7.0) for a in (st.rho, st.xi, st.lam, st.mu)))
+
+
+def assert_out_path_is_the_fresh_path(prob, comp, states, efforts, h):
+    """derivatives and euler_step into one pair of records, reused for each
+    state, give the fresh records' values bit for bit, a guard trip
+    included; NaN and inf entries keep their bits too."""
+    d_out, nxt_out = stale_records(states[0])
+    for st, effort in zip(states, efforts, strict=True):
+        with np.errstate(all="ignore"):
+            fresh = derivatives(prob, comp, st, effort)
+            assert derivatives(prob, comp, st, effort, d_out) is d_out
+            for name in ("zdot", "nu", "grad", "zeta"):
+                assert getattr(d_out, name).tobytes() == getattr(fresh, name).tobytes(), name
+            try:
+                want = euler_step(st, fresh, h)
+            except LambdaGuardError as err:
+                with pytest.raises(LambdaGuardError) as got:
+                    euler_step(st, d_out, h, nxt_out)
+                assert (got.value.index, got.value.value) == (err.index, err.value)
+                # the update is written before the guard looks at it
+                assert nxt_out.z.tobytes() == (st.z + h * fresh.zdot).tobytes()
+                continue
+            assert euler_step(st, d_out, h, nxt_out) is nxt_out
+        for name in ("z", "x", "rho", "xi", "lam", "mu"):
+            assert getattr(nxt_out, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def random_states(rng, like, count):
+    return [AgentState(rng.normal(size=like.rho.shape), rng.normal(size=like.xi.shape),
+                       rng.uniform(0.1, 2.0, size=like.lam.shape), rng.normal(size=like.mu.shape))
+            for _ in range(count)]
+
+
+def test_out_path_on_the_matching_lp():
+    from dcopt.cli import build_scenario, validate_config  # the CLI's affine instance
+    _, prob, sim = build_scenario(validate_config(None, {"agents": 5}), "scattering")
+    assert prob._affine is not None
+    rng = np.random.default_rng(31)
+    states = random_states(rng, AgentState.zeros(sim.compensator, prob), 4)
+    efforts = [rng.normal(size=(prob.n_agents, 2 * prob.dim)) for _ in states]
+    assert_out_path_is_the_fresh_path(prob, sim.compensator, states, efforts, 1e-3)
+
+
+def test_out_path_on_the_loop_path():
+    rng = np.random.default_rng(37)
+    prob, comp, st = random_setup(rng)
+    assert prob._affine is None
+    states = [st] + random_states(rng, st, 3)
+    efforts = [rng.normal(size=(1, 6)) for _ in states]
+    assert_out_path_is_the_fresh_path(prob, comp, states, efforts, 1e-2)
+
+
+def test_out_path_with_non_finite_entries():
+    rng = np.random.default_rng(43)
+    prob, comp, st = random_setup(rng)
+    states = random_states(rng, st, 3)
+    states[0].xi[0, 1] = np.nan
+    states[1].rho[0, 1, 2] = np.inf
+    efforts = [rng.normal(size=(1, 6)) for _ in states]
+    efforts[2][0, 4] = -np.inf
+    assert_out_path_is_the_fresh_path(prob, comp, states, efforts, 1e-3)
+
+
+def test_out_path_on_a_guard_trip():
+    # g = x - 1 at x = -400 gives lam_dot = -802 lam: h = 0.01 steps lam to
+    # 1 - 8.02 < 0
+    prob, comp = hand_prob(), lead_comp()
+    st = AgentState(rho=np.array([[[-400.0], [0.0]]]), xi=np.zeros((1, 1)),
+                    lam=np.array([1.0]), mu=np.zeros(1))
+    with pytest.raises(LambdaGuardError):
+        euler_step(st, derivatives(prob, comp, st, no_effort(prob)), 0.01)
+    assert_out_path_is_the_fresh_path(prob, comp, [st, hand_state(), st], [no_effort(prob)] * 3,
+                                      0.01)

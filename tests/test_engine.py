@@ -23,7 +23,7 @@ from dcopt import (
 )
 from dcopt import engine
 from dcopt.cli import KKT_TOL, build_scenario, compute_reference, validate_config
-from dcopt.dynamics import CompensatorParams, derivatives
+from dcopt.dynamics import CompensatorParams, LambdaGuardError, derivatives, euler_step
 from dcopt.engine import TrajectoryLog
 from dcopt.graph import Network, _owner_sums
 from dcopt.problem import (
@@ -1678,3 +1678,130 @@ def test_local_terms_loop_path_with_state_dependent_rows():
     # the engine follows the independent loop on this problem too
     assert_matches_direct_flow(SimConfig().compensator, "no_delay", prob=prob,
                                a=ring_matrix(3, 2.0))
+
+
+# The engine steps in place: each step writes its ports and derivative into
+# preallocated rows and its update into the next state row.  The tests below
+# replay a run's logged steps through the fresh-record path and look for
+# any log array that still points into those rows.
+
+
+def assert_steps_are_the_fresh_path(log):
+    """Each logged step of a full-rate log, stepped again from its logged
+    state and efforts by derivatives and euler_step without out, gives the
+    logged nu and zeta and the next sample bit for bit.  So an abort keeps
+    what the fresh path keeps: a lambda_guard step's update raises here too
+    and is not logged, a nan step leaves its pre-step state last, and a
+    divergence's committed update is the closing sample."""
+    prob, cfg = log.problem, log.config
+    assert cfg.log_every == 1
+    net = prob.network
+    for s in range(len(log.nu)):
+        st = AgentState(log.rho[s], log.xi[s], log.lam[s], log.mu[s])
+        with np.errstate(all="ignore"):
+            d = derivatives(prob, cfg.compensator, st,
+                            _owner_sums(net.own, prob.n_agents, log.edge_p[s]))
+            assert d.nu.tobytes() == log.nu[s].tobytes()
+            assert d.zeta.tobytes() == log.zeta[s].tobytes()
+            try:
+                nxt = euler_step(st, d, cfg.step)
+            except LambdaGuardError as err:
+                assert (log.abort_reason, log.abort_step, len(log.t)) == ("lambda_guard", s, s + 1)
+                assert log.events[-1]["value"] == err.value
+                continue
+        for name in ("rho", "xi", "lam", "mu"):
+            assert getattr(nxt, name).tobytes() == getattr(log, name)[s + 1].tobytes(), (s, name)
+    assert len(log.t) == len(log.nu) + (log.abort_reason != "lambda_guard")
+
+
+@pytest.fixture
+def step_rows(monkeypatch):
+    """The step rows of every run simulate makes from now on, in order."""
+    made = []
+
+    class Recorded(engine._StepRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(engine, "_StepRows", Recorded)
+    return made
+
+
+def assert_log_owns_its_arrays(log, rows):
+    """No array of the log, and none of a reference taken from it, shares
+    memory with a row the engine writes again: the row fields and each
+    state row's x."""
+    reused = list(rows.fields) + [st.x for st in rows.states]
+    series = [getattr(log, name) for name in ("t", "x", "xi", "rho", "lam", "mu", "nu", "zeta",
+                                              "edge_r", "edge_p", "edge_s_in", "edge_s_out")]
+    if log.passivity is not None:
+        series += [log.passivity.compensator_excess, log.passivity.multiplier_excess,
+                   log.passivity.coupling_excess]
+    ref = ReferencePoint(*log.final_stacks())
+    for a in series + [ref.x, ref.xi, ref.lam, ref.mu]:
+        for b in reused:
+            assert not np.shares_memory(a, b)
+
+
+def in_place_abort_case(paper, case):
+    """(problem, SimConfig with a reference, abort step) of a full-rate run
+    that aborts as case says."""
+    base = three_agent_quadratic()
+    delays = np.full(base.network.own.size, 0.02)
+    ref = ReferencePoint(np.full((3, 1), 3.0), np.zeros((3, 1)), np.ones(1), np.zeros(1))
+    fields = dict(step=0.01, duration=1.0, mode="scattering", delays=delays, log_every=1,
+                  diag_interval=0.01, reference=ref)
+    if case == "paper_mid_block":  # finding A: step 312 is row 24 of its block
+        cfg, prob, ref = paper
+        _, prob, sim = build_scenario(dict(cfg, step=5e-3, log_every=1), "scattering")
+        sim.reference = ref
+        return prob, sim, ("lambda_guard", 312)
+    if case in ("last_row", "mid_block"):  # g = x - b trips the guard as x falls
+        b, step = {"last_row": (-21.0, 31), "mid_block": (-16.0, 20)}[case]
+        loc = LocalProblem(QuadraticFunction([[1.0]], [100.0]),
+                           inequalities=[AffineFunction([1.0], -b)])
+        prob = DistributedProblem(base.network, [loc] * 3)
+        fields["reference"] = ReferencePoint(np.zeros((3, 1)), np.zeros((3, 1)), np.ones(3),
+                                             np.zeros(0))
+        return prob, SimConfig(**fields), ("lambda_guard", step)
+    if case == "nan":  # agent 1's gradient turns NaN past x = 0.05, in the second slot
+        locs = list(base.local_problems)
+        locs[1] = LocalProblem(GradientLeavesDomain())
+        fields.update(step=1e-4, duration=0.01, diag_interval=1e-3)
+        return DistributedProblem(base.network, locs), SimConfig(**fields), ("nan", 50)
+    init = AgentState.zeros(SimConfig().compensator, base)  # a xi past the limit
+    init.xi[1] = -5e9
+    return base, SimConfig(**fields, initial=init), ("divergence", 0)
+
+
+@pytest.mark.parametrize("case", ["paper_mid_block", "last_row", "mid_block", "nan",
+                                  "divergence"])
+def test_in_place_rows_keep_each_abort(paper, forked_diag, step_rows, monkeypatch, case):
+    # the rows come in two slots of 32; an update that does not commit goes
+    # into the next row, which at a slot's last row is the other slot's first
+    monkeypatch.setattr(engine, "_DIAG_BLOCK", 32)
+    prob, sim, (reason, step) = in_place_abort_case(paper, case)
+    here, forked = both_paths(forked_diag, prob, sim)
+    for log, rows in zip((here, forked), step_rows, strict=True):
+        assert (log.abort_reason, log.abort_step) == (reason, step)
+        assert len(rows.states) == 64
+        assert_steps_are_the_fresh_path(log)
+        assert_log_owns_its_arrays(log, rows)
+    assert_same_certificates(here, forked)
+    if case == "last_row":
+        assert step % 32 == 31
+
+
+@pytest.mark.parametrize("mode", engine.MODES)
+def test_in_place_rows_without_a_reference(step_rows, mode):
+    # two state rows alternate; a completed run's closing sample is the
+    # update of its last step
+    prob = chord_quadratic()
+    log = simulate(prob, SimConfig(step=0.01, duration=0.5, mode=mode, log_every=1,
+                                   delays=per_edge(prob.network, lambda i, j: 0.01 * (i + j + 1))))
+    assert log.abort_reason is None and len(log.t) == 51
+    [rows] = step_rows
+    assert len(rows.states) == 2
+    assert_steps_are_the_fresh_path(log)
+    assert_log_owns_its_arrays(log, rows)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from dcopt import ring
 from dcopt.cli import sample_delays
-from dcopt.graph import Network, laplacian_apply
+from dcopt.graph import Network, _owner_sums, laplacian_apply
 from test_engine import ring_matrix
 
 
@@ -154,6 +154,22 @@ def test_laplacian_apply_matches_matrix():
     assert np.allclose(laplacian_apply(net, v), lap @ v, atol=1e-14)
     w = rng.normal(size=5)
     assert np.allclose(laplacian_apply(net, w), lap @ w, atol=1e-14)
+
+
+@pytest.mark.parametrize("weight", [4.0, 0.3])
+def test_laplacian_apply_keeps_the_edge_sums(weight):
+    # the degrees, weights and bins are the network's, made once per input
+    # shape; the result is the two owner sums over the edge table bit for
+    # bit, at the CLI's ring weight and at one that is not a power of two,
+    # on a new plan and on a reused one (second pass)
+    rng = np.random.default_rng(23)
+    for n in (3, 5, 8):
+        net = ring(n, weight)
+        for _ in range(2):
+            for v in (rng.normal(size=(n, 6)), rng.normal(size=n), rng.normal(size=(n, 2, 3))):
+                w = net.weight.reshape((-1,) + (1,) * (v.ndim - 1))
+                want = _owner_sums(net.own, n, w) * v - _owner_sums(net.own, n, w * v[net.nbr])
+                assert laplacian_apply(net, v).tobytes() == want.tobytes()
 
 
 def test_laplacian_apply_checks_the_row_count():
