@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _owner_sums
-from .problem import constraint_force
+from .problem import _force_work, constraint_force
 
 __all__ = [
     "CompensatorParams",
@@ -105,7 +105,6 @@ class CompensatorParams:
         c.setflags(write=False)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
-        object.__setattr__(self, "_columns", (b[:, None], c[:, None]))  # (m, 1) each
 
     @property
     def m(self):
@@ -239,32 +238,53 @@ class AgentDerivative(_Packed):
         self._rho_dot, self._xi_dot, self._lam_dot, self._mu_dot = _views(table, zdot)
 
 
-def derivatives(prob, comp, state, effort, out=None):
+class _Plan:
+    """The operands of derivatives besides the state and the effort, laid
+    out once per run: the gains b and c at the stages' full shape (N, m, n),
+    a buffer for b rho, the LocalTerms that local_terms fills in place and
+    constraint_force's buffers.  simulate makes one per run and derivatives
+    a fresh one per call without it, so no two runs or calls share one."""
+
+    __slots__ = ("b", "c", "b_rho", "terms", "force")
+
+    def __init__(self, prob, comp, state):
+        shape = state._rho.shape
+        self.b, self.c = (np.broadcast_to(v[:, None], shape).copy() for v in (comp.b, comp.c))
+        self.b_rho = np.empty(shape)
+        self.terms = prob.local_terms(state._x)
+        self.force = _force_work(prob)
+
+
+def derivatives(prob, comp, state, effort, out=None, plan=None):
     """Time derivatives of the network state from time-t information.
 
-    effort (N, 2n) holds each agent's summed port effort sum_j p_ij.  The
-    local terms come from one prob.local_terms(x) call, with no loop over
-    the agents when the problem is affine, and the constraint force from
-    one bincount over the constraint rows.  Every field is written into
-    out, an AgentDerivative of the state's layout, or into a fresh one:
-    the four derivative fields into the views of its zdot, and grad f(x),
-    nu and zeta, which the diagnostics read, into its own arrays.
+    effort (2, N, n) holds each agent's summed port effort sum_j p_ij in
+    two halves: effort[0], the first n entries of each p_ij, adds to nu, and
+    effort[1] is xi_dot.  The local terms come from one prob.local_terms(x)
+    call, with no loop over the agents when the problem is affine, and the
+    constraint force from one bincount over the constraint rows.  Every
+    field is written into out, an AgentDerivative of the state's layout, or
+    into a fresh one: the four derivative fields into the views of its
+    zdot, and grad f(x), nu and zeta, which the diagnostics read, into its
+    own arrays.  plan, a _Plan of this problem, compensator and layout
+    that the caller makes once per run, holds every other operand and
+    buffer; without it a fresh one is made.
     """
     if out is None:
         out = AgentDerivative._of(state._table, np.empty_like(state._z),
                                   *(np.empty_like(state._x) for _ in range(3)))
-    n = prob.dim
-    terms = prob.local_terms(state._x)
+    if plan is None:
+        plan = _Plan(prob, comp, state)
+    terms = prob.local_terms(state._x, plan.terms)
     lam = state._lam
     zeta = out._zeta
-    np.copyto(zeta, constraint_force(prob, terms, lam, state._mu))
+    np.copyto(zeta, constraint_force(prob, terms, lam, state._mu, plan.force))
     np.copyto(out._grad, terms.grad)
     nu = np.subtract(terms.neg_grad, zeta, out=out._nu)
-    np.add(nu, effort[:, :n], out=nu)
-    b, c = comp._columns
-    rho_dot = np.multiply(c, nu[:, None, :], out=out._rho_dot)
-    np.subtract(rho_dot, b * state._rho, out=rho_dot)
-    np.copyto(out._xi_dot, effort[:, n:])
+    np.add(nu, effort[0], out=nu)
+    rho_dot = np.multiply(plan.c, nu[:, None, :], out=out._rho_dot)
+    np.subtract(rho_dot, np.multiply(plan.b, state._rho, out=plan.b_rho), out=rho_dot)
+    np.copyto(out._xi_dot, effort[1])
     lam_dot = np.multiply(2.0, lam, out=out._lam_dot)
     np.multiply(lam_dot, terms.g, out=lam_dot)
     np.copyto(out._mu_dot, terms.h)
@@ -274,7 +294,7 @@ def derivatives(prob, comp, state, effort, out=None):
 def euler_step(state, deriv, h, out=None):
     """Explicit Euler update z + h zdot, written into out, an AgentState of
     the state's layout other than state, or into a fresh one; guards
-    multiplier positivity.
+    multiplier positivity.  h must be positive and finite.
 
     Raises LambdaGuardError when any lam component would become <= 0, with
     the update already written.  The guard is an integration-accuracy
@@ -282,8 +302,8 @@ def euler_step(state, deriv, h, out=None):
     change the flow.  A NaN lam does not trip it: the caller tests the
     returned z for NaN and divergence.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < h < math.inf:  # NaN fails both
+        raise ValueError(f"step size must be positive and finite, got {h}")
     nxt = AgentState._of(state._table, np.zeros_like(state._z)) if out is None else out
     z = np.multiply(h, deriv._zdot, out=nxt._z)
     np.add(state._z, z, out=z)

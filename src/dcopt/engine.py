@@ -14,9 +14,11 @@ explicit-Euler step has a fixed phase order:
        read this one pair,
     2. the derivatives of the whole network in one call, from the local
        terms and each agent's summed effort sum_j p_ij (one bincount by
-       receiving agent, its bins planned once per run), and the Euler
-       update z + h zdot of the packed state (see AgentState) with its
-       guards, on its lam view and one abs-max over it; not yet committed,
+       receiving agent into two contiguous halves (2, N, n), the x half
+       that adds to nu and the xi half that is xi_dot, its bins planned
+       once per run), and the Euler update z + h zdot of the packed state
+       (see AgentState) with its guards, on its lam view and one abs-max
+       over it; not yet committed,
     3. the push of every edge into the delay lines (the outgoing waves of
        phase 1 in scattering mode, the sender's own [x; xi] in naive mode),
     4. barrier commit of the update, or the abort of the first tripped of:
@@ -33,9 +35,16 @@ synchronous barrier, which is what makes runs bit-for-bit reproducible.
 The step works in place: its ports, its derivative and its update are
 written into rows allocated once per run (_StepRows), the update into the
 row after the current state's, so one that does not commit overwrites no
-committed state.  A logged step copies t, the packed z, nu, zeta and the
-ports into the next row of one array per series, allocated for the run
-(see TrajectoryLog).
+committed state.  Its operands are laid out once per run too: the views
+of each row that the port map and the effort bincount read (p as halves
+(E, 2, n) and flat, but in scattering mode, whose p is a strided view of
+the wave block), the delay lines' pop order, and derivatives' _Plan (the
+compensator gains at full shape, the local terms and the constraint
+force's buffers), so a step makes only the numpy calls its arithmetic
+needs.  What it still allocates are the two bincount sums (bincount has
+no out) and, in scattering mode, p's flat copy.  A logged step copies t,
+the packed z, nu, zeta and the ports into the next row of one array per
+series, allocated for the run (see TrajectoryLog).
 
 Exchange modes
 --------------
@@ -80,6 +89,7 @@ from .dynamics import (
     AgentState,
     CompensatorParams,
     LambdaGuardError,
+    _Plan,
     compensator_storage,
     derivatives,
     euler_step,
@@ -511,8 +521,9 @@ class TrajectoryLog:
 
 def lyapunov_delayed(log, ref, upto=None):
     """Delayed-run Lyapunov value about ref (checked against log.problem)
-    from a full-rate scattering log (log_every == 1), at sample upto
-    (default: the last one).
+    from a full-rate scattering log (log_every == 1), at sample upto, an
+    int in [0, len(log.t) - 1] (default: the last one); anything else, a
+    negative index too, is a ValueError.
 
     The agent storages S_i shift xi by 2 xi*; the channel storages are
     rebuilt from the rows of the logged waves, (upto, E, 2n), before upto
@@ -526,7 +537,10 @@ def lyapunov_delayed(log, ref, upto=None):
     if cfg.log_every != 1:
         raise ValueError("lyapunov_delayed needs full-rate logging (log_every=1)")
     _check_reference(prob, ref)
-    k = len(log.t) - 1 if upto is None else upto
+    last = len(log.t) - 1
+    k = last if upto is None else upto
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 0 <= k <= last:
+        raise ValueError(f"upto must be an int in [0, {last}], got {upto!r}")
     total = float(np.sum(
         compensator_storage(cfg.compensator, log.rho[k], ref.z)
         + multiplier_storage(prob, log.lam[k], log.mu[k], ref.lam, ref.mu)
@@ -739,7 +753,7 @@ def simulate(prob, cfg):
         if delays.shape != own.shape:
             raise ValueError(f"delays: expected shape {own.shape}, one per edge in the "
                              f"network's table order, got {delays.shape}")
-        line = DelayLine(delays, h, 2 * dim)
+        line = DelayLine(delays, h, 2 * dim, net.rev)
         log.delays = line.delay
     if cfg.mode == "scattering":
         end = ChannelEnd(coupling, cfg.eta)
@@ -774,18 +788,24 @@ def simulate(prob, cfg):
 
     k = 0
     log_every = cfg.log_every
-    bins, size, shape = _owner_sum_plan(own, n, (len(own), 2 * dim))  # the efforts sum_j p_ij
+    # the efforts sum_j p_ij in two halves (2, N, n), for the edges' p taken
+    # as (E, 2, n): the bins of the halves' order, permuted to p's
+    bins, size, shape = _owner_sum_plan(own, n, (2, len(own), dim), 1)
+    bins = bins.reshape(2, -1, dim).transpose(1, 0, 2).ravel()
     diag = None if cfg.reference is None else _DiagState(log, state, n_steps)
     rows = _StepRows(prob, cfg.mode, state, 1) if diag is None else diag.rows
     state, count = rows.states[0], len(rows.states)
+    plan = _Plan(prob, comp, state)
     u = np.empty((n, 2 * dim))  # rows [x_i; xi_i]
     u_own, diff = np.empty((2,) + edge)  # u gathered by receiving agent, r - u_own
+    diff_pairs = diff.reshape(-1, 2, dim)
+    mags = np.empty_like(state.z)  # |z| of the update
     # guards, not warnings, handle blow-ups; an evaluator is reaped on every path
     with np.errstate(all="ignore"), diag or contextlib.nullcontext():
         for k in range(n_steps):
             t = k * h
-            deriv, r, p, s_in, s_out, waves = rows.at[k % count]
-            np.concatenate((state.x, state.xi), axis=1, out=u)
+            deriv, r, p, s_in, s_out, waves, p_pairs, p_flat = rows.at[k % count]
+            np.concatenate((state._x, state._xi), axis=1, out=u)
 
             # phase 1: the port pair (r, p) of every directed edge i <- j; a
             # take with mode "raise" would copy through a buffer, and every
@@ -794,19 +814,21 @@ def simulate(prob, cfg):
             if line is None:
                 u.take(nbr, 0, out=r, mode="clip")
             else:  # what crossed is j's wave (scattering) or its [x_j; xi_j]
-                line.pop(t, s_in if end is not None else r, net.rev)
-            if end is not None:  # i's wave goes back
+                line.pop(t, s_in if end is not None else r)
+            if end is not None:  # i's wave goes back; p is a strided view
                 end.recover(s_in, u_own, waves)
+                p_flat = p.ravel()
             else:
-                coupling.apply(np.subtract(r, u_own, out=diff), p)
+                np.subtract(r, u_own, out=diff)
+                coupling.apply(diff_pairs, p_pairs)
 
             # phase 2: derivatives from the summed efforts, the update, its guards
-            effort = np.bincount(bins, weights=p.ravel(), minlength=size).reshape(shape)
-            derivatives(prob, comp, state, effort, deriv)
+            effort = np.bincount(bins, weights=p_flat, minlength=size).reshape(shape)
+            derivatives(prob, comp, state, effort, deriv, plan)
             nxt = rows.states[(k + 1) % count]
             try:
                 euler_step(state, deriv, h, nxt)
-                trip = (None if np.maximum.reduce(np.abs(nxt.z)) <= DIVERGENCE_LIMIT
+                trip = (None if np.maximum.reduce(np.abs(nxt._z, out=mags)) <= DIVERGENCE_LIMIT
                         else "divergence")
             except LambdaGuardError as err:
                 trip = err
@@ -875,8 +897,11 @@ class _StepRows:
     on no committed state.  The records of each row are made once: states[q]
     is an AgentState over z[q] with its own x, and at[q] holds the row's
     AgentDerivative, r, p, s_in, s_out and wave block, the ports the mode
-    lacks None.  ports holds r, p, s_in and s_out over all rows, (R, E, 2n)
-    each, or None.  Row 0 starts as a copy of state.
+    lacks None, and then two views of p planned for the step: its halves
+    (E, 2, n) and its flat form, or None in scattering mode, where p is a
+    strided view of the wave block and only a copy is flat.  ports holds r,
+    p, s_in and s_out over all rows, (R, E, 2n) each, or None.  Row 0
+    starts as a copy of state.
     """
 
     def __init__(self, prob, mode, state, per_slot):
@@ -902,7 +927,8 @@ class _StepRows:
         self.states = [AgentState._of(table, row) for row in z]
         self.at = [(AgentDerivative._of(table, zdot[q], nu[q], grad[q], zeta[q]),
                     *(None if a is None else a[q] for a in self.ports),
-                    second[q] if waves else None)
+                    *((second[q], None, None) if waves else
+                      (None, second[q].reshape(edges, 2, dim), second[q].reshape(-1))))
                    for q in range(count)]
         np.copyto(self.states[0]._z, state._z)
         np.copyto(self.states[0]._x, state._x)
@@ -923,14 +949,14 @@ class _DiagState:
     The block buffers are the run's step rows (rows, a _StepRows of two
     slots), which the engine writes in place: z, zdot, nu, grad, zeta and
     the ports r, p and, in scattering mode, s_in and s_out.  step() counts
-    a step once its rows are written, as simulate does, and writes its t
-    and on-grid flag.  A completed run's final state, already in the next
-    row, is one more row (close()), with the last step's derivative and
-    ports copied in, whose own bound no row reads.  A full slot is
-    evaluated by _evaluate, each kernel called once on its rows.  The last
-    row's storages, bounds and defects and the channel integral carry over
-    from one block to the next, so every row is compared against the one
-    before it, as step by step.
+    a step once its rows are written, as simulate does; the t and on-grid
+    flag of a slot's rows are written when it is handed off.  A completed
+    run's final state, already in the next row, is one more row (close()),
+    with the last step's derivative and ports copied in, whose own bound no
+    row reads.  A full slot is evaluated by _evaluate, each kernel called
+    once on its rows.  The last row's storages, bounds and defects and the
+    channel integral carry over from one block to the next, so every row is
+    compared against the one before it, as step by step.
 
     A run of _DIAG_FORK_STEPS steps or more, with a second CPU, os.fork and
     no other Python thread, forks an evaluator here, after the rows are
@@ -974,7 +1000,7 @@ class _DiagState:
 
         forked = steps >= _DIAG_FORK_STEPS and _fork_cpus() >= 2
         self.rows = _StepRows(prob, cfg.mode, state, _DIAG_BLOCK)
-        self.k, self.s, self.j, self.busy, self.pid = 0, 0, 0, False, None
+        self.k, self.s, self.j, self.busy, self.pid, self.closed = 0, 0, 0, False, None, False
         if forked:
             work, self.work = os.pipe()
             self.free, free = os.pipe()
@@ -1005,17 +1031,11 @@ class _DiagState:
                 os.waitpid(self.pid, 0)
                 self.pid = None
 
-    def step(self, closing=False):
-        """Count the step whose rows the engine has written, or, closing,
-        the final state of a completed run, with t and the on-grid flag.  A
-        full slot is handed off.  When the next step's update goes into the
-        other slot's first row, wait until the evaluator has returned that
-        slot."""
-        k = self.k
-        t, grid = self.rows.fields[:2]
-        q = k % len(t)
-        t[q] = k * self.log.config.step
-        grid[q] = closing or k % self.every == 0
+    def step(self):
+        """Count the step whose rows the engine has written, or the closing
+        row.  A full slot is handed off.  When the next step's update goes
+        into the other slot's first row, wait until the evaluator has
+        returned that slot."""
         self.j += 1
         self.k += 1
         if self.j == self.rows.per_slot:
@@ -1032,11 +1052,21 @@ class _DiagState:
         q = self.k % count
         for a in self.rows.fields[3:]:
             a[q] = a[(q - 1) % count]
-        self.step(closing=True)
+        self.closed = True
+        self.step()
 
     def _hand_off(self):
-        """Evaluate the filled rows of the current slot, here or in the
-        evaluator, which then gets the slot while this fills the other."""
+        """Write the t and on-grid flag of the filled rows of the current
+        slot, the closing row on the grid, and evaluate them, here or in
+        the evaluator, which then gets the slot while this fills the
+        other."""
+        rows = slice(self.s * self.rows.per_slot, self.s * self.rows.per_slot + self.j)
+        steps = np.arange(self.k - self.j, self.k)
+        t, grid = (a[rows] for a in self.rows.fields[:2])
+        np.multiply(steps, self.log.config.step, out=t)
+        np.equal(steps % self.every, 0, out=grid)
+        if self.closed:
+            grid[-1] = True
         if self.pid is None:
             self._evaluate(self.s, self.j)
         else:

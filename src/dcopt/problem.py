@@ -175,12 +175,17 @@ class LocalTerms:
     h (M,)           equality values
     rows (L + M, n)  the constraint gradient rows, all g rows then all h
                      rows in the same order, which constraint_force reads
+
+    g and h are the two parts of one array [g; h], and _at holds the rows of
+    x that local_terms gathered for them, so that a later call can fill the
+    same terms in place.
     """
 
-    __slots__ = ("grad", "neg_grad", "g", "h", "rows")
+    __slots__ = ("grad", "neg_grad", "g", "h", "rows", "_values", "_at")
 
-    def __init__(self, grad, neg_grad, values, rows, cut):
+    def __init__(self, grad, neg_grad, values, rows, cut, at):
         self.grad, self.neg_grad, self.rows = grad, neg_grad, rows
+        self._values, self._at = values, at
         self.g, self.h = values[:cut], values[cut:]
 
 
@@ -250,30 +255,54 @@ class DistributedProblem:
         rows, cols = np.divmod(entries, n)
         return entries, rows, self._owner[rows] * n + cols, values
 
-    def local_terms(self, x):
-        """The LocalTerms at x (N, n).
+    def local_terms(self, x, out=None):
+        """The LocalTerms at x (N, n), written into out, the LocalTerms of
+        an earlier call on this problem, when given, else fresh.
 
         When every function is affine with a constant gradient, the terms
         are stacked once, and the constraint values are one einsum of each
-        constant row with its owner's x, plus the offsets: no loop over the
-        agents, and no row reads another agent's x.  Otherwise one loop over
-        the constraints, in layout order, asks each function for its value
-        and gradient at its owner's x.
+        constant row with its owner's x, gathered into out's rows of x,
+        plus the offsets: no loop over the agents, and no row reads another
+        agent's x.  Otherwise one loop over the constraints, in layout
+        order, asks each function for its value and gradient at its owner's
+        x.
         """
         cut = self.ineq_owner.size
         if self._affine is not None:
             grad, neg_grad, rows, offsets = self._affine
-            values = np.einsum("kn,kn->k", rows, x.take(self._owner, 0)) + offsets
-            return LocalTerms(grad, neg_grad, values, rows, cut)
+            if out is None:
+                at = x.take(self._owner, 0)
+                out = LocalTerms(grad, neg_grad, np.einsum("kn,kn->k", rows, at), rows, cut, at)
+            else:  # every owner is in range, and "clip" takes straight into out
+                np.einsum("kn,kn->k", rows, x.take(self._owner, 0, out=out._at, mode="clip"),
+                          out=out._values)
+            np.add(out._values, offsets, out=out._values)
+            return out
         grad = np.array([p.objective.gradient(xi) for p, xi in zip(self.local_problems, x)],
                         dtype=float)
-        at = list(zip(self._constraints, x.take(self._owner, 0)))
-        values = np.array([f.value(xk) for f, xk in at], dtype=float)
-        rows = np.array([f.gradient(xk) for f, xk in at], dtype=float).reshape(-1, self.dim)
-        return LocalTerms(grad, -grad, values, rows, cut)
+        at = x.take(self._owner, 0)
+        values = np.array([f.value(xk) for f, xk in zip(self._constraints, at)], dtype=float)
+        rows = np.array([f.gradient(xk) for f, xk in zip(self._constraints, at)],
+                        dtype=float).reshape(-1, self.dim)
+        if out is None:
+            return LocalTerms(grad, -grad, values, rows, cut, at)
+        for field, value in zip((out.grad, out._values, out.rows, out._at),
+                                (grad, values, rows, at)):
+            np.copyto(field, value)
+        np.negative(grad, out=out.neg_grad)
+        return out
 
 
-def constraint_force(prob, terms, lam, mu):
+def _force_work(prob):
+    """Buffers for one constraint_force call at a time: the weights
+    [lam^2; mu] (L + M,) and their two parts, and the weighted entries of
+    the constraint rows that prob's plan reads."""
+    weights = np.empty(prob._owner.size)
+    cut = prob.ineq_owner.size
+    return weights, weights[:cut], weights[cut:], np.empty(prob._force_plan[0].size)
+
+
+def constraint_force(prob, terms, lam, mu, work=None):
     """zeta_i = sum_k lam_ik^2 grad g_ik(x_i) + sum_k mu_ik grad h_ik(x_i),
     stacked (N, n) float, from the LocalTerms at x and lam, mu in the
     multiplier layout of prob.  Each entry of the constraint rows that
@@ -284,13 +313,18 @@ def constraint_force(prob, terms, lam, mu):
     rows, and the zero entries are not read, so a non-finite multiplier
     reaches only the columns where its row has a nonzero coefficient (an
     all-zero row contributes nothing); the loop path reads every entry, and
-    0 * NaN reaches the owner's every column."""
+    0 * NaN reaches the owner's every column.  The weights and the weighted
+    entries go into work, buffers from _force_work(prob) that a per-step
+    caller makes once per run, or into fresh ones."""
     entries, rows, bins, values = prob._force_plan
     if values is None:
         values = terms.rows.take(entries)
-    weights = np.concatenate([lam**2, mu]).take(rows) * values
-    force = np.bincount(bins, weights=weights, minlength=prob.n_agents * prob.dim)
-    return force.reshape(prob.n_agents, prob.dim).astype(float, copy=False)  # int64 if no weights
+    weights, lam2, mu_part, products = _force_work(prob) if work is None else work
+    np.square(lam, out=lam2)
+    np.copyto(mu_part, mu)
+    np.multiply(weights.take(rows, out=products, mode="clip"), values, out=products)
+    force = np.bincount(bins, weights=products, minlength=prob.n_agents * prob.dim)
+    return force.reshape(prob.n_agents, prob.dim).astype(float, copy=False)  # int64 if no entries
 
 
 @dataclass

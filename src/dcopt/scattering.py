@@ -24,9 +24,9 @@ determinant eta (a + eta) + a^2 > 0.  With their inverse M and N = M E,
 
 one constant 6x4 map per edge on each coordinate pair.  Every class here
 serves one edge or many at once: a weight array of shape (E, 1) makes a
-CouplingMatrix (the 2x2 map E) or a ChannelEnd act on (E, 2n) stacks in one
-batched matmul, each edge's rows reading only that edge's inputs, and a
-DelayLine holds one line per entry of a delay array.
+CouplingMatrix (the 2x2 map E, on (E, 2, n) halves) or a ChannelEnd act on
+(E, 2n) stacks in one batched matmul, each edge's rows reading only that
+edge's inputs, and a DelayLine holds one line per entry of a delay array.
 """
 
 import numpy as np
@@ -53,11 +53,12 @@ class CouplingMatrix:
         a = weight.reshape(-1, 1, 1)  # (E, 2, 2) blocks; one edge is a batch of one
         self.blocks = np.concatenate([a, -a, a, np.zeros_like(a)], axis=-1).reshape(-1, 2, 2)
 
-    def apply(self, vec, out=None):
-        """E @ vec for stacked 2n-vectors [u; v] along the last axis,
-        written into out (C-contiguous, shaped like vec) when given."""
-        view = None if out is None else out.reshape(-1, 2, self.dim)
-        return np.matmul(self.blocks, vec.reshape(-1, 2, self.dim), out=view).reshape(vec.shape)
+    def apply(self, pairs, out=None):
+        """E @ [u; v] for the 2n-vectors of E pairs split in their halves,
+        (E, 2, n), written into out, shaped alike, when given; one pair
+        (2, n) comes back as (1, 2, n).  A caller with (E, 2n) rows plans
+        their split views once."""
+        return np.matmul(self.blocks, pairs, out=out)
 
 
 class DelayLine:
@@ -69,10 +70,12 @@ class DelayLine:
     round(delay / h) >= 1 Euler steps.  Popping at step k returns, on each
     line, the sample pushed at step k - K of that line; pop before push
     within a step.  The buffer starts zeroed, which realizes the
-    zero-history convention for t < delay.
+    zero-history convention for t < delay.  lines, for an array of delays,
+    picks and orders the lines that pop returns, one row each (all lines
+    in order by default).
     """
 
-    def __init__(self, delay, h, width):
+    def __init__(self, delay, h, width, lines=None):
         if h <= 0.0:
             raise ValueError("step size must be positive")
         delay = np.asarray(delay, dtype=float)
@@ -95,6 +98,8 @@ class DelayLine:
         depth = len(self._buf)
         back = np.arange(depth).reshape((depth,) + (1,) * steps.ndim) - steps
         self._index = back % depth * steps.size + np.arange(steps.size).reshape(steps.shape)
+        if lines is not None:
+            self._index = self._index[:, lines]
         self._pops = 0
         self._pushes = 0
 
@@ -106,15 +111,13 @@ class DelayLine:
                 f"delay line time skew: got t={t}, expected ~{count * self.h}"
             )
 
-    def pop(self, t=None, out=None, lines=None):
-        """Samples from one delay ago (zeros before a line fills).  lines
-        picks and orders the lines of an array of delays, one row each; the
-        samples are gathered by one take, into out when given."""
+    def pop(self, t=None, out=None):
+        """Samples from one delay ago (zeros before a line fills), of the
+        constructor's lines; they are gathered by one take, into out when
+        given."""
         self._check_time(t, self._pops)
         index = self._index[self._pushes % len(self._buf)]
         self._pops += 1
-        if lines is not None:
-            index = index[lines]
         return self._buf.reshape(-1, self.width).take(index, 0, out=out, mode="clip")
 
     def push(self, value, t=None):
@@ -147,16 +150,22 @@ class ChannelEnd:
         self._sq2e = sq = np.sqrt(2.0 * eta)
         self._map = np.concatenate([np.concatenate(blocks, axis=-1) for blocks in (
             (sq * m, nm), (sq * nm, -eta * nm), (eta * m - nm, sq * nm))], axis=1)
+        self._joined = None  # [s_in; u] of the last call, whole and split
 
     def recover(self, s_in, u, out=None):
         """(r, p, s_out) from the incoming wave and the local state
         u = [x; xi], stacked like s_in; each a view of one product, written
-        into out, C-contiguous (..., 3, 2n), when given."""
+        into out, C-contiguous (..., 3, 2n), when given.  [s_in; u] is
+        joined into a buffer made on the first call of each input shape."""
         dim = self.coupling.dim
         if out is None:
             out = np.empty(s_in.shape[:-1] + (3, 2 * dim))
-        v = np.concatenate([s_in, u], axis=-1).reshape(-1, 4, dim)
-        np.matmul(self._map, v, out=out.reshape(-1, 6, dim))
+        joined = self._joined
+        if joined is None or joined[0].shape[:-1] != s_in.shape[:-1]:
+            whole = np.empty(s_in.shape[:-1] + (4 * dim,))
+            joined = self._joined = (whole, whole.reshape(-1, 4, dim))
+        np.concatenate([s_in, u], axis=-1, out=joined[0])
+        np.matmul(self._map, joined[1], out=out.reshape(-1, 6, dim))
         return out[..., 0, :], out[..., 1, :], out[..., 2, :]
 
     def outgoing_wave(self, r, p):

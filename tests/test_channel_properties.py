@@ -20,7 +20,13 @@ from hypothesis.extra.numpy import arrays
 from dcopt import ReferencePoint, SimConfig, simulate
 from dcopt.engine import MODES
 from dcopt.graph import Network, _owner_sums, laplacian_apply, ring
-from dcopt.problem import AffineFunction, DistributedProblem, LocalProblem, QuadraticFunction
+from dcopt.problem import (
+    AffineFunction,
+    DistributedProblem,
+    LocalProblem,
+    QuadraticFunction,
+    make_linear_nonneg_bound,
+)
 from test_engine import assert_steps_are_the_fresh_path, ring_matrix
 from dcopt.scattering import (
     ChannelEnd,
@@ -53,9 +59,15 @@ def edge_stacks(draw):
 @given(edge_stacks())
 def test_stacked_coupling_equals_scalar(case):
     w, _, dim, s_in, _, _ = case
-    stacked = CouplingMatrix(w.reshape(-1, 1), dim).apply(s_in)
+    pairs = s_in.reshape(-1, 2, dim)
+    coupling = CouplingMatrix(w.reshape(-1, 1), dim)
+    stacked = coupling.apply(pairs)
     for e, a in enumerate(w):
-        assert np.array_equal(stacked[e], CouplingMatrix(a, dim).apply(s_in[e]))
+        assert np.array_equal(stacked[e], CouplingMatrix(a, dim).apply(pairs[e])[0])
+    # into out, as the engine's planned views: the same bits
+    out = np.full((len(w), 2, dim), 7.0)
+    assert coupling.apply(pairs, out) is out
+    assert out.tobytes() == stacked.tobytes()
 
 
 @PROPERTY
@@ -65,6 +77,9 @@ def test_stacked_channel_end_equals_scalar(case):
     end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
     u = np.concatenate([x, xi], axis=1)
     r, p, s_out = end.recover(s_in, u)
+    # a second call of the same shape joins into the same buffer
+    again = end.recover(s_in, u)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, (r, p, s_out)))
     for e, a in enumerate(w):
         one = ChannelEnd(CouplingMatrix(a, dim), eta)
         r_e, p_e, s_out_e = one.recover(s_in[e], u[e])
@@ -132,15 +147,20 @@ def test_multi_line_delay_equals_single_lines(steps, width, n_steps):
     rng = np.random.default_rng(len(steps) * 31 + width)
     stacked = DelayLine(delays, h, width)
     single = [DelayLine(d, h, width) for d in delays]
+    # the lines popped in another order, one given at construction
+    order = rng.permutation(len(steps))
+    reordered = DelayLine(delays, h, width, order)
     assert stacked.steps.tolist() == [line.steps for line in single]
     for k in range(n_steps):
         t = k * h
         got = stacked.pop(t)
+        assert np.array_equal(reordered.pop(t), got[order])
         sent = rng.normal(size=(len(steps), width))
         for e, line in enumerate(single):
             assert np.array_equal(got[e], line.pop(t))
             line.push(sent[e], t)
         stacked.push(sent, t)
+        reordered.push(sent, t)
 
 
 @PROPERTY
@@ -282,22 +302,32 @@ def test_owner_sums_equal_a_loop_and_keep_a_nan_in_its_agent(case, data):
             list(want)]
 
 
-@settings(derandomize=True, deadline=None, max_examples=30)
+@settings(derandomize=True, deadline=None, max_examples=40)
 @given(connected_adjacency(), st.sampled_from(MODES), st.integers(1, 200), st.integers(1, 2),
-       st.booleans(), st.data())
-def test_in_place_steps_are_the_fresh_path(a, mode, steps, dim, with_reference, data):
-    # quadratic pulls toward drawn targets under one bound each, delays of
-    # 1-5 steps, and with a reference the certificates' slot rows: whether
-    # the run completes or aborts, each logged step is the fresh path's
+       st.booleans(), st.booleans(), st.data())
+def test_in_place_steps_are_the_fresh_path(a, mode, steps, dim, with_reference, affine, data):
+    # quadratic pulls toward drawn targets under one bound each (the loop
+    # path of local_terms), or affine objectives with nonnegativity bounds
+    # and one equality row per agent, like the matching LP (the stacked
+    # path, whose buffers a run plans); delays of 1-5 steps, and with a
+    # reference the certificates' slot rows: whether the run completes or
+    # aborts, each logged step is the fresh path's
     n, h = len(a), 1e-3
     targets = data.draw(arrays(float, (n, dim), elements=st.floats(-5.0, 5.0)))
-    locs = [LocalProblem(QuadraticFunction(np.eye(dim), -c),
-                         inequalities=[AffineFunction(np.ones(dim), -10.0)]) for c in targets]
+    if affine:
+        locs = [LocalProblem(AffineFunction(c),
+                             inequalities=[make_linear_nonneg_bound(k, dim) for k in range(dim)],
+                             equalities=[AffineFunction(np.ones(dim), -1.0)]) for c in targets]
+    else:
+        locs = [LocalProblem(QuadraticFunction(np.eye(dim), -c),
+                             inequalities=[AffineFunction(np.ones(dim), -10.0)]) for c in targets]
     prob = DistributedProblem(Network(a), locs)
+    assert (prob._affine is not None) == affine
     delays = h * data.draw(arrays(np.int64, prob.network.own.shape, elements=st.integers(1, 5)))
     ref = None
     if with_reference:
-        ref = ReferencePoint(np.zeros((n, dim)), np.zeros((n, dim)), np.ones(n), np.zeros(0))
+        ref = ReferencePoint(np.zeros((n, dim)), np.zeros((n, dim)),
+                             np.ones(prob.ineq_owner.size), np.zeros(prob.eq_owner.size))
     log = simulate(prob, SimConfig(step=h, duration=steps * h, mode=mode, delays=delays,
                                    log_every=1, diag_interval=h, reference=ref))
     assert len(log.t) >= 1

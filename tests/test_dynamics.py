@@ -55,7 +55,7 @@ def hand_state():
 
 
 def no_effort(prob):
-    return np.zeros((prob.n_agents, 2 * prob.dim))
+    return np.zeros((2, prob.n_agents, prob.dim))
 
 
 def test_compensator_validation():
@@ -139,7 +139,7 @@ def test_derivatives_with_neighbor():
     # one neighbor seen at r = [x_j; xi_j] = [2; 1] over weight 4
     r = np.array([2.0, 1.0])
     u = np.concatenate([st.x[0], st.xi[0]])
-    effort = CouplingMatrix(4.0, 1).apply(r - u)[None, :]
+    effort = CouplingMatrix(4.0, 1).apply((r - u).reshape(2, 1)).reshape(2, 1, 1)
     d = derivatives(prob, comp, st, effort)
     # the effort adds w (r_x - x) - w (r_xi - xi) = -4 - 2 to nu, and
     # w (r_x - x) is xi_dot
@@ -165,6 +165,19 @@ def test_euler_step_values_and_guard():
     assert err.value.value == pytest.approx(0.01 - 1e-2)
     with pytest.raises(ValueError):
         euler_step(st, d, 0.0)
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1e-3, -np.inf])
+def test_euler_step_needs_a_positive_finite_step(h):
+    # a NaN step used to pass the guard and give an all-NaN state, an inf
+    # one an all-inf state; the check comes before anything is written
+    prob, st = hand_prob(), hand_state()
+    d = derivatives(prob, lead_comp(), st, no_effort(prob))
+    _, nxt = stale_records(st)
+    for out in (None, nxt):
+        with pytest.raises(ValueError, match=r"^step size must be positive and finite, got "):
+            euler_step(st, d, h, out)
+    assert (nxt.z == 7.0).all()
 
 
 def test_euler_step_does_not_mutate_input():
@@ -253,7 +266,7 @@ def test_stacked_vector_gives_stacked_views():
     states = [AgentState(rho=rng.normal(size=(3, 2, 2)), xi=rng.normal(size=(3, 2)),
                          lam=rng.uniform(0.2, 2.0, size=3), mu=rng.normal(size=2))
               for _ in range(4)]
-    derivs = [derivatives(prob, comp, st, rng.normal(size=(3, 4))) for st in states]
+    derivs = [derivatives(prob, comp, st, rng.normal(size=(2, 3, 2))) for st in states]
     st, d = stacked_records(states, derivs)
     D = states[0].z.size
     assert st.z.shape == d.zdot.shape == (4, D)
@@ -346,7 +359,7 @@ def test_primal_rate_bound_dominates_exact_rate():
     for _ in range(40):
         prob, comp, st = random_setup(rng)
         z_star = rng.normal(size=3)
-        effort = rng.normal(size=(1, 6))
+        effort = rng.normal(size=(2, 1, 3))
         d = derivatives(prob, comp, st, effort)
         rate_c, _ = analytic_rates(comp, st, d, z_star, np.zeros(1), np.zeros(1))
         phi_star = prob.local_terms(z_star[None, :]).grad
@@ -396,7 +409,7 @@ def test_storage_step_defects_exact_for_quadratic_pieces():
         z_star = rng.normal(size=3)
         lam_star = np.zeros(1)
         mu_star = rng.normal(size=1)
-        d = derivatives(prob, comp, st, rng.normal(size=(1, 6)))
+        d = derivatives(prob, comp, st, rng.normal(size=(2, 1, 3)))
         nxt = euler_step(st, d, h)
         rate_c, rate_g = analytic_rates(comp, st, d, z_star, lam_star, mu_star)
         d_c, d_m, d_xi = storage_step_defects(prob, comp, st, d, lam_star, h)
@@ -464,7 +477,7 @@ def test_pure_integrator_reduces_to_gradient_flow():
     prob, _, st2 = random_setup(rng)
     comp = CompensatorParams.pure_integrator()
     st = AgentState(rho=st2.rho[:, :1].copy(), xi=st2.xi, lam=st2.lam, mu=st2.mu)
-    d = derivatives(prob, comp, st, rng.normal(size=(1, 6)))
+    d = derivatives(prob, comp, st, rng.normal(size=(2, 1, 3)))
     assert np.allclose(d.rho_dot[:, 0], d.nu, atol=1e-15)
 
 
@@ -497,7 +510,7 @@ def test_network_kernels_equal_one_agent_values():
     lam_star = np.array([0.7, 0.0, 1.1])
     mu_star = rng.normal(size=2)
     h = 1e-2
-    d = derivatives(prob, comp, st, rng.normal(size=(3, 4)))
+    d = derivatives(prob, comp, st, rng.normal(size=(2, 3, 2)))
     s_net = multiplier_storage(prob, st.lam, st.mu, lam_star, mu_star)
     defects_net = storage_step_defects(prob, comp, st, d, lam_star, h)
     for i, loc in enumerate(locs):
@@ -528,7 +541,7 @@ def test_kernels_take_a_block_of_steps():
     states = [AgentState(rho=rng.normal(size=(3, 2, 2)), xi=rng.normal(size=(3, 2)),
                          lam=rng.uniform(0.2, 2.0, size=3), mu=rng.normal(size=2))
               for _ in range(4)]
-    derivs = [derivatives(prob, comp, st, rng.normal(size=(3, 4))) for st in states]
+    derivs = [derivatives(prob, comp, st, rng.normal(size=(2, 3, 2))) for st in states]
     derivs[1].lam_dot[2] = np.nan  # agent 2's inequality at step 1
 
     def kernels(st, d):
@@ -558,14 +571,19 @@ def stale_records(st):
 def assert_out_path_is_the_fresh_path(prob, comp, states, efforts, h):
     """derivatives and euler_step into one pair of records, reused for each
     state, give the fresh records' values bit for bit, a guard trip
-    included; NaN and inf entries keep their bits too."""
+    included; NaN and inf entries keep their bits too.  derivatives runs
+    with a fresh plan and with one plan reused for every state, as a run
+    reuses its own."""
+    from dcopt.dynamics import _Plan
     d_out, nxt_out = stale_records(states[0])
+    plan = _Plan(prob, comp, states[0])
     for st, effort in zip(states, efforts, strict=True):
         with np.errstate(all="ignore"):
             fresh = derivatives(prob, comp, st, effort)
-            assert derivatives(prob, comp, st, effort, d_out) is d_out
-            for name in ("zdot", "nu", "grad", "zeta"):
-                assert getattr(d_out, name).tobytes() == getattr(fresh, name).tobytes(), name
+            for reused in (None, plan):
+                assert derivatives(prob, comp, st, effort, d_out, reused) is d_out
+                for name in ("zdot", "nu", "grad", "zeta"):
+                    assert getattr(d_out, name).tobytes() == getattr(fresh, name).tobytes(), name
             try:
                 want = euler_step(st, fresh, h)
             except LambdaGuardError as err:
@@ -580,6 +598,49 @@ def assert_out_path_is_the_fresh_path(prob, comp, states, efforts, h):
             assert getattr(nxt_out, name).tobytes() == getattr(want, name).tobytes(), name
 
 
+def assert_shares_no_writable_memory(a, b, names):
+    """No writable field of the records a and b shares memory with the same
+    field of the other; read-only constants, such as an affine problem's
+    stacked gradient rows, may be shared."""
+    for name in names:
+        x, y = getattr(a, name), getattr(b, name)
+        assert not np.shares_memory(x, y) or not (x.flags.writeable or y.flags.writeable), name
+
+
+@pytest.mark.parametrize("affine", [True, False])
+def test_fresh_results_never_alias(affine):
+    # local_terms, derivatives and euler_step without out: each call's
+    # arrays are its own, on the affine path, whose buffers a run plans,
+    # and on the loop path; a planned call writes nothing into the plan's
+    # buffers that a result keeps
+    from dcopt.cli import build_scenario, validate_config  # the CLI's affine instance
+    from dcopt.dynamics import _Plan
+    if affine:
+        _, prob, sim = build_scenario(validate_config(None, {"agents": 3}), "no_delay")
+        comp = sim.compensator
+    else:
+        prob, comp, _ = random_setup(np.random.default_rng(53))
+    assert (prob._affine is not None) == affine
+    rng = np.random.default_rng(59)
+    a, b = random_states(rng, AgentState.zeros(comp, prob), 2)
+    effort = rng.normal(size=(2, prob.n_agents, prob.dim))
+    terms = ("grad", "neg_grad", "g", "h", "rows")
+    assert_shares_no_writable_memory(prob.local_terms(a.x), prob.local_terms(b.x), terms)
+    da, db = (derivatives(prob, comp, st, effort) for st in (a, b))
+    fields = ("zdot", "rho_dot", "xi_dot", "lam_dot", "mu_dot", "nu", "grad", "zeta")
+    assert_shares_no_writable_memory(da, db, fields)
+    assert_shares_no_writable_memory(euler_step(a, da, 1e-3), euler_step(a, db, 1e-3),
+                                     ("z", "x"))
+    plan = _Plan(prob, comp, a)
+    d = derivatives(prob, comp, b, effort, None, plan)
+    for buffer in (plan.b, plan.c, plan.b_rho, plan.terms._values, plan.terms._at, *plan.force):
+        for name in fields:
+            assert not np.shares_memory(getattr(d, name), buffer), name
+    # the planned call is the fresh call
+    for name in fields:
+        assert getattr(d, name).tobytes() == getattr(db, name).tobytes(), name
+
+
 def random_states(rng, like, count):
     return [AgentState(rng.normal(size=like.rho.shape), rng.normal(size=like.xi.shape),
                        rng.uniform(0.1, 2.0, size=like.lam.shape), rng.normal(size=like.mu.shape))
@@ -592,7 +653,7 @@ def test_out_path_on_the_matching_lp():
     assert prob._affine is not None
     rng = np.random.default_rng(31)
     states = random_states(rng, AgentState.zeros(sim.compensator, prob), 4)
-    efforts = [rng.normal(size=(prob.n_agents, 2 * prob.dim)) for _ in states]
+    efforts = [rng.normal(size=(2, prob.n_agents, prob.dim)) for _ in states]
     assert_out_path_is_the_fresh_path(prob, sim.compensator, states, efforts, 1e-3)
 
 
@@ -601,7 +662,7 @@ def test_out_path_on_the_loop_path():
     prob, comp, st = random_setup(rng)
     assert prob._affine is None
     states = [st] + random_states(rng, st, 3)
-    efforts = [rng.normal(size=(1, 6)) for _ in states]
+    efforts = [rng.normal(size=(2, 1, 3)) for _ in states]
     assert_out_path_is_the_fresh_path(prob, comp, states, efforts, 1e-2)
 
 
@@ -611,8 +672,8 @@ def test_out_path_with_non_finite_entries():
     states = random_states(rng, st, 3)
     states[0].xi[0, 1] = np.nan
     states[1].rho[0, 1, 2] = np.inf
-    efforts = [rng.normal(size=(1, 6)) for _ in states]
-    efforts[2][0, 4] = -np.inf
+    efforts = [rng.normal(size=(2, 1, 3)) for _ in states]
+    efforts[2][1, 0, 1] = -np.inf
     assert_out_path_is_the_fresh_path(prob, comp, states, efforts, 1e-3)
 
 

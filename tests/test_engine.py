@@ -809,7 +809,7 @@ def assert_logged_ports(log, lag):
         for i, j, r, p in zip(net.own, net.nbr, log.edge_r[s], log.edge_p[s]):
             want = u[s - lag][j] if s >= lag else np.zeros(2)
             assert np.array_equal(r, want)
-            assert np.array_equal(p, e.apply(r - u[s][i]))
+            assert np.array_equal(p, e.apply((r - u[s][i]).reshape(2, 1)).ravel())
     assert len(log.edge_r) == len(log.edge_p) == len(log.t) - 1
 
 
@@ -1579,6 +1579,26 @@ def test_lyapunov_delayed_needs_full_rate_scattering_log():
         lyapunov_delayed(log, ref)
 
 
+def test_lyapunov_delayed_upto_is_a_sample_index():
+    # upto = -1 used to read the last sample's state with the waves of the
+    # rows before it, a silently wrong value; len(log.t) and a float ended
+    # in a bare IndexError
+    prob = three_agent_quadratic()
+    delays = np.full(prob.network.own.size, 0.2004)
+    log = simulate(prob, SimConfig(mode="scattering", delays=delays, duration=0.05,
+                                   log_every=1))
+    ref = ReferencePoint(*log.final_stacks())
+    last = len(log.t) - 1
+    assert last == 50
+    value = lyapunov_delayed(log, ref)
+    assert lyapunov_delayed(log, ref, upto=last) == value
+    assert lyapunov_delayed(log, ref, upto=np.int64(last)) == value
+    assert np.isfinite(lyapunov_delayed(log, ref, upto=0))
+    for bad in (-1, last + 1, float(last), 2.0, True, "3"):
+        with pytest.raises(ValueError, match=rf"^upto must be an int in \[0, {last}\], got "):
+            lyapunov_delayed(log, ref, upto=bad)
+
+
 def test_kkt_residual_keeps_nan():
     # one agent's NaN reaches every field it enters; agent 2's equality
     # sees only its own x = 0
@@ -1637,7 +1657,7 @@ def test_local_terms_affine_and_loop_paths_agree(seed, n_agents):
                         lam=rng.uniform(0.1, 2.0, size=prob.ineq_owner.size),
                         mu=rng.normal(size=prob.eq_owner.size))
         assert_terms_equal(prob.local_terms(st.x), loop.local_terms(st.x), 1e-12)
-        effort = rng.normal(size=(n_agents, 2 * prob.dim))
+        effort = rng.normal(size=(2, n_agents, prob.dim))
         da = derivatives(prob, comp, st, effort)
         db = derivatives(loop, comp, st, effort)
         for name in ("rho_dot", "xi_dot", "lam_dot", "mu_dot", "nu", "grad", "zeta"):
@@ -1699,8 +1719,9 @@ def assert_steps_are_the_fresh_path(log):
     for s in range(len(log.nu)):
         st = AgentState(log.rho[s], log.xi[s], log.lam[s], log.mu[s])
         with np.errstate(all="ignore"):
+            halves = log.edge_p[s].reshape(-1, 2, prob.dim).transpose(1, 0, 2)
             d = derivatives(prob, cfg.compensator, st,
-                            _owner_sums(net.own, prob.n_agents, log.edge_p[s]))
+                            _owner_sums(net.own, prob.n_agents, halves, 1))
             assert d.nu.tobytes() == log.nu[s].tobytes()
             assert d.zeta.tobytes() == log.zeta[s].tobytes()
             try:

@@ -18,7 +18,8 @@ def test_coupling_matrix_apply():
         [a * np.eye(3), -a * np.eye(3)],
         [a * np.eye(3), np.zeros((3, 3))],
     ])
-    assert np.allclose(e.apply(vec), dense @ vec, atol=1e-14)
+    # the pair split in its halves (2, n), one edge's batch of one
+    assert np.allclose(e.apply(vec.reshape(2, 3)).ravel(), dense @ vec, atol=1e-14)
     with pytest.raises(ValueError):
         CouplingMatrix(0.0, 3)
     with pytest.raises(ValueError):
