@@ -24,10 +24,11 @@ Every local term (grad f, g, h and the gradient rows of g and h) comes
 from one DistributedProblem.local_terms call per state.  The gradient rows
 form one (L + M, n) table in the multiplier layout.  When every function is
 affine, as in the matching LP, the constraint values are one einsum of each
-row with its owner's x, and the constraint force one bincount of the rows'
-nonzero entries, weighted by [lam^2; mu], into their owners' columns: no
-loop over the agents, and no agent's terms read another agent's x or
-multipliers.
+row with its owner's x.  The constraint force and the summed port efforts
+are one bincount: the rows' entries (on the affine path the nonzero ones),
+weighted by [lam^2; mu], into their owners' columns, and the edges' p into
+its receiving agent's two halves.  There is no loop over the agents, and no
+agent's terms or sums read another agent's x, multipliers or ports.
 The rate bounds read grad f(x) and zeta from the AgentDerivative of the
 same step and take phi* = grad f(z*) and zeta* = zeta(z*, lam*, mu*),
 which stay fixed for a run, from the caller.
@@ -46,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _owner_sums
-from .problem import _force_work, constraint_force
+from .problem import _force_products
 
 __all__ = [
     "CompensatorParams",
@@ -222,10 +223,12 @@ class AgentDerivative(_Packed):
     lam_dot and mu_dot are read-only views of one vector zdot, so z + h zdot is
     the Euler step.  It also keeps what the diagnostics read at the same x,
     as separate (N, n) arrays: nu, grad f(x) and the constraint force zeta.
+    One that derivatives writes also holds the weights of its owner sum
+    (see _weights).
     """
 
     __slots__ = ("_zdot", "_rho_dot", "_xi_dot", "_lam_dot", "_mu_dot", "_nu", "_grad",
-                 "_zeta", "_table")
+                 "_zeta", "_table", "_multipliers_dot", "_weights")
     _names = ("rho_dot", "xi_dot", "lam_dot", "mu_dot")
     zdot, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta = _read_only(
         "zdot", *_names, "nu", "grad", "zeta")
@@ -233,61 +236,113 @@ class AgentDerivative(_Packed):
     def __init__(self, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta):
         self._fill(*_pack((rho_dot, xi_dot, lam_dot, mu_dot)), nu, grad, zeta)
 
-    def _fill(self, table, zdot, nu, grad, zeta):
+    def _fill(self, table, zdot, nu, grad, zeta, weights=None):
         self._table, self._zdot, self._nu, self._grad, self._zeta = table, zdot, nu, grad, zeta
         self._rho_dot, self._xi_dot, self._lam_dot, self._mu_dot = _views(table, zdot)
+        # [lam_dot; mu_dot], the contiguous tail of zdot
+        self._multipliers_dot = zdot[..., table[0][2][0].start:]
+        self._weights = weights
+
+
+def _weights(prob, row):
+    """The weights of derivatives' owner sum over the row (F + 2n E,):
+    (row, its head (F,) for the constraint force's weighted entries, the
+    lam entries that lead that head, and its tail as the edges' p (E, 2n)),
+    all views of row.  The bins of the row are _Plan.bins."""
+    products = row[:prob._force_plan[0].size]
+    p = row[products.size:].reshape(-1, 2 * prob.dim)
+    return row, products, products[:prob._force_plan[2]], p
 
 
 class _Plan:
-    """The operands of derivatives besides the state and the effort, laid
-    out once per run: the gains b and c at the stages' full shape (N, m, n),
-    a buffer for b rho, the LocalTerms that local_terms fills in place and
-    constraint_force's buffers.  simulate makes one per run and derivatives
-    a fresh one per call without it, so no two runs or calls share one."""
+    """The operands of derivatives besides the state and p, laid out once
+    per run: the gains b and c at the stages' full shape (N, m, n), a buffer
+    for b rho, the LocalTerms that local_terms fills in place, the owner
+    sum's bins and bin count, the rows of the force's multipliers in the
+    packed state z, and [2 lam; 1], whose ones are written here.  simulate
+    makes one per run and derivatives a fresh one per call without it, so
+    no two runs or calls share one.
 
-    __slots__ = ("b", "c", "b_rho", "terms", "force")
+    outs are the AgentDerivatives the run passes as out.  When grad f is
+    constant (the affine path) it is written into their grad here, once,
+    and derivatives with this plan does not write it again, so such a plan
+    takes no other out but a fresh one."""
 
-    def __init__(self, prob, comp, state):
+    __slots__ = ("b", "c", "b_rho", "terms", "bins", "size", "sums", "at", "scale",
+                 "scale_lam", "write_grad")
+
+    def __init__(self, prob, comp, state, outs=()):
+        n, dim, own = prob.n_agents, prob.dim, prob.network.own
         shape = state._rho.shape
         self.b, self.c = (np.broadcast_to(v[:, None], shape).copy() for v in (comp.b, comp.c))
         self.b_rho = np.empty(shape)
         self.terms = prob.local_terms(state._x)
-        self.force = _force_work(prob)
+        # bins of [products; p]: the force's owner * n + column, then entry
+        # (e, half, column) of p at (1 + half) N n + own[e] n + column, so
+        # one bincount gives zeta and the two halves of the efforts
+        _, rows, _, force_bins, _ = prob._force_plan
+        halves = (np.arange(1, 3)[:, None] * n + own[:, None, None]) * dim + np.arange(dim)
+        self.bins = np.concatenate([force_bins, halves.ravel()])
+        self.size, self.sums = 3 * n * dim, (3, n, dim)
+        self.at = rows + (state._z.size - prob._owner.size)
+        self.scale = np.ones(prob._owner.size)
+        self.scale_lam = self.scale[:prob.ineq_owner.size]
+        self.write_grad = not outs or prob._affine is None
+        if not self.write_grad:
+            for out in outs:
+                np.copyto(out._grad, self.terms.grad)
 
 
-def derivatives(prob, comp, state, effort, out=None, plan=None):
+def derivatives(prob, comp, state, p, out=None, plan=None):
     """Time derivatives of the network state from time-t information.
 
-    effort (2, N, n) holds each agent's summed port effort sum_j p_ij in
-    two halves: effort[0], the first n entries of each p_ij, adds to nu, and
-    effort[1] is xi_dot.  The local terms come from one prob.local_terms(x)
-    call, with no loop over the agents when the problem is affine, and the
-    constraint force from one bincount over the constraint rows.  Every
-    field is written into out, an AgentDerivative of the state's layout, or
-    into a fresh one: the four derivative fields into the views of its
-    zdot, and grad f(x), nu and zeta, which the diagnostics read, into its
-    own arrays.  plan, a _Plan of this problem, compensator and layout
-    that the caller makes once per run, holds every other operand and
-    buffer; without it a fresh one is made.
+    p (E, 2n) holds the coupling effort p_ij of every edge i <- j, in the
+    order of the network's edge table: agent i's summed effort sum_j p_ij
+    adds its first n entries to nu and is xi_dot in its last n.  The local
+    terms come from one prob.local_terms(x) call, with no loop over the
+    agents when the problem is affine.  The constraint force zeta and both
+    halves of the efforts come out of one bincount over the weights
+    [products; p]: the force's weighted constraint-row entries, built as
+    constraint_force builds them but with the multipliers gathered from the
+    packed z, then p.  Each bin adds its entries in layout or edge-table
+    order, so zeta is constraint_force's and the efforts are the owner sums
+    of p, bit for bit.
+
+    Every field is written into out, an AgentDerivative of the state's
+    layout, or into a fresh one: the four derivative fields into the views
+    of its zdot, [lam_dot; mu_dot] as the one product [2 lam; 1] * [g; h],
+    and grad f(x), nu and zeta, which the diagnostics read, into its own
+    arrays.  The weights are out's too, made on its first call; p is read in
+    place when it is the p of out's weights (the engine's step rows plan
+    it there), and copied there otherwise.  plan, a _Plan of this problem,
+    compensator and layout that the caller makes once per run, holds every
+    other operand and buffer; without it a fresh one is made.
     """
-    if out is None:
+    fresh = out is None
+    if fresh:
         out = AgentDerivative._of(state._table, np.empty_like(state._z),
                                   *(np.empty_like(state._x) for _ in range(3)))
+    if out._weights is None:  # a record's first call
+        out._weights = _weights(prob, np.empty(prob._force_plan[0].size + p.size))
     if plan is None:
         plan = _Plan(prob, comp, state)
+    weights, products, lam_part, p_row = out._weights
+    if p is not p_row:
+        np.copyto(p_row, p)
     terms = prob.local_terms(state._x, plan.terms)
-    lam = state._lam
-    zeta = out._zeta
-    np.copyto(zeta, constraint_force(prob, terms, lam, state._mu, plan.force))
-    np.copyto(out._grad, terms.grad)
+    _force_products(prob, terms, state._z, plan.at, products, lam_part)
+    sums = np.bincount(plan.bins, weights=weights, minlength=plan.size).reshape(plan.sums)
+    zeta, effort_x, effort_xi = sums[0], sums[1], sums[2]  # unpacking iterates: slower
+    np.copyto(out._zeta, zeta)
+    if fresh or plan.write_grad:
+        np.copyto(out._grad, terms.grad)
     nu = np.subtract(terms.neg_grad, zeta, out=out._nu)
-    np.add(nu, effort[0], out=nu)
+    np.add(nu, effort_x, out=nu)
     rho_dot = np.multiply(plan.c, nu[:, None, :], out=out._rho_dot)
     np.subtract(rho_dot, np.multiply(plan.b, state._rho, out=plan.b_rho), out=rho_dot)
-    np.copyto(out._xi_dot, effort[1])
-    lam_dot = np.multiply(2.0, lam, out=out._lam_dot)
-    np.multiply(lam_dot, terms.g, out=lam_dot)
-    np.copyto(out._mu_dot, terms.h)
+    np.copyto(out._xi_dot, effort_xi)
+    np.add(state._lam, state._lam, out=plan.scale_lam)  # 2 lam, exactly
+    np.multiply(plan.scale, terms._values, out=out._multipliers_dot)
     return out
 
 

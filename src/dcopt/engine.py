@@ -10,15 +10,16 @@ explicit-Euler step has a fixed phase order:
        r is what agent i holds of neighbor j (see below) and
        p = E (r - [x_i; xi_i]) the coupling effort, one batched matmul of
        per-edge maps (scattering.py) that in scattering mode also gives the
-       outgoing waves.  The derivatives, the diagnostics and the log all
-       read this one pair,
+       outgoing waves.  In no_delay mode one gather fetches both ends of
+       every edge, [x_i; xi_i] and r, into one block.  The derivatives, the
+       diagnostics and the log all read this one pair,
     2. the derivatives of the whole network in one call, from the local
-       terms and each agent's summed effort sum_j p_ij (one bincount by
-       receiving agent into two contiguous halves (2, N, n), the x half
-       that adds to nu and the xi half that is xi_dot, its bins planned
-       once per run), and the Euler update z + h zdot of the packed state
-       (see AgentState) with its guards, on its lam view and one abs-max
-       over it; not yet committed,
+       terms and the edges' p, and the Euler update z + h zdot of the packed
+       state (see AgentState) with its guards, on its lam view and one
+       abs-max over it; not yet committed.  The constraint force and each
+       agent's summed effort sum_j p_ij, in its x half that adds to nu and
+       its xi half that is xi_dot, are one bincount over the weights
+       [force products; p], its bins planned once per run,
     3. the push of every edge into the delay lines (the outgoing waves of
        phase 1 in scattering mode, the sender's own [x; xi] in naive mode),
     4. barrier commit of the update, or the abort of the first tripped of:
@@ -35,16 +36,20 @@ synchronous barrier, which is what makes runs bit-for-bit reproducible.
 The step works in place: its ports, its derivative and its update are
 written into rows allocated once per run (_StepRows), the update into the
 row after the current state's, so one that does not commit overwrites no
-committed state.  Its operands are laid out once per run too: the views
-of each row that the port map and the effort bincount read (p as halves
-(E, 2, n) and flat, but in scattering mode, whose p is a strided view of
-the wave block), the delay lines' pop order, and derivatives' _Plan (the
-compensator gains at full shape, the local terms and the constraint
-force's buffers), so a step makes only the numpy calls its arithmetic
-needs.  What it still allocates are the two bincount sums (bincount has
-no out) and, in scattering mode, p's flat copy.  A logged step copies t,
-the packed z, nu, zeta and the ports into the next row of one array per
-series, allocated for the run (see TrajectoryLog).
+committed state.  Each row holds the weights of its owner sum, whose tail
+is the row's p outside scattering mode, where the coupling matmul writes
+it (in scattering mode p is a strided view of the wave block and is
+copied into the weights), and a (2E, 2n) block of port ends: [x_i; xi_i]
+gathered by receiving agent, then r, or in scattering mode s_in.  Its
+operands are laid out once per run too: the views of each row that the
+port map and the owner sum read, the delay lines' pop order, and
+derivatives' _Plan (the compensator gains at full shape, the local terms,
+the owner sum's bins and, on the affine path, the constant grad f already
+written into every row), so a step makes only the numpy calls its
+arithmetic needs.  What it still allocates is the owner sum (bincount has
+no out).  A logged step copies t, the packed z, nu, zeta and the ports
+into the next row of one array per series, allocated for the run (see
+TrajectoryLog).
 
 Exchange modes
 --------------
@@ -90,6 +95,7 @@ from .dynamics import (
     CompensatorParams,
     LambdaGuardError,
     _Plan,
+    _weights,
     compensator_storage,
     derivatives,
     euler_step,
@@ -98,7 +104,7 @@ from .dynamics import (
     primal_rate_bound,
     storage_step_defects,
 )
-from .graph import _owner_sum_plan, _owner_sums
+from .graph import _owner_sums
 from .problem import constraint_force, kkt_residual
 from .scattering import ChannelEnd, CouplingMatrix, DelayLine, wave_identity_residual
 
@@ -788,43 +794,38 @@ def simulate(prob, cfg):
 
     k = 0
     log_every = cfg.log_every
-    # the efforts sum_j p_ij in two halves (2, N, n), for the edges' p taken
-    # as (E, 2, n): the bins of the halves' order, permuted to p's
-    bins, size, shape = _owner_sum_plan(own, n, (2, len(own), dim), 1)
-    bins = bins.reshape(2, -1, dim).transpose(1, 0, 2).ravel()
     diag = None if cfg.reference is None else _DiagState(log, state, n_steps)
     rows = _StepRows(prob, cfg.mode, state, 1) if diag is None else diag.rows
     state, count = rows.states[0], len(rows.states)
-    plan = _Plan(prob, comp, state)
+    plan = _Plan(prob, comp, state, [at[0] for at in rows.at])
     u = np.empty((n, 2 * dim))  # rows [x_i; xi_i]
-    u_own, diff = np.empty((2,) + edge)  # u gathered by receiving agent, r - u_own
+    own_nbr = np.concatenate([own, nbr])  # u at both ends of every edge, in no_delay mode
+    diff = np.empty(edge)  # r - u_own
     diff_pairs = diff.reshape(-1, 2, dim)
     mags = np.empty_like(state.z)  # |z| of the update
     # guards, not warnings, handle blow-ups; an evaluator is reaped on every path
     with np.errstate(all="ignore"), diag or contextlib.nullcontext():
         for k in range(n_steps):
             t = k * h
-            deriv, r, p, s_in, s_out, waves, p_pairs, p_flat = rows.at[k % count]
+            deriv, both, u_own, r, p, s_in, s_out, mapped = rows.at[k % count]
             np.concatenate((state._x, state._xi), axis=1, out=u)
 
             # phase 1: the port pair (r, p) of every directed edge i <- j; a
             # take with mode "raise" would copy through a buffer, and every
             # index is in range, so "clip" gathers straight into the row
-            u.take(own, 0, out=u_own, mode="clip")
-            if line is None:
-                u.take(nbr, 0, out=r, mode="clip")
+            if line is None:  # u_own and r in one gather
+                u.take(own_nbr, 0, out=both, mode="clip")
             else:  # what crossed is j's wave (scattering) or its [x_j; xi_j]
+                u.take(own, 0, out=u_own, mode="clip")
                 line.pop(t, s_in if end is not None else r)
-            if end is not None:  # i's wave goes back; p is a strided view
-                end.recover(s_in, u_own, waves)
-                p_flat = p.ravel()
-            else:
+            if end is not None:  # i's wave goes back
+                end.recover(s_in, u_own, mapped)
+            else:  # p into its place in the owner sum's weights
                 np.subtract(r, u_own, out=diff)
-                coupling.apply(diff_pairs, p_pairs)
+                coupling.apply(diff_pairs, mapped)
 
-            # phase 2: derivatives from the summed efforts, the update, its guards
-            effort = np.bincount(bins, weights=p_flat, minlength=size).reshape(shape)
-            derivatives(prob, comp, state, effort, deriv, plan)
+            # phase 2: derivatives from the edges' p, the update, its guards
+            derivatives(prob, comp, state, p, deriv, plan)
             nxt = rows.states[(k + 1) % count]
             try:
                 euler_step(state, deriv, h, nxt)
@@ -888,28 +889,32 @@ class _StepRows:
     per_slot rows, R rows in all, each field one (R, ...) array over one
     shared mmap.  The fields are t and the on-grid flag (which only the
     certificates read), the packed state z, its derivative zdot, nu, grad
-    and zeta, and the ports: r and p, or in scattering mode s_in and the
-    (E, 3, 2n) block of r, p and s_out that ChannelEnd.recover writes.
+    and zeta, the weights of derivatives' owner sum [force products; p]
+    (see dynamics._weights), the port ends (2E, 2n), whose first half is
+    [x_i; xi_i] gathered by receiving agent and whose second half is r, or
+    in scattering mode s_in, and in scattering mode the (E, 3, 2n) block of
+    r, p and s_out that ChannelEnd.recover writes.  Outside scattering mode
+    p is the weights' tail, where the coupling matmul writes it.
 
     Step k reads its state from row k % R and writes its ports and
     derivative into that row and its update into row (k + 1) % R, so the
     update never lands on the state it steps from, and an uncommitted one
     on no committed state.  The records of each row are made once: states[q]
     is an AgentState over z[q] with its own x, and at[q] holds the row's
-    AgentDerivative, r, p, s_in, s_out and wave block, the ports the mode
-    lacks None, and then two views of p planned for the step: its halves
-    (E, 2, n) and its flat form, or None in scattering mode, where p is a
-    strided view of the wave block and only a copy is flat.  ports holds r,
-    p, s_in and s_out over all rows, (R, E, 2n) each, or None.  Row 0
-    starts as a copy of state.
+    AgentDerivative (over its weights too), its port ends and their first
+    half, r, p, s_in and s_out, the ports the mode lacks None, and where
+    the port map writes: the wave block, or p's halves (E, 2, n).  ports
+    holds r, p, s_in and s_out over all rows, (R, E, 2n) each, or None.
+    Row 0 starts as a copy of state.
     """
 
     def __init__(self, prob, mode, state, per_slot):
         n, dim, edges = prob.n_agents, prob.dim, len(prob.network.own)
         size, agents, edge = state.z.size, (n, dim), (edges, 2 * dim)
+        force = prob._force_plan[0].size
         waves = mode == "scattering"
-        shapes = [(), (), (size,), (size,), agents, agents, agents, edge,
-                  (edges, 3, 2 * dim) if waves else edge]
+        shapes = [(), (), (size,), (size,), agents, agents, agents, (force + edges * 2 * dim,),
+                  (2 * edges, 2 * dim)] + [(edges, 3, 2 * dim)] * waves
         self.per_slot = per_slot
         count = 2 * per_slot
         # each field starts 64-byte aligned, so no kernel reads a less aligned
@@ -918,18 +923,21 @@ class _StepRows:
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
         self.fields = [a[:count * math.prod(shape)].reshape((count,) + shape) for a, shape in
                        zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-        _, _, z, zdot, nu, grad, zeta, first, second = self.fields
+        _, _, z, zdot, nu, grad, zeta, weights, ends = self.fields[:9]
         if waves:
-            self.ports = (second[:, :, 0], second[:, :, 1], first, second[:, :, 2])
+            block = self.fields[9]
+            self.ports = (block[:, :, 0], block[:, :, 1], ends[:, edges:], block[:, :, 2])
         else:
-            self.ports = (first, second, None, None)
+            self.ports = (ends[:, edges:], weights[:, force:].reshape((count,) + edge), None, None)
         table = state._table
         self.states = [AgentState._of(table, row) for row in z]
-        self.at = [(AgentDerivative._of(table, zdot[q], nu[q], grad[q], zeta[q]),
-                    *(None if a is None else a[q] for a in self.ports),
-                    *((second[q], None, None) if waves else
-                      (None, second[q].reshape(edges, 2, dim), second[q].reshape(-1))))
-                   for q in range(count)]
+        self.at = []
+        for q in range(count):
+            w = _weights(prob, weights[q])
+            r, p, s_in, s_out = (None if a is None else a[q] for a in self.ports)
+            self.at.append((AgentDerivative._of(table, zdot[q], nu[q], grad[q], zeta[q], w),
+                            ends[q], ends[q, :edges], r, p if waves else w[3], s_in, s_out,
+                            block[q] if waves else w[3].reshape(edges, 2, dim)))
         np.copyto(self.states[0]._z, state._z)
         np.copyto(self.states[0]._x, state._x)
 

@@ -238,13 +238,14 @@ class DistributedProblem:
 
     @functools.cached_property
     def _force_plan(self):
-        """(entries, their rows, their bins, their values) of
-        constraint_force, made on first use: the flat indices into the
-        constraint rows that the force reads, the row of each, its bin
-        owner * n + column and, on the affine path, its constant value.  The
-        affine path reads only the nonzero entries of its constant rows (NaN
-        and inf are nonzero); the loop path, whose rows change, reads them
-        all, and its values are None."""
+        """(entries, their rows, lam entries, their bins, their values) of
+        the constraint force, made on first use: the flat indices into the
+        constraint rows that the force reads, in order, the row of each, how
+        many lead with a row of lam (the rest have one of mu), the bin
+        owner * n + column of each and, on the affine path, its constant
+        value.  The affine path reads only the nonzero entries of its
+        constant rows (NaN and inf are nonzero); the loop path, whose rows
+        change, reads them all, and its values are None."""
         n = self.dim
         values = None
         if self._affine is None:
@@ -253,7 +254,8 @@ class DistributedProblem:
             entries = np.flatnonzero(self._affine[2])
             values = self._affine[2].take(entries)
         rows, cols = np.divmod(entries, n)
-        return entries, rows, self._owner[rows] * n + cols, values
+        squares = int(np.searchsorted(rows, self.ineq_owner.size))
+        return entries, rows, squares, self._owner[rows] * n + cols, values
 
     def local_terms(self, x, out=None):
         """The LocalTerms at x (N, n), written into out, the LocalTerms of
@@ -293,16 +295,23 @@ class DistributedProblem:
         return out
 
 
-def _force_work(prob):
-    """Buffers for one constraint_force call at a time: the weights
-    [lam^2; mu] (L + M,) and their two parts, and the weighted entries of
-    the constraint rows that prob's plan reads."""
-    weights = np.empty(prob._owner.size)
-    cut = prob.ineq_owner.size
-    return weights, weights[:cut], weights[cut:], np.empty(prob._force_plan[0].size)
+def _force_products(prob, terms, source, at, out, lam_part):
+    """The weighted entries of the constraint force, written into out (F,):
+    entry k of prob's plan times its row's weight in [lam^2; mu], with the
+    multiplier of each entry gathered from source at at[k] and the lam
+    entries, lam_part, the head of out, squared in place, so lam[row]^2 is
+    (lam^2)[row] bit for bit.  source is [lam; mu] and at the entries'
+    rows, or a packed state z and those rows shifted to its multiplier
+    tail."""
+    values = prob._force_plan[4]
+    if values is None:
+        values = terms.rows.take(prob._force_plan[0])
+    source.take(at, out=out, mode="clip")  # every index is in range
+    np.square(lam_part, out=lam_part)
+    return np.multiply(out, values, out=out)
 
 
-def constraint_force(prob, terms, lam, mu, work=None):
+def constraint_force(prob, terms, lam, mu):
     """zeta_i = sum_k lam_ik^2 grad g_ik(x_i) + sum_k mu_ik grad h_ik(x_i),
     stacked (N, n) float, from the LocalTerms at x and lam, mu in the
     multiplier layout of prob.  Each entry of the constraint rows that
@@ -313,16 +322,13 @@ def constraint_force(prob, terms, lam, mu, work=None):
     rows, and the zero entries are not read, so a non-finite multiplier
     reaches only the columns where its row has a nonzero coefficient (an
     all-zero row contributes nothing); the loop path reads every entry, and
-    0 * NaN reaches the owner's every column.  The weights and the weighted
-    entries go into work, buffers from _force_work(prob) that a per-step
-    caller makes once per run, or into fresh ones."""
-    entries, rows, bins, values = prob._force_plan
-    if values is None:
-        values = terms.rows.take(entries)
-    weights, lam2, mu_part, products = _force_work(prob) if work is None else work
-    np.square(lam, out=lam2)
-    np.copyto(mu_part, mu)
-    np.multiply(weights.take(rows, out=products, mode="clip"), values, out=products)
+    0 * NaN reaches the owner's every column.  derivatives builds the same
+    weighted entries with the same helper, _force_products, and sums them
+    in the same bins, together with the port efforts, in one bincount."""
+    _, rows, squares, bins, _ = prob._force_plan
+    products = np.empty(rows.size)
+    _force_products(prob, terms, np.concatenate([lam, mu], dtype=float), rows, products,
+                    products[:squares])
     force = np.bincount(bins, weights=products, minlength=prob.n_agents * prob.dim)
     return force.reshape(prob.n_agents, prob.dim).astype(float, copy=False)  # int64 if no entries
 

@@ -155,11 +155,17 @@ class ChannelEnd:
     def recover(self, s_in, u, out=None):
         """(r, p, s_out) from the incoming wave and the local state
         u = [x; xi], stacked like s_in; each a view of one product, written
-        into out, C-contiguous (..., 3, 2n), when given.  [s_in; u] is
+        into out when given, which must be C-contiguous of shape
+        s_in.shape[:-1] + (3, 2n) (a ValueError names it otherwise, since
+        the product could not be written into it in place).  [s_in; u] is
         joined into a buffer made on the first call of each input shape."""
         dim = self.coupling.dim
+        shape = s_in.shape[:-1] + (3, 2 * dim)
         if out is None:
-            out = np.empty(s_in.shape[:-1] + (3, 2 * dim))
+            out = np.empty(shape)
+        elif out.shape != shape or not out.flags.c_contiguous:
+            raise ValueError(f"out: expected a C-contiguous array of shape {shape}, got shape "
+                             f"{out.shape}, C-contiguous {out.flags.c_contiguous}")
         joined = self._joined
         if joined is None or joined[0].shape[:-1] != s_in.shape[:-1]:
             whole = np.empty(s_in.shape[:-1] + (4 * dim,))

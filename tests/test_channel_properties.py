@@ -8,23 +8,27 @@ each sample out exactly its delay later, and the Laplacian of a connected
 network must be symmetric positive semidefinite with the ones vector in
 its null space, and equal the dense matrix built from the input weights.
 The sums by owning agent, which the port efforts, the storages and the
-defects share, must equal a plain loop bit for bit.  On any such network,
-the engine's in-place steps must be the fresh-record steps bit for bit.
+defects share, must equal a plain loop bit for bit, and so must the one
+sum of a step that gives both the constraint force and the port efforts.
+On any such network, the engine's in-place steps must be the fresh-record
+steps bit for bit.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dcopt import ReferencePoint, SimConfig, simulate
-from dcopt.engine import MODES
+from dcopt import AgentState, ReferencePoint, SimConfig, simulate
+from dcopt.dynamics import _Plan, derivatives
+from dcopt.engine import MODES, _StepRows
 from dcopt.graph import Network, _owner_sums, laplacian_apply, ring
 from dcopt.problem import (
     AffineFunction,
     DistributedProblem,
     LocalProblem,
     QuadraticFunction,
+    constraint_force,
     make_linear_nonneg_bound,
 )
 from test_engine import assert_steps_are_the_fresh_path, ring_matrix
@@ -332,3 +336,106 @@ def test_in_place_steps_are_the_fresh_path(a, mode, steps, dim, with_reference, 
                                    log_every=1, diag_interval=h, reference=ref))
     assert len(log.t) >= 1
     assert_steps_are_the_fresh_path(log)
+
+
+@st.composite
+def force_and_ports(draw):
+    """(problem, state, p) of a network of one agent (no edges) or of 2-8,
+    each agent with 0-2 affine inequalities and 0-1 equalities whose
+    coefficients may be zero, so some agents own no constraint and some
+    rows are all zero; affine objectives (the stacked path) or quadratic
+    ones (the loop path).  At most one entry of lam, mu or p is NaN or
+    +-inf."""
+    a = draw(st.one_of(st.just(np.zeros((1, 1))), connected_adjacency()))
+    n, dim, affine = len(a), draw(st.integers(1, 3)), draw(st.booleans())
+    coefficient = st.one_of(st.just(0.0), st.floats(-3.0, 3.0))
+
+    def constraints(most):
+        return [AffineFunction(draw(arrays(float, dim, elements=coefficient)),
+                               draw(st.floats(-2.0, 2.0)))
+                for _ in range(draw(st.integers(0, most)))]
+
+    locs = []
+    for _ in range(n):
+        c = draw(arrays(float, dim, elements=finite))
+        objective = AffineFunction(c) if affine else QuadraticFunction(np.eye(dim), c)
+        locs.append(LocalProblem(objective, constraints(2), constraints(1)))
+    prob = DistributedProblem(Network(a), locs)
+    assert (prob._affine is not None) == affine
+    state = AgentState(draw(arrays(float, (n, 2, dim), elements=finite)),
+                       draw(arrays(float, (n, dim), elements=finite)),
+                       draw(arrays(float, prob.ineq_owner.shape, elements=st.floats(0.1, 2.0))),
+                       draw(arrays(float, prob.eq_owner.shape, elements=finite)))
+    p = draw(arrays(float, (prob.network.own.size, 2 * dim), elements=finite))
+    fields = [name for name, v in (("lam", state.lam), ("mu", state.mu), ("p", p)) if v.size]
+    bad = None
+    if fields and draw(st.booleans()):
+        name = draw(st.sampled_from(fields))
+        values = p if name == "p" else getattr(state, name)
+        at = tuple(draw(st.integers(0, s - 1)) for s in values.shape)
+        values[at] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+        bad = (name, at)
+    return prob, state, p, bad
+
+
+def non_finite(a):
+    return {tuple(k) for k in np.argwhere(~np.isfinite(a)).tolist()}
+
+
+def alone_unconstrained(objective):
+    """One agent with no constraints: no edges, no force entries, so the
+    owner sum has no weights at all."""
+    prob = DistributedProblem(Network([[0.0]]), [LocalProblem(objective)])
+    state = AgentState(np.ones((1, 2, 2)), np.ones((1, 2)), np.zeros(0), np.zeros(0))
+    return prob, state, np.zeros((0, 4)), None
+
+
+@PROPERTY
+@given(force_and_ports())
+@example(alone_unconstrained(AffineFunction([1.0, -2.0])))
+@example(alone_unconstrained(QuadraticFunction(np.eye(2), [1.0, -2.0])))
+def test_one_owner_sum_gives_the_force_and_the_efforts(case):
+    # derivatives sums the force's weighted entries and the edges' p in one
+    # bincount: zeta must be constraint_force, and the efforts the owner
+    # sums of p's halves, bit for bit, in a run's planned row (p read in
+    # place) and in a fresh call (p copied in); one non-finite multiplier
+    # or port entry stays in its own agent's bins
+    prob, state, p, bad = case
+    comp = SimConfig().compensator
+    own, n, dim = prob.network.own, prob.n_agents, prob.dim
+    rows = _StepRows(prob, "no_delay", state, 1)
+    deriv, p_row = rows.at[0][0], rows.at[0][4]
+    np.copyto(p_row, p)
+    with np.errstate(all="ignore"):
+        plan = _Plan(prob, comp, rows.states[0], [at[0] for at in rows.at])
+        got = [derivatives(prob, comp, rows.states[0], p_row, deriv, plan),
+               derivatives(prob, comp, state, p)]
+        terms = prob.local_terms(state.x)
+        zeta = constraint_force(prob, terms, state.lam, state.mu)
+        effort_x, effort_xi = (np.asarray(_owner_sums(own, n, half), dtype=float)
+                               for half in (p[:, :dim], p[:, dim:]))
+        nu = (terms.neg_grad - zeta) + effort_x
+        lam_dot = (2.0 * state.lam) * terms.g
+    for d in got:
+        for name, want in (("zeta", zeta), ("nu", nu), ("xi_dot", effort_xi),
+                           ("lam_dot", lam_dot), ("mu_dot", terms.h)):
+            assert getattr(d, name).tobytes() == want.tobytes(), name
+    if bad is None:
+        assert not non_finite(zeta) and not non_finite(nu) and not non_finite(effort_xi)
+        return
+    name, at = bad
+    if name == "p":  # one bin of one half of agent own[e]
+        e, j = at
+        reached = {(int(own[e]), j % dim)}
+        assert (non_finite(effort_x), non_finite(effort_xi)) == (
+            (reached, set()) if j < dim else (set(), reached))
+        assert not non_finite(zeta)
+        return
+    k = at[0] + (prob.ineq_owner.size if name == "mu" else 0)
+    agent = int(prob._owner[k])
+    # the stacked path reads only the row's nonzero coefficients; the
+    # loop path reads every entry, and 0 * inf is NaN
+    row = terms.rows[k]
+    columns = np.flatnonzero(row) if prob._affine is not None else range(dim)
+    assert non_finite(zeta) == {(agent, int(c)) for c in columns}
+    assert not non_finite(effort_x) and not non_finite(effort_xi)

@@ -55,7 +55,8 @@ def hand_state():
 
 
 def no_effort(prob):
-    return np.zeros((2, prob.n_agents, prob.dim))
+    """Zero coupling efforts p, (E, 2n), on every edge of prob's network."""
+    return np.zeros((prob.network.own.size, 2 * prob.dim))
 
 
 def test_compensator_validation():
@@ -134,17 +135,26 @@ def test_derivatives_hand_values_isolated():
 
 
 def test_derivatives_with_neighbor():
-    prob, st = hand_prob(), hand_state()
-    comp = lead_comp()
-    # one neighbor seen at r = [x_j; xi_j] = [2; 1] over weight 4
+    # the hand problem as agent 0 of a pair joined over weight 4; agent 1
+    # has no constraints
+    hand = hand_prob().local_problems[0]
+    prob = DistributedProblem(ring(2, 4.0), [hand, LocalProblem(QuadraticFunction([[1.0]]))])
+    one = hand_state()
+    st = AgentState(rho=np.concatenate([one.rho, np.zeros((1, 2, 1))]),
+                    xi=np.concatenate([one.xi, np.zeros((1, 1))]), lam=one.lam, mu=one.mu)
+    # agent 0 sees its neighbor at r = [x_j; xi_j] = [2; 1] on edge 0 <- 1
+    assert prob.network.own.tolist() == [0, 1]
     r = np.array([2.0, 1.0])
     u = np.concatenate([st.x[0], st.xi[0]])
-    effort = CouplingMatrix(4.0, 1).apply((r - u).reshape(2, 1)).reshape(2, 1, 1)
-    d = derivatives(prob, comp, st, effort)
+    p = np.zeros((2, 2))
+    p[0] = CouplingMatrix(4.0, 1).apply((r - u).reshape(2, 1)).ravel()
+    d = derivatives(prob, lead_comp(), st, p)
     # the effort adds w (r_x - x) - w (r_xi - xi) = -4 - 2 to nu, and
     # w (r_x - x) is xi_dot
     assert d.nu[0] == pytest.approx([-9.34])
     assert d.xi_dot[0] == pytest.approx([-4.0])
+    # agent 1's edge carries nothing: its effort stays zero
+    assert d.xi_dot[1] == pytest.approx([0.0])
 
 
 def test_euler_step_values_and_guard():
@@ -266,7 +276,7 @@ def test_stacked_vector_gives_stacked_views():
     states = [AgentState(rho=rng.normal(size=(3, 2, 2)), xi=rng.normal(size=(3, 2)),
                          lam=rng.uniform(0.2, 2.0, size=3), mu=rng.normal(size=2))
               for _ in range(4)]
-    derivs = [derivatives(prob, comp, st, rng.normal(size=(2, 3, 2))) for st in states]
+    derivs = [derivatives(prob, comp, st, rng.normal(size=(6, 4))) for st in states]
     st, d = stacked_records(states, derivs)
     D = states[0].z.size
     assert st.z.shape == d.zdot.shape == (4, D)
@@ -336,16 +346,21 @@ def analytic_rates(comp, st, d, z_star, lam_star, mu_star):
 
 
 def random_setup(rng, n=3):
+    """A random quadratic agent 0 with one inequality and one equality, and
+    agent 1 without constraints, joined by one edge each way, so a port
+    effort p (2, 2n) reaches agent 0 through row 0; every multiplier is
+    agent 0's."""
     a = rng.normal(size=(n, n))
-    prob = alone(LocalProblem(
-        QuadraticFunction(a @ a.T + 0.1 * np.eye(n), rng.normal(size=n)),
-        inequalities=[AffineFunction(rng.normal(size=n), 1.0)],
-        equalities=[AffineFunction(rng.normal(size=n), 0.0)],
-    ))
+    prob = DistributedProblem(ring(2, 1.0), [
+        LocalProblem(QuadraticFunction(a @ a.T + 0.1 * np.eye(n), rng.normal(size=n)),
+                     inequalities=[AffineFunction(rng.normal(size=n), 1.0)],
+                     equalities=[AffineFunction(rng.normal(size=n), 0.0)]),
+        LocalProblem(QuadraticFunction(np.eye(n))),
+    ])
     comp = lead_comp()
     st = AgentState(
-        rho=rng.normal(size=(1, 2, n)),
-        xi=rng.normal(size=(1, n)),
+        rho=rng.normal(size=(2, 2, n)),
+        xi=rng.normal(size=(2, n)),
         lam=rng.uniform(0.1, 2.0, size=1),
         mu=rng.normal(size=1),
     )
@@ -359,12 +374,11 @@ def test_primal_rate_bound_dominates_exact_rate():
     for _ in range(40):
         prob, comp, st = random_setup(rng)
         z_star = rng.normal(size=3)
-        effort = rng.normal(size=(2, 1, 3))
-        d = derivatives(prob, comp, st, effort)
+        d = derivatives(prob, comp, st, rng.normal(size=(2, 6)))
         rate_c, _ = analytic_rates(comp, st, d, z_star, np.zeros(1), np.zeros(1))
-        phi_star = prob.local_terms(z_star[None, :]).grad
+        phi_star = prob.local_terms(np.broadcast_to(z_star, (2, 3))).grad
         bound = primal_rate_bound(st, d, z_star, phi_star)
-        assert bound.shape == (1,)
+        assert bound.shape == (2,)
         assert rate_c <= bound[0] + 1e-10
 
 
@@ -409,18 +423,18 @@ def test_storage_step_defects_exact_for_quadratic_pieces():
         z_star = rng.normal(size=3)
         lam_star = np.zeros(1)
         mu_star = rng.normal(size=1)
-        d = derivatives(prob, comp, st, rng.normal(size=(2, 1, 3)))
+        d = derivatives(prob, comp, st, rng.normal(size=(2, 6)))
         nxt = euler_step(st, d, h)
         rate_c, rate_g = analytic_rates(comp, st, d, z_star, lam_star, mu_star)
         d_c, d_m, d_xi = storage_step_defects(prob, comp, st, d, lam_star, h)
         ds_c = compensator_storage(comp, nxt.rho, z_star) - compensator_storage(
             comp, st.rho, z_star
         )
-        assert ds_c == pytest.approx(h * (rate_c + d_c), abs=1e-14)
+        assert ds_c[0] == pytest.approx(h * (rate_c + d_c[0]), abs=1e-14)
         ds_g = multiplier_storage(prob, nxt.lam, nxt.mu, lam_star, mu_star) - (
             multiplier_storage(prob, st.lam, st.mu, lam_star, mu_star)
         )
-        assert ds_g == pytest.approx(h * (rate_g + d_m), abs=1e-14)
+        assert ds_g[0] == pytest.approx(h * (rate_g + d_m[0]), abs=1e-14)
         assert d_xi == pytest.approx(0.5 * h * np.sum(d.xi_dot**2, axis=1))
 
 
@@ -441,7 +455,7 @@ def test_storage_step_defects_exact_for_log_term():
         ds = multiplier_storage(prob, nxt.lam, nxt.mu, lam_star, mu_star) - (
             multiplier_storage(prob, st.lam, st.mu, lam_star, mu_star)
         )
-        assert ds == pytest.approx(h * (rate_g + d_m), abs=1e-12)
+        assert ds[0] == pytest.approx(h * (rate_g + d_m[0]), abs=1e-12)
 
 
 def test_storage_step_defects_guard_fallback_stays_finite():
@@ -477,7 +491,7 @@ def test_pure_integrator_reduces_to_gradient_flow():
     prob, _, st2 = random_setup(rng)
     comp = CompensatorParams.pure_integrator()
     st = AgentState(rho=st2.rho[:, :1].copy(), xi=st2.xi, lam=st2.lam, mu=st2.mu)
-    d = derivatives(prob, comp, st, rng.normal(size=(2, 1, 3)))
+    d = derivatives(prob, comp, st, rng.normal(size=(2, 6)))
     assert np.allclose(d.rho_dot[:, 0], d.nu, atol=1e-15)
 
 
@@ -510,7 +524,7 @@ def test_network_kernels_equal_one_agent_values():
     lam_star = np.array([0.7, 0.0, 1.1])
     mu_star = rng.normal(size=2)
     h = 1e-2
-    d = derivatives(prob, comp, st, rng.normal(size=(2, 3, 2)))
+    d = derivatives(prob, comp, st, rng.normal(size=(6, 4)))
     s_net = multiplier_storage(prob, st.lam, st.mu, lam_star, mu_star)
     defects_net = storage_step_defects(prob, comp, st, d, lam_star, h)
     for i, loc in enumerate(locs):
@@ -541,7 +555,7 @@ def test_kernels_take_a_block_of_steps():
     states = [AgentState(rho=rng.normal(size=(3, 2, 2)), xi=rng.normal(size=(3, 2)),
                          lam=rng.uniform(0.2, 2.0, size=3), mu=rng.normal(size=2))
               for _ in range(4)]
-    derivs = [derivatives(prob, comp, st, rng.normal(size=(2, 3, 2))) for st in states]
+    derivs = [derivatives(prob, comp, st, rng.normal(size=(6, 4))) for st in states]
     derivs[1].lam_dot[2] = np.nan  # agent 2's inequality at step 1
 
     def kernels(st, d):
@@ -623,7 +637,7 @@ def test_fresh_results_never_alias(affine):
     assert (prob._affine is not None) == affine
     rng = np.random.default_rng(59)
     a, b = random_states(rng, AgentState.zeros(comp, prob), 2)
-    effort = rng.normal(size=(2, prob.n_agents, prob.dim))
+    effort = rng.normal(size=(prob.network.own.size, 2 * prob.dim))
     terms = ("grad", "neg_grad", "g", "h", "rows")
     assert_shares_no_writable_memory(prob.local_terms(a.x), prob.local_terms(b.x), terms)
     da, db = (derivatives(prob, comp, st, effort) for st in (a, b))
@@ -633,7 +647,7 @@ def test_fresh_results_never_alias(affine):
                                      ("z", "x"))
     plan = _Plan(prob, comp, a)
     d = derivatives(prob, comp, b, effort, None, plan)
-    for buffer in (plan.b, plan.c, plan.b_rho, plan.terms._values, plan.terms._at, *plan.force):
+    for buffer in (plan.b, plan.c, plan.b_rho, plan.terms._values, plan.terms._at, plan.scale):
         for name in fields:
             assert not np.shares_memory(getattr(d, name), buffer), name
     # the planned call is the fresh call
@@ -653,7 +667,7 @@ def test_out_path_on_the_matching_lp():
     assert prob._affine is not None
     rng = np.random.default_rng(31)
     states = random_states(rng, AgentState.zeros(sim.compensator, prob), 4)
-    efforts = [rng.normal(size=(2, prob.n_agents, prob.dim)) for _ in states]
+    efforts = [rng.normal(size=(prob.network.own.size, 2 * prob.dim)) for _ in states]
     assert_out_path_is_the_fresh_path(prob, sim.compensator, states, efforts, 1e-3)
 
 
@@ -662,7 +676,7 @@ def test_out_path_on_the_loop_path():
     prob, comp, st = random_setup(rng)
     assert prob._affine is None
     states = [st] + random_states(rng, st, 3)
-    efforts = [rng.normal(size=(2, 1, 3)) for _ in states]
+    efforts = [rng.normal(size=(2, 6)) for _ in states]
     assert_out_path_is_the_fresh_path(prob, comp, states, efforts, 1e-2)
 
 
@@ -672,8 +686,8 @@ def test_out_path_with_non_finite_entries():
     states = random_states(rng, st, 3)
     states[0].xi[0, 1] = np.nan
     states[1].rho[0, 1, 2] = np.inf
-    efforts = [rng.normal(size=(2, 1, 3)) for _ in states]
-    efforts[2][1, 0, 1] = -np.inf
+    efforts = [rng.normal(size=(2, 6)) for _ in states]
+    efforts[2][0, 4] = -np.inf  # agent 0's xi half
     assert_out_path_is_the_fresh_path(prob, comp, states, efforts, 1e-3)
 
 

@@ -1657,9 +1657,9 @@ def test_local_terms_affine_and_loop_paths_agree(seed, n_agents):
                         lam=rng.uniform(0.1, 2.0, size=prob.ineq_owner.size),
                         mu=rng.normal(size=prob.eq_owner.size))
         assert_terms_equal(prob.local_terms(st.x), loop.local_terms(st.x), 1e-12)
-        effort = rng.normal(size=(2, n_agents, prob.dim))
-        da = derivatives(prob, comp, st, effort)
-        db = derivatives(loop, comp, st, effort)
+        p = rng.normal(size=(prob.network.own.size, 2 * prob.dim))
+        da = derivatives(prob, comp, st, p)
+        db = derivatives(loop, comp, st, p)
         for name in ("rho_dot", "xi_dot", "lam_dot", "mu_dot", "nu", "grad", "zeta"):
             np.testing.assert_allclose(getattr(da, name), getattr(db, name),
                                        rtol=0.0, atol=1e-12, err_msg=name)
@@ -1708,20 +1708,17 @@ def test_local_terms_loop_path_with_state_dependent_rows():
 
 def assert_steps_are_the_fresh_path(log):
     """Each logged step of a full-rate log, stepped again from its logged
-    state and efforts by derivatives and euler_step without out, gives the
+    state and ports p by derivatives and euler_step without out, gives the
     logged nu and zeta and the next sample bit for bit.  So an abort keeps
     what the fresh path keeps: a lambda_guard step's update raises here too
     and is not logged, a nan step leaves its pre-step state last, and a
     divergence's committed update is the closing sample."""
     prob, cfg = log.problem, log.config
     assert cfg.log_every == 1
-    net = prob.network
     for s in range(len(log.nu)):
         st = AgentState(log.rho[s], log.xi[s], log.lam[s], log.mu[s])
         with np.errstate(all="ignore"):
-            halves = log.edge_p[s].reshape(-1, 2, prob.dim).transpose(1, 0, 2)
-            d = derivatives(prob, cfg.compensator, st,
-                            _owner_sums(net.own, prob.n_agents, halves, 1))
+            d = derivatives(prob, cfg.compensator, st, log.edge_p[s])
             assert d.nu.tobytes() == log.nu[s].tobytes()
             assert d.zeta.tobytes() == log.zeta[s].tobytes()
             try:
@@ -1826,3 +1823,40 @@ def test_in_place_rows_without_a_reference(step_rows, mode):
     assert len(rows.states) == 2
     assert_steps_are_the_fresh_path(log)
     assert_log_owns_its_arrays(log, rows)
+
+
+@pytest.mark.parametrize("affine", [True, False])
+def test_certificate_rows_hold_grad_at_their_x(forked_diag, step_rows, monkeypatch, affine):
+    # the affine path writes its constant grad f into the step rows once,
+    # the loop path, here with quadratic objectives, writes it at every
+    # step: either way each row the certificates evaluate holds grad f at
+    # that row's x, but the closing row, which carries the last step's
+    # derivative
+    if affine:
+        prob = build_distributed_problem(generate_instance(0, n=3), ring(3, 4.0))
+    else:
+        prob = three_agent_quadratic()
+    assert (prob._affine is not None) == affine
+    n = (prob.n_agents, prob.dim)
+    ref = ReferencePoint(np.zeros(n), np.zeros(n), np.ones(prob.ineq_owner.size),
+                         np.zeros(prob.eq_owner.size))
+    checked = []
+    evaluate = engine._DiagState._evaluate
+
+    def checking(self, slot, K):
+        [rows] = step_rows
+        assert self.rows is rows
+        at = slice(slot * rows.per_slot, slot * rows.per_slot + K)
+        z, grad = rows.fields[2][at], rows.fields[5][at]
+        x = AgentState._of(self.table, z).x
+        for j in range(K - self.closed):
+            assert grad[j].tobytes() == prob.local_terms(x[j]).grad.tobytes(), (slot, j)
+        checked.append(K - self.closed)
+        return evaluate(self, slot, K)
+
+    forked_diag(False)
+    monkeypatch.setattr(engine._DiagState, "_evaluate", checking)
+    log = simulate(prob, SimConfig(duration=0.1, log_every=1000, reference=ref))
+    assert log.abort_reason is None
+    # 100 steps: every row of both slots written at least once
+    assert sum(checked) == 100 and len(step_rows[0].states) == 64

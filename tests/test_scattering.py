@@ -159,3 +159,21 @@ def test_channel_end_rejects_non_finite_eta():
         with pytest.raises(ValueError, match="eta must be positive and finite"):
             ChannelEnd(CouplingMatrix(1.0, 1), eta=eta)
 
+
+
+def test_recover_needs_a_c_contiguous_out():
+    # the product is written through a reshape of out, which would copy any
+    # other out and leave it unwritten
+    rng = np.random.default_rng(23)
+    end = ChannelEnd(CouplingMatrix(rng.uniform(0.5, 4.0, size=(3, 1)), 2), eta=1.0)
+    s_in, u = rng.normal(size=(2, 3, 4))
+    fresh = end.recover(s_in, u)
+    for bad in (np.zeros((3, 3, 8))[:, :, :4], np.zeros((4, 3, 3)).T, np.zeros((3, 2, 4))):
+        with pytest.raises(ValueError, match=r"out: expected a C-contiguous array of shape "
+                                             r"\(3, 3, 4\)"):
+            end.recover(s_in, u, bad)
+        assert not bad.any()
+    out = np.full((3, 3, 4), 7.0)
+    got = end.recover(s_in, u, out)
+    assert all(np.shares_memory(a, out) for a in got)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, fresh))
