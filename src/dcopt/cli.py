@@ -246,7 +246,7 @@ def compute_reference(cfg, prob):
     if log.abort_reason is not None:
         return None, f"reference run aborted ({log.abort_reason})"
     # the closing sample's residual, from the arrays the ReferencePoint
-    # holds: bit-equal to what ReferencePoint.validate recomputes
+    # holds: bit-equal to kkt_residual of its x, xi, lam and mu
     worst = log.kkt[-1].max()
     if not worst <= KKT_TOL:  # NaN fails too
         return None, (

@@ -128,11 +128,7 @@ def _slice_table(shapes):
 
 
 def _views(table, vector):
-    """The fields of vector (..., D) as views, each (...,) + its shape.
-    Both packed records have two shaped fields followed by two flat ones."""
-    if vector.ndim == 1:
-        (a, sa), (b, sb), (c, _), (d, _) = table[0]
-        return vector[a].reshape(sa), vector[b].reshape(sb), vector[c], vector[d]
+    """The fields of vector (..., D) as views, each (...,) + its shape."""
     lead = vector.shape[:-1]
     return [vector[..., s].reshape(lead + shape) for s, shape in table[0]]
 

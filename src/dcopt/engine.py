@@ -293,13 +293,6 @@ class ReferencePoint:
         self.lam = np.array(lam, dtype=float)
         self.mu = np.array(mu, dtype=float)
 
-    def validate(self, prob, tol=1e-2):
-        """Require every KKT residual field <= tol; a NaN field fails."""
-        res = kkt_residual(prob, self.x, self.xi, self.lam, self.mu)
-        if not res.max() <= tol:
-            raise ValueError(f"reference point fails KKT at {tol}: {res.as_dict()}")
-        return res
-
     def forces(self, prob):
         """(phi*, zeta*) = (grad f(z*), zeta(z*, lam*, mu*)), each (N, n):
         the reference terms of the two rate bounds, fixed for a run."""

@@ -30,8 +30,6 @@ class Network:
     and rev[e] the row of j <- i.  Channel c, one per undirected edge,
     joins row fwd[c] = i <- j with i < j and its reverse bwd[c] = j <- i.
     The table is the network's only stored form; the matrix is not kept.
-    laplacian_apply keeps its plans here, one per trailing shape of its
-    input.
     """
 
     def __init__(self, adjacency):
@@ -71,7 +69,6 @@ class Network:
         self.bwd = self.rev[self.fwd]
         for table in (self.own, self.nbr, self.weight, self.rev, self.fwd, self.bwd):
             table.setflags(write=False)
-        self._laplacian_plans = {}
 
     def __repr__(self):
         return f"Network(n_agents={self.n_agents}, n_edges={self.fwd.size})"
@@ -105,27 +102,8 @@ def laplacian_apply(net, v):
     n = net.n_agents
     if v.shape[:1] != (n,):
         raise ValueError(f"v: expected {n} rows, got shape {v.shape}")
-    tail = v.shape[1:]
-    plan = net._laplacian_plans.get(tail)
-    if plan is None:
-        plan = net._laplacian_plans[tail] = _laplacian_plan(net, tail)
-    bins, size, shape, weight, degree = plan
-    nbrs = np.multiply(weight, v.take(net.nbr, 0))
-    return degree * v - np.bincount(bins, weights=nbrs.ravel(), minlength=size).reshape(shape)
-
-
-def _laplacian_plan(net, tail):
-    """(bins, bin count, sum shape, weights, degrees) of laplacian_apply
-    for inputs (N,) + tail: the edge sums' _owner_sum_plan, and each edge's
-    weight and each agent's summed weight, the degree, as read-only arrays
-    (E,) + tail and (N,) + tail, so both products are elementwise."""
-    n, own = net.n_agents, net.own
-    weight = net.weight.reshape((-1,) + (1,) * len(tail))
-    arrays = [np.broadcast_to(a, a.shape[:1] + tail).copy()
-              for a in (weight, _owner_sums(own, n, weight))]
-    for a in arrays:
-        a.setflags(write=False)
-    return _owner_sum_plan(own, n, own.shape + tail) + tuple(arrays)
+    own, w = net.own, net.weight.reshape((-1,) + (1,) * (v.ndim - 1))
+    return _owner_sums(own, n, w) * v - _owner_sums(own, n, w * v.take(net.nbr, 0))
 
 
 def _owner_sums(owner, n_agents, rows, axis=0):
@@ -135,21 +113,16 @@ def _owner_sums(owner, n_agents, rows, axis=0):
     Entry k adds into agent owner[k] of its own leading row alone, so a
     non-finite entry stays with its own agent and row; each agent's
     entries are added in their order along axis."""
-    bins, size, shape = _owner_sum_plan(owner, n_agents, rows.shape, axis)
+    bins, size, shape = _bins(owner.dtype.str, owner.tobytes(), n_agents, rows.shape,
+                              axis % rows.ndim)
     return np.bincount(bins, weights=rows.ravel(), minlength=size).reshape(shape)
-
-
-def _owner_sum_plan(owner, n_agents, shape, axis=0):
-    """(bins, bin count, sum shape) of _owner_sums for rows of this shape,
-    made once per owner array, shape and axis; a per-step caller takes it
-    once per run."""
-    return _bins(owner.dtype.str, owner.tobytes(), n_agents, shape, axis % len(shape))
 
 
 @functools.lru_cache(maxsize=64)
 def _bins(dtype, owner, n, shape, axis):
-    """_owner_sum_plan, keyed by the owner array's dtype and bytes: entry
-    (b, k, w) goes to bin (b n + owner[k]) W + w."""
+    """(bins, bin count, sum shape) of _owner_sums for rows of this shape,
+    made once per owner array (keyed by its dtype and bytes), shape and
+    axis: entry (b, k, w) goes to bin (b n + owner[k]) W + w."""
     owner = np.frombuffer(owner, dtype=dtype)
     head, tail = shape[:axis], shape[axis + 1:]
     b, w = math.prod(head), math.prod(tail)

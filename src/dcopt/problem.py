@@ -378,8 +378,9 @@ def kkt_residual(prob, x, xi, lam, mu):
         if v.shape != shape:
             raise ValueError(f"{name}: expected shape {shape}, got {v.shape}")
     terms = prob.local_terms(x)
-    lx = laplacian_apply(prob.network, x)
-    lxi = laplacian_apply(prob.network, xi)
+    # the columns are summed apart, so each half is L x and L xi bit for bit
+    lap = laplacian_apply(prob.network, np.concatenate([x, xi], axis=1))
+    lx, lxi = lap[:, :prob.dim], lap[:, prob.dim:]
     # sum_j a_ij (xi_j - xi_i) = -(L xi)_i
     stationarity = terms.grad + constraint_force(prob, terms, lam, mu) - lxi
     return KKTResidual(

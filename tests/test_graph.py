@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from dcopt import ring
 from dcopt.cli import sample_delays
 from dcopt.graph import Network, _owner_sums, laplacian_apply
+from dcopt.problem import DistributedProblem, LocalProblem, QuadraticFunction, kkt_residual
 from test_engine import ring_matrix
 
 
@@ -158,10 +159,9 @@ def test_laplacian_apply_matches_matrix():
 
 @pytest.mark.parametrize("weight", [4.0, 0.3])
 def test_laplacian_apply_keeps_the_edge_sums(weight):
-    # the degrees, weights and bins are the network's, made once per input
-    # shape; the result is the two owner sums over the edge table bit for
-    # bit, at the CLI's ring weight and at one that is not a power of two,
-    # on a new plan and on a reused one (second pass)
+    # the result is the two owner sums over the edge table bit for bit, at
+    # the CLI's ring weight and at one that is not a power of two, on the
+    # first call for an input shape and on a repeated one (second pass)
     rng = np.random.default_rng(23)
     for n in (3, 5, 8):
         net = ring(n, weight)
@@ -170,6 +170,27 @@ def test_laplacian_apply_keeps_the_edge_sums(weight):
                 w = net.weight.reshape((-1,) + (1,) * (v.ndim - 1))
                 want = _owner_sums(net.own, n, w) * v - _owner_sums(net.own, n, w * v[net.nbr])
                 assert laplacian_apply(net, v).tobytes() == want.tobytes()
+
+
+def test_network_stores_only_its_table():
+    # every attribute is the agent count or a read-only array, after
+    # construction and after the Laplacian and a KKT residual use the network
+    def check(net):
+        for name, value in vars(net).items():
+            if name == "n_agents":
+                assert value == 5
+            else:
+                assert isinstance(value, np.ndarray) and not value.flags.writeable, name
+
+    net = ring(5, 4.0)
+    check(net)
+    for shape in ((5,), (5, 3), (5, 2, 3)):
+        laplacian_apply(net, np.ones(shape))
+        check(net)
+    prob = DistributedProblem(net, [LocalProblem(QuadraticFunction([[1.0]], [-k])) for k in range(5)])
+    kkt_residual(prob, np.ones((5, 1)), np.zeros((5, 1)), np.zeros(0), np.zeros(0))
+    check(net)
+    assert sorted(vars(net)) == ["bwd", "fwd", "n_agents", "nbr", "own", "rev", "weight"]
 
 
 def test_laplacian_apply_checks_the_row_count():

@@ -4,7 +4,12 @@ A code line holds a token other than a comment, a docstring (a string
 that is a whole statement) or the layout tokens; blank, comment and
 docstring lines are not code.  Standard library only.
 
-    python3 tools/src_lines.py [directory]    (default: src)
+    python3 tools/src_lines.py [DIR] [BASE_DIR]    (DIR default: src)
+
+With BASE_DIR, say the src/ of another checkout, each module (by its path
+under the two directories) is printed with its counts in BASE_DIR, in DIR
+and the change, a module missing from one tree counting 0 there, and then
+the totals.
 """
 
 import itertools
@@ -34,13 +39,30 @@ def count(path):
     return len(pathlib.Path(path).read_bytes().splitlines()), len(code)
 
 
-def main(root="src"):
-    total = [0, 0]
-    for path in sorted(pathlib.Path(root).rglob("*.py")):
-        lines, code = count(path)
-        total = [total[0] + lines, total[1] + code]
-        print(f"{lines:6d} {code:6d}  {path}")
-    print(f"{total[0]:6d} {total[1]:6d}  total (lines, code lines)")
+def counts(root):
+    """{path relative to root: (lines, code lines)} of root's Python files."""
+    root = pathlib.Path(root)
+    return {path.relative_to(root).as_posix(): count(path) for path in sorted(root.rglob("*.py"))}
+
+
+def main(root="src", base=None):
+    here = counts(root)
+    if base is None:
+        for name, (lines, code) in here.items():
+            print(f"{lines:6d} {code:6d}  {pathlib.Path(root, name)}")
+        total = [sum(c[k] for c in here.values()) for k in (0, 1)]
+        print(f"{total[0]:6d} {total[1]:6d}  total (lines, code lines)")
+        return
+    there = counts(base)
+    print(f"{'base':>13} {'this':>13} {'change':>13}")
+    print(f"{'lines':>6} {'code':>6} " * 3 + " module")
+    rows = [(name, there.get(name, (0, 0)), here.get(name, (0, 0)))
+            for name in sorted(set(here) | set(there))]
+    total = [[sum(row[k][q] for row in rows) for q in (0, 1)] for k in (1, 2)]
+    rows.append(("total", *total))
+    for name, old, new in rows:
+        print(f"{old[0]:6d} {old[1]:6d} {new[0]:6d} {new[1]:6d} "
+              f"{new[0] - old[0]:+6d} {new[1] - old[1]:+6d}  {name}")
 
 
 if __name__ == "__main__":
