@@ -257,11 +257,6 @@ def compute_reference(cfg, prob):
     return ref, f"no-delay end state, max KKT residual {worst:.3e}"
 
 
-def kkt_series_max(log):
-    """Worst KKT residual field per logged sample; NaN where any field is."""
-    return np.array([res.max() for res in log.kkt])
-
-
 def classify(log):
     """Verdict on a run: diverged / converged / oscillating / not_converged.
 
@@ -273,8 +268,7 @@ def classify(log):
     """
     if log.abort_reason is not None:
         return "diverged"
-    series = kkt_series_max(log)
-    if series.size and series[-1] <= KKT_TOL:
+    if log.kkt[-1].max() <= KKT_TOL:  # NaN fails
         return "converged"
     mask = log.t >= 0.75 * log.config.duration
     if np.count_nonzero(mask) >= 2:

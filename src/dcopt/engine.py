@@ -33,20 +33,23 @@ explicit-Euler step has a fixed phase order:
 
 Every quantity consumed in a step is therefore from time t; the step is a
 synchronous barrier, which is what makes runs bit-for-bit reproducible.
-The step works in place: its ports, its derivative and its update are
-written into rows allocated once per run (_StepRows), the update into the
-row after the current state's, so one that does not commit overwrites no
-committed state.  Each row holds the weights of its owner sum, whose tail
-is the row's p outside scattering mode, where the coupling matmul writes
-it (in scattering mode p is a strided view of the wave block and is
-copied into the weights), and a (2E, 2n) block of port ends: [x_i; xi_i]
-gathered by receiving agent, then r, or in scattering mode s_in.  Its
-operands are laid out once per run too: the views of each row that the
-port map and the owner sum read, the delay lines' pop order, and
-derivatives' _Plan (the compensator gains at full shape, the local terms,
-the owner sum's bins and, on the affine path, the constant grad f already
-written into every row), so a step makes only the numpy calls its
-arithmetic needs.  What it still allocates is the owner sum (bincount has
+One object owns what a step touches, _Run: the delay lines, the channel
+ends, the step rows and the plan below; its step() runs phases 1-3 from a
+given state.  simulate keeps the loop, the samples, the aborts, the commit
+and the closing sample.  The step works in place: its ports, its
+derivative and its update are written into the run's rows, allocated once
+per run, the update into the row after the current state's, so one that
+does not commit overwrites no committed state.  Each row holds the weights
+of its owner sum, whose tail is the row's p outside scattering mode, where
+the coupling matmul writes it (in scattering mode p is a strided view of
+the wave block and is copied into the weights), and a (2E, 2n) block of
+port ends: [x_i; xi_i] gathered by receiving agent, then r, or in
+scattering mode s_in.  Its operands are laid out once per run too: the
+views of each row that the port map and the owner sum read, the delay
+lines' pop order, and derivatives' _Plan (the compensator gains at full
+shape, the local terms, the owner sum's bins and, on the affine path, the
+constant grad f already written into every row), so a step makes only the
+numpy calls its arithmetic needs.  What it still allocates is the owner sum (bincount has
 no out).  A logged step copies t, the packed z, nu, zeta and the ports
 into the next row of one array per series, allocated for the run (see
 TrajectoryLog).
@@ -59,7 +62,8 @@ no_delay     r = [x_j; xi_j], the neighbor's current state
 naive_delay  r = the neighbor's [x_j; xi_j] popped from the delay line
 scattering   r and p are recovered from the incoming wave and [x_i; xi_i]
 
-When a reference point (a KKT-validated converged state) is supplied, the
+When a reference point (a converged state; simulate checks only its shape
+and finiteness, and cli.compute_reference its KKT residual) is supplied, the
 engine additionally accumulates storage-function diagnostics online:
 Lyapunov values on a fixed sampling grid, finite-difference storage-rate
 checks for every agent at every step, the channel energy integral, and the
@@ -222,8 +226,10 @@ class SimConfig:
     delays; no_delay mode ignores it.  duration and diag_interval must
     each be under 2**63 steps.
 
-    reference     KKT-validated ReferencePoint; when set, the online
-                  storage/passivity diagnostics check every step.
+    reference     ReferencePoint, a converged state; when set, the online
+                  storage/passivity diagnostics check every step.  Only
+                  its shapes and finiteness are checked here; the KKT
+                  check of the CLI's is cli.compute_reference's.
     diag_interval seconds between the Lyapunov samples of those
                   diagnostics (the rate checks run at every step anyway).
     log_every     steps between logged samples; the post-hoc oracles
@@ -276,7 +282,10 @@ class SimConfig:
 
 
 class ReferencePoint:
-    """A KKT-validated converged state used as diagnostic reference.
+    """A converged state used as diagnostic reference.  It is not checked
+    here: simulate and the post-hoc oracles check its shapes and finiteness
+    (_check_reference), and cli.compute_reference the KKT residual of the
+    CLI's.
 
     Carries the primal states x (N, n) and their mean z*, the consensus
     multipliers xi* (N, n), and lam*, mu* as concatenated vectors in the
@@ -730,40 +739,23 @@ def simulate(prob, cfg):
     trajectories are the expected outcome of the naive-delay scenario.
     Each abort event names the agent and the value that tripped.
     """
-    n = prob.n_agents
-    dim = prob.dim
-    comp = cfg.compensator
     h = cfg.step
     n_steps = int(round(cfg.duration / h))
-
     state = _initial_state(prob, cfg)
     if cfg.reference is not None:
         _check_reference(prob, cfg.reference)
-
-    net = prob.network
-    own, nbr = net.own, net.nbr
-    coupling = CouplingMatrix(net.weight, dim)
     log = TrajectoryLog(cfg, prob)
-    line = end = None  # line e carries what agent own[e] sends to nbr[e]
-    if cfg.mode != "no_delay":
-        if cfg.delays is None:
-            raise ValueError("delays required for delayed modes")
-        delays = np.asarray(cfg.delays)
-        if delays.shape != own.shape:
-            raise ValueError(f"delays: expected shape {own.shape}, one per edge in the "
-                             f"network's table order, got {delays.shape}")
-        line = DelayLine(delays, h, 2 * dim, net.rev)
-        log.delays = line.delay
-    if cfg.mode == "scattering":
-        end = ChannelEnd(coupling, cfg.eta)
+    run = _Run(prob, cfg, state, 1 if cfg.reference is None else _DIAG_BLOCK)
+    log.delays = None if run.line is None else run.line.delay
+    state = run.states[0]
 
     # one row per sample: t, the packed state z, nu, zeta and the four edge
     # series, each filled from its first row; waves only in scattering mode
     samples = -(-n_steps // cfg.log_every) + 1
-    edge = (len(own), 2 * dim)
-    store = [np.empty((samples,) + shape) for shape in ((), (state.z.size,), (n, dim), (n, dim),
+    agents, edge = (prob.n_agents, prob.dim), (len(prob.network.own), 2 * prob.dim)
+    store = [np.empty((samples,) + shape) for shape in ((), state.z.shape, agents, agents,
                                                         edge, edge)]
-    store += [np.empty((samples if end is not None else 0,) + edge) for _ in range(2)]
+    store += [np.empty((samples if run.end is not None else 0,) + edge) for _ in range(2)]
     filled = [0] * len(store)
 
     def snapshot(t, state, deriv, ports):
@@ -776,7 +768,7 @@ def simulate(prob, cfg):
                 filled[q] += 1
         # the scattering loop settles with xi doubled (each end absorbs the
         # midpoint average), so xi/2 is the stationarity certificate there
-        xi_cert = 0.5 * state.xi if end is not None else state.xi
+        xi_cert = 0.5 * state.xi if run.end is not None else state.xi
         log.kkt.append(kkt_residual(prob, x, xi_cert, state.lam, state.mu))
 
     def abort(kind, agent, value, detail):
@@ -786,62 +778,22 @@ def simulate(prob, cfg):
         log.abort_step = k
 
     k = 0
-    log_every = cfg.log_every
-    diag = None if cfg.reference is None else _DiagState(log, state, n_steps)
-    rows = _StepRows(prob, cfg.mode, state, 1) if diag is None else diag.rows
-    state, count = rows.states[0], len(rows.states)
-    plan = _Plan(prob, comp, state, [at[0] for at in rows.at])
-    u = np.empty((n, 2 * dim))  # rows [x_i; xi_i]
-    own_nbr = np.concatenate([own, nbr])  # u at both ends of every edge, in no_delay mode
-    diff = np.empty(edge)  # r - u_own
-    diff_pairs = diff.reshape(-1, 2, dim)
-    mags = np.empty_like(state.z)  # |z| of the update
+    diag = None if cfg.reference is None else _DiagState(log, run, n_steps)
     # guards, not warnings, handle blow-ups; an evaluator is reaped on every path
     with np.errstate(all="ignore"), diag or contextlib.nullcontext():
         for k in range(n_steps):
             t = k * h
-            deriv, both, u_own, r, p, s_in, s_out, mapped = rows.at[k % count]
-            np.concatenate((state._x, state._xi), axis=1, out=u)
-
-            # phase 1: the port pair (r, p) of every directed edge i <- j; a
-            # take with mode "raise" would copy through a buffer, and every
-            # index is in range, so "clip" gathers straight into the row
-            if line is None:  # u_own and r in one gather
-                u.take(own_nbr, 0, out=both, mode="clip")
-            else:  # what crossed is j's wave (scattering) or its [x_j; xi_j]
-                u.take(own, 0, out=u_own, mode="clip")
-                line.pop(t, s_in if end is not None else r)
-            if end is not None:  # i's wave goes back
-                end.recover(s_in, u_own, mapped)
-            else:  # p into its place in the owner sum's weights
-                np.subtract(r, u_own, out=diff)
-                coupling.apply(diff_pairs, mapped)
-
-            # phase 2: derivatives from the edges' p, the update, its guards
-            derivatives(prob, comp, state, p, deriv, plan)
-            nxt = rows.states[(k + 1) % count]
-            try:
-                euler_step(state, deriv, h, nxt)
-                trip = (None if np.maximum.reduce(np.abs(nxt._z, out=mags)) <= DIVERGENCE_LIMIT
-                        else "divergence")
-            except LambdaGuardError as err:
-                trip = err
-            if trip is not None and not np.isfinite(deriv.zdot).all():
+            deriv, ports, nxt, trip = run.step(k, t, state)
+            if trip == "nan":
                 i, name, value = _non_finite_entry(prob, deriv)
                 abort("nan", i, value, f"agent {i}: non-finite derivative {name} ({value})")
                 # only the delayed modes' r came out of a channel
-                snapshot(t, state, None, (None if line is None else r, None, None, None))
+                snapshot(t, state, None, (None if run.line is None else ports[0], None, None, None))
                 break
-
-            # phase 3: push what crosses each edge into its delay line
-            if line is not None:
-                line.push(u_own if end is None else s_out, t)
-
             if diag is not None:
                 diag.step()
-
-            if k % log_every == 0:
-                snapshot(t, state, deriv, (r, p, s_in, s_out))
+            if k % cfg.log_every == 0:
+                snapshot(t, state, deriv, ports)
 
             # phase 4: barrier commit, unless a guard tripped
             if isinstance(trip, LambdaGuardError):
@@ -877,62 +829,135 @@ def simulate(prob, cfg):
     return log
 
 
-class _StepRows:
-    """The rows a run's steps are written into, in place: two slots of
-    per_slot rows, R rows in all, each field one (R, ...) array over one
-    shared mmap.  The fields are t and the on-grid flag (which only the
-    certificates read), the packed state z, its derivative zdot, nu, grad
-    and zeta, the weights of derivatives' owner sum [force products; p]
-    (see dynamics._weights), the port ends (2E, 2n), whose first half is
-    [x_i; xi_i] gathered by receiving agent and whose second half is r, or
-    in scattering mode s_in, and in scattering mode the (E, 3, 2n) block of
-    r, p and s_out that ChannelEnd.recover writes.  Outside scattering mode
-    p is the weights' tail, where the coupling matmul writes it.
+class _Run:
+    """What the steps of one run touch, laid out once: the DelayLine of the
+    checked delays (line, in the delayed modes; line e carries what agent
+    own[e] sends to nbr[e]), the ChannelEnd (end, in scattering mode), the
+    coupling, the step rows with their records, derivatives' _Plan and the
+    step's scratch buffers.  step() runs phases 1-3 of one step; simulate
+    commits.
+
+    The rows are two slots of per_slot rows, R = count rows in all, each
+    field one (R, ...) array over one shared mmap: t and grid, the on-grid
+    flag (which only the certificates read), the packed state z, its
+    derivative zdot, nu, grad and zeta, the weights of derivatives' owner
+    sum [force products; p] (see dynamics._weights), the port ends
+    (2E, 2n), whose first half is [x_i; xi_i] gathered by receiving agent
+    and whose second half is r, or in scattering mode s_in, and waves, in
+    scattering mode the (E, 3, 2n) block of r, p and s_out that
+    ChannelEnd.recover writes, else None.  ports holds r, p, s_in and s_out
+    over all rows, (R, E, 2n) each, or None where the mode lacks it;
+    outside scattering mode p is the weights' tail, where the coupling
+    matmul writes it.
 
     Step k reads its state from row k % R and writes its ports and
     derivative into that row and its update into row (k + 1) % R, so the
     update never lands on the state it steps from, and an uncommitted one
     on no committed state.  The records of each row are made once: states[q]
     is an AgentState over z[q] with its own x, and at[q] holds the row's
-    AgentDerivative (over its weights too), its port ends and their first
-    half, r, p, s_in and s_out, the ports the mode lacks None, and where
-    the port map writes: the wave block, or p's halves (E, 2, n).  ports
-    holds r, p, s_in and s_out over all rows, (R, E, 2n) each, or None.
-    Row 0 starts as a copy of state.
+    AgentDerivative (over its weights too), its ports (r, p, s_in, s_out,
+    None where the mode lacks one), its port ends and their first half,
+    where the port map writes (the wave block, or p's halves (E, 2, n)) and
+    states[(q + 1) % R], where the update goes.  Row 0 starts as a copy of
+    state.
     """
 
-    def __init__(self, prob, mode, state, per_slot):
-        n, dim, edges = prob.n_agents, prob.dim, len(prob.network.own)
-        size, agents, edge = state.z.size, (n, dim), (edges, 2 * dim)
+    def __init__(self, prob, cfg, state, per_slot):
+        net, dim = prob.network, prob.dim
+        self.prob, self.comp, self.h, self.own = prob, cfg.compensator, cfg.step, net.own
+        self.coupling = CouplingMatrix(net.weight, dim)
+        self.line = self.end = None
+        if cfg.mode != "no_delay":
+            if cfg.delays is None:
+                raise ValueError("delays required for delayed modes")
+            delays = np.asarray(cfg.delays)
+            if delays.shape != net.own.shape:
+                raise ValueError(f"delays: expected shape {net.own.shape}, one per edge in the "
+                                 f"network's table order, got {delays.shape}")
+            self.line = DelayLine(delays, cfg.step, 2 * dim, net.rev)
+        if cfg.mode == "scattering":
+            self.end = ChannelEnd(self.coupling, cfg.eta)
+
+        edges, agents, waves = len(net.own), (prob.n_agents, dim), self.end is not None
         force = prob._force_plan[0].size
-        waves = mode == "scattering"
-        shapes = [(), (), (size,), (size,), agents, agents, agents, (force + edges * 2 * dim,),
-                  (2 * edges, 2 * dim)] + [(edges, 3, 2 * dim)] * waves
+        shapes = [(), (), state.z.shape, state.z.shape, agents, agents, agents,
+                  (force + edges * 2 * dim,), (2 * edges, 2 * dim)] + [(edges, 3, 2 * dim)] * waves
         self.per_slot = per_slot
-        count = 2 * per_slot
+        count = self.count = 2 * per_slot
         # each field starts 64-byte aligned, so no kernel reads a less aligned
         # array than a fresh numpy one
         sizes = [-(-count * math.prod(shape) // 8) * 8 for shape in shapes]
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
-        self.fields = [a[:count * math.prod(shape)].reshape((count,) + shape) for a, shape in
-                       zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-        _, _, z, zdot, nu, grad, zeta, weights, ends = self.fields[:9]
-        if waves:
-            block = self.fields[9]
-            self.ports = (block[:, :, 0], block[:, :, 1], ends[:, edges:], block[:, :, 2])
-        else:
-            self.ports = (ends[:, edges:], weights[:, force:].reshape((count,) + edge), None, None)
-        table = state._table
-        self.states = [AgentState._of(table, row) for row in z]
+        fields = [a[:count * math.prod(shape)].reshape((count,) + shape)
+                  for a, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+        (self.t, self.grid, self.z, self.zdot, self.nu, self.grad, self.zeta, self.weights,
+         self.ends, self.waves) = fields + [None] * (not waves)
+        ends, block = self.ends[:, edges:], self.waves
+        self.ports = ((block[:, :, 0], block[:, :, 1], ends, block[:, :, 2]) if waves else
+                      (ends, self.weights[:, force:].reshape((count, edges, 2 * dim)), None, None))
+        self.table = state._table
+        self.states = [AgentState._of(self.table, row) for row in self.z]
         self.at = []
         for q in range(count):
-            w = _weights(prob, weights[q])
+            w = _weights(prob, self.weights[q])
             r, p, s_in, s_out = (None if a is None else a[q] for a in self.ports)
-            self.at.append((AgentDerivative._of(table, zdot[q], nu[q], grad[q], zeta[q], w),
-                            ends[q], ends[q, :edges], r, p if waves else w[3], s_in, s_out,
-                            block[q] if waves else w[3].reshape(edges, 2, dim)))
+            # outside scattering mode p is the weights' own, w[3], read in place
+            p, mapped = (p, block[q]) if waves else (w[3], w[3].reshape(edges, 2, dim))
+            self.at.append((AgentDerivative._of(self.table, self.zdot[q], self.nu[q],
+                                                self.grad[q], self.zeta[q], w),
+                            (r, p, s_in, s_out), self.ends[q], self.ends[q, :edges], mapped,
+                            self.states[(q + 1) % count]))
         np.copyto(self.states[0]._z, state._z)
         np.copyto(self.states[0]._x, state._x)
+        self.plan = _Plan(prob, self.comp, self.states[0], [at[0] for at in self.at])
+        self.u = np.empty((prob.n_agents, 2 * dim))  # rows [x_i; xi_i]
+        self.own_nbr = np.concatenate([net.own, net.nbr])  # u at both ends of every edge
+        self.diff = np.empty((edges, 2 * dim))  # r - u_own
+        self.diff_pairs = self.diff.reshape(-1, 2, dim)
+        self.mags = np.empty_like(state.z)  # |z| of the update
+
+    def step(self, k, t, state):
+        """Phases 1-3 of step k at time t from state, row k % R as a rule:
+        (deriv, ports, update, trip), the derivative, the port pair (r, p,
+        s_in, s_out, None where the mode lacks it) and the uncommitted
+        update of row (k + 1) % R.  trip is None, "divergence" (an updated
+        entry beyond DIVERGENCE_LIMIT), the LambdaGuardError of the update
+        or "nan", a non-finite zdot, tested only after another trip; a "nan"
+        step is not pushed."""
+        deriv, ports, both, u_own, mapped, nxt = self.at[k % self.count]
+        r, p, s_in, s_out = ports
+        u, line, end = self.u, self.line, self.end
+        np.concatenate((state._x, state._xi), axis=1, out=u)
+
+        # phase 1: the port pair (r, p) of every directed edge i <- j; a
+        # take with mode "raise" would copy through a buffer, and every
+        # index is in range, so "clip" gathers straight into the row
+        if line is None:  # u_own and r in one gather
+            u.take(self.own_nbr, 0, out=both, mode="clip")
+        else:  # what crossed is j's wave (scattering) or its [x_j; xi_j]
+            u.take(self.own, 0, out=u_own, mode="clip")
+            line.pop(t, s_in if end is not None else r)
+        if end is not None:  # i's wave goes back
+            end.recover(s_in, u_own, mapped)
+        else:  # p into its place in the owner sum's weights
+            np.subtract(r, u_own, out=self.diff)
+            self.coupling.apply(self.diff_pairs, mapped)
+
+        # phase 2: derivatives from the edges' p, the update, its guards
+        derivatives(self.prob, self.comp, state, p, deriv, self.plan)
+        try:
+            euler_step(state, deriv, self.h, nxt)
+            trip = (None if np.maximum.reduce(np.abs(nxt._z, out=self.mags)) <= DIVERGENCE_LIMIT
+                    else "divergence")
+        except LambdaGuardError as err:
+            trip = err
+        if trip is not None and not np.isfinite(deriv.zdot).all():
+            return deriv, ports, nxt, "nan"
+
+        # phase 3: push what crosses each edge into its delay line
+        if line is not None:
+            line.push(u_own if end is None else s_out, t)
+        return deriv, ports, nxt, trip
 
 
 class _DiagState:
@@ -947,11 +972,11 @@ class _DiagState:
     coupling row is NaN for naive-delay runs, which have no port
     interpretation.
 
-    The block buffers are the run's step rows (rows, a _StepRows of two
-    slots), which the engine writes in place: z, zdot, nu, grad, zeta and
-    the ports r, p and, in scattering mode, s_in and s_out.  step() counts
-    a step once its rows are written, as simulate does; the t and on-grid
-    flag of a slot's rows are written when it is handed off.  A completed
+    The block buffers are the step rows of the run (a _Run of two slots),
+    which the engine writes in place and this reads by name: z, zdot, nu,
+    grad, zeta and the ports r, p and, in scattering mode, s_in and s_out.
+    step() counts a step once its rows are written, as simulate does; the
+    t and on-grid flag of a slot's rows are written when it is handed off.  A completed
     run's final state, already in the next row, is one more row (close()),
     with the last step's derivative and ports copied in, whose own bound no
     row reads.  A full slot is evaluated by _evaluate, each kernel called
@@ -960,19 +985,18 @@ class _DiagState:
     compared against the one before it, as step by step.
 
     A run of _DIAG_FORK_STEPS steps or more, with a second CPU, os.fork and
-    no other Python thread, forks an evaluator here, after the rows are
-    made, so they are shared: the child evaluates one slot while the engine
+    no other Python thread, forks an evaluator here, after the run made its
+    rows, so they are shared: the child evaluates one slot while the engine
     fills the other.  One pipe names the slot to evaluate, one returns it
     free; the child is a _fork of _serve, whose result is its reports, or
     its exception, which the engine raises again.  Leaving the with block
     sets the log's reports; on every path the child is reaped.
     """
 
-    def __init__(self, log, state, steps):
-        self.log = log
+    def __init__(self, log, run, steps):
+        self.log, self.run = log, run
         prob, cfg = log.problem, log.config
         ref = cfg.reference
-        self.table = state._table
         net = prob.network
         self.has_ports = cfg.mode in ("no_delay", "scattering")
         n = prob.n_agents
@@ -999,10 +1023,8 @@ class _DiagState:
             ))
         self.every = max(1, int(round(cfg.diag_interval / cfg.step)))
 
-        forked = steps >= _DIAG_FORK_STEPS and _fork_cpus() >= 2
-        self.rows = _StepRows(prob, cfg.mode, state, _DIAG_BLOCK)
         self.k, self.s, self.j, self.busy, self.pid, self.closed = 0, 0, 0, False, None, False
-        if forked:
+        if steps >= _DIAG_FORK_STEPS and _fork_cpus() >= 2:
             work, self.work = os.pipe()
             self.free, free = os.pipe()
             try:
@@ -1039,20 +1061,21 @@ class _DiagState:
         returned that slot."""
         self.j += 1
         self.k += 1
-        if self.j == self.rows.per_slot:
+        if self.j == self.run.per_slot:
             self._hand_off()
         # no byte: the evaluator ended
-        if self.j == self.rows.per_slot - 1 and self.busy and not os.read(self.free, 1):
+        if self.j == self.run.per_slot - 1 and self.busy and not os.read(self.free, 1):
             self._join_evaluator()
 
     def close(self):
         """The final state of a completed run, already in the next row, as
         one more row, with the last step's derivative and ports, whose own
         bound no row reads."""
-        count = len(self.rows.states)
-        q = self.k % count
-        for a in self.rows.fields[3:]:
-            a[q] = a[(q - 1) % count]
+        run = self.run
+        q = self.k % run.count
+        for a in (run.zdot, run.nu, run.grad, run.zeta, *run.ports):
+            if a is not None:
+                a[q] = a[q - 1]
         self.closed = True
         self.step()
 
@@ -1061,9 +1084,9 @@ class _DiagState:
         slot, the closing row on the grid, and evaluate them, here or in
         the evaluator, which then gets the slot while this fills the
         other."""
-        rows = slice(self.s * self.rows.per_slot, self.s * self.rows.per_slot + self.j)
+        rows = slice(self.s * self.run.per_slot, self.s * self.run.per_slot + self.j)
         steps = np.arange(self.k - self.j, self.k)
-        t, grid = (a[rows] for a in self.rows.fields[:2])
+        t, grid = self.run.t[rows], self.run.grid[rows]
         np.multiply(steps, self.log.config.step, out=t)
         np.equal(steps % self.every, 0, out=grid)
         if self.closed:
@@ -1117,13 +1140,15 @@ class _DiagState:
         """Evaluate the K rows of slot: storages, the rate-excess update of
         each against the row before, the wave identity, the channel integral
         and the Lyapunov samples on the grid."""
-        rows = slice(slot * self.rows.per_slot, slot * self.rows.per_slot + K)
-        t, grid, z, zdot, nu, grad, zeta = (a[rows] for a in self.rows.fields[:7])
-        r, p, s_in, s_out = (None if a is None else a[rows] for a in self.rows.ports)
+        run = self.run
+        rows = slice(slot * run.per_slot, slot * run.per_slot + K)
+        t, grid, z, zdot, nu, grad, zeta = (
+            a[rows] for a in (run.t, run.grid, run.z, run.zdot, run.nu, run.grad, run.zeta))
+        r, p, s_in, s_out = (None if a is None else a[rows] for a in run.ports)
         prob, cfg = self.log.problem, self.log.config
         ref, comp, h, tol = cfg.reference, cfg.compensator, cfg.step, 1e-3
-        st = AgentState._of(self.table, z)
-        deriv = AgentDerivative._of(self.table, zdot, nu, grad, zeta)
+        st = AgentState._of(run.table, z)
+        deriv = AgentDerivative._of(run.table, zdot, nu, grad, zeta)
         sc = compensator_storage(comp, st.rho, ref.z)
         sg = multiplier_storage(prob, st.lam, st.mu, ref.lam, ref.mu)
         # the coupling storage; NaN, like its excess row, without ports

@@ -20,8 +20,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dcopt import AgentState, ReferencePoint, SimConfig, simulate
-from dcopt.dynamics import _Plan, derivatives
-from dcopt.engine import MODES, _StepRows
+from dcopt.dynamics import derivatives
+from dcopt.engine import MODES, _Run
 from dcopt.graph import Network, _owner_sums, laplacian_apply, ring
 from dcopt.problem import (
     AffineFunction,
@@ -401,14 +401,15 @@ def test_one_owner_sum_gives_the_force_and_the_efforts(case):
     # place) and in a fresh call (p copied in); one non-finite multiplier
     # or port entry stays in its own agent's bins
     prob, state, p, bad = case
-    comp = SimConfig().compensator
+    sim = SimConfig()
+    comp = sim.compensator
     own, n, dim = prob.network.own, prob.n_agents, prob.dim
-    rows = _StepRows(prob, "no_delay", state, 1)
-    deriv, p_row = rows.at[0][0], rows.at[0][4]
-    np.copyto(p_row, p)
     with np.errstate(all="ignore"):
-        plan = _Plan(prob, comp, rows.states[0], [at[0] for at in rows.at])
-        got = [derivatives(prob, comp, rows.states[0], p_row, deriv, plan),
+        run = _Run(prob, sim, state, 1)
+        deriv, (_, p_row, _, _) = run.at[0][:2]
+        assert p_row is deriv._weights[3]  # the weights' own p
+        np.copyto(p_row, p)
+        got = [derivatives(prob, comp, run.states[0], p_row, deriv, run.plan),
                derivatives(prob, comp, state, p)]
         terms = prob.local_terms(state.x)
         zeta = constraint_force(prob, terms, state.lam, state.mu)

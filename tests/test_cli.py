@@ -12,7 +12,6 @@ from dcopt.cli import (
     ConfigError,
     build_scenario,
     classify,
-    kkt_series_max,
     main,
     run,
     sample_delays,
@@ -187,6 +186,21 @@ def test_classify_diverged_and_converged():
     assert classify(log) == "converged"
 
 
+def test_classify_reads_the_last_samples_worst_field():
+    # the last sample's worst field decides, wherever it sits among the fields
+    for last in ({"stationarity": 2.0, "consensus": 3e-3}, {"consensus": 3e-3, "primal_eq": 1.0}):
+        assert classify(fake_log([{"stationarity": 1e-3}, last])) == "not_converged"
+    assert classify(fake_log([{"stationarity": 2.0}, {"consensus": 1e-3}])) == "converged"
+
+
+def test_classify_nan_in_the_last_sample_is_not_converged():
+    # a NaN field in the last sample is not converged, first or last among
+    # the fields; one in an earlier sample does not reach the last
+    for last in ({"consensus": NAN, "comp_slack": 1e-3}, {"consensus": 1e-3, "comp_slack": NAN}):
+        assert classify(fake_log([{"stationarity": 1e-3}, last])) == "not_converged"
+    assert classify(fake_log([{"consensus": NAN}, {"primal_eq": 1e-3}])) == "converged"
+
+
 def test_classify_oscillating_per_field():
     # stationarity parks at 2, primal_ineq swings 0 <-> 3 in the tail
     rows = []
@@ -207,19 +221,6 @@ def test_classify_not_converged_without_swing():
         for k in range(40)
     ]
     assert classify(fake_log(rows)) == "not_converged"
-
-
-def test_kkt_series_max():
-    log = fake_log([{"stationarity": 2.0, "consensus": 3.0}, {"primal_eq": 1.0}])
-    assert np.array_equal(kkt_series_max(log), [3.0, 1.0])
-
-
-def test_kkt_series_max_keeps_nan():
-    # a NaN field makes its sample NaN wherever it sits among the fields
-    log = fake_log([{"consensus": 1.0, "comp_slack": np.nan},
-                    {"consensus": np.nan, "comp_slack": 1.0}, {"primal_eq": 1.0}])
-    series = kkt_series_max(log)
-    assert np.isnan(series[:2]).all() and series[2] == 1.0
 
 
 def read_diag(path):
