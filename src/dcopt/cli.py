@@ -27,7 +27,6 @@ from .dynamics import CompensatorParams
 from .engine import ReferencePoint, SimConfig, simulate
 from .graph import ring
 from .matching import (
-    _MAX_BRUTE_FORCE,
     brute_force_optimal,
     build_distributed_problem,
     extract_assignment,
@@ -120,10 +119,6 @@ def validate_config(path=None, overrides=None):
         "agents", f"expected an integer, got {cfg['agents']!r}",
     )
     _require(cfg["agents"] >= 3, "agents", "ring topology needs >= 3 agents")
-    _require(
-        cfg["agents"] <= _MAX_BRUTE_FORCE, "agents",
-        f"must be <= {_MAX_BRUTE_FORCE} (brute-force oracle), got {cfg['agents']}",
-    )
     for field in ("area", "ring_weight", "step", "duration", "eta", "initial_multiplier",
                   "diag_interval"):
         cfg[field] = _check_number(field, cfg[field], positive=field != "duration",

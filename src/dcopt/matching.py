@@ -8,14 +8,16 @@ matrix.  The relaxed problem over doubly stochastic z,
 
 always has a permutation among its optimizers; when that permutation is
 unique the LP optimum IS the matching, so the consensus simulator and the
-brute-force enumeration must agree.
+exact assignment solver must agree.  The solver (shortest augmenting
+paths, O(n^3)) also returns the assignment dual (u, v): d_lk - u_l - v_k
+>= 0 everywhere, 0 on the optimal edges, and sum u + sum v is the optimal
+cost, which is the LP's dual optimum.
 
 Every agent estimates the full N*N assignment vector (row-major).  Agent l
 contributes the row-l cost, the row-l and column-l sum constraints, and
 nonnegativity bounds for its own row.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,14 +39,14 @@ __all__ = [
     "extract_assignment",
 ]
 
-_MAX_BRUTE_FORCE = 10  # 10! permutations is already ~3.6M
 _MIN_GAP = 1e-6  # least cost gap between the best two permutations
 
 
 @dataclass(frozen=True)
 class MatchingInstance:
     """Positions of n robots and n targets; distances are Euclidean.  One
-    from generate_instance carries its optimum, for brute_force_optimal."""
+    from generate_instance carries the optimum the assignment solver found
+    for it, which brute_force_optimal returns without solving again."""
 
     robots: np.ndarray  # (n, 2)
     targets: np.ndarray  # (n, 2)
@@ -76,7 +78,8 @@ def generate_instance(seed, n=5, area=100.0):
 
     Re-samples (deterministically, by advancing the seed) until the optimal
     permutation is unique with a cost gap of at least _MIN_GAP, so that the
-    LP relaxation has a unique vertex optimizer.
+    LP relaxation has a unique vertex optimizer.  Both costs are summed as
+    assignment_cost sums them.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -85,10 +88,11 @@ def generate_instance(seed, n=5, area=100.0):
         inst = MatchingInstance(
             rng.uniform(0.0, area, (n, 2)), rng.uniform(0.0, area, (n, 2))
         )
-        perms, costs = _permutation_costs(inst)
-        optimum = _best(perms, costs)
-        if n == 1 or np.partition(costs, 1)[1] - optimum[1] >= _MIN_GAP:
-            object.__setattr__(inst, "_optimum", optimum)
+        d = inst.distances().tolist()
+        u, v, col_of, row_of = _solve(d)
+        cost = _cost(d, col_of)
+        if _unique(d, u, v, col_of, row_of, cost):
+            object.__setattr__(inst, "_optimum", (tuple(col_of), cost))
             return inst
     raise RuntimeError("could not sample an instance with a unique optimum")
 
@@ -126,54 +130,128 @@ def build_distributed_problem(inst, network):
 
 def assignment_cost(inst, perm):
     """Total distance of robot l -> target perm[l]."""
-    d = inst.distances()
-    return float(sum(d[l, perm[l]] for l in range(inst.n)))
+    return _cost(inst.distances(), perm)
 
 
-def _permutation_costs(inst):
-    """All n! permutations in lexicographic order, as an (n!, n) table, and
-    the assignment_cost of each.
-
-    Costs are summed robot by robot, left to right, so each equals the
-    Python sum in assignment_cost bit for bit.
-    """
-    n = inst.n
-    # block v of the table is v followed by the (n-1)! table mapped onto the
-    # values other than v (row v of others): itertools enumerates only the
-    # (n-1)! table, and numpy writes the n blocks
-    rows = math.factorial(n - 1)
-    rest = np.fromiter(itertools.chain.from_iterable(itertools.permutations(range(n - 1))),
-                       np.int8, count=rows * (n - 1)).reshape(rows, n - 1)
-    others = np.arange(n - 1, dtype=np.int8) + (np.arange(n - 1) >= np.arange(n)[:, None])
-    perms = np.empty((n, rows, n), np.int8)
-    perms[:, :, 0] = np.arange(n)[:, None]
-    perms[:, :, 1:] = others[:, rest]
-    perms = perms.reshape(-1, n)
-    d = inst.distances()
-    costs = np.zeros(perms.shape[0])
-    for l in range(n):
-        costs += d[l, perms[:, l]]
-    return perms, costs
+def _cost(d, perm):
+    """sum_l d[l][perm[l]], robot by robot, left to right: every cost this
+    module compares or reports is summed here."""
+    return float(sum(d[l][perm[l]] for l in range(len(perm))))
 
 
 def brute_force_optimal(inst):
-    """Enumerate all permutations; return (permutation, cost).
+    """The optimal permutation of inst and its cost, as (permutation, cost).
 
-    Ties resolve to the lexicographically smallest permutation: enumeration
-    is in lexicographic order and argmin takes the first minimum.  An
-    instance from generate_instance returns the optimum it carries, found
-    the same way when its uniqueness was checked.
+    An instance from generate_instance returns the optimum it carries;
+    any other is solved by the assignment solver, and among tied optima it
+    returns one of them.  The name is older than the solver: the
+    benchmark's tracer wraps it as matching.oracle, and the next change to
+    the benchmark renames it.
     """
-    if inst.n > _MAX_BRUTE_FORCE:
-        raise ValueError(f"brute force limited to n <= {_MAX_BRUTE_FORCE}")
     known = inst.__dict__.get("_optimum")
-    return known if known is not None else _best(*_permutation_costs(inst))
+    if known is not None:
+        return known
+    d = inst.distances()
+    if not np.isfinite(d).all():
+        raise ValueError("robot-target distances must be finite")
+    d = d.tolist()
+    col_of = _solve(d)[2]
+    return tuple(col_of), _cost(d, col_of)
 
 
-def _best(perms, costs):
-    """(permutation, cost) of the first least cost."""
-    best = costs.argmin()
-    return tuple(perms[best].tolist()), float(costs[best])
+def _solve(d):
+    """Least-cost assignment of the square cost table d (a list of rows).
+
+    Returns (u, v, col_of, row_of): a dual with d[i][j] - u[i] - v[j] >= 0
+    that is 0 on each optimal edge (i, col_of[i]), and row_of the inverse
+    permutation.  u starts at the row minima and v at 0, which is dual
+    feasible, and each row whose least column no earlier row took is
+    matched to it; the other rows are then matched one by one along
+    shortest augmenting paths, O(n^3) in all.
+    """
+    n = len(d)
+    u, v = [min(row) for row in d], [0.0] * n
+    col_of, row_of = [-1] * n, [-1] * n
+    for i, row in enumerate(d):
+        j = row.index(u[i])
+        if row_of[j] < 0:
+            col_of[i], row_of[j] = j, i
+    for i in range(n):
+        if col_of[i] < 0:
+            _augment(d, u, v, col_of, row_of, i)
+    return u, v, col_of, row_of
+
+
+def _augment(d, u, v, col_of, row_of, start, limit=math.inf):
+    """Match the free row start along a shortest path, in the reduced costs
+    d - u - v, to a free column, and return True; u and v stay dual
+    feasible.  When every path is longer than limit, change nothing and
+    return False.
+
+    Dijkstra over the columns: dist[j] is the path length to column j and
+    via[j] the row it is entered from.  Each reached column's row is
+    scanned next; on a tie the free column wins, which ends the search.
+    """
+    n = len(d)
+    dist = [math.inf] * n
+    via = [start] * n
+    left = list(range(n))
+    rows, cols = [], []
+    i, reach = start, 0.0
+    while True:
+        di, ui, low, j1 = d[i], u[i], math.inf, -1
+        for j in left:
+            r = reach + di[j] - ui - v[j]
+            if r < dist[j]:
+                dist[j], via[j] = r, i
+            if dist[j] < low or (dist[j] == low and row_of[j] < 0):
+                low, j1 = dist[j], j
+        if low > limit:
+            return False
+        reach = low
+        cols.append(j1)
+        left.remove(j1)
+        i = row_of[j1]
+        if i < 0:
+            break
+        rows.append(i)
+    u[start] += reach
+    for i in rows:
+        u[i] += reach - dist[col_of[i]]
+    for j in cols:
+        v[j] -= reach - dist[j]
+    # flip the path: each row on it takes the column it entered
+    while True:
+        i = via[j1]
+        row_of[j1] = i
+        col_of[i], j1 = j1, col_of[i]
+        if i == start:
+            return True
+
+
+def _unique(d, u, v, col_of, row_of, cost):
+    """Whether every permutation other than the optimum col_of costs at
+    least _MIN_GAP more than its cost, both summed by _cost.
+
+    Such a permutation leaves out some edge (l, col_of[l]) of the optimum.
+    Raising that edge's cost to inf keeps (u, v) dual feasible, so matching
+    row l alone again from the optimum, one augmentation of O(n^2), gives
+    the least-cost permutation without the edge; the path's length is its
+    extra cost.  Only a path up to limit can decide, so a search stops
+    there, mostly after its first scan: rounding moves the reduced costs by
+    orders of magnitude less than limit's slack of 1e-9 of the cost.  d is
+    left as it was.
+    """
+    limit = _MIN_GAP + 1e-9 * (1.0 + cost)
+    for l, b in enumerate(col_of):
+        keep, d[l][b] = d[l][b], math.inf
+        cols, rows = col_of.copy(), row_of.copy()
+        cols[l] = rows[b] = -1
+        found = _augment(d, u.copy(), v.copy(), cols, rows, l, limit)
+        d[l][b] = keep
+        if found and _cost(d, cols) - cost < _MIN_GAP:
+            return False
+    return True
 
 
 def extract_assignment(z):

@@ -1,6 +1,7 @@
 """Config validation, scenario wiring, verdicts, artifacts, exit codes."""
 
 import json
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,7 @@ from dcopt.cli import (
     validate_config,
 )
 from dcopt.engine import simulate
-from dcopt.matching import brute_force_optimal, extract_assignment
+from dcopt.matching import _solve, brute_force_optimal, extract_assignment
 from dcopt.problem import KKTResidual
 
 INF, NAN = float("inf"), float("nan")
@@ -84,7 +85,7 @@ def test_bad_json_and_bad_top_level(tmp_path):
         ({"compensator_gains": [1.0]}, "compensator_gains: must have the same length"),
         ({"delay_range": [0.3]}, r"delay_range: expected \[low, high\]"),
         ({"delay_range": [0.3, 0.2]}, r"delay_range\[1\]: high must be >= low"),
-        ({"agents": 11}, "agents: must be <= 10"),
+        ({"agents": 5.0}, "agents: expected an integer, got 5.0"),
         # json writes and reads the literals Infinity and NaN
         ({"duration": INF}, "duration: must be finite, got inf"),
         ({"area": INF}, "area: must be finite, got inf"),
@@ -163,6 +164,25 @@ def test_build_scenario_wiring():
     assert np.array_equal(sim_d.delays, sim_c.delays)
     # one shared instance across scenarios
     assert np.array_equal(inst_a.robots, inst_b.robots)
+
+
+def test_twelve_agents_build_with_an_exact_oracle():
+    # the assignment solver has no size cap: 12 agents (12! = 479M
+    # permutations) validate and build at once, and the oracle's edges all
+    # have reduced cost d - u - v = 0 under the solver's dual
+    cfg = validate_config(None, {"agents": 12})
+    t0 = time.perf_counter()
+    inst, prob, _ = build_scenario(cfg, "scattering")
+    assert time.perf_counter() - t0 < 1.0
+    assert prob.n_agents == 12 and inst.n == 12
+    perm, cost = brute_force_optimal(inst)
+    assert sorted(perm) == list(range(12))
+    d = inst.distances()
+    u, v, col_of, _ = _solve(d.tolist())
+    assert tuple(col_of) == perm
+    reduced = d - np.array(u)[:, None] - np.array(v)[None, :]
+    assert np.abs(reduced[np.arange(12), perm]).max() <= 1e-9 * d.max()
+    assert reduced.min() >= -1e-9 * d.max()
 
 
 def fake_log(rows, abort=None):
