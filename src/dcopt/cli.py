@@ -55,6 +55,14 @@ DEFAULT_CONFIG = {
 KKT_TOL = 1e-2
 OSCILLATION_FACTOR = 10.0
 
+# Bytes that build_scenario and a run's first local_terms may hold.  The
+# LP's constraint rows are dense, N^2 + 2N rows of N^2 entries, and are
+# held several times over (the functions, the stacked rows, the terms):
+# tracemalloc reads 2.9, 29.1 and 139.9 MB at N = 16, 32 and 48.  The
+# estimate 32 N^4 bytes (33.6 and 169.9 MB at N = 32 and 48) bounds that
+# from N = 32 on, and passes this budget past N = 76.
+_MEMORY_BUDGET = 1 << 30
+
 
 class ConfigError(ValueError):
     """Config rejected; the message names the offending field."""
@@ -119,6 +127,10 @@ def validate_config(path=None, overrides=None):
         "agents", f"expected an integer, got {cfg['agents']!r}",
     )
     _require(cfg["agents"] >= 3, "agents", "ring topology needs >= 3 agents")
+    need = 32 * cfg["agents"] ** 4
+    _require(need <= _MEMORY_BUDGET, "agents",
+             f"{cfg['agents']} agents need about {need >> 20} MiB for the problem's dense "
+             f"constraint rows, over the budget of {_MEMORY_BUDGET >> 20} MiB")
     for field in ("area", "ring_weight", "step", "duration", "eta", "initial_multiplier",
                   "diag_interval"):
         cfg[field] = _check_number(field, cfg[field], positive=field != "duration",

@@ -171,7 +171,7 @@ class AgentState(_Packed):
     """The network's state, packed in one contiguous float vector z (D,).
 
     rho  (N, m, n)  compensator stages; agent i's primal estimate is
-                    x[i] = rho[i].sum(axis=0)
+                    x[i] = rho[i, 0] + rho[i, 1] + ..., see _stage_sum
     xi   (N, n)     consensus multipliers
     lam  (L,)       inequality multipliers and mu (M,) equality multipliers,
                     each the agents' vectors concatenated in agent order
@@ -189,7 +189,7 @@ class AgentState(_Packed):
     fields are (K, ...) views: AgentState._of(table, z), no copy.
     """
 
-    __slots__ = ("_z", "_rho", "_xi", "_lam", "_mu", "_x", "_table")
+    __slots__ = ("_z", "_rho", "_xi", "_lam", "_mu", "_x", "_table", "_stages")
     _names = ("rho", "xi", "lam", "mu")
     z, rho, xi, lam, mu, x = _read_only("z", *_names, "x")
 
@@ -200,7 +200,8 @@ class AgentState(_Packed):
     def _fill(self, table, z):
         self._table, self._z = table, z
         self._rho, self._xi, self._lam, self._mu = _views(table, z)
-        self._x = np.add.reduce(self._rho, axis=-2)  # sum() unwrapped
+        self._stages = tuple(self._rho[..., q, :] for q in range(self._rho.shape[-2]))
+        self._x = _stage_sum(self._stages, np.empty(self._rho.shape[:-2] + self._rho.shape[-1:]))
 
     @staticmethod
     def zeros(comp, prob, lam0=0.01):
@@ -214,17 +215,29 @@ class AgentState(_Packed):
         )
 
 
+def _stage_sum(stages, out):
+    """x = rho_0 + rho_1 + ... from the stage views, left to right, into
+    out: m - 1 adds, a copy at m = 1.  That is np.add.reduce over the stage
+    axis bit for bit, but where every stage of an entry is -0.0 (the reduce
+    starts from +0.0) and in the payload of a NaN."""
+    if len(stages) == 1:
+        np.copyto(out, stages[0])
+    else:
+        np.add(stages[0], stages[1], out=out)
+    for stage in stages[2:]:
+        np.add(out, stage, out=out)
+    return out
+
+
 class AgentDerivative(_Packed):
     """Time derivatives of an AgentState, packed like it: rho_dot, xi_dot,
     lam_dot and mu_dot are read-only views of one vector zdot, so z + h zdot is
     the Euler step.  It also keeps what the diagnostics read at the same x,
     as separate (N, n) arrays: nu, grad f(x) and the constraint force zeta.
-    One that derivatives writes also holds the weights of its owner sum
-    (see _weights).
     """
 
     __slots__ = ("_zdot", "_rho_dot", "_xi_dot", "_lam_dot", "_mu_dot", "_nu", "_grad",
-                 "_zeta", "_table", "_multipliers_dot", "_weights")
+                 "_zeta", "_table", "_multipliers_dot")
     _names = ("rho_dot", "xi_dot", "lam_dot", "mu_dot")
     zdot, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta = _read_only(
         "zdot", *_names, "nu", "grad", "zeta")
@@ -232,40 +245,32 @@ class AgentDerivative(_Packed):
     def __init__(self, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta):
         self._fill(*_pack((rho_dot, xi_dot, lam_dot, mu_dot)), nu, grad, zeta)
 
-    def _fill(self, table, zdot, nu, grad, zeta, weights=None):
+    def _fill(self, table, zdot, nu, grad, zeta):
         self._table, self._zdot, self._nu, self._grad, self._zeta = table, zdot, nu, grad, zeta
         self._rho_dot, self._xi_dot, self._lam_dot, self._mu_dot = _views(table, zdot)
         # [lam_dot; mu_dot], the contiguous tail of zdot
         self._multipliers_dot = zdot[..., table[0][2][0].start:]
-        self._weights = weights
-
-
-def _weights(prob, row):
-    """The weights of derivatives' owner sum over the row (F + 2n E,):
-    (row, its head (F,) for the constraint force's weighted entries, the
-    lam entries that lead that head, and its tail as the edges' p (E, 2n)),
-    all views of row.  The bins of the row are _Plan.bins."""
-    products = row[:prob._force_plan[0].size]
-    p = row[products.size:].reshape(-1, 2 * prob.dim)
-    return row, products, products[:prob._force_plan[2]], p
 
 
 class _Plan:
     """The operands of derivatives besides the state and p, laid out once
     per run: the gains b and c at the stages' full shape (N, m, n), a buffer
-    for b rho, the LocalTerms that local_terms fills in place, the owner
-    sum's bins and bin count, the rows of the force's multipliers in the
-    packed state z, and [2 lam; 1], whose ones are written here.  simulate
-    makes one per run and derivatives a fresh one per call without it, so
-    no two runs or calls share one.
+    for b rho, the LocalTerms that local_terms fills in place, the weights
+    of the owner sum (F + 2n E,), their bins and bin count, the rows of the
+    force's multipliers in the packed state z, and [2 lam; 1], whose ones
+    are written here.  The weights' head (products, F) takes the force's
+    weighted entries, led by its lam entries (lam_part), and their tail (p,
+    (E, 2n)) a copy of the edges' p.  simulate makes one per run and
+    derivatives a fresh one per call without it, so no two runs or calls
+    share one.
 
     outs are the AgentDerivatives the run passes as out.  When grad f is
     constant (the affine path) it is written into their grad here, once,
     and derivatives with this plan does not write it again, so such a plan
     takes no other out but a fresh one."""
 
-    __slots__ = ("b", "c", "b_rho", "terms", "bins", "size", "sums", "at", "scale",
-                 "scale_lam", "write_grad")
+    __slots__ = ("b", "c", "b_rho", "terms", "weights", "products", "lam_part", "p", "bins",
+                 "size", "sums", "at", "scale", "scale_lam", "write_grad")
 
     def __init__(self, prob, comp, state, outs=()):
         n, dim, own = prob.n_agents, prob.dim, prob.network.own
@@ -273,10 +278,13 @@ class _Plan:
         self.b, self.c = (np.broadcast_to(v[:, None], shape).copy() for v in (comp.b, comp.c))
         self.b_rho = np.empty(shape)
         self.terms = prob.local_terms(state._x)
+        _, rows, squares, force_bins, _ = prob._force_plan
+        self.weights = np.empty(rows.size + own.size * 2 * dim)
+        self.products, self.lam_part = self.weights[:rows.size], self.weights[:squares]
+        self.p = self.weights[rows.size:].reshape(own.size, 2 * dim)
         # bins of [products; p]: the force's owner * n + column, then entry
         # (e, half, column) of p at (1 + half) N n + own[e] n + column, so
         # one bincount gives zeta and the two halves of the efforts
-        _, rows, _, force_bins, _ = prob._force_plan
         halves = (np.arange(1, 3)[:, None] * n + own[:, None, None]) * dim + np.arange(dim)
         self.bins = np.concatenate([force_bins, halves.ravel()])
         self.size, self.sums = 3 * n * dim, (3, n, dim)
@@ -300,34 +308,28 @@ def derivatives(prob, comp, state, p, out=None, plan=None):
     halves of the efforts come out of one bincount over the weights
     [products; p]: the force's weighted constraint-row entries, built as
     constraint_force builds them but with the multipliers gathered from the
-    packed z, then p.  Each bin adds its entries in layout or edge-table
-    order, so zeta is constraint_force's and the efforts are the owner sums
-    of p, bit for bit.
+    packed z, then a copy of p.  Each bin adds its entries in layout or
+    edge-table order, so zeta is constraint_force's and the efforts are the
+    owner sums of p, bit for bit.
 
     Every field is written into out, an AgentDerivative of the state's
     layout, or into a fresh one: the four derivative fields into the views
     of its zdot, [lam_dot; mu_dot] as the one product [2 lam; 1] * [g; h],
     and grad f(x), nu and zeta, which the diagnostics read, into its own
-    arrays.  The weights are out's too, made on its first call; p is read in
-    place when it is the p of out's weights (the engine's step rows plan
-    it there), and copied there otherwise.  plan, a _Plan of this problem,
-    compensator and layout that the caller makes once per run, holds every
-    other operand and buffer; without it a fresh one is made.
+    arrays.  plan, a _Plan of this problem, compensator and layout that the
+    caller makes once per run, holds every other operand and buffer, the
+    weights too; without it a fresh one is made.
     """
     fresh = out is None
     if fresh:
         out = AgentDerivative._of(state._table, np.empty_like(state._z),
                                   *(np.empty_like(state._x) for _ in range(3)))
-    if out._weights is None:  # a record's first call
-        out._weights = _weights(prob, np.empty(prob._force_plan[0].size + p.size))
     if plan is None:
         plan = _Plan(prob, comp, state)
-    weights, products, lam_part, p_row = out._weights
-    if p is not p_row:
-        np.copyto(p_row, p)
+    np.copyto(plan.p, p)
     terms = prob.local_terms(state._x, plan.terms)
-    _force_products(prob, terms, state._z, plan.at, products, lam_part)
-    sums = np.bincount(plan.bins, weights=weights, minlength=plan.size).reshape(plan.sums)
+    _force_products(prob, terms, state._z, plan.at, plan.products, plan.lam_part)
+    sums = np.bincount(plan.bins, weights=plan.weights, minlength=plan.size).reshape(plan.sums)
     zeta, effort_x, effort_xi = sums[0], sums[1], sums[2]  # unpacking iterates: slower
     np.copyto(out._zeta, zeta)
     if fresh or plan.write_grad:
@@ -358,7 +360,7 @@ def euler_step(state, deriv, h, out=None):
     nxt = AgentState._of(state._table, np.zeros_like(state._z)) if out is None else out
     z = np.multiply(h, deriv._zdot, out=nxt._z)
     np.add(state._z, z, out=z)
-    np.add.reduce(nxt._rho, axis=-2, out=nxt._x)
+    _stage_sum(nxt._stages, nxt._x)
     lam = nxt._lam
     if lam.size and np.minimum.reduce(lam) <= 0.0:
         k = int(np.argmax(lam <= 0.0))

@@ -10,16 +10,18 @@ explicit-Euler step has a fixed phase order:
        r is what agent i holds of neighbor j (see below) and
        p = E (r - [x_i; xi_i]) the coupling effort, one batched matmul of
        per-edge maps (scattering.py) that in scattering mode also gives the
-       outgoing waves.  In no_delay mode one gather fetches both ends of
-       every edge, [x_i; xi_i] and r, into one block.  The derivatives, the
-       diagnostics and the log all read this one pair,
+       outgoing waves.  [x_i; xi_i] is gathered by receiving agent into one
+       buffer of the run, and in no_delay mode r, the sender's, into the
+       row.  The derivatives, the diagnostics and the log all read this one
+       pair,
     2. the derivatives of the whole network in one call, from the local
        terms and the edges' p, and the Euler update z + h zdot of the packed
        state (see AgentState) with its guards, on its lam view and one
        abs-max over it; not yet committed.  The constraint force and each
        agent's summed effort sum_j p_ij, in its x half that adds to nu and
        its xi half that is xi_dot, are one bincount over the weights
-       [force products; p], its bins planned once per run,
+       [force products; p] of derivatives' plan, its bins planned once per
+       run,
     3. the push of every edge into the delay lines (the outgoing waves of
        phase 1 in scattering mode, the sender's own [x; xi] in naive mode),
     4. barrier commit of the update, or the abort of the first tripped of:
@@ -39,19 +41,18 @@ given state.  simulate keeps the loop, the samples, the aborts, the commit
 and the closing sample.  The step works in place: its ports, its
 derivative and its update are written into the run's rows, allocated once
 per run, the update into the row after the current state's, so one that
-does not commit overwrites no committed state.  Each row holds the weights
-of its owner sum, whose tail is the row's p outside scattering mode, where
-the coupling matmul writes it (in scattering mode p is a strided view of
-the wave block and is copied into the weights), and a (2E, 2n) block of
-port ends: [x_i; xi_i] gathered by receiving agent, then r, or in
-scattering mode s_in.  Its operands are laid out once per run too: the
-views of each row that the port map and the owner sum read, the delay
-lines' pop order, and derivatives' _Plan (the compensator gains at full
-shape, the local terms, the owner sum's bins and, on the affine path, the
-constant grad f already written into every row), so a step makes only the
-numpy calls its arithmetic needs.  What it still allocates is the owner sum (bincount has
-no out).  A logged step copies t, the packed z, nu, zeta and the ports
-into the next row of one array per series, allocated for the run (see
+does not commit overwrites no committed state.  A row holds only what the
+log and the certificates read: z, zdot, nu, grad, zeta and the mode's
+ports, r and p, or in scattering mode s_in and the wave block of r, p and
+s_out.  The step's scratch is the run's, one buffer each, and its operands
+are laid out once per run too: the views of each row that the port map
+writes, the delay lines' pop order, and derivatives' _Plan (the
+compensator gains at full shape, the local terms, the owner sum's weights
+and bins and, on the affine path, the constant grad f already written
+into every row), so a step makes only the numpy calls its arithmetic
+needs.  What it still allocates is the owner sum (bincount has no out).
+A logged step copies t, the packed z, nu, zeta and the ports into the
+next row of one array per series, allocated for the run (see
 TrajectoryLog).
 
 Exchange modes
@@ -99,7 +100,6 @@ from .dynamics import (
     CompensatorParams,
     LambdaGuardError,
     _Plan,
-    _weights,
     compensator_storage,
     derivatives,
     euler_step,
@@ -139,8 +139,9 @@ _DIAG_BLOCK = 32
 # final join cost about 6 ms, and the evaluator saves about 30 us per N = 5
 # scattering step, so it breaks even near 350 steps (2-core VM).
 _DIAG_FORK_STEPS = 1000
-# A message to the evaluator: slot and rows in it.
-_DIAG_MSG = struct.Struct("2i")
+# A message to the evaluator: slot, rows in it, the step of its first row
+# and whether its last is the closing row.
+_DIAG_MSG = struct.Struct("2iq?")
 
 # Rows per write of TrajectoryLog.to_csv.  A write's text is built in full
 # first, so this bounds the writer's memory beyond its row plans.
@@ -396,9 +397,10 @@ class TrajectoryLog:
         The samples go in contiguous ranges of near-equal cost (see
         _csv_bounds), one per CPU the process may use: this process writes
         the first range, forked children the others into path.part<k>, which
-        are appended in order.  One process writes all when the log has fewer
-        than _CSV_FORK_ROWS rows, os.fork is missing or another Python thread
-        runs."""
+        are appended in order; a range whose fork fails (EAGAIN under a
+        process limit, say) is written into its part here.  One process
+        writes all when the log has fewer than _CSV_FORK_ROWS rows, os.fork
+        is missing or another Python thread runs."""
         with open(path, "w", newline="") as f:
             f.write("t,entity_kind,entity_id,variable,component_index,value\n")
             bounds = self._csv_bounds()
@@ -409,7 +411,10 @@ class TrajectoryLog:
                         stream.flush()
                 try:
                     for k, part in enumerate(parts, 1):
-                        children.append(_fork(self._write_part, part, *bounds[k:k + 2]))
+                        try:
+                            children.append(_fork(self._write_part, part, *bounds[k:k + 2]))
+                        except OSError:
+                            self._write_part(part, *bounds[k:k + 2])
                     self._write_samples(f, *bounds[:2])
                 finally:
                     errors = []
@@ -834,37 +839,35 @@ class _Run:
     checked delays (line, in the delayed modes; line e carries what agent
     own[e] sends to nbr[e]), the ChannelEnd (end, in scattering mode), the
     coupling, the step rows with their records, derivatives' _Plan and the
-    step's scratch buffers.  step() runs phases 1-3 of one step; simulate
+    step's scratch buffers, among them u_own, [x_i; xi_i] gathered by
+    receiving agent (E, 2n).  step() runs phases 1-3 of one step; simulate
     commits.
 
-    The rows are two slots of per_slot rows, R = count rows in all, each
-    field one (R, ...) array over one shared mmap: t and grid, the on-grid
-    flag (which only the certificates read), the packed state z, its
-    derivative zdot, nu, grad and zeta, the weights of derivatives' owner
-    sum [force products; p] (see dynamics._weights), the port ends
-    (2E, 2n), whose first half is [x_i; xi_i] gathered by receiving agent
-    and whose second half is r, or in scattering mode s_in, and waves, in
-    scattering mode the (E, 3, 2n) block of r, p and s_out that
-    ChannelEnd.recover writes, else None.  ports holds r, p, s_in and s_out
-    over all rows, (R, E, 2n) each, or None where the mode lacks it;
-    outside scattering mode p is the weights' tail, where the coupling
-    matmul writes it.
+    The rows hold only what the log and the certificates read.  They are
+    two slots of per_slot rows, R = count rows in all, each field one
+    (R, ...) array over one shared mmap: the packed state z, its derivative
+    zdot, nu, grad and zeta, and the mode's ports, r and p (E, 2n) each, or
+    in scattering mode s_in (E, 2n) and waves, the (E, 3, 2n) block of r,
+    p and s_out that ChannelEnd.recover writes (None in the other modes).
+    ports holds r, p, s_in and s_out over all rows, (R, E, 2n) each, or
+    None where the mode lacks it.
 
     Step k reads its state from row k % R and writes its ports and
     derivative into that row and its update into row (k + 1) % R, so the
     update never lands on the state it steps from, and an uncommitted one
     on no committed state.  The records of each row are made once: states[q]
     is an AgentState over z[q] with its own x, and at[q] holds the row's
-    AgentDerivative (over its weights too), its ports (r, p, s_in, s_out,
-    None where the mode lacks one), its port ends and their first half,
-    where the port map writes (the wave block, or p's halves (E, 2, n)) and
-    states[(q + 1) % R], where the update goes.  Row 0 starts as a copy of
-    state.
+    AgentDerivative, its ports (r, p, s_in, s_out, None where the mode
+    lacks one), where the port map writes (the wave block, or p's halves
+    (E, 2, n)) and states[(q + 1) % R], where the update goes.  Row 0
+    starts as a copy of state.
     """
 
     def __init__(self, prob, cfg, state, per_slot):
         net, dim = prob.network, prob.dim
-        self.prob, self.comp, self.h, self.own = prob, cfg.compensator, cfg.step, net.own
+        self.prob, self.comp, self.h = prob, cfg.compensator, cfg.step
+        # writable copies: take copies a read-only index array at every call
+        self.own, self.nbr = net.own.copy(), net.nbr.copy()
         self.coupling = CouplingMatrix(net.weight, dim)
         self.line = self.end = None
         if cfg.mode != "no_delay":
@@ -879,9 +882,9 @@ class _Run:
             self.end = ChannelEnd(self.coupling, cfg.eta)
 
         edges, agents, waves = len(net.own), (prob.n_agents, dim), self.end is not None
-        force = prob._force_plan[0].size
-        shapes = [(), (), state.z.shape, state.z.shape, agents, agents, agents,
-                  (force + edges * 2 * dim,), (2 * edges, 2 * dim)] + [(edges, 3, 2 * dim)] * waves
+        port = (edges, 2 * dim)
+        shapes = [state.z.shape, state.z.shape, agents, agents, agents,
+                  (edges, 3, 2 * dim) if waves else port, port]
         self.per_slot = per_slot
         count = self.count = 2 * per_slot
         # each field starts 64-byte aligned, so no kernel reads a less aligned
@@ -890,29 +893,25 @@ class _Run:
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
         fields = [a[:count * math.prod(shape)].reshape((count,) + shape)
                   for a, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-        (self.t, self.grid, self.z, self.zdot, self.nu, self.grad, self.zeta, self.weights,
-         self.ends, self.waves) = fields + [None] * (not waves)
-        ends, block = self.ends[:, edges:], self.waves
-        self.ports = ((block[:, :, 0], block[:, :, 1], ends, block[:, :, 2]) if waves else
-                      (ends, self.weights[:, force:].reshape((count, edges, 2 * dim)), None, None))
+        self.z, self.zdot, self.nu, self.grad, self.zeta, first, second = fields
+        self.waves = first if waves else None
+        self.ports = ((first[:, :, 0], first[:, :, 1], second, first[:, :, 2]) if waves else
+                      (first, second, None, None))
         self.table = state._table
         self.states = [AgentState._of(self.table, row) for row in self.z]
         self.at = []
         for q in range(count):
-            w = _weights(prob, self.weights[q])
-            r, p, s_in, s_out = (None if a is None else a[q] for a in self.ports)
-            # outside scattering mode p is the weights' own, w[3], read in place
-            p, mapped = (p, block[q]) if waves else (w[3], w[3].reshape(edges, 2, dim))
+            ports = tuple(None if a is None else a[q] for a in self.ports)
             self.at.append((AgentDerivative._of(self.table, self.zdot[q], self.nu[q],
-                                                self.grad[q], self.zeta[q], w),
-                            (r, p, s_in, s_out), self.ends[q], self.ends[q, :edges], mapped,
+                                                self.grad[q], self.zeta[q]),
+                            ports, first[q] if waves else second[q].reshape(edges, 2, dim),
                             self.states[(q + 1) % count]))
         np.copyto(self.states[0]._z, state._z)
         np.copyto(self.states[0]._x, state._x)
         self.plan = _Plan(prob, self.comp, self.states[0], [at[0] for at in self.at])
         self.u = np.empty((prob.n_agents, 2 * dim))  # rows [x_i; xi_i]
-        self.own_nbr = np.concatenate([net.own, net.nbr])  # u at both ends of every edge
-        self.diff = np.empty((edges, 2 * dim))  # r - u_own
+        self.u_own = np.empty(port)
+        self.diff = np.empty(port)  # r - u_own
         self.diff_pairs = self.diff.reshape(-1, 2, dim)
         self.mags = np.empty_like(state.z)  # |z| of the update
 
@@ -924,22 +923,22 @@ class _Run:
         entry beyond DIVERGENCE_LIMIT), the LambdaGuardError of the update
         or "nan", a non-finite zdot, tested only after another trip; a "nan"
         step is not pushed."""
-        deriv, ports, both, u_own, mapped, nxt = self.at[k % self.count]
+        deriv, ports, mapped, nxt = self.at[k % self.count]
         r, p, s_in, s_out = ports
-        u, line, end = self.u, self.line, self.end
+        u, u_own, line, end = self.u, self.u_own, self.line, self.end
         np.concatenate((state._x, state._xi), axis=1, out=u)
 
         # phase 1: the port pair (r, p) of every directed edge i <- j; a
         # take with mode "raise" would copy through a buffer, and every
         # index is in range, so "clip" gathers straight into the row
-        if line is None:  # u_own and r in one gather
-            u.take(self.own_nbr, 0, out=both, mode="clip")
+        u.take(self.own, 0, out=u_own, mode="clip")
+        if line is None:
+            u.take(self.nbr, 0, out=r, mode="clip")
         else:  # what crossed is j's wave (scattering) or its [x_j; xi_j]
-            u.take(self.own, 0, out=u_own, mode="clip")
             line.pop(t, s_in if end is not None else r)
         if end is not None:  # i's wave goes back
             end.recover(s_in, u_own, mapped)
-        else:  # p into its place in the owner sum's weights
+        else:
             np.subtract(r, u_own, out=self.diff)
             self.coupling.apply(self.diff_pairs, mapped)
 
@@ -975,11 +974,13 @@ class _DiagState:
     The block buffers are the step rows of the run (a _Run of two slots),
     which the engine writes in place and this reads by name: z, zdot, nu,
     grad, zeta and the ports r, p and, in scattering mode, s_in and s_out.
-    step() counts a step once its rows are written, as simulate does; the
-    t and on-grid flag of a slot's rows are written when it is handed off.  A completed
-    run's final state, already in the next row, is one more row (close()),
-    with the last step's derivative and ports copied in, whose own bound no
-    row reads.  A full slot is evaluated by _evaluate, each kernel called
+    step() counts a step once its rows are written, as simulate does.  A
+    completed run's final state, already in the next row, is one more row
+    (close()), with the last step's derivative and ports copied in, whose
+    own bound no row reads.  A full slot is handed off with the step of its
+    first row and whether its last is that closing row, from which
+    _evaluate works out each row's t and whether it is on the Lyapunov
+    grid (the closing row always is), and evaluated, each kernel called
     once on its rows.  The last row's storages, bounds and defects and the
     channel integral carry over from one block to the next, so every row is
     compared against the one before it, as step by step.
@@ -1080,22 +1081,14 @@ class _DiagState:
         self.step()
 
     def _hand_off(self):
-        """Write the t and on-grid flag of the filled rows of the current
-        slot, the closing row on the grid, and evaluate them, here or in
-        the evaluator, which then gets the slot while this fills the
-        other."""
-        rows = slice(self.s * self.run.per_slot, self.s * self.run.per_slot + self.j)
-        steps = np.arange(self.k - self.j, self.k)
-        t, grid = self.run.t[rows], self.run.grid[rows]
-        np.multiply(steps, self.log.config.step, out=t)
-        np.equal(steps % self.every, 0, out=grid)
-        if self.closed:
-            grid[-1] = True
+        """Evaluate the filled rows of the current slot, here or in the
+        evaluator, which then gets the slot while this fills the other."""
+        msg = (self.s, self.j, self.k - self.j, self.closed)
         if self.pid is None:
-            self._evaluate(self.s, self.j)
+            self._evaluate(*msg)
         else:
             try:
-                os.write(self.work, _DIAG_MSG.pack(self.s, self.j))
+                os.write(self.work, _DIAG_MSG.pack(*msg))
             except BrokenPipeError:  # the evaluator ended: raise its error
                 self._join_evaluator()
             self.busy = True
@@ -1128,22 +1121,22 @@ class _DiagState:
                 os.sched_setaffinity(0, others)
         with os.fdopen(work, "rb") as inbox, np.errstate(all="ignore"):
             while msg := inbox.read(_DIAG_MSG.size):
-                slot, rows = _DIAG_MSG.unpack(msg)
-                self._evaluate(slot, rows)
+                slot, *rest = _DIAG_MSG.unpack(msg)
+                self._evaluate(slot, *rest)
                 os.write(free, bytes((slot,)))  # one byte: written whole
         return self._reports()
 
     def _reports(self):
         return self.excess, self.wave_max, self.diag_t, self.lyap_direct, self.lyap_delayed
 
-    def _evaluate(self, slot, K):
-        """Evaluate the K rows of slot: storages, the rate-excess update of
-        each against the row before, the wave identity, the channel integral
-        and the Lyapunov samples on the grid."""
+    def _evaluate(self, slot, K, first, closed):
+        """Evaluate the K rows of slot, those of steps first.., the last the
+        closing row when closed: storages, the rate-excess update of each
+        against the row before, the wave identity, the channel integral and
+        the Lyapunov samples on the grid."""
         run = self.run
         rows = slice(slot * run.per_slot, slot * run.per_slot + K)
-        t, grid, z, zdot, nu, grad, zeta = (
-            a[rows] for a in (run.t, run.grid, run.z, run.zdot, run.nu, run.grad, run.zeta))
+        z, zdot, nu, grad, zeta = (a[rows] for a in (run.z, run.zdot, run.nu, run.grad, run.zeta))
         r, p, s_in, s_out = (None if a is None else a[rows] for a in run.ports)
         prob, cfg = self.log.problem, self.log.config
         ref, comp, h, tol = cfg.reference, cfg.compensator, cfg.step, 1e-3
@@ -1197,9 +1190,12 @@ class _DiagState:
             acc = np.cumsum(np.concatenate([[self.acc], h * power]))
             self.acc = float(acc[K])
 
+        steps = np.arange(first, first + K)
+        grid = steps % self.every == 0
+        grid[-1] |= closed
         on = np.flatnonzero(grid)
         if on.size:
-            self.diag_t.extend(t[on].tolist())
+            self.diag_t.extend((steps[on] * h).tolist())
             self.lyap_direct.extend((
                 sc[on].sum(axis=-1) + sg[on].sum(axis=-1)
                 + 0.5 * np.sum((st.xi[on] - ref.xi) ** 2, axis=(-2, -1))

@@ -153,11 +153,12 @@ class ChannelEnd:
         self._joined = None  # [s_in; u] of the last call, whole and split
 
     def recover(self, s_in, u, out=None):
-        """(r, p, s_out) from the incoming wave and the local state
-        u = [x; xi], stacked like s_in; each a view of one product, written
-        into out when given, which must be C-contiguous of shape
-        s_in.shape[:-1] + (3, 2n) (a ValueError names it otherwise, since
-        the product could not be written into it in place).  [s_in; u] is
+        """The block of (r, p, s_out), s_in.shape[:-1] + (3, 2n), from the
+        incoming wave and the local state u = [x; xi], stacked like s_in:
+        block[..., 0, :] is r, [..., 1, :] p and [..., 2, :] s_out.  It is
+        one product, written into out when given, which must be C-contiguous
+        of that shape (a ValueError names it otherwise, since the product
+        could not be written into it in place), and returned.  [s_in; u] is
         joined into a buffer made on the first call of each input shape."""
         dim = self.coupling.dim
         shape = s_in.shape[:-1] + (3, 2 * dim)
@@ -172,7 +173,7 @@ class ChannelEnd:
             joined = self._joined = (whole, whole.reshape(-1, 4, dim))
         np.concatenate([s_in, u], axis=-1, out=joined[0])
         np.matmul(self._map, joined[1], out=out.reshape(-1, 6, dim))
-        return out[..., 0, :], out[..., 1, :], out[..., 2, :]
+        return out
 
     def outgoing_wave(self, r, p):
         """Wave sent back into the channel from the recovered pair."""

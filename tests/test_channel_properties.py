@@ -80,16 +80,18 @@ def test_stacked_channel_end_equals_scalar(case):
     w, eta, dim, s_in, x, xi = case
     end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
     u = np.concatenate([x, xi], axis=1)
-    r, p, s_out = end.recover(s_in, u)
+    block = end.recover(s_in, u)
+    assert block.shape == (len(w), 3, 2 * dim)
     # a second call of the same shape joins into the same buffer
-    again = end.recover(s_in, u)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(again, (r, p, s_out)))
+    assert end.recover(s_in, u).tobytes() == block.tobytes()
     for e, a in enumerate(w):
         one = ChannelEnd(CouplingMatrix(a, dim), eta)
-        r_e, p_e, s_out_e = one.recover(s_in[e], u[e])
-        assert np.array_equal(r[e], r_e)
-        assert np.array_equal(p[e], p_e)
-        assert np.array_equal(s_out[e], s_out_e)
+        assert np.array_equal(block[e], one.recover(s_in[e], u[e]))
+
+
+def split(block):
+    """(r, p, s_out) of a block that ChannelEnd.recover returns."""
+    return block[..., 0, :], block[..., 1, :], block[..., 2, :]
 
 
 def per_op_end(w, eta, dim, s_in, x, xi):
@@ -114,7 +116,7 @@ def per_op_end(w, eta, dim, s_in, x, xi):
 def test_channel_end_matches_per_op_oracle(case):
     w, eta, dim, s_in, x, xi = case
     end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
-    got = end.recover(s_in, np.concatenate([x, xi], axis=1))
+    got = split(end.recover(s_in, np.concatenate([x, xi], axis=1)))
     want = per_op_end(w, eta, dim, s_in, x, xi)
     # both round to a few ulps of the largest input or output magnitude
     scale = max(np.abs(a).max() for a in (s_in, x, xi) + want)
@@ -135,8 +137,7 @@ def test_non_finite_input_stays_on_its_edge(case, data):
     s_bad, u_bad = s_in.copy(), u.copy()
     (s_bad if data.draw(st.booleans()) else u_bad)[edge, col] = bad
     others = np.arange(len(w)) != edge
-    for got, want in zip(end.recover(s_bad, u_bad), clean):
-        assert np.array_equal(got[others], want[others])
+    assert np.array_equal(end.recover(s_bad, u_bad)[others], clean[others])
 
 
 @PROPERTY
@@ -173,7 +174,7 @@ def test_recovered_pair_implies_incoming_wave(case):
     # s_in = (p + eta r) / sqrt(2 eta) is what recover inverts
     w, eta, dim, s_in, x, xi = case
     end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
-    r, p, _ = end.recover(s_in, np.concatenate([x, xi], axis=1))
+    r, p, _ = split(end.recover(s_in, np.concatenate([x, xi], axis=1)))
     implied = (p + eta * r) / np.sqrt(2.0 * eta)
     scale = (np.abs(p).max() + eta * np.abs(r).max()) / np.sqrt(2.0 * eta)
     np.testing.assert_allclose(implied, s_in, rtol=0.0, atol=1e-13 * (1.0 + scale))
@@ -185,7 +186,7 @@ def test_wave_power_identity(case):
     # |s_in|^2 - |s_out|^2 = 2 r'p per edge, to rounding of the terms
     w, eta, dim, s_in, x, xi = case
     end = ChannelEnd(CouplingMatrix(w.reshape(-1, 1), dim), eta)
-    r, p, s_out = end.recover(s_in, np.concatenate([x, xi], axis=1))
+    r, p, s_out = split(end.recover(s_in, np.concatenate([x, xi], axis=1)))
     res = wave_identity_residual(s_in, s_out, r, p)
     terms = np.sum(s_in**2 + s_out**2 + 2.0 * np.abs(r * p), axis=1)
     assert np.all(np.abs(res) <= 1e-13 * (1.0 + terms))
@@ -397,9 +398,9 @@ def alone_unconstrained(objective):
 def test_one_owner_sum_gives_the_force_and_the_efforts(case):
     # derivatives sums the force's weighted entries and the edges' p in one
     # bincount: zeta must be constraint_force, and the efforts the owner
-    # sums of p's halves, bit for bit, in a run's planned row (p read in
-    # place) and in a fresh call (p copied in); one non-finite multiplier
-    # or port entry stays in its own agent's bins
+    # sums of p's halves, bit for bit, from a run's row with its plan and
+    # in a fresh call; one non-finite multiplier or port entry stays in its
+    # own agent's bins
     prob, state, p, bad = case
     sim = SimConfig()
     comp = sim.compensator
@@ -407,7 +408,6 @@ def test_one_owner_sum_gives_the_force_and_the_efforts(case):
     with np.errstate(all="ignore"):
         run = _Run(prob, sim, state, 1)
         deriv, (_, p_row, _, _) = run.at[0][:2]
-        assert p_row is deriv._weights[3]  # the weights' own p
         np.copyto(p_row, p)
         got = [derivatives(prob, comp, run.states[0], p_row, deriv, run.plan),
                derivatives(prob, comp, state, p)]

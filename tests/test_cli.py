@@ -108,6 +108,11 @@ def test_bad_json_and_bad_top_level(tmp_path):
           "diag_interval": 1e-300}, r"duration: 10000000000\.0 s is over 2\*\*63 steps"),
         ({"step": 1e-310, "duration": 0, "delay_range": [1e-300, 1e-300],
           "diag_interval": 1e10}, r"diag_interval: 10000000000\.0 s is over 2\*\*63 steps"),
+        # 32 N^4 bytes of dense constraint rows: N = 76 fits in 1 GiB, 77 not
+        ({"agents": 77}, "agents: 77 agents need about 1072 MiB for the problem's dense "
+                         "constraint rows, over the budget of 1024 MiB"),
+        ({"agents": 10**30}, r"agents: 1000000000000000000000000000000 agents need about "
+                             r"\d+ MiB"),
     ],
 )
 def test_field_validation_messages(tmp_path, patch, msg):
@@ -115,6 +120,12 @@ def test_field_validation_messages(tmp_path, patch, msg):
     path.write_text(json.dumps(patch))
     with pytest.raises(ConfigError, match=msg):
         validate_config(path)
+
+
+def test_agents_up_to_the_memory_budget_validate():
+    # the last agents value whose 32 N^4 bytes fit in 1 GiB; 77 is refused
+    # in the table above, before anything is built
+    assert validate_config(None, {"agents": 76})["agents"] == 76
 
 
 def test_run_spec_rejects_unknown_scenario(tmp_path):

@@ -177,6 +177,44 @@ def test_euler_step_values_and_guard():
         euler_step(st, d, 0.0)
 
 
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 1e308, -1e308, 5e-324])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_x_is_the_stage_adds(m):
+    # every state's x, fresh, of a block of states or written by
+    # euler_step, is the m - 1 stage adds in stage order: np.add.reduce's
+    # bits on random stages and on NaN, +-inf and -0.0, but where every
+    # stage of an entry is -0.0 (numpy 2's reduce starts from +0.0 and
+    # gives +0.0, the adds -0.0) and in the payload of a NaN
+    rng = np.random.default_rng(m)
+    shape = (4, 5, m, 7)
+    for special in (False, True):
+        rho = rng.choice(SPECIAL, size=shape) if special else rng.normal(size=shape)
+        if special:  # one entry whose every stage is -0.0, and one NaN stage
+            rho[0, 0, :, 0], rho[0, 1, -1, 0] = -0.0, np.nan
+        with np.errstate(all="ignore"):
+            want = np.add.reduce(rho, axis=-2)
+            states = [AgentState(block, np.zeros((5, 7)), np.ones(2), np.zeros(0))
+                      for block in rho]
+            stepped = []
+            for st in states:  # z + h (-0.0) is z, bit for bit
+                fields = (st.rho, st.xi, st.lam, st.mu)
+                d = AgentDerivative(*(np.full_like(a, -0.0) for a in fields),
+                                    *(np.zeros_like(st.x) for _ in range(3)))
+                nxt = euler_step(st, d, 1e-3)
+                assert nxt.z.tobytes() == st.z.tobytes()
+                stepped.append(nxt.x)
+            block = AgentState._of(states[0]._table, np.stack([st.z for st in states]))
+        every_stage_negative_zero = ((rho == 0.0) & np.signbit(rho)).all(axis=-2)
+        nan = np.isnan(want)
+        expected = np.where(every_stage_negative_zero, -0.0, want)
+        assert (nan.any() and every_stage_negative_zero.any()) == special
+        for x in (np.stack([st.x for st in states]), block.x, np.stack(stepped)):
+            assert (np.isnan(x) == nan).all()
+            assert x[~nan].tobytes() == expected[~nan].tobytes()
+
+
 @pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1e-3, -np.inf])
 def test_euler_step_needs_a_positive_finite_step(h):
     # a NaN step used to pass the guard and give an all-NaN state, an inf
@@ -647,7 +685,8 @@ def test_fresh_results_never_alias(affine):
                                      ("z", "x"))
     plan = _Plan(prob, comp, a)
     d = derivatives(prob, comp, b, effort, None, plan)
-    for buffer in (plan.b, plan.c, plan.b_rho, plan.terms._values, plan.terms._at, plan.scale):
+    for buffer in (plan.b, plan.c, plan.b_rho, plan.terms._values, plan.terms._at, plan.scale,
+                   plan.weights):
         for name in fields:
             assert not np.shares_memory(getattr(d, name), buffer), name
     # the planned call is the fresh call

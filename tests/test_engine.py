@@ -2,6 +2,8 @@
 
 import dataclasses
 import errno
+import itertools
+import json
 import os
 import signal
 import threading
@@ -22,7 +24,7 @@ from dcopt import (
     simulate,
 )
 from dcopt import engine
-from dcopt.cli import KKT_TOL, build_scenario, compute_reference, validate_config
+from dcopt.cli import KKT_TOL, build_scenario, compute_reference, main, validate_config
 from dcopt.dynamics import CompensatorParams, LambdaGuardError, derivatives, euler_step
 from dcopt.engine import TrajectoryLog
 from dcopt.graph import Network, _owner_sums
@@ -512,9 +514,9 @@ def test_forked_to_csv_failure_leaves_nothing(tmp_path, forked_csv, capfd, monke
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open fds in /proc")
 def test_forked_to_csv_fork_failure_leaves_nothing(tmp_path, forked_csv, monkeypatch):
-    # the second of two forks fails: the first child is waited for, and
-    # neither its part nor a pipe end stays open
-    _, log = csv_case("log_every_7")
+    # the second of two forks fails: its range is written here, the first
+    # child is waited for, and neither a part nor a pipe end stays open
+    prob, log = csv_case("log_every_7")
     forks = forked_csv(3)
     fork = os.fork
 
@@ -525,11 +527,41 @@ def test_forked_to_csv_fork_failure_leaves_nothing(tmp_path, forked_csv, monkeyp
 
     monkeypatch.setattr(os, "fork", second_fails)
     fds = len(os.listdir("/proc/self/fd"))
-    with pytest.raises(BlockingIOError):
-        log.to_csv(tmp_path / "trajectory.csv")
+    log.to_csv(tmp_path / "trajectory.csv")
+    assert (tmp_path / "trajectory.csv").read_text() == csv_oracle(prob, log)
     assert len(forks) == 2
     assert len(os.listdir("/proc/self/fd")) == fds
     assert_no_leftovers(tmp_path)
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_cli_writes_the_ranges_of_failed_forks_here(tmp_path, monkeypatch, workers):
+    # every fork fails (EAGAIN under a process limit): this process writes
+    # each range into its part, so the file is the one writer's, no part is
+    # left and the CLI exits 0
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"agents": 3, "duration": 0.05, "log_every": 1}))
+
+    def cli_run(out):
+        return main(["--scenario", "scattering", "--config", str(config),
+                     "--out", str(tmp_path / out)])
+
+    monkeypatch.setattr(engine, "_CSV_FORK_ROWS", 0)
+    monkeypatch.setattr(engine, "_fork_cpus", lambda: 1)
+    assert cli_run("one_writer") == 0
+    failed = []
+
+    def fails(fn, *args):
+        failed.append(args)
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(engine, "_fork_cpus", lambda: workers)
+    monkeypatch.setattr(engine, "_fork", fails)
+    assert cli_run("failed_forks") == 0
+    assert len(failed) == workers - 1
+    written = tmp_path / "failed_forks" / "trajectory.csv"
+    assert written.read_bytes() == (tmp_path / "one_writer" / "trajectory.csv").read_bytes()
+    assert_no_leftovers(tmp_path / "failed_forks")
 
 
 def test_forked_to_csv_opens_path_first(tmp_path, forked_csv):
@@ -1879,14 +1911,14 @@ def step_rows(monkeypatch):
     return made
 
 
-ROW_FIELDS = ("t", "grid", "z", "zdot", "nu", "grad", "zeta", "weights", "ends", "waves")
+ROW_FIELDS = ("z", "zdot", "nu", "grad", "zeta")
 
 
 def assert_log_owns_its_arrays(log, rows):
     """No array of the log, and none of a reference taken from it, shares
-    memory with a row the engine writes again: the row fields and each
-    state row's x."""
-    fields = [getattr(rows, name) for name in ROW_FIELDS]
+    memory with a row the engine writes again: the row fields, the ports
+    and each state row's x."""
+    fields = [getattr(rows, name) for name in ROW_FIELDS] + list(rows.ports) + [rows.waves]
     assert (rows.waves is not None) == (log.config.mode == "scattering")
     reused = [a for a in fields if a is not None] + [st.x for st in rows.states]
     series = [getattr(log, name) for name in ("t", "x", "xi", "rho", "lam", "mu", "nu", "zeta",
@@ -1964,6 +1996,39 @@ def test_in_place_rows_without_a_reference(step_rows, mode):
 
 
 @pytest.mark.parametrize("mode", engine.MODES)
+def test_step_rows_hold_only_what_the_log_and_certificates_read(mode):
+    # a row is z, zdot, nu, grad, zeta and the mode's ports: r and p, or in
+    # scattering mode s_in beside the (E, 3, 2n) block of r, p and s_out;
+    # the step's scratch (u_own, the owner sum's weights) is the run's
+    prob = chord_quadratic()
+    cfg = SimConfig(step=0.01, mode=mode,
+                    delays=per_edge(prob.network, lambda i, j: 0.01 * (i + j + 1)))
+    run = engine._Run(prob, cfg, AgentState.zeros(cfg.compensator, prob), 2)
+    port = (len(prob.network.own), 2 * prob.dim)
+    r, p, s_in, s_out = run.ports
+    if mode == "scattering":
+        assert run.waves.shape == (run.count, port[0], 3, port[1])
+        assert s_in.shape == (run.count,) + port
+        for a in (r, p, s_out):
+            assert np.shares_memory(a, run.waves) and a.base is run.waves.base
+        fields = [run.waves, s_in]
+    else:
+        assert run.waves is None and s_in is None and s_out is None
+        assert r.shape == p.shape == (run.count,) + port
+        fields = [r, p]
+    fields += [getattr(run, name) for name in ROW_FIELDS]
+    # the one mmap of the rows holds these fields, each 64-byte aligned
+    held = sum(a.nbytes for a in fields)
+    size = len(run.z.base.base)
+    assert held <= size < held + 64 * len(fields)
+    for a, b in itertools.combinations(fields, 2):
+        assert not np.shares_memory(a, b)
+    assert run.u_own.shape == port and not np.shares_memory(run.u_own, run.z.base)
+    assert not np.shares_memory(run.plan.weights, run.z.base)
+    assert not hasattr(run.at[0][0], "_weights")
+
+
+@pytest.mark.parametrize("mode", engine.MODES)
 def test_run_step_is_the_first_step_of_simulate(mode):
     # one step of a _Run from a SimConfig(initial=...) start writes what
     # simulate's first step logs, bit for bit: nu, zeta, the ports and,
@@ -2010,7 +2075,7 @@ def test_certificate_rows_hold_grad_at_their_x(forked_diag, step_rows, monkeypat
     checked = []
     evaluate = engine._DiagState._evaluate
 
-    def checking(self, slot, K):
+    def checking(self, slot, K, *rest):
         [rows] = step_rows
         assert self.run is rows
         at = slice(slot * rows.per_slot, slot * rows.per_slot + K)
@@ -2019,7 +2084,7 @@ def test_certificate_rows_hold_grad_at_their_x(forked_diag, step_rows, monkeypat
         for j in range(K - self.closed):
             assert grad[j].tobytes() == prob.local_terms(x[j]).grad.tobytes(), (slot, j)
         checked.append(K - self.closed)
-        return evaluate(self, slot, K)
+        return evaluate(self, slot, K, *rest)
 
     forked_diag(False)
     monkeypatch.setattr(engine._DiagState, "_evaluate", checking)

@@ -18,7 +18,7 @@ def load_tool():
 
 def test_runs_are_named_once():
     names = [name for name, *_ in load_tool().RUNS]
-    assert len(names) == len(set(names)) == 28
+    assert len(names) == len(set(names)) == 29
 
 
 def test_one_run_of_this_tree_against_itself():

@@ -11,11 +11,12 @@ is run with its own src/ first on PYTHONPATH.
     python3 tools/same_outputs.py BASE_TREE [CHANGE_TREE] [--only NAME ...]
 
 CHANGE_TREE defaults to the tree this script is in.  The runs cover every
-scenario, N = 5, 6 and 8, runs with and without the online certificates
-(and so with and without the forked certificate evaluator and CSV
-writers), three lambda_guard aborts and a zero-length run; the runs marked
-"cpu0" are pinned to one CPU, as taskset -c 0 pins them, so their
-certificates are evaluated and their CSV written in one process.
+scenario, N = 5, 6, 8 and 12, runs with and without the online
+certificates (and so with and without the forked certificate evaluator and
+CSV writers; the N = 12 run writes about 0.39M rows, past the size at
+which to_csv forks), three lambda_guard aborts and a zero-length run; the
+runs marked "cpu0" are pinned to one CPU, as taskset -c 0 pins them, so
+their certificates are evaluated and their CSV written in one process.
 """
 
 import argparse
@@ -41,7 +42,9 @@ def _runs():
     n8 = {"agents": 8, "duration": 2.0, "log_every": 20, "diagnostics": False}
     runs += [("sc_n8_seed5", "scattering", n8, False),
              ("sc_n8_seed1", "scattering", dict(n8, seed=1), False),
-             ("sc_n8_seed1_cpu0", "scattering", dict(n8, seed=1), True)]
+             ("sc_n8_seed1_cpu0", "scattering", dict(n8, seed=1), True),
+             ("sc_n12", "scattering",
+              {"agents": 12, "duration": 1.0, "log_every": 100, "diagnostics": False}, False)]
     runs += [(f"{s}_5s", s, {"duration": 5.0, "log_every": 10}, False)
              for s in ("naive_delay", "no_compensator")]
     runs += [(f"{s}_n6_seed8", s, {"agents": 6, "seed": 8, "duration": 3.0, "log_every": 50},
