@@ -180,7 +180,8 @@ class AgentState(_Packed):
     The four fields and x are read-only attributes, formed once per state:
     the fields are views of z in that order, taken from the layout's slice
     table, so an Euler step is one vector update and the divergence guard
-    one reduction over z.  The constructor copies its arrays into a new z.
+    one dot product of z with itself.  The constructor copies its arrays
+    into a new z.
     euler_step without out builds a new state; with out it writes the
     update into that state's z and x, in place, and never into the state it
     steps from.  A write into a field changes z but not x (euler_step forms
@@ -326,19 +327,19 @@ def derivatives(prob, comp, state, p, out=None, plan=None):
                                   *(np.empty_like(state._x) for _ in range(3)))
     if plan is None:
         plan = _Plan(prob, comp, state)
-    np.copyto(plan.p, p)
+    plan.p[...] = p
     terms = prob.local_terms(state._x, plan.terms)
     _force_products(prob, terms, state._z, plan.at, plan.products, plan.lam_part)
     sums = np.bincount(plan.bins, weights=plan.weights, minlength=plan.size).reshape(plan.sums)
     zeta, effort_x, effort_xi = sums[0], sums[1], sums[2]  # unpacking iterates: slower
-    np.copyto(out._zeta, zeta)
+    out._zeta[...] = zeta
     if fresh or plan.write_grad:
         np.copyto(out._grad, terms.grad)
     nu = np.subtract(terms.neg_grad, zeta, out=out._nu)
     np.add(nu, effort_x, out=nu)
     rho_dot = np.multiply(plan.c, nu[:, None, :], out=out._rho_dot)
     np.subtract(rho_dot, np.multiply(plan.b, state._rho, out=plan.b_rho), out=rho_dot)
-    np.copyto(out._xi_dot, effort_xi)
+    out._xi_dot[...] = effort_xi
     np.add(state._lam, state._lam, out=plan.scale_lam)  # 2 lam, exactly
     np.multiply(plan.scale, terms._values, out=out._multipliers_dot)
     return out
@@ -352,8 +353,10 @@ def euler_step(state, deriv, h, out=None):
     Raises LambdaGuardError when any lam component would become <= 0, with
     the update already written.  The guard is an integration-accuracy
     failure, so it aborts rather than clamps: clamping would silently
-    change the flow.  A NaN lam does not trip it: the caller tests the
-    returned z for NaN and divergence.
+    change the flow.  It reads the least lam, found by one argmin, which
+    stops at the first NaN: so a NaN lam does not trip it, whatever the
+    other entries, and the caller tests the returned z for NaN and
+    divergence.
     """
     if not 0.0 < h < math.inf:  # NaN fails both
         raise ValueError(f"step size must be positive and finite, got {h}")
@@ -362,7 +365,8 @@ def euler_step(state, deriv, h, out=None):
     np.add(state._z, z, out=z)
     _stage_sum(nxt._stages, nxt._x)
     lam = nxt._lam
-    if lam.size and np.minimum.reduce(lam) <= 0.0:
+    # argmin stops at the first NaN, as min propagates it: a NaN lam passes
+    if lam.size and lam[lam.argmin()] <= 0.0:
         k = int(np.argmax(lam <= 0.0))
         raise LambdaGuardError(k, float(lam[k]))
     return nxt

@@ -16,10 +16,11 @@ explicit-Euler step has a fixed phase order:
        pair,
     2. the derivatives of the whole network in one call, from the local
        terms and the edges' p, and the Euler update z + h zdot of the packed
-       state (see AgentState) with its guards, on its lam view and one
-       abs-max over it; not yet committed.  The constraint force and each
-       agent's summed effort sum_j p_ij, in its x half that adds to nu and
-       its xi half that is xi_dot, are one bincount over the weights
+       state (see AgentState) with its guards, an argmin of its lam view
+       and one dot product of it with itself (an abs-max only near the
+       limit, see _diverged); not yet committed.  The constraint force and
+       each agent's summed effort sum_j p_ij, in its x half that adds to nu
+       and its xi half that is xi_dot, are one bincount over the weights
        [force products; p] of derivatives' plan, its bins planned once per
        run,
     3. the push of every edge into the delay lines (the outgoing waves of
@@ -126,6 +127,8 @@ __all__ = [
 MODES = ("no_delay", "naive_delay", "scattering")
 
 DIVERGENCE_LIMIT = 1e9
+# a sum of squares below this has no entry near the limit: see _diverged
+_SQUARES_BOUND = (DIVERGENCE_LIMIT / 2) ** 2
 
 # Steps per evaluation of the online certificates; the reports are bit-equal
 # at any size.  The step rows are two slots of this many rows, so memory grows
@@ -834,6 +837,18 @@ def simulate(prob, cfg):
     return log
 
 
+def _diverged(z, mags):
+    """Whether an entry of z is beyond DIVERGENCE_LIMIT in magnitude or not
+    a number, mags a buffer of z's shape.  One dot product decides most
+    states: a sum of nonnegative terms never rounds below one of them, so
+    one below _SQUARES_BOUND has every |z_k| < DIVERGENCE_LIMIT.  A NaN, an
+    inf or an overflowing square fails that test, as does a state near the
+    limit, and the exact abs-max decides."""
+    if z.dot(z) < _SQUARES_BOUND:
+        return False
+    return not np.maximum.reduce(np.abs(z, out=mags)) <= DIVERGENCE_LIMIT
+
+
 class _Run:
     """What the steps of one run touch, laid out once: the DelayLine of the
     checked delays (line, in the delayed modes; line e carries what agent
@@ -909,10 +924,11 @@ class _Run:
         np.copyto(self.states[0]._z, state._z)
         np.copyto(self.states[0]._x, state._x)
         self.plan = _Plan(prob, self.comp, self.states[0], [at[0] for at in self.at])
-        self.u = np.empty((prob.n_agents, 2 * dim))  # rows [x_i; xi_i]
+        u = self.u = np.empty((prob.n_agents, 2 * dim))  # rows [x_i; xi_i]
         self.u_own = np.empty(port)
         self.diff = np.empty(port)  # r - u_own
         self.diff_pairs = self.diff.reshape(-1, 2, dim)
+        self.u_x, self.u_xi = u[:, :dim], u[:, dim:]
         self.mags = np.empty_like(state.z)  # |z| of the update
 
     def step(self, k, t, state):
@@ -926,7 +942,8 @@ class _Run:
         deriv, ports, mapped, nxt = self.at[k % self.count]
         r, p, s_in, s_out = ports
         u, u_own, line, end = self.u, self.u_own, self.line, self.end
-        np.concatenate((state._x, state._xi), axis=1, out=u)
+        self.u_x[...] = state._x
+        self.u_xi[...] = state._xi
 
         # phase 1: the port pair (r, p) of every directed edge i <- j; a
         # take with mode "raise" would copy through a buffer, and every
@@ -946,8 +963,7 @@ class _Run:
         derivatives(self.prob, self.comp, state, p, deriv, self.plan)
         try:
             euler_step(state, deriv, self.h, nxt)
-            trip = (None if np.maximum.reduce(np.abs(nxt._z, out=self.mags)) <= DIVERGENCE_LIMIT
-                    else "divergence")
+            trip = "divergence" if _diverged(nxt._z, self.mags) else None
         except LambdaGuardError as err:
             trip = err
         if trip is not None and not np.isfinite(deriv.zdot).all():

@@ -127,6 +127,5 @@ def _bins(dtype, owner, n, shape, axis):
     head, tail = shape[:axis], shape[axis + 1:]
     b, w = math.prod(head), math.prod(tail)
     bins = (owner[:, None] * w + np.arange(w)).ravel()
-    bins = (bins + n * w * np.arange(b)[:, None]).ravel()
-    bins.setflags(write=False)
-    return bins, b * n * w, head + (n,) + tail
+    # writable: bincount copies a read-only index array at every call
+    return (bins + n * w * np.arange(b)[:, None]).ravel(), b * n * w, head + (n,) + tail

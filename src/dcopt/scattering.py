@@ -92,10 +92,11 @@ class DelayLine:
         self.h = float(h)
         self.width = int(width)
         self._shape = delay.shape + (self.width,)
-        self._buf = np.zeros((steps.max(initial=1), steps.size, self.width))
+        depth = self._depth = int(steps.max(initial=1))
+        self._buf = np.zeros((depth,) + self._shape)
+        self._rows = self._buf.reshape(-1, self.width)  # the same memory, one row per sample
         # _index[c] holds the buffer row of each line's sample to pop after
         # c pushes (mod the depth), counted in rows of (width,)
-        depth = len(self._buf)
         back = np.arange(depth).reshape((depth,) + (1,) * steps.ndim) - steps
         self._index = back % depth * steps.size + np.arange(steps.size).reshape(steps.shape)
         if lines is not None:
@@ -116,16 +117,16 @@ class DelayLine:
         constructor's lines; they are gathered by one take, into out when
         given."""
         self._check_time(t, self._pops)
-        index = self._index[self._pushes % len(self._buf)]
+        index = self._index[self._pushes % self._depth]
         self._pops += 1
-        return self._buf.reshape(-1, self.width).take(index, 0, out=out, mode="clip")
+        return self._rows.take(index, 0, out=out, mode="clip")
 
     def push(self, value, t=None):
         self._check_time(t, self._pushes)
         value = np.asarray(value, dtype=float)
         if value.shape != self._shape:
             raise ValueError(f"expected shape {self._shape}, got {value.shape}")
-        self._buf[self._pushes % len(self._buf)] = value.reshape(-1, self.width)
+        self._buf[self._pushes % self._depth] = value
         self._pushes += 1
 
 

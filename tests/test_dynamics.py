@@ -177,6 +177,34 @@ def test_euler_step_values_and_guard():
         euler_step(st, d, 0.0)
 
 
+@pytest.mark.parametrize("lam, trips", [
+    ([np.nan, -1.0], False),  # a NaN lam is left to the caller's checks
+    ([-1.0, np.nan], False),
+    ([1.0, 0.0], True),
+    ([-0.0, 1.0], True),
+    ([5e-324, 1.0], False),  # the least subnormal is positive
+    ([np.inf, 1.0], False),
+])
+def test_lambda_guard_decides_as_the_least_lam(lam, trips):
+    # two inequalities, so lam has two entries; a zero lam_dot steps lam to itself
+    prob = alone(LocalProblem(
+        QuadraticFunction([[1.0]]),
+        inequalities=[AffineFunction([1.0], -1.0), AffineFunction([-1.0], -1.0)],
+    ))
+    st = AgentState(rho=np.zeros((1, 2, 1)), xi=np.zeros((1, 1)), lam=np.array(lam),
+                    mu=np.zeros(0))
+    d = derivatives(prob, lead_comp(), st, no_effort(prob))
+    d.lam_dot[...] = 0.0
+    with np.errstate(all="ignore"):
+        assert (np.minimum.reduce(st.lam) <= 0.0) == trips
+    if trips:
+        with pytest.raises(LambdaGuardError) as err:
+            euler_step(st, d, 1e-3)
+        assert err.value.index == int(np.argmax(st.lam <= 0.0))
+    else:
+        np.testing.assert_array_equal(euler_step(st, d, 1e-3).lam, st.lam)
+
+
 SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 1e308, -1e308, 5e-324])
 
 

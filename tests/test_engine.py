@@ -687,6 +687,45 @@ def test_divergence_guard_aborts_run():
     assert "agent 1: xi magnitude" in ev["detail"]
 
 
+def old_diverged(z):
+    """The divergence decision as one abs-max over z."""
+    return not np.maximum.reduce(np.abs(z)) <= engine.DIVERGENCE_LIMIT
+
+
+LIMIT = engine.DIVERGENCE_LIMIT
+BOUNDARY_STATES = [  # (z, trips, decided by the exact abs-max)
+    (np.array([LIMIT]), False, True),
+    (np.array([0.0, -LIMIT, 1.0]), False, True),
+    (np.array([np.nextafter(LIMIT, np.inf)]), True, True),
+    (np.array([1.0, -np.nextafter(LIMIT, np.inf)]), True, True),
+    # each square is below 1e18, their sum past the dot product's bound
+    (np.full(8, 0.99 * LIMIT), False, True),
+    (np.array([0.0, np.inf]), True, True),
+    (np.array([-np.inf, 0.0]), True, True),
+    (np.array([np.nan, 1.0]), True, True),
+    (np.array([1e200, 0.0]), True, True),  # its square overflows to inf
+    (np.zeros(3), False, False),
+    (np.array([0.49 * LIMIT, -1.0]), False, False),
+]
+
+
+@pytest.mark.parametrize("z, trips, exact", BOUNDARY_STATES)
+def test_divergence_decision_at_the_limit(z, trips, exact):
+    mags = np.full_like(z, -1.0)
+    with np.errstate(all="ignore"):
+        assert engine._diverged(z, mags) == old_diverged(z) == trips
+    # the exact path writes |z| into mags; the dot product alone leaves it
+    assert (mags != -1.0).any() == exact
+
+
+def test_divergence_decision_on_random_states():
+    rng = np.random.default_rng(0)
+    for scale in (1.0, 1e4, 1e8, 2e8, 5e8, 1e9, 2e9, 1e10):
+        for size in (1, 8, 125, 400):
+            z = rng.standard_normal(size) * scale
+            assert engine._diverged(z, np.empty_like(z)) == old_diverged(z)
+
+
 def test_nan_guard_aborts_before_commit():
     # a finite start (a non-finite one is rejected up front) whose stages
     # sum to x = inf
