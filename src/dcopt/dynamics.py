@@ -201,7 +201,8 @@ class AgentState(_Packed):
     def _fill(self, table, z):
         self._table, self._z = table, z
         self._rho, self._xi, self._lam, self._mu = _views(table, z)
-        self._stages = tuple(self._rho[..., q, :] for q in range(self._rho.shape[-2]))
+        first, *rest = (self._rho[..., q, :] for q in range(self._rho.shape[-2]))
+        self._stages = first, tuple(rest)
         self._x = _stage_sum(self._stages, np.empty(self._rho.shape[:-2] + self._rho.shape[-1:]))
 
     @staticmethod
@@ -217,16 +218,17 @@ class AgentState(_Packed):
 
 
 def _stage_sum(stages, out):
-    """x = rho_0 + rho_1 + ... from the stage views, left to right, into
-    out: m - 1 adds, a copy at m = 1.  That is np.add.reduce over the stage
-    axis bit for bit, but where every stage of an entry is -0.0 (the reduce
-    starts from +0.0) and in the payload of a NaN."""
-    if len(stages) == 1:
-        np.copyto(out, stages[0])
-    else:
-        np.add(stages[0], stages[1], out=out)
-    for stage in stages[2:]:
-        np.add(out, stage, out=out)
+    """x = rho_0 + rho_1 + ... from the stage views (rho_0, (rho_1, ...)),
+    left to right, into out: m - 1 adds, a copy at m = 1.  That is
+    np.add.reduce over the stage axis bit for bit, but where every stage of
+    an entry is -0.0 (the reduce starts from +0.0) and in the payload of a
+    NaN."""
+    total, rest = stages
+    for stage in rest:
+        np.add(total, stage, out)
+        total = out
+    if total is not out:  # m = 1
+        np.copyto(out, total)
     return out
 
 
@@ -235,10 +237,12 @@ class AgentDerivative(_Packed):
     lam_dot and mu_dot are read-only views of one vector zdot, so z + h zdot is
     the Euler step.  It also keeps what the diagnostics read at the same x,
     as separate (N, n) arrays: nu, grad f(x) and the constraint force zeta.
+    The views derivatives writes through, [lam_dot; mu_dot] and nu at the
+    stages' shape (N, 1, n), are taken once per record.
     """
 
     __slots__ = ("_zdot", "_rho_dot", "_xi_dot", "_lam_dot", "_mu_dot", "_nu", "_grad",
-                 "_zeta", "_table", "_multipliers_dot")
+                 "_zeta", "_table", "_multipliers_dot", "_nu_stages")
     _names = ("rho_dot", "xi_dot", "lam_dot", "mu_dot")
     zdot, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta = _read_only(
         "zdot", *_names, "nu", "grad", "zeta")
@@ -251,15 +255,18 @@ class AgentDerivative(_Packed):
         self._rho_dot, self._xi_dot, self._lam_dot, self._mu_dot = _views(table, zdot)
         # [lam_dot; mu_dot], the contiguous tail of zdot
         self._multipliers_dot = zdot[..., table[0][2][0].start:]
+        self._nu_stages = nu[..., None, :]
 
 
 class _Plan:
     """The operands of derivatives besides the state and p, laid out once
     per run: the gains b and c at the stages' full shape (N, m, n), a buffer
-    for b rho, the LocalTerms that local_terms fills in place, the weights
-    of the owner sum (F + 2n E,), their bins and bin count, the rows of the
-    force's multipliers in the packed state z, and [2 lam; 1], whose ones
-    are written here.  The weights' head (products, F) takes the force's
+    for b rho, the LocalTerms that derivatives fills in place on the affine
+    path with the problem's stacked terms (affine, None on the loop path)
+    and the owner of each constraint row (owner), the weights of the owner
+    sum (F + 2n E,), their bins and bin count, the rows of the force's
+    multipliers in the packed state z, and [2 lam; 1], whose ones are
+    written here.  The weights' head (products, F) takes the force's
     weighted entries, led by its lam entries (lam_part), and their tail (p,
     (E, 2n)) a copy of the edges' p.  simulate makes one per run and
     derivatives a fresh one per call without it, so no two runs or calls
@@ -271,7 +278,7 @@ class _Plan:
     takes no other out but a fresh one."""
 
     __slots__ = ("b", "c", "b_rho", "terms", "weights", "products", "lam_part", "p", "bins",
-                 "size", "sums", "at", "scale", "scale_lam", "write_grad")
+                 "size", "sums", "at", "scale", "scale_lam", "write_grad", "affine", "owner")
 
     def __init__(self, prob, comp, state, outs=()):
         n, dim, own = prob.n_agents, prob.dim, prob.network.own
@@ -279,6 +286,7 @@ class _Plan:
         self.b, self.c = (np.broadcast_to(v[:, None], shape).copy() for v in (comp.b, comp.c))
         self.b_rho = np.empty(shape)
         self.terms = prob.local_terms(state._x)
+        self.affine, self.owner = prob._affine, prob._owner
         _, rows, squares, force_bins, _ = prob._force_plan
         self.weights = np.empty(rows.size + own.size * 2 * dim)
         self.products, self.lam_part = self.weights[:rows.size], self.weights[:squares]
@@ -304,14 +312,15 @@ def derivatives(prob, comp, state, p, out=None, plan=None):
     p (E, 2n) holds the coupling effort p_ij of every edge i <- j, in the
     order of the network's edge table: agent i's summed effort sum_j p_ij
     adds its first n entries to nu and is xi_dot in its last n.  The local
-    terms come from one prob.local_terms(x) call, with no loop over the
-    agents when the problem is affine.  The constraint force zeta and both
-    halves of the efforts come out of one bincount over the weights
-    [products; p]: the force's weighted constraint-row entries, built as
-    constraint_force builds them but with the multipliers gathered from the
-    packed z, then a copy of p.  Each bin adds its entries in layout or
-    edge-table order, so zeta is constraint_force's and the efforts are the
-    owner sums of p, bit for bit.
+    terms are local_terms': on the affine path its take, einsum and add,
+    written into the plan's terms, and on the loop path a fresh call.  The
+    constraint force zeta and both halves of the efforts come out of one
+    bincount over the weights [products; p]: the force's weighted
+    constraint-row entries, built as constraint_force builds them but with
+    the multipliers gathered from the packed z, then a copy of p.  Each bin
+    adds its entries in layout or edge-table order, so zeta is
+    constraint_force's and the efforts are the owner sums of p, bit for
+    bit.
 
     Every field is written into out, an AgentDerivative of the state's
     layout, or into a fresh one: the four derivative fields into the views
@@ -328,27 +337,42 @@ def derivatives(prob, comp, state, p, out=None, plan=None):
     if plan is None:
         plan = _Plan(prob, comp, state)
     plan.p[...] = p
-    terms = prob.local_terms(state._x, plan.terms)
+    # outs, take's mode and bincount's weights go positionally: a keyword
+    # costs about 30 ns a call
+    affine = plan.affine
+    if affine is None:
+        terms = prob.local_terms(state._x)
+    else:  # local_terms' affine path into the plan's terms; every owner is
+        # in range, and "clip" takes straight into them
+        terms = plan.terms
+        values = terms._values
+        np.einsum("kn,kn->k", affine[2], state._x.take(plan.owner, 0, terms._at, "clip"),
+                  out=values)
+        np.add(values, affine[3], values)
     _force_products(prob, terms, state._z, plan.at, plan.products, plan.lam_part)
-    sums = np.bincount(plan.bins, weights=plan.weights, minlength=plan.size).reshape(plan.sums)
+    sums = np.bincount(plan.bins, plan.weights, plan.size).reshape(plan.sums)
     zeta, effort_x, effort_xi = sums[0], sums[1], sums[2]  # unpacking iterates: slower
     out._zeta[...] = zeta
     if fresh or plan.write_grad:
         np.copyto(out._grad, terms.grad)
-    nu = np.subtract(terms.neg_grad, zeta, out=out._nu)
-    np.add(nu, effort_x, out=nu)
-    rho_dot = np.multiply(plan.c, nu[:, None, :], out=out._rho_dot)
-    np.subtract(rho_dot, np.multiply(plan.b, state._rho, out=plan.b_rho), out=rho_dot)
+    nu, rho_dot = out._nu, out._rho_dot
+    np.subtract(terms.neg_grad, zeta, nu)
+    np.add(nu, effort_x, nu)
+    np.multiply(plan.c, out._nu_stages, rho_dot)
+    np.subtract(rho_dot, np.multiply(plan.b, state._rho, plan.b_rho), rho_dot)
     out._xi_dot[...] = effort_xi
-    np.add(state._lam, state._lam, out=plan.scale_lam)  # 2 lam, exactly
-    np.multiply(plan.scale, terms._values, out=out._multipliers_dot)
+    lam = state._lam
+    np.add(lam, lam, plan.scale_lam)  # 2 lam, exactly
+    np.multiply(plan.scale, terms._values, out._multipliers_dot)
     return out
 
 
 def euler_step(state, deriv, h, out=None):
     """Explicit Euler update z + h zdot, written into out, an AgentState of
     the state's layout other than state, or into a fresh one; guards
-    multiplier positivity.  h must be positive and finite.
+    multiplier positivity.  h must be positive and finite, a float or a 0-d
+    array (which numpy multiplies by without converting it, as a run's
+    steps pass it).
 
     Raises LambdaGuardError when any lam component would become <= 0, with
     the update already written.  The guard is an integration-accuracy
@@ -358,13 +382,13 @@ def euler_step(state, deriv, h, out=None):
     other entries, and the caller tests the returned z for NaN and
     divergence.
     """
-    if not 0.0 < h < math.inf:  # NaN fails both
+    if not 0.0 < float(h) < math.inf:  # NaN fails both
         raise ValueError(f"step size must be positive and finite, got {h}")
     nxt = AgentState._of(state._table, np.zeros_like(state._z)) if out is None else out
-    z = np.multiply(h, deriv._zdot, out=nxt._z)
-    np.add(state._z, z, out=z)
+    z, lam = nxt._z, nxt._lam
+    np.multiply(h, deriv._zdot, z)
+    np.add(state._z, z, z)
     _stage_sum(nxt._stages, nxt._x)
-    lam = nxt._lam
     # argmin stops at the first NaN, as min propagates it: a NaN lam passes
     if lam.size and lam[lam.argmin()] <= 0.0:
         k = int(np.argmax(lam <= 0.0))

@@ -51,7 +51,10 @@ writes, the delay lines' pop order, and derivatives' _Plan (the
 compensator gains at full shape, the local terms, the owner sum's weights
 and bins and, on the affine path, the constant grad f already written
 into every row), so a step makes only the numpy calls its arithmetic
-needs.  What it still allocates is the owner sum (bincount has no out).
+needs.  They are also bound once: each row's record in _Run.at holds every
+view and buffer its step reads, so a step looks up one tuple, and the
+calls take their out positionally.  What a step still allocates is the
+owner sum (bincount has no out) and the views that split it.
 A logged step copies t, the packed z, nu, zeta and the ports into the
 next row of one array per series, allocated for the run (see
 TrajectoryLog).
@@ -785,7 +788,7 @@ def simulate(prob, cfg):
         log.abort_reason = kind
         log.abort_step = k
 
-    k = 0
+    k, log_every = 0, cfg.log_every
     diag = None if cfg.reference is None else _DiagState(log, run, n_steps)
     # guards, not warnings, handle blow-ups; an evaluator is reaped on every path
     with np.errstate(all="ignore"), diag or contextlib.nullcontext():
@@ -800,7 +803,7 @@ def simulate(prob, cfg):
                 break
             if diag is not None:
                 diag.step()
-            if k % cfg.log_every == 0:
+            if k % log_every == 0:
                 snapshot(t, state, deriv, ports)
 
             # phase 4: barrier commit, unless a guard tripped
@@ -846,17 +849,16 @@ def _diverged(z, mags):
     limit, and the exact abs-max decides."""
     if z.dot(z) < _SQUARES_BOUND:
         return False
-    return not np.maximum.reduce(np.abs(z, out=mags)) <= DIVERGENCE_LIMIT
+    return not np.maximum.reduce(np.abs(z, mags)) <= DIVERGENCE_LIMIT
 
 
 class _Run:
     """What the steps of one run touch, laid out once: the DelayLine of the
     checked delays (line, in the delayed modes; line e carries what agent
     own[e] sends to nbr[e]), the ChannelEnd (end, in scattering mode), the
-    coupling, the step rows with their records, derivatives' _Plan and the
-    step's scratch buffers, among them u_own, [x_i; xi_i] gathered by
-    receiving agent (E, 2n).  step() runs phases 1-3 of one step; simulate
-    commits.
+    step rows with their records, derivatives' _Plan and the step's scratch
+    buffers, among them u_own, [x_i; xi_i] gathered by receiving agent
+    (E, 2n).  step() runs phases 1-3 of one step; simulate commits.
 
     The rows hold only what the log and the certificates read.  They are
     two slots of per_slot rows, R = count rows in all, each field one
@@ -871,19 +873,21 @@ class _Run:
     derivative into that row and its update into row (k + 1) % R, so the
     update never lands on the state it steps from, and an uncommitted one
     on no committed state.  The records of each row are made once: states[q]
-    is an AgentState over z[q] with its own x, and at[q] holds the row's
-    AgentDerivative, its ports (r, p, s_in, s_out, None where the mode
-    lacks one), where the port map writes (the wave block, or p's halves
-    (E, 2, n)) and states[(q + 1) % R], where the update goes.  Row 0
-    starts as a copy of state.
+    is an AgentState over z[q] with its own x, and at[q] holds every
+    operand step k reads when k % R = q, so a step looks up one tuple and
+    nothing else: the row's AgentDerivative, its ports as one tuple (r, p,
+    s_in, s_out, None where the mode lacks one) and one by one, where the
+    port map writes (the wave block, or p's halves (E, 2, n)) and
+    states[(q + 1) % R], where the update goes, then the run's: the halves
+    of the [x; xi] buffer, the gather indices, the delay line and channel
+    end, the coupling blocks, the problem, the plan, h and the guard's
+    scratch.  Row 0 starts as a copy of state.
     """
 
     def __init__(self, prob, cfg, state, per_slot):
-        net, dim = prob.network, prob.dim
-        self.prob, self.comp, self.h = prob, cfg.compensator, cfg.step
-        # writable copies: take copies a read-only index array at every call
-        self.own, self.nbr = net.own.copy(), net.nbr.copy()
-        self.coupling = CouplingMatrix(net.weight, dim)
+        net, dim, comp = prob.network, prob.dim, cfg.compensator
+        self.h = cfg.step
+        coupling = CouplingMatrix(net.weight, dim)
         self.line = self.end = None
         if cfg.mode != "no_delay":
             if cfg.delays is None:
@@ -894,7 +898,7 @@ class _Run:
                                  f"network's table order, got {delays.shape}")
             self.line = DelayLine(delays, cfg.step, 2 * dim, net.rev)
         if cfg.mode == "scattering":
-            self.end = ChannelEnd(self.coupling, cfg.eta)
+            self.end = ChannelEnd(coupling, cfg.eta)
 
         edges, agents, waves = len(net.own), (prob.n_agents, dim), self.end is not None
         port = (edges, 2 * dim)
@@ -914,22 +918,22 @@ class _Run:
                       (first, second, None, None))
         self.table = state._table
         self.states = [AgentState._of(self.table, row) for row in self.z]
-        self.at = []
-        for q in range(count):
-            ports = tuple(None if a is None else a[q] for a in self.ports)
-            self.at.append((AgentDerivative._of(self.table, self.zdot[q], self.nu[q],
-                                                self.grad[q], self.zeta[q]),
-                            ports, first[q] if waves else second[q].reshape(edges, 2, dim),
-                            self.states[(q + 1) % count]))
+        self.u_own = np.empty(port)
         np.copyto(self.states[0]._z, state._z)
         np.copyto(self.states[0]._x, state._x)
-        self.plan = _Plan(prob, self.comp, self.states[0], [at[0] for at in self.at])
-        u = self.u = np.empty((prob.n_agents, 2 * dim))  # rows [x_i; xi_i]
-        self.u_own = np.empty(port)
-        self.diff = np.empty(port)  # r - u_own
-        self.diff_pairs = self.diff.reshape(-1, 2, dim)
-        self.u_x, self.u_xi = u[:, :dim], u[:, dim:]
-        self.mags = np.empty_like(state.z)  # |z| of the update
+        rows = [(AgentDerivative._of(self.table, self.zdot[q], self.nu[q], self.grad[q],
+                                     self.zeta[q]),
+                 tuple(None if a is None else a[q] for a in self.ports),
+                 first[q] if waves else second[q].reshape(edges, 2, dim),
+                 self.states[(q + 1) % count]) for q in range(count)]
+        self.plan = _Plan(prob, comp, self.states[0], [row[0] for row in rows])
+        u, diff = np.empty((prob.n_agents, 2 * dim)), np.empty(port)  # rows [x_i; xi_i], r - u_own
+        # writable copies: take copies a read-only index array at every call;
+        # h as a 0-d array, which numpy multiplies by without converting it
+        run = (u[:, :dim], u[:, dim:], u, net.own.copy(), net.nbr.copy(), self.u_own, self.line,
+               self.end, diff, diff.reshape(-1, 2, dim), coupling.blocks, prob, comp, self.plan,
+               np.array(cfg.step), np.empty_like(state.z))
+        self.at = [(deriv, ports, *ports, mapped, nxt) + run for deriv, ports, mapped, nxt in rows]
 
     def step(self, k, t, state):
         """Phases 1-3 of step k at time t from state, row k % R as a rule:
@@ -939,31 +943,30 @@ class _Run:
         entry beyond DIVERGENCE_LIMIT), the LambdaGuardError of the update
         or "nan", a non-finite zdot, tested only after another trip; a "nan"
         step is not pushed."""
-        deriv, ports, mapped, nxt = self.at[k % self.count]
-        r, p, s_in, s_out = ports
-        u, u_own, line, end = self.u, self.u_own, self.line, self.end
-        self.u_x[...] = state._x
-        self.u_xi[...] = state._xi
+        (deriv, ports, r, p, s_in, s_out, mapped, nxt, u_x, u_xi, u, own, nbr, u_own, line, end,
+         diff, diff_pairs, blocks, prob, comp, plan, h, mags) = self.at[k % self.count]
+        u_x[...] = state._x
+        u_xi[...] = state._xi
 
         # phase 1: the port pair (r, p) of every directed edge i <- j; a
         # take with mode "raise" would copy through a buffer, and every
         # index is in range, so "clip" gathers straight into the row
-        u.take(self.own, 0, out=u_own, mode="clip")
+        u.take(own, 0, u_own, "clip")
         if line is None:
-            u.take(self.nbr, 0, out=r, mode="clip")
+            u.take(nbr, 0, r, "clip")
         else:  # what crossed is j's wave (scattering) or its [x_j; xi_j]
             line.pop(t, s_in if end is not None else r)
         if end is not None:  # i's wave goes back
             end.recover(s_in, u_own, mapped)
         else:
-            np.subtract(r, u_own, out=self.diff)
-            self.coupling.apply(self.diff_pairs, mapped)
+            np.subtract(r, u_own, diff)
+            np.matmul(blocks, diff_pairs, mapped)  # CouplingMatrix.apply
 
         # phase 2: derivatives from the edges' p, the update, its guards
-        derivatives(self.prob, self.comp, state, p, deriv, self.plan)
+        derivatives(prob, comp, state, p, deriv, plan)
         try:
-            euler_step(state, deriv, self.h, nxt)
-            trip = "divergence" if _diverged(nxt._z, self.mags) else None
+            euler_step(state, deriv, h, nxt)
+            trip = "divergence" if _diverged(nxt._z, mags) else None
         except LambdaGuardError as err:
             trip = err
         if trip is not None and not np.isfinite(deriv.zdot).all():

@@ -177,7 +177,7 @@ class LocalTerms:
                      rows in the same order, which constraint_force reads
 
     g and h are the two parts of one array [g; h], and _at holds the rows of
-    x that local_terms gathered for them, so that a later call can fill the
+    x that local_terms gathered for them, so that derivatives can fill the
     same terms in place.
     """
 
@@ -257,42 +257,31 @@ class DistributedProblem:
         squares = int(np.searchsorted(rows, self.ineq_owner.size))
         return entries, rows, squares, self._owner[rows] * n + cols, values
 
-    def local_terms(self, x, out=None):
-        """The LocalTerms at x (N, n), written into out, the LocalTerms of
-        an earlier call on this problem, when given, else fresh.
+    def local_terms(self, x):
+        """The LocalTerms at x (N, n).
 
         When every function is affine with a constant gradient, the terms
         are stacked once, and the constraint values are one einsum of each
-        constant row with its owner's x, gathered into out's rows of x,
+        constant row with its owner's x, gathered into the terms' rows of x,
         plus the offsets: no loop over the agents, and no row reads another
-        agent's x.  Otherwise one loop over the constraints, in layout
-        order, asks each function for its value and gradient at its owner's
-        x.
+        agent's x.  derivatives fills the terms of its plan in place with
+        the same three calls.  Otherwise one loop over the constraints, in
+        layout order, asks each function for its value and gradient at its
+        owner's x.
         """
         cut = self.ineq_owner.size
+        at = x.take(self._owner, 0)
         if self._affine is not None:
             grad, neg_grad, rows, offsets = self._affine
-            if out is None:
-                at = x.take(self._owner, 0)
-                out = LocalTerms(grad, neg_grad, np.einsum("kn,kn->k", rows, at), rows, cut, at)
-            else:  # every owner is in range, and "clip" takes straight into out
-                np.einsum("kn,kn->k", rows, x.take(self._owner, 0, out=out._at, mode="clip"),
-                          out=out._values)
-            np.add(out._values, offsets, out=out._values)
-            return out
+            values = np.einsum("kn,kn->k", rows, at)
+            np.add(values, offsets, values)
+            return LocalTerms(grad, neg_grad, values, rows, cut, at)
         grad = np.array([p.objective.gradient(xi) for p, xi in zip(self.local_problems, x)],
                         dtype=float)
-        at = x.take(self._owner, 0)
         values = np.array([f.value(xk) for f, xk in zip(self._constraints, at)], dtype=float)
         rows = np.array([f.gradient(xk) for f, xk in zip(self._constraints, at)],
                         dtype=float).reshape(-1, self.dim)
-        if out is None:
-            return LocalTerms(grad, -grad, values, rows, cut, at)
-        for field, value in zip((out.grad, out._values, out.rows, out._at),
-                                (grad, values, rows, at)):
-            np.copyto(field, value)
-        np.negative(grad, out=out.neg_grad)
-        return out
+        return LocalTerms(grad, -grad, values, rows, cut, at)
 
 
 def _force_products(prob, terms, source, at, out, lam_part):
@@ -306,9 +295,9 @@ def _force_products(prob, terms, source, at, out, lam_part):
     values = prob._force_plan[4]
     if values is None:
         values = terms.rows.take(prob._force_plan[0])
-    source.take(at, out=out, mode="clip")  # every index is in range
-    np.square(lam_part, out=lam_part)
-    return np.multiply(out, values, out=out)
+    source.take(at, None, out, "clip")  # every index is in range
+    np.square(lam_part, lam_part)
+    return np.multiply(out, values, out)
 
 
 def constraint_force(prob, terms, lam, mu):

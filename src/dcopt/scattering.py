@@ -119,7 +119,7 @@ class DelayLine:
         self._check_time(t, self._pops)
         index = self._index[self._pushes % self._depth]
         self._pops += 1
-        return self._rows.take(index, 0, out=out, mode="clip")
+        return self._rows.take(index, 0, out, "clip")
 
     def push(self, value, t=None):
         self._check_time(t, self._pushes)
@@ -151,7 +151,7 @@ class ChannelEnd:
         self._sq2e = sq = np.sqrt(2.0 * eta)
         self._map = np.concatenate([np.concatenate(blocks, axis=-1) for blocks in (
             (sq * m, nm), (sq * nm, -eta * nm), (eta * m - nm, sq * nm))], axis=1)
-        self._joined = None  # [s_in; u] of the last call, whole and split
+        self._joined = None  # [s_in; u] of the last call as (E, 4, n) blocks, and its halves
 
     def recover(self, s_in, u, out=None):
         """The block of (r, p, s_out), s_in.shape[:-1] + (3, 2n), from the
@@ -160,7 +160,8 @@ class ChannelEnd:
         one product, written into out when given, which must be C-contiguous
         of that shape (a ValueError names it otherwise, since the product
         could not be written into it in place), and returned.  [s_in; u] is
-        joined into a buffer made on the first call of each input shape."""
+        copied into the two halves of a buffer made on the first call of each
+        input shape."""
         dim = self.coupling.dim
         shape = s_in.shape[:-1] + (3, 2 * dim)
         if out is None:
@@ -169,11 +170,14 @@ class ChannelEnd:
             raise ValueError(f"out: expected a C-contiguous array of shape {shape}, got shape "
                              f"{out.shape}, C-contiguous {out.flags.c_contiguous}")
         joined = self._joined
-        if joined is None or joined[0].shape[:-1] != s_in.shape[:-1]:
+        if joined is None or joined[1].shape != s_in.shape:
             whole = np.empty(s_in.shape[:-1] + (4 * dim,))
-            joined = self._joined = (whole, whole.reshape(-1, 4, dim))
-        np.concatenate([s_in, u], axis=-1, out=joined[0])
-        np.matmul(self._map, joined[1], out=out.reshape(-1, 6, dim))
+            joined = self._joined = (whole.reshape(-1, 4, dim), whole[..., :2 * dim],
+                                     whole[..., 2 * dim:])
+        split, s_half, u_half = joined
+        s_half[...] = s_in
+        u_half[...] = u
+        np.matmul(self._map, split, out.reshape(-1, 6, dim))
         return out
 
     def outgoing_wave(self, r, p):

@@ -11,7 +11,8 @@ The sums by owning agent, which the port efforts, the storages and the
 defects share, must equal a plain loop bit for bit, and so must the one
 sum of a step that gives both the constraint force and the port efforts.
 On any such network, the engine's in-place steps must be the fresh-record
-steps bit for bit.
+steps bit for bit, and a scattering run with unequal delays must follow the
+textbook wave exchange.
 """
 
 import numpy as np
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dcopt import AgentState, ReferencePoint, SimConfig, simulate
-from dcopt.dynamics import derivatives
+from dcopt.dynamics import CompensatorParams, derivatives
 from dcopt.engine import MODES, _Run
 from dcopt.graph import Network, _owner_sums, laplacian_apply, ring
 from dcopt.problem import (
@@ -31,7 +32,7 @@ from dcopt.problem import (
     constraint_force,
     make_linear_nonneg_bound,
 )
-from test_engine import assert_steps_are_the_fresh_path, ring_matrix
+from test_engine import assert_matches_direct_flow, assert_steps_are_the_fresh_path, ring_matrix
 from dcopt.scattering import (
     ChannelEnd,
     CouplingMatrix,
@@ -337,6 +338,32 @@ def test_in_place_steps_are_the_fresh_path(a, mode, steps, dim, with_reference, 
                                    log_every=1, diag_interval=h, reference=ref))
     assert len(log.t) >= 1
     assert_steps_are_the_fresh_path(log)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(connected_adjacency(), st.integers(1, 2), st.booleans(), st.booleans(),
+       st.floats(0.25, 4.0), st.data())
+def test_scattering_matches_the_wave_oracle_on_any_network(a, dim, affine, integrator, eta,
+                                                           data):
+    # the scattering engine against the textbook wave exchange, each agent
+    # solving its 2n x 2n port system densely at every step: on any
+    # connected network, with a whole-step delay of 1-6 steps drawn for
+    # each directed edge, so the two ends of a channel mostly lag unequally
+    n = len(a)
+    targets = data.draw(arrays(float, (n, dim), elements=st.floats(-5.0, 5.0)))
+    if affine:
+        locs = [LocalProblem(AffineFunction(c),
+                             inequalities=[make_linear_nonneg_bound(k, dim) for k in range(dim)],
+                             equalities=[AffineFunction(np.ones(dim), -1.0)]) for c in targets]
+    else:
+        locs = [LocalProblem(QuadraticFunction(np.eye(dim), -c),
+                             inequalities=[AffineFunction(np.ones(dim), -10.0)]) for c in targets]
+    prob = DistributedProblem(Network(a), locs)
+    edges = list(zip(prob.network.own.tolist(), prob.network.nbr.tolist()))
+    lags = data.draw(st.lists(st.integers(1, 6), min_size=len(edges), max_size=len(edges)))
+    comp = CompensatorParams.pure_integrator() if integrator else SimConfig().compensator
+    assert_matches_direct_flow(comp, "scattering", dict(zip(edges, lags)), prob=prob, a=a,
+                               duration=0.03, eta=eta)
 
 
 @st.composite

@@ -9,16 +9,48 @@ ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "step_ab.py"
 
 
-def test_this_tree_against_itself():
-    done = subprocess.run([sys.executable, str(TOOL), str(ROOT), "--mode", "scattering",
-                           "--batches", "3"],
-                          capture_output=True, text=True, timeout=60, check=True)
-    head, base, change, ratio = done.stdout.splitlines()
-    assert head == "scattering, N = 5: 3 batches of 100 steps a side"
+def step_ab(*args, check=True):
+    return subprocess.run([sys.executable, str(TOOL), str(ROOT), *args],
+                          capture_output=True, text=True, timeout=60, check=check)
+
+
+def assert_report(stdout, head, batches):
+    """The report's five lines: each side's least and first-quartile times,
+    the quartile within the side's data, the median ratio and the pairs
+    the change won."""
+    first, base, change, ratio, wins = stdout.splitlines()
+    assert first == head
     for label, line in (("base", base), ("change", change)):
         got = re.fullmatch(rf"{label} +min +([\d.]+) +q1 +([\d.]+) +us/step", line)
         assert got, line
         least, q1 = map(float, got.groups())
         assert 0.0 < least <= q1
-    got = re.fullmatch(r"change / base, median over 3 pairs: ([\d.]+)", ratio)
+    got = re.fullmatch(rf"change / base, median over {batches} pairs: ([\d.]+)", ratio)
     assert got and float(got.group(1)) > 0.0, ratio
+    got = re.fullmatch(rf"change faster in (\d+) of {batches} pairs", wins)
+    assert got and 0 <= int(got.group(1)) <= batches, wins
+
+
+def test_this_tree_against_itself():
+    done = step_ab("--mode", "scattering", "--batches", "3")
+    assert_report(done.stdout, "scattering, N = 5: 3 batches of 100 steps a side", 3)
+
+
+def test_first_quartile_of_two_batches_is_within_the_data():
+    # the exclusive quartile of two values lies below the least of them
+    done = step_ab("--batches", "2")
+    assert_report(done.stdout, "no_delay, N = 5: 2 batches of 100 steps a side", 2)
+
+
+def test_naive_delay_mode_runs():
+    # naive_delay pops r straight from the delay line, which neither other
+    # mode does
+    done = step_ab("--mode", "naive_delay", "--batches", "1")
+    assert_report(done.stdout, "naive_delay, N = 5: 1 batches of 100 steps a side", 1)
+
+
+def test_a_config_the_trees_reject_is_a_usage_error():
+    done = step_ab("--agents", "2", check=False)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "usage:" in done.stderr and "agents" in done.stderr
+    assert "Traceback" not in done.stderr
