@@ -57,10 +57,12 @@ OSCILLATION_FACTOR = 10.0
 
 # Bytes that build_scenario and a run's first local_terms may hold.  The
 # LP's constraint rows are dense, N^2 + 2N rows of N^2 entries, and are
-# held several times over (the functions, the stacked rows, the terms):
-# tracemalloc reads 2.9, 29.1 and 139.9 MB at N = 16, 32 and 48.  The
-# estimate 32 N^4 bytes (33.6 and 169.9 MB at N = 32 and 48) bounds that
-# from N = 32 on, and passes this budget past N = 76.
+# held several times over (the functions, the stacked rows); local_terms
+# sums the values over the rows' nonzeros and gathers no dense copy of x.
+# tracemalloc's peak over build_scenario and one local_terms reads 2.2,
+# 19.5 and 93.3 MB at N = 16, 32 and 48.  The estimate 32 N^4 bytes (33.6
+# and 169.9 MB at N = 32 and 48) bounds that from N = 32 on, and passes
+# this budget past N = 76.
 _MEMORY_BUDGET = 1 << 30
 
 

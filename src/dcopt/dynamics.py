@@ -22,13 +22,14 @@ the online diagnostics evaluate K steps in one call.
 
 Every local term (grad f, g, h and the gradient rows of g and h) comes
 from one DistributedProblem.local_terms call per state.  The gradient rows
-form one (L + M, n) table in the multiplier layout.  When every function is
-affine, as in the matching LP, the constraint values are one einsum of each
-row with its owner's x.  The constraint force and the summed port efforts
-are one bincount: the rows' entries (on the affine path the nonzero ones),
-weighted by [lam^2; mu], into their owners' columns, and the edges' p into
-its receiving agent's two halves.  There is no loop over the agents, and no
-agent's terms or sums read another agent's x, multipliers or ports.
+form one (L + M, n) table in the multiplier layout.  The constraint force
+and the summed port efforts are one bincount: the rows' entries (on the
+affine path the nonzero ones), weighted by [lam^2; mu], into their owners'
+columns, and the edges' p into its receiving agent's two halves.  When
+every function is affine, as in the matching LP, the same bincount also
+sums the constraint values: each nonzero entry times its owner's x at its
+column, into its row.  There is no loop over the agents, and no agent's
+terms or sums read another agent's x, multipliers or ports.
 The rate bounds read grad f(x) and zeta from the AgentDerivative of the
 same step and take phi* = grad f(z*) and zeta* = zeta(z*, lam*, mu*),
 which stay fixed for a run, from the caller.
@@ -47,7 +48,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import _owner_sums
-from .problem import _force_products
 
 __all__ = [
     "CompensatorParams",
@@ -261,49 +261,69 @@ class AgentDerivative(_Packed):
 class _Plan:
     """The operands of derivatives besides the state and p, laid out once
     per run: the gains b and c at the stages' full shape (N, m, n), a buffer
-    for b rho, the LocalTerms that derivatives fills in place on the affine
-    path with the problem's stacked terms (affine, None on the loop path)
-    and the owner of each constraint row (owner), the weights of the owner
-    sum (F + 2n E,), their bins and bin count, the rows of the force's
-    multipliers in the packed state z, and [2 lam; 1], whose ones are
-    written here.  The weights' head (products, F) takes the force's
-    weighted entries, led by its lam entries (lam_part), and their tail (p,
-    (E, 2n)) a copy of the edges' p.  simulate makes one per run and
-    derivatives a fresh one per call without it, so no two runs or calls
-    share one.
+    for b rho, the problem's stacked affine terms (affine, None on the loop
+    path), the weights of the owner sum, their bins and bin count, the rows
+    of the force's multipliers in the packed state z, and [2 lam; 1], whose
+    ones are written here.
+
+    The weights are [products; x_part; offsets; p]: the force's weighted
+    entries, led by its lam entries (lam_part), then, on the affine path
+    only, x at the force's bins times the force's coefficients, the
+    products whose row sums are the constraint values, and the offsets
+    [g(0); h(0)], written here, and last a copy of the edges' p.  The
+    force's bins, owner * n + column, are also the flat indices into x of
+    x_part's take (x_bins); coefs holds the coefficients twice, so that one
+    multiply weights both the force's entries and x_part (both; on the
+    loop path, where coefs is None, the force's entries only).  The owner
+    sum's first cut = 3 N n bins are zeta and the efforts' two halves
+    (sums), and its last L + M, on the affine path, the values [g; h].
+    simulate makes one per run and derivatives a fresh one per call without
+    it, so no two runs or calls share one.
 
     outs are the AgentDerivatives the run passes as out.  When grad f is
     constant (the affine path) it is written into their grad here, once,
     and derivatives with this plan does not write it again, so such a plan
     takes no other out but a fresh one."""
 
-    __slots__ = ("b", "c", "b_rho", "terms", "weights", "products", "lam_part", "p", "bins",
-                 "size", "sums", "at", "scale", "scale_lam", "write_grad", "affine", "owner")
+    __slots__ = ("b", "c", "b_rho", "affine", "weights", "products", "lam_part", "x_part", "both",
+                 "p", "coefs", "bins", "x_bins", "size", "cut", "sums", "at", "scale",
+                 "scale_lam", "write_grad")
 
     def __init__(self, prob, comp, state, outs=()):
         n, dim, own = prob.n_agents, prob.dim, prob.network.own
         shape = state._rho.shape
         self.b, self.c = (np.broadcast_to(v[:, None], shape).copy() for v in (comp.b, comp.c))
         self.b_rho = np.empty(shape)
-        self.terms = prob.local_terms(state._x)
-        self.affine, self.owner = prob._affine, prob._owner
-        _, rows, squares, force_bins, _ = prob._force_plan
-        self.weights = np.empty(rows.size + own.size * 2 * dim)
-        self.products, self.lam_part = self.weights[:rows.size], self.weights[:squares]
-        self.p = self.weights[rows.size:].reshape(own.size, 2 * dim)
-        # bins of [products; p]: the force's owner * n + column, then entry
-        # (e, half, column) of p at (1 + half) N n + own[e] n + column, so
-        # one bincount gives zeta and the two halves of the efforts
+        self.affine = prob._affine
+        _, rows, squares, force_bins, coefs = prob._force_plan
+        affine = self.affine is not None
+        count = prob._owner.size if affine else 0  # values in the sum
+        head, tail = rows.size, rows.size * (1 + affine)
+        self.weights = np.empty(tail + count + own.size * 2 * dim)
+        self.products, self.lam_part = self.weights[:head], self.weights[:squares]
+        self.x_part, self.both = self.weights[head:tail], self.weights[:tail]
+        self.p = self.weights[tail + count:].reshape(own.size, 2 * dim)
+        if affine:
+            self.weights[tail:tail + count] = self.affine[3]
+        self.coefs = np.concatenate([coefs, coefs]) if affine else None
+        # bins of the weights: the force's owner * n + column, the value
+        # products' and the offsets' rows after the 3 N n bins of the force
+        # and the efforts, and entry (e, half, column) of p at
+        # (1 + half) N n + own[e] n + column; each row's offset comes after
+        # its products, so the bincount adds it last
+        self.cut = 3 * n * dim
         halves = (np.arange(1, 3)[:, None] * n + own[:, None, None]) * dim + np.arange(dim)
-        self.bins = np.concatenate([force_bins, halves.ravel()])
-        self.size, self.sums = 3 * n * dim, (3, n, dim)
+        self.bins = np.concatenate([force_bins, self.cut + rows[:tail - head],
+                                    self.cut + np.arange(count), halves.ravel()])
+        self.x_bins = self.bins[:head]  # the force's bins
+        self.size, self.sums = self.cut + count, (3, n, dim)
         self.at = rows + (state._z.size - prob._owner.size)
         self.scale = np.ones(prob._owner.size)
         self.scale_lam = self.scale[:prob.ineq_owner.size]
-        self.write_grad = not outs or prob._affine is None
+        self.write_grad = not outs or not affine
         if not self.write_grad:
             for out in outs:
-                np.copyto(out._grad, self.terms.grad)
+                np.copyto(out._grad, self.affine[0])
 
 
 def derivatives(prob, comp, state, p, out=None, plan=None):
@@ -311,16 +331,18 @@ def derivatives(prob, comp, state, p, out=None, plan=None):
 
     p (E, 2n) holds the coupling effort p_ij of every edge i <- j, in the
     order of the network's edge table: agent i's summed effort sum_j p_ij
-    adds its first n entries to nu and is xi_dot in its last n.  The local
-    terms are local_terms': on the affine path its take, einsum and add,
-    written into the plan's terms, and on the loop path a fresh call.  The
-    constraint force zeta and both halves of the efforts come out of one
-    bincount over the weights [products; p]: the force's weighted
-    constraint-row entries, built as constraint_force builds them but with
-    the multipliers gathered from the packed z, then a copy of p.  Each bin
-    adds its entries in layout or edge-table order, so zeta is
-    constraint_force's and the efforts are the owner sums of p, bit for
-    bit.
+    adds its first n entries to nu and is xi_dot in its last n.  The
+    constraint force zeta, both halves of the efforts and, on the affine
+    path, the constraint values [g; h] come out of one bincount over the
+    plan's weights: the force's weighted constraint-row entries, its
+    multipliers gathered from the packed z, squared where they are lam and
+    times their coefficients, and on the affine path x at the nonzero
+    entries of the constant rows times the same coefficients, in the same
+    multiply, then the offsets; last a copy of p.  These are the products
+    of constraint_force and local_terms, and each bin adds its entries in
+    layout or edge-table order, so zeta is constraint_force's, the efforts
+    are the owner sums of p and [g; h] is local_terms', bit for bit.  On
+    the loop path the terms are a fresh local_terms call.
 
     Every field is written into out, an AgentDerivative of the state's
     layout, or into a fresh one: the four derivative fields into the views
@@ -340,30 +362,35 @@ def derivatives(prob, comp, state, p, out=None, plan=None):
     # outs, take's mode and bincount's weights go positionally: a keyword
     # costs about 30 ns a call
     affine = plan.affine
-    if affine is None:
+    # every index is in range, and "clip" takes straight into the weights
+    if affine is None:  # the rows change: the force reads all their entries
         terms = prob.local_terms(state._x)
-    else:  # local_terms' affine path into the plan's terms; every owner is
-        # in range, and "clip" takes straight into them
-        terms = plan.terms
-        values = terms._values
-        np.einsum("kn,kn->k", affine[2], state._x.take(plan.owner, 0, terms._at, "clip"),
-                  out=values)
-        np.add(values, affine[3], values)
-    _force_products(prob, terms, state._z, plan.at, plan.products, plan.lam_part)
-    sums = np.bincount(plan.bins, plan.weights, plan.size).reshape(plan.sums)
+        grad, neg_grad, values = terms.grad, terms.neg_grad, terms._values
+        coefs = terms.rows.take(prob._force_plan[0])
+    else:
+        grad, neg_grad, coefs = affine[0], affine[1], plan.coefs
+        state._x.take(plan.x_bins, None, plan.x_part, "clip")
+    state._z.take(plan.at, None, plan.products, "clip")
+    np.square(plan.lam_part, plan.lam_part)
+    both = plan.both
+    np.multiply(both, coefs, both)
+    sums = np.bincount(plan.bins, plan.weights, plan.size)
+    if affine is not None:
+        values = sums[plan.cut:]
+    sums = sums[:plan.cut].reshape(plan.sums)
     zeta, effort_x, effort_xi = sums[0], sums[1], sums[2]  # unpacking iterates: slower
     out._zeta[...] = zeta
     if fresh or plan.write_grad:
-        np.copyto(out._grad, terms.grad)
+        np.copyto(out._grad, grad)
     nu, rho_dot = out._nu, out._rho_dot
-    np.subtract(terms.neg_grad, zeta, nu)
+    np.subtract(neg_grad, zeta, nu)
     np.add(nu, effort_x, nu)
     np.multiply(plan.c, out._nu_stages, rho_dot)
     np.subtract(rho_dot, np.multiply(plan.b, state._rho, plan.b_rho), rho_dot)
     out._xi_dot[...] = effort_xi
     lam = state._lam
     np.add(lam, lam, plan.scale_lam)  # 2 lam, exactly
-    np.multiply(plan.scale, terms._values, out._multipliers_dot)
+    np.multiply(plan.scale, values, out._multipliers_dot)
     return out
 
 

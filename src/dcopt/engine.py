@@ -18,11 +18,12 @@ explicit-Euler step has a fixed phase order:
        terms and the edges' p, and the Euler update z + h zdot of the packed
        state (see AgentState) with its guards, an argmin of its lam view
        and one dot product of it with itself (an abs-max only near the
-       limit, see _diverged); not yet committed.  The constraint force and
+       limit, see _diverged); not yet committed.  The constraint force,
        each agent's summed effort sum_j p_ij, in its x half that adds to nu
-       and its xi half that is xi_dot, are one bincount over the weights
-       [force products; p] of derivatives' plan, its bins planned once per
-       run,
+       and its xi half that is xi_dot, and on the affine path the
+       constraint values are one bincount over the weights of
+       derivatives' plan (the force's and the values' products, the
+       offsets and p), its bins planned once per run,
     3. the push of every edge into the delay lines (the outgoing waves of
        phase 1 in scattering mode, the sender's own [x; xi] in naive mode),
     4. barrier commit of the update, or the abort of the first tripped of:
@@ -48,10 +49,10 @@ ports, r and p, or in scattering mode s_in and the wave block of r, p and
 s_out.  The step's scratch is the run's, one buffer each, and its operands
 are laid out once per run too: the views of each row that the port map
 writes, the delay lines' pop order, and derivatives' _Plan (the
-compensator gains at full shape, the local terms, the owner sum's weights
-and bins and, on the affine path, the constant grad f already written
-into every row), so a step makes only the numpy calls its arithmetic
-needs.  They are also bound once: each row's record in _Run.at holds every
+compensator gains at full shape, the owner sum's weights and bins and, on
+the affine path, the constant grad f already written into every row), so
+a step makes only the numpy calls its arithmetic needs.  They are also
+bound once: each row's record in _Run.at holds every
 view and buffer its step reads, so a step looks up one tuple, and the
 calls take their out positionally.  What a step still allocates is the
 owner sum (bincount has no out) and the views that split it.
@@ -960,7 +961,7 @@ class _Run:
             end.recover(s_in, u_own, mapped)
         else:
             np.subtract(r, u_own, diff)
-            np.matmul(blocks, diff_pairs, mapped)  # CouplingMatrix.apply
+            np.matmul(blocks, diff_pairs, mapped)
 
         # phase 2: derivatives from the edges' p, the update, its guards
         derivatives(prob, comp, state, p, deriv, plan)

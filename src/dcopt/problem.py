@@ -6,6 +6,14 @@ shared decision vector of dimension n.  A DistributedProblem ties the agents
 to a Network; consensus over the network replaces a shared variable.
 
 Only first-order information (value, gradient) is required of any function.
+
+When every function is affine with a constant gradient, the constraint
+terms read only the nonzero entries of their constant rows: a constraint
+value reads its owner's x only in the columns where its row has a nonzero
+coefficient, and the constraint force weights only those entries, so a NaN
+or inf in x or in a multiplier reaches only those values and columns (NaN
+and inf coefficients count as nonzero).  On the loop path a value is what
+its function returns, and the force reads every entry of the rows.
 """
 
 import functools
@@ -176,16 +184,14 @@ class LocalTerms:
     rows (L + M, n)  the constraint gradient rows, all g rows then all h
                      rows in the same order, which constraint_force reads
 
-    g and h are the two parts of one array [g; h], and _at holds the rows of
-    x that local_terms gathered for them, so that derivatives can fill the
-    same terms in place.
+    g and h are the two parts of one array [g; h], _values, which
+    derivatives reads on the loop path.
     """
 
-    __slots__ = ("grad", "neg_grad", "g", "h", "rows", "_values", "_at")
+    __slots__ = ("grad", "neg_grad", "g", "h", "rows", "_values")
 
-    def __init__(self, grad, neg_grad, values, rows, cut, at):
-        self.grad, self.neg_grad, self.rows = grad, neg_grad, rows
-        self._values, self._at = values, at
+    def __init__(self, grad, neg_grad, values, rows, cut):
+        self.grad, self.neg_grad, self.rows, self._values = grad, neg_grad, rows, values
         self.g, self.h = values[:cut], values[cut:]
 
 
@@ -242,10 +248,11 @@ class DistributedProblem:
         the constraint force, made on first use: the flat indices into the
         constraint rows that the force reads, in order, the row of each, how
         many lead with a row of lam (the rest have one of mu), the bin
-        owner * n + column of each and, on the affine path, its constant
-        value.  The affine path reads only the nonzero entries of its
-        constant rows (NaN and inf are nonzero); the loop path, whose rows
-        change, reads them all, and its values are None."""
+        owner * n + column of each, which is also its flat index into a
+        stacked x (N, n), and, on the affine path, its constant value.  The
+        affine path reads only the nonzero entries of its constant rows (NaN
+        and inf are nonzero); the loop path, whose rows change, reads them
+        all, and its values are None."""
         n = self.dim
         values = None
         if self._affine is None:
@@ -261,64 +268,53 @@ class DistributedProblem:
         """The LocalTerms at x (N, n).
 
         When every function is affine with a constant gradient, the terms
-        are stacked once, and the constraint values are one einsum of each
-        constant row with its owner's x, gathered into the terms' rows of x,
-        plus the offsets: no loop over the agents, and no row reads another
-        agent's x.  derivatives fills the terms of its plan in place with
-        the same three calls.  Otherwise one loop over the constraints, in
+        are stacked once, and the constraint values are one bincount over
+        the nonzero entries of the constant rows (the force's plan): each
+        coefficient times its owner's x at its column, summed into its row
+        in layout order, plus the offsets.  So a value reads only the
+        columns where its row is nonzero, there is no loop over the agents,
+        and no row reads another agent's x.  derivatives sums the same
+        products, in the same order, in its one bincount, so its values are
+        these bit for bit.  Otherwise one loop over the constraints, in
         layout order, asks each function for its value and gradient at its
         owner's x.
         """
         cut = self.ineq_owner.size
-        at = x.take(self._owner, 0)
         if self._affine is not None:
             grad, neg_grad, rows, offsets = self._affine
-            values = np.einsum("kn,kn->k", rows, at)
-            np.add(values, offsets, values)
-            return LocalTerms(grad, neg_grad, values, rows, cut, at)
+            _, row, _, bins, coefs = self._force_plan
+            # + offsets also makes the int64 bincount of no entries float
+            values = np.bincount(row, x.take(bins) * coefs, offsets.size) + offsets
+            return LocalTerms(grad, neg_grad, values, rows, cut)
+        at = x.take(self._owner, 0)
         grad = np.array([p.objective.gradient(xi) for p, xi in zip(self.local_problems, x)],
                         dtype=float)
         values = np.array([f.value(xk) for f, xk in zip(self._constraints, at)], dtype=float)
         rows = np.array([f.gradient(xk) for f, xk in zip(self._constraints, at)],
                         dtype=float).reshape(-1, self.dim)
-        return LocalTerms(grad, -grad, values, rows, cut, at)
-
-
-def _force_products(prob, terms, source, at, out, lam_part):
-    """The weighted entries of the constraint force, written into out (F,):
-    entry k of prob's plan times its row's weight in [lam^2; mu], with the
-    multiplier of each entry gathered from source at at[k] and the lam
-    entries, lam_part, the head of out, squared in place, so lam[row]^2 is
-    (lam^2)[row] bit for bit.  source is [lam; mu] and at the entries'
-    rows, or a packed state z and those rows shifted to its multiplier
-    tail."""
-    values = prob._force_plan[4]
-    if values is None:
-        values = terms.rows.take(prob._force_plan[0])
-    source.take(at, None, out, "clip")  # every index is in range
-    np.square(lam_part, lam_part)
-    return np.multiply(out, values, out)
+        return LocalTerms(grad, -grad, values, rows, cut)
 
 
 def constraint_force(prob, terms, lam, mu):
     """zeta_i = sum_k lam_ik^2 grad g_ik(x_i) + sum_k mu_ik grad h_ik(x_i),
     stacked (N, n) float, from the LocalTerms at x and lam, mu in the
     multiplier layout of prob.  Each entry of the constraint rows that
-    prob's plan reads, times its row's weight in [lam^2; mu], is one
-    bincount weight into bin owner * n + column, so a non-finite row or
-    weight stays with its own agent; an agent's entries add in layout
-    order.  On the affine path the plan holds the entries of the constant
-    rows, and the zero entries are not read, so a non-finite multiplier
-    reaches only the columns where its row has a nonzero coefficient (an
-    all-zero row contributes nothing); the loop path reads every entry, and
-    0 * NaN reaches the owner's every column.  derivatives builds the same
-    weighted entries with the same helper, _force_products, and sums them
-    in the same bins, together with the port efforts, in one bincount."""
-    _, rows, squares, bins, _ = prob._force_plan
-    products = np.empty(rows.size)
-    _force_products(prob, terms, np.concatenate([lam, mu], dtype=float), rows, products,
-                    products[:squares])
-    force = np.bincount(bins, weights=products, minlength=prob.n_agents * prob.dim)
+    prob's plan reads, times its row's weight in [lam^2; mu] (lam[row]^2,
+    which is (lam^2)[row] bit for bit), is one bincount weight into bin
+    owner * n + column, so a non-finite row or weight stays with its own
+    agent; an agent's entries add in layout order.  On the affine path the
+    plan holds the entries of the constant rows, and the zero entries are
+    not read, so a non-finite multiplier reaches only the columns where its
+    row has a nonzero coefficient (an all-zero row contributes nothing);
+    the loop path reads every entry, and 0 * NaN reaches the owner's every
+    column.  derivatives builds the same weighted entries, and sums them in
+    the same bins, together with the port efforts, in one bincount."""
+    entries, rows, squares, bins, values = prob._force_plan
+    if values is None:
+        values = terms.rows.take(entries)
+    products = np.concatenate([lam, mu], dtype=float).take(rows)
+    np.square(products[:squares], products[:squares])
+    force = np.bincount(bins, products * values, prob.n_agents * prob.dim)
     return force.reshape(prob.n_agents, prob.dim).astype(float, copy=False)  # int64 if no entries
 
 

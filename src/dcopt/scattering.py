@@ -41,7 +41,9 @@ __all__ = [
 
 class CouplingMatrix:
     """Block coupling E = [[a, -a], [a, 0]] (x) I_n for one directed pair,
-    or for E pairs at once when weight is an (E, 1) array."""
+    or for E pairs at once when weight is an (E, 1) array: blocks holds the
+    2x2 maps (E, 2, 2), and np.matmul(blocks, pairs) is E @ [u; v] for the
+    2n-vectors of the pairs split in their halves, (E, 2, n)."""
 
     def __init__(self, weight, dim):
         weight = np.asarray(weight, dtype=float)
@@ -52,13 +54,6 @@ class CouplingMatrix:
         self.dim = int(dim)
         a = weight.reshape(-1, 1, 1)  # (E, 2, 2) blocks; one edge is a batch of one
         self.blocks = np.concatenate([a, -a, a, np.zeros_like(a)], axis=-1).reshape(-1, 2, 2)
-
-    def apply(self, pairs, out=None):
-        """E @ [u; v] for the 2n-vectors of E pairs split in their halves,
-        (E, 2, n), written into out, shaped alike, when given; one pair
-        (2, n) comes back as (1, 2, n).  A caller with (E, 2n) rows plans
-        their split views once."""
-        return np.matmul(self.blocks, pairs, out=out)
 
 
 class DelayLine:

@@ -66,12 +66,12 @@ def test_stacked_coupling_equals_scalar(case):
     w, _, dim, s_in, _, _ = case
     pairs = s_in.reshape(-1, 2, dim)
     coupling = CouplingMatrix(w.reshape(-1, 1), dim)
-    stacked = coupling.apply(pairs)
+    stacked = np.matmul(coupling.blocks, pairs)
     for e, a in enumerate(w):
-        assert np.array_equal(stacked[e], CouplingMatrix(a, dim).apply(pairs[e])[0])
+        assert np.array_equal(stacked[e], np.matmul(CouplingMatrix(a, dim).blocks, pairs[e])[0])
     # into out, as the engine's planned views: the same bits
     out = np.full((len(w), 2, dim), 7.0)
-    assert coupling.apply(pairs, out) is out
+    assert np.matmul(coupling.blocks, pairs, out) is out
     assert out.tobytes() == stacked.tobytes()
 
 
@@ -418,16 +418,33 @@ def alone_unconstrained(objective):
     return prob, state, np.zeros((0, 4)), None
 
 
+def matching_lp(agents):
+    """The CLI's LP at a random state: at N = 5 a row holds 1 or 5 nonzeros
+    of 25 entries, and a sum over all 25 (einsum's) differs in the last
+    bits from the bincount over the nonzeros, where on the drawn problems'
+    rows of 1-3 entries the two agreed bit for bit."""
+    from dcopt.cli import build_scenario, validate_config
+    _, prob, sim = build_scenario(validate_config(None, {"agents": agents}), "no_delay")
+    rng = np.random.default_rng(agents)
+    zeros = AgentState.zeros(sim.compensator, prob)
+    state = AgentState(rng.normal(size=zeros.rho.shape), rng.normal(size=zeros.xi.shape),
+                       rng.uniform(0.1, 2.0, size=zeros.lam.shape),
+                       rng.normal(size=zeros.mu.shape))
+    return prob, state, rng.normal(size=(prob.network.own.size, 2 * prob.dim)), None
+
+
 @PROPERTY
 @given(force_and_ports())
 @example(alone_unconstrained(AffineFunction([1.0, -2.0])))
 @example(alone_unconstrained(QuadraticFunction(np.eye(2), [1.0, -2.0])))
+@example(matching_lp(5))
 def test_one_owner_sum_gives_the_force_and_the_efforts(case):
-    # derivatives sums the force's weighted entries and the edges' p in one
-    # bincount: zeta must be constraint_force, and the efforts the owner
-    # sums of p's halves, bit for bit, from a run's row with its plan and
-    # in a fresh call; one non-finite multiplier or port entry stays in its
-    # own agent's bins
+    # derivatives sums the force's weighted entries, the edges' p and, on
+    # the affine path, the constraint values' products in one bincount:
+    # zeta must be constraint_force, the efforts the owner sums of p's
+    # halves, and lam_dot and mu_dot local_terms' g and h times [2 lam; 1],
+    # bit for bit, from a run's row with its plan and in a fresh call; one
+    # non-finite multiplier or port entry stays in its own agent's bins
     prob, state, p, bad = case
     sim = SimConfig()
     comp = sim.compensator

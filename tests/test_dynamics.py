@@ -147,7 +147,7 @@ def test_derivatives_with_neighbor():
     r = np.array([2.0, 1.0])
     u = np.concatenate([st.x[0], st.xi[0]])
     p = np.zeros((2, 2))
-    p[0] = CouplingMatrix(4.0, 1).apply((r - u).reshape(2, 1)).ravel()
+    p[0] = np.matmul(CouplingMatrix(4.0, 1).blocks, (r - u).reshape(2, 1)).ravel()
     d = derivatives(prob, lead_comp(), st, p)
     # the effort adds w (r_x - x) - w (r_xi - xi) = -4 - 2 to nu, and
     # w (r_x - x) is xi_dot
@@ -713,8 +713,7 @@ def test_fresh_results_never_alias(affine):
                                      ("z", "x"))
     plan = _Plan(prob, comp, a)
     d = derivatives(prob, comp, b, effort, None, plan)
-    for buffer in (plan.b, plan.c, plan.b_rho, plan.terms._values, plan.terms._at, plan.scale,
-                   plan.weights):
+    for buffer in (plan.b, plan.c, plan.b_rho, plan.scale, plan.weights):
         for name in fields:
             assert not np.shares_memory(getattr(d, name), buffer), name
     # the planned call is the fresh call

@@ -880,7 +880,7 @@ def assert_logged_ports(log, lag):
         for i, j, r, p in zip(net.own, net.nbr, log.edge_r[s], log.edge_p[s]):
             want = u[s - lag][j] if s >= lag else np.zeros(2)
             assert np.array_equal(r, want)
-            assert np.array_equal(p, e.apply((r - u[s][i]).reshape(2, 1)).ravel())
+            assert np.array_equal(p, np.matmul(e.blocks, (r - u[s][i]).reshape(2, 1)).ravel())
     assert len(log.edge_r) == len(log.edge_p) == len(log.t) - 1
 
 
@@ -922,9 +922,10 @@ def test_nan_event_names_first_non_finite_agent():
 
 def test_affine_path_keeps_a_non_finite_value_with_its_agent():
     # the same start on the matching LP, whose local terms take the affine
-    # row-table kernels: agent 2's rows read x_2 = inf (0 * inf = NaN on
-    # its zero coefficients) and must not reach agent 0, whose neighbors 1
-    # and 3 are still finite at step 0
+    # row-table kernels: agent 2's rows read x_2 = inf in their nonzero
+    # columns only (its values are inf, or NaN where +inf and -inf add) and
+    # must not reach agent 0, whose neighbors 1 and 3 are still finite at
+    # step 0
     prob = build_distributed_problem(generate_instance(5, n=4), ring(4, 4.0))
     assert prob._affine is not None
     init = AgentState.zeros(SimConfig().compensator, prob)

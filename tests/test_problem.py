@@ -239,13 +239,22 @@ def uneven_problems(draw):
     return prob, x, lam, mu
 
 
-def loop_terms(prob, x, lam, mu):
-    """(g, h, zeta) agent by agent, from each function's value and gradient."""
+def loop_terms(prob, x, lam, mu, support=True):
+    """(g, h, zeta) agent by agent, from each function's gradient and, with
+    support, from its coefficients and offset: a value reads only the
+    columns where its coefficient is nonzero, as the affine path's does;
+    without, from each function's value, which reads them all."""
+    def value(f, xi):
+        if not support:
+            return f.value(xi)
+        nonzero = f.c != 0.0
+        return float(f.c[nonzero] @ xi[nonzero] + f.d)
+
     g, h, zeta = [], [], np.zeros_like(x)
     for i, p in enumerate(prob.local_problems):
         li, mi = lam[prob.ineq_owner == i], mu[prob.eq_owner == i]
-        g += [f.value(x[i]) for f in p.inequalities]
-        h += [f.value(x[i]) for f in p.equalities]
+        g += [value(f, x[i]) for f in p.inequalities]
+        h += [value(f, x[i]) for f in p.equalities]
         for w, f in zip(np.concatenate([li**2, mi]), p.inequalities + p.equalities):
             zeta[i] += w * f.gradient(x[i])
     return np.array(g), np.array(h), zeta
@@ -263,27 +272,51 @@ def test_row_table_kernels_equal_the_agent_loop(case, agent, poison):
 
     prob, x, lam, mu = case
     agent %= prob.n_agents
+    p = prob.local_problems[agent]
+    funcs = p.inequalities + p.equalities
     if poison == "x":
         x[agent, 0] = np.nan
-    elif poison == "row":
-        p = prob.local_problems[agent]
-        funcs = p.inequalities + p.equalities
-        if funcs:
-            funcs[0].c.setflags(write=True)
-            funcs[0].c[0] = np.nan
-            prob = DistributedProblem(prob.network, prob.local_problems)  # stack again
+    elif poison == "row" and funcs:
+        funcs[0].c.setflags(write=True)
+        funcs[0].c[0] = np.nan
+        prob = DistributedProblem(prob.network, prob.local_problems)  # stack again
     assert prob._affine is not None
-    want = loop_terms(prob, x, lam, mu)
     got = kernel_terms(prob, x, lam, mu)
-    for kernels in (got, kernel_terms(opaque(prob), x, lam, mu)):
+    # the affine path's values read the nonzero columns of their rows only,
+    # the loop path's each function's value; assert_allclose also matches
+    # the NaN entries
+    for kernels, support in ((got, True), (kernel_terms(opaque(prob), x, lam, mu), False)):
+        want = loop_terms(prob, x, lam, mu, support)
         for name, values, ref in zip(("g", "h", "zeta"), kernels, want):
             np.testing.assert_allclose(values, ref, rtol=1e-12, atol=1e-12, err_msg=name)
-    # a NaN stays in its own agent's outputs, and reaches them
+    # a NaN stays in its own agent's outputs, and reaches them where a row
+    # of that agent reads it: a NaN coefficient always, a NaN x_0 where the
+    # row's coefficient of column 0 is nonzero
     g, h, zeta = got
     owners = np.concatenate([prob.ineq_owner[np.isnan(g)], prob.eq_owner[np.isnan(h)],
                              np.flatnonzero(np.isnan(zeta).any(axis=1))])
-    has_rows = prob.local_problems[agent].n_ineq + prob.local_problems[agent].n_eq > 0
-    assert set(owners.tolist()) == ({agent} if poison and has_rows else set())
+    reads = any(f.c[0] != 0.0 for f in funcs) if poison == "x" else bool(poison and funcs)
+    assert set(owners.tolist()) == ({agent} if reads else set())
+
+
+def test_kkt_residual_is_nan_for_a_nan_x_on_the_matching_lp():
+    # a value reads only the columns where its row is nonzero, so a NaN x
+    # reaches only some of them; the residual is NaN wherever it sits
+    from dcopt.matching import build_distributed_problem, generate_instance
+    prob = build_distributed_problem(generate_instance(5, n=3), ring(3, 4.0))
+    assert prob._affine is not None
+    lam, mu = np.ones(prob.ineq_owner.size), np.zeros(prob.eq_owner.size)
+    # agent l bounds columns 3 l to 3 l + 2, its g rows 3 l to 3 l + 2, and
+    # its h rows sum columns 3 l to 3 l + 2 and l, 3 + l, 6 + l
+    for agent, column, g_nan, h_nan in ((0, 0, [0], [0, 1]), (1, 4, [4], [2, 3]),
+                                        (2, 8, [8], [4, 5]), (0, 5, [], [])):
+        x = np.full((3, 9), 1.0 / 3.0)
+        x[agent, column] = np.nan
+        res = kkt_residual(prob, x, np.zeros((3, 9)), lam, mu)
+        assert np.isnan(res.max()) and np.isnan(res.consensus)
+        terms = prob.local_terms(x)
+        assert np.flatnonzero(np.isnan(terms.g)).tolist() == g_nan
+        assert np.flatnonzero(np.isnan(terms.h)).tolist() == h_nan
 
 
 def both_paths(prob):

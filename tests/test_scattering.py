@@ -19,7 +19,7 @@ def test_coupling_matrix_apply():
         [a * np.eye(3), np.zeros((3, 3))],
     ])
     # the pair split in its halves (2, n), one edge's batch of one
-    assert np.allclose(e.apply(vec.reshape(2, 3)).ravel(), dense @ vec, atol=1e-14)
+    assert np.allclose(np.matmul(e.blocks, vec.reshape(2, 3)).ravel(), dense @ vec, atol=1e-14)
     with pytest.raises(ValueError):
         CouplingMatrix(0.0, 3)
     with pytest.raises(ValueError):

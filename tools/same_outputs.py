@@ -9,6 +9,22 @@ per run and exits 1 on any difference.  Standard library only; each tree
 is run with its own src/ first on PYTHONPATH.
 
     python3 tools/same_outputs.py BASE_TREE [CHANGE_TREE] [--only NAME ...]
+                                  [--final-tol T]
+
+With --final-tol T the check allows a change that reorders a sum to move
+the last bits of the run, and still compares exactly: the exit codes, the
+.part files, config.normalized, trajectory.csv's header, t column, row
+labels and row count, the keys of diagnostics.txt and its non-numeric
+values (the verdict, the abort reason and step, the oracle permutation,
+the agents matching it, the assignments, each event's step, time and
+kind).  It compares numerically the final sample's agent x, xi, lambda
+and mu, within T max(1, the largest of their |values|), and every other
+number of diagnostics.txt within T max(1, |value|), or T max(1, |value|)
+/ step for the passivity excesses and the Lyapunov increments, which are
+storage differences divided by the step.  The other values of
+trajectory.csv are not compared.  Each run's line then gives the final
+state's largest drift when a run is within the tolerances but not
+byte for byte the same, which reads "close".
 
 CHANGE_TREE defaults to the tree this script is in.  The runs cover every
 scenario, N = 5, 6, 8 and 12, runs with and without the online
@@ -20,9 +36,12 @@ their certificates are evaluated and their CSV written in one process.
 """
 
 import argparse
+import itertools
 import json
+import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -93,9 +112,84 @@ def _diagnostics(path):
         return [line for line in f if not line.startswith(tuple(t.encode() for t in TIMINGS))]
 
 
-def compare(base, change):
+# a number as the CLI writes one: repr, %e, an integer, nan or inf
+NUMBER = re.compile(r"[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)")
+# diagnostics.txt values compared as text at any tolerance
+EXACT = ("scenario", "verdict", "seed", "abort_reason", "abort_step", "oracle_permutation",
+         "agents_matching_oracle", "assignments", "events")
+# storage differences divided by the step
+PER_STEP = re.compile(r"passivity_\w+_max_excess|lyapunov_\w+_max_increment")
+STATE = ("x", "xi", "lambda", "mu")
+
+
+def _gap(u, v):
+    """|u - v|, 0 where both are NaN and inf where only one is: NaN and
+    inf entries must match exactly."""
+    if u == v or (math.isnan(u) and math.isnan(v)):
+        return 0.0
+    return abs(u - v) if math.isfinite(u) and math.isfinite(v) else math.inf
+
+
+def _numbers_apart(a, b, tol):
+    """Whether the strings a and b differ in their text or in a number by
+    more than tol(number of a); a non-finite number must match exactly."""
+    if NUMBER.split(a) != NUMBER.split(b):
+        return True
+    return any(not _gap(u, v) <= (tol(u) if math.isfinite(u) else 0.0)
+               for u, v in zip(map(float, NUMBER.findall(a)), map(float, NUMBER.findall(b))))
+
+
+def _diagnostics_apart(base, change, final_tol):
+    """The keys of diagnostics.txt that differ beyond final_tol, step read
+    from the base's config.normalized; ["keys"] when the keys differ."""
+    step = json.loads(pathlib.Path(base, "config.normalized").read_text())["step"]
+    a, b = ([line.decode().rstrip("\n").partition(": ")[::2] for line in
+             _diagnostics(pathlib.Path(out, "diagnostics.txt"))] for out in (base, change))
+    if [key for key, _ in a] != [key for key, _ in b]:
+        return ["keys"]
+    keys = []
+    for (key, u), (_, v) in zip(a, b):
+        per = step if PER_STEP.fullmatch(key) else 1.0
+        if key == "event":  # step, time and kind exact, the detail's numbers close
+            (head_u, _, u), (head_v, _, v) = u.partition(": "), v.partition(": ")
+            if head_u != head_v:
+                keys.append(key)
+                continue
+        if u != v and (key in EXACT or _numbers_apart(
+                u, v, lambda w: final_tol * max(1.0, abs(w)) / per)):
+            keys.append(key)
+    return keys
+
+
+def _final_state(base, change):
+    """(reasons, drift, scale) of trajectory.csv: the reasons its header,
+    labels or row count differ, and for the final sample's agent x, xi,
+    lambda and mu, the largest _gap and the largest finite |value| of the
+    base.  The files are read in step, one row at a time."""
+    sample, t = [], None
+    with open(pathlib.Path(base, "trajectory.csv")) as fa, \
+            open(pathlib.Path(change, "trajectory.csv")) as fb:
+        if next(fa, None) != next(fb, None):
+            return ["trajectory.csv header differs"], 0.0, 0.0
+        for row, (a, b) in enumerate(itertools.zip_longest(fa, fb), 2):
+            if a is None or b is None:
+                return ["trajectory.csv row count differs"], 0.0, 0.0
+            (label, u), (label_b, v) = a.rsplit(",", 1), b.rsplit(",", 1)
+            if label != label_b:
+                return [f"trajectory.csv row {row} label differs"], 0.0, 0.0
+            fields = label.split(",")
+            if fields[0] != t:  # a new sample
+                sample, t = [], fields[0]
+            if fields[1] == "agent" and fields[3] in STATE:
+                sample.append((float(u), float(v)))
+    drift = max((_gap(u, v) for u, v in sample), default=0.0)
+    return [], drift, max((abs(u) for u, _ in sample if math.isfinite(u)), default=0.0)
+
+
+def compare(base, change, final_tol=None):
     """The differences between two runs' output directories, as a list of
-    short reasons; empty when they wrote the same artifacts."""
+    short reasons; empty when they wrote the same artifacts, or with
+    final_tol, artifacts the same within it (see the module docstring)."""
     reasons = []
     for out in (base, change):
         parts = sorted(p.name for p in pathlib.Path(out).glob("*.part*"))
@@ -107,8 +201,19 @@ def compare(base, change):
             reasons.append(f"{name} written by one tree only")
         elif a.exists():
             read = _diagnostics if name == "diagnostics.txt" else pathlib.Path.read_bytes
-            if read(a) != read(b):
+            if read(a) == read(b):
+                continue
+            if final_tol is None or name == "config.normalized":
                 reasons.append(f"{name} differs")
+            elif name == "trajectory.csv":
+                apart, drift, scale = _final_state(base, change)
+                if not apart and not drift <= final_tol * max(1.0, scale):
+                    apart = [f"final state drift {drift:.1e} at scale {scale:.3g}"]
+                reasons += apart
+            else:
+                keys = _diagnostics_apart(base, change, final_tol)
+                if keys:
+                    reasons.append(f"diagnostics.txt differs in {', '.join(keys)}")
     return reasons
 
 
@@ -119,14 +224,19 @@ def main(argv=None):
                         help="the tree to check (default: this one)")
     parser.add_argument("--only", action="append", metavar="NAME",
                         help="run only this run (repeatable)")
+    parser.add_argument("--final-tol", type=float, metavar="T",
+                        help="compare the final state and the diagnostics' numbers within T "
+                             "(see the module docstring) instead of byte for byte")
     args = parser.parse_args(argv)
+    if args.final_tol is not None and not 0.0 <= args.final_tol < math.inf:
+        parser.error("--final-tol must be finite and >= 0")
     runs = RUNS
     if args.only:
         unknown = set(args.only) - {name for name, *_ in RUNS}
         if unknown:
             parser.error(f"unknown run(s): {', '.join(sorted(unknown))}")
         runs = [run for run in RUNS if run[0] in args.only]
-    differ = 0
+    differ = close = 0
     with tempfile.TemporaryDirectory(prefix="same_outputs_") as tmp:
         for name, scenario, config, pinned in runs:
             config_path = pathlib.Path(tmp, f"{name}.json")
@@ -135,14 +245,23 @@ def main(argv=None):
             (code_a, sec_a), (code_b, sec_b) = (
                 run_tree(tree, scenario, config_path, out, pinned)
                 for tree, out in zip((args.base, args.change), outs))
-            reasons = compare(*outs)
+            reasons = compare(*outs, args.final_tol)
             if code_a != code_b:
                 reasons.insert(0, f"exit {code_a} against {code_b}")
+            status, drift = "DIFFERS" if reasons else "same", ""
+            if args.final_tol is not None and not reasons and compare(*outs):
+                status, close = "close", close + 1
+                _, final, scale = _final_state(*outs)
+                drift = f"  final state drift {final:.1e} at scale {scale:.3g}"
             differ += bool(reasons)
-            print(f"{'DIFFERS' if reasons else 'same':7s} {name:26s} exit {code_b}  "
-                  f"{sec_a:6.2f} s / {sec_b:6.2f} s" + "".join(f"; {r}" for r in reasons),
+            print(f"{status:7s} {name:26s} exit {code_b}  "
+                  f"{sec_a:6.2f} s / {sec_b:6.2f} s{drift}" + "".join(f"; {r}" for r in reasons),
                   flush=True)
-    print(f"{len(runs) - differ} of {len(runs)} runs the same")
+    if args.final_tol is None:
+        print(f"{len(runs) - differ} of {len(runs)} runs the same")
+    else:
+        print(f"{len(runs) - differ} of {len(runs)} runs the same within --final-tol "
+              f"{args.final_tol:g}, {len(runs) - differ - close} of them byte for byte")
     return 1 if differ else 0
 
 
