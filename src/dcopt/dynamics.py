@@ -171,7 +171,10 @@ class AgentState(_Packed):
     """The network's state, packed in one contiguous float vector z (D,).
 
     rho  (N, m, n)  compensator stages; agent i's primal estimate is
-                    x[i] = rho[i, 0] + rho[i, 1] + ..., see _stage_sum
+                    x[i] = rho[i, 0] + rho[i, 1] + ..., see _stage_sum.
+                    z holds them stage-major, (m, N, n), so each stage is
+                    one contiguous (N, n) block; rho is the view of that
+                    block with its first two axes swapped
     xi   (N, n)     consensus multipliers
     lam  (L,)       inequality multipliers and mu (M,) equality multipliers,
                     each the agents' vectors concatenated in agent order
@@ -190,20 +193,21 @@ class AgentState(_Packed):
     fields are (K, ...) views: AgentState._of(table, z), no copy.
     """
 
-    __slots__ = ("_z", "_rho", "_xi", "_lam", "_mu", "_x", "_table", "_stages")
+    __slots__ = ("_z", "_rho", "_xi", "_lam", "_mu", "_x", "_table", "_by_stage", "_stages")
     _names = ("rho", "xi", "lam", "mu")
     z, rho, xi, lam, mu, x = _read_only("z", *_names, "x")
 
     def __init__(self, rho, xi, lam, mu):
         with np.errstate(over="ignore"):  # finite stages whose x overflows: the nan guard's
-            self._fill(*_pack((rho, xi, lam, mu)))
+            self._fill(*_pack((_stage_major(rho), xi, lam, mu)))
 
     def _fill(self, table, z):
         self._table, self._z = table, z
-        self._rho, self._xi, self._lam, self._mu = _views(table, z)
-        first, *rest = (self._rho[..., q, :] for q in range(self._rho.shape[-2]))
+        self._by_stage, self._xi, self._lam, self._mu = _views(table, z)
+        self._rho = self._by_stage.swapaxes(-3, -2)
+        first, *rest = (self._by_stage[..., q, :, :] for q in range(self._by_stage.shape[-3]))
         self._stages = first, tuple(rest)
-        self._x = _stage_sum(self._stages, np.empty(self._rho.shape[:-2] + self._rho.shape[-1:]))
+        self._x = _stage_sum(self._stages, np.empty(first.shape))
 
     @staticmethod
     def zeros(comp, prob, lam0=0.01):
@@ -215,6 +219,11 @@ class AgentState(_Packed):
             lam=np.full(prob.ineq_owner.size, float(lam0)),
             mu=np.zeros(prob.eq_owner.size),
         )
+
+
+def _stage_major(rho):
+    """rho (..., N, m, n) as the stage-major (..., m, N, n) the vector holds."""
+    return np.swapaxes(np.asarray(rho, dtype=float), -3, -2)
 
 
 def _stage_sum(stages, out):
@@ -234,37 +243,50 @@ def _stage_sum(stages, out):
 
 class AgentDerivative(_Packed):
     """Time derivatives of an AgentState, packed like it: rho_dot, xi_dot,
-    lam_dot and mu_dot are read-only views of one vector zdot, so z + h zdot is
-    the Euler step.  It also keeps what the diagnostics read at the same x,
-    as separate (N, n) arrays: nu, grad f(x) and the constraint force zeta.
-    The views derivatives writes through, [lam_dot; mu_dot] and nu at the
-    stages' shape (N, 1, n), are taken once per record.
+    lam_dot and mu_dot are read-only views of one vector zdot, rho_dot
+    stage-major in it as rho in z, so z + h zdot is the Euler step.  It
+    also keeps what the diagnostics read at the same x, as separate (N, n)
+    arrays: nu, grad f(x) and the constraint force zeta.  The views
+    derivatives writes through are taken once per record: rho_dot
+    stage-major, [lam_dot; mu_dot], and for one state _flat: zeta, nu and
+    xi_dot flat, nu as one row (1, N n) and rho_dot as one row per stage
+    (m, N n) (None for a block or for arrays that are not C-contiguous).
     """
 
     __slots__ = ("_zdot", "_rho_dot", "_xi_dot", "_lam_dot", "_mu_dot", "_nu", "_grad",
-                 "_zeta", "_table", "_multipliers_dot", "_nu_stages")
+                 "_zeta", "_table", "_by_stage", "_multipliers_dot", "_flat")
     _names = ("rho_dot", "xi_dot", "lam_dot", "mu_dot")
     zdot, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta = _read_only(
         "zdot", *_names, "nu", "grad", "zeta")
 
     def __init__(self, rho_dot, xi_dot, lam_dot, mu_dot, nu, grad, zeta):
-        self._fill(*_pack((rho_dot, xi_dot, lam_dot, mu_dot)), nu, grad, zeta)
+        self._fill(*_pack((_stage_major(rho_dot), xi_dot, lam_dot, mu_dot)), nu, grad, zeta)
 
     def _fill(self, table, zdot, nu, grad, zeta):
         self._table, self._zdot, self._nu, self._grad, self._zeta = table, zdot, nu, grad, zeta
-        self._rho_dot, self._xi_dot, self._lam_dot, self._mu_dot = _views(table, zdot)
+        self._by_stage, self._xi_dot, self._lam_dot, self._mu_dot = _views(table, zdot)
+        self._rho_dot = self._by_stage.swapaxes(-3, -2)
         # [lam_dot; mu_dot], the contiguous tail of zdot
         self._multipliers_dot = zdot[..., table[0][2][0].start:]
-        self._nu_stages = nu[..., None, :]
+        self._flat = None
+        if zdot.ndim == 1 and zeta.flags.c_contiguous and nu.flags.c_contiguous:
+            self._flat = (zeta.reshape(-1), nu.reshape(-1), self._xi_dot.reshape(-1),
+                          nu.reshape(1, -1), self._by_stage.reshape(len(self._by_stage), -1))
 
 
 class _Plan:
     """The operands of derivatives besides the state and p, laid out once
-    per run: the gains b and c at the stages' full shape (N, m, n), a buffer
-    for b rho, the problem's stacked affine terms (affine, None on the loop
-    path), the weights of the owner sum, their bins and bin count, the rows
-    of the force's multipliers in the packed state z, and [2 lam; 1], whose
-    ones are written here.
+    per run: the gains b and c at the stages' full stage-major shape
+    (m, N, n), a buffer for b rho, the problem's stacked affine terms
+    (affine, None on the loop path), with -grad f flat (neg_grad), the
+    weights of the owner sum, the coefficients (coefs) and [2 lam; 1]
+    (scale), whose ones are written here.  ops holds what derivatives
+    reads of the plan at every call, in the order it unpacks them, so one
+    lookup finds them all: p's place in the weights, x_bins, x_part, the
+    rows of the force's multipliers in the packed state z and their
+    products, lam_part, both, the bins, the weights, the bin count, cut,
+    the three parts of the sum named below, c as a column (m, 1), b, the
+    buffer for b rho and scale's 2 lam.
 
     The weights are [products; x_part; offsets; p]: the force's weighted
     entries, led by its lam entries (lam_part), then, on the affine path
@@ -275,8 +297,9 @@ class _Plan:
     x_part's take (x_bins); coefs holds the coefficients twice, so that one
     multiply weights both the force's entries and x_part (both; on the
     loop path, where coefs is None, the force's entries only).  The owner
-    sum's first cut = 3 N n bins are zeta and the efforts' two halves
-    (sums), and its last L + M, on the affine path, the values [g; h].
+    sum's first cut = 3 N n bins are zeta and the efforts' two halves,
+    three parts of N n, and its last L + M, on the affine path, the
+    values [g; h].
     simulate makes one per run and derivatives a fresh one per call without
     it, so no two runs or calls share one.
 
@@ -285,45 +308,43 @@ class _Plan:
     and derivatives with this plan does not write it again, so such a plan
     takes no other out but a fresh one."""
 
-    __slots__ = ("b", "c", "b_rho", "affine", "weights", "products", "lam_part", "x_part", "both",
-                 "p", "coefs", "bins", "x_bins", "size", "cut", "sums", "at", "scale",
-                 "scale_lam", "write_grad")
+    __slots__ = ("b", "c", "b_rho", "affine", "neg_grad", "weights", "coefs", "scale",
+                 "write_grad", "ops")
 
     def __init__(self, prob, comp, state, outs=()):
         n, dim, own = prob.n_agents, prob.dim, prob.network.own
-        shape = state._rho.shape
-        self.b, self.c = (np.broadcast_to(v[:, None], shape).copy() for v in (comp.b, comp.c))
+        shape = state._by_stage.shape
+        self.b, self.c = (np.broadcast_to(v[:, None, None], shape).copy() for v in (comp.b, comp.c))
         self.b_rho = np.empty(shape)
         self.affine = prob._affine
+        self.neg_grad = None if self.affine is None else self.affine[1].reshape(-1)
         _, rows, squares, force_bins, coefs = prob._force_plan
         affine = self.affine is not None
         count = prob._owner.size if affine else 0  # values in the sum
         head, tail = rows.size, rows.size * (1 + affine)
-        self.weights = np.empty(tail + count + own.size * 2 * dim)
-        self.products, self.lam_part = self.weights[:head], self.weights[:squares]
-        self.x_part, self.both = self.weights[head:tail], self.weights[:tail]
-        self.p = self.weights[tail + count:].reshape(own.size, 2 * dim)
+        weights = self.weights = np.empty(tail + count + own.size * 2 * dim)
         if affine:
-            self.weights[tail:tail + count] = self.affine[3]
+            weights[tail:tail + count] = self.affine[3]
         self.coefs = np.concatenate([coefs, coefs]) if affine else None
         # bins of the weights: the force's owner * n + column, the value
         # products' and the offsets' rows after the 3 N n bins of the force
         # and the efforts, and entry (e, half, column) of p at
         # (1 + half) N n + own[e] n + column; each row's offset comes after
         # its products, so the bincount adds it last
-        self.cut = 3 * n * dim
+        cut = 3 * n * dim
         halves = (np.arange(1, 3)[:, None] * n + own[:, None, None]) * dim + np.arange(dim)
-        self.bins = np.concatenate([force_bins, self.cut + rows[:tail - head],
-                                    self.cut + np.arange(count), halves.ravel()])
-        self.x_bins = self.bins[:head]  # the force's bins
-        self.size, self.sums = self.cut + count, (3, n, dim)
-        self.at = rows + (state._z.size - prob._owner.size)
+        bins = np.concatenate([force_bins, cut + rows[:tail - head], cut + np.arange(count),
+                               halves.ravel()])
         self.scale = np.ones(prob._owner.size)
-        self.scale_lam = self.scale[:prob.ineq_owner.size]
         self.write_grad = not outs or not affine
         if not self.write_grad:
             for out in outs:
                 np.copyto(out._grad, self.affine[0])
+        self.ops = (weights[tail + count:].reshape(own.size, 2 * dim), bins[:head],
+                    weights[head:tail], rows + (state._z.size - prob._owner.size),
+                    weights[:head], weights[:squares], weights[:tail], bins, weights,
+                    cut + count, cut, *(slice(q * n * dim, (q + 1) * n * dim) for q in range(3)),
+                    comp.c[:, None].copy(), self.b, self.b_rho, self.scale[:prob.ineq_owner.size])
 
 
 def derivatives(prob, comp, state, p, out=None, plan=None):
@@ -344,52 +365,58 @@ def derivatives(prob, comp, state, p, out=None, plan=None):
     are the owner sums of p and [g; h] is local_terms', bit for bit.  On
     the loop path the terms are a fresh local_terms call.
 
-    Every field is written into out, an AgentDerivative of the state's
-    layout, or into a fresh one: the four derivative fields into the views
-    of its zdot, [lam_dot; mu_dot] as the one product [2 lam; 1] * [g; h],
-    and grad f(x), nu and zeta, which the diagnostics read, into its own
-    arrays.  plan, a _Plan of this problem, compensator and layout that the
-    caller makes once per run, holds every other operand and buffer, the
-    weights too; without it a fresh one is made.
+    Every field is written into out, an AgentDerivative of one state of the
+    state's layout whose nu and zeta are C-contiguous, or into a fresh one:
+    the four derivative fields into the views of its zdot, rho_dot as c_k
+    nu (one product of c as a column and nu as a row, (m, N n)) less
+    b_k rho_k, [lam_dot; mu_dot] as the one product [2 lam; 1] * [g; h], and
+    grad f(x), nu and zeta, which the diagnostics read, into its own arrays;
+    zeta, nu and xi_dot take the owner sum's parts through flat views.
+    plan, a _Plan of this problem, compensator and layout that the caller
+    makes once per run, holds every other operand and buffer, the weights
+    too; without it a fresh one is made.
     """
     fresh = out is None
     if fresh:
         out = AgentDerivative._of(state._table, np.empty_like(state._z),
                                   *(np.empty_like(state._x) for _ in range(3)))
+    flat = out._flat
+    if flat is None:
+        raise ValueError("out: expected the record of one state, its nu and zeta C-contiguous")
     if plan is None:
         plan = _Plan(prob, comp, state)
-    plan.p[...] = p
+    (weights_p, x_bins, x_products, at, products, lam_part, both, bins, weights, size, cut,
+     zeta_part, x_part, xi_part, c, b, b_rho, scale_lam) = plan.ops
+    weights_p[...] = p
     # outs, take's mode and bincount's weights go positionally: a keyword
     # costs about 30 ns a call
     affine = plan.affine
     # every index is in range, and "clip" takes straight into the weights
     if affine is None:  # the rows change: the force reads all their entries
         terms = prob.local_terms(state._x)
-        grad, neg_grad, values = terms.grad, terms.neg_grad, terms._values
+        grad, neg_grad, values = terms.grad, terms.neg_grad.reshape(-1), terms._values
         coefs = terms.rows.take(prob._force_plan[0])
     else:
-        grad, neg_grad, coefs = affine[0], affine[1], plan.coefs
-        state._x.take(plan.x_bins, None, plan.x_part, "clip")
-    state._z.take(plan.at, None, plan.products, "clip")
-    np.square(plan.lam_part, plan.lam_part)
-    both = plan.both
+        grad, neg_grad, coefs = affine[0], plan.neg_grad, plan.coefs
+        state._x.take(x_bins, None, x_products, "clip")
+    state._z.take(at, None, products, "clip")
+    np.square(lam_part, lam_part)
     np.multiply(both, coefs, both)
-    sums = np.bincount(plan.bins, plan.weights, plan.size)
+    sums = np.bincount(bins, weights, size)
     if affine is not None:
-        values = sums[plan.cut:]
-    sums = sums[:plan.cut].reshape(plan.sums)
-    zeta, effort_x, effort_xi = sums[0], sums[1], sums[2]  # unpacking iterates: slower
-    out._zeta[...] = zeta
+        values = sums[cut:]
+    zeta, nu, xi_dot, nu_row, stage_rows = flat
+    np.copyto(zeta, sums[zeta_part])
     if fresh or plan.write_grad:
         np.copyto(out._grad, grad)
-    nu, rho_dot = out._nu, out._rho_dot
     np.subtract(neg_grad, zeta, nu)
-    np.add(nu, effort_x, nu)
-    np.multiply(plan.c, out._nu_stages, rho_dot)
-    np.subtract(rho_dot, np.multiply(plan.b, state._rho, plan.b_rho), rho_dot)
-    out._xi_dot[...] = effort_xi
+    np.add(nu, sums[x_part], nu)
+    np.multiply(c, nu_row, stage_rows)
+    rho_dot = out._by_stage
+    np.subtract(rho_dot, np.multiply(b, state._by_stage, b_rho), rho_dot)
+    np.copyto(xi_dot, sums[xi_part])
     lam = state._lam
-    np.add(lam, lam, plan.scale_lam)  # 2 lam, exactly
+    np.add(lam, lam, scale_lam)  # 2 lam, exactly
     np.multiply(plan.scale, values, out._multipliers_dot)
     return out
 
@@ -429,10 +456,32 @@ def compensator_storage(comp, rho, z_star):
 
     (1/(2 c_1)) |rho_1 - z*|^2 + sum_{k>=2} (1/(2 c_k)) |rho_k|^2
     """
-    s = np.sum((rho[..., 0, :] - z_star) ** 2, axis=-1) / (2.0 * comp.c[0])
+    s = np.add.reduce(np.square(rho[..., 0, :] - z_star), -1) / (2.0 * comp.c[0])
     for k in range(1, comp.m):
-        s += np.sum(rho[..., k, :] ** 2, axis=-1) / (2.0 * comp.c[k])
+        s += np.add.reduce(np.square(rho[..., k, :]), -1) / (2.0 * comp.c[k])
     return s
+
+
+def _log_terms(owner, lam_star):
+    """The reference's constants of the multiplier log term, made once per
+    reference: (which, owners, ls2, log_ls) of the entries with lam*_k > 0,
+    which indexes them (None when that is every entry), ls2 = lam*_k^2 and
+    log_ls = ln lam*_k; or None when no entry is."""
+    return _log_terms_of(owner.dtype.str, owner.tobytes(), lam_star.dtype.str, lam_star.tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _log_terms_of(owner_dtype, owner, dtype, lam_star):
+    """_log_terms, keyed by the dtypes and bytes of owner and lam*."""
+    owner, lam_star = np.frombuffer(owner, owner_dtype), np.frombuffer(lam_star, dtype)
+    active = lam_star > 0.0
+    if not active.any():
+        return None
+    ls = lam_star[active]
+    arrays = owner[active], ls**2, np.log(ls)
+    for a in arrays:  # every caller gets the same arrays
+        a.setflags(write=False)
+    return (None if active.all() else np.flatnonzero(active)), *arrays
 
 
 def multiplier_storage(prob, lam, mu, lam_star, mu_star):
@@ -447,13 +496,15 @@ def multiplier_storage(prob, lam, mu, lam_star, mu_star):
     """
     if lam.size and lam.min() <= 0.0:
         raise ValueError("multiplier storage needs lam > 0")
-    s = _owner_sums(prob.ineq_owner, prob.n_agents, lam**2 - lam_star**2, -1) / 4.0
-    active = lam_star > 0.0
-    if np.any(active):
-        ls = lam_star[active]
-        s -= 0.5 * _owner_sums(prob.ineq_owner[active], prob.n_agents,
-                               ls**2 * (np.log(lam[..., active]) - np.log(ls)), -1)
-    s += 0.5 * _owner_sums(prob.eq_owner, prob.n_agents, (mu - mu_star) ** 2, -1)
+    n = prob.n_agents
+    s = _owner_sums(prob.ineq_owner, n, lam**2 - lam_star**2, -1) / 4.0
+    terms = _log_terms(prob.ineq_owner, lam_star)
+    if terms is not None:
+        which, owner, ls2, log_ls = terms
+        if which is not None:
+            lam = lam[..., which]
+        s -= 0.5 * _owner_sums(owner, n, ls2 * (np.log(lam) - log_ls), -1)
+    s += 0.5 * _owner_sums(prob.eq_owner, n, np.square(mu - mu_star), -1)
     return s
 
 
@@ -465,7 +516,7 @@ def primal_rate_bound(state, deriv, z_star, phi_star):
     with nu and grad f(x) from deriv and phi* (N, n) fixed for the run.
     """
     phi = deriv.nu + deriv.grad
-    return np.sum((state.x - z_star) * (phi - phi_star), axis=-1)
+    return np.add.reduce((state.x - z_star) * (phi - phi_star), -1)
 
 
 def multiplier_rate_bound(state, deriv, z_star, zeta_star):
@@ -474,7 +525,7 @@ def multiplier_rate_bound(state, deriv, z_star, zeta_star):
     (zeta - zeta*)^T (x - z*) with zeta the constraint force of deriv and
     zeta* = zeta(z*, lam*, mu*) (N, n) fixed for the run.
     """
-    return np.sum((deriv.zeta - zeta_star) * (state.x - z_star), axis=-1)
+    return np.add.reduce((deriv.zeta - zeta_star) * (state.x - z_star), -1)
 
 
 def storage_step_defects(prob, comp, state, deriv, lam_star, h):
@@ -492,17 +543,24 @@ def storage_step_defects(prob, comp, state, deriv, lam_star, h):
     back to the quadratic estimate to stay finite; its step never
     commits, so the value is never compared against a bound.
     """
-    d_c = 0.5 * h * np.sum(np.sum(deriv.rho_dot**2, axis=-1) / comp.c, axis=-1)
-    d_m = 0.25 * h * _owner_sums(prob.ineq_owner, prob.n_agents, deriv.lam_dot**2, -1)
-    d_m += 0.5 * h * _owner_sums(prob.eq_owner, prob.n_agents, deriv.mu_dot**2, -1)
-    active = lam_star > 0.0
-    if np.any(active):
-        ls2 = lam_star[active] ** 2
-        w = h * deriv.lam_dot[..., active] / state.lam[..., active]
+    n, half_h = prob.n_agents, 0.5 * h
+    # the stage-major rho_dot: each stage's sums, (..., m, N), over c
+    stages = np.add.reduce(np.square(deriv._by_stage), -1) / comp.c[:, None]
+    d_c = half_h * np.add.reduce(stages, -2)
+    d_m = 0.25 * h * _owner_sums(prob.ineq_owner, n, np.square(deriv.lam_dot), -1)
+    d_m += half_h * _owner_sums(prob.eq_owner, n, np.square(deriv.mu_dot), -1)
+    terms = _log_terms(prob.ineq_owner, lam_star)
+    if terms is not None:
+        which, owner, ls2, _ = terms
+        lam_dot, lam = deriv.lam_dot, state.lam
+        if which is not None:
+            lam_dot, lam = lam_dot[..., which], lam[..., which]
+        w = h * lam_dot / lam
         safe = w > -1.0
-        rem = np.where(
-            safe, w - np.log1p(np.where(safe, w, 0.0)), 0.5 * w**2
-        )
-        d_m += _owner_sums(prob.ineq_owner[active], prob.n_agents, ls2 * rem, -1) / (2.0 * h)
-    d_xi = 0.5 * h * np.sum(deriv.xi_dot**2, axis=-1)
+        if safe.all():  # what the fallback's where gives then
+            rem = w - np.log1p(w)
+        else:
+            rem = np.where(safe, w - np.log1p(np.where(safe, w, 0.0)), 0.5 * w**2)
+        d_m += _owner_sums(owner, n, ls2 * rem, -1) / (2.0 * h)
+    d_xi = half_h * np.add.reduce(np.square(deriv.xi_dot), -1)
     return d_c, d_m, d_xi

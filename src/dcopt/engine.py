@@ -48,14 +48,19 @@ log and the certificates read: z, zdot, nu, grad, zeta and the mode's
 ports, r and p, or in scattering mode s_in and the wave block of r, p and
 s_out.  The step's scratch is the run's, one buffer each, and its operands
 are laid out once per run too: the views of each row that the port map
-writes, the delay lines' pop order, and derivatives' _Plan (the
-compensator gains at full shape, the owner sum's weights and bins and, on
-the affine path, the constant grad f already written into every row), so
-a step makes only the numpy calls its arithmetic needs.  They are also
-bound once: each row's record in _Run.at holds every
-view and buffer its step reads, so a step looks up one tuple, and the
-calls take their out positionally.  What a step still allocates is the
-owner sum (bincount has no out) and the views that split it.
+writes, the delay line's pop and push rows after each count of steps,
+and derivatives' _Plan (the compensator gains at their stage-major
+shape, the owner sum's weights and bins and, on the affine path, the
+constant grad f already written into every row), so a step makes only
+the numpy calls its arithmetic needs.  They are also bound once: each
+row's record in _Run.at holds every view and buffer its step reads, so a
+step looks up one tuple (and in the delayed modes one row of the delay
+line's pop indices and one of its samples), and the calls take their out
+positionally.  The step applies
+the delay line and the channel end's map itself, through those rows and
+views, without DelayLine.pop and push or ChannelEnd.recover.  What a step
+still allocates is the owner sum (bincount has no out) and the flat
+slices that split it.
 A logged step copies t, the packed z, nu, zeta and the ports into the
 next row of one array per series, allocated for the run (see
 TrajectoryLog).
@@ -105,6 +110,7 @@ from .dynamics import (
     CompensatorParams,
     LambdaGuardError,
     _Plan,
+    _stage_sum,
     compensator_storage,
     derivatives,
     euler_step,
@@ -137,14 +143,18 @@ _SQUARES_BOUND = (DIVERGENCE_LIMIT / 2) ** 2
 # Steps per evaluation of the online certificates; the reports are bit-equal
 # at any size.  The step rows are two slots of this many rows, so memory grows
 # with the block while the per-call overhead it saves levels off (N = 5
-# scattering, 2-core VM: 170 us per step at 16, 151 at 32, within noise of
-# 32 at 64).
+# scattering, 2-core VM, tools/step_ab.py --certificates: the evaluator costs
+# 0.77 as much per step at 32 as at 16, and 0.90 as much at 64 as at 32, but
+# at 64 sc_diag's wall time fell about 2% in only 6 of 10 pairs while its
+# peak RSS rose 4%).
 _DIAG_BLOCK = 32
 
 # Fewest steps for which a run with a reference forks a certificate
-# evaluator.  The fork, the engine's copy-on-write faults after it and the
-# final join cost about 6 ms, and the evaluator saves about 30 us per N = 5
-# scattering step, so it breaks even near 350 steps (2-core VM).
+# evaluator.  On N = 5 scattering runs (2-core VM, in a phase where its
+# steps ran at about twice their usual time) the fork, the engine's
+# copy-on-write faults after it and the final join cost about 11 ms and
+# the evaluator saved about 30 us per step: a forked run was slower at 300
+# steps and faster at 500 (13 of 15 pairs), so it breaks even near 400.
 _DIAG_FORK_STEPS = 1000
 # A message to the evaluator: slot, rows in it, the step of its first row
 # and whether its last is the closing row.
@@ -859,36 +869,44 @@ class _Run:
     own[e] sends to nbr[e]), the ChannelEnd (end, in scattering mode), the
     step rows with their records, derivatives' _Plan and the step's scratch
     buffers, among them u_own, [x_i; xi_i] gathered by receiving agent
-    (E, 2n).  step() runs phases 1-3 of one step; simulate commits.
+    (E, 2n), outside scattering mode.  step() runs phases 1-3 of one step;
+    simulate commits.
 
     The rows hold only what the log and the certificates read.  They are
     two slots of per_slot rows, R = count rows in all, each field one
     (R, ...) array over one shared mmap: the packed state z, its derivative
     zdot, nu, grad and zeta, and the mode's ports, r and p (E, 2n) each, or
     in scattering mode s_in (E, 2n) and waves, the (E, 3, 2n) block of r,
-    p and s_out that ChannelEnd.recover writes (None in the other modes).
-    ports holds r, p, s_in and s_out over all rows, (R, E, 2n) each, or
-    None where the mode lacks it.
+    p and s_out that the channel end's map writes (None in the other
+    modes).  ports holds r, p, s_in and s_out over all rows, (R, E, 2n)
+    each, or None where the mode lacks it.
 
     Step k reads its state from row k % R and writes its ports and
     derivative into that row and its update into row (k + 1) % R, so the
     update never lands on the state it steps from, and an uncommitted one
     on no committed state.  The records of each row are made once: states[q]
     is an AgentState over z[q] with its own x, and at[q] holds every
-    operand step k reads when k % R = q, so a step looks up one tuple and
-    nothing else: the row's AgentDerivative, its ports as one tuple (r, p,
-    s_in, s_out, None where the mode lacks one) and one by one, where the
-    port map writes (the wave block, or p's halves (E, 2, n)) and
-    states[(q + 1) % R], where the update goes, then the run's: the halves
-    of the [x; xi] buffer, the gather indices, the delay line and channel
-    end, the coupling blocks, the problem, the plan, h and the guard's
-    scratch.  Row 0 starts as a copy of state.
+    operand step k reads when k % R = q, so a step looks up one tuple (and
+    in the delayed modes the delay line's rows of step k): the row's
+    AgentDerivative, its ports as one tuple (r, p, s_in, s_out, None where
+    the mode lacks one) and one by one, where the port map writes (the wave
+    block as (E, 6, n), or p's halves (E, 2, n)) and states[(q + 1) % R],
+    where the update goes, then the run's: the halves of the [x; xi]
+    buffer u, the gather indices, the delay line's rows with its pop
+    indices and push rows by count of steps mod its depth, the port map
+    and its operand, the problem, the plan, h and the guard's scratch.
+    The delay line is stepped through those rows, not its pop and push,
+    and in scattering mode u is its spare rows, after the samples, so one
+    take gathers each edge's incoming wave and [x_i; xi_i] side by side,
+    the [s_in; u] operand (E, 4n) of the channel end's map.  Row 0 starts
+    as a copy of state.
     """
 
     def __init__(self, prob, cfg, state, per_slot):
         net, dim, comp = prob.network, prob.dim, cfg.compensator
         self.h = cfg.step
         coupling = CouplingMatrix(net.weight, dim)
+        n, edges, waves = prob.n_agents, len(net.own), cfg.mode == "scattering"
         self.line = self.end = None
         if cfg.mode != "no_delay":
             if cfg.delays is None:
@@ -897,12 +915,11 @@ class _Run:
             if delays.shape != net.own.shape:
                 raise ValueError(f"delays: expected shape {net.own.shape}, one per edge in the "
                                  f"network's table order, got {delays.shape}")
-            self.line = DelayLine(delays, cfg.step, 2 * dim, net.rev)
-        if cfg.mode == "scattering":
+            self.line = DelayLine(delays, cfg.step, 2 * dim, net.rev, n if waves else 0)
+        if waves:
             self.end = ChannelEnd(coupling, cfg.eta)
 
-        edges, agents, waves = len(net.own), (prob.n_agents, dim), self.end is not None
-        port = (edges, 2 * dim)
+        agents, port = (n, dim), (edges, 2 * dim)
         shapes = [state.z.shape, state.z.shape, agents, agents, agents,
                   (edges, 3, 2 * dim) if waves else port, port]
         self.per_slot = per_slot
@@ -925,15 +942,28 @@ class _Run:
         rows = [(AgentDerivative._of(self.table, self.zdot[q], self.nu[q], self.grad[q],
                                      self.zeta[q]),
                  tuple(None if a is None else a[q] for a in self.ports),
-                 first[q] if waves else second[q].reshape(edges, 2, dim),
+                 first[q].reshape(edges, 6, dim) if waves else second[q].reshape(edges, 2, dim),
                  self.states[(q + 1) % count]) for q in range(count)]
         self.plan = _Plan(prob, comp, self.states[0], [row[0] for row in rows])
-        u, diff = np.empty((prob.n_agents, 2 * dim)), np.empty(port)  # rows [x_i; xi_i], r - u_own
-        # writable copies: take copies a read-only index array at every call;
+
+        # rows [x_i; xi_i], r - u_own; writable index copies: take copies a
+        # read-only index array at every call
+        u, diff = np.empty((n, 2 * dim)), np.empty(port)
+        own, ring, depth, samples, joined = net.own.copy(), None, 1, None, np.empty((edges, 4 * dim))
+        if self.line is not None:
+            line = self.line
+            samples, index, depth = line._rows, line._index, line._depth
+            if waves:  # j's wave beside [x_i; xi_i], which follows the samples
+                u = samples[-n:]
+                index = np.stack([index, np.broadcast_to(len(samples) - n + own, index.shape)],
+                                 axis=-1)
+            ring = (index, line._buf)
+        maps, split = ((self.end._map, joined.reshape(edges, 4, dim)) if waves else
+                       (coupling.blocks, diff.reshape(edges, 2, dim)))
         # h as a 0-d array, which numpy multiplies by without converting it
-        run = (u[:, :dim], u[:, dim:], u, net.own.copy(), net.nbr.copy(), self.u_own, self.line,
-               self.end, diff, diff.reshape(-1, 2, dim), coupling.blocks, prob, comp, self.plan,
-               np.array(cfg.step), np.empty_like(state.z))
+        run = (u[:, :dim], u[:, dim:], u, own, net.nbr.copy(), self.u_own, ring, depth, samples,
+               joined.reshape(edges, 2, 2 * dim), joined[:, :2 * dim], diff, maps, split, prob, comp,
+               self.plan, np.array(cfg.step), np.empty_like(state.z))
         self.at = [(deriv, ports, *ports, mapped, nxt) + run for deriv, ports, mapped, nxt in rows]
 
     def step(self, k, t, state):
@@ -944,39 +974,54 @@ class _Run:
         entry beyond DIVERGENCE_LIMIT), the LambdaGuardError of the update
         or "nan", a non-finite zdot, tested only after another trip; a "nan"
         step is not pushed."""
-        (deriv, ports, r, p, s_in, s_out, mapped, nxt, u_x, u_xi, u, own, nbr, u_own, line, end,
-         diff, diff_pairs, blocks, prob, comp, plan, h, mags) = self.at[k % self.count]
+        (deriv, ports, r, p, s_in, s_out, mapped, nxt, u_x, u_xi, u, own, nbr, u_own, ring, depth,
+         samples, joined, s_half, diff, maps, split, prob, comp, plan, h,
+         mags) = self.at[k % self.count]
         u_x[...] = state._x
         u_xi[...] = state._xi
 
         # phase 1: the port pair (r, p) of every directed edge i <- j; a
         # take with mode "raise" would copy through a buffer, and every
         # index is in range, so "clip" gathers straight into the row
-        u.take(own, 0, u_own, "clip")
-        if line is None:
+        if ring is None:
+            u.take(own, 0, u_own, "clip")
             u.take(nbr, 0, r, "clip")
         else:  # what crossed is j's wave (scattering) or its [x_j; xi_j]
-            line.pop(t, s_in if end is not None else r)
-        if end is not None:  # i's wave goes back
-            end.recover(s_in, u_own, mapped)
-        else:
+            c = k % depth  # the line's pop and push rows after c pushes
+            index, sent = ring[0][c], ring[1][c]
+            if s_in is None:
+                u.take(own, 0, u_own, "clip")
+                samples.take(index, 0, r, "clip")
+            else:  # [s_in; u_own] in one take, and i's wave goes back
+                samples.take(index, 0, joined, "clip")
+                np.copyto(s_in, s_half)
+        if s_in is None:
             np.subtract(r, u_own, diff)
-            np.matmul(blocks, diff_pairs, mapped)
+        np.matmul(maps, split, mapped)
 
         # phase 2: derivatives from the edges' p, the update, its guards
         derivatives(prob, comp, state, p, deriv, plan)
         try:
             euler_step(state, deriv, h, nxt)
-            trip = "divergence" if _diverged(nxt._z, mags) else None
+            z = nxt._z  # _diverged's dot product, inline: it decides most steps
+            trip = None if z.dot(z) < _SQUARES_BOUND or not _diverged(z, mags) else "divergence"
         except LambdaGuardError as err:
             trip = err
         if trip is not None and not np.isfinite(deriv.zdot).all():
             return deriv, ports, nxt, "nan"
 
         # phase 3: push what crosses each edge into its delay line
-        if line is not None:
-            line.push(u_own if end is None else s_out, t)
+        if ring is not None:
+            np.copyto(sent, u_own if s_in is None else s_out)
         return deriv, ports, nxt, trip
+
+
+def _energy(waves, offsets):
+    """Per step and half of waves (K, 2C, 2n), the energy of its offset
+    waves: (K, 2), each the sum of the C 2n squares of waves + offsets,
+    written over waves."""
+    np.square(np.add(waves, offsets, waves), waves)
+    return np.add.reduce(waves.reshape(len(waves), 2, -1), -1)
 
 
 class _DiagState:
@@ -1024,25 +1069,37 @@ class _DiagState:
         self.excess = np.full((3, n), -np.inf)
         if not self.has_ports:
             self.excess[2] = np.nan
-        self.xi_factor = 2.0 if cfg.mode == "scattering" else 1.0
-        # (storage, bound, defect) rows of the last evaluated row, (3, 1, N)
-        # each; (3, 0, N) before the first block
-        self.prev = (np.empty((3, 0, n)),) * 3
+        # the coupling storage's xi offset: the scattering loop settles with
+        # xi doubled
+        self.xi_star = (2.0 if cfg.mode == "scattering" else 1.0) * ref.xi
+        # (storage, bound, defect) x (compensator, multiplier, coupling)
+        # rows of a block, after the carried last row of the block before
+        # (row 0, once carried)
+        self.rows = np.empty((3, 3, run.per_slot + 1, n))
+        self.carried = False
         self.edge_const = 0.0
         self.acc = 0.0
         self.wave_max = 0.0
         self.diag_t, self.lyap_direct, self.lyap_delayed = [], [], []
-        self.channels = None
+        self.waves = None
         self.r_star, self.p_star, gamma, delta = ref.port_offsets(net, cfg.mode, cfg.eta)
         self.phi_star, self.zeta_star = ref.forces(prob)
         if cfg.mode == "scattering":
             fwd, bwd = net.fwd, net.bwd
-            self.channels = (fwd, bwd, gamma[fwd], delta[fwd])
+            # channel c, between the ends fwd[c] and bwd[c], stores
+            # |s_out + gamma_c|^2 at fwd[c] and |s_out - delta_c|^2 at bwd[c],
+            # and takes back |s_in + gamma_c|^2 at bwd[c] and |s_in - delta_c|^2
+            # at fwd[c]: the edges whose s_out and whose s_in go with the
+            # channels' offsets [gamma; -delta] (2C, 2n), row for row
+            self.waves = (np.concatenate([fwd, bwd]), np.concatenate([bwd, fwd]),
+                          np.concatenate([gamma[fwd], -delta[fwd]]))
             self.edge_const = 0.5 * float(np.sum(
                 log.delays[fwd] * np.sum(gamma[fwd] ** 2, axis=1)
                 + log.delays[bwd] * np.sum(delta[fwd] ** 2, axis=1)
             ))
         self.every = max(1, int(round(cfg.diag_interval / cfg.step)))
+        # the records of each full slot's rows, made once
+        self.blocks = [self._block(slot, run.per_slot) for slot in (0, 1)]
 
         self.k, self.s, self.j, self.busy, self.pid, self.closed = 0, 0, 0, False, None, False
         if steps >= _DIAG_FORK_STEPS and _fork_cpus() >= 2:
@@ -1149,73 +1206,79 @@ class _DiagState:
     def _reports(self):
         return self.excess, self.wave_max, self.diag_t, self.lyap_direct, self.lyap_delayed
 
+    def _block(self, slot, K):
+        """(state, derivative, r, p, s_in, s_out) records of the first K rows
+        of slot, stacked (K, ...), None where the mode lacks a port."""
+        run = self.run
+        rows = slice(slot * run.per_slot, slot * run.per_slot + K)
+        z, zdot, nu, grad, zeta = (a[rows] for a in (run.z, run.zdot, run.nu, run.grad, run.zeta))
+        return (AgentState._of(run.table, z), AgentDerivative._of(run.table, zdot, nu, grad, zeta),
+                *(None if a is None else a[rows] for a in run.ports))
+
     def _evaluate(self, slot, K, first, closed):
         """Evaluate the K rows of slot, those of steps first.., the last the
         closing row when closed: storages, the rate-excess update of each
         against the row before, the wave identity, the channel integral and
         the Lyapunov samples on the grid."""
-        run = self.run
-        rows = slice(slot * run.per_slot, slot * run.per_slot + K)
-        z, zdot, nu, grad, zeta = (a[rows] for a in (run.z, run.zdot, run.nu, run.grad, run.zeta))
-        r, p, s_in, s_out = (None if a is None else a[rows] for a in run.ports)
+        if K == self.run.per_slot:  # the slot's records, and its states' x anew
+            st, deriv, r, p, s_in, s_out = self.blocks[slot]
+            _stage_sum(st._stages, st._x)
+        else:
+            st, deriv, r, p, s_in, s_out = self._block(slot, K)
         prob, cfg = self.log.problem, self.log.config
         ref, comp, h, tol = cfg.reference, cfg.compensator, cfg.step, 1e-3
-        st = AgentState._of(run.table, z)
-        deriv = AgentDerivative._of(run.table, zdot, nu, grad, zeta)
         sc = compensator_storage(comp, st.rho, ref.z)
         sg = multiplier_storage(prob, st.lam, st.mu, ref.lam, ref.mu)
-        # the coupling storage; NaN, like its excess row, without ports
-        s_full = np.full_like(sc, np.nan)
-        if self.has_ports:
-            s_full = sc + sg + 0.5 * np.sum((st.xi - self.xi_factor * ref.xi) ** 2, axis=-1)
-
         d_c, d_m, d_xi = storage_step_defects(prob, comp, st, deriv, ref.lam, h)
-        bnd_coup = np.full_like(d_c, np.nan)
-        if self.has_ports:
+        if self.has_ports:  # the coupling storage and bound
+            s_full = sc + sg + 0.5 * np.add.reduce(np.square(st.xi - self.xi_star), -1)
+            dr, dp = r - self.r_star, p - self.p_star
             bnd_coup = _owner_sums(prob.network.own, prob.n_agents,
-                                   np.sum((r - self.r_star) * (p - self.p_star), axis=-1), 1)
-        # (storage, bound, defect) rows: compensator, multiplier, coupling
-        storage = np.stack((sc, sg, s_full))
-        bound = np.stack((primal_rate_bound(st, deriv, ref.z, self.phi_star),
-                          multiplier_rate_bound(st, deriv, ref.z, self.zeta_star),
-                          bnd_coup))
-        defect = np.stack((d_c, d_m, d_c + d_m + d_xi))
+                                   np.add.reduce(np.multiply(dr, dp, dr), -1), 1)
+        else:  # NaN, like the coupling excess row
+            s_full = bnd_coup = np.full_like(sc, np.nan)
 
         # each row is checked against the row before it, the first against
         # the carried last row of the previous block
-        carry = (storage[:, K - 1:K], bound[:, K - 1:], defect[:, K - 1:])
-        storage, bound, defect = (np.concatenate([old, new], axis=1)
-                                  for old, new in zip(self.prev, (storage, bound, defect)))
-        self.prev = carry
-        pairs = storage.shape[1] - 1
-        if pairs:
+        rows = self.rows[:, :, :K + 1]
+        for q, pieces in enumerate(((sc, sg, s_full),
+                                    (primal_rate_bound(st, deriv, ref.z, self.phi_star),
+                                     multiplier_rate_bound(st, deriv, ref.z, self.zeta_star),
+                                     bnd_coup),
+                                    (d_c, d_m, d_c + d_m + d_xi))):
+            for piece, values in zip(rows[q], pieces):
+                piece[1:] = values
+        storage, bound, defect = rows if self.carried else rows[:, :, 1:]
+        if storage.shape[1] > 1:
             before = storage[:, :-1]
-            rate = ((storage[:, 1:] - before) / h - bound[:, :pairs] - defect[:, :pairs]
+            rate = ((storage[:, 1:] - before) / h - bound[:, :-1] - defect[:, :-1]
                     - tol * (1.0 + np.abs(before)))
             np.maximum(self.excess, rate.max(axis=1), out=self.excess)
+        rows[:, :, 0] = rows[:, :, K]
+        self.carried = True
 
         acc = None
-        if self.channels is not None:
+        if self.waves is not None:
             res = np.abs(wave_identity_residual(s_in, s_out, r, p)).max(axis=-1, initial=0.0)
             # a step whose residual is NaN is passed over, as max() does
             self.wave_max = float(np.fmax.reduce(res, initial=self.wave_max))
-            fwd, bwd, gamma, delta = self.channels
-
-            def energy(a):  # per step, summed like one step's (E, 2n) array
-                return np.sum((a**2).reshape(K, -1), axis=1)
-
-            power = (energy(s_out[:, fwd] + gamma) - energy(s_in[:, bwd] + gamma)
-                     + energy(s_out[:, bwd] - delta) - energy(s_in[:, fwd] - delta))
+            # each step's channel power, what the channels store less what
+            # they take back: per step and half of the offsets, the energy of
+            # its waves (K, 2)
+            out_edges, in_edges, offsets = self.waves
+            stored, taken = (_energy(a[:, edges], offsets)
+                             for a, edges in ((s_out, out_edges), (s_in, in_edges)))
+            power = stored[:, 0] - taken[:, 0] + stored[:, 1] - taken[:, 1]
             # acc[j]: the channel integral up to the step before row j
             acc = np.cumsum(np.concatenate([[self.acc], h * power]))
             self.acc = float(acc[K])
 
-        steps = np.arange(first, first + K)
-        grid = steps % self.every == 0
-        grid[-1] |= closed
-        on = np.flatnonzero(grid)
-        if on.size:
-            self.diag_t.extend((steps[on] * h).tolist())
+        # the grid rows: steps on the Lyapunov grid, and the closing row
+        on = list(range(-first % self.every, K, self.every))
+        if closed and K - 1 not in on:
+            on.append(K - 1)
+        if on:
+            self.diag_t.extend((first + j) * h for j in on)
             self.lyap_direct.extend((
                 sc[on].sum(axis=-1) + sg[on].sum(axis=-1)
                 + 0.5 * np.sum((st.xi[on] - ref.xi) ** 2, axis=(-2, -1))

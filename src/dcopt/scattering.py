@@ -68,9 +68,16 @@ class DelayLine:
     zero-history convention for t < delay.  lines, for an array of delays,
     picks and orders the lines that pop returns, one row each (all lines
     in order by default).
+
+    The buffer's rows of (width,), _rows, are the samples, _buf of
+    (depth,) + the sample shape, then spare rows that pop and push never
+    touch: a caller that keeps its own rows there gathers them with the
+    samples in one take.  After c pushes (mod the depth) pop reads the rows
+    _index[c] and push writes _buf[c], so a caller that counts its steps
+    can pop and push without these methods.
     """
 
-    def __init__(self, delay, h, width, lines=None):
+    def __init__(self, delay, h, width, lines=None, spare=0):
         if h <= 0.0:
             raise ValueError("step size must be positive")
         delay = np.asarray(delay, dtype=float)
@@ -88,8 +95,8 @@ class DelayLine:
         self.width = int(width)
         self._shape = delay.shape + (self.width,)
         depth = self._depth = int(steps.max(initial=1))
-        self._buf = np.zeros((depth,) + self._shape)
-        self._rows = self._buf.reshape(-1, self.width)  # the same memory, one row per sample
+        self._rows = np.zeros((depth * steps.size + spare, self.width))
+        self._buf = self._rows[:depth * steps.size].reshape((depth,) + self._shape)
         # _index[c] holds the buffer row of each line's sample to pop after
         # c pushes (mod the depth), counted in rows of (width,)
         back = np.arange(depth).reshape((depth,) + (1,) * steps.ndim) - steps
@@ -146,7 +153,6 @@ class ChannelEnd:
         self._sq2e = sq = np.sqrt(2.0 * eta)
         self._map = np.concatenate([np.concatenate(blocks, axis=-1) for blocks in (
             (sq * m, nm), (sq * nm, -eta * nm), (eta * m - nm, sq * nm))], axis=1)
-        self._joined = None  # [s_in; u] of the last call as (E, 4, n) blocks, and its halves
 
     def recover(self, s_in, u, out=None):
         """The block of (r, p, s_out), s_in.shape[:-1] + (3, 2n), from the
@@ -154,9 +160,8 @@ class ChannelEnd:
         block[..., 0, :] is r, [..., 1, :] p and [..., 2, :] s_out.  It is
         one product, written into out when given, which must be C-contiguous
         of that shape (a ValueError names it otherwise, since the product
-        could not be written into it in place), and returned.  [s_in; u] is
-        copied into the two halves of a buffer made on the first call of each
-        input shape."""
+        could not be written into it in place), and returned.  A run's step
+        applies _map itself, to the [s_in; u] rows it gathers (engine._Run)."""
         dim = self.coupling.dim
         shape = s_in.shape[:-1] + (3, 2 * dim)
         if out is None:
@@ -164,15 +169,8 @@ class ChannelEnd:
         elif out.shape != shape or not out.flags.c_contiguous:
             raise ValueError(f"out: expected a C-contiguous array of shape {shape}, got shape "
                              f"{out.shape}, C-contiguous {out.flags.c_contiguous}")
-        joined = self._joined
-        if joined is None or joined[1].shape != s_in.shape:
-            whole = np.empty(s_in.shape[:-1] + (4 * dim,))
-            joined = self._joined = (whole.reshape(-1, 4, dim), whole[..., :2 * dim],
-                                     whole[..., 2 * dim:])
-        split, s_half, u_half = joined
-        s_half[...] = s_in
-        u_half[...] = u
-        np.matmul(self._map, split, out.reshape(-1, 6, dim))
+        joined = np.concatenate(np.broadcast_arrays(s_in, u), axis=-1, dtype=float)
+        np.matmul(self._map, joined.reshape(-1, 4, dim), out.reshape(-1, 6, dim))
         return out
 
     def outgoing_wave(self, r, p):
@@ -185,4 +183,6 @@ def wave_identity_residual(s_in, s_out, r, p):
     one per row of (E, 2n) stacks, in the factored form (s_in - s_out)^T
     (s_in + s_out) - 2 r^T p, which avoids the cancellation of two large
     squared norms."""
-    return np.sum((s_in - s_out) * (s_in + s_out), axis=-1) - 2.0 * np.sum(r * p, axis=-1)
+    diff = s_in - s_out
+    return (np.add.reduce(np.multiply(diff, s_in + s_out, diff), -1)
+            - 2.0 * np.add.reduce(r * p, -1))

@@ -362,6 +362,35 @@ def test_stacked_vector_gives_stacked_views():
     np.testing.assert_array_equal(d.zdot, np.stack([one.zdot for one in derivs]))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_stages_are_packed_stage_major(m):
+    # z holds each stage of every agent as one contiguous (N, n) block, stage
+    # by stage, and zdot likewise; rho and rho_dot are (..., N, m, n) views
+    # of those blocks with the values of c_k nu - b_k rho_k, for one state
+    # and for a block of K
+    rng = np.random.default_rng(80 + m)
+    prob = random_setup(rng)[0]
+    n, dim = prob.n_agents, prob.dim
+    comp = CompensatorParams(2.0 * np.arange(m), 1.0 + np.arange(m))
+    states = [AgentState(rng.normal(size=(n, m, dim)), rng.normal(size=(n, dim)),
+                         rng.uniform(0.1, 2.0, size=1), rng.normal(size=1)) for _ in range(3)]
+    effort = rng.normal(size=(prob.network.own.size, 2 * dim))
+    derivs = [derivatives(prob, comp, st, effort) for st in states]
+    stages = n * m * dim
+    for st, d in zip(states, derivs):
+        assert st.rho.shape == d.rho_dot.shape == (n, m, dim)
+        assert np.shares_memory(st.rho, st.z) and np.shares_memory(d.rho_dot, d.zdot)
+        assert st.z[:stages].tobytes() == np.ascontiguousarray(st.rho.swapaxes(0, 1)).tobytes()
+        want = comp.c[:, None] * d.nu[:, None, :] - comp.b[:, None] * st.rho
+        assert d.rho_dot.tobytes() == want.tobytes()
+        assert d.zdot[:stages].tobytes() == np.ascontiguousarray(want.swapaxes(0, 1)).tobytes()
+    st, d = stacked_records(states, derivs)
+    assert st.rho.shape == d.rho_dot.shape == (3, n, m, dim)
+    for k, (one, one_d) in enumerate(zip(states, derivs)):
+        assert st.rho[k].tobytes() == one.rho.tobytes()
+        assert d.rho_dot[k].tobytes() == one_d.rho_dot.tobytes()
+
+
 def test_compensator_storage_hand_value():
     comp = lead_comp()
     rho = np.array([[[2.0], [3.0]], [[1.0], [0.0]]])

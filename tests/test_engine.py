@@ -35,7 +35,7 @@ from dcopt.problem import (
     QuadraticFunction,
     ScalarFunction,
 )
-from dcopt.scattering import CouplingMatrix
+from dcopt.scattering import ChannelEnd, CouplingMatrix, DelayLine
 
 
 def single_agent_problem():
@@ -2095,6 +2095,65 @@ def test_run_step_is_the_first_step_of_simulate(mode):
         assert (port is None) == (len(series) == 0)
         if port is not None:
             assert port.tobytes() == series[0].tobytes()
+
+
+@pytest.mark.parametrize("mode", ["naive_delay", "scattering"])
+def test_bound_delay_line_and_channel_end_are_the_hand_driven_ones(mode):
+    # _Run steps the delay line through its rows, bound once per run, and in
+    # scattering mode applies the channel end's map itself: over more than
+    # two wraps of the deepest of unequal lines, every step's s_in (r in
+    # naive mode), its (r, p, s_out) block and each pushed row are what
+    # DelayLine.pop and push and ChannelEnd.recover give, driven by hand
+    prob = chord_quadratic()
+    net, dim = prob.network, prob.dim
+    rng = np.random.default_rng(11)
+    zeros = AgentState.zeros(SimConfig().compensator, prob)
+    init = AgentState(rng.normal(size=zeros.rho.shape), rng.normal(size=zeros.xi.shape),
+                      rng.uniform(0.5, 2.0, zeros.lam.shape), rng.normal(size=zeros.mu.shape))
+    cfg = SimConfig(step=0.01, mode=mode, initial=init,
+                    delays=per_edge(net, lambda i, j: 0.01 * (i + 2 * j + 1)))
+    run = engine._Run(prob, cfg, init, 1)
+    line = DelayLine(cfg.delays, cfg.step, 2 * dim, net.rev)
+    end = ChannelEnd(CouplingMatrix(net.weight, dim), cfg.eta)
+    depth = line._depth
+    assert len(set(line.steps.tolist())) >= 4 and depth >= 4
+    state = run.states[0]
+    for k in range(2 * depth + 3):
+        t = k * cfg.step
+        u_own = np.concatenate([state.x, state.xi], axis=1)[net.own]
+        with np.errstate(all="ignore"):
+            _, (r, _, s_in, _), nxt, trip = run.step(k, t, state)
+        assert trip is None
+        popped = line.pop(t)
+        if mode == "scattering":
+            assert s_in.tobytes() == popped.tobytes(), k
+            block = end.recover(popped, u_own)
+            assert run.waves[k % run.count].tobytes() == block.tobytes(), k
+            sent = block[:, 2]
+        else:
+            assert r.tobytes() == popped.tobytes(), k
+            sent = u_own
+        line.push(sent, t)
+        assert run.line._buf[k % depth].tobytes() == line._buf[k % depth].tobytes(), k
+        state = nxt
+    assert not np.all(popped == 0.0)  # the lines carried something back
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_initial_state_round_trips_through_the_stage_major_rows(m):
+    # SimConfig.initial goes into the run's rows, which hold the stages
+    # stage-major, and comes out of the log's (S, N, m, n) rho as given: a
+    # run of no steps logs it as its closing sample
+    prob = chord_quadratic()
+    comp = CompensatorParams(2.0 * np.arange(m), 1.0 + np.arange(m))
+    rng = np.random.default_rng(60 + m)
+    zeros = AgentState.zeros(comp, prob)
+    init = AgentState(rng.normal(size=zeros.rho.shape), rng.normal(size=zeros.xi.shape),
+                      rng.uniform(0.5, 2.0, zeros.lam.shape), rng.normal(size=zeros.mu.shape))
+    log = simulate(prob, SimConfig(duration=0.0, compensator=comp, initial=init))
+    assert log.rho.shape == (1, prob.n_agents, m, prob.dim)
+    for name in ("rho", "xi", "lam", "mu", "x"):
+        assert getattr(log, name)[-1].tobytes() == getattr(init, name).tobytes(), name
 
 
 @pytest.mark.parametrize("affine", [True, False])

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "step_ab.py"
 
@@ -47,6 +49,14 @@ def test_naive_delay_mode_runs():
     # mode does
     done = step_ab("--mode", "naive_delay", "--batches", "1")
     assert_report(done.stdout, "naive_delay, N = 5: 1 batches of 100 steps a side", 1)
+
+
+@pytest.mark.parametrize("mode", ["scattering", "naive_delay"])
+def test_certificates_mode_times_the_evaluator(mode):
+    # a slot of _DIAG_BLOCK = 32 rows, evaluated four times a batch; naive
+    # delay has no ports, so its coupling rows take the other branch
+    done = step_ab("--mode", mode, "--certificates", "--batches", "2")
+    assert_report(done.stdout, f"{mode}, N = 5, certificates: 2 batches of 128 steps a side", 2)
 
 
 def test_a_config_the_trees_reject_is_a_usage_error():

@@ -1,6 +1,7 @@
 """Time the engine's step in one process: this tree's against another's.
 
     python3 tools/step_ab.py BASE [--mode M] [--agents N] [--batches B]
+                             [--certificates]
 
 BASE is a source tree, as for tools/same_outputs.py.  The src/dcopt of
 BASE and of the tree this script is in are imported side by side under two
@@ -16,9 +17,18 @@ data), then the median over the pairs of change / base and the number of
 pairs in which the change was faster.  A config that either tree rejects
 (say --agents 2) is a usage error; a step that trips a guard ends the tool
 with an error.
+
+With --certificates the sides time the online certificate evaluator
+instead, _DiagState._evaluate, in this process.  Each side's run goes on
+from the state its 1 s ends in, with that state as the reference (what the
+evaluator costs does not depend on the reference's values), and fills one
+slot of certificate rows, _DIAG_BLOCK steps of its tree; a batch evaluates
+that slot as often as it takes to cover 100 steps, and the times are
+microseconds per evaluated step.
 """
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import pathlib
@@ -48,11 +58,12 @@ class Side:
 
     def __init__(self, cli, engine, cfg, scenario):
         _, prob, sim = cli.build_scenario(cfg, scenario)
+        self.prob, self.sim = prob, sim
         self.run = engine._Run(prob, sim, engine._initial_state(prob, sim), 1)
-        self.state, self.k, self.times = self.run.states[0], 0, []
-        self.batch(round(WARM / sim.step))
+        self.state, self.k, self.times, self.steps = self.run.states[0], 0, [], STEPS
+        self.step(round(WARM / sim.step))
 
-    def batch(self, count):
+    def step(self, count):
         """Step and commit count steps; their seconds."""
         run, state, h = self.run, self.state, self.run.h
         start = time.perf_counter()
@@ -62,6 +73,39 @@ class Side:
                 sys.exit(f"step {k} tripped a guard: {trip}")
         elapsed = time.perf_counter() - start
         self.state, self.k = state, self.k + count
+        return elapsed
+
+    def batch(self):
+        return self.step(STEPS)
+
+
+class Certificates(Side):
+    """One tree's certificate evaluator, evaluating one filled slot of rows
+    batch by batch."""
+
+    def __init__(self, cli, engine, cfg, scenario):
+        super().__init__(cli, engine, cfg, scenario)
+        state = self.state
+        ref = engine.ReferencePoint(state.x, state.xi, state.lam, state.mu)
+        start = engine.AgentState(state.rho, state.xi, state.lam, state.mu)
+        sim = dataclasses.replace(self.sim, reference=ref, initial=start)
+        self.run = engine._Run(self.prob, sim, engine._initial_state(self.prob, sim),
+                               engine._DIAG_BLOCK)
+        log = engine.TrajectoryLog(sim, self.prob)
+        log.delays = None if self.run.line is None else self.run.line.delay
+        self.diag = engine._DiagState(log, self.run, 0)  # no steps: it never forks
+        self.state, self.k, self.per_slot = self.run.states[0], 0, self.run.per_slot
+        self.step(self.per_slot)
+        self.steps, self.first = -(-STEPS // self.per_slot) * self.per_slot, 0
+
+    def batch(self):
+        """Evaluate the slot enough times to cover STEPS steps; the seconds."""
+        evaluate, per_slot = self.diag._evaluate, self.per_slot
+        start = time.perf_counter()
+        for first in range(self.first, self.first + self.steps, per_slot):
+            evaluate(0, per_slot, first, False)
+        elapsed = time.perf_counter() - start
+        self.first += self.steps
         return elapsed
 
 
@@ -74,6 +118,8 @@ def main(argv=None):
     parser.add_argument("--agents", type=int, default=5, help="agents (default: 5)")
     parser.add_argument("--batches", type=int, default=400,
                         help="batches of 100 steps a side (default: 400)")
+    parser.add_argument("--certificates", action="store_true",
+                        help="time the certificate evaluator, per evaluated step")
     args = parser.parse_args(argv)
     if args.batches < 1:
         parser.error("--batches must be at least 1")
@@ -85,12 +131,15 @@ def main(argv=None):
             configs.append((cli, engine, cli.validate_config(overrides={"agents": args.agents})))
         except cli.ConfigError as err:
             parser.error(f"{tree}: {err}")
+    kind = Certificates if args.certificates else Side
     with np.errstate(all="ignore"):  # as in simulate
-        sides = [Side(*config, args.mode) for config in configs]
+        sides = [kind(*config, args.mode) for config in configs]
         for b in range(args.batches):
             for side in sides[::-1] if b % 2 else sides:
-                side.times.append(side.batch(STEPS) / STEPS * 1e6)
-    print(f"{args.mode}, N = {args.agents}: {args.batches} batches of {STEPS} steps a side")
+                side.times.append(side.batch() / side.steps * 1e6)
+    what = ", certificates" if args.certificates else ""
+    steps = "/".join(dict.fromkeys(str(side.steps) for side in sides))
+    print(f"{args.mode}, N = {args.agents}{what}: {args.batches} batches of {steps} steps a side")
     for label, side in zip(("base", "change"), sides):
         q1 = (statistics.quantiles(side.times, n=4, method="inclusive")[0]
               if len(side.times) > 1 else side.times[0])
