@@ -30,6 +30,14 @@ every function is affine, as in the matching LP, the same bincount also
 sums the constraint values: each nonzero entry times its owner's x at its
 column, into its row.  There is no loop over the agents, and no agent's
 terms or sums read another agent's x, multipliers or ports.
+On the affine path the rest of the no-delay flow is linear and
+time-invariant, and the same on each of the n columns: the compensator
+stages and the Laplacian coupling of [x; xi].  So one step of it is also
+one linear map of the stage-major block [rho_0 .. rho_{m-1}; xi] of z,
+T z + h c_k W on stage k with W = -grad f - zeta and T = I + h A, one
+matmul of an ((m + 1) N)^2 matrix made once per run, and [lam; mu] step by
+[2 h lam; h] times [g; h] (_linear_step).  It rounds differently from
+derivatives and euler_step, by about 1e-13 over a run at scale 20.
 The rate bounds read grad f(x) and zeta from the AgentDerivative of the
 same step and take phi* = grad f(z*) and zeta* = zeta(z*, lam*, mu*),
 which stay fixed for a run, from the caller.
@@ -299,7 +307,8 @@ class _Plan:
     loop path, where coefs is None, the force's entries only).  The owner
     sum's first cut = 3 N n bins are zeta and the efforts' two halves,
     three parts of N n, and its last L + M, on the affine path, the
-    values [g; h].
+    values [g; h].  _linear_step sums the weights but p's, on their bins,
+    for zeta and [g; h].
     simulate makes one per run and derivatives a fresh one per call without
     it, so no two runs or calls share one.
 
@@ -447,6 +456,72 @@ def euler_step(state, deriv, h, out=None):
     if lam.size and lam[lam.argmin()] <= 0.0:
         k = int(np.argmax(lam <= 0.0))
         raise LambdaGuardError(k, float(lam[k]))
+    return nxt
+
+
+def _linear_records(prob, comp, plan, blocks, h, states):
+    """The records of _linear_step, one for a step from each of the
+    AgentStates states of one layout into the next one (the last into the
+    first): the state, T = I + h A, their block views, the update's stage
+    rows, both [lam; mu] tails, the update, then plan's force-and-values
+    operands and the buffers, made once per run.
+
+    A is the flow's linear part on the block ((m + 1) N, n): -b_k rho_k on
+    stage k, c_k times the x half of each agent's summed effort, and the xi
+    half as xi_dot.  An edge i <- j of prob's network, with blocks (E, 2,
+    2) its coupling maps, adds B (u_j - u_i) to agent i's effort, u = [x;
+    xi] and x the stages' sum."""
+    net, n, m, dim = prob.network, prob.n_agents, comp.m, prob.dim
+    eye = np.eye(n)
+    # efforts (2, N) from u (2, N): B at (i, j), -B at (i, i) per edge
+    coupled = np.zeros((2, n, 2, n))
+    np.add.at(coupled, (slice(None), net.own, slice(None), net.nbr), blocks)
+    np.add.at(coupled, (slice(None), net.own, slice(None), net.own), -blocks)
+    # u from the block, x the stages' sum; the block's rates from the
+    # efforts, c_k times the x half on stage k and the xi half on xi
+    gather = np.kron([[1.0] * m + [0.0], [0.0] * m + [1.0]], eye)
+    spread = np.kron(np.vstack([np.c_[comp.c, np.zeros(m)], [0.0, 1.0]]), eye)
+    decay = np.kron(np.diag(np.r_[comp.b, 0.0]), eye)
+    lti = np.eye((m + 1) * n) + h * (spread @ coupled.reshape(2 * n, 2 * n) @ gather - decay)
+
+    (_, x_bins, x_products, at, products, lam_part, both, bins, weights, size, cut,
+     zeta_part, *_) = plan.ops
+    head = weights.size - len(net.own) * 2 * dim  # the weights but p's
+    scale = np.full(prob._owner.size, h)  # [2 h lam; h]
+    lams = prob.ineq_owner.size
+    run = (x_bins, x_products, at, products, lam_part, both, plan.coefs, bins[:head],
+           weights[:head], size, zeta_part, slice(cut, None), plan.neg_grad, np.empty(n * dim),
+           h * comp.c[:, None], np.empty((m, n * dim)), scale[:lams], np.array(2.0 * h), scale,
+           np.empty(prob._owner.size), lams > 0)
+    block = (m + 1) * n * dim  # [stages; xi] entries of z, then [lam; mu]
+    return [(st, lti, st._z[:block].reshape(-1, dim), nxt._z[:block].reshape(-1, dim),
+             nxt._by_stage.reshape(m, -1), st._z[block:], nxt._z[block:], nxt) + run
+            for st, nxt in zip(states, states[1:] + states[:1])]
+
+
+def _linear_step(state, record):
+    """One no-delay step on the affine path by the linear map, from the
+    record's state into its update, which is returned, or None when an
+    updated lam is <= 0 (argmin stops at a NaN, as in euler_step).  zeta
+    and [g; h] are derivatives' bincount without p's weights, and x is the
+    update's stage sum, as euler_step forms it."""
+    (_, lti, block, nxt_block, nxt_stages, tail, nxt_tail, nxt, x_bins, x_products, at,
+     products, lam_part, both, coefs, bins, weights, size, zeta_part, values, neg_grad,
+     force, hc, pushed, scale_lam, h2, scale, scaled, has_lam) = record
+    state._x.take(x_bins, None, x_products, "clip")
+    state._z.take(at, None, products, "clip")
+    np.square(lam_part, lam_part)
+    np.multiply(both, coefs, both)
+    sums = np.bincount(bins, weights, size)
+    np.subtract(neg_grad, sums[zeta_part], force)
+    np.matmul(lti, block, nxt_block)
+    np.add(nxt_stages, np.multiply(hc, force, pushed), nxt_stages)
+    _stage_sum(nxt._stages, nxt._x)
+    np.multiply(state._lam, h2, scale_lam)
+    np.add(tail, np.multiply(scale, sums[values], scaled), nxt_tail)
+    lam = nxt._lam
+    if has_lam and lam[lam.argmin()] <= 0.0:
+        return None
     return nxt
 
 

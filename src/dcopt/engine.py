@@ -35,6 +35,13 @@ explicit-Euler step has a fixed phase order:
        zdot is tested only after a trip: from a finite z, z + h zdot is
        finite and within the limit only when zdot is finite.
 
+An unlogged step of an uncertified no-delay run on an affine problem, one
+that no log row or certificate row reads, skips the exchange: its phases
+1-2 are one linear map of the packed state, precomputed per run (see
+dynamics._linear_step), with the same two guards.  A step that trips one
+runs again as above, from the same state, so every abort is the exchange
+step's.  It writes no zdot, nu, zeta or ports.
+
 Every quantity consumed in a step is therefore from time t; the step is a
 synchronous barrier, which is what makes runs bit-for-bit reproducible.
 One object owns what a step touches, _Run: the delay lines, the channel
@@ -110,6 +117,8 @@ from .dynamics import (
     CompensatorParams,
     LambdaGuardError,
     _Plan,
+    _linear_records,
+    _linear_step,
     _stage_sum,
     compensator_storage,
     derivatives,
@@ -900,6 +909,10 @@ class _Run:
     take gathers each edge's incoming wave and [x_i; xi_i] side by side,
     the [s_in; u] operand (E, 4n) of the channel end's map.  Row 0 starts
     as a copy of state.
+
+    In a no-delay run on an affine problem without a reference, linear_at
+    holds the records of the linear map of its unlogged steps, one per row
+    (dynamics._linear_records); it is None in every other run.
     """
 
     def __init__(self, prob, cfg, state, per_slot):
@@ -966,6 +979,13 @@ class _Run:
                self.plan, np.array(cfg.step), np.empty_like(state.z))
         self.at = [(deriv, ports, *ports, mapped, nxt) + run for deriv, ports, mapped, nxt in rows]
 
+        # the linear map of the unlogged steps of an uncertified affine
+        # no-delay run, which no log row or certificate row reads
+        self.log_every, self.linear_at = cfg.log_every, None
+        if cfg.mode == "no_delay" and prob._affine is not None and cfg.reference is None:
+            self.linear_at = _linear_records(prob, comp, self.plan, coupling.blocks, cfg.step,
+                                             self.states)
+
     def step(self, k, t, state):
         """Phases 1-3 of step k at time t from state, row k % R as a rule:
         (deriv, ports, update, trip), the derivative, the port pair (r, p,
@@ -973,7 +993,19 @@ class _Run:
         update of row (k + 1) % R.  trip is None, "divergence" (an updated
         entry beyond DIVERGENCE_LIMIT), the LambdaGuardError of the update
         or "nan", a non-finite zdot, tested only after another trip; a "nan"
-        step is not pushed."""
+        step is not pushed.
+
+        An unlogged step (k % log_every != 0) of an uncertified affine
+        no-delay run from states[k % R] is the linear map (_linear_step),
+        and deriv and ports are None: nothing reads them.  A map step that
+        trips a guard runs again here, from the same state, so every abort
+        is this step's."""
+        if self.linear_at is not None and k % self.log_every:
+            record = self.linear_at[k % self.count]
+            if state is record[0]:
+                nxt = _linear_step(state, record)
+                if nxt is not None and nxt._z.dot(nxt._z) < _SQUARES_BOUND:
+                    return None, None, nxt, None
         (deriv, ports, r, p, s_in, s_out, mapped, nxt, u_x, u_xi, u, own, nbr, u_own, ring, depth,
          samples, joined, s_half, diff, maps, split, prob, comp, plan, h,
          mags) = self.at[k % self.count]
@@ -1016,12 +1048,12 @@ class _Run:
         return deriv, ports, nxt, trip
 
 
-def _energy(waves, offsets):
-    """Per step and half of waves (K, 2C, 2n), the energy of its offset
-    waves: (K, 2), each the sum of the C 2n squares of waves + offsets,
-    written over waves."""
-    np.square(np.add(waves, offsets, waves), waves)
-    return np.add.reduce(waves.reshape(len(waves), 2, -1), -1)
+def _energy(waves, offsets, buf):
+    """Per step of waves (K, E, 2n), the energy of its waves offset by
+    offsets (E, 2n): (K,), each the sum of the E 2n squares, formed in buf,
+    of waves' shape."""
+    np.square(np.add(waves, offsets, buf), buf)
+    return np.add.reduce(buf.reshape(len(buf), -1), -1)
 
 
 class _DiagState:
@@ -1081,7 +1113,7 @@ class _DiagState:
         self.acc = 0.0
         self.wave_max = 0.0
         self.diag_t, self.lyap_direct, self.lyap_delayed = [], [], []
-        self.waves = None
+        self.offsets = None
         self.r_star, self.p_star, gamma, delta = ref.port_offsets(net, cfg.mode, cfg.eta)
         self.phi_star, self.zeta_star = ref.forces(prob)
         if cfg.mode == "scattering":
@@ -1089,10 +1121,12 @@ class _DiagState:
             # channel c, between the ends fwd[c] and bwd[c], stores
             # |s_out + gamma_c|^2 at fwd[c] and |s_out - delta_c|^2 at bwd[c],
             # and takes back |s_in + gamma_c|^2 at bwd[c] and |s_in - delta_c|^2
-            # at fwd[c]: the edges whose s_out and whose s_in go with the
-            # channels' offsets [gamma; -delta] (2C, 2n), row for row
-            self.waves = (np.concatenate([fwd, bwd]), np.concatenate([bwd, fwd]),
-                          np.concatenate([gamma[fwd], -delta[fwd]]))
+            # at fwd[c]: each edge's offsets of its s_out and its s_in, (E, 2n)
+            # each, the second the first's of the reverse edge, and a buffer
+            # for a block of either series
+            out = np.empty_like(gamma)
+            out[fwd], out[bwd] = gamma[fwd], -delta[fwd]
+            self.offsets = (out, out[net.rev], np.empty((run.per_slot,) + out.shape))
             self.edge_const = 0.5 * float(np.sum(
                 log.delays[fwd] * np.sum(gamma[fwd] ** 2, axis=1)
                 + log.delays[bwd] * np.sum(delta[fwd] ** 2, axis=1)
@@ -1258,17 +1292,14 @@ class _DiagState:
         self.carried = True
 
         acc = None
-        if self.waves is not None:
+        if self.offsets is not None:
             res = np.abs(wave_identity_residual(s_in, s_out, r, p)).max(axis=-1, initial=0.0)
             # a step whose residual is NaN is passed over, as max() does
             self.wave_max = float(np.fmax.reduce(res, initial=self.wave_max))
             # each step's channel power, what the channels store less what
-            # they take back: per step and half of the offsets, the energy of
-            # its waves (K, 2)
-            out_edges, in_edges, offsets = self.waves
-            stored, taken = (_energy(a[:, edges], offsets)
-                             for a, edges in ((s_out, out_edges), (s_in, in_edges)))
-            power = stored[:, 0] - taken[:, 0] + stored[:, 1] - taken[:, 1]
+            # they take back, (K,)
+            out, back, buf = self.offsets
+            power = _energy(s_out, out, buf[:K]) - _energy(s_in, back, buf[:K])
             # acc[j]: the channel integral up to the step before row j
             acc = np.cumsum(np.concatenate([[self.acc], h * power]))
             self.acc = float(acc[K])

@@ -1240,6 +1240,103 @@ def test_direct_flow_oracle_on_chord_graph(m, mode):
                                a=chord_matrix())
 
 
+# The linear map of an uncertified affine no-delay run's unlogged steps,
+# against the exchange step: log_every=1 logs every step, so no step takes
+# the map.  (stages, agents, ring weight, step) cover m = 1, 2 and 3, N = 3,
+# 5 and 8 and both steps, on the CLI's matching LP at non-unit weights.
+MAP_CASES = [(1, 3, 2.5, 1e-3), (2, 5, 1.5, 5e-3), (3, 8, 0.7, 1e-3),
+             (2, 3, 4.0, 5e-3), (3, 5, 2.5, 1e-3), (1, 8, 0.7, 5e-3)]
+THREE_STAGES = {"compensator_poles": [0.0, 2.0, 7.0], "compensator_gains": [1.0, 4.0, 9.0]}
+
+
+def final_within(a, b, tol):
+    """The final x, xi, lam and mu of the logs a and b agree within tol
+    times the larger of 1 and b's largest magnitude among them."""
+    scale = max([1.0] + [float(np.abs(v).max(initial=0.0)) for v in b.final_stacks()])
+    for name, u, v in zip(("x", "xi", "lam", "mu"), a.final_stacks(), b.final_stacks()):
+        assert np.abs(u - v).max(initial=0.0) <= tol * scale, name
+
+
+@pytest.mark.parametrize("stages, agents, weight, step", MAP_CASES)
+def test_no_delay_map_matches_the_exchange_step(stages, agents, weight, step):
+    cfg = validate_config(None, dict({"agents": agents, "ring_weight": weight, "step": step,
+                                      "duration": 400 * step, "diagnostics": False},
+                                     **(THREE_STAGES if stages == 3 else {})))
+    _, prob, sim = build_scenario(cfg, "no_compensator" if stages == 1 else "no_delay")
+    assert prob._affine is not None and sim.compensator.m == stages
+    mapped = simulate(prob, sim)  # the CLI logs every 1000th step: step 0 alone
+    exchanged = simulate(prob, dataclasses.replace(sim, log_every=1))
+    assert mapped.abort_reason is exchanged.abort_reason is None
+    assert len(mapped.t) == 2 and len(exchanged.t) == 401
+    final_within(mapped, exchanged, 1e-12)
+    # the map moved the state: it is no fixed point of the flow
+    assert not np.allclose(mapped.x[-1], mapped.x[0])
+
+
+def affine_guard_case(kind):
+    """(problem, SimConfig, abort step) of an affine no-delay run that trips
+    kind on a step that log_every = 100 does not log.  On a ring of three
+    agents with linear objectives, at step 7: g = x - 49 sends a lam below
+    zero as x falls past -1 (h = 0.01), or h = 0.3 makes the flow's Euler
+    map unstable; "lp" is the CLI's matching LP at h = 0.005 and ring
+    weight 0.7, where a lam crosses zero at step 28."""
+    if kind == "lp":
+        cfg = validate_config(None, {"ring_weight": 0.7, "step": 5e-3, "diagnostics": False})
+        _, prob, sim = build_scenario(cfg, "no_delay")
+        return prob, sim, 28
+    grads = (1.0, 1.5, 2.0) if kind == "lambda_guard" else (1.0, -2.0, 3.0)
+    cons = [AffineFunction([1.0], -49.0)] if kind == "lambda_guard" else []
+    prob = DistributedProblem(ring(3, 2.0), [LocalProblem(AffineFunction([g]), inequalities=cons)
+                                             for g in grads])
+    step = 0.01 if kind == "lambda_guard" else 0.3
+    return prob, SimConfig(step=step, diag_interval=step, duration=100 * step), 7
+
+
+@pytest.mark.parametrize("kind", ["lambda_guard", "divergence", "lp"])
+def test_guard_trip_on_a_mapped_step_is_the_exchange_steps(kind):
+    # a map step that trips a guard runs again as the exchange step, so its
+    # event is the one a full-rate run records: the step, the kind and the
+    # agent, and the value within the map's drift
+    prob, sim, step = affine_guard_case(kind)
+    assert prob._affine is not None
+    mapped, exchanged = (simulate(prob, dataclasses.replace(sim, log_every=every))
+                         for every in (100, 1))
+    [got], [want] = mapped.events, exchanged.events
+    assert (got["step"], got["kind"], got["agent"]) == (want["step"], want["kind"], want["agent"])
+    assert got["kind"] == kind.replace("lp", "lambda_guard")
+    assert got["step"] == step and mapped.abort_step == exchanged.abort_step == step
+    scale = max(1.0, float(np.abs(exchanged.rho[-1]).max()))
+    assert got["value"] == pytest.approx(want["value"], rel=0.0, abs=1e-12 * scale)
+    # a guard abort keeps the pre-step state, a divergence commits the step
+    final_within(mapped, exchanged, 1e-12)
+
+
+def test_runs_the_map_does_not_step_are_bit_equal_at_any_log_every(paper):
+    # a non-affine problem and a certified run step every step by the
+    # exchange: their common samples are bit-equal whatever log_every is,
+    # and so are the certified run's certificates
+    cfg, prob, ref = paper
+    quadratic = three_agent_quadratic()
+    assert quadratic._affine is None
+    _, _, sim = build_scenario(dict(cfg, duration=0.3, diag_interval=0.01, log_every=10),
+                               "no_delay")
+    certified = dataclasses.replace(sim, reference=ref)
+    for problem, base in ((quadratic, sim), (prob, certified)):
+        logs = [simulate(problem, dataclasses.replace(base, log_every=every))
+                for every in (10, 1)]
+        sparse, full = logs
+        assert sparse.abort_reason is full.abort_reason is None
+        assert len(sparse.t) == 31 and len(full.t) == 301
+        for name in ("t", "x", "xi", "rho", "lam", "mu", "zeta", "nu", "edge_r", "edge_p"):
+            ours, theirs = getattr(sparse, name), getattr(full, name)
+            assert ours.tobytes() == theirs[::10][:len(ours)].tobytes(), name
+    assert sparse.passivity is not None
+    for name in ("compensator_excess", "multiplier_excess", "coupling_excess"):
+        assert (getattr(sparse.passivity, name).tobytes()
+                == getattr(full.passivity, name).tobytes()), name
+    assert (sparse.lyap_direct, sparse.diag_t) == (full.lyap_direct, full.diag_t)
+
+
 def unequal_delay_steps(a, seed):
     """Whole-step delays drawn from 1..50 for each directed pair of a, the
     two directions of a pair unequal."""

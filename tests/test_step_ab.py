@@ -1,10 +1,12 @@
 """tools/step_ab.py, the in-process step timing of two trees."""
 
+import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -39,9 +41,16 @@ def test_this_tree_against_itself():
 
 
 def test_first_quartile_of_two_batches_is_within_the_data():
-    # the exclusive quartile of two values lies below the least of them
+    # the exclusive quartile of two values lies below the least of them; the
+    # default mode, no_delay, times the linear map of its unlogged steps
     done = step_ab("--batches", "2")
     assert_report(done.stdout, "no_delay, N = 5: 2 batches of 100 steps a side", 2)
+
+
+def test_no_compensator_mode_runs():
+    # the m = 1 run of the no-delay linear map, whose stages are x alone
+    done = step_ab("--mode", "no_compensator", "--batches", "2")
+    assert_report(done.stdout, "no_compensator, N = 5: 2 batches of 100 steps a side", 2)
 
 
 def test_naive_delay_mode_runs():
@@ -64,3 +73,20 @@ def test_a_config_the_trees_reject_is_a_usage_error():
     assert done.returncode == 2 and done.stdout == ""
     assert "usage:" in done.stderr and "agents" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+@pytest.mark.parametrize("mode, mapped", [("no_delay", True), ("no_compensator", True),
+                                          ("scattering", False)])
+def test_timed_steps_are_unlogged(mode, mapped):
+    # a side's steps after its warm-up are unlogged, so a no-delay side
+    # steps by the linear map, which returns no derivative, and the other
+    # modes by the exchange
+    spec = importlib.util.spec_from_file_location("step_ab", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    cli, engine = tool._load(ROOT, "dcopt_step_ab_probe")
+    side = tool.Side(cli, engine, cli.validate_config(overrides={"agents": 3}), mode)
+    assert side.sim.log_every > side.k + tool.STEPS
+    with np.errstate(all="ignore"):
+        deriv, _, _, trip = side.run.step(side.k, side.k * side.run.h, side.state)
+    assert trip is None and (deriv is None) == mapped

@@ -8,6 +8,7 @@ So must a target that is still there but no longer on the path simulate
 takes: its metric reads zero just the same.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 from collections import Counter
@@ -16,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import dcopt
+from dcopt import AgentState, ReferencePoint
 from dcopt.cli import build_scenario, validate_config
 from dcopt.engine import MODES
 
@@ -93,22 +95,26 @@ def test_benchmark_span_targets_resolve():
     assert missing == []
 
 
-# the per-step layers of the bench, and the modes whose steps call each;
+# the per-step layers of the bench, and how many of a run's 50 steps call
+# each: every step of the delayed modes and of a certified no-delay run, and
+# of an uncertified no-delay run only the logged one, step 0 (the CLI logs
+# every 1000th), since _Run steps its unlogged steps by the linear map;
 # _Run binds the delay line's rows and the channel end's map once per run
 # and steps through them, so the recover and delay-line spans see no step
 # (their layer metrics read 0 until the benchmark retargets them)
+RUNS = MODES + ("no_delay_certified",)
 PER_STEP = {
-    "dynamics.derivatives": MODES,
-    "dynamics.euler_step": MODES,
-    "scattering.recover": (),
-    "scattering.delay_line": (),
+    "dynamics.derivatives": dict.fromkeys(RUNS, 50) | {"no_delay": 1},
+    "dynamics.euler_step": dict.fromkeys(RUNS, 50) | {"no_delay": 1},
+    "scattering.recover": dict.fromkeys(RUNS, 0),
+    "scattering.delay_line": dict.fromkeys(RUNS, 0),
 }
 
 
-@pytest.mark.parametrize("mode", MODES)
-def test_benchmark_per_step_spans_see_every_step(mode, monkeypatch):
+@pytest.mark.parametrize("run", RUNS)
+def test_benchmark_per_step_spans_see_every_step(run, monkeypatch):
     # wrap each per-step target where the tracer wraps it: a short run must
-    # call each one of its mode once per step, and the others never
+    # call each one as often as PER_STEP says
     spans = load_spans()
     calls = Counter()
 
@@ -118,15 +124,20 @@ def test_benchmark_per_step_spans_see_every_step(mode, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    mode = run.removesuffix("_certified")
+    cfg = validate_config(None, {"agents": 3, "duration": 0.05, "diagnostics": False})
+    _, prob, sim = build_scenario(cfg, mode)
+    if mode != run:  # any reference that fits: the certificates check every step
+        state = AgentState.zeros(sim.compensator, prob)
+        sim = dataclasses.replace(sim, reference=ReferencePoint(state.x, state.xi, state.lam,
+                                                                state.mu))
     expected = {}
     for name, path, attr in spans.SPANS:
         if name in PER_STEP:
             owner = spans._resolve(path)
             monkeypatch.setattr(owner, attr, counting((name, attr), getattr(owner, attr)))
-            expected[(name, attr)] = 50 if mode in PER_STEP[name] else 0
+            expected[(name, attr)] = PER_STEP[name][run]
     assert len(expected) == 5
-    cfg = validate_config(None, {"agents": 3, "duration": 0.05, "diagnostics": False})
-    _, prob, sim = build_scenario(cfg, mode)
     log = dcopt.engine.simulate(prob, sim)
     assert log.abort_reason is None and len(log.t) == 2
     assert {key: calls[key] for key in expected} == expected

@@ -7,8 +7,13 @@ BASE is a source tree, as for tools/same_outputs.py.  The src/dcopt of
 BASE and of the tree this script is in are imported side by side under two
 package names (their imports are relative), and each builds the same run:
 the CLI's default config with N agents (default 5), the scenario M's
-problem and SimConfig (default no_delay), and the engine's _Run, stepped
-and committed for 1 s of simulated time from the zero start.  Then the two
+problem and SimConfig (default no_delay; no_compensator is its m = 1
+run), and the engine's _Run, stepped and committed for 1 s of simulated
+time from the zero start.  The run's log_every is set past its steps, so
+every step after step 0 is unlogged, and each side times what its tree
+commits on an unlogged step: _Run.step, which in this tree steps an
+uncertified no-delay run on an affine problem, the CLI's, by its linear
+map and the other modes by the port exchange.  Then the two
 sides take turns at batches of 100 committed steps, B batches each
 (default 400), the side that goes first alternating with each pair.
 Prints, for each side, the least and the first-quartile microseconds per
@@ -40,6 +45,7 @@ import numpy as np
 
 STEPS = 100  # committed steps per batch
 WARM = 1.0  # simulated seconds stepped before timing
+UNLOGGED = 2**62  # log_every: no step but step 0 is logged
 
 
 def _load(tree, name):
@@ -58,6 +64,7 @@ class Side:
 
     def __init__(self, cli, engine, cfg, scenario):
         _, prob, sim = cli.build_scenario(cfg, scenario)
+        sim = dataclasses.replace(sim, log_every=UNLOGGED)
         self.prob, self.sim = prob, sim
         self.run = engine._Run(prob, sim, engine._initial_state(prob, sim), 1)
         self.state, self.k, self.times, self.steps = self.run.states[0], 0, [], STEPS
