@@ -6,14 +6,14 @@ network's edge table (Network.own, nbr, rev, weight); every per-edge array
 of a run, from the delays to the logged ports, is in that row order.  One
 explicit-Euler step has a fixed phase order:
 
-    1. the port pair (r, p) of every directed edge i <- j, in every mode:
-       r is what agent i holds of neighbor j (see below) and
-       p = E (r - [x_i; xi_i]) the coupling effort, one batched matmul of
-       per-edge maps (scattering.py) that in scattering mode also gives the
-       outgoing waves.  [x_i; xi_i] is gathered by receiving agent into one
-       buffer of the run, and in no_delay mode r, the sender's, into the
-       row.  The derivatives, the diagnostics and the log all read this one
-       pair,
+    1. the port pair (r, p) of every directed edge i <- j, the same in
+       every mode: one take gathers what crossed the edge (see below)
+       beside its receiver's u_own = [x_i; xi_i], into the row, and one
+       batched matmul of per-edge maps (scattering.py) gives
+       p = E (r - u_own), the coupling effort, from r, what agent i holds
+       of neighbor j, or in scattering mode r, p and the outgoing wave from
+       [s_in; u_own].  The derivatives, the diagnostics and the log all read
+       this one pair,
     2. the derivatives of the whole network in one call, from the local
        terms and the edges' p, and the Euler update z + h zdot of the packed
        state (see AgentState) with its guards, an argmin of its lam view
@@ -24,8 +24,9 @@ explicit-Euler step has a fixed phase order:
        constraint values are one bincount over the weights of
        derivatives' plan (the force's and the values' products, the
        offsets and p), its bins planned once per run,
-    3. the push of every edge into the delay lines (the outgoing waves of
-       phase 1 in scattering mode, the sender's own [x; xi] in naive mode),
+    3. the push of every edge into the delay lines, one copy of the
+       outgoing rows (the waves of phase 1 in scattering mode, u_own, the
+       sender's own [x; xi], in naive mode),
     4. barrier commit of the update, or the abort of the first tripped of:
        nan (a non-finite zdot; the pre-step state is kept and the step is
        neither pushed, checked nor logged), lambda_guard (an updated lam
@@ -50,22 +51,22 @@ given state.  simulate keeps the loop, the samples, the aborts, the commit
 and the closing sample.  The step works in place: its ports, its
 derivative and its update are written into the run's rows, allocated once
 per run, the update into the row after the current state's, so one that
-does not commit overwrites no committed state.  A row holds only what the
-log and the certificates read: z, zdot, nu, grad, zeta and the mode's
+does not commit overwrites no committed state.  A row holds what the log
+and the certificates read, z, zdot, nu, grad, zeta and the mode's
 ports, r and p, or in scattering mode s_in and the wave block of r, p and
-s_out.  The step's scratch is the run's, one buffer each, and its operands
-are laid out once per run too: the views of each row that the port map
-writes, the delay line's pop and push rows after each count of steps,
+s_out, and u_own beside r or s_in, which phase 1 gathers with it.  The
+step's scratch is the run's, one buffer each, and its operands are laid
+out once per run too: the views of each row that the port map reads and
+writes, the take's index pairs and the push rows after each count of steps,
 and derivatives' _Plan (the compensator gains at their stage-major
 shape, the owner sum's weights and bins and, on the affine path, the
 constant grad f already written into every row), so a step makes only
 the numpy calls its arithmetic needs.  They are also bound once: each
 row's record in _Run.at holds every view and buffer its step reads, so a
-step looks up one tuple (and in the delayed modes one row of the delay
-line's pop indices and one of its samples), and the calls take their out
-positionally.  The step applies
-the delay line and the channel end's map itself, through those rows and
-views, without DelayLine.pop and push or ChannelEnd.recover.  What a step
+step looks up one tuple (and one entry of the index pairs and of the push
+rows), and the calls take their out positionally.  The step applies the
+delay line and the channel end's map itself, through those rows and views,
+without DelayLine.pop and push or ChannelEnd.recover.  What a step
 still allocates is the owner sum (bincount has no out) and the flat
 slices that split it.
 A logged step copies t, the packed z, nu, zeta and the ports into the
@@ -74,11 +75,14 @@ TrajectoryLog).
 
 Exchange modes
 --------------
-The modes differ only in what crosses an edge and so in where r comes from:
+The modes differ only in what crosses an edge, and so in the rows phase
+1's take reads and the map it applies:
 
-no_delay     r = [x_j; xi_j], the neighbor's current state
+no_delay     r = [x_j; xi_j], the neighbor's current state, a delay line
+             of depth 1 whose one sample is u
 naive_delay  r = the neighbor's [x_j; xi_j] popped from the delay line
-scattering   r and p are recovered from the incoming wave and [x_i; xi_i]
+scattering   r and p are recovered from the incoming wave s_in and
+             [x_i; xi_i]
 
 When a reference point (a converged state; simulate checks only its shape
 and finiteness, and cli.compute_reference its KKT residual) is supplied, the
@@ -159,11 +163,12 @@ _SQUARES_BOUND = (DIVERGENCE_LIMIT / 2) ** 2
 _DIAG_BLOCK = 32
 
 # Fewest steps for which a run with a reference forks a certificate
-# evaluator.  On N = 5 scattering runs (2-core VM, in a phase where its
-# steps ran at about twice their usual time) the fork, the engine's
-# copy-on-write faults after it and the final join cost about 11 ms and
-# the evaluator saved about 30 us per step: a forked run was slower at 300
-# steps and faster at 500 (13 of 15 pairs), so it breaks even near 400.
+# evaluator.  The fork, the engine's copy-on-write faults after it and the
+# final join cost a few ms, which the steps the evaluator takes off the
+# engine repay: simulate on N = 5 scattering runs (2-core VM, 20
+# alternating pairs) was faster forked in 1 pair of 20 at 300 steps, 12 at
+# 500, 18 at 700 and 20 at 1,000, and 20,000 steps took 588 ms forked
+# against 734 ms in process, about 7 us a step less.
 _DIAG_FORK_STEPS = 1000
 # A message to the evaluator: slot, rows in it, the step of its first row
 # and whether its last is the closing row.
@@ -877,18 +882,18 @@ class _Run:
     checked delays (line, in the delayed modes; line e carries what agent
     own[e] sends to nbr[e]), the ChannelEnd (end, in scattering mode), the
     step rows with their records, derivatives' _Plan and the step's scratch
-    buffers, among them u_own, [x_i; xi_i] gathered by receiving agent
-    (E, 2n), outside scattering mode.  step() runs phases 1-3 of one step;
-    simulate commits.
+    buffers.  step() runs phases 1-3 of one step; simulate commits.
 
-    The rows hold only what the log and the certificates read.  They are
-    two slots of per_slot rows, R = count rows in all, each field one
+    The rows hold what the log and the certificates read, and u_own.  They
+    are two slots of per_slot rows, R = count rows in all, each field one
     (R, ...) array over one shared mmap: the packed state z, its derivative
-    zdot, nu, grad and zeta, and the mode's ports, r and p (E, 2n) each, or
-    in scattering mode s_in (E, 2n) and waves, the (E, 3, 2n) block of r,
-    p and s_out that the channel end's map writes (None in the other
-    modes).  ports holds r, p, s_in and s_out over all rows, (R, E, 2n)
-    each, or None where the mode lacks it.
+    zdot, nu, grad and zeta, and the mode's ports with u_own, [x_i; xi_i]
+    by receiving agent (E, 2n), beside what crossed: [r; u_own] (2, E, 2n)
+    and p (E, 2n), or in scattering mode [s_in; u_own] (E, 2, 2n) and
+    waves, the (E, 3, 2n) block of r, p and s_out that the channel end's
+    map writes (None in the other modes).  ports holds r, p, s_in and s_out
+    over all rows, (R, E, 2n) each, or None where the mode lacks it, and
+    u_own its rows, (R, E, 2n).
 
     Step k reads its state from row k % R and writes its ports and
     derivative into that row and its update into row (k + 1) % R, so the
@@ -896,19 +901,21 @@ class _Run:
     on no committed state.  The records of each row are made once: states[q]
     is an AgentState over z[q] with its own x, and at[q] holds every
     operand step k reads when k % R = q, so a step looks up one tuple (and
-    in the delayed modes the delay line's rows of step k): the row's
-    AgentDerivative, its ports as one tuple (r, p, s_in, s_out, None where
-    the mode lacks one) and one by one, where the port map writes (the wave
-    block as (E, 6, n), or p's halves (E, 2, n)) and states[(q + 1) % R],
-    where the update goes, then the run's: the halves of the [x; xi]
-    buffer u, the gather indices, the delay line's rows with its pop
-    indices and push rows by count of steps mod its depth, the port map
-    and its operand, the problem, the plan, h and the guard's scratch.
-    The delay line is stepped through those rows, not its pop and push,
-    and in scattering mode u is its spare rows, after the samples, so one
-    take gathers each edge's incoming wave and [x_i; xi_i] side by side,
-    the [s_in; u] operand (E, 4n) of the channel end's map.  Row 0 starts
-    as a copy of state.
+    one entry of each of its lists, by step count mod the line's depth):
+    the row's AgentDerivative, its ports as one tuple (r, p, s_in, s_out,
+    None where the mode lacks one), r, p and u_own, the block the take
+    gathers, the map's operand (r - u_own as (E, 2, n), a buffer of the
+    run, or [s_in; u_own] as (E, 4, n)), where the map writes (p's halves
+    (E, 2, n) or the wave block as (E, 6, n)), the outgoing rows (u_own or
+    s_out) and states[(q + 1) % R], where the update goes; then the run's:
+    the halves of u = [x; xi] by agent, the rows the take reads, its index
+    pairs and the push rows by count of steps, the depth, the r - u_own
+    buffer (None in scattering mode), the per-edge maps, the problem, the
+    plan, h and the guard's scratch.  In the delayed modes u is the delay
+    line's spare rows, after its samples, so one take gathers what crossed
+    and u_own, and the line is stepped through those rows, not its pop and
+    push; in no_delay mode u is the rows, a line of depth 1 with no push.
+    Row 0 starts as a copy of state.
 
     In a no-delay run on an affine problem without a reference, linear_at
     holds the records of the linear map of its unlogged steps, one per row
@@ -928,13 +935,18 @@ class _Run:
             if delays.shape != net.own.shape:
                 raise ValueError(f"delays: expected shape {net.own.shape}, one per edge in the "
                                  f"network's table order, got {delays.shape}")
-            self.line = DelayLine(delays, cfg.step, 2 * dim, net.rev, n if waves else 0)
+            self.line = DelayLine(delays, cfg.step, 2 * dim, net.rev, n)
         if waves:
             self.end = ChannelEnd(coupling, cfg.eta)
 
         agents, port = (n, dim), (edges, 2 * dim)
+        # the mode's port fields: what phase 1's take gathers, [s_in; u_own]
+        # (E, 2, 2n) in scattering mode, the channel end map's operand, or
+        # [r; u_own] (2, E, 2n), and what the map writes, the (E, 3, 2n)
+        # block of r, p and s_out, or p
         shapes = [state.z.shape, state.z.shape, agents, agents, agents,
-                  (edges, 3, 2 * dim) if waves else port, port]
+                  (edges, 2, 2 * dim) if waves else (2,) + port,
+                  (edges, 3, 2 * dim) if waves else port]
         self.per_slot = per_slot
         count = self.count = 2 * per_slot
         # each field starts 64-byte aligned, so no kernel reads a less aligned
@@ -943,41 +955,47 @@ class _Run:
         flat = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=float)
         fields = [a[:count * math.prod(shape)].reshape((count,) + shape)
                   for a, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
-        self.z, self.zdot, self.nu, self.grad, self.zeta, first, second = fields
-        self.waves = first if waves else None
-        self.ports = ((first[:, :, 0], first[:, :, 1], second, first[:, :, 2]) if waves else
-                      (first, second, None, None))
+        self.z, self.zdot, self.nu, self.grad, self.zeta, gathered, mapped = fields
+        crossed, self.u_own = np.moveaxis(gathered, 2 if waves else 1, 0)
+        # per row: the map's operand and the outgoing rows the push copies
+        if waves:  # the channel end's map on [s_in; u_own], into the wave block
+            self.waves, maps, diff = mapped, self.end._map, None
+            self.ports = (mapped[:, :, 0], mapped[:, :, 1], crossed, mapped[:, :, 2])
+            operands, outgoing = gathered.reshape(count, edges, 4, dim), self.ports[3]
+        else:  # the coupling blocks on r - u_own, into p's halves
+            self.waves, maps, diff = None, coupling.blocks, np.empty(port)
+            self.ports = (crossed, mapped, None, None)
+            operands, outgoing = [diff.reshape(edges, 2, dim)] * count, self.u_own
+        mapped = mapped.reshape(count, edges, 6 if waves else 2, dim)
         self.table = state._table
         self.states = [AgentState._of(self.table, row) for row in self.z]
-        self.u_own = np.empty(port)
         np.copyto(self.states[0]._z, state._z)
         np.copyto(self.states[0]._x, state._x)
         rows = [(AgentDerivative._of(self.table, self.zdot[q], self.nu[q], self.grad[q],
                                      self.zeta[q]),
                  tuple(None if a is None else a[q] for a in self.ports),
-                 first[q].reshape(edges, 6, dim) if waves else second[q].reshape(edges, 2, dim),
+                 self.u_own[q], gathered[q], operands[q], mapped[q], outgoing[q],
                  self.states[(q + 1) % count]) for q in range(count)]
         self.plan = _Plan(prob, comp, self.states[0], [row[0] for row in rows])
 
-        # rows [x_i; xi_i], r - u_own; writable index copies: take copies a
-        # read-only index array at every call
-        u, diff = np.empty((n, 2 * dim)), np.empty(port)
-        own, ring, depth, samples, joined = net.own.copy(), None, 1, None, np.empty((edges, 4 * dim))
-        if self.line is not None:
-            line = self.line
-            samples, index, depth = line._rows, line._index, line._depth
-            if waves:  # j's wave beside [x_i; xi_i], which follows the samples
-                u = samples[-n:]
-                index = np.stack([index, np.broadcast_to(len(samples) - n + own, index.shape)],
-                                 axis=-1)
-            ring = (index, line._buf)
-        maps, split = ((self.end._map, joined.reshape(edges, 4, dim)) if waves else
-                       (coupling.blocks, diff.reshape(edges, 2, dim)))
+        # the rows the take reads: u = [x_i; xi_i] by agent, in the delay
+        # line's spare rows after its samples, or alone in no_delay mode, a
+        # line of depth 1 whose sample is u; after c pushes (mod the depth)
+        # index pairs c gather edge e's incoming row, the popped one or
+        # u[nbr[e]], and u[own[e]], pushes[c] is the row the push writes.
+        # The pairs are writable copies: take copies a read-only index array
+        # at every call
+        if self.line is None:
+            source, incoming, pushes = np.empty((n, 2 * dim)), net.nbr[None], None
+        else:
+            source, incoming, pushes = self.line._rows, self.line._index, list(self.line._buf)
+        u = source[-n:]
+        pairs = np.stack([incoming, np.broadcast_to(len(source) - n + net.own, incoming.shape)],
+                         axis=-1 if waves else 1)
         # h as a 0-d array, which numpy multiplies by without converting it
-        run = (u[:, :dim], u[:, dim:], u, own, net.nbr.copy(), self.u_own, ring, depth, samples,
-               joined.reshape(edges, 2, 2 * dim), joined[:, :2 * dim], diff, maps, split, prob, comp,
-               self.plan, np.array(cfg.step), np.empty_like(state.z))
-        self.at = [(deriv, ports, *ports, mapped, nxt) + run for deriv, ports, mapped, nxt in rows]
+        run = (u[:, :dim], u[:, dim:], source, list(pairs), pushes, len(pairs), diff, maps, prob,
+               comp, self.plan, np.array(cfg.step), np.empty_like(state.z))
+        self.at = [(deriv, ports, *ports[:2], *rest) + run for deriv, ports, *rest in rows]
 
         # the linear map of the unlogged steps of an uncertified affine
         # no-delay run, which no log row or certificate row reads
@@ -1006,30 +1024,21 @@ class _Run:
                 nxt = _linear_step(state, record)
                 if nxt is not None and nxt._z.dot(nxt._z) < _SQUARES_BOUND:
                     return None, None, nxt, None
-        (deriv, ports, r, p, s_in, s_out, mapped, nxt, u_x, u_xi, u, own, nbr, u_own, ring, depth,
-         samples, joined, s_half, diff, maps, split, prob, comp, plan, h,
+        (deriv, ports, r, p, u_own, gathered, operand, mapped, outgoing, nxt, u_x, u_xi,
+         source, pairs, pushes, depth, diff, maps, prob, comp, plan, h,
          mags) = self.at[k % self.count]
         u_x[...] = state._x
         u_xi[...] = state._xi
 
-        # phase 1: the port pair (r, p) of every directed edge i <- j; a
-        # take with mode "raise" would copy through a buffer, and every
-        # index is in range, so "clip" gathers straight into the row
-        if ring is None:
-            u.take(own, 0, u_own, "clip")
-            u.take(nbr, 0, r, "clip")
-        else:  # what crossed is j's wave (scattering) or its [x_j; xi_j]
-            c = k % depth  # the line's pop and push rows after c pushes
-            index, sent = ring[0][c], ring[1][c]
-            if s_in is None:
-                u.take(own, 0, u_own, "clip")
-                samples.take(index, 0, r, "clip")
-            else:  # [s_in; u_own] in one take, and i's wave goes back
-                samples.take(index, 0, joined, "clip")
-                np.copyto(s_in, s_half)
-        if s_in is None:
+        # phase 1: the port pair (r, p) of every directed edge i <- j: one
+        # take gathers what crossed beside [x_i; xi_i] (a take with mode
+        # "raise" would copy through a buffer, and every index is in range,
+        # so "clip" gathers straight into the row), one matmul maps it
+        c = k % depth  # the line's pop and push rows after c pushes
+        source.take(pairs[c], 0, gathered, "clip")
+        if diff is not None:  # p = E (r - u_own)
             np.subtract(r, u_own, diff)
-        np.matmul(maps, split, mapped)
+        np.matmul(maps, operand, mapped)
 
         # phase 2: derivatives from the edges' p, the update, its guards
         derivatives(prob, comp, state, p, deriv, plan)
@@ -1043,17 +1052,17 @@ class _Run:
             return deriv, ports, nxt, "nan"
 
         # phase 3: push what crosses each edge into its delay line
-        if ring is not None:
-            np.copyto(sent, u_own if s_in is None else s_out)
+        if pushes is not None:
+            np.copyto(pushes[c], outgoing)
         return deriv, ports, nxt, trip
 
 
-def _energy(waves, offsets, buf):
-    """Per step of waves (K, E, 2n), the energy of its waves offset by
-    offsets (E, 2n): (K,), each the sum of the E 2n squares, formed in buf,
-    of waves' shape."""
-    np.square(np.add(waves, offsets, buf), buf)
-    return np.add.reduce(buf.reshape(len(buf), -1), -1)
+def _energy(waves, offsets):
+    """Per step of waves (K, E, 2n), C-contiguous, the energy of its waves
+    offset by offsets (E, 2n): (K,), each the sum of the E 2n squares,
+    formed in place in waves."""
+    np.square(np.add(waves, offsets, waves), waves)
+    return np.add.reduce(waves.reshape(len(waves), -1), -1)
 
 
 class _DiagState:
@@ -1070,7 +1079,10 @@ class _DiagState:
 
     The block buffers are the step rows of the run (a _Run of two slots),
     which the engine writes in place and this reads by name: z, zdot, nu,
-    grad, zeta and the ports r, p and, in scattering mode, s_in and s_out.
+    grad, zeta and the ports r, p and, in scattering mode, s_in and s_out,
+    there each port series copied once per block into contiguous scratch
+    rows (the step rows hold it beside another series or u_own), in which
+    the channel energies are then formed in place.
     step() counts a step once its rows are written, as simulate does.  A
     completed run's final state, already in the next row, is one more row
     (close()), with the last step's derivative and ports copied in, whose
@@ -1122,11 +1134,11 @@ class _DiagState:
             # |s_out + gamma_c|^2 at fwd[c] and |s_out - delta_c|^2 at bwd[c],
             # and takes back |s_in + gamma_c|^2 at bwd[c] and |s_in - delta_c|^2
             # at fwd[c]: each edge's offsets of its s_out and its s_in, (E, 2n)
-            # each, the second the first's of the reverse edge, and a buffer
-            # for a block of either series
+            # each, the second the first's of the reverse edge, and scratch
+            # rows for a block of each port series
             out = np.empty_like(gamma)
             out[fwd], out[bwd] = gamma[fwd], -delta[fwd]
-            self.offsets = (out, out[net.rev], np.empty((run.per_slot,) + out.shape))
+            self.offsets = (out, out[net.rev], np.empty((4, run.per_slot) + out.shape))
             self.edge_const = 0.5 * float(np.sum(
                 log.delays[fwd] * np.sum(gamma[fwd] ** 2, axis=1)
                 + log.delays[bwd] * np.sum(delta[fwd] ** 2, axis=1)
@@ -1222,8 +1234,9 @@ class _DiagState:
         work and return it on free until work ends; then the reports.  It
         keeps off cpu, the engine's CPU at the fork: woken on the engine's
         CPU, as the scheduler tends to place it, it would wait for the
-        engine or stall it (2-core VM: each hand-off took the engine 1.1 ms,
-        a whole block's evaluation)."""
+        engine or stall it (N = 5 scattering, 2-core VM: unpinned, 20,000
+        steps of simulate took 808 ms against 588 ms pinned and 734 ms
+        in process)."""
         os.close(self.work)
         os.close(self.free)
         others = os.sched_getaffinity(0) - {cpu} if hasattr(os, "sched_setaffinity") else ()
@@ -1261,6 +1274,14 @@ class _DiagState:
             st, deriv, r, p, s_in, s_out = self._block(slot, K)
         prob, cfg = self.log.problem, self.log.config
         ref, comp, h, tol = cfg.reference, cfg.compensator, cfg.step, 1e-3
+        if self.offsets is not None:
+            # the rows hold each wave-mode port series beside another: one
+            # copy of each into contiguous scratch rows, which the sums below
+            # read, the channel energies in place
+            ports = self.offsets[2][:, :K]
+            for a, rows in zip(ports, (r, p, s_in, s_out)):
+                np.copyto(a, rows)
+            r, p, s_in, s_out = ports
         sc = compensator_storage(comp, st.rho, ref.z)
         sg = multiplier_storage(prob, st.lam, st.mu, ref.lam, ref.mu)
         d_c, d_m, d_xi = storage_step_defects(prob, comp, st, deriv, ref.lam, h)
@@ -1298,8 +1319,8 @@ class _DiagState:
             self.wave_max = float(np.fmax.reduce(res, initial=self.wave_max))
             # each step's channel power, what the channels store less what
             # they take back, (K,)
-            out, back, buf = self.offsets
-            power = _energy(s_out, out, buf[:K]) - _energy(s_in, back, buf[:K])
+            out, back, _ = self.offsets
+            power = _energy(s_out, out) - _energy(s_in, back)
             # acc[j]: the channel integral up to the step before row j
             acc = np.cumsum(np.concatenate([[self.acc], h * power]))
             self.acc = float(acc[K])

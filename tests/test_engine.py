@@ -4,6 +4,7 @@ import dataclasses
 import errno
 import itertools
 import json
+import math
 import os
 import signal
 import threading
@@ -2132,27 +2133,38 @@ def test_in_place_rows_without_a_reference(step_rows, mode):
     assert_log_owns_its_arrays(log, rows)
 
 
+def address(a):
+    return a.__array_interface__["data"][0]
+
+
 @pytest.mark.parametrize("mode", engine.MODES)
 def test_step_rows_hold_only_what_the_log_and_certificates_read(mode):
-    # a row is z, zdot, nu, grad, zeta and the mode's ports: r and p, or in
-    # scattering mode s_in beside the (E, 3, 2n) block of r, p and s_out;
-    # the step's scratch (u_own, the owner sum's weights) is the run's
+    # a row is z, zdot, nu, grad, zeta and the mode's ports, r and p, or in
+    # scattering mode s_in and the (E, 3, 2n) block of r, p and s_out, and
+    # beside what crossed (r, or s_in) u_own = [x_i; xi_i] by receiving
+    # agent, which the step's one take gathers with it: [r; u_own] is one
+    # (2, E, 2n) block, whose r - u_own the coupling blocks map, and
+    # [s_in; u_own] one (E, 2, 2n) block, each edge's the channel end map's
+    # operand; the owner sum's weights are the run's
     prob = chord_quadratic()
-    cfg = SimConfig(step=0.01, mode=mode,
+    cfg = SimConfig(step=0.01, mode=mode, log_every=1,
                     delays=per_edge(prob.network, lambda i, j: 0.01 * (i + j + 1)))
     run = engine._Run(prob, cfg, AgentState.zeros(cfg.compensator, prob), 2)
     port = (len(prob.network.own), 2 * prob.dim)
     r, p, s_in, s_out = run.ports
+    assert run.u_own.shape == (run.count,) + port
     if mode == "scattering":
         assert run.waves.shape == (run.count, port[0], 3, port[1])
         assert s_in.shape == (run.count,) + port
         for a in (r, p, s_out):
             assert np.shares_memory(a, run.waves) and a.base is run.waves.base
-        fields = [run.waves, s_in]
+        crossed, beside, fields = s_in, 8 * port[1], [run.waves, s_in, run.u_own]
     else:
         assert run.waves is None and s_in is None and s_out is None
         assert r.shape == p.shape == (run.count,) + port
-        fields = [r, p]
+        crossed, beside, fields = r, 8 * math.prod(port), [r, run.u_own, p]
+    assert run.u_own.strides == crossed.strides
+    assert address(run.u_own) - address(crossed) == beside
     fields += [getattr(run, name) for name in ROW_FIELDS]
     # the one mmap of the rows holds these fields, each 64-byte aligned
     held = sum(a.nbytes for a in fields)
@@ -2160,9 +2172,15 @@ def test_step_rows_hold_only_what_the_log_and_certificates_read(mode):
     assert held <= size < held + 64 * len(fields)
     for a, b in itertools.combinations(fields, 2):
         assert not np.shares_memory(a, b)
-    assert run.u_own.shape == port and not np.shares_memory(run.u_own, run.z.base)
     assert not np.shares_memory(run.plan.weights, run.z.base)
     assert not hasattr(run.at[0][0], "_weights")
+    # a step gathers u_own into its row
+    state = run.states[0]
+    state.xi[...] = np.arange(state.xi.size).reshape(state.xi.shape)
+    with np.errstate(all="ignore"):
+        run.step(0, 0.0, state)
+    u = np.concatenate([state.x, state.xi], axis=1)
+    assert run.u_own[0].tobytes() == u[prob.network.own].tobytes()
 
 
 @pytest.mark.parametrize("mode", engine.MODES)
@@ -2194,46 +2212,55 @@ def test_run_step_is_the_first_step_of_simulate(mode):
             assert port.tobytes() == series[0].tobytes()
 
 
-@pytest.mark.parametrize("mode", ["naive_delay", "scattering"])
+@pytest.mark.parametrize("mode", engine.MODES)
 def test_bound_delay_line_and_channel_end_are_the_hand_driven_ones(mode):
-    # _Run steps the delay line through its rows, bound once per run, and in
-    # scattering mode applies the channel end's map itself: over more than
-    # two wraps of the deepest of unequal lines, every step's s_in (r in
-    # naive mode), its (r, p, s_out) block and each pushed row are what
-    # DelayLine.pop and push and ChannelEnd.recover give, driven by hand
+    # _Run gathers what crossed each edge beside u_own = [x_i; xi_i] in one
+    # take from the rows it binds once per run, and applies the mode's map
+    # itself: over more than two wraps of the deepest of unequal lines,
+    # every step's u_own, its r (u[nbr] in no_delay mode, what
+    # DelayLine.pop gives in naive mode) and p = E (r - u_own), or in
+    # scattering mode its s_in and its (r, p, s_out) block, and each pushed
+    # row are what DelayLine.pop and push, ChannelEnd.recover and the
+    # coupling blocks give, driven by hand
     prob = chord_quadratic()
     net, dim = prob.network, prob.dim
     rng = np.random.default_rng(11)
     zeros = AgentState.zeros(SimConfig().compensator, prob)
     init = AgentState(rng.normal(size=zeros.rho.shape), rng.normal(size=zeros.xi.shape),
                       rng.uniform(0.5, 2.0, zeros.lam.shape), rng.normal(size=zeros.mu.shape))
-    cfg = SimConfig(step=0.01, mode=mode, initial=init,
+    cfg = SimConfig(step=0.01, mode=mode, initial=init, log_every=1,
                     delays=per_edge(net, lambda i, j: 0.01 * (i + 2 * j + 1)))
     run = engine._Run(prob, cfg, init, 1)
     line = DelayLine(cfg.delays, cfg.step, 2 * dim, net.rev)
-    end = ChannelEnd(CouplingMatrix(net.weight, dim), cfg.eta)
+    coupling = CouplingMatrix(net.weight, dim)
+    end = ChannelEnd(coupling, cfg.eta)
     depth = line._depth
     assert len(set(line.steps.tolist())) >= 4 and depth >= 4
     state = run.states[0]
     for k in range(2 * depth + 3):
         t = k * cfg.step
-        u_own = np.concatenate([state.x, state.xi], axis=1)[net.own]
+        u = np.concatenate([state.x, state.xi], axis=1)
+        u_own = u[net.own]
         with np.errstate(all="ignore"):
-            _, (r, _, s_in, _), nxt, trip = run.step(k, t, state)
+            _, (r, p, s_in, _), nxt, trip = run.step(k, t, state)
         assert trip is None
-        popped = line.pop(t)
+        assert run.u_own[k % run.count].tobytes() == u_own.tobytes(), k
+        crossed = u[net.nbr] if mode == "no_delay" else line.pop(t)
         if mode == "scattering":
-            assert s_in.tobytes() == popped.tobytes(), k
-            block = end.recover(popped, u_own)
+            assert s_in.tobytes() == crossed.tobytes(), k
+            block = end.recover(crossed, u_own)
             assert run.waves[k % run.count].tobytes() == block.tobytes(), k
             sent = block[:, 2]
         else:
-            assert r.tobytes() == popped.tobytes(), k
+            assert r.tobytes() == crossed.tobytes(), k
+            want = np.matmul(coupling.blocks, (crossed - u_own).reshape(-1, 2, dim))
+            assert p.tobytes() == want.tobytes(), k
             sent = u_own
-        line.push(sent, t)
-        assert run.line._buf[k % depth].tobytes() == line._buf[k % depth].tobytes(), k
+        if run.line is not None:
+            line.push(sent, t)
+            assert run.line._buf[k % depth].tobytes() == line._buf[k % depth].tobytes(), k
         state = nxt
-    assert not np.all(popped == 0.0)  # the lines carried something back
+    assert not np.all(crossed == 0.0)  # the lines carried something back
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

@@ -65,12 +65,13 @@ def test_compare_passes_over_the_timings_only(tmp_path):
 # --final-tol on crafted runs: one agent, two samples, the final one at t = 0.5
 
 def write_state_run(path, x="1.25", t="0.5", label="x", verdict="converged", abort_step="312",
-                    kkt="2.500000e-01", excess="5.000000e-01", event="step 3 t=0.003 nan"):
+                    kkt="2.500000e-01", excess="5.000000e-01", event="step 3 t=0.003 nan",
+                    x0="0.0", consensus="0.25"):
     path.mkdir(parents=True)
     (path / "trajectory.csv").write_text(
         "t,entity_kind,entity_id,variable,component_index,value\n"
-        "0.0,agent,0,x,0,0.0\n0.0,agent,0,lambda,0,0.01\n"
-        f"{t},global,net,kkt_consensus,0,0.25\n{t},agent,0,{label},0,{x}\n"
+        f"0.0,agent,0,x,0,{x0}\n0.0,agent,0,lambda,0,0.01\n"
+        f"{t},global,net,kkt_consensus,0,{consensus}\n{t},agent,0,{label},0,{x}\n"
         f"{t},agent,0,lambda,0,0.02\n")
     (path / "config.normalized").write_text('{"seed": 5, "step": 0.001}\n')
     (path / "diagnostics.txt").write_text(
@@ -96,6 +97,24 @@ def test_final_tol_passes_a_one_ulp_drift_of_the_final_state(tmp_path):
     nan = write_state_run(tmp_path / "nan", x="nan")
     assert compare(nan, write_state_run(tmp_path / "nan_too", x="nan"), 0.0) == []
     assert compare(base, nan, 1e6) == ["final state drift inf at scale 1.25"]
+
+
+def test_final_tol_reports_the_largest_change_elsewhere(tmp_path):
+    # a run whose final state is bit-equal may move elsewhere: _final_state
+    # names the largest relative change of any other value, the state of an
+    # earlier sample too, as a report, not a gate
+    tool = load_tool()
+    base = write_state_run(tmp_path / "base")
+    assert tool._final_state(base, write_state_run(tmp_path / "same")) == (
+        [], 0.0, 1.25, (0.0, None))
+    kkt = write_state_run(tmp_path / "kkt", consensus=repr(math.nextafter(0.25, 1.0)))
+    assert tool._final_state(base, kkt) == ([], 0.0, 1.25, (pytest.approx(2.0**-52), "kkt_consensus"))
+    assert tool.compare(base, kkt, 0.0) == []
+    both = write_state_run(tmp_path / "both", consensus="0.2500001", x0="1e-300")
+    assert tool._final_state(base, both) == ([], 0.0, 1.25, (1.0, "x"))
+    # the final state's own drift is not counted elsewhere
+    ulp = write_state_run(tmp_path / "ulp", x=repr(math.nextafter(1.25, math.inf)))
+    assert tool._final_state(base, ulp) == ([], 2.0**-52, 1.25, (0.0, None))
 
 
 def test_final_tol_compares_the_diagnostics_numbers_within_their_bounds(tmp_path):

@@ -24,7 +24,10 @@ number of diagnostics.txt within T max(1, |value|), or T max(1, |value|)
 storage differences divided by the step.  The other values of
 trajectory.csv are not compared.  Each run's line then gives the final
 state's largest drift when a run is within the tolerances but not
-byte for byte the same, which reads "close".
+byte for byte the same, which reads "close", and, as a report and not a
+gate, the largest relative change of any other value of trajectory.csv
+and its variable: a run whose final state is bit-equal may have moved
+elsewhere, in its Lyapunov rows, say.
 
 CHANGE_TREE defaults to the tree this script is in.  The runs cover every
 scenario, N = 5, 6, 8 and 12, runs with and without the online
@@ -161,29 +164,42 @@ def _diagnostics_apart(base, change, final_tol):
     return keys
 
 
+def _relative(u, v):
+    """_gap(u, v) relative to the larger of |u| and |v|."""
+    gap = _gap(u, v)
+    return gap / max(abs(u), abs(v)) if 0.0 < gap < math.inf else gap
+
+
 def _final_state(base, change):
-    """(reasons, drift, scale) of trajectory.csv: the reasons its header,
-    labels or row count differ, and for the final sample's agent x, xi,
+    """(reasons, drift, scale, other) of trajectory.csv: the reasons its
+    header, labels or row count differ; for the final sample's agent x, xi,
     lambda and mu, the largest _gap and the largest finite |value| of the
-    base.  The files are read in step, one row at a time."""
-    sample, t = [], None
+    base; and for every other value the largest _relative change and its
+    variable, (0.0, None) when none moved.  The files are read in step, one
+    row at a time."""
+    sample, t, other = [], None, (0.0, None)
     with open(pathlib.Path(base, "trajectory.csv")) as fa, \
             open(pathlib.Path(change, "trajectory.csv")) as fb:
         if next(fa, None) != next(fb, None):
-            return ["trajectory.csv header differs"], 0.0, 0.0
+            return ["trajectory.csv header differs"], 0.0, 0.0, other
         for row, (a, b) in enumerate(itertools.zip_longest(fa, fb), 2):
             if a is None or b is None:
-                return ["trajectory.csv row count differs"], 0.0, 0.0
+                return ["trajectory.csv row count differs"], 0.0, 0.0, other
             (label, u), (label_b, v) = a.rsplit(",", 1), b.rsplit(",", 1)
             if label != label_b:
-                return [f"trajectory.csv row {row} label differs"], 0.0, 0.0
+                return [f"trajectory.csv row {row} label differs"], 0.0, 0.0, other
             fields = label.split(",")
-            if fields[0] != t:  # a new sample
+            if fields[0] != t:  # a new sample: the last one's state was not final
+                other = max([other] + [(_relative(u, v), var) for u, v, var in sample],
+                            key=lambda change: change[0])
                 sample, t = [], fields[0]
             if fields[1] == "agent" and fields[3] in STATE:
-                sample.append((float(u), float(v)))
-    drift = max((_gap(u, v) for u, v in sample), default=0.0)
-    return [], drift, max((abs(u) for u, _ in sample if math.isfinite(u)), default=0.0)
+                sample.append((float(u), float(v), fields[3]))
+            elif u != v:
+                other = max(other, (_relative(float(u), float(v)), fields[3]),
+                            key=lambda change: change[0])
+    drift = max((_gap(u, v) for u, v, _ in sample), default=0.0)
+    return [], drift, max((abs(u) for u, _, _ in sample if math.isfinite(u)), default=0.0), other
 
 
 def compare(base, change, final_tol=None):
@@ -206,7 +222,7 @@ def compare(base, change, final_tol=None):
             if final_tol is None or name == "config.normalized":
                 reasons.append(f"{name} differs")
             elif name == "trajectory.csv":
-                apart, drift, scale = _final_state(base, change)
+                apart, drift, scale, _ = _final_state(base, change)
                 if not apart and not drift <= final_tol * max(1.0, scale):
                     apart = [f"final state drift {drift:.1e} at scale {scale:.3g}"]
                 reasons += apart
@@ -251,8 +267,9 @@ def main(argv=None):
             status, drift = "DIFFERS" if reasons else "same", ""
             if args.final_tol is not None and not reasons and compare(*outs):
                 status, close = "close", close + 1
-                _, final, scale = _final_state(*outs)
-                drift = f"  final state drift {final:.1e} at scale {scale:.3g}"
+                _, final, scale, (moved, var) = _final_state(*outs)
+                drift = f"  final state drift {final:.1e} at scale {scale:.3g}, elsewhere " + (
+                    f"{var} {moved:.1e} relative" if var else "none moved")
             differ += bool(reasons)
             print(f"{status:7s} {name:26s} exit {code_b}  "
                   f"{sec_a:6.2f} s / {sec_b:6.2f} s{drift}" + "".join(f"; {r}" for r in reasons),
