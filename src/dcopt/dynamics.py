@@ -36,8 +36,13 @@ stages and the Laplacian coupling of [x; xi].  So one step of it is also
 one linear map of the stage-major block [rho_0 .. rho_{m-1}; xi] of z,
 T z + h c_k W on stage k with W = -grad f - zeta and T = I + h A, one
 matmul of an ((m + 1) N)^2 matrix made once per run, and [lam; mu] step by
-[2 h lam; h] times [g; h] (_linear_step).  It rounds differently from
-derivatives and euler_step, by about 1e-13 over a run at scale 20.
+[2 h lam; h] times [g; h].  Its bincount folds in the rest: stage k's bins
+sum -h c_k times the force's weighted entries and then h c_k (-grad f),
+and the values' products and offsets come scaled by [2 h; h], so a step is
+ten numpy calls, and the guards are decided once per batch of up to
+_MAP_ROWS - 1 steps (_linear_steps).  It rounds differently from
+derivatives and euler_step, by up to about 1e-13 of the state's scale
+over the CLI's 200 s runs.
 The rate bounds read grad f(x) and zeta from the AgentDerivative of the
 same step and take phi* = grad f(z*) and zeta* = zeta(z*, lam*, mu*),
 which stay fixed for a run, from the caller.
@@ -70,6 +75,14 @@ __all__ = [
     "multiplier_rate_bound",
     "storage_step_defects",
 ]
+
+# State rows of the linear map's ring: it steps up to this many less one
+# between two decisions of its guards.  The decision and the batch's copies
+# cost about as much as one step, so steps get cheaper as the ring grows
+# while its memory grows with it (N = 5 LP, 2-core VM, least us per step
+# over 60 intervals of 999 steps: 7.2 at 8 rows, 6.5 at 16, 6.2 at 32,
+# 6.1 at 64).
+_MAP_ROWS = 32
 
 
 class LambdaGuardError(RuntimeError):
@@ -307,8 +320,7 @@ class _Plan:
     loop path, where coefs is None, the force's entries only).  The owner
     sum's first cut = 3 N n bins are zeta and the efforts' two halves,
     three parts of N n, and its last L + M, on the affine path, the
-    values [g; h].  _linear_step sums the weights but p's, on their bins,
-    for zeta and [g; h].
+    values [g; h].
     simulate makes one per run and derivatives a fresh one per call without
     it, so no two runs or calls share one.
 
@@ -459,18 +471,22 @@ def euler_step(state, deriv, h, out=None):
     return nxt
 
 
-def _linear_records(prob, comp, plan, blocks, h, states):
-    """The records of _linear_step, one for a step from each of the
-    AgentStates states of one layout into the next one (the last into the
-    first): the state, T = I + h A, their block views, the update's stage
-    rows, both [lam; mu] tails, the update, then plan's force-and-values
-    operands and the buffers, made once per run.
+def _linear_records(prob, comp, blocks, h, table, bound):
+    """The record of _linear_steps for one run of prob's no-delay flow on
+    the affine path, with coupling maps blocks (E, 2, 2), step h, states of
+    layout table and the divergence guard's bound on a row's sum of
+    squares: T = I + h A, the ring of _MAP_ROWS states, a record per step
+    from each row but the last into the next, and the bincount's operands,
+    made once per run.
 
     A is the flow's linear part on the block ((m + 1) N, n): -b_k rho_k on
     stage k, c_k times the x half of each agent's summed effort, and the xi
-    half as xi_dot.  An edge i <- j of prob's network, with blocks (E, 2,
-    2) its coupling maps, adds B (u_j - u_i) to agent i's effort, u = [x;
-    xi] and x the stages' sum."""
+    half as xi_dot.  An edge i <- j of prob's network adds B (u_j - u_i) to
+    agent i's effort, u = [x; xi] and x the stages' sum.  The rest of a step
+    is one bincount: stage k's bins take the force's entries times
+    -h c_k coef, its multipliers gathered from z and squared where they are
+    lam, and last h c_k (-grad f); the values' bins take x at the force's
+    bins times coef, then the offsets, both times [2 h; h] by row."""
     net, n, m, dim = prob.network, prob.n_agents, comp.m, prob.dim
     eye = np.eye(n)
     # efforts (2, N) from u (2, N): B at (i, j), -B at (i, i) per edge
@@ -484,45 +500,95 @@ def _linear_records(prob, comp, plan, blocks, h, states):
     decay = np.kron(np.diag(np.r_[comp.b, 0.0]), eye)
     lti = np.eye((m + 1) * n) + h * (spread @ coupled.reshape(2 * n, 2 * n) @ gather - decay)
 
-    (_, x_bins, x_products, at, products, lam_part, both, bins, weights, size, cut,
-     zeta_part, *_) = plan.ops
-    head = weights.size - len(net.own) * 2 * dim  # the weights but p's
-    scale = np.full(prob._owner.size, h)  # [2 h lam; h]
-    lams = prob.ineq_owner.size
-    run = (x_bins, x_products, at, products, lam_part, both, plan.coefs, bins[:head],
-           weights[:head], size, zeta_part, slice(cut, None), plan.neg_grad, np.empty(n * dim),
-           h * comp.c[:, None], np.empty((m, n * dim)), scale[:lams], np.array(2.0 * h), scale,
-           np.empty(prob._owner.size), lams > 0)
+    # the weights: the force's lam entries of every stage, its mu entries
+    # of every stage, x at the force's bins, then the constant offsets and
+    # h c_k (-grad f); one multiply weights all but the constants
+    _, rows, squares, force_bins, coefs = prob._force_plan
+    lams, count, size = prob.ineq_owner.size, prob._owner.size, m * n * dim
+    at = rows + (table[1] - count)  # the force's multipliers in z
+    hc = -h * comp.c[:, None]
+    scale = np.where(np.arange(count) < lams, 2.0 * h, h)  # [2 h; h] by row
+    parts = (slice(None, squares), slice(squares, None))
+    with np.errstate(all="ignore"):  # an overflow here is the guards' to find
+        grads = (-hc * prob._affine[1].reshape(-1)).ravel()
+        folded = np.concatenate([(hc * coefs[p]).ravel() for p in parts]
+                                + [coefs * scale[rows], prob._affine[3] * scale, grads])
+    stage_bins = size // m * np.arange(m)[:, None]
+    bins = np.concatenate([(stage_bins + force_bins[p]).ravel() for p in parts]
+                          + [size + rows, size + np.arange(count), np.arange(size)])
+    mapped = m * rows.size
+    weights = folded.copy()
+    products, x_products = weights[:mapped], weights[mapped:mapped + rows.size]
+    both = weights[:mapped + rows.size]
+
+    ring = np.empty((_MAP_ROWS, table[1]))
+    states = [AgentState._of(table, row) for row in ring]
     block = (m + 1) * n * dim  # [stages; xi] entries of z, then [lam; mu]
-    return [(st, lti, st._z[:block].reshape(-1, dim), nxt._z[:block].reshape(-1, dim),
-             nxt._by_stage.reshape(m, -1), st._z[block:], nxt._z[block:], nxt) + run
-            for st, nxt in zip(states, states[1:] + states[:1])]
+    steps = [(st._z, st._x, st._lam, st._z[:block].reshape(-1, dim), st._z[block:],
+              nxt._z[:block].reshape(-1, dim), nxt._z[:size], nxt._z[block:], nxt._stages,
+              nxt._x) for st, nxt in zip(states, states[1:])]
+    return (lti, steps, states, ring, np.concatenate([np.tile(at[p], m) for p in parts]),
+            products, force_bins, x_products, weights[:m * squares], both, folded[:both.size],
+            bins, weights, size + count, slice(size), slice(size, size + lams),
+            slice(size, None), slice(block, block + lams), bound)
 
 
-def _linear_step(state, record):
-    """One no-delay step on the affine path by the linear map, from the
-    record's state into its update, which is returned, or None when an
-    updated lam is <= 0 (argmin stops at a NaN, as in euler_step).  zeta
-    and [g; h] are derivatives' bincount without p's weights, and x is the
-    update's stage sum, as euler_step forms it."""
-    (_, lti, block, nxt_block, nxt_stages, tail, nxt_tail, nxt, x_bins, x_products, at,
-     products, lam_part, both, coefs, bins, weights, size, zeta_part, values, neg_grad,
-     force, hc, pushed, scale_lam, h2, scale, scaled, has_lam) = record
-    state._x.take(x_bins, None, x_products, "clip")
-    state._z.take(at, None, products, "clip")
-    np.square(lam_part, lam_part)
-    np.multiply(both, coefs, both)
-    sums = np.bincount(bins, weights, size)
-    np.subtract(neg_grad, sums[zeta_part], force)
-    np.matmul(lti, block, nxt_block)
-    np.add(nxt_stages, np.multiply(hc, force, pushed), nxt_stages)
-    _stage_sum(nxt._stages, nxt._x)
-    np.multiply(state._lam, h2, scale_lam)
-    np.add(tail, np.multiply(scale, sums[values], scaled), nxt_tail)
-    lam = nxt._lam
-    if has_lam and lam[lam.argmin()] <= 0.0:
-        return None
-    return nxt
+def _guards(rows, lams, bound):
+    """The two guards of the updates rows (K, D), decided per row: (fast,
+    tripped), where fast is a row's sum of squares below bound, which
+    _diverged's argument makes sound in any summation order, and tripped a
+    least entry <= 0 of its lam columns lams, a slice, where a NaN passes,
+    as the argmin of euler_step stops at it."""
+    fast = np.matmul(rows[:, None], rows[:, :, None]).reshape(-1) < bound
+    return fast, np.minimum.reduce(rows[:, lams], 1, initial=np.inf) <= 0.0
+
+
+def _linear_steps(state, count, record):
+    """Up to count no-delay steps on the affine path by the linear map, from
+    state: (the state they reach, how many passed their guards).
+
+    The steps run in batches of up to _MAP_ROWS - 1 from a copy of the
+    batch's start in the ring's first row, each from its row into the next,
+    with no guard between them; then one _guards call decides the batch.
+    The first update that fails either test (a sum of squares not below the
+    bound, or a lam <= 0) and every step after it are dropped, and the
+    state returned is its step's start, so the caller runs that step again
+    as the exchange step, whose guards decide it.  A state that fails the
+    sum-of-squares test itself takes no step here, so a run near the limit
+    is stepped by the exchange alone.  A step is the matmul of T, one
+    bincount for the stages' force pushes and the multipliers' rates, and
+    adds: zeta and [g; h] are derivatives' sums, scaled before they are
+    summed, and x is the update's stage sum, as euler_step forms it."""
+    (lti, steps, states, ring, at, products, x_bins, x_products, lam_part, both, coefs, bins,
+     weights, size, pushes, lam_values, values, lams, bound) = record
+    done = 0
+    if not state._z.dot(state._z) < bound:
+        return state, done
+    first = states[0]
+    while done < count:
+        batch = min(count - done, len(steps))
+        np.copyto(first._z, state._z)
+        np.copyto(first._x, state._x)
+        for z, x, lam, block, tail, nxt_block, stages, nxt_tail, nxt_stages, nxt_x in (
+                steps[:batch]):
+            z.take(at, None, products, "clip")
+            x.take(x_bins, None, x_products, "clip")
+            np.square(lam_part, lam_part)
+            np.multiply(both, coefs, both)
+            sums = np.bincount(bins, weights, size)
+            np.matmul(lti, block, nxt_block)
+            np.add(stages, sums[pushes], stages)
+            _stage_sum(nxt_stages, nxt_x)
+            rates = sums[lam_values]
+            np.multiply(rates, lam, rates)
+            np.add(tail, sums[values], nxt_tail)
+        fast, tripped = _guards(ring[1:batch + 1], lams, bound)
+        passed = fast > tripped  # fast and not tripped
+        if not passed.all():
+            failed = int(passed.argmin())
+            return states[failed], done + failed
+        state, done = states[batch], done + batch
+    return state, done
 
 
 def compensator_storage(comp, rho, z_star):

@@ -36,12 +36,14 @@ explicit-Euler step has a fixed phase order:
        zdot is tested only after a trip: from a finite z, z + h zdot is
        finite and within the limit only when zdot is finite.
 
-An unlogged step of an uncertified no-delay run on an affine problem, one
-that no log row or certificate row reads, skips the exchange: its phases
-1-2 are one linear map of the packed state, precomputed per run (see
-dynamics._linear_step), with the same two guards.  A step that trips one
-runs again as above, from the same state, so every abort is the exchange
-step's.  It writes no zdot, nu, zeta or ports.
+The unlogged steps of an uncertified no-delay run on an affine problem,
+which no log row or certificate row reads, skip the exchange: simulate
+steps each stretch of them up to the next logged step in one call, a
+linear map of the packed state precomputed per run, ten numpy calls a
+step, whose two guards are decided once per batch of up to 31 steps (see
+dynamics._linear_steps).  The first step whose update fails either runs
+again as above, from its own state, so every abort is the exchange step's.
+The map writes no zdot, nu, zeta or ports.
 
 Every quantity consumed in a step is therefore from time t; the step is a
 synchronous barrier, which is what makes runs bit-for-bit reproducible.
@@ -122,7 +124,7 @@ from .dynamics import (
     LambdaGuardError,
     _Plan,
     _linear_records,
-    _linear_step,
+    _linear_steps,
     _stage_sum,
     compensator_storage,
     derivatives,
@@ -813,11 +815,20 @@ def simulate(prob, cfg):
         log.abort_reason = kind
         log.abort_step = k
 
-    k, log_every = 0, cfg.log_every
+    k, log_every, linear = 0, cfg.log_every, run.linear
     diag = None if cfg.reference is None else _DiagState(log, run, n_steps)
     # guards, not warnings, handle blow-ups; an evaluator is reaped on every path
     with np.errstate(all="ignore"), diag or contextlib.nullcontext():
-        for k in range(n_steps):
+        while k < n_steps:
+            if linear is not None and k % log_every:
+                # one call for the unlogged steps up to the next logged one;
+                # it stops at a step whose update fails a guard, which the
+                # exchange step below runs again
+                stop = min(n_steps, k - k % log_every + log_every)
+                state, done = _linear_steps(state, stop - k, linear)
+                k += done
+                if k == stop:
+                    continue
             t = k * h
             deriv, ports, nxt, trip = run.step(k, t, state)
             if trip == "nan":
@@ -845,13 +856,14 @@ def simulate(prob, cfg):
                       f"agent {i}: {name} magnitude {value:.3e} "
                       f"exceeds {DIVERGENCE_LIMIT:.0e}")
                 break
+            k += 1
 
         # closing sample at the final state (no derivative information),
         # unless the last sample already holds it (a guard/nan abort on a
-        # logged step).  A completed run and a divergence committed step k;
-        # guard and nan aborts leave the pre-step state.
-        committed = n_steps > 0 and log.abort_reason in (None, "divergence")
-        t_end = (k + committed) * h
+        # logged step).  A completed run stepped k = n_steps steps and a
+        # divergence committed step k; guard and nan aborts leave the
+        # pre-step state.
+        t_end = (k + (log.abort_reason == "divergence")) * h
         if not filled[0] or store[0][filled[0] - 1] < t_end:
             snapshot(t_end, state, None, (None,) * 4)
         # a completed run's final state is the certificates' last row
@@ -917,9 +929,11 @@ class _Run:
     push; in no_delay mode u is the rows, a line of depth 1 with no push.
     Row 0 starts as a copy of state.
 
-    In a no-delay run on an affine problem without a reference, linear_at
-    holds the records of the linear map of its unlogged steps, one per row
-    (dynamics._linear_records); it is None in every other run.
+    In a no-delay run on an affine problem without a reference, linear
+    holds the record of the linear map that steps its unlogged steps
+    (dynamics._linear_records), with its own ring of states, which simulate
+    passes to dynamics._linear_steps; it is None in every other run.  step()
+    is the exchange step alone.
     """
 
     def __init__(self, prob, cfg, state, per_slot):
@@ -999,10 +1013,10 @@ class _Run:
 
         # the linear map of the unlogged steps of an uncertified affine
         # no-delay run, which no log row or certificate row reads
-        self.log_every, self.linear_at = cfg.log_every, None
+        self.linear = None
         if cfg.mode == "no_delay" and prob._affine is not None and cfg.reference is None:
-            self.linear_at = _linear_records(prob, comp, self.plan, coupling.blocks, cfg.step,
-                                             self.states)
+            self.linear = _linear_records(prob, comp, coupling.blocks, cfg.step, self.table,
+                                          _SQUARES_BOUND)
 
     def step(self, k, t, state):
         """Phases 1-3 of step k at time t from state, row k % R as a rule:
@@ -1011,19 +1025,7 @@ class _Run:
         update of row (k + 1) % R.  trip is None, "divergence" (an updated
         entry beyond DIVERGENCE_LIMIT), the LambdaGuardError of the update
         or "nan", a non-finite zdot, tested only after another trip; a "nan"
-        step is not pushed.
-
-        An unlogged step (k % log_every != 0) of an uncertified affine
-        no-delay run from states[k % R] is the linear map (_linear_step),
-        and deriv and ports are None: nothing reads them.  A map step that
-        trips a guard runs again here, from the same state, so every abort
-        is this step's."""
-        if self.linear_at is not None and k % self.log_every:
-            record = self.linear_at[k % self.count]
-            if state is record[0]:
-                nxt = _linear_step(state, record)
-                if nxt is not None and nxt._z.dot(nxt._z) < _SQUARES_BOUND:
-                    return None, None, nxt, None
+        step is not pushed."""
         (deriv, ports, r, p, u_own, gathered, operand, mapped, outgoing, nxt, u_x, u_xi,
          source, pairs, pushes, depth, diff, maps, prob, comp, plan, h,
          mags) = self.at[k % self.count]

@@ -8,6 +8,7 @@ from dcopt.dynamics import (
     AgentDerivative,
     CompensatorParams,
     LambdaGuardError,
+    _guards,
     compensator_storage,
     derivatives,
     euler_step,
@@ -197,6 +198,10 @@ def test_lambda_guard_decides_as_the_least_lam(lam, trips):
     d.lam_dot[...] = 0.0
     with np.errstate(all="ignore"):
         assert (np.minimum.reduce(st.lam) <= 0.0) == trips
+        # the linear map's batched guard, on z's lam columns (its tail, as
+        # there is no mu) in a batch whose middle row trips nothing
+        batch, lams = np.stack([st.z, np.ones_like(st.z), st.z]), slice(-st.lam.size, None)
+        assert _guards(batch, lams, np.inf)[1].tolist() == [trips, False, trips]
     if trips:
         with pytest.raises(LambdaGuardError) as err:
             euler_step(st, d, 1e-3)

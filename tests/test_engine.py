@@ -24,7 +24,7 @@ from dcopt import (
     ring,
     simulate,
 )
-from dcopt import engine
+from dcopt import dynamics, engine
 from dcopt.cli import KKT_TOL, build_scenario, compute_reference, main, validate_config
 from dcopt.dynamics import CompensatorParams, LambdaGuardError, derivatives, euler_step
 from dcopt.engine import TrajectoryLog
@@ -715,6 +715,11 @@ def test_divergence_decision_at_the_limit(z, trips, exact):
     mags = np.full_like(z, -1.0)
     with np.errstate(all="ignore"):
         assert engine._diverged(z, mags) == old_diverged(z) == trips
+        # the linear map's batched fast test passes z as the dot product
+        # does, in a batch with a zero row
+        batch = np.stack([z, np.zeros_like(z)])
+        fast = dynamics._guards(batch, slice(0), engine._SQUARES_BOUND)[0]
+        assert fast.tolist() == [not exact, True]
     # the exact path writes |z| into mags; the dot product alone leaves it
     assert (mags != -1.0).any() == exact
 
@@ -779,9 +784,12 @@ def test_lambda_guard_wins_over_divergence():
     assert_final_state(log, x=2e9, lam=0.01)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_update_aborts_as_divergence():
     # a gradient of 1e307 gives the finite rho_dot = (-1e307, -1e308), but
-    # h = 10 overflows the second stage to -inf: a divergence, not a nan
+    # h = 10 overflows the second stage to -inf: a divergence, not a nan,
+    # and the linear map's per-run constants, h c_k (-grad f) among them,
+    # overflow too, with no warning
     prob = DistributedProblem(Network([[0.0]]), [LocalProblem(AffineFunction([1e307]))])
     log = simulate(prob, SimConfig(step=10.0, diag_interval=10.0, duration=100.0))
     assert (log.abort_reason, log.abort_step) == ("divergence", 0)
@@ -1275,39 +1283,85 @@ def test_no_delay_map_matches_the_exchange_step(stages, agents, weight, step):
 
 
 def affine_guard_case(kind):
-    """(problem, SimConfig, abort step) of an affine no-delay run that trips
-    kind on a step that log_every = 100 does not log.  On a ring of three
+    """(problem, SimConfig, abort step, ring rows) of an affine no-delay run
+    whose map steps hand a step to the exchange step.  On a ring of three
     agents with linear objectives, at step 7: g = x - 49 sends a lam below
     zero as x falls past -1 (h = 0.01), or h = 0.3 makes the flow's Euler
     map unstable; "lp" is the CLI's matching LP at h = 0.005 and ring
-    weight 0.7, where a lam crosses zero at step 28."""
-    if kind == "lp":
+    weight 0.7, where a lam crosses zero at step 28.  Each logs every 100th
+    step, by a ring of dynamics._MAP_ROWS rows.  With "-after-log" it logs
+    the step before the trip, so the trip is an interval's first step and
+    its batch's first row; with "-ring-end" it steps by a ring of 8 rows,
+    batches of 7 steps from step 1, so the trip's update is the last row
+    before the ring wraps.  "near_limit" trips nothing: the three agents
+    start in consensus at 2.885e8 and drift up, so at step 17 the state's
+    sum of squares reaches engine._SQUARES_BOUND with every entry within
+    DIVERGENCE_LIMIT, a step the exchange step commits; its step is None."""
+    base, _, edge = kind.partition("-")
+    rows = 8 if edge == "ring-end" else dynamics._MAP_ROWS
+    if base == "near_limit":
+        prob = DistributedProblem(ring(3, 2.0), [LocalProblem(AffineFunction([-1e6]))] * 3)
+        rho = np.zeros((3, 2, 1))
+        rho[:, 0] = 2.885e8
+        start = AgentState(rho, np.zeros((3, 1)), np.zeros(0), np.zeros(0))
+        sim = SimConfig(step=0.01, diag_interval=0.01, duration=1.0, initial=start,
+                        log_every=100)
+        return prob, sim, None, rows
+    if base == "lp":
         cfg = validate_config(None, {"ring_weight": 0.7, "step": 5e-3, "diagnostics": False})
         _, prob, sim = build_scenario(cfg, "no_delay")
-        return prob, sim, 28
-    grads = (1.0, 1.5, 2.0) if kind == "lambda_guard" else (1.0, -2.0, 3.0)
-    cons = [AffineFunction([1.0], -49.0)] if kind == "lambda_guard" else []
-    prob = DistributedProblem(ring(3, 2.0), [LocalProblem(AffineFunction([g]), inequalities=cons)
-                                             for g in grads])
-    step = 0.01 if kind == "lambda_guard" else 0.3
-    return prob, SimConfig(step=step, diag_interval=step, duration=100 * step), 7
+        step = 28
+    else:
+        grads = (1.0, 1.5, 2.0) if base == "lambda_guard" else (1.0, -2.0, 3.0)
+        cons = [AffineFunction([1.0], -49.0)] if base == "lambda_guard" else []
+        prob = DistributedProblem(ring(3, 2.0), [LocalProblem(AffineFunction([g]),
+                                                              inequalities=cons)
+                                                 for g in grads])
+        h, step = (0.01 if base == "lambda_guard" else 0.3), 7
+        sim = SimConfig(step=h, diag_interval=h, duration=100 * h)
+    every = step - 1 if edge == "after-log" else 100
+    return prob, dataclasses.replace(sim, log_every=every), step, rows
 
 
-@pytest.mark.parametrize("kind", ["lambda_guard", "divergence", "lp"])
-def test_guard_trip_on_a_mapped_step_is_the_exchange_steps(kind):
-    # a map step that trips a guard runs again as the exchange step, so its
-    # event is the one a full-rate run records: the step, the kind and the
-    # agent, and the value within the map's drift
-    prob, sim, step = affine_guard_case(kind)
+@pytest.mark.parametrize("kind", ["lambda_guard", "divergence", "lp",
+                                  "lambda_guard-after-log", "divergence-after-log",
+                                  "lp-after-log", "lambda_guard-ring-end",
+                                  "divergence-ring-end", "lp-ring-end", "near_limit"])
+def test_guard_trip_on_a_mapped_step_is_the_exchange_steps(kind, monkeypatch):
+    # a map step whose update fails a guard's test runs again as the
+    # exchange step, so its event is the one a full-rate run records: the
+    # step, the kind and the agent, and the value within the map's drift;
+    # a state the exchange step commits goes on
+    prob, sim, step, rows = affine_guard_case(kind)
     assert prob._affine is not None
-    mapped, exchanged = (simulate(prob, dataclasses.replace(sim, log_every=every))
-                         for every in (100, 1))
-    [got], [want] = mapped.events, exchanged.events
-    assert (got["step"], got["kind"], got["agent"]) == (want["step"], want["kind"], want["agent"])
-    assert got["kind"] == kind.replace("lp", "lambda_guard")
-    assert got["step"] == step and mapped.abort_step == exchanged.abort_step == step
-    scale = max(1.0, float(np.abs(exchanged.rho[-1]).max()))
-    assert got["value"] == pytest.approx(want["value"], rel=0.0, abs=1e-12 * scale)
+    monkeypatch.setattr(dynamics, "_MAP_ROWS", rows)
+    mapped_steps = []
+
+    def counted(state, count, record):
+        state, done = dynamics._linear_steps(state, count, record)
+        mapped_steps.append(done)
+        return state, done
+
+    monkeypatch.setattr(engine, "_linear_steps", counted)
+    mapped = simulate(prob, sim)
+    exchanged = simulate(prob, dataclasses.replace(sim, log_every=1))
+    assert len(mapped.events) == len(exchanged.events) == (step is not None)
+    for got, want in zip(mapped.events, exchanged.events):
+        assert ((got["step"], got["kind"], got["agent"])
+                == (want["step"], want["kind"], want["agent"]))
+        assert got["kind"] == kind.partition("-")[0].replace("lp", "lambda_guard")
+        assert got["step"] == step and mapped.abort_step == exchanged.abort_step == step
+        scale = max(1.0, float(np.abs(exchanged.rho[-1]).max()))
+        assert got["value"] == pytest.approx(want["value"], rel=0.0, abs=1e-12 * scale)
+    if step is None:
+        # the map stepped from step 1 until the sum of squares reached the
+        # bound, then the exchange step every step, to the end
+        z = np.concatenate([a[-1].ravel() for a in (mapped.rho, mapped.xi, mapped.lam, mapped.mu)])
+        assert z @ z >= engine._SQUARES_BOUND and np.abs(z).max() < engine.DIVERGENCE_LIMIT
+        assert mapped.abort_reason is None and sum(mapped_steps) == 16
+    else:
+        # every step before the trip but the logged ones was mapped
+        assert sum(mapped_steps) == step - 1 - (step - 1) // sim.log_every
     # a guard abort keeps the pre-step state, a divergence commits the step
     final_within(mapped, exchanged, 1e-12)
 

@@ -4,6 +4,7 @@ import importlib.util
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,18 @@ def step_ab(*args, check=True):
                           capture_output=True, text=True, timeout=60, check=check)
 
 
-def assert_report(stdout, head, batches):
-    """The report's five lines: each side's least and first-quartile times,
-    the quartile within the side's data, the median ratio and the pairs
-    the change won."""
-    first, base, change, ratio, wins = stdout.splitlines()
+def assert_report(stdout, head, batches, *heads):
+    """The report's five lines, one block for head and each of heads: each
+    side's least and first-quartile times, the quartile within the side's
+    data, the median ratio and the pairs the change won."""
+    lines = stdout.splitlines()
+    assert len(lines) == 5 * (1 + len(heads))
+    for q, want in enumerate((head,) + heads):
+        assert_block(lines[5 * q:5 * q + 5], want, batches)
+
+
+def assert_block(lines, head, batches):
+    first, base, change, ratio, wins = lines
     assert first == head
     for label, line in (("base", base), ("change", change)):
         got = re.fullmatch(rf"{label} +min +([\d.]+) +q1 +([\d.]+) +us/step", line)
@@ -42,15 +50,18 @@ def test_this_tree_against_itself():
 
 def test_first_quartile_of_two_batches_is_within_the_data():
     # the exclusive quartile of two values lies below the least of them; the
-    # default mode, no_delay, times the linear map of its unlogged steps
+    # default mode, no_delay, times the linear map of its unlogged steps,
+    # then the exchange step of a run that logs every step
     done = step_ab("--batches", "2")
-    assert_report(done.stdout, "no_delay, N = 5: 2 batches of 100 steps a side", 2)
+    assert_report(done.stdout, "no_delay, N = 5: 2 batches of 100 steps a side", 2,
+                  "no_delay, N = 5, exchange step: 2 batches of 100 steps a side")
 
 
 def test_no_compensator_mode_runs():
     # the m = 1 run of the no-delay linear map, whose stages are x alone
     done = step_ab("--mode", "no_compensator", "--batches", "2")
-    assert_report(done.stdout, "no_compensator, N = 5: 2 batches of 100 steps a side", 2)
+    assert_report(done.stdout, "no_compensator, N = 5: 2 batches of 100 steps a side", 2,
+                  "no_compensator, N = 5, exchange step: 2 batches of 100 steps a side")
 
 
 def test_naive_delay_mode_runs():
@@ -76,17 +87,32 @@ def test_a_config_the_trees_reject_is_a_usage_error():
 
 
 @pytest.mark.parametrize("mode, mapped", [("no_delay", True), ("no_compensator", True),
-                                          ("scattering", False)])
-def test_timed_steps_are_unlogged(mode, mapped):
+                                          ("no_delay", False), ("scattering", False)])
+def test_timed_steps_are_unlogged(mode, mapped, monkeypatch):
     # a side's steps after its warm-up are unlogged, so a no-delay side
-    # steps by the linear map, which returns no derivative, and the other
-    # modes by the exchange
+    # steps a batch in one call of the interval entry, which calls the
+    # exchange step, _Run.step, for none of them; at log_every = 1, the
+    # tool's exchange-step row, and in the other modes, the exchange step
+    # steps every one
     spec = importlib.util.spec_from_file_location("step_ab", TOOL)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     cli, engine = tool._load(ROOT, "dcopt_step_ab_probe")
-    side = tool.Side(cli, engine, cli.validate_config(overrides={"agents": 3}), mode)
-    assert side.sim.log_every > side.k + tool.STEPS
+    every = {"every": 1} if mode == "no_delay" and not mapped else {}
+    side = tool.Side(cli, engine, cli.validate_config(overrides={"agents": 3}), mode, **every)
+    assert (side.sim.log_every > side.k + tool.STEPS) == (not every)
+    assert (side.linear is not None) == (mode != "scattering")
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(side, "steps_of", counting("interval", side.steps_of))
+    monkeypatch.setattr(side.run, "step", counting("exchange", side.run.step))
     with np.errstate(all="ignore"):
-        deriv, _, _, trip = side.run.step(side.k, side.k * side.run.h, side.state)
-    assert trip is None and (deriv is None) == mapped
+        side.batch()
+    want = {"interval": 1} if mapped else {"exchange": tool.STEPS}
+    assert calls == want

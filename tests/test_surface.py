@@ -98,7 +98,8 @@ def test_benchmark_span_targets_resolve():
 # the per-step layers of the bench, and how many of a run's 50 steps call
 # each: every step of the delayed modes and of a certified no-delay run, and
 # of an uncertified no-delay run only the logged one, step 0 (the CLI logs
-# every 1000th), since _Run steps its unlogged steps by the linear map;
+# every 1000th), since simulate steps each stretch of its unlogged steps by
+# one call of the linear map (dynamics._linear_steps);
 # _Run binds the delay line's rows and the channel end's map once per run
 # and steps through them, so the recover and delay-line spans see no step
 # (their layer metrics read 0 until the benchmark retargets them)

@@ -11,17 +11,22 @@ problem and SimConfig (default no_delay; no_compensator is its m = 1
 run), and the engine's _Run, stepped and committed for 1 s of simulated
 time from the zero start.  The run's log_every is set past its steps, so
 every step after step 0 is unlogged, and each side times what its tree
-commits on an unlogged step: _Run.step, which in this tree steps an
-uncertified no-delay run on an affine problem, the CLI's, by its linear
-map and the other modes by the port exchange.  Then the two
+commits on unlogged steps, as simulate steps them: an uncertified no-delay
+run on an affine problem, the CLI's, by its linear map, through the
+tree's interval entry (engine._linear_steps on _Run.linear, whose guard
+trips run again as _Run.step), or per step by _Run.step in a tree without
+it, and the other modes by the port exchange.  Then the two
 sides take turns at batches of 100 committed steps, B batches each
 (default 400), the side that goes first alternating with each pair.
 Prints, for each side, the least and the first-quartile microseconds per
 step over its batches (the inclusive quartile, which stays within the
 data), then the median over the pairs of change / base and the number of
-pairs in which the change was faster.  A config that either tree rejects
-(say --agents 2) is a usage error; a step that trips a guard ends the tool
-with an error.
+pairs in which the change was faster.  For no_delay and no_compensator a
+second report follows, headed "exchange step": the same run at
+log_every = 1, which logs every step, so both trees step it by the
+exchange, as they do every logged or certified step.  A config that either
+tree rejects (say --agents 2) is a usage error; a step that trips a guard
+ends the tool with an error.
 
 With --certificates the sides time the online certificate evaluator
 instead, _DiagState._evaluate, in this process.  Each side's run goes on
@@ -60,26 +65,38 @@ def _load(tree, name):
 
 
 class Side:
-    """One tree's run, stepped batch by batch from where the last ended."""
+    """One tree's run, stepped batch by batch from where the last ended,
+    logged every every-th step."""
 
-    def __init__(self, cli, engine, cfg, scenario):
+    def __init__(self, cli, engine, cfg, scenario, every=UNLOGGED):
         _, prob, sim = cli.build_scenario(cfg, scenario)
-        sim = dataclasses.replace(sim, log_every=UNLOGGED)
+        sim = dataclasses.replace(sim, log_every=every)
         self.prob, self.sim = prob, sim
         self.run = engine._Run(prob, sim, engine._initial_state(prob, sim), 1)
+        # the interval entry of a tree that has one, else None
+        self.linear = getattr(self.run, "linear", None)
+        self.steps_of = getattr(engine, "_linear_steps", None)
         self.state, self.k, self.times, self.steps = self.run.states[0], 0, [], STEPS
         self.step(round(WARM / sim.step))
 
     def step(self, count):
-        """Step and commit count steps; their seconds."""
-        run, state, h = self.run, self.state, self.run.h
+        """Step and commit count steps, as simulate does; their seconds."""
+        run, state, h, linear = self.run, self.state, self.run.h, self.linear
+        k, stop, every = self.k, self.k + count, self.sim.log_every
         start = time.perf_counter()
-        for k in range(self.k, self.k + count):
+        while k < stop:
+            if linear is not None and k % every:
+                end = min(stop, k - k % every + every)
+                state, done = self.steps_of(state, end - k, linear)
+                k += done
+                if k == end:
+                    continue
             _, _, state, trip = run.step(k, k * h, state)
             if trip is not None:
                 sys.exit(f"step {k} tripped a guard: {trip}")
+            k += 1
         elapsed = time.perf_counter() - start
-        self.state, self.k = state, self.k + count
+        self.state, self.k = state, stop
         return elapsed
 
     def batch(self):
@@ -98,6 +115,7 @@ class Certificates(Side):
         sim = dataclasses.replace(self.sim, reference=ref, initial=start)
         self.run = engine._Run(self.prob, sim, engine._initial_state(self.prob, sim),
                                engine._DIAG_BLOCK)
+        self.linear = None  # a certified run steps every step by the exchange
         log = engine.TrajectoryLog(sim, self.prob)
         log.delays = None if self.run.line is None else self.run.line.delay
         self.diag = engine._DiagState(log, self.run, 0)  # no steps: it never forks
@@ -138,24 +156,31 @@ def main(argv=None):
             configs.append((cli, engine, cli.validate_config(overrides={"agents": args.agents})))
         except cli.ConfigError as err:
             parser.error(f"{tree}: {err}")
-    kind = Certificates if args.certificates else Side
+    runs = [(Certificates if args.certificates else Side, {}, ", certificates" * args.certificates)]
+    if args.mode in ("no_delay", "no_compensator") and not args.certificates:
+        runs.append((Side, {"every": 1}, ", exchange step"))
     with np.errstate(all="ignore"):  # as in simulate
-        sides = [kind(*config, args.mode) for config in configs]
-        for b in range(args.batches):
-            for side in sides[::-1] if b % 2 else sides:
-                side.times.append(side.batch() / side.steps * 1e6)
-    what = ", certificates" if args.certificates else ""
+        for kind, fields, what in runs:
+            sides = [kind(*config, args.mode, **fields) for config in configs]
+            for b in range(args.batches):
+                for side in sides[::-1] if b % 2 else sides:
+                    side.times.append(side.batch() / side.steps * 1e6)
+            _report(f"{args.mode}, N = {args.agents}{what}", sides, args.batches)
+    return 0
+
+
+def _report(head, sides, batches):
+    """Print the report of two sides' timed batches under head."""
     steps = "/".join(dict.fromkeys(str(side.steps) for side in sides))
-    print(f"{args.mode}, N = {args.agents}{what}: {args.batches} batches of {steps} steps a side")
+    print(f"{head}: {batches} batches of {steps} steps a side")
     for label, side in zip(("base", "change"), sides):
         q1 = (statistics.quantiles(side.times, n=4, method="inclusive")[0]
               if len(side.times) > 1 else side.times[0])
         print(f"{label:6s}  min {min(side.times):7.2f}  q1 {q1:7.2f}  us/step")
     pairs = list(zip(*(side.times for side in sides)))
     ratio = statistics.median(c / b for b, c in pairs)
-    print(f"change / base, median over {args.batches} pairs: {ratio:.3f}")
-    print(f"change faster in {sum(c < b for b, c in pairs)} of {args.batches} pairs")
-    return 0
+    print(f"change / base, median over {batches} pairs: {ratio:.3f}")
+    print(f"change faster in {sum(c < b for b, c in pairs)} of {batches} pairs")
 
 
 if __name__ == "__main__":
