@@ -40,9 +40,15 @@ matmul of an ((m + 1) N)^2 matrix made once per run, and [lam; mu] step by
 sum -h c_k times the force's weighted entries and then h c_k (-grad f),
 and the values' products and offsets come scaled by [2 h; h], so a step is
 ten numpy calls, and the guards are decided once per batch of up to
-_MAP_ROWS - 1 steps (_linear_steps).  It rounds differently from
-derivatives and euler_step, by up to about 1e-13 of the state's scale
-over the CLI's 200 s runs.
+_MAP_ROWS - 1 steps (_linear_steps, whose operands are the named fields
+of a record made once per run, _linear_records).  It rounds differently
+from derivatives and euler_step, by up to about 1e-13 of the state's
+scale over the CLI's 200 s runs.
+The guard policy is this module's: euler_step's lam test, and the
+divergence limit with the fast bound on a state's sum of squares that
+decides most states (DIVERGENCE_LIMIT, _SQUARES_BOUND, _diverged).  It
+has two kernels, one row's tests, which the exchange step makes, and a
+batch's, _guards.
 The rate bounds read grad f(x) and zeta from the AgentDerivative of the
 same step and take phi* = grad f(z*) and zeta* = zeta(z*, lam*, mu*),
 which stay fixed for a run, from the caller.
@@ -56,6 +62,7 @@ import functools
 import itertools
 import math
 import operator
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,6 +90,12 @@ __all__ = [
 # over 60 intervals of 999 steps: 7.2 at 8 rows, 6.5 at 16, 6.2 at 32,
 # 6.1 at 64).
 _MAP_ROWS = 32
+
+# The divergence guard: an updated state entry beyond this in magnitude, or
+# not a number, aborts a run.  A sum of squares below _SQUARES_BOUND has no
+# entry near the limit (see _diverged).
+DIVERGENCE_LIMIT = 1e9
+_SQUARES_BOUND = (DIVERGENCE_LIMIT / 2) ** 2
 
 
 class LambdaGuardError(RuntimeError):
@@ -471,13 +484,29 @@ def euler_step(state, deriv, h, out=None):
     return nxt
 
 
-def _linear_records(prob, comp, blocks, h, table, bound):
+def _diverged(z, mags):
+    """Whether an entry of z is beyond DIVERGENCE_LIMIT in magnitude or not
+    a number, mags a buffer of z's shape.  One dot product decides most
+    states: a sum of nonnegative terms never rounds below one of them, so
+    one below _SQUARES_BOUND has every |z_k| < DIVERGENCE_LIMIT.  A NaN, an
+    inf or an overflowing square fails that test, as does a state near the
+    limit, and the exact abs-max decides."""
+    return not (z.dot(z) < _SQUARES_BOUND
+                or np.maximum.reduce(np.abs(z, mags)) <= DIVERGENCE_LIMIT)
+
+
+def _linear_records(prob, comp, blocks, h, table):
     """The record of _linear_steps for one run of prob's no-delay flow on
-    the affine path, with coupling maps blocks (E, 2, 2), step h, states of
-    layout table and the divergence guard's bound on a row's sum of
-    squares: T = I + h A, the ring of _MAP_ROWS states, a record per step
-    from each row but the last into the next, and the bincount's operands,
-    made once per run.
+    the affine path, with coupling maps blocks (E, 2, 2), step h and states
+    of layout table, made once per run, its fields named: lti, T = I + h A;
+    ring, the _MAP_ROWS states' rows, states, their AgentStates, and steps,
+    from each row but the last into the next, a tuple of the two rows'
+    views a step reads; the bincount's operands (the take of the force's
+    multipliers from z, at into products, and of x, x_bins into x_products,
+    lam_part, the products squared, both, what one multiply weights by
+    coefs, and bins, weights and size); and the slices of its sums and of
+    a row: pushes, the stages' bins, lam_values and values, the
+    multipliers' rates, and lams, lam's columns of a row.
 
     A is the flow's linear part on the block ((m + 1) N, n): -b_k rho_k on
     stage k, c_k times the x half of each agent's summed effort, and the xi
@@ -516,10 +545,9 @@ def _linear_records(prob, comp, blocks, h, table, bound):
     stage_bins = size // m * np.arange(m)[:, None]
     bins = np.concatenate([(stage_bins + force_bins[p]).ravel() for p in parts]
                           + [size + rows, size + np.arange(count), np.arange(size)])
-    mapped = m * rows.size
+    # the weights' ends of the stages' force entries and of x's products
+    mapped, both = m * rows.size, (m + 1) * rows.size
     weights = folded.copy()
-    products, x_products = weights[:mapped], weights[mapped:mapped + rows.size]
-    both = weights[:mapped + rows.size]
 
     ring = np.empty((_MAP_ROWS, table[1]))
     states = [AgentState._of(table, row) for row in ring]
@@ -527,19 +555,24 @@ def _linear_records(prob, comp, blocks, h, table, bound):
     steps = [(st._z, st._x, st._lam, st._z[:block].reshape(-1, dim), st._z[block:],
               nxt._z[:block].reshape(-1, dim), nxt._z[:size], nxt._z[block:], nxt._stages,
               nxt._x) for st, nxt in zip(states, states[1:])]
-    return (lti, steps, states, ring, np.concatenate([np.tile(at[p], m) for p in parts]),
-            products, force_bins, x_products, weights[:m * squares], both, folded[:both.size],
-            bins, weights, size + count, slice(size), slice(size, size + lams),
-            slice(size, None), slice(block, block + lams), bound)
+    return types.SimpleNamespace(
+        lti=lti, ring=ring, states=states, steps=steps,
+        at=np.concatenate([np.tile(at[p], m) for p in parts]), products=weights[:mapped],
+        x_bins=force_bins, x_products=weights[mapped:both], lam_part=weights[:m * squares],
+        both=weights[:both], coefs=folded[:both], bins=bins, weights=weights, size=size + count,
+        pushes=slice(size), lam_values=slice(size, size + lams), values=slice(size, None),
+        lams=slice(block, block + lams))
 
 
-def _guards(rows, lams, bound):
+def _guards(rows, lams):
     """The two guards of the updates rows (K, D), decided per row: (fast,
-    tripped), where fast is a row's sum of squares below bound, which
-    _diverged's argument makes sound in any summation order, and tripped a
-    least entry <= 0 of its lam columns lams, a slice, where a NaN passes,
-    as the argmin of euler_step stops at it."""
-    fast = np.matmul(rows[:, None], rows[:, :, None]).reshape(-1) < bound
+    tripped), where fast is a row's sum of squares below _SQUARES_BOUND,
+    which _diverged's argument makes sound in any summation order, and
+    tripped a least entry <= 0 of its lam columns lams, a slice, where a NaN
+    passes, as the argmin of euler_step stops at it.  The exchange step
+    makes the same two tests on its one row itself, as a dot product and
+    euler_step's argmin, which cost about a quarter of this call."""
+    fast = np.matmul(rows[:, None], rows[:, :, None]).reshape(-1) < _SQUARES_BOUND
     return fast, np.minimum.reduce(rows[:, lams], 1, initial=np.inf) <= 0.0
 
 
@@ -550,27 +583,29 @@ def _linear_steps(state, count, record):
     The steps run in batches of up to _MAP_ROWS - 1 from a copy of the
     batch's start in the ring's first row, each from its row into the next,
     with no guard between them; then one _guards call decides the batch.
-    The first update that fails either test (a sum of squares not below the
-    bound, or a lam <= 0) and every step after it are dropped, and the
-    state returned is its step's start, so the caller runs that step again
-    as the exchange step, whose guards decide it.  A state that fails the
+    The first update that fails either test (a sum of squares not below
+    _SQUARES_BOUND, or a lam <= 0) and every step after it are dropped, and
+    the state returned is its step's start, so the caller runs that step
+    again as the exchange step, whose guards decide it.  A state that fails the
     sum-of-squares test itself takes no step here, so a run near the limit
     is stepped by the exchange alone.  A step is the matmul of T, one
     bincount for the stages' force pushes and the multipliers' rates, and
     adds: zeta and [g; h] are derivatives' sums, scaled before they are
     summed, and x is the update's stage sum, as euler_step forms it."""
-    (lti, steps, states, ring, at, products, x_bins, x_products, lam_part, both, coefs, bins,
-     weights, size, pushes, lam_values, values, lams, bound) = record
-    done = 0
-    if not state._z.dot(state._z) < bound:
+    # each step's operands, bound once; the batch's are read from the record
+    lti, at, products, x_bins = record.lti, record.at, record.products, record.x_bins
+    x_products, lam_part, both = record.x_products, record.lam_part, record.both
+    coefs, bins, weights, size = record.coefs, record.bins, record.weights, record.size
+    pushes, lam_values, values = record.pushes, record.lam_values, record.values
+    states, done = record.states, 0
+    if not state._z.dot(state._z) < _SQUARES_BOUND:
         return state, done
-    first = states[0]
     while done < count:
-        batch = min(count - done, len(steps))
-        np.copyto(first._z, state._z)
-        np.copyto(first._x, state._x)
+        batch = min(count - done, len(record.steps))
+        np.copyto(states[0]._z, state._z)
+        np.copyto(states[0]._x, state._x)
         for z, x, lam, block, tail, nxt_block, stages, nxt_tail, nxt_stages, nxt_x in (
-                steps[:batch]):
+                record.steps[:batch]):
             z.take(at, None, products, "clip")
             x.take(x_bins, None, x_products, "clip")
             np.square(lam_part, lam_part)
@@ -582,7 +617,7 @@ def _linear_steps(state, count, record):
             rates = sums[lam_values]
             np.multiply(rates, lam, rates)
             np.add(tail, sums[values], nxt_tail)
-        fast, tripped = _guards(ring[1:batch + 1], lams, bound)
+        fast, tripped = _guards(record.ring[1:batch + 1], record.lams)
         passed = fast > tripped  # fast and not tripped
         if not passed.all():
             failed = int(passed.argmin())

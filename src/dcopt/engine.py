@@ -18,10 +18,10 @@ explicit-Euler step has a fixed phase order:
        terms and the edges' p, and the Euler update z + h zdot of the packed
        state (see AgentState) with its guards, an argmin of its lam view
        and one dot product of it with itself (an abs-max only near the
-       limit, see _diverged); not yet committed.  The constraint force,
-       each agent's summed effort sum_j p_ij, in its x half that adds to nu
-       and its xi half that is xi_dot, and on the affine path the
-       constraint values are one bincount over the weights of
+       limit, see dynamics._diverged); not yet committed.  The constraint
+       force, each agent's summed effort sum_j p_ij, in its x half that
+       adds to nu and its xi half that is xi_dot, and on the affine path
+       the constraint values are one bincount over the weights of
        derivatives' plan (the force's and the values' products, the
        offsets and p), its bins planned once per run,
     3. the push of every edge into the delay lines, one copy of the
@@ -32,7 +32,8 @@ explicit-Euler step has a fixed phase order:
        neither pushed, checked nor logged), lambda_guard (an updated lam
        <= 0; the pre-step state is kept after the step's phase 3, checks
        and sample) and divergence (an updated entry beyond
-       DIVERGENCE_LIMIT in magnitude, overflow included; the step commits).
+       dynamics.DIVERGENCE_LIMIT in magnitude, overflow included; the step
+       commits).
        zdot is tested only after a trip: from a finite z, z + h zdot is
        finite and within the limit only when zdot is finite.
 
@@ -63,10 +64,11 @@ writes, the take's index pairs and the push rows after each count of steps,
 and derivatives' _Plan (the compensator gains at their stage-major
 shape, the owner sum's weights and bins and, on the affine path, the
 constant grad f already written into every row), so a step makes only
-the numpy calls its arithmetic needs.  They are also bound once: each
-row's record in _Run.at holds every view and buffer its step reads, so a
-step looks up one tuple (and one entry of the index pairs and of the push
-rows), and the calls take their out positionally.  The step applies the
+the numpy calls its arithmetic needs.  They are also bound once, by
+name: _Run's step is made per run, closing over the run-wide operands, and
+each row's record in _Run.at holds only that row's views, so a step looks
+up one short tuple (and one entry of the index pairs and of the push rows),
+and the calls take their out positionally.  The step applies the
 delay line and the channel end's map itself, through those rows and views,
 without DelayLine.pop and push or ChannelEnd.recover.  What a step
 still allocates is the owner sum (bincount has no out) and the flat
@@ -121,8 +123,11 @@ from .dynamics import (
     AgentDerivative,
     AgentState,
     CompensatorParams,
+    DIVERGENCE_LIMIT,
     LambdaGuardError,
     _Plan,
+    _SQUARES_BOUND,
+    _diverged,
     _linear_records,
     _linear_steps,
     _stage_sum,
@@ -150,10 +155,6 @@ __all__ = [
 ]
 
 MODES = ("no_delay", "naive_delay", "scattering")
-
-DIVERGENCE_LIMIT = 1e9
-# a sum of squares below this has no entry near the limit: see _diverged
-_SQUARES_BOUND = (DIVERGENCE_LIMIT / 2) ** 2
 
 # Steps per evaluation of the online certificates; the reports are bit-equal
 # at any size.  The step rows are two slots of this many rows, so memory grows
@@ -877,18 +878,6 @@ def simulate(prob, cfg):
     return log
 
 
-def _diverged(z, mags):
-    """Whether an entry of z is beyond DIVERGENCE_LIMIT in magnitude or not
-    a number, mags a buffer of z's shape.  One dot product decides most
-    states: a sum of nonnegative terms never rounds below one of them, so
-    one below _SQUARES_BOUND has every |z_k| < DIVERGENCE_LIMIT.  A NaN, an
-    inf or an overflowing square fails that test, as does a state near the
-    limit, and the exact abs-max decides."""
-    if z.dot(z) < _SQUARES_BOUND:
-        return False
-    return not np.maximum.reduce(np.abs(z, mags)) <= DIVERGENCE_LIMIT
-
-
 class _Run:
     """What the steps of one run touch, laid out once: the DelayLine of the
     checked delays (line, in the delayed modes; line e carries what agent
@@ -911,28 +900,28 @@ class _Run:
     derivative into that row and its update into row (k + 1) % R, so the
     update never lands on the state it steps from, and an uncommitted one
     on no committed state.  The records of each row are made once: states[q]
-    is an AgentState over z[q] with its own x, and at[q] holds every
-    operand step k reads when k % R = q, so a step looks up one tuple (and
-    one entry of each of its lists, by step count mod the line's depth):
-    the row's AgentDerivative, its ports as one tuple (r, p, s_in, s_out,
-    None where the mode lacks one), r, p and u_own, the block the take
-    gathers, the map's operand (r - u_own as (E, 2, n), a buffer of the
-    run, or [s_in; u_own] as (E, 4, n)), where the map writes (p's halves
-    (E, 2, n) or the wave block as (E, 6, n)), the outgoing rows (u_own or
-    s_out) and states[(q + 1) % R], where the update goes; then the run's:
-    the halves of u = [x; xi] by agent, the rows the take reads, its index
-    pairs and the push rows by count of steps, the depth, the r - u_own
-    buffer (None in scattering mode), the per-edge maps, the problem, the
-    plan, h and the guard's scratch.  In the delayed modes u is the delay
-    line's spare rows, after its samples, so one take gathers what crossed
-    and u_own, and the line is stepped through those rows, not its pop and
-    push; in no_delay mode u is the rows, a line of depth 1 with no push.
-    Row 0 starts as a copy of state.
+    is an AgentState over z[q] with its own x, and at[q] holds the views of
+    row q that step k reads when k % R = q: the row's AgentDerivative, its
+    ports as one tuple (r, p, s_in, s_out, None where the mode lacks one),
+    r, p and u_own, the block the take gathers, the map's operand (r - u_own
+    as (E, 2, n), a buffer of the run, or [s_in; u_own] as (E, 4, n)), where
+    the map writes (p's halves (E, 2, n) or the wave block as (E, 6, n)),
+    the outgoing rows (u_own or s_out) and states[(q + 1) % R], where the
+    update goes.  step is made per run and closes over the run's operands by
+    name: the halves of u = [x; xi] by agent, the rows the take reads
+    (source), its index pairs and the push rows by count of steps mod the
+    line's depth, the r - u_own buffer (diff, None in scattering mode), the
+    per-edge maps, the problem, the compensator, the plan, h and the guard's
+    scratch.  In the delayed modes u is the delay line's spare rows, after
+    its samples, so one take gathers what crossed and u_own, and the line is
+    stepped through those rows, not its pop and push; in no_delay mode u is
+    the rows, a line of depth 1 with no push.  Row 0 starts as a copy of
+    state.
 
     In a no-delay run on an affine problem without a reference, linear
     holds the record of the linear map that steps its unlogged steps
     (dynamics._linear_records), with its own ring of states, which simulate
-    passes to dynamics._linear_steps; it is None in every other run.  step()
+    passes to dynamics._linear_steps; it is None in every other run.  step
     is the exchange step alone.
     """
 
@@ -941,7 +930,7 @@ class _Run:
         self.h = cfg.step
         coupling = CouplingMatrix(net.weight, dim)
         n, edges, waves = prob.n_agents, len(net.own), cfg.mode == "scattering"
-        self.line = self.end = None
+        self.line = None
         if cfg.mode != "no_delay":
             if cfg.delays is None:
                 raise ValueError("delays required for delayed modes")
@@ -950,8 +939,7 @@ class _Run:
                 raise ValueError(f"delays: expected shape {net.own.shape}, one per edge in the "
                                  f"network's table order, got {delays.shape}")
             self.line = DelayLine(delays, cfg.step, 2 * dim, net.rev, n)
-        if waves:
-            self.end = ChannelEnd(coupling, cfg.eta)
+        self.end = ChannelEnd(coupling, cfg.eta) if waves else None
 
         agents, port = (n, dim), (edges, 2 * dim)
         # the mode's port fields: what phase 1's take gathers, [s_in; u_own]
@@ -985,12 +973,13 @@ class _Run:
         self.states = [AgentState._of(self.table, row) for row in self.z]
         np.copyto(self.states[0]._z, state._z)
         np.copyto(self.states[0]._x, state._x)
-        rows = [(AgentDerivative._of(self.table, self.zdot[q], self.nu[q], self.grad[q],
-                                     self.zeta[q]),
-                 tuple(None if a is None else a[q] for a in self.ports),
-                 self.u_own[q], gathered[q], operands[q], mapped[q], outgoing[q],
-                 self.states[(q + 1) % count]) for q in range(count)]
-        self.plan = _Plan(prob, comp, self.states[0], [row[0] for row in rows])
+        r, p = self.ports[:2]
+        self.at = at = [
+            (AgentDerivative._of(self.table, self.zdot[q], self.nu[q], self.grad[q], self.zeta[q]),
+             tuple(None if a is None else a[q] for a in self.ports), r[q], p[q], self.u_own[q],
+             gathered[q], operands[q], mapped[q], outgoing[q], self.states[(q + 1) % count])
+            for q in range(count)]
+        plan = self.plan = _Plan(prob, comp, self.states[0], [row[0] for row in at])
 
         # the rows the take reads: u = [x_i; xi_i] by agent, in the delay
         # line's spare rows after its samples, or alone in no_delay mode, a
@@ -1003,60 +992,59 @@ class _Run:
             source, incoming, pushes = np.empty((n, 2 * dim)), net.nbr[None], None
         else:
             source, incoming, pushes = self.line._rows, self.line._index, list(self.line._buf)
-        u = source[-n:]
-        pairs = np.stack([incoming, np.broadcast_to(len(source) - n + net.own, incoming.shape)],
-                         axis=-1 if waves else 1)
+        u_x, u_xi = source[-n:, :dim], source[-n:, dim:]
+        own = np.broadcast_to(len(source) - n + net.own, incoming.shape)
+        pairs = list(np.stack([incoming, own], axis=-1 if waves else 1))
+        depth = len(pairs)
         # h as a 0-d array, which numpy multiplies by without converting it
-        run = (u[:, :dim], u[:, dim:], source, list(pairs), pushes, len(pairs), diff, maps, prob,
-               comp, self.plan, np.array(cfg.step), np.empty_like(state.z))
-        self.at = [(deriv, ports, *ports[:2], *rest) + run for deriv, ports, *rest in rows]
+        h, mags = np.array(cfg.step), np.empty_like(state.z)
+
+        def step(k, t, state):
+            """Phases 1-3 of step k at time t from state, row k % R as a
+            rule: (deriv, ports, update, trip), the derivative, the port pair
+            (r, p, s_in, s_out, None where the mode lacks it) and the
+            uncommitted update of row (k + 1) % R.  trip is None,
+            "divergence" (an updated entry beyond DIVERGENCE_LIMIT), the
+            LambdaGuardError of the update or "nan", a non-finite zdot,
+            tested only after another trip; a "nan" step is not pushed."""
+            deriv, ports, r, p, u_own, gathered, operand, mapped, outgoing, nxt = at[k % count]
+            u_x[...] = state._x
+            u_xi[...] = state._xi
+
+            # phase 1: the port pair (r, p) of every directed edge i <- j:
+            # one take gathers what crossed beside [x_i; xi_i] (a take with
+            # mode "raise" would copy through a buffer, and every index is in
+            # range, so "clip" gathers straight into the row), one matmul
+            # maps it
+            c = k % depth  # the line's pop and push rows after c pushes
+            source.take(pairs[c], 0, gathered, "clip")
+            if diff is not None:  # p = E (r - u_own)
+                np.subtract(r, u_own, diff)
+            np.matmul(maps, operand, mapped)
+
+            # phase 2: derivatives from the edges' p, the update, its guards
+            derivatives(prob, comp, state, p, deriv, plan)
+            try:
+                euler_step(state, deriv, h, nxt)
+                z = nxt._z  # _diverged's dot product, inline: it decides most steps
+                trip = None if z.dot(z) < _SQUARES_BOUND or not _diverged(z, mags) else "divergence"
+            except LambdaGuardError as err:
+                trip = err
+            if trip is not None and not np.isfinite(deriv.zdot).all():
+                return deriv, ports, nxt, "nan"
+
+            # phase 3: push what crosses each edge into its delay line
+            if pushes is not None:
+                np.copyto(pushes[c], outgoing)
+            return deriv, ports, nxt, trip
+
+        self.step = step
 
         # the linear map of the unlogged steps of an uncertified affine
         # no-delay run, which no log row or certificate row reads
         self.linear = None
         if cfg.mode == "no_delay" and prob._affine is not None and cfg.reference is None:
-            self.linear = _linear_records(prob, comp, coupling.blocks, cfg.step, self.table,
-                                          _SQUARES_BOUND)
-
-    def step(self, k, t, state):
-        """Phases 1-3 of step k at time t from state, row k % R as a rule:
-        (deriv, ports, update, trip), the derivative, the port pair (r, p,
-        s_in, s_out, None where the mode lacks it) and the uncommitted
-        update of row (k + 1) % R.  trip is None, "divergence" (an updated
-        entry beyond DIVERGENCE_LIMIT), the LambdaGuardError of the update
-        or "nan", a non-finite zdot, tested only after another trip; a "nan"
-        step is not pushed."""
-        (deriv, ports, r, p, u_own, gathered, operand, mapped, outgoing, nxt, u_x, u_xi,
-         source, pairs, pushes, depth, diff, maps, prob, comp, plan, h,
-         mags) = self.at[k % self.count]
-        u_x[...] = state._x
-        u_xi[...] = state._xi
-
-        # phase 1: the port pair (r, p) of every directed edge i <- j: one
-        # take gathers what crossed beside [x_i; xi_i] (a take with mode
-        # "raise" would copy through a buffer, and every index is in range,
-        # so "clip" gathers straight into the row), one matmul maps it
-        c = k % depth  # the line's pop and push rows after c pushes
-        source.take(pairs[c], 0, gathered, "clip")
-        if diff is not None:  # p = E (r - u_own)
-            np.subtract(r, u_own, diff)
-        np.matmul(maps, operand, mapped)
-
-        # phase 2: derivatives from the edges' p, the update, its guards
-        derivatives(prob, comp, state, p, deriv, plan)
-        try:
-            euler_step(state, deriv, h, nxt)
-            z = nxt._z  # _diverged's dot product, inline: it decides most steps
-            trip = None if z.dot(z) < _SQUARES_BOUND or not _diverged(z, mags) else "divergence"
-        except LambdaGuardError as err:
-            trip = err
-        if trip is not None and not np.isfinite(deriv.zdot).all():
-            return deriv, ports, nxt, "nan"
-
-        # phase 3: push what crosses each edge into its delay line
-        if pushes is not None:
-            np.copyto(pushes[c], outgoing)
-        return deriv, ports, nxt, trip
+            self.linear = _linear_records(prob, comp, coupling.blocks, cfg.step, self.table)
 
 
 def _energy(waves, offsets):

@@ -114,14 +114,13 @@ class DelayLine:
                 f"delay line time skew: got t={t}, expected ~{count * self.h}"
             )
 
-    def pop(self, t=None, out=None):
+    def pop(self, t=None):
         """Samples from one delay ago (zeros before a line fills), of the
-        constructor's lines; they are gathered by one take, into out when
-        given."""
+        constructor's lines, gathered by one take."""
         self._check_time(t, self._pops)
         index = self._index[self._pushes % self._depth]
         self._pops += 1
-        return self._rows.take(index, 0, out, "clip")
+        return self._rows.take(index, 0, None, "clip")
 
     def push(self, value, t=None):
         self._check_time(t, self._pushes)
@@ -135,7 +134,9 @@ class DelayLine:
 class ChannelEnd:
     """One agent's end of one directed channel, or of E channels when the
     coupling weight is an (E, 1) array: per edge, the precomputed 6x4 map
-    from (s_in, u) to (r, p, s_out) of the module docstring."""
+    from (s_in, u) to (r, p, s_out) of the module docstring.  A weight and
+    eta whose 2x2 determinant is not positive and finite, say one that
+    overflows, are a ValueError that names them."""
 
     def __init__(self, coupling, eta):
         if not 0.0 < eta < np.inf:  # NaN fails both
@@ -143,9 +144,12 @@ class ChannelEnd:
         self.coupling = coupling
         self.eta = float(eta)
         a = coupling.blocks[:, :1, :1]
-        det = eta * (a + eta) + a * a
-        if np.any(det <= 0.0):
-            raise ValueError("coupling + impedance not invertible")
+        with np.errstate(over="ignore"):  # an overflow is rejected below
+            det = eta * (a + eta) + a * a
+        bad = ~((det > 0.0) & (det < np.inf))
+        if bad.any():  # one that overflows would zero the whole map
+            raise ValueError(f"coupling + impedance not invertible: weight {a[bad][0]:g} and "
+                             f"eta {eta:g} give the 2x2 determinant {det[bad][0]:g}")
         # M = (E + eta I)^{-1} and N = M E; rows r, p, s_out, columns s_in, u
         m = np.concatenate([np.full_like(a, eta), a, -a, a + eta], axis=-1)
         m = m.reshape(-1, 2, 2) / det
@@ -154,24 +158,16 @@ class ChannelEnd:
         self._map = np.concatenate([np.concatenate(blocks, axis=-1) for blocks in (
             (sq * m, nm), (sq * nm, -eta * nm), (eta * m - nm, sq * nm))], axis=1)
 
-    def recover(self, s_in, u, out=None):
+    def recover(self, s_in, u):
         """The block of (r, p, s_out), s_in.shape[:-1] + (3, 2n), from the
         incoming wave and the local state u = [x; xi], stacked like s_in:
-        block[..., 0, :] is r, [..., 1, :] p and [..., 2, :] s_out.  It is
-        one product, written into out when given, which must be C-contiguous
-        of that shape (a ValueError names it otherwise, since the product
-        could not be written into it in place), and returned.  A run's step
-        applies _map itself, to the [s_in; u] rows it gathers (engine._Run)."""
+        block[..., 0, :] is r, [..., 1, :] p and [..., 2, :] s_out, one
+        product.  A run's step applies _map itself, to the [s_in; u] rows it
+        gathers (engine._Run)."""
         dim = self.coupling.dim
-        shape = s_in.shape[:-1] + (3, 2 * dim)
-        if out is None:
-            out = np.empty(shape)
-        elif out.shape != shape or not out.flags.c_contiguous:
-            raise ValueError(f"out: expected a C-contiguous array of shape {shape}, got shape "
-                             f"{out.shape}, C-contiguous {out.flags.c_contiguous}")
         joined = np.concatenate(np.broadcast_arrays(s_in, u), axis=-1, dtype=float)
-        np.matmul(self._map, joined.reshape(-1, 4, dim), out.reshape(-1, 6, dim))
-        return out
+        block = np.matmul(self._map, joined.reshape(-1, 4, dim))
+        return block.reshape(s_in.shape[:-1] + (3, 2 * dim))
 
     def outgoing_wave(self, r, p):
         """Wave sent back into the channel from the recovered pair."""

@@ -349,6 +349,18 @@ def test_main_exit_codes(tmp_path, capsys):
     assert (tmp_path / "o2" / "diagnostics.txt").exists()
 
 
+def test_main_rejects_an_overflowing_channel(tmp_path):
+    # weight^2 overflows the channel end's 2x2 determinant: the run stops
+    # with an error naming the pair, where it once ran decoupled agents to a
+    # consensus error of 1.5e162 and exited 0
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps({"ring_weight": 1e160, "duration": 0.1, "diagnostics": False}))
+    with pytest.raises(ValueError, match=r"weight 1e\+160 and eta 1 give the 2x2 determinant"):
+        main(["--scenario", "scattering", "--out", str(tmp_path / "o"), "--config",
+              str(cfg_path)])
+    assert not (tmp_path / "o" / "diagnostics.txt").exists()
+
+
 def test_main_rejects_unknown_scenario():
     with pytest.raises(SystemExit):
         main(["--scenario", "warp", "--out", "/tmp/x"])

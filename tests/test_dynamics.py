@@ -201,7 +201,7 @@ def test_lambda_guard_decides_as_the_least_lam(lam, trips):
         # the linear map's batched guard, on z's lam columns (its tail, as
         # there is no mu) in a batch whose middle row trips nothing
         batch, lams = np.stack([st.z, np.ones_like(st.z), st.z]), slice(-st.lam.size, None)
-        assert _guards(batch, lams, np.inf)[1].tolist() == [trips, False, trips]
+        assert _guards(batch, lams)[1].tolist() == [trips, False, trips]
     if trips:
         with pytest.raises(LambdaGuardError) as err:
             euler_step(st, d, 1e-3)

@@ -690,10 +690,10 @@ def test_divergence_guard_aborts_run():
 
 def old_diverged(z):
     """The divergence decision as one abs-max over z."""
-    return not np.maximum.reduce(np.abs(z)) <= engine.DIVERGENCE_LIMIT
+    return not np.maximum.reduce(np.abs(z)) <= dynamics.DIVERGENCE_LIMIT
 
 
-LIMIT = engine.DIVERGENCE_LIMIT
+LIMIT = dynamics.DIVERGENCE_LIMIT
 BOUNDARY_STATES = [  # (z, trips, decided by the exact abs-max)
     (np.array([LIMIT]), False, True),
     (np.array([0.0, -LIMIT, 1.0]), False, True),
@@ -714,11 +714,11 @@ BOUNDARY_STATES = [  # (z, trips, decided by the exact abs-max)
 def test_divergence_decision_at_the_limit(z, trips, exact):
     mags = np.full_like(z, -1.0)
     with np.errstate(all="ignore"):
-        assert engine._diverged(z, mags) == old_diverged(z) == trips
+        assert dynamics._diverged(z, mags) == old_diverged(z) == trips
         # the linear map's batched fast test passes z as the dot product
         # does, in a batch with a zero row
         batch = np.stack([z, np.zeros_like(z)])
-        fast = dynamics._guards(batch, slice(0), engine._SQUARES_BOUND)[0]
+        fast = dynamics._guards(batch, slice(0))[0]
         assert fast.tolist() == [not exact, True]
     # the exact path writes |z| into mags; the dot product alone leaves it
     assert (mags != -1.0).any() == exact
@@ -729,7 +729,7 @@ def test_divergence_decision_on_random_states():
     for scale in (1.0, 1e4, 1e8, 2e8, 5e8, 1e9, 2e9, 1e10):
         for size in (1, 8, 125, 400):
             z = rng.standard_normal(size) * scale
-            assert engine._diverged(z, np.empty_like(z)) == old_diverged(z)
+            assert dynamics._diverged(z, np.empty_like(z)) == old_diverged(z)
 
 
 def test_nan_guard_aborts_before_commit():
@@ -1282,6 +1282,33 @@ def test_no_delay_map_matches_the_exchange_step(stages, agents, weight, step):
     assert not np.allclose(mapped.x[-1], mapped.x[0])
 
 
+def test_no_delay_map_matches_the_exchange_step_over_60_s(monkeypatch):
+    # the map's rounding drifts from the exchange step's as a run goes on:
+    # the default config's 60,000 steps, mapped between the logged ones,
+    # against a run with a reference attached, which steps every step by
+    # the exchange (the reference's values do not matter).  The undamped
+    # m = 1 ablation is left out: it grows by design, and its drift with it
+    _, prob, sim = build_scenario(validate_config(None, {"duration": 60.0,
+                                                         "diagnostics": False}), "no_delay")
+    state = AgentState.zeros(sim.compensator, prob)
+    ref = ReferencePoint(state.x, state.xi, state.lam, state.mu)
+    mapped_steps = []
+
+    def counted(state, count, record):
+        state, done = dynamics._linear_steps(state, count, record)
+        mapped_steps.append(done)
+        return state, done
+
+    monkeypatch.setattr(engine, "_linear_steps", counted)
+    mapped = simulate(prob, sim)
+    assert sum(mapped_steps) == 60000 - 60  # all but the 60 logged steps
+    exchanged = simulate(prob, dataclasses.replace(sim, reference=ref))
+    assert sum(mapped_steps) == 60000 - 60
+    assert mapped.abort_reason is exchanged.abort_reason is None
+    assert mapped.t[-1] == exchanged.t[-1] == 60.0
+    final_within(mapped, exchanged, 1e-12)
+
+
 def affine_guard_case(kind):
     """(problem, SimConfig, abort step, ring rows) of an affine no-delay run
     whose map steps hand a step to the exchange step.  On a ring of three
@@ -1295,7 +1322,7 @@ def affine_guard_case(kind):
     batches of 7 steps from step 1, so the trip's update is the last row
     before the ring wraps.  "near_limit" trips nothing: the three agents
     start in consensus at 2.885e8 and drift up, so at step 17 the state's
-    sum of squares reaches engine._SQUARES_BOUND with every entry within
+    sum of squares reaches dynamics._SQUARES_BOUND with every entry within
     DIVERGENCE_LIMIT, a step the exchange step commits; its step is None."""
     base, _, edge = kind.partition("-")
     rows = 8 if edge == "ring-end" else dynamics._MAP_ROWS
@@ -1357,7 +1384,7 @@ def test_guard_trip_on_a_mapped_step_is_the_exchange_steps(kind, monkeypatch):
         # the map stepped from step 1 until the sum of squares reached the
         # bound, then the exchange step every step, to the end
         z = np.concatenate([a[-1].ravel() for a in (mapped.rho, mapped.xi, mapped.lam, mapped.mu)])
-        assert z @ z >= engine._SQUARES_BOUND and np.abs(z).max() < engine.DIVERGENCE_LIMIT
+        assert z @ z >= dynamics._SQUARES_BOUND and np.abs(z).max() < dynamics.DIVERGENCE_LIMIT
         assert mapped.abort_reason is None and sum(mapped_steps) == 16
     else:
         # every step before the trip but the logged ones was mapped

@@ -101,8 +101,9 @@ def test_final_tol_passes_a_one_ulp_drift_of_the_final_state(tmp_path):
 
 def test_final_tol_reports_the_largest_change_elsewhere(tmp_path):
     # a run whose final state is bit-equal may move elsewhere: _final_state
-    # names the largest relative change of any other value, the state of an
-    # earlier sample too, as a report, not a gate
+    # names the largest change of any other value, the state of an earlier
+    # sample too, relative to its variable's largest |value| in the base, as
+    # a report, not a gate
     tool = load_tool()
     base = write_state_run(tmp_path / "base")
     assert tool._final_state(base, write_state_run(tmp_path / "same")) == (
@@ -111,7 +112,14 @@ def test_final_tol_reports_the_largest_change_elsewhere(tmp_path):
     assert tool._final_state(base, kkt) == ([], 0.0, 1.25, (pytest.approx(2.0**-52), "kkt_consensus"))
     assert tool.compare(base, kkt, 0.0) == []
     both = write_state_run(tmp_path / "both", consensus="0.2500001", x0="1e-300")
-    assert tool._final_state(base, both) == ([], 0.0, 1.25, (1.0, "x"))
+    assert tool._final_state(base, both) == ([], 0.0, 1.25, (pytest.approx(4e-7), "kkt_consensus"))
+    # a near-zero x that changes sign moves by 2e-15 of x's scale 1.25, not
+    # by twice itself, and the larger move beside it is the one named
+    tiny = write_state_run(tmp_path / "tiny", x0="1e-15")
+    flip = write_state_run(tmp_path / "flip", x0="-1e-15", consensus="0.2500001")
+    assert tool._final_state(tiny, flip) == ([], 0.0, 1.25, (pytest.approx(4e-7), "kkt_consensus"))
+    flip_only = write_state_run(tmp_path / "flip_only", x0="-1e-15")
+    assert tool._final_state(tiny, flip_only) == ([], 0.0, 1.25, (pytest.approx(1.6e-15), "x"))
     # the final state's own drift is not counted elsewhere
     ulp = write_state_run(tmp_path / "ulp", x=repr(math.nextafter(1.25, math.inf)))
     assert tool._final_state(base, ulp) == ([], 2.0**-52, 1.25, (0.0, None))

@@ -25,9 +25,10 @@ storage differences divided by the step.  The other values of
 trajectory.csv are not compared.  Each run's line then gives the final
 state's largest drift when a run is within the tolerances but not
 byte for byte the same, which reads "close", and, as a report and not a
-gate, the largest relative change of any other value of trajectory.csv
-and its variable: a run whose final state is bit-equal may have moved
-elsewhere, in its Lyapunov rows, say.
+gate, the largest change of any other value of trajectory.csv, relative to
+the largest |value| of its variable in the base, and that variable: a run
+whose final state is bit-equal may have moved elsewhere, in its Lyapunov
+rows, say.
 
 CHANGE_TREE defaults to the tree this script is in.  The runs cover every
 scenario, N = 5, 6, 8 and 12, runs with and without the online
@@ -164,42 +165,43 @@ def _diagnostics_apart(base, change, final_tol):
     return keys
 
 
-def _relative(u, v):
-    """_gap(u, v) relative to the larger of |u| and |v|."""
-    gap = _gap(u, v)
-    return gap / max(abs(u), abs(v)) if 0.0 < gap < math.inf else gap
-
-
 def _final_state(base, change):
     """(reasons, drift, scale, other) of trajectory.csv: the reasons its
     header, labels or row count differ; for the final sample's agent x, xi,
     lambda and mu, the largest _gap and the largest finite |value| of the
-    base; and for every other value the largest _relative change and its
-    variable, (0.0, None) when none moved.  The files are read in step, one
-    row at a time."""
-    sample, t, other = [], None, (0.0, None)
+    base; and for every other value the largest _gap relative to the
+    largest finite |value| of its variable in the base (absolute where that
+    is 0), with that variable, (0.0, None) when none moved.  The files are
+    read in step, one row at a time, each variable's largest gap and |value|
+    kept as they go."""
+    sample, t, gaps, scales = [], None, {}, {}
     with open(pathlib.Path(base, "trajectory.csv")) as fa, \
             open(pathlib.Path(change, "trajectory.csv")) as fb:
         if next(fa, None) != next(fb, None):
-            return ["trajectory.csv header differs"], 0.0, 0.0, other
+            return ["trajectory.csv header differs"], 0.0, 0.0, (0.0, None)
         for row, (a, b) in enumerate(itertools.zip_longest(fa, fb), 2):
             if a is None or b is None:
-                return ["trajectory.csv row count differs"], 0.0, 0.0, other
+                return ["trajectory.csv row count differs"], 0.0, 0.0, (0.0, None)
             (label, u), (label_b, v) = a.rsplit(",", 1), b.rsplit(",", 1)
             if label != label_b:
-                return [f"trajectory.csv row {row} label differs"], 0.0, 0.0, other
+                return [f"trajectory.csv row {row} label differs"], 0.0, 0.0, (0.0, None)
             fields = label.split(",")
             if fields[0] != t:  # a new sample: the last one's state was not final
-                other = max([other] + [(_relative(u, v), var) for u, v, var in sample],
-                            key=lambda change: change[0])
+                for was, now, name in sample:
+                    gaps[name] = max(gaps.get(name, 0.0), _gap(was, now))
                 sample, t = [], fields[0]
-            if fields[1] == "agent" and fields[3] in STATE:
-                sample.append((float(u), float(v), fields[3]))
-            elif u != v:
-                other = max(other, (_relative(float(u), float(v)), fields[3]),
-                            key=lambda change: change[0])
+            var, u = fields[3], float(u)
+            if math.isfinite(u):
+                scales[var] = max(scales.get(var, 0.0), abs(u))
+            if fields[1] == "agent" and var in STATE:
+                sample.append((u, float(v), var))
+            elif a != b:
+                gaps[var] = max(gaps.get(var, 0.0), _gap(u, float(v)))
+    moved = [(gap / scales[var] if 0.0 < gap < math.inf and scales.get(var) else gap, var)
+             for var, gap in gaps.items() if gap]
     drift = max((_gap(u, v) for u, v, _ in sample), default=0.0)
-    return [], drift, max((abs(u) for u, _, _ in sample if math.isfinite(u)), default=0.0), other
+    return ([], drift, max((abs(u) for u, _, _ in sample if math.isfinite(u)), default=0.0),
+            max(moved, default=(0.0, None), key=lambda change: change[0]))
 
 
 def compare(base, change, final_tol=None):
